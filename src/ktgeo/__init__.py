@@ -12,19 +12,13 @@ from .catalog import (
     HermitianManifold, catalog_names, conformal_rescale, get_manifold,
     register_manifold,
 )
-from .classify import StructureFlags, check_hkt, classify, vanishing_hypotheses
-from .connections import (
-    ConnectionField, bismut, chern, connection, covariant_derivative,
-    lee_form, levi_civita, torsion_C, torsion_T,
-)
-from .curvature import CurvaturePack, curvature_pack, lambda_omega, riemann, weyl_selfdual
+from .classify import StructureFlags, check_hkt, vanishing_hypotheses
 from .errors import (
     ChartDomainError, ContractViolationError, ConventionError, GeometryError,
     NumericError, PreconditionError, UnknownManifoldError,
 )
-from .identities import ResidualEntry, run_identity_suite, verify_conformal_trace, verify_dim4
-from .string_eqs import StringReport, run_string_suite, string_residual, verify_th1
-from .tensor_core import (
-    Frame, PointTensor, TensorField, codifferential, exterior_derivative,
-    hodge_star, j_trace, orthonormal_frame, tensor_norm_sq,
+from .identities import (
+    Evaluation, ResidualEntry, evaluation, evaluation_scope, run_identity_suite,
+    verify_conformal_trace, verify_dim4,
 )
+from .string_eqs import StringReport, run_string_suite, string_residual, verify_th1

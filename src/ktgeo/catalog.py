@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChartDomainError, NumericError, PreconditionError, UnknownManifoldError
-from .tensor_core import TensorField, fd_partial
+from .tensor_core import fd_partial
 
 __all__ = [
     "Chart", "BoxChart", "AnnulusChart", "ConformalParent", "HermitianManifold",
@@ -160,9 +160,6 @@ class HermitianManifold:
     def require_interior(self, points, margin):
         self.chart.require_interior(points, margin)
 
-    def metric_field(self) -> TensorField:
-        return TensorField(self.metric, self.dim, 2, form_flag=False, domain=self.chart)
-
     def kahler_form(self, points: np.ndarray) -> np.ndarray:
         """omega(X,Y) = g(X, JY) as a batched 2-form.
 
@@ -172,9 +169,6 @@ class HermitianManifold:
         gj = np.einsum("...ik,...kj->...ij", self.metric(points),
                        self.complex_structure(points))
         return 0.5 * (gj - np.einsum("...ij->...ji", gj))
-
-    def kahler_field(self) -> TensorField:
-        return TensorField(self.kahler_form, self.dim, 2, form_flag=True, domain=self.chart)
 
     def sample_points(self, n: int, seed: int, margin: float = 0.05) -> np.ndarray:
         """Deterministic chart sample: counter-based generator keyed by

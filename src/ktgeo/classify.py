@@ -11,23 +11,16 @@ the curvature endomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .catalog import HermitianManifold
-from .connections import (
-    connection, lee_form_values, torsion_bismut_values, torsion_chern_values,
-)
-from .curvature import (
-    j_trace_matrix, lambda_omega_values, riemann_values, rho_from_curvature,
-)
+from .catalog import HermitianManifold, hermitian_residuals
+from .connections import coefficient_values
 from .errors import PreconditionError
-from .tensor_core import (
-    DEFAULT_STEP, exterior_derivative_values, gram_schmidt_frames,
-    metric_inverse, norm_sq_values, proj_one_one, to_frame, wedge,
-)
+from .identities import Evaluation, evaluation, evaluation_scope
+from .tensor_core import DEFAULT_STEP, norm_sq_values, to_frame, wedge
 
 __all__ = [
     "StructureFlags", "HktFlags", "classify", "check_hkt",
@@ -78,11 +71,6 @@ class StructureFlags:
         return out
 
 
-def _frame_max(m, pts, tensor, valence):
-    frames = gram_schmidt_frames(m.metric(pts))
-    return float(np.max(np.abs(to_frame(tensor, frames, valence))))
-
-
 def classify(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
              step: float = DEFAULT_STEP, loop_check: bool = False) -> StructureFlags:
     """Taxonomy flags with their supporting residuals at the sampled points."""
@@ -90,33 +78,22 @@ def classify(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
     if pts.shape[0] == 0:
         raise PreconditionError("classify needs a non-empty point set")
     n = m.dim // 2
-
-    T = torsion_bismut_values(m, pts, step)
-    res = {"torsion": _frame_max(m, pts, T, 3)}
-
-    dT = exterior_derivative_values(lambda p: torsion_bismut_values(m, p, step), pts, 3, step)
-    res["torsion_closure"] = _frame_max(m, pts, dT, 4)
-
-    lam = lambda_omega_values(m, pts, step)[0]
-    res["lambda_omega"] = _frame_max(m, pts, lam, 2)
-
-    theta = lee_form_values(m, pts, step)
-    res["lee_form"] = _frame_max(m, pts, theta, 1)
-
-    J = m.complex_structure(pts)
-    jtheta = -np.einsum("...m,...mi->...i", theta, J)
-    lck_diff = T - wedge(jtheta, 1, m.kahler_form(pts), 2) / (n - 1)
-    res["lck_defect"] = _frame_max(m, pts, lck_diff, 3)
-
-    r = riemann_values(m, "bismut", pts, step)
-    ginv = metric_inverse(m.metric(pts))
-    rho = rho_from_curvature(r, j_trace_matrix(J, ginv))
-    res["ricci_form"] = _frame_max(m, pts, rho, 2)
-    commute = np.einsum("...xymn,...mz,...nw->...xyzw", r, J, J) - r
-    res["curvature_j_commutator"] = _frame_max(m, pts, commute, 4)
-
-    if loop_check:
-        res["loop_transport"] = plaquette_holonomy_check(m, pts[:2], step=step)
+    with evaluation_scope():
+        ev = evaluation(m, pts, step)
+        measured = {
+            "torsion": (ev.T, 3),
+            "torsion_closure": (ev.dT, 4),
+            "lambda_omega": (ev.lam, 2),
+            "lee_form": (ev.theta, 1),
+            "lck_defect": (ev.T - wedge(ev.jtheta, 1, ev.omega, 2) / (n - 1), 3),
+            "ricci_form": (ev.rho, 2),
+            "curvature_j_commutator": (ev.j_commutator, 4),
+        }
+        res = {name: ev.residual(name, diff, valence)[0]
+               for name, (diff, valence) in measured.items()}
+        if loop_check:
+            res["loop_transport"] = plaquette_holonomy_check(m, pts[:2], step=step)
+        hkt = check_hkt(m, pts, tol=tol, step=step) if m.hypercomplex is not None else None
 
     return StructureFlags(
         kahler=res["torsion"] <= tol,
@@ -125,8 +102,7 @@ def classify(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
         balanced=res["lee_form"] <= tol,
         lck=res["lck_defect"] <= tol,
         su_holonomy_indicator=max(res["ricci_form"], res["curvature_j_commutator"]) <= tol,
-        residuals=res, tolerance=tol,
-        hkt=check_hkt(m, pts, step=step) if m.hypercomplex is not None else None)
+        residuals=res, tolerance=tol, hkt=hkt)
 
 
 def check_hkt(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
@@ -135,21 +111,13 @@ def check_hkt(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
     a hypercomplex triple."""
     if m.hypercomplex is None:
         raise PreconditionError(f"{m.name} carries no hypercomplex triple")
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    from .catalog import hermitian_residuals
-    quat = hermitian_residuals(m, pts, step)["quaternion_residual"]
-
-    from dataclasses import replace
-    variants = [m]
-    for j_fn in m.hypercomplex:
-        variants.append(replace(m, complex_structure=j_fn, hypercomplex=None))
-
-    torsions = [torsion_bismut_values(v, pts, step) for v in variants]
-    lees = [lee_form_values(v, pts, step, check=False) for v in variants]
-    t_match = max(_frame_max(m, pts, torsions[a] - torsions[b], 3)
-                  for a in range(3) for b in range(a + 1, 3))
-    l_match = max(_frame_max(m, pts, lees[a] - lees[b], 1)
-                  for a in range(3) for b in range(a + 1, 3))
+    ev = evaluation(m, pts, step)
+    quat = hermitian_residuals(m, ev.pts, step)["quaternion_residual"]
+    evs = [ev] + [Evaluation(replace(m, complex_structure=j_fn, hypercomplex=None), ev.pts, step)
+                  for j_fn in m.hypercomplex]
+    pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
+    t_match = max(ev.residual("torsion_match", evs[a].T - evs[b].T, 3)[0] for a, b in pairs)
+    l_match = max(ev.residual("lee_match", evs[a].theta - evs[b].theta, 1)[0] for a, b in pairs)
     return HktFlags(quaternion_residual=quat, torsion_match_residual=t_match,
                     lee_match_residual=l_match, tolerance=tol)
 
@@ -162,24 +130,11 @@ def vanishing_hypotheses(m: HermitianManifold, pts, step: float = DEFAULT_STEP) 
     - ``quad_form_min_eig``: min eigenvalue over points of the symmetric form
       ``<<X,Y>> = rho^{1,1}(JX,Y) + <i_X C, i_Y C> - lambda(JX,Y)/4``.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    ginv = metric_inverse(m.metric(pts))
-    J = m.complex_structure(pts)
-    jg = j_trace_matrix(J, ginv)
+    ev = evaluation(m, pts, step)
+    c2 = norm_sq_values(ev.C, ev.ginv, 3)
+    margin = float(np.min(ev.b + c2 - 0.5 * ev.h))
 
-    rho = rho_from_curvature(riemann_values(m, "bismut", pts, step), jg)
-    b = np.einsum("...mn,...mn->...", rho, jg)
-    C = torsion_chern_values(m, pts, step)
-    c2 = norm_sq_values(C, ginv, 3)
-    lam, h_scalar, _ = lambda_omega_values(m, pts, step)
-    margin = float(np.min(b + c2 - 0.5 * h_scalar))
-
-    rho11 = proj_one_one(rho, J)
-    cc = np.einsum("...xab,...ycd,...ac,...bd->...xy", C, C, ginv, ginv)
-    quad = (np.einsum("...my,...mx->...xy", rho11, J) + cc
-            - 0.25 * np.einsum("...my,...mx->...xy", lam, J))
-    frames = gram_schmidt_frames(m.metric(pts))
-    quad_f = to_frame(quad, frames, 2)
+    quad_f = to_frame(ev.mean_curvature_form, ev.frames, 2)
     quad_f = 0.5 * (quad_f + np.swapaxes(quad_f, -1, -2))
     min_eig = float(np.min(np.linalg.eigvalsh(quad_f)))
     return {"plurigenera_margin": margin, "quad_form_min_eig": min_eig}
@@ -190,12 +145,10 @@ def plaquette_holonomy_check(m: HermitianManifold, pts, side: float = 1e-2,
     """Optional cross-check: transport a frame around small coordinate
     plaquettes and compare the resulting curvature endomorphism estimate with
     the differentiated one.  Returns the worst relative deviation."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    conn = connection(m, "bismut", step)
-    r = riemann_values(m, "bismut", pts, step)
-    ginv = metric_inverse(m.metric(pts))
+    ev = evaluation(m, pts, step)
+    pts = ev.pts
     # endomorphism R(d_i,d_j): R^k_l = g^{km} R[i,j,l,m]
-    r_endo = np.einsum("...km,...ijlm->...ijkl", ginv, r)
+    r_endo = np.einsum("...km,...ijlm->...ijkl", ev.ginv, ev.riemann("bismut"))
     d = m.dim
     worst = 0.0
     scale = max(float(np.max(np.abs(r_endo))), 1e-12)
@@ -211,7 +164,7 @@ def plaquette_holonomy_check(m: HermitianManifold, pts, side: float = 1e-2,
                 for _ in range(substeps):
                     mid = x.copy()
                     mid[axis] += sgn * dx / 2
-                    a = -sgn * dx * conn.coefficients(mid)[:, axis, :]
+                    a = -sgn * dx * coefficient_values(m, "bismut", mid, step)[:, axis, :]
                     # second-order step of the transport exponential
                     u = u + a @ u + 0.5 * a @ (a @ u)
                     x[axis] += sgn * dx

@@ -30,7 +30,8 @@ from .catalog import catalog_names, get_manifold
 from .classify import DEFAULT_CLASSIFY_TOL, classify, vanishing_hypotheses
 from .errors import GeometryError, UnknownManifoldError
 from .identities import (
-    TOL_FIRST_ORDER, run_identity_suite, verify_conformal_trace, verify_dim4,
+    TOL_FIRST_ORDER, evaluation_scope, run_identity_suite, verify_conformal_trace,
+    verify_dim4,
 )
 from .string_eqs import run_string_suite
 from .tensor_core import DEFAULT_STEP
@@ -167,59 +168,62 @@ def _manifold_report(name: str, cfg: RunConfig) -> dict:
     section = {"name": name, "dim": m.dim, "chart": m.chart.describe()}
     asserted_pass = []
 
-    if "classify" in cfg.suites:
-        suite = "classify"
-        try:
-            flags = classify(m, pts, tol=cfg.tol_classify, step=cfg.step)
-            section["flags"] = flags.as_dict()
-            section["vanishing_hypotheses"] = vanishing_hypotheses(m, pts, cfg.step)
-            # taxonomy implications are engine-consistency assertions
-            implications = ((not flags.kahler or flags.strong_kt)
-                            and (not flags.strong_kt or flags.almost_strong_kt))
-            section["taxonomy_implications"] = implications
-            asserted_pass.append(implications)
-            if flags.hkt is not None:
-                asserted_pass.append(flags.hkt.hkt)
-        except GeometryError as exc:
-            raise NumericFailure(name, suite, exc) from exc
+    # one evaluation context per section: every suite shares its primitives,
+    # and nothing computed here outlives the section
+    with evaluation_scope():
+        if "classify" in cfg.suites:
+            suite = "classify"
+            try:
+                flags = classify(m, pts, tol=cfg.tol_classify, step=cfg.step)
+                section["flags"] = flags.as_dict()
+                section["vanishing_hypotheses"] = vanishing_hypotheses(m, pts, cfg.step)
+                # taxonomy implications are engine-consistency assertions
+                implications = ((not flags.kahler or flags.strong_kt)
+                                and (not flags.strong_kt or flags.almost_strong_kt))
+                section["taxonomy_implications"] = implications
+                asserted_pass.append(implications)
+                if flags.hkt is not None:
+                    asserted_pass.append(flags.hkt.hkt)
+            except GeometryError as exc:
+                raise NumericFailure(name, suite, exc) from exc
 
-    if "identities" in cfg.suites:
-        suite = "identities"
-        try:
-            entries = _apply_tol_override(run_identity_suite(m, pts, cfg.step),
-                                          cfg.tol_identity)
-            if m.conformal_parent is not None:
-                entries.extend(_apply_tol_override(
-                    [verify_conformal_trace(m, pts, cfg.step)], cfg.tol_identity))
-            section["identities"] = [e.as_dict() for e in entries]
-            asserted_pass += [e.passed for e in entries]
-        except GeometryError as exc:
-            raise NumericFailure(name, suite, exc) from exc
+        if "identities" in cfg.suites:
+            suite = "identities"
+            try:
+                entries = _apply_tol_override(run_identity_suite(m, pts, cfg.step),
+                                              cfg.tol_identity)
+                if m.conformal_parent is not None:
+                    entries.extend(_apply_tol_override(
+                        [verify_conformal_trace(m, pts, cfg.step)], cfg.tol_identity))
+                section["identities"] = [e.as_dict() for e in entries]
+                asserted_pass += [e.passed for e in entries]
+            except GeometryError as exc:
+                raise NumericFailure(name, suite, exc) from exc
 
-    if "dim4" in cfg.suites:
-        suite = "dim4"
-        try:
-            entries = _apply_tol_override(verify_dim4(m, pts, cfg.step), cfg.tol_identity)
-            section["dim4"] = [e.as_dict() for e in entries]
-            asserted_pass += [e.passed for e in entries]
-        except GeometryError as exc:
-            raise NumericFailure(name, suite, exc) from exc
+        if "dim4" in cfg.suites:
+            suite = "dim4"
+            try:
+                entries = _apply_tol_override(verify_dim4(m, pts, cfg.step), cfg.tol_identity)
+                section["dim4"] = [e.as_dict() for e in entries]
+                asserted_pass += [e.passed for e in entries]
+            except GeometryError as exc:
+                raise NumericFailure(name, suite, exc) from exc
 
-    if "string" in cfg.suites:
-        suite = "string"
-        try:
-            string_section = {}
-            rep = run_string_suite(m, None, pts, cfg.step, hyp_tol=cfg.tol_classify)
-            string_section["constant_dilaton"] = rep.as_dict()
-            asserted_pass += [e.passed for e in rep.entries if e.passed is not None]
-            if m.dilaton is not None:
-                rep2 = run_string_suite(m, m.dilaton, pts, cfg.step,
-                                        hyp_tol=cfg.tol_classify, susy_asserted=True)
-                string_section["gradient_dilaton"] = rep2.as_dict()
-                asserted_pass += [e.passed for e in rep2.entries if e.passed is not None]
-            section["string"] = string_section
-        except GeometryError as exc:
-            raise NumericFailure(name, suite, exc) from exc
+        if "string" in cfg.suites:
+            suite = "string"
+            try:
+                string_section = {}
+                rep = run_string_suite(m, None, pts, cfg.step, hyp_tol=cfg.tol_classify)
+                string_section["constant_dilaton"] = rep.as_dict()
+                asserted_pass += [e.passed for e in rep.entries if e.passed is not None]
+                if m.dilaton is not None:
+                    rep2 = run_string_suite(m, m.dilaton, pts, cfg.step,
+                                            hyp_tol=cfg.tol_classify, susy_asserted=True)
+                    string_section["gradient_dilaton"] = rep2.as_dict()
+                    asserted_pass += [e.passed for e in rep2.entries if e.passed is not None]
+                section["string"] = string_section
+            except GeometryError as exc:
+                raise NumericFailure(name, suite, exc) from exc
 
     section["pass"] = all(asserted_pass)
     return section
@@ -298,6 +302,9 @@ def main(argv=None) -> int:
     except UnknownManifoldError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
+    except np.linalg.LinAlgError as exc:  # a ValueError, but a numeric failure
+        print(f"error: numeric failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2

@@ -19,27 +19,21 @@ codifferential route is the canonical value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .catalog import HermitianManifold
 from .errors import ConventionError
 from .tensor_core import (
-    DEFAULT_STEP, PointTensor, TensorField, codifferential_values,
-    covariant_derivative_values, exterior_derivative_values, fd_partial,
+    DEFAULT_STEP, codifferential_values, covariant_derivative_values,
+    exterior_derivative_values, fd_partial, j_trace_matrix, koszul_values,
     metric_inverse,
 )
 
 __all__ = [
-    "ConnectionField", "connection", "levi_civita", "bismut", "chern",
-    "torsion_bismut_values", "torsion_chern_values", "torsion_T", "torsion_C",
-    "lee_form_values", "lee_form_routes", "lee_form", "lee_field",
-    "covariant_derivative", "covariant_derivative_field_values",
-    "compatibility_residuals", "torsion_type_defect", "torsion_field",
+    "torsion_bismut_values", "torsion_chern_values", "lower_coefficients",
+    "coefficient_values", "lee_form_values", "lee_form_routes",
+    "compatibility_residuals", "torsion_type_defect",
 ]
-
-FLAVORS = ("levi_civita", "bismut", "chern")
 
 
 # ---------------------------------------------------------------------------
@@ -61,21 +55,6 @@ def torsion_chern_values(m: HermitianManifold, points, step=DEFAULT_STEP) -> np.
                   + np.einsum("...bj,...ibk->...ijk", J, dOm))
 
 
-def torsion_field(m: HermitianManifold, step=DEFAULT_STEP) -> TensorField:
-    return TensorField(lambda pts: torsion_bismut_values(m, pts, step),
-                       m.dim, 3, form_flag=True, domain=m.chart)
-
-
-def torsion_T(m: HermitianManifold, point, step=DEFAULT_STEP) -> PointTensor:
-    m.require_interior(point, 3 * step)
-    return PointTensor(m.dim, 3, torsion_bismut_values(m, point, step), form_flag=True)
-
-
-def torsion_C(m: HermitianManifold, point, step=DEFAULT_STEP) -> PointTensor:
-    m.require_interior(point, 3 * step)
-    return PointTensor(m.dim, 3, torsion_chern_values(m, point, step))
-
-
 def torsion_type_defect(m: HermitianManifold, points, step=DEFAULT_STEP) -> float:
     """Size of the (3,0)+(0,3) part of T, which must vanish:
     T(JX,JY,Z) + T(JX,Y,JZ) + T(X,JY,JZ) = T(X,Y,Z)."""
@@ -94,10 +73,7 @@ def torsion_type_defect(m: HermitianManifold, points, step=DEFAULT_STEP) -> floa
 def lower_coefficients(m: HermitianManifold, flavor: str, points,
                        step=DEFAULT_STEP) -> np.ndarray:
     """All-lower coefficients omega[l,i,j] for the requested flavor."""
-    g_fn = m.metric
-    dg = fd_partial(g_fn, points, step)
-    om = 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
-                - np.einsum("...lij->...lij", dg))
+    om = koszul_values(fd_partial(m.metric, points, step))
     if flavor == "levi_civita":
         return om
     if flavor == "bismut":
@@ -118,59 +94,6 @@ def coefficient_values(m: HermitianManifold, flavor: str, points,
     return np.einsum("...kl,...lij->...kij", ginv, om)
 
 
-@dataclass(frozen=True)
-class ConnectionField:
-    """A connection on a manifold: flavor + coefficient maps."""
-
-    flavor: str
-    manifold: HermitianManifold
-    step: float = DEFAULT_STEP
-
-    def __post_init__(self):
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown connection flavor {self.flavor!r}")
-
-    def coefficients(self, points) -> np.ndarray:
-        return coefficient_values(self.manifold, self.flavor, points, self.step)
-
-    def lower_coefficients(self, points) -> np.ndarray:
-        return lower_coefficients(self.manifold, self.flavor, points, self.step)
-
-
-def connection(m: HermitianManifold, flavor: str, step=DEFAULT_STEP) -> ConnectionField:
-    return ConnectionField(flavor, m, step)
-
-
-def levi_civita(m: HermitianManifold, point, step=DEFAULT_STEP) -> np.ndarray:
-    m.require_interior(point, 3 * step)
-    return coefficient_values(m, "levi_civita", point, step)
-
-
-def bismut(m: HermitianManifold, point, step=DEFAULT_STEP) -> np.ndarray:
-    m.require_interior(point, 3 * step)
-    return coefficient_values(m, "bismut", point, step)
-
-
-def chern(m: HermitianManifold, point, step=DEFAULT_STEP) -> np.ndarray:
-    m.require_interior(point, 3 * step)
-    return coefficient_values(m, "chern", point, step)
-
-
-def covariant_derivative_field_values(conn: ConnectionField, fn, valence: int,
-                                      points) -> np.ndarray:
-    gamma = conn.coefficients(points)
-    return covariant_derivative_values(fn, valence, points, gamma, conn.step)
-
-
-def covariant_derivative(conn: ConnectionField, field: TensorField, point) -> PointTensor:
-    """(nabla t)(X; ...) with the direction slot first."""
-    if field.valence > 4:
-        raise ValueError("covariant_derivative supports valence <= 4")
-    conn.manifold.require_interior(point, 3 * conn.step)
-    comp = covariant_derivative_field_values(conn, field.fn, field.valence, point)
-    return PointTensor(field.dim, field.valence + 1, comp)
-
-
 # ---------------------------------------------------------------------------
 # Lee form
 # ---------------------------------------------------------------------------
@@ -189,11 +112,8 @@ def lee_form_routes(m: HermitianManifold, points, step=DEFAULT_STEP):
     by a factor of two; the agreement check below guards the convention.)
     """
     J = m.complex_structure(points)
-    ginv = metric_inverse(m.metric(points))
-    jg = np.einsum("...bc,...ca->...ba", J, ginv)  # sum_i e_i^a (J e_i)^b
-
-    cod = codifferential_values(m.metric, m.kahler_form, 2, points, step)
-    via_codiff = np.einsum("...bi,...b->...i", J, cod)
+    jg = j_trace_matrix(J, metric_inverse(m.metric(points)))
+    via_codiff = _lee_via_codiff(m, points, step)
 
     T = torsion_bismut_values(m, points, step)
     via_T = -0.5 * np.einsum("...pm,...pab,...ba->...m", J, T, jg)
@@ -203,46 +123,43 @@ def lee_form_routes(m: HermitianManifold, points, step=DEFAULT_STEP):
     return via_codiff, via_T, via_C
 
 
+def _lee_via_codiff(m: HermitianManifold, points, step) -> np.ndarray:
+    cod = codifferential_values(m.metric, m.kahler_form, 2, points, step)
+    return np.einsum("...bi,...b->...i", m.complex_structure(points), cod)
+
+
 def lee_form_values(m: HermitianManifold, points, step=DEFAULT_STEP,
                     check: bool = True, tol: float = 1e-5) -> np.ndarray:
+    """The Lee form by the canonical codifferential route; with ``check`` the
+    two torsion-trace routes are evaluated as well and must agree."""
+    if not check:
+        return _lee_via_codiff(m, points, step)
     via_codiff, via_T, via_C = lee_form_routes(m, points, step)
-    if check:
-        spread = max(float(np.max(np.abs(via_codiff - via_T))),
-                     float(np.max(np.abs(via_codiff - via_C))))
-        if spread > tol:
-            raise ConventionError(
-                "Lee form routes disagree beyond tolerance "
-                f"({spread:.3e} > {tol:.1e}); values: codiff={via_codiff!r}, "
-                f"torsion={via_T!r}, chern={via_C!r}")
+    spread = max(float(np.max(np.abs(via_codiff - via_T))),
+                 float(np.max(np.abs(via_codiff - via_C))))
+    if spread > tol:
+        raise ConventionError(
+            "Lee form routes disagree beyond tolerance "
+            f"({spread:.3e} > {tol:.1e}); values: codiff={via_codiff!r}, "
+            f"torsion={via_T!r}, chern={via_C!r}")
     return via_codiff
-
-
-def lee_form(m: HermitianManifold, point, step=DEFAULT_STEP) -> PointTensor:
-    m.require_interior(point, 3 * step)
-    return PointTensor(m.dim, 1, lee_form_values(m, point, step))
-
-
-def lee_field(m: HermitianManifold, step=DEFAULT_STEP) -> TensorField:
-    """Lee form as a field (route checks off inside stencils for speed)."""
-    return TensorField(lambda pts: lee_form_values(m, pts, step, check=False),
-                       m.dim, 1, form_flag=True, domain=m.chart)
 
 
 # ---------------------------------------------------------------------------
 # structural checks
 # ---------------------------------------------------------------------------
 
-def compatibility_residuals(conn: ConnectionField, points) -> dict:
+def compatibility_residuals(m: HermitianManifold, flavor: str, points,
+                            step=DEFAULT_STEP) -> dict:
     """Residuals of nabla g = 0 and nabla J = 0 for the given connection."""
-    m, step = conn.manifold, conn.step
-    nab_g = covariant_derivative_field_values(conn, m.metric, 2, points)
-    gamma = conn.coefficients(points)
+    gamma = coefficient_values(m, flavor, points, step)
+    nab_g = covariant_derivative_values(m.metric, 2, points, gamma, step)
     J = m.complex_structure(points)
     dJ = fd_partial(m.complex_structure, points, step)
     nab_j = (dJ + np.einsum("...kdm,...mj->...dkj", gamma, J)
              - np.einsum("...mdj,...km->...dkj", gamma, J))
     out = {"nabla_g": float(np.max(np.abs(nab_g))),
            "nabla_j": float(np.max(np.abs(nab_j)))}
-    if conn.flavor == "levi_civita":
+    if flavor == "levi_civita":
         out["torsion"] = float(np.max(np.abs(gamma - np.einsum("...kij->...kji", gamma))))
     return out

@@ -16,33 +16,29 @@ Sign and trace conventions (shared with the rest of the engine):
 Curvature is obtained by differentiating coefficient fields (one nested
 central-difference stencil), never by transporting frames around loops; the
 all-lower Koszul form keeps the only metric inversion at the base point.
+
+Everything here is a pure function of its arguments.  The evaluation context
+(``identities.Evaluation``) calls each once per point set and shares the
+result; the two sides of an identity stay independent because they are built
+from different formulas.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .catalog import HermitianManifold
-from .connections import ConnectionField, lower_coefficients, torsion_bismut_values
+from .connections import lower_coefficients
 from .errors import PreconditionError
 from .tensor_core import (
-    DEFAULT_STEP, PointTensor, exterior_derivative_values, fd_partial,
-    levi_civita_symbol, metric_inverse, proj_one_one,
+    DEFAULT_STEP, fd_partial, j_trace_matrix, levi_civita_symbol,
+    metric_inverse, proj_one_one,
 )
 
 __all__ = [
-    "riemann_values", "riemann", "CurvaturePack", "curvature_pack",
-    "lambda_omega_values", "lambda_omega", "weyl_selfdual_values", "weyl_selfdual",
+    "riemann_values", "lambda_omega_values", "weyl_selfdual_values",
     "ricci_from_curvature", "rho_from_curvature", "j_trace_matrix",
 ]
-
-
-def j_trace_matrix(J: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """``jg[b,a] = sum_i e_i^a (J e_i)^b = J^b_c g^{ca}``, the bilinear form
-    that implements frame J-traces without building a frame."""
-    return np.einsum("...bc,...ca->...ba", J, ginv)
 
 
 def riemann_values(m: HermitianManifold, flavor: str, points,
@@ -63,12 +59,6 @@ def riemann_values(m: HermitianManifold, flavor: str, points,
     return r
 
 
-def riemann(conn: ConnectionField, point) -> PointTensor:
-    conn.manifold.require_interior(point, 3 * conn.step)
-    comp = riemann_values(conn.manifold, conn.flavor, point, conn.step)
-    return PointTensor(conn.manifold.dim, 4, comp)
-
-
 def ricci_from_curvature(r: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """Ric[x,y] = sum_i R(e_i, x, y, e_i)."""
     return np.einsum("...il,...ixyl->...xy", ginv, r)
@@ -79,71 +69,14 @@ def rho_from_curvature(r: np.ndarray, jg: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...xyab,...ba->...xy", r, jg)
 
 
-def lambda_omega_values(m: HermitianManifold, points, step: float = DEFAULT_STEP):
-    """lambda_omega, its scalar half-J-trace h, and its (1,1)-defect."""
-    t_fn = lambda pts: torsion_bismut_values(m, pts, step)
-    dT = exterior_derivative_values(t_fn, points, 3, step)
-    J = m.complex_structure(points)
-    jg = j_trace_matrix(J, metric_inverse(m.metric(points)))
+def lambda_omega_values(dT: np.ndarray, J: np.ndarray, jg: np.ndarray):
+    """lambda_omega, its scalar half-J-trace h, and its (1,1)-defect, from the
+    exterior derivative ``dT`` of the Bismut torsion, J and the J-trace
+    matrix at the same points."""
     lam = np.einsum("...xyab,...ba->...xy", dT, jg)
     h = 0.5 * np.einsum("...mn,...mn->...", lam, jg)
     defect = float(np.max(np.abs(lam - proj_one_one(lam, J))))
     return lam, h, defect
-
-
-def lambda_omega(m: HermitianManifold, point, step: float = DEFAULT_STEP):
-    m.require_interior(point, 3 * step)
-    lam, h, defect = lambda_omega_values(m, point, step)
-    return PointTensor(m.dim, 2, lam, form_flag=True), float(np.max(h)), defect
-
-
-@dataclass(frozen=True)
-class CurvaturePack:
-    """Every curvature-derived object at the sampled points (batched)."""
-
-    points: np.ndarray
-    r_bismut: np.ndarray
-    r_chern: np.ndarray
-    r_lc: np.ndarray
-    ric: np.ndarray
-    ric_lc: np.ndarray
-    rho: np.ndarray
-    rho_chern: np.ndarray
-    kappa: np.ndarray
-    b: np.ndarray
-    u: np.ndarray
-    scal_bismut: np.ndarray
-    lambda_omega: np.ndarray
-    h: np.ndarray
-
-
-def curvature_pack(m: HermitianManifold, points, step: float = DEFAULT_STEP) -> CurvaturePack:
-    """All curvature objects from one pass (ingredients shared inside the
-    pack; identity checks recompute their two sides independently)."""
-    pts = np.asarray(points, dtype=float)
-    m.require_interior(pts, 3 * step)
-    g = m.metric(pts)
-    ginv = metric_inverse(g)
-    J = m.complex_structure(pts)
-    jg = j_trace_matrix(J, ginv)
-
-    r_b = riemann_values(m, "bismut", pts, step)
-    r_c = riemann_values(m, "chern", pts, step)
-    r_g = riemann_values(m, "levi_civita", pts, step)
-
-    ric = ricci_from_curvature(r_b, ginv)
-    ric_lc = ricci_from_curvature(r_g, ginv)
-    rho = rho_from_curvature(r_b, jg)
-    rho_chern = rho_from_curvature(r_c, jg)
-    kappa = 0.5 * np.einsum("...abxy,...ba->...xy", r_c, jg)
-    b = np.einsum("...mn,...mn->...", rho, jg)
-    two_u = np.einsum("...mn,...mn->...", kappa, jg)
-    scal = np.einsum("...mn,...mn->...", ric, ginv)
-    lam, h, _ = lambda_omega_values(m, pts, step)
-    return CurvaturePack(points=pts, r_bismut=r_b, r_chern=r_c, r_lc=r_g,
-                         ric=ric, ric_lc=ric_lc, rho=rho, rho_chern=rho_chern,
-                         kappa=kappa, b=b, u=0.5 * two_u, scal_bismut=scal,
-                         lambda_omega=lam, h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +131,3 @@ def weyl_selfdual_values(m: HermitianManifold, points, step: float = DEFAULT_STE
     w_of_omega = 0.5 * np.einsum("...ijab,...ak,...bl,...kl->...ij", wplus, ginv, ginv, omega)
     k = 3 * 0.5 * np.einsum("...ij,...ik,...jl,...kl->...", w_of_omega, ginv, ginv, omega)
     return weyl, wplus, k
-
-
-def weyl_selfdual(m: HermitianManifold, point, step: float = DEFAULT_STEP):
-    m.require_interior(point, 3 * step)
-    weyl, wplus, k = weyl_selfdual_values(m, point, step)
-    return PointTensor(4, 4, wplus), float(np.max(k))

@@ -1,10 +1,13 @@
 """Two-sided evaluation of the pointwise curvature identities.
 
-Each identity is evaluated with its left and right sides built from separate
-calls into the engine (there is no caching anywhere, so the two sides never
-share an intermediate tensor and a convention bug cannot cancel).  Residuals
-are measured as the largest orthonormal-frame component of the difference,
-which keeps them scale-honest across charts.
+Each identity is evaluated with its two sides built from different formulas
+over shared primitives.  An :class:`Evaluation` computes every primitive
+(torsion, the three curvatures, the Lee form and their derivatives, ...) once
+per manifold and point set.  The two sides are independent because their
+formulas differ, so a convention bug cannot cancel; evaluating a pure function
+twice gives identical bits and would add no independence.  Residuals are
+measured by :meth:`Evaluation.residual` as the largest orthonormal-frame
+component of the difference, which keeps them scale-honest across charts.
 
 Identity names (stable keys used in reports and tests):
 
@@ -38,27 +41,31 @@ finite-difference error budget at step 1e-4).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property, wraps
 
 import numpy as np
 
 from .catalog import HermitianManifold
 from .connections import (
-    connection, covariant_derivative_field_values, lee_field, lee_form_values,
-    torsion_bismut_values, torsion_chern_values,
+    coefficient_values, lee_form_values, torsion_bismut_values,
+    torsion_chern_values,
 )
 from .curvature import (
-    j_trace_matrix, lambda_omega_values, ricci_from_curvature, riemann_values,
-    rho_from_curvature,
+    lambda_omega_values, ricci_from_curvature, riemann_values, rho_from_curvature,
 )
-from .errors import PreconditionError
+from .errors import NumericError, PreconditionError
 from .tensor_core import (
-    DEFAULT_STEP, codifferential_values, cyclic3_of4, exterior_derivative_values,
-    gram_schmidt_frames, hodge_star_values, metric_inverse, norm_sq_values,
-    proj_one_one, to_frame, wedge,
+    DEFAULT_STEP, codifferential_of, covariant_derivative_values, cyclic3_of4,
+    exterior_derivative_values, gram_schmidt_frames, hodge_star_values,
+    j_trace_matrix, metric_inverse, norm_sq_values, proj_one_one, to_frame,
+    wedge,
 )
 
 __all__ = [
+    "Evaluation", "evaluation", "evaluation_scope", "STENCIL_DEPTH",
     "ResidualEntry", "run_identity_suite", "verify_ricci_traces",
     "verify_ricci_skews", "verify_chern_traces", "verify_torsion_identities",
     "verify_dim4", "verify_conformal_trace", "richardson_ratios",
@@ -67,6 +74,10 @@ __all__ = [
 
 TOL_CURVATURE = 1e-4
 TOL_FIRST_ORDER = 1e-6
+
+# Curvature-grade primitives nest two central-difference stencils, so every
+# stencil point lies within STENCIL_DEPTH * step of its base point.
+STENCIL_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -85,21 +96,24 @@ class ResidualEntry:
                 "worst_point": list(self.worst_point)}
 
 
-def _entry(name, diff, m, pts, valence, tol) -> ResidualEntry:
-    """Build an entry from a residual tensor; components go to an orthonormal
-    frame first so tolerances mean the same thing on every chart."""
-    if valence:
-        frames = gram_schmidt_frames(m.metric(pts))
-        diff = to_frame(diff, frames, valence)
-    mags = np.abs(np.asarray(diff)).reshape(pts.shape[0], -1).max(axis=1)
-    worst = int(np.argmax(mags))
-    val = float(mags[worst])
-    return ResidualEntry(name, val, tol, val <= tol, tuple(pts[worst].tolist()))
+# ---------------------------------------------------------------------------
+# the evaluation context
+# ---------------------------------------------------------------------------
+
+def _frozen(value):
+    """A read-only view of an array (the caller's array stays writable)."""
+    if isinstance(value, np.ndarray):
+        value = value.view()
+        value.flags.writeable = False
+    return value
 
 
-def _tt4(T, ginv):
-    """TT4[x,y,z,u] = g(T(x,y), T(z,u))."""
-    return np.einsum("...xya,...zub,...ab->...xyzu", T, T, ginv)
+def _primitive(compute):
+    """A primitive computed on first use and then held read-only."""
+    @wraps(compute)
+    def get(self):
+        return _frozen(compute(self))
+    return cached_property(get)
 
 
 def _tt2(T, ginv):
@@ -107,18 +121,265 @@ def _tt2(T, ginv):
     return np.einsum("...xab,...ycd,...ac,...bd->...xy", T, T, ginv, ginv)
 
 
-def _codiff_torsion(m, pts, h):
-    return codifferential_values(m.metric, lambda p: torsion_bismut_values(m, p, h), 3, pts, h)
+class Evaluation:
+    """Every primitive of one manifold at one point set, each computed once.
+
+    Primitives are computed on first use and held read-only.  Fields that
+    enter a derivative (the torsion and the Lee form) are also kept per
+    stencil point set, because the same sets recur across primitives.  The
+    chart domain is checked once, on construction, with the margin the
+    deepest stencil needs.  :meth:`residual` is the engine's one residual
+    measure.
+    """
+
+    def __init__(self, m: HermitianManifold, pts, step: float = DEFAULT_STEP):
+        self.m = m
+        self.pts = _frozen(np.array(pts, dtype=float, ndmin=2))
+        self.step = step
+        m.require_interior(self.pts, STENCIL_DEPTH * step)
+        self._values = {}
+
+    def _once(self, key, compute):
+        if key not in self._values:
+            self._values[key] = _frozen(compute())
+        return self._values[key]
+
+    def _on_points(self, name, fn, points):
+        points = np.asarray(points, dtype=float)
+        return self._once((name, points.shape, points.tobytes()), lambda: fn(points))
+
+    # -- fields on the base points or on a stencil around them ---------------
+
+    def torsion_at(self, points) -> np.ndarray:
+        """Bismut torsion on the base points or a stencil set around them."""
+        return self._on_points(
+            "T", lambda p: torsion_bismut_values(self.m, p, self.step), points)
+
+    def lee_at(self, points) -> np.ndarray:
+        """Lee form on the base points or a stencil set around them; on the
+        base points it is checked against its two torsion-trace routes."""
+        return self._on_points("theta", lambda p: lee_form_values(
+            self.m, p, self.step, check=p.shape == self.pts.shape), points)
+
+    def _jtheta_at(self, points) -> np.ndarray:
+        return -np.einsum("...m,...mi->...i", self.lee_at(points),
+                          self.m.complex_structure(points))
+
+    # -- chart data ------------------------------------------------------------
+
+    @_primitive
+    def g(self):
+        return self.m.metric(self.pts)
+
+    @_primitive
+    def ginv(self):
+        return metric_inverse(self.g)
+
+    @_primitive
+    def J(self):
+        return self.m.complex_structure(self.pts)
+
+    @_primitive
+    def jg(self):
+        return j_trace_matrix(self.J, self.ginv)
+
+    @_primitive
+    def frames(self):
+        return gram_schmidt_frames(self.g)
+
+    @_primitive
+    def omega(self):
+        return self.m.kahler_form(self.pts)
+
+    # -- torsion and the Lee form ------------------------------------------------
+
+    @_primitive
+    def T(self):
+        return self.torsion_at(self.pts)
+
+    @_primitive
+    def C(self):
+        return torsion_chern_values(self.m, self.pts, self.step)
+
+    @_primitive
+    def dT(self):
+        return exterior_derivative_values(self.torsion_at, self.pts, 3, self.step)
+
+    @cached_property
+    def _lambda_omega(self):
+        return tuple(_frozen(v) for v in lambda_omega_values(self.dT, self.J, self.jg))
+
+    @property
+    def lam(self) -> np.ndarray:
+        """lambda_omega(X,Y) = sum_i dT(X,Y,e_i,J e_i)."""
+        return self._lambda_omega[0]
+
+    @property
+    def h(self) -> np.ndarray:
+        """2 h = jtr(lambda_omega)."""
+        return self._lambda_omega[1]
+
+    @_primitive
+    def theta(self):
+        return self.lee_at(self.pts)
+
+    @_primitive
+    def jtheta(self):
+        return self._jtheta_at(self.pts)
+
+    @_primitive
+    def dtheta(self):
+        return exterior_derivative_values(self.lee_at, self.pts, 1, self.step)
+
+    @_primitive
+    def d_jtheta(self):
+        return exterior_derivative_values(self._jtheta_at, self.pts, 1, self.step)
+
+    @_primitive
+    def tt4(self):
+        """TT4[x,y,z,u] = g(T(x,y), T(z,u))."""
+        return np.einsum("...xya,...zub,...ab->...xyzu", self.T, self.T, self.ginv)
+
+    @_primitive
+    def tt2(self):
+        return _tt2(self.T, self.ginv)
+
+    # -- connections and derivatives -------------------------------------------------
+
+    def gamma(self, flavor: str) -> np.ndarray:
+        return self._once(("gamma", flavor), lambda: coefficient_values(
+            self.m, flavor, self.pts, self.step))
+
+    def nabla(self, fn, valence: int, flavor: str) -> np.ndarray:
+        """Covariant derivative of a field at the base points, computed on
+        every call (the derivatives of T and theta are kept by nabla_T and
+        nabla_theta)."""
+        return covariant_derivative_values(fn, valence, self.pts, self.gamma(flavor), self.step)
+
+    def codiff(self, fn, valence: int) -> np.ndarray:
+        """Codifferential of a form field at the base points, computed on
+        every call."""
+        return codifferential_of(self.nabla(fn, valence, "levi_civita"), self.ginv, valence)
+
+    def nabla_T(self, flavor: str) -> np.ndarray:
+        return self._once(("nabla_T", flavor), lambda: self.nabla(self.torsion_at, 3, flavor))
+
+    def nabla_theta(self, flavor: str) -> np.ndarray:
+        return self._once(("nabla_theta", flavor), lambda: self.nabla(self.lee_at, 1, flavor))
+
+    @_primitive
+    def codiff_T(self):
+        return codifferential_of(self.nabla_T("levi_civita"), self.ginv, 3)
+
+    @_primitive
+    def codiff_theta(self):
+        return codifferential_of(self.nabla_theta("levi_civita"), self.ginv, 1)
+
+    # -- curvature and its traces ------------------------------------------------------
+
+    def riemann(self, flavor: str) -> np.ndarray:
+        return self._once(("riemann", flavor), lambda: riemann_values(
+            self.m, flavor, self.pts, self.step))
+
+    @_primitive
+    def ric(self):
+        return ricci_from_curvature(self.riemann("bismut"), self.ginv)
+
+    @_primitive
+    def ric_lc(self):
+        return ricci_from_curvature(self.riemann("levi_civita"), self.ginv)
+
+    @_primitive
+    def scal(self):
+        return np.einsum("...mn,...mn->...", self.ric, self.ginv)
+
+    @_primitive
+    def rho(self):
+        return rho_from_curvature(self.riemann("bismut"), self.jg)
+
+    @_primitive
+    def rho_chern(self):
+        return rho_from_curvature(self.riemann("chern"), self.jg)
+
+    @_primitive
+    def kappa(self):
+        """Half J-trace of the Chern curvature on its first index pair."""
+        return 0.5 * np.einsum("...abxy,...ba->...xy", self.riemann("chern"), self.jg)
+
+    @_primitive
+    def b(self):
+        return np.einsum("...mn,...mn->...", self.rho, self.jg)
+
+    @_primitive
+    def u(self):
+        return 0.5 * np.einsum("...mn,...mn->...", self.kappa, self.jg)
+
+    @_primitive
+    def j_commutator(self):
+        """R(X,Y,JZ,JW) - R(X,Y,Z,W) of the Bismut curvature."""
+        r = self.riemann("bismut")
+        return np.einsum("...xymn,...mz,...nw->...xyzw", r, self.J, self.J) - r
+
+    @_primitive
+    def mean_curvature_form(self):
+        """rho^{1,1}(JX,Y) + <i_X C, i_Y C> - lambda(JX,Y)/4, the value of
+        kappa(JX,Y) by the mean-curvature formula."""
+        rho11 = proj_one_one(self.rho, self.J)
+        return (np.einsum("...my,...mx->...xy", rho11, self.J) + _tt2(self.C, self.ginv)
+                - 0.25 * np.einsum("...my,...mx->...xy", self.lam, self.J))
+
+    # -- the residual measure --------------------------------------------------
+
+    def residual(self, name: str, diff, valence: int):
+        """Largest orthonormal-frame component of ``diff`` over the points,
+        and the point where it occurs.  A NaN or infinite residual raises
+        ``NumericError`` naming ``name`` and the first point affected."""
+        if valence:
+            diff = to_frame(diff, self.frames, valence)
+        mags = np.abs(np.asarray(diff)).reshape(self.pts.shape[0], -1).max(axis=1)
+        bad = np.flatnonzero(~np.isfinite(mags))
+        if bad.size:
+            raise NumericError(f"non-finite residual in {name!r} at point "
+                               f"{self.pts[bad[0]].tolist()}")
+        worst = int(np.argmax(mags))
+        return float(mags[worst]), tuple(self.pts[worst].tolist())
 
 
-def _nabla_torsion(m, pts, h, flavor="bismut"):
-    conn = connection(m, flavor, h)
-    return covariant_derivative_field_values(conn, lambda p: torsion_bismut_values(m, p, h), 3, pts)
+_SCOPE = ContextVar("ktgeo_evaluation_scope", default=None)
 
 
-def _nabla_lee(m, pts, h, flavor="bismut"):
-    conn = connection(m, flavor, h)
-    return covariant_derivative_field_values(conn, lee_field(m, h).fn, 1, pts)
+@contextmanager
+def evaluation_scope():
+    """Share one :class:`Evaluation` per (manifold, points, step) among the
+    calls made inside the scope.  A nested scope joins the open one; the
+    evaluations are released when the outermost scope closes."""
+    if _SCOPE.get() is not None:
+        yield
+        return
+    token = _SCOPE.set({})
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def evaluation(m: HermitianManifold, pts, step: float = DEFAULT_STEP) -> Evaluation:
+    """The open scope's evaluation of ``m`` at ``pts``, or a fresh one when no
+    scope is open."""
+    scope = _SCOPE.get()
+    if scope is None:
+        return Evaluation(m, pts, step)
+    pts = np.array(pts, dtype=float, ndmin=2)
+    # the entry holds m, so id(m) cannot be reused while the scope is open
+    key = (id(m), pts.shape, pts.tobytes(), step)
+    if key not in scope:
+        scope[key] = Evaluation(m, pts, step)
+    return scope[key]
+
+
+def _entry(ev: Evaluation, name, diff, valence, tol) -> ResidualEntry:
+    val, point = ev.residual(name, diff, valence)
+    return ResidualEntry(name, val, tol, val <= tol, point)
 
 
 # ---------------------------------------------------------------------------
@@ -126,44 +387,31 @@ def _nabla_lee(m, pts, h, flavor="bismut"):
 # ---------------------------------------------------------------------------
 
 def verify_torsion_identities(m: HermitianManifold, pts, h=DEFAULT_STEP):
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    ev = evaluation(m, pts, h)
+    nt = ev.nabla_T("bismut")
+    tt = ev.tt4
     out = []
 
     # Levi-Civita vs Bismut derivative of T
-    lhs = _nabla_torsion(m, pts, h, "levi_civita")
-    T = torsion_bismut_values(m, pts, h)
-    ginv = metric_inverse(m.metric(pts))
-    rhs = _nabla_torsion(m, pts, h, "bismut") + 0.5 * cyclic3_of4(_tt4(T, ginv))
-    out.append(_entry("torsion_nabla_exchange", lhs - rhs, m, pts, 4, TOL_CURVATURE))
+    rhs = nt + 0.5 * cyclic3_of4(tt)
+    out.append(_entry(ev, "torsion_nabla_exchange", ev.nabla_T("levi_civita") - rhs,
+                      4, TOL_CURVATURE))
 
     # dT from the Bismut derivative
-    lhs = exterior_derivative_values(lambda p: torsion_bismut_values(m, p, h), pts, 3, h)
-    nt = _nabla_torsion(m, pts, h)
-    T = torsion_bismut_values(m, pts, h)
-    ginv = metric_inverse(m.metric(pts))
-    rhs = cyclic3_of4(nt + 2.0 * _tt4(T, ginv)) - np.einsum("...uxyz->...xyzu", nt)
-    out.append(_entry("torsion_ext_derivative", lhs - rhs, m, pts, 4, TOL_CURVATURE))
+    rhs = cyclic3_of4(nt + 2.0 * tt) - np.einsum("...uxyz->...xyzu", nt)
+    out.append(_entry(ev, "torsion_ext_derivative", ev.dT - rhs, 4, TOL_CURVATURE))
 
     # first Bianchi identity with torsion
-    lhs = cyclic3_of4(riemann_values(m, "bismut", pts, h))
-    dt = exterior_derivative_values(lambda p: torsion_bismut_values(m, p, h), pts, 3, h)
-    nt = _nabla_torsion(m, pts, h)
-    T = torsion_bismut_values(m, pts, h)
-    ginv = metric_inverse(m.metric(pts))
-    rhs = dt + np.einsum("...uxyz->...xyzu", nt) - cyclic3_of4(_tt4(T, ginv))
-    out.append(_entry("bianchi_with_torsion", lhs - rhs, m, pts, 4, TOL_CURVATURE))
+    lhs = cyclic3_of4(ev.riemann("bismut"))
+    rhs = ev.dT + np.einsum("...uxyz->...xyzu", nt) - cyclic3_of4(tt)
+    out.append(_entry(ev, "bianchi_with_torsion", lhs - rhs, 4, TOL_CURVATURE))
 
     # Levi-Civita curvature from the Bismut curvature
-    lhs = riemann_values(m, "levi_civita", pts, h)
-    r = riemann_values(m, "bismut", pts, h)
-    nt = _nabla_torsion(m, pts, h)
-    T = torsion_bismut_values(m, pts, h)
-    ginv = metric_inverse(m.metric(pts))
-    tt = _tt4(T, ginv)
-    rhs = (r - 0.5 * nt + 0.5 * np.einsum("...yxzu->...xyzu", nt)
+    rhs = (ev.riemann("bismut") - 0.5 * nt + 0.5 * np.einsum("...yxzu->...xyzu", nt)
            - 0.5 * tt - 0.25 * np.einsum("...yzxu->...xyzu", tt)
            - 0.25 * np.einsum("...zxyu->...xyzu", tt))
-    out.append(_entry("curvature_comparison", lhs - rhs, m, pts, 4, TOL_CURVATURE))
+    out.append(_entry(ev, "curvature_comparison", ev.riemann("levi_civita") - rhs,
+                      4, TOL_CURVATURE))
     return out
 
 
@@ -172,70 +420,47 @@ def verify_torsion_identities(m: HermitianManifold, pts, h=DEFAULT_STEP):
 # ---------------------------------------------------------------------------
 
 def verify_ricci_traces(m: HermitianManifold, pts, h=DEFAULT_STEP):
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    ginv = metric_inverse(m.metric(pts))
-    J = m.complex_structure(pts)
+    ev = evaluation(m, pts, h)
     out = []
 
     # Riemannian Ricci from the Bismut one
-    lhs = ricci_from_curvature(riemann_values(m, "levi_civita", pts, h), ginv)
-    ric = ricci_from_curvature(riemann_values(m, "bismut", pts, h), ginv)
-    T = torsion_bismut_values(m, pts, h)
-    rhs = ric + 0.5 * _codiff_torsion(m, pts, h) + 0.25 * _tt2(T, ginv)
-    out.append(_entry("ricci_comparison", lhs - rhs, m, pts, 2, TOL_CURVATURE))
+    rhs = ev.ric + 0.5 * ev.codiff_T + 0.25 * ev.tt2
+    out.append(_entry(ev, "ricci_comparison", ev.ric_lc - rhs, 2, TOL_CURVATURE))
 
     # rho against the mixed Ricci trace
-    jg = j_trace_matrix(J, ginv)
-    lhs = rho_from_curvature(riemann_values(m, "bismut", pts, h), jg)
-    ric = ricci_from_curvature(riemann_values(m, "bismut", pts, h), ginv)
-    lam = lambda_omega_values(m, pts, h)[0]
-    nth = _nabla_lee(m, pts, h)
-    rhs = (np.einsum("...xm,...my->...xy", ric, J)
-           + np.einsum("...xm,...my->...xy", nth, J) + 0.25 * lam)
-    out.append(_entry("ricci_form_mixed_trace", lhs - rhs, m, pts, 2, TOL_CURVATURE))
+    rhs = (np.einsum("...xm,...my->...xy", ev.ric, ev.J)
+           + np.einsum("...xm,...my->...xy", ev.nabla_theta("bismut"), ev.J) + 0.25 * ev.lam)
+    out.append(_entry(ev, "ricci_form_mixed_trace", ev.rho - rhs, 2, TOL_CURVATURE))
 
     # scalar relation for b
-    lhs = np.einsum("...mn,...mn->...",
-                    rho_from_curvature(riemann_values(m, "bismut", pts, h), jg), jg)
-    scal = np.einsum("...mn,...mn->...",
-                     ricci_from_curvature(riemann_values(m, "bismut", pts, h), ginv), ginv)
-    theta = lee_form_values(m, pts, h, check=False)
-    dth = codifferential_values(m.metric, lee_field(m, h).fn, 1, pts, h)
-    t2 = norm_sq_values(theta, ginv, 1)
-    torsion2 = norm_sq_values(torsion_bismut_values(m, pts, h), ginv, 3)
-    rhs = scal - 3.0 * dth - 2.0 * t2 + torsion2 / 3.0
-    out.append(_entry("b_scalar_relation", lhs - rhs, m, pts, 0, TOL_CURVATURE))
+    t2 = norm_sq_values(ev.theta, ev.ginv, 1)
+    torsion2 = norm_sq_values(ev.T, ev.ginv, 3)
+    rhs = ev.scal - 3.0 * ev.codiff_theta - 2.0 * t2 + torsion2 / 3.0
+    out.append(_entry(ev, "b_scalar_relation", ev.b - rhs, 0, TOL_CURVATURE))
     return out
 
 
 def verify_ricci_skews(m: HermitianManifold, pts, h=DEFAULT_STEP):
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    ginv = metric_inverse(m.metric(pts))
-    J = m.complex_structure(pts)
+    ev = evaluation(m, pts, h)
+    J = ev.J
+    ric = ev.ric
+    nth = ev.nabla_theta("bismut")
     out = []
 
-    ric = ricci_from_curvature(riemann_values(m, "bismut", pts, h), ginv)
     lhs = ric - np.einsum("...xy->...yx", ric)
-    rhs = -_codiff_torsion(m, pts, h)
-    out.append(_entry("ricci_skew_coclosure", lhs - rhs, m, pts, 2, TOL_CURVATURE))
+    out.append(_entry(ev, "ricci_skew_coclosure", lhs + ev.codiff_T, 2, TOL_CURVATURE))
 
-    ric = ricci_from_curvature(riemann_values(m, "bismut", pts, h), ginv)
     lhs = (np.einsum("...mn,...mx,...ny->...xy", ric, J, J)
            - np.einsum("...xy->...yx", ric))
-    nth = _nabla_lee(m, pts, h)
     rhs = (-np.einsum("...mn,...mx,...ny->...xy", nth, J, J)
            + np.einsum("...xy->...yx", nth))
-    out.append(_entry("ricci_j_conjugation", lhs - rhs, m, pts, 2, TOL_CURVATURE))
+    out.append(_entry(ev, "ricci_j_conjugation", lhs - rhs, 2, TOL_CURVATURE))
 
-    jg = j_trace_matrix(J, ginv)
-    rho = rho_from_curvature(riemann_values(m, "bismut", pts, h), jg)
-    lhs = np.einsum("...mn,...mx,...ny->...xy", rho, J, J) - rho
-    dt_t = _codiff_torsion(m, pts, h)
-    nth = _nabla_lee(m, pts, h)
+    lhs = np.einsum("...mn,...mx,...ny->...xy", ev.rho, J, J) - ev.rho
     dnth = nth - np.einsum("...xy->...yx", nth)
-    rhs = (np.einsum("...my,...mx->...xy", dt_t, J)
+    rhs = (np.einsum("...my,...mx->...xy", ev.codiff_T, J)
            - np.einsum("...my,...mx->...xy", dnth, J))
-    out.append(_entry("ricci_form_type_defect", lhs - rhs, m, pts, 2, TOL_CURVATURE))
+    out.append(_entry(ev, "ricci_form_type_defect", lhs - rhs, 2, TOL_CURVATURE))
     return out
 
 
@@ -244,55 +469,28 @@ def verify_ricci_skews(m: HermitianManifold, pts, h=DEFAULT_STEP):
 # ---------------------------------------------------------------------------
 
 def verify_chern_traces(m: HermitianManifold, pts, h=DEFAULT_STEP):
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    ginv = metric_inverse(m.metric(pts))
-    J = m.complex_structure(pts)
-    jg = j_trace_matrix(J, ginv)
+    ev = evaluation(m, pts, h)
     out = []
 
     # mean curvature of the holomorphic tangent bundle
-    kappa = 0.5 * np.einsum("...abxy,...ba->...xy",
-                            riemann_values(m, "chern", pts, h), jg)
-    lhs = np.einsum("...my,...mx->...xy", kappa, J)
-    rho = rho_from_curvature(riemann_values(m, "bismut", pts, h), jg)
-    rho11 = proj_one_one(rho, J)
-    cc = _tt2(torsion_chern_values(m, pts, h), ginv)
-    lam = lambda_omega_values(m, pts, h)[0]
-    rhs = (np.einsum("...my,...mx->...xy", rho11, J) + cc
-           - 0.25 * np.einsum("...my,...mx->...xy", lam, J))
-    out.append(_entry("mean_curvature_formula", lhs - rhs, m, pts, 2, TOL_CURVATURE))
+    lhs = np.einsum("...my,...mx->...xy", ev.kappa, ev.J)
+    out.append(_entry(ev, "mean_curvature_formula", lhs - ev.mean_curvature_form,
+                      2, TOL_CURVATURE))
 
     # Chern Ricci form from the Bismut one
-    lhs = rho_from_curvature(riemann_values(m, "chern", pts, h), jg)
-    rho = rho_from_curvature(riemann_values(m, "bismut", pts, h), jg)
-
-    def j_theta(p):
-        th = lee_form_values(m, p, h, check=False)
-        return -np.einsum("...m,...mi->...i", th, m.complex_structure(p))
-
-    rhs = rho + exterior_derivative_values(j_theta, pts, 1, h)
-    out.append(_entry("chern_vs_bismut_ricci", lhs - rhs, m, pts, 2, TOL_CURVATURE))
+    out.append(_entry(ev, "chern_vs_bismut_ricci", ev.rho_chern - (ev.rho + ev.d_jtheta),
+                      2, TOL_CURVATURE))
 
     # J-trace of lambda (pins the norm convention)
-    lam = lambda_omega_values(m, pts, h)[0]
-    lhs = -np.einsum("...mn,...mn->...", lam, jg)  # = sum_i lambda(e_i, J e_i)
-    theta = lee_form_values(m, pts, h, check=False)
-    dth = codifferential_values(m.metric, lee_field(m, h).fn, 1, pts, h)
-    t2 = norm_sq_values(theta, ginv, 1)
-    torsion2 = norm_sq_values(torsion_bismut_values(m, pts, h), ginv, 3)
-    rhs = 8.0 * t2 + 8.0 * dth - 4.0 / 3.0 * torsion2
-    out.append(_entry("lambda_trace_calibration", lhs - rhs, m, pts, 0, TOL_CURVATURE))
+    lhs = -np.einsum("...mn,...mn->...", ev.lam, ev.jg)  # = sum_i lambda(e_i, J e_i)
+    t2 = norm_sq_values(ev.theta, ev.ginv, 1)
+    torsion2 = norm_sq_values(ev.T, ev.ginv, 3)
+    rhs = 8.0 * t2 + 8.0 * ev.codiff_theta - 4.0 / 3.0 * torsion2
+    out.append(_entry(ev, "lambda_trace_calibration", lhs - rhs, 0, TOL_CURVATURE))
 
     # trace of the mean-curvature formula
-    kappa = 0.5 * np.einsum("...abxy,...ba->...xy",
-                            riemann_values(m, "chern", pts, h), jg)
-    lhs = np.einsum("...mn,...mn->...", kappa, jg)  # = 2u
-    b = np.einsum("...mn,...mn->...",
-                  rho_from_curvature(riemann_values(m, "bismut", pts, h), jg), jg)
-    c2 = norm_sq_values(torsion_chern_values(m, pts, h), ginv, 3)
-    hh = lambda_omega_values(m, pts, h)[1]
-    rhs = b + c2 - 0.5 * hh
-    out.append(_entry("u_trace_formula", lhs - rhs, m, pts, 0, TOL_CURVATURE))
+    rhs = ev.b + norm_sq_values(ev.C, ev.ginv, 3) - 0.5 * ev.h
+    out.append(_entry(ev, "u_trace_formula", 2.0 * ev.u - rhs, 0, TOL_CURVATURE))
     return out
 
 
@@ -301,20 +499,14 @@ def verify_chern_traces(m: HermitianManifold, pts, h=DEFAULT_STEP):
 # ---------------------------------------------------------------------------
 
 def verify_dim4(m: HermitianManifold, pts, h=DEFAULT_STEP):
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    ev = evaluation(m, pts, h)
     out = []
 
     if m.dim == 4:
-        T = torsion_bismut_values(m, pts, h)
-        theta = lee_form_values(m, pts, h, check=False)
-        g = m.metric(pts)
-        star_theta = hodge_star_values(theta, g, 1)
-        diff_star = T + star_theta
-        J = m.complex_structure(pts)
-        jth = -np.einsum("...m,...mi->...i", theta, J)
-        diff_wedge = T - wedge(jth, 1, m.kahler_form(pts), 2)
+        diff_star = ev.T + hodge_star_values(ev.theta, ev.g, 1)
+        diff_wedge = ev.T - wedge(ev.jtheta, 1, ev.omega, 2)
         diff = np.maximum(np.abs(diff_star), np.abs(diff_wedge))
-        out.append(_entry("torsion_lee_duality", diff, m, pts, 3, TOL_FIRST_ORDER))
+        out.append(_entry(ev, "torsion_lee_duality", diff, 3, TOL_FIRST_ORDER))
 
     if not m.lck:
         raise PreconditionError(
@@ -333,20 +525,12 @@ def verify_dim4(m: HermitianManifold, pts, h=DEFAULT_STEP):
     # and jtr(dJa) = 2 codiff(a) + 2 <theta, a>, and confirmed numerically at
     # n = 2, 3, 4).  In dimension 4 every term but the last drops.
     n = m.dim // 2
-    lam = lambda_omega_values(m, pts, h)[0]
-    lhs = (n - 1) * lam
-    theta = lee_form_values(m, pts, h, check=False)
-    jth_fn = lambda p: -np.einsum("...m,...mi->...i",
-                                  lee_form_values(m, p, h, check=False),
-                                  m.complex_structure(p))
-    djth = exterior_derivative_values(jth_fn, pts, 1, h)
-    ginv = metric_inverse(m.metric(pts))
-    t2 = norm_sq_values(theta, ginv, 1)
-    om = m.kahler_form(pts)
-    dth = codifferential_values(m.metric, lee_field(m, h).fn, 1, pts, h)
-    quad = wedge(theta, 1, jth_fn(pts), 1) + t2[..., None, None] * om
-    rhs = (4 - 2 * n) * (djth + quad / (n - 1)) - 2.0 * dth[..., None, None] * om
-    out.append(_entry("lck_lambda_reduction", lhs - rhs, m, pts, 2, TOL_CURVATURE))
+    lhs = (n - 1) * ev.lam
+    t2 = norm_sq_values(ev.theta, ev.ginv, 1)
+    quad = wedge(ev.theta, 1, ev.jtheta, 1) + t2[..., None, None] * ev.omega
+    rhs = ((4 - 2 * n) * (ev.d_jtheta + quad / (n - 1))
+           - 2.0 * ev.codiff_theta[..., None, None] * ev.omega)
+    out.append(_entry(ev, "lck_lambda_reduction", lhs - rhs, 2, TOL_CURVATURE))
     return out
 
 
@@ -357,32 +541,17 @@ def verify_conformal_trace(m: HermitianManifold, pts, h=DEFAULT_STEP) -> Residua
     entering the formula is F = 2 f."""
     if m.conformal_parent is None:
         raise PreconditionError(f"{m.name} has no conformal parent")
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    parent = m.conformal_parent.parent
+    ev = evaluation(m, pts, h)
+    parent = evaluation(m.conformal_parent.parent, ev.pts, h)
     f_fn = m.conformal_parent.log_factor
     big_f_fn = lambda p: 2.0 * f_fn(p)
+    df_fn = lambda p: exterior_derivative_values(big_f_fn, p, 0, h)
     n = m.dim // 2
 
-    ginv_m = metric_inverse(m.metric(pts))
-    J = m.complex_structure(pts)
-    jg_m = j_trace_matrix(J, ginv_m)
-    kappa = 0.5 * np.einsum("...abxy,...ba->...xy",
-                            riemann_values(m, "chern", pts, h), jg_m)
-    u = 0.5 * np.einsum("...mn,...mn->...", kappa, jg_m)
-    lhs = 2.0 * np.exp(big_f_fn(pts)) * u
-
-    ginv_p = metric_inverse(parent.metric(pts))
-    jg_p = j_trace_matrix(parent.complex_structure(pts), ginv_p)
-    kappa_p = 0.5 * np.einsum("...abxy,...ba->...xy",
-                              riemann_values(parent, "chern", pts, h), jg_p)
-    u_p = 0.5 * np.einsum("...mn,...mn->...", kappa_p, jg_p)
-    theta_p = lee_form_values(parent, pts, h, check=False)
-    df = exterior_derivative_values(big_f_fn, pts, 0, h)
-    pairing = np.einsum("...a,...b,...ab->...", theta_p, df, ginv_p)
-    lap = codifferential_values(parent.metric, lambda p: exterior_derivative_values(big_f_fn, p, 0, h),
-                                1, pts, h)
-    rhs = 2.0 * u_p + n * (n - 1) * pairing + n * lap
-    return _entry("conformal_u_change", lhs - rhs, m, pts, 0, TOL_CURVATURE)
+    lhs = 2.0 * np.exp(big_f_fn(ev.pts)) * ev.u
+    pairing = np.einsum("...a,...b,...ab->...", parent.theta, df_fn(ev.pts), parent.ginv)
+    rhs = 2.0 * parent.u + n * (n - 1) * pairing + n * parent.codiff(df_fn, 1)
+    return _entry(ev, "conformal_u_change", lhs - rhs, 0, TOL_CURVATURE)
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +560,12 @@ def verify_conformal_trace(m: HermitianManifold, pts, h=DEFAULT_STEP) -> Residua
 
 def run_identity_suite(m: HermitianManifold, pts, h=DEFAULT_STEP):
     """All curvature identities applicable to a manifold."""
-    entries = []
-    entries += verify_torsion_identities(m, pts, h)
-    entries += verify_ricci_traces(m, pts, h)
-    entries += verify_ricci_skews(m, pts, h)
-    entries += verify_chern_traces(m, pts, h)
+    with evaluation_scope():
+        entries = []
+        entries += verify_torsion_identities(m, pts, h)
+        entries += verify_ricci_traces(m, pts, h)
+        entries += verify_ricci_skews(m, pts, h)
+        entries += verify_chern_traces(m, pts, h)
     return entries
 
 

@@ -27,19 +27,8 @@ import numpy as np
 
 from .catalog import HermitianManifold
 from .classify import DEFAULT_CLASSIFY_TOL
-from .connections import (
-    connection, covariant_derivative_field_values, lee_field, lee_form_values,
-    torsion_bismut_values,
-)
-from .curvature import (
-    j_trace_matrix, lambda_omega_values, ricci_from_curvature, riemann_values,
-    rho_from_curvature,
-)
-from .tensor_core import (
-    DEFAULT_STEP, codifferential_values, exterior_derivative_values,
-    fd_partial, gram_schmidt_frames, interior_product, metric_inverse,
-    to_frame,
-)
+from .identities import Evaluation, evaluation, evaluation_scope
+from .tensor_core import DEFAULT_STEP, fd_partial, interior_product
 
 __all__ = [
     "StringEntry", "StringReport", "dilaton_gradient", "string_residual",
@@ -100,13 +89,6 @@ class StringReport:
                 "entries": [e.as_dict() for e in self.entries]}
 
 
-def _frame_max(m, pts, tensor, valence):
-    if valence == 0:
-        return float(np.max(np.abs(tensor)))
-    frames = gram_schmidt_frames(m.metric(pts))
-    return float(np.max(np.abs(to_frame(tensor, frames, valence))))
-
-
 def dilaton_gradient(m: HermitianManifold, phi, pts, step=DEFAULT_STEP) -> np.ndarray:
     """d phi as a covariant field; ``phi = None`` means a constant dilaton."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -119,28 +101,22 @@ def dilaton_gradient(m: HermitianManifold, phi, pts, step=DEFAULT_STEP) -> np.nd
 # the two field equations
 # ---------------------------------------------------------------------------
 
+def _flux(ev: Evaluation, phi, step) -> np.ndarray:
+    """codiff(T) + 2 i_{grad phi} T, the flux equation's left side."""
+    grad = np.einsum("...ij,...j->...i", ev.ginv, dilaton_gradient(ev.m, phi, ev.pts, step))
+    return ev.codiff_T + 2.0 * interior_product(grad, ev.T, 3)
+
+
 def string_residual(m: HermitianManifold, phi, pts, step=DEFAULT_STEP) -> dict:
     """Frame-max residuals of the two field equations at the points."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    ginv = metric_inverse(m.metric(pts))
-
-    ric_g = ricci_from_curvature(riemann_values(m, "levi_civita", pts, step), ginv)
-    T = torsion_bismut_values(m, pts, step)
-    hh = np.einsum("...xab,...ycd,...ac,...bd->...xy", T, T, ginv, ginv)
+    ev = evaluation(m, pts, step)
     if phi is None:
         hess = 0.0
     else:
-        conn_g = connection(m, "levi_civita", step)
-        hess = covariant_derivative_field_values(
-            conn_g, lambda p: fd_partial(phi, p, step), 1, pts)
-    einstein = ric_g - 0.25 * hh + 2.0 * hess
-
-    dphi = dilaton_gradient(m, phi, pts, step)
-    grad = np.einsum("...ij,...j->...i", ginv, dphi)
-    flux = (codifferential_values(m.metric, lambda p: torsion_bismut_values(m, p, step), 3, pts, step)
-            + 2.0 * interior_product(grad, T, 3))
-    return {"einstein_residual": _frame_max(m, pts, einstein, 2),
-            "flux_residual": _frame_max(m, pts, flux, 2)}
+        hess = ev.nabla(lambda p: fd_partial(phi, p, step), 1, "levi_civita")
+    einstein = ev.ric_lc - 0.25 * ev.tt2 + 2.0 * hess
+    return {"einstein_residual": ev.residual("einstein_equation", einstein, 2)[0],
+            "flux_residual": ev.residual("flux_equation", _flux(ev, phi, step), 2)[0]}
 
 
 def constant_dilaton_forms(m: HermitianManifold, pts, step=DEFAULT_STEP,
@@ -148,54 +124,40 @@ def constant_dilaton_forms(m: HermitianManifold, pts, step=DEFAULT_STEP,
     """Constant-dilaton reformulations: the Bismut Ricci tensor itself, and
     the Lee-form equation (nabla_X theta)Y = lambda(X, JY)/4 which is
     equivalent to it when the Bismut Ricci form vanishes (checked, reported)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    ginv = metric_inverse(m.metric(pts))
-    J = m.complex_structure(pts)
-
-    ric = ricci_from_curvature(riemann_values(m, "bismut", pts, step), ginv)
-    ric_residual = _frame_max(m, pts, ric, 2)
-
-    conn_b = connection(m, "bismut", step)
-    nth = covariant_derivative_field_values(conn_b, lee_field(m, step).fn, 1, pts)
-    lam = lambda_omega_values(m, pts, step)[0]
-    st1p = nth - 0.25 * np.einsum("...xm,...ym->...xy", lam, J)
-    rho = rho_from_curvature(riemann_values(m, "bismut", pts, step),
-                             j_trace_matrix(J, ginv))
-    rho_residual = _frame_max(m, pts, rho, 2)
-    return {"ric_residual": ric_residual,
-            "st1prime_residual": _frame_max(m, pts, st1p, 2),
-            "lee_parallel_residual": _frame_max(m, pts, nth, 2),
+    ev = evaluation(m, pts, step)
+    nth = ev.nabla_theta("bismut")
+    st1p = nth - 0.25 * np.einsum("...xm,...ym->...xy", ev.lam, ev.J)
+    rho_residual = ev.residual("rho_residual", ev.rho, 2)[0]
+    return {"ric_residual": ev.residual("ric_residual", ev.ric, 2)[0],
+            "st1prime_residual": ev.residual("st1prime_residual", st1p, 2)[0],
+            "lee_parallel_residual": ev.residual("lee_parallel_residual", nth, 2)[0],
             "rho_residual": rho_residual,
             "rho_ok": rho_residual <= tol}
 
 
 def eta_forms(m: HermitianManifold, phi, pts, step=DEFAULT_STEP) -> dict:
     """The eta = theta - 2 d phi reformulations of the field equations."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    J = m.complex_structure(pts)
+    ev = evaluation(m, pts, step)
 
     def eta_fn(p):
-        return lee_form_values(m, p, step, check=False) - 2.0 * dilaton_gradient(m, phi, p, step)
+        return ev.lee_at(p) - 2.0 * dilaton_gradient(m, phi, p, step)
 
-    eta = eta_fn(pts)
-    conn_b = connection(m, "bismut", step)
-    neta = covariant_derivative_field_values(conn_b, eta_fn, 1, pts)
-    lam = lambda_omega_values(m, pts, step)[0]
-    lam_j = np.einsum("...xm,...ym->...xy", lam, J)
-
-    out = {
-        "eta": eta,
-        "stef_residual": _frame_max(m, pts, neta - 0.25 * lam_j, 2),
-        "ster_residual": _frame_max(m, pts, neta - np.einsum("...xy->...yx", neta), 2),
-        "cnew_residual": _frame_max(
-            m, pts, neta + np.einsum("...xy->...yx", neta) - 0.5 * lam_j, 2),
-        "susy_theta_residual": _frame_max(m, pts, eta, 1),
-        "eta_parallel_residual": _frame_max(m, pts, neta, 2),
+    eta = eta_fn(ev.pts)
+    neta = ev.nabla(eta_fn, 1, "bismut")
+    lam_j = np.einsum("...xm,...ym->...xy", ev.lam, ev.J)
+    neta_t = np.einsum("...xy->...yx", neta)
+    measured = {
+        "stef_residual": (neta - 0.25 * lam_j, 2),
+        "ster_residual": (neta - neta_t, 2),
+        "cnew_residual": (neta + neta_t - 0.5 * lam_j, 2),
+        "susy_theta_residual": (eta, 1),
+        "eta_parallel_residual": (neta, 2),
     }
     if m.dim == 4:
-        dth = codifferential_values(m.metric, lee_field(m, step).fn, 1, pts, step)
-        four2 = neta - 0.5 * dth[..., None, None] * m.metric(pts)
-        out["four2_residual"] = _frame_max(m, pts, four2, 2)
+        measured["four2_residual"] = (neta - 0.5 * ev.codiff_theta[..., None, None] * ev.g, 2)
+    out = {"eta": eta}
+    out.update((name, ev.residual(name, diff, valence)[0])
+               for name, (diff, valence) in measured.items())
     return out
 
 
@@ -207,15 +169,10 @@ def solution_hypotheses(m: HermitianManifold, pts, step=DEFAULT_STEP,
                         tol=DEFAULT_CLASSIFY_TOL) -> dict:
     """Closed torsion and the pointwise SU(n) indicator (vanishing Bismut
     Ricci form + J-commuting curvature endomorphisms)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    dT = exterior_derivative_values(lambda p: torsion_bismut_values(m, p, step), pts, 3, step)
-    strong = _frame_max(m, pts, dT, 4)
-    r = riemann_values(m, "bismut", pts, step)
-    ginv = metric_inverse(m.metric(pts))
-    J = m.complex_structure(pts)
-    rho = rho_from_curvature(r, j_trace_matrix(J, ginv))
-    commute = np.einsum("...xymn,...mz,...nw->...xyzw", r, J, J) - r
-    su = max(_frame_max(m, pts, rho, 2), _frame_max(m, pts, commute, 4))
+    ev = evaluation(m, pts, step)
+    strong = ev.residual("strong_residual", ev.dT, 4)[0]
+    su = max(ev.residual("ricci_form", ev.rho, 2)[0],
+             ev.residual("curvature_j_commutator", ev.j_commutator, 4)[0])
     return {"strong_residual": strong, "su_residual": su,
             "strong_kt": strong <= tol, "su_indicator": su <= tol,
             "ok": strong <= tol and su <= tol}
@@ -226,13 +183,11 @@ def verify_th1(m: HermitianManifold, pts, step=DEFAULT_STEP,
     """Equivalence 'vanishing Bismut scalar curvature <=> vanishing Bismut
     Ricci tensor' under the hypotheses (strong KT + SU(n) indicator).  On a
     manifold failing the hypotheses the result is labeled, never asserted."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    hyp = solution_hypotheses(m, pts, step, hyp_tol)
-    ginv = metric_inverse(m.metric(pts))
-    ric = ricci_from_curvature(riemann_values(m, "bismut", pts, step), ginv)
-    scal = np.einsum("...mn,...mn->...", ric, ginv)
-    scal_res = float(np.max(np.abs(scal)))
-    ric_res = _frame_max(m, pts, ric, 2)
+    with evaluation_scope():
+        ev = evaluation(m, pts, step)
+        hyp = solution_hypotheses(m, ev.pts, step, hyp_tol)
+        scal_res = ev.residual("scal_residual", ev.scal, 0)[0]
+        ric_res = ev.residual("ric_residual", ev.ric, 2)[0]
     out = {"hypothesis_ok": bool(hyp["ok"]), "hypotheses": hyp,
            "scal_residual": scal_res, "ric_residual": ric_res,
            "scal_zero": scal_res <= tol, "ric_zero": ric_res <= tol}
@@ -248,22 +203,17 @@ def verify_th1(m: HermitianManifold, pts, step=DEFAULT_STEP,
 def ns1_residual(m: HermitianManifold, pts, step=DEFAULT_STEP) -> float:
     """codiff(T) = d theta - i_{theta#} T, valid when the Bismut Ricci form
     vanishes."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    lhs = codifferential_values(m.metric, lambda p: torsion_bismut_values(m, p, step), 3, pts, step)
-    theta = lee_form_values(m, pts, step, check=False)
-    dtheta = exterior_derivative_values(lee_field(m, step).fn, pts, 1, step)
-    ginv = metric_inverse(m.metric(pts))
-    sharp = np.einsum("...ij,...j->...i", ginv, theta)
-    rhs = dtheta - interior_product(sharp, torsion_bismut_values(m, pts, step), 3)
-    return _frame_max(m, pts, lhs - rhs, 2)
+    ev = evaluation(m, pts, step)
+    sharp = np.einsum("...ij,...j->...i", ev.ginv, ev.theta)
+    rhs = ev.dtheta - interior_product(sharp, ev.T, 3)
+    return ev.residual("coclosed_vs_lee", ev.codiff_T - rhs, 2)[0]
 
 
 def killing_residual(m: HermitianManifold, pts, step=DEFAULT_STEP) -> float:
     """Lie derivative of g along the dual of the Lee form."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    conn_g = connection(m, "levi_civita", step)
-    nth = covariant_derivative_field_values(conn_g, lee_field(m, step).fn, 1, pts)
-    return _frame_max(m, pts, nth + np.einsum("...xy->...yx", nth), 2)
+    ev = evaluation(m, pts, step)
+    nth = ev.nabla_theta("levi_civita")
+    return ev.residual("lee_killing_field", nth + np.einsum("...xy->...yx", nth), 2)[0]
 
 
 def flux_divergence_agreement(m: HermitianManifold, phi, pts, step=DEFAULT_STEP) -> float:
@@ -274,21 +224,14 @@ def flux_divergence_agreement(m: HermitianManifold, phi, pts, step=DEFAULT_STEP)
             = - exp(-2 phi) (codiff T + 2 i_{grad phi} T)
 
     identically; the residual of that equality is returned."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    ev = evaluation(m, pts, step)
 
-    def weighted(p):
-        w = np.ones(np.asarray(p, dtype=float).shape[:-1]) if phi is None else np.exp(-2.0 * phi(p))
-        return w[..., None, None, None] * torsion_bismut_values(m, p, step)
+    def weight(p):
+        return np.ones(np.asarray(p).shape[:-1]) if phi is None else np.exp(-2.0 * phi(p))
 
-    div_form = -codifferential_values(m.metric, weighted, 3, pts, step)
-    w = np.ones(pts.shape[:-1]) if phi is None else np.exp(-2.0 * phi(pts))
-    T = torsion_bismut_values(m, pts, step)
-    ginv = metric_inverse(m.metric(pts))
-    grad = np.einsum("...ij,...j->...i", ginv, dilaton_gradient(m, phi, pts, step))
-    tensor_form = w[..., None, None] * (
-        codifferential_values(m.metric, lambda p: torsion_bismut_values(m, p, step), 3, pts, step)
-        + 2.0 * interior_product(grad, T, 3))
-    return _frame_max(m, pts, div_form + tensor_form, 2)
+    div_form = -ev.codiff(lambda p: weight(p)[..., None, None, None] * ev.torsion_at(p), 3)
+    tensor_form = weight(ev.pts)[..., None, None] * _flux(ev, phi, step)
+    return ev.residual("flux_divergence_agreement", div_form + tensor_form, 2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -305,48 +248,48 @@ def run_string_suite(m: HermitianManifold, phi, pts, step=DEFAULT_STEP,
     (the divergence-form agreement) are asserted everywhere.  The
     supersymmetry residual |theta - 2 d phi| is asserted only when
     ``susy_asserted`` (it is informational for generic dilatons)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    hyp = solution_hypotheses(m, pts, step, hyp_tol)
-    sol_status = ASSERTED if hyp["ok"] else HYPOTHESIS_FAILED
+    with evaluation_scope():
+        hyp = solution_hypotheses(m, pts, step, hyp_tol)
+        sol_status = ASSERTED if hyp["ok"] else HYPOTHESIS_FAILED
 
-    eq = string_residual(m, phi, pts, step)
-    cdf = constant_dilaton_forms(m, pts, step, hyp_tol)
-    ef = eta_forms(m, phi, pts, step)
-    th1 = verify_th1(m, pts, step, tol, hyp_tol)
+        eq = string_residual(m, phi, pts, step)
+        cdf = constant_dilaton_forms(m, pts, step, hyp_tol)
+        ef = eta_forms(m, phi, pts, step)
+        th1 = verify_th1(m, pts, step, tol, hyp_tol)
 
-    entries = [
-        StringEntry("einstein_equation", eq["einstein_residual"], tol, sol_status),
-        StringEntry("flux_equation", eq["flux_residual"], tol, sol_status),
-        StringEntry("eta_equation", ef["stef_residual"], tol, sol_status),
-        StringEntry("eta_skew_equation", ef["ster_residual"], tol, sol_status),
-        StringEntry("eta_symmetric_equation", ef["cnew_residual"], tol, sol_status),
-        StringEntry("eta_parallel", ef["eta_parallel_residual"], tol,
-                    sol_status if hyp["ok"] else HYPOTHESIS_FAILED),
-        StringEntry("supersymmetric_lee", ef["susy_theta_residual"], tol,
-                    ASSERTED if susy_asserted else INFO),
-        StringEntry("flux_divergence_agreement",
-                    flux_divergence_agreement(m, phi, pts, step), tol, ASSERTED),
-        StringEntry("coclosed_vs_lee",
-                    ns1_residual(m, pts, step), tol,
-                    ASSERTED if hyp["su_indicator"] else HYPOTHESIS_FAILED),
-        StringEntry("lee_killing_field", killing_residual(m, pts, step), tol,
-                    sol_status if phi is None else INFO),
-    ]
-    if phi is None:
-        entries.insert(2, StringEntry("constant_dilaton_ricci", cdf["ric_residual"],
-                                      tol, sol_status))
-        entries.insert(3, StringEntry("constant_dilaton_lee_equation",
-                                      cdf["st1prime_residual"], tol, sol_status))
-    if "four2_residual" in ef:
-        entries.append(StringEntry("conformal_killing_equation", ef["four2_residual"],
-                                   tol, sol_status))
+        entries = [
+            StringEntry("einstein_equation", eq["einstein_residual"], tol, sol_status),
+            StringEntry("flux_equation", eq["flux_residual"], tol, sol_status),
+            StringEntry("eta_equation", ef["stef_residual"], tol, sol_status),
+            StringEntry("eta_skew_equation", ef["ster_residual"], tol, sol_status),
+            StringEntry("eta_symmetric_equation", ef["cnew_residual"], tol, sol_status),
+            StringEntry("eta_parallel", ef["eta_parallel_residual"], tol,
+                        sol_status if hyp["ok"] else HYPOTHESIS_FAILED),
+            StringEntry("supersymmetric_lee", ef["susy_theta_residual"], tol,
+                        ASSERTED if susy_asserted else INFO),
+            StringEntry("flux_divergence_agreement",
+                        flux_divergence_agreement(m, phi, pts, step), tol, ASSERTED),
+            StringEntry("coclosed_vs_lee",
+                        ns1_residual(m, pts, step), tol,
+                        ASSERTED if hyp["su_indicator"] else HYPOTHESIS_FAILED),
+            StringEntry("lee_killing_field", killing_residual(m, pts, step), tol,
+                        sol_status if phi is None else INFO),
+        ]
+        if phi is None:
+            entries.insert(2, StringEntry("constant_dilaton_ricci", cdf["ric_residual"],
+                                          tol, sol_status))
+            entries.insert(3, StringEntry("constant_dilaton_lee_equation",
+                                          cdf["st1prime_residual"], tol, sol_status))
+        if "four2_residual" in ef:
+            entries.append(StringEntry("conformal_killing_equation", ef["four2_residual"],
+                                       tol, sol_status))
 
-    return StringReport(
-        manifold=m.name, constant_dilaton=phi is None,
-        hypothesis_ok=bool(hyp["ok"]),
-        einstein_residual=eq["einstein_residual"],
-        flux_residual=eq["flux_residual"],
-        eta=ef["eta"],
-        eta_parallel_residual=ef["eta_parallel_residual"],
-        susy_theta_residual=ef["susy_theta_residual"],
-        th1_consistency=th1, entries=entries)
+        return StringReport(
+            manifold=m.name, constant_dilaton=phi is None,
+            hypothesis_ok=bool(hyp["ok"]),
+            einstein_residual=eq["einstein_residual"],
+            flux_residual=eq["flux_residual"],
+            eta=ef["eta"],
+            eta_parallel_residual=ef["eta_parallel_residual"],
+            susy_theta_residual=ef["susy_theta_residual"],
+            th1_consistency=th1, entries=entries)

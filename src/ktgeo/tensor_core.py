@@ -20,19 +20,22 @@ All conventions used by the rest of the engine are fixed here, once:
 - Norms: full index sums of orthonormal-frame components, no combinatorial
   division.
 - Differentiation: central differences with default step ``1e-4`` on
-  O(1)-scaled charts.  Curvature-grade objects nest two stencils, so callers
-  must keep a chart margin of a few steps around each evaluation point.
+  O(1)-scaled charts.  Curvature-grade objects nest two stencils, so an
+  evaluation needs a chart margin of two steps around each point; the
+  evaluation context checks it once per point set.
 
-Everything here is a pure function of its arguments; no state, no caching.
+Everything here is a pure function of its arguments.  The evaluation context
+(``identities.Evaluation``) computes each shared primitive once per point set;
+the two sides of an identity stay independent because they are built from
+different formulas, not because a pure function is evaluated twice.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -43,81 +46,6 @@ DEFAULT_STEP = 1e-4
 # Letters used to build einsum subscripts for generic-valence loops.  'd' is
 # reserved for the derivative axis and 'm' for contractions.
 _SLOT = "abcefghk"
-
-
-# ---------------------------------------------------------------------------
-# basic containers
-# ---------------------------------------------------------------------------
-
-def antisymmetry_defect(components: np.ndarray, valence: int) -> float:
-    """Max deviation of the trailing `valence` axes from total antisymmetry,
-    relative to the overall scale of the tensor."""
-    if valence < 2:
-        return 0.0
-    alt_part = alt(components, valence)
-    scale = max(1.0, float(np.max(np.abs(components))))
-    return float(np.max(np.abs(components - alt_part))) / scale
-
-
-@dataclass(frozen=True)
-class PointTensor:
-    """Components of a fully covariant tensor at a point.
-
-    ``components`` carries the trailing ``(dim,)*valence`` axes; a leading
-    batch is permitted and treated transparently.  ``form_flag`` asserts total
-    antisymmetry, which is validated on construction.
-    """
-
-    dim: int
-    valence: int
-    components: np.ndarray
-    form_flag: bool = False
-
-    def __post_init__(self):
-        comp = np.asarray(self.components, dtype=float)
-        object.__setattr__(self, "components", comp)
-        if self.dim < 4 or self.dim % 2:
-            raise ContractViolationError(f"dimension must be even and >= 4, got {self.dim}")
-        if comp.shape[comp.ndim - self.valence:] != (self.dim,) * self.valence:
-            raise ContractViolationError(
-                f"components shape {comp.shape} does not match valence {self.valence} in dim {self.dim}")
-        if self.form_flag and antisymmetry_defect(comp, self.valence) > 1e-12:
-            raise ContractViolationError("form_flag set but components are not totally antisymmetric")
-
-
-@dataclass(frozen=True)
-class TensorField:
-    """A smooth tensor field on a chart: an evaluation map plus metadata.
-
-    ``fn`` maps points ``(..., dim)`` to components ``(..., dim^valence)`` and
-    must be deterministic.  ``domain`` (optional) is any object exposing
-    ``require_interior(points, margin)``; when present, differential operators
-    use it to reject stencils that would leave the chart.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    dim: int
-    valence: int
-    form_flag: bool = False
-    domain: Optional[object] = None
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.fn(np.asarray(points, dtype=float))
-
-    def at(self, point: np.ndarray) -> PointTensor:
-        return PointTensor(self.dim, self.valence, self(point), self.form_flag)
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Orthonormal frame at a point; ``vectors[a]`` are the contravariant
-    components of e_a."""
-
-    vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +67,6 @@ def fd_partial(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
     return (plus - minus) / (2.0 * step)
 
 
-def _check_domain(field: TensorField, points: np.ndarray, margin: float) -> None:
-    if field.domain is not None:
-        field.domain.require_interior(points, margin)
-
-
 def exterior_derivative_values(fn, points, valence: int, step: float = DEFAULT_STEP) -> np.ndarray:
     """d of a p-form field, batched; see module docstring for the convention."""
     df = fd_partial(fn, points, step)  # (..., d, slots)
@@ -154,20 +77,6 @@ def exterior_derivative_values(fn, points, valence: int, step: float = DEFAULT_S
     for m in range(p + 1):
         out += (-1) ** m * np.moveaxis(df, -(p + 1), -(p + 1) + m)
     return out
-
-
-def exterior_derivative(field: TensorField, point: np.ndarray,
-                        step: float = DEFAULT_STEP) -> PointTensor:
-    """Exterior derivative of a form field at a point.
-
-    Raises ``ContractViolationError`` for non-form input and
-    ``ChartDomainError`` when the stencil would leave the declared domain.
-    """
-    if not field.form_flag and field.valence > 0:
-        raise ContractViolationError("exterior_derivative requires a form (form_flag set)")
-    _check_domain(field, point, 3.0 * step)
-    comp = exterior_derivative_values(field.fn, point, field.valence, step)
-    return PointTensor(field.dim, field.valence + 1, comp, form_flag=True)
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +90,19 @@ def metric_inverse(g: np.ndarray) -> np.ndarray:
         raise NumericError(f"metric not invertible: {exc}") from exc
 
 
+def koszul_values(dg: np.ndarray) -> np.ndarray:
+    """All-lower Levi-Civita coefficients ``omega[l,i,j] = g(nabla_{d_i} d_j,
+    d_l)`` from the metric derivative ``dg[d,a,b] = D_d g_ab`` (Koszul formula
+    on coordinate fields)."""
+    return 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
+                  - np.einsum("...lij->...lij", dg))
+
+
 def christoffel_values(metric_fn, points, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Levi-Civita coefficients ``Gamma[k,i,j]`` from a metric field (Koszul
-    formula on coordinate fields, single inversion of g per point)."""
+    """Levi-Civita coefficients ``Gamma[k,i,j]`` from a metric field (single
+    inversion of g per point)."""
     g = metric_fn(points)
-    dg = fd_partial(metric_fn, points, step)  # dg[d,a,b] = D_d g_ab
-    omega = 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
-                   - np.einsum("...lij->...lij", dg))
+    omega = koszul_values(fd_partial(metric_fn, points, step))
     return np.einsum("...kl,...lij->...kij", metric_inverse(g), omega)
 
 
@@ -214,19 +129,14 @@ def codifferential_values(metric_fn, fn, valence: int, points,
         raise ContractViolationError("codifferential needs valence >= 1")
     gamma = christoffel_values(metric_fn, points, step)
     nab = covariant_derivative_values(fn, valence, points, gamma, step)
-    ginv = metric_inverse(metric_fn(points))
+    return codifferential_of(nab, metric_inverse(metric_fn(points)), valence)
+
+
+def codifferential_of(nab: np.ndarray, ginv: np.ndarray, valence: int) -> np.ndarray:
+    """Codifferential of a p-form from its Levi-Civita derivative ``nab``
+    (direction slot first) and the inverse metric at the same points."""
     rest = _SLOT[: valence - 1]
     return -np.einsum(f"...dm,...dm{rest}->...{rest}", ginv, nab)
-
-
-def codifferential(field: TensorField, point: np.ndarray, metric: TensorField,
-                   step: float = DEFAULT_STEP) -> PointTensor:
-    """Codifferential of a form field at a point (see module conventions)."""
-    if not field.form_flag:
-        raise ContractViolationError("codifferential requires a form (form_flag set)")
-    _check_domain(field, point, 3.0 * step)
-    comp = codifferential_values(metric.fn, field.fn, field.valence, point, step)
-    return PointTensor(field.dim, field.valence - 1, comp, form_flag=True)
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +165,6 @@ def gram_schmidt_frames(g: np.ndarray) -> np.ndarray:
     return frame
 
 
-def orthonormal_frame(metric_at_point: np.ndarray) -> Frame:
-    """Orthonormal frame at a single point (Gram-Schmidt, coordinate order)."""
-    return Frame(gram_schmidt_frames(np.asarray(metric_at_point, dtype=float)))
-
-
 def to_frame(t: np.ndarray, frame: np.ndarray, valence: int) -> np.ndarray:
     """Express covariant components in an orthonormal frame."""
     if valence == 0:
@@ -271,17 +176,15 @@ def to_frame(t: np.ndarray, frame: np.ndarray, valence: int) -> np.ndarray:
                      *([frame] * valence), t)
 
 
+def j_trace_matrix(J: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """``jg[b,a] = sum_i e_i^a (J e_i)^b = J^b_c g^{ca}``, the bilinear form
+    that implements frame J-traces without building a frame."""
+    return np.einsum("...bc,...ca->...ba", J, ginv)
+
+
 def j_trace_values(two_tensor: np.ndarray, J: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """``sum_i a(J e_i, e_i)`` for a (0,2)-tensor; basis independent."""
     return np.einsum("...mn,...mc,...cn->...", two_tensor, J, ginv)
-
-
-def j_trace(two_form: PointTensor, J: np.ndarray, frame: Frame) -> float:
-    """Frame form of the J-trace ``sum_i a(J e_i, e_i)``."""
-    if two_form.valence != 2:
-        raise ContractViolationError("j_trace expects a (0,2)-tensor")
-    jf = np.einsum("...ij,...aj->...ai", J, frame.vectors)  # (J e_a)^i
-    return float(np.einsum("...mn,...am,...an->...", two_form.components, jf, frame.vectors))
 
 
 def norm_sq_values(t: np.ndarray, ginv: np.ndarray, valence: int) -> np.ndarray:
@@ -292,12 +195,6 @@ def norm_sq_values(t: np.ndarray, ginv: np.ndarray, valence: int) -> np.ndarray:
     b = a.upper()
     gs = ",".join(f"...{x}{y}" for x, y in zip(a, b))
     return np.einsum(f"...{a},...{b},{gs}->...", t, t, *([ginv] * valence))
-
-
-def tensor_norm_sq(t: PointTensor, frame: Frame) -> float:
-    """Squared norm as the full index sum of frame components (single point)."""
-    tf = to_frame(t.components, frame.vectors, t.valence)
-    return float(np.sum(tf * tf))
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +244,6 @@ def hodge_star_values(alpha: np.ndarray, g: np.ndarray, valence: int,
     out = _SLOT[valence:d]
     comp = np.einsum(f"...{up},{up}{out}->...{out}", raised, eps) / math.factorial(valence)
     return weight * comp
-
-
-def hodge_star(form: PointTensor, metric: np.ndarray, orientation: int = 1) -> PointTensor:
-    """Hodge star of a form at a point; ``metric`` is the metric matrix there."""
-    comp = hodge_star_values(form.components, np.asarray(metric, dtype=float),
-                             form.valence, orientation)
-    return PointTensor(form.dim, form.dim - form.valence, comp, form_flag=True)
 
 
 # ---------------------------------------------------------------------------

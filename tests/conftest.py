@@ -1,6 +1,7 @@
 import pytest
 
 from ktgeo.catalog import catalog_names, get_manifold
+from ktgeo.connections import lee_form_values
 
 
 @pytest.fixture(scope="session")
@@ -10,6 +11,11 @@ def manifolds():
 
 def sample(name, n=8, seed=0):
     return get_manifold(name).sample_points(n, seed)
+
+
+def lee_fn(m):
+    """The Lee form of ``m`` as a batched field."""
+    return lambda p: lee_form_values(m, p, check=False)
 
 
 @pytest.fixture(scope="session")

@@ -11,19 +11,17 @@ import numpy as np
 from ktgeo.catalog import catalog_names, get_manifold
 from ktgeo.classify import check_hkt, classify
 from ktgeo.cli import main
-from ktgeo.connections import (
-    connection, covariant_derivative_field_values, lee_field, lee_form_values,
-    torsion_bismut_values,
-)
-from ktgeo.curvature import curvature_pack
+from ktgeo.connections import lee_form_values, torsion_bismut_values
 from ktgeo.identities import (
-    richardson_ratios, run_identity_suite, verify_conformal_trace,
+    Evaluation, richardson_ratios, run_identity_suite, verify_conformal_trace,
 )
 from ktgeo.string_eqs import constant_dilaton_forms, verify_th1
 from ktgeo.tensor_core import (
     codifferential_values, exterior_derivative_values, hodge_star_values,
     metric_inverse, norm_sq_values, wedge,
 )
+
+from conftest import lee_fn
 
 N_POINTS = 32
 SEED = 0
@@ -59,14 +57,13 @@ def test_criterion_2_hopf_reproduces_the_homogeneous_model():
     ginv = metric_inverse(g)
     res = {}
 
-    pack = curvature_pack(m, pts)
-    res["ricci_form"] = float(np.max(np.abs(pack.rho)))
-    res["ricci"] = float(np.max(np.abs(pack.ric)))
-    res["scalar"] = float(np.max(np.abs(pack.scal_bismut)))
+    ev = Evaluation(m, pts)
+    res["ricci_form"] = float(np.max(np.abs(ev.rho)))
+    res["ricci"] = float(np.max(np.abs(ev.ric)))
+    res["scalar"] = float(np.max(np.abs(ev.scal)))
 
     for flavor in ("bismut", "levi_civita"):
-        nth = covariant_derivative_field_values(connection(m, flavor), lee_field(m).fn, 1, pts)
-        res[f"lee_parallel_{flavor}"] = float(np.max(np.abs(nth)))
+        res[f"lee_parallel_{flavor}"] = float(np.max(np.abs(ev.nabla_theta(flavor))))
 
     t_fn = lambda p: torsion_bismut_values(m, p)
     res["torsion_closed"] = float(np.max(np.abs(exterior_derivative_values(t_fn, pts, 3))))
@@ -79,7 +76,7 @@ def test_criterion_2_hopf_reproduces_the_homogeneous_model():
     jth = -np.einsum("...m,...mi->...i", theta, J)
     res["torsion_wedge_form"] = float(np.max(np.abs(T - wedge(jth, 1, m.kahler_form(pts), 2))))
 
-    nth_g = covariant_derivative_field_values(connection(m, "levi_civita"), lee_field(m).fn, 1, pts)
+    nth_g = ev.nabla_theta("levi_civita")
     res["lee_killing"] = float(np.max(np.abs(nth_g + np.einsum("...xy->...yx", nth_g))))
 
     t2 = norm_sq_values(theta, ginv, 1)
@@ -109,10 +106,8 @@ def test_criterion_4_dimension_four_chain():
     for name in ("flat_torus_4", "hopf_standard", "su2xu1", "conf_torus_4", "hopf_hkt"):
         m = get_manifold(name)
         pts = m.sample_points(N_POINTS, SEED)
-        lam = None
-        from ktgeo.curvature import lambda_omega_values
-        lam = lambda_omega_values(m, pts)[0]
-        dth = codifferential_values(m.metric, lee_field(m).fn, 1, pts)
+        lam = Evaluation(m, pts).lam
+        dth = codifferential_values(m.metric, lee_fn(m), 1, pts)
         om = m.kahler_form(pts)
         worst = max(worst, float(np.max(np.abs(lam + 2.0 * dth[..., None, None] * om))))
         f = classify(m, pts)

@@ -5,8 +5,8 @@ from ktgeo.catalog import (
     catalog_names, conformal_rescale, get_manifold, hermitian_residuals,
 )
 from ktgeo.connections import lee_form_values, torsion_bismut_values
-from ktgeo.curvature import curvature_pack
 from ktgeo.errors import UnknownManifoldError
+from ktgeo.identities import Evaluation
 from ktgeo.tensor_core import exterior_derivative_values, metric_inverse, norm_sq_values
 
 
@@ -43,12 +43,10 @@ def test_flat_torus_is_kahler():
 def test_hopf_parallel_lee_and_flat_ricci_form():
     m = get_manifold("hopf_standard")
     pts = m.sample_points(8, seed=0)
-    pack = curvature_pack(m, pts)
-    assert np.max(np.abs(pack.rho)) < 1e-5
-    assert np.max(np.abs(pack.ric)) < 1e-5
-    from ktgeo.connections import connection, covariant_derivative_field_values, lee_field
-    nth = covariant_derivative_field_values(connection(m, "levi_civita"), lee_field(m).fn, 1, pts)
-    assert np.max(np.abs(nth)) < 1e-5
+    ev = Evaluation(m, pts)
+    assert np.max(np.abs(ev.rho)) < 1e-5
+    assert np.max(np.abs(ev.ric)) < 1e-5
+    assert np.max(np.abs(ev.nabla_theta("levi_civita"))) < 1e-5
 
 
 def test_su2xu1_flat_parallel_torsion():
@@ -56,10 +54,8 @@ def test_su2xu1_flat_parallel_torsion():
     pts = m.sample_points(8, seed=0)
     from ktgeo.curvature import riemann_values
     assert np.max(np.abs(riemann_values(m, "bismut", pts))) < 1e-6
-    from ktgeo.connections import connection, covariant_derivative_field_values
     t_fn = lambda p: torsion_bismut_values(m, p)
-    nt = covariant_derivative_field_values(connection(m, "bismut"), t_fn, 3, pts)
-    assert np.max(np.abs(nt)) < 1e-6
+    assert np.max(np.abs(Evaluation(m, pts).nabla_T("bismut"))) < 1e-6
     dt = exterior_derivative_values(t_fn, pts, 3)
     assert np.max(np.abs(dt)) < 1e-6
     from ktgeo.tensor_core import codifferential_values
@@ -74,7 +70,7 @@ def test_hopf_and_su2xu1_share_scalar_invariants():
         ginv = metric_inverse(m.metric(pts))
         theta2 = norm_sq_values(lee_form_values(m, pts), ginv, 1)
         torsion2 = norm_sq_values(torsion_bismut_values(m, pts), ginv, 3)
-        scal = curvature_pack(m, pts).scal_bismut
+        scal = Evaluation(m, pts).scal
         vals[name] = (theta2, torsion2, scal)
     for a, b in zip(vals["hopf_standard"], vals["su2xu1"]):
         assert np.max(np.abs(a[:, None] - b[None, :])) < 1e-4

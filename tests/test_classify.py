@@ -1,6 +1,8 @@
+import types
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from ktgeo.catalog import catalog_names, get_manifold
 from ktgeo.classify import (
@@ -104,8 +106,8 @@ def test_vanishing_hypotheses_su2_cross_checked_against_u_trace(su2):
     # mean-curvature identity; compare against the Chern trace route
     pts = su2.sample_points(8, seed=0)
     out = vanishing_hypotheses(su2, pts)
-    from ktgeo.curvature import curvature_pack
-    two_u = 2.0 * curvature_pack(su2, pts).u
+    from ktgeo.identities import Evaluation
+    two_u = 2.0 * Evaluation(su2, pts).u
     assert abs(out["plurigenera_margin"] - float(np.min(two_u))) < 1e-4
 
 
@@ -120,3 +122,9 @@ def test_loop_check_flag_off_by_default(conf4):
     assert "loop_transport" not in flags.residuals
     flags2 = classify(conf4, pts, loop_check=True)
     assert "loop_transport" in flags2.residuals
+
+
+def test_package_exposes_the_classify_module():
+    import ktgeo.classify as classify_module
+    assert isinstance(classify_module, types.ModuleType)
+    assert classify_module.classify is classify

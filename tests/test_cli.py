@@ -1,9 +1,13 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
+import pytest
 
+import ktgeo.cli
+import ktgeo.identities
 from ktgeo.catalog import (
     BoxChart, HermitianManifold, catalog_names, register_manifold, _block_j,
     _const_field,
@@ -130,3 +134,59 @@ def test_float_serialization_has_17_significant_digits():
     # round trip is exact
     parsed = json.loads(text)
     assert parsed["x"] == 0.1 and parsed["y"] == 1.0 / 3.0
+
+
+def test_report_computes_each_curvature_once(monkeypatch, tmp_path):
+    calls = Counter()
+    real = ktgeo.identities.riemann_values
+
+    def counted(m, flavor, points, step):
+        calls[(id(m), flavor)] += 1
+        return real(m, flavor, points, step)
+
+    monkeypatch.setattr(ktgeo.identities, "riemann_values", counted)
+    code = main(["report", "--manifold", "hopf_hkt", "--points", "2",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    # three flavors on hopf_hkt, the Chern curvature of its conformal parent
+    assert len(calls) == 4
+    assert max(calls.values()) == 1
+
+
+def test_tol_classify_reaches_the_hkt_block(tmp_path):
+    # at these points the Lee-form match residual is 1.5e-17, not exactly 0
+    out_file = tmp_path / "hkt.json"
+    code = main(["report", "--manifold", "hopf_hkt", "--points", "8", "--seed", "2",
+                 "--tol-classify", "1e-30", "--out", str(out_file)])
+    hkt = json.loads(out_file.read_text())["manifolds"][0]["flags"]["hkt"]
+    assert hkt["tolerance"] == 1e-30
+    assert not hkt["hkt"]
+    assert code == 1
+
+
+def _half_nan_metric(p):
+    pts = np.asarray(p, dtype=float)
+    g = np.broadcast_to(np.eye(4), pts.shape[:-1] + (4, 4)).copy()
+    g[pts[..., 0] > np.pi] = np.nan
+    return g
+
+
+@pytest.mark.parametrize("suite", ["classify", "identities", "string"])
+def test_non_finite_residual_exits_3(suite, capsys):
+    register_manifold(HermitianManifold(
+        name="half_nan_test_manifold", dim=4,
+        chart=BoxChart(lows=(0.0,) * 4, highs=(2 * np.pi,) * 4),
+        metric=_half_nan_metric, complex_structure=_const_field(_block_j(4)), lck=True))
+    code = main(["report", "--manifold", "half_nan_test_manifold", "--suite", suite,
+                 "--points", "8", "--out", "/dev/null"])
+    assert code == 3
+    assert "non-finite residual" in capsys.readouterr().err
+
+
+def test_linear_algebra_failure_exits_3(monkeypatch, capsys):
+    def failing(cfg):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(ktgeo.cli, "run", failing)
+    assert main(["report", "--manifold", "flat_torus_4", "--out", "/dev/null"]) == 3
+    assert "numeric failure" in capsys.readouterr().err

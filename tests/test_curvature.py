@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from ktgeo.catalog import catalog_names, get_manifold
-from ktgeo.connections import connection, lee_field
 from ktgeo.curvature import (
-    curvature_pack, j_trace_matrix, lambda_omega, lambda_omega_values, riemann,
-    riemann_values, rho_from_curvature, weyl_selfdual, weyl_selfdual_values,
+    j_trace_matrix, lambda_omega_values, riemann_values, rho_from_curvature,
+    weyl_selfdual_values,
 )
 from ktgeo.errors import PreconditionError
+from ktgeo.identities import Evaluation
 from ktgeo.tensor_core import (
     codifferential_values, exterior_derivative_values, gram_schmidt_frames,
     hodge_star_values, metric_inverse, proj_two_zero, to_frame,
 )
 
-from conftest import sample
+from conftest import lee_fn, sample
 
 
 def test_flat_torus_all_flavors_flat(flat4):
@@ -47,8 +47,7 @@ def test_riemann_pair_antisymmetries(conf4):
         assert np.max(np.abs(r + np.einsum("...jikl->...ijkl", r))) < 1e-5
     r = riemann_values(conf4, "levi_civita", pts)
     assert np.max(np.abs(r + np.einsum("...ijlk->...ijkl", r))) < 1e-5
-    out = riemann(connection(conf4, "bismut"), pts[0])
-    assert out.valence == 4
+    assert riemann_values(conf4, "bismut", pts[0]).shape == (4, 4, 4, 4)  # a single point
 
 
 def test_bismut_curvature_commutes_with_j():
@@ -61,58 +60,59 @@ def test_bismut_curvature_commutes_with_j():
         assert np.max(np.abs(comm)) < 1e-5
 
 
-def test_curvature_pack_flat6_and_hopf():
+def test_evaluation_curvature_flat6_and_hopf():
     m6 = get_manifold("flat_torus_6")
-    pts = m6.sample_points(4, seed=0)
-    pack = curvature_pack(m6, pts)
-    for arr in (pack.r_bismut, pack.r_chern, pack.r_lc, pack.ric, pack.rho,
-                pack.kappa, pack.lambda_omega):
+    ev = Evaluation(m6, m6.sample_points(4, seed=0))
+    for arr in (ev.riemann("bismut"), ev.riemann("chern"), ev.riemann("levi_civita"),
+                ev.ric, ev.ric_lc, ev.rho, ev.kappa, ev.lam):
         assert np.max(np.abs(arr)) < 1e-12
 
     hopf = get_manifold("hopf_standard")
-    hp = hopf.sample_points(8, seed=0)
-    pack = curvature_pack(hopf, hp)
-    assert np.max(np.abs(pack.rho)) < 1e-4
-    assert np.max(np.abs(pack.ric)) < 1e-4
-    assert np.max(np.abs(pack.scal_bismut)) < 1e-4
-    assert np.max(np.abs(pack.b)) < 1e-4
+    ev = Evaluation(hopf, hopf.sample_points(8, seed=0))
+    assert np.max(np.abs(ev.rho)) < 1e-4
+    assert np.max(np.abs(ev.ric)) < 1e-4
+    assert np.max(np.abs(ev.scal)) < 1e-4
+    assert np.max(np.abs(ev.b)) < 1e-4
     # Chern trace is twice u; on this geometry u = 4 (kappa = 2 omega)
-    assert np.max(np.abs(pack.u - 4.0)) < 1e-4
-    om = hopf.kahler_form(hp)
-    assert np.max(np.abs(pack.kappa - 2.0 * om)) < 1e-4
+    assert np.max(np.abs(ev.u - 4.0)) < 1e-4
+    assert np.max(np.abs(ev.kappa - 2.0 * ev.omega)) < 1e-4
 
 
 def test_rho_chern_is_one_one():
     for name in ("hopf_standard", "conf_torus_4", "conf_torus_6"):
         m = get_manifold(name)
         pts = m.sample_points(6, seed=1)
-        pack = curvature_pack(m, pts)
-        J = m.complex_structure(pts)
-        assert np.max(np.abs(proj_two_zero(pack.rho_chern, J))) < 1e-5
+        ev = Evaluation(m, pts)
+        assert np.max(np.abs(proj_two_zero(ev.rho_chern, ev.J))) < 1e-5
 
 
 def test_lambda_omega_cases():
+    def lambda_omega(m, pts):
+        ev = Evaluation(m, pts)
+        return lambda_omega_values(ev.dT, ev.J, ev.jg)
+
     flat = get_manifold("flat_torus_4")
     pts = flat.sample_points(4, seed=0)
-    lam, h, defect = lambda_omega_values(flat, pts)
+    lam, h, defect = lambda_omega(flat, pts)
     assert np.max(np.abs(lam)) < 1e-12 and np.max(np.abs(h)) < 1e-12
 
     hopf = get_manifold("hopf_standard")
     hp = hopf.sample_points(8, seed=0)
-    lam, h, defect = lambda_omega_values(hopf, hp)
+    lam, h, defect = lambda_omega(hopf, hp)
     assert np.max(np.abs(lam)) < 1e-5  # codiff(theta) = 0 there
     assert defect < 1e-5
 
     conf = get_manifold("conf_torus_4")
     cp = conf.sample_points(8, seed=0)
-    lam, h, defect = lambda_omega_values(conf, cp)
-    dth = codifferential_values(conf.metric, lee_field(conf).fn, 1, cp)
+    lam, h, defect = lambda_omega(conf, cp)
+    dth = codifferential_values(conf.metric, lee_fn(conf), 1, cp)
     om = conf.kahler_form(cp)
     assert np.max(np.abs(lam + 2.0 * dth[..., None, None] * om)) < 1e-5
     assert np.max(np.abs(lam)) > 1e-2  # nonzero: the reduction is not vacuous
     assert defect < 1e-5
-    t, hval, d = lambda_omega(conf, cp[0])
-    assert t.form_flag
+    lam = lambda_omega(conf, cp[0])[0]
+    assert lam.shape == (1, 4, 4)  # a single point
+    assert np.max(np.abs(lam + np.swapaxes(lam, -1, -2))) < 1e-12  # a 2-form
 
 
 def test_weyl_selfdual_conformally_flat_entries():
@@ -124,8 +124,7 @@ def test_weyl_selfdual_conformally_flat_entries():
         assert np.max(np.abs(wplus)) < 1e-4
         assert np.max(np.abs(k)) < 1e-4
         # consistent with the vanishing trace b of the Bismut Ricci form there
-        pack = curvature_pack(m, pts)
-        assert np.max(np.abs(pack.b)) < 1e-4
+        assert np.max(np.abs(Evaluation(m, pts).b)) < 1e-4
 
 
 def test_weyl_requires_dim4():
@@ -145,11 +144,11 @@ def test_rho_two_zero_part_from_selfdual_lee_derivative(conf4):
     rho = rho_from_curvature(riemann_values(conf4, "bismut", pts),
                              j_trace_matrix(J, ginv))
     lhs = proj_two_zero(rho, J)
-    dth = exterior_derivative_values(lee_field(conf4).fn, pts, 1)
+    dth = exterior_derivative_values(lee_fn(conf4), pts, 1)
     dth_plus = 0.5 * (dth + hodge_star_values(dth, conf4.metric(pts), 2))
     rhs = np.einsum("...my,...mx->...xy", dth_plus, J)
     rhs = 0.5 * (rhs - np.einsum("...xy->...yx", rhs))
     assert np.max(np.abs(dth)) < 1e-6  # catalog Lee forms are closed
     assert np.max(np.abs(lhs - rhs)) < 1e-4
-    out = weyl_selfdual(conf4, pts[0])
-    assert abs(out[1]) < 1e-6
+    k = weyl_selfdual_values(conf4, pts[0])[2]
+    assert abs(k) < 1e-6

@@ -6,8 +6,9 @@ from ktgeo.catalog import (
 )
 from ktgeo.errors import PreconditionError
 from ktgeo.identities import (
-    richardson_ratios, run_identity_suite, verify_conformal_trace, verify_dim4,
-    verify_ricci_skews, verify_torsion_identities,
+    evaluation, evaluation_scope, richardson_ratios, run_identity_suite,
+    verify_conformal_trace, verify_dim4, verify_ricci_skews,
+    verify_torsion_identities,
 )
 
 from conftest import sample
@@ -166,3 +167,15 @@ def test_torsion_derivative_invariants_tight_tolerance(name):
     entries = {e.name: e for e in verify_torsion_identities(m, pts)}
     assert entries["torsion_nabla_exchange"].max_residual < 1e-5
     assert entries["torsion_ext_derivative"].max_residual < 1e-5
+
+
+def test_evaluation_scope_shares_read_only_primitives(hopf):
+    pts = sample("hopf_standard", 2)
+    with evaluation_scope():
+        ev = evaluation(hopf, pts)
+        with evaluation_scope():  # a nested scope joins the open one
+            assert evaluation(hopf, pts.copy()) is ev
+        assert evaluation(hopf, pts, 2e-4) is not ev
+        assert not ev.T.flags.writeable and not ev.riemann("bismut").flags.writeable
+    assert evaluation(hopf, pts) is not ev  # released when the scope closed
+    assert pts.flags.writeable  # the caller's points are left alone

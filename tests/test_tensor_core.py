@@ -4,16 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktgeo.catalog import get_manifold
-from ktgeo.connections import lee_field, torsion_bismut_values
+from ktgeo.connections import torsion_bismut_values
 from ktgeo.errors import ChartDomainError, ContractViolationError, NumericError
+from ktgeo.identities import Evaluation
 from ktgeo.tensor_core import (
-    Frame, PointTensor, TensorField, alt, codifferential, codifferential_values,
-    exterior_derivative, exterior_derivative_values, gram_schmidt_frames,
-    hodge_star_values, j_trace, j_trace_values, metric_inverse,
-    orthonormal_frame, tensor_norm_sq, wedge,
+    alt, codifferential_values, exterior_derivative_values, gram_schmidt_frames,
+    hodge_star_values, j_trace_values, metric_inverse, norm_sq_values, to_frame,
+    wedge,
 )
 
-from conftest import sample
+from conftest import lee_fn, sample
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +37,7 @@ def test_d_squared_vanishes_on_catalog_fields(name):
     ddom = exterior_derivative_values(
         lambda p: exterior_derivative_values(om_fn, p, 2), pts, 3)
     assert np.max(np.abs(ddom)) < 1e-6
-    th_fn = lee_field(m).fn
+    th_fn = lee_fn(m)
     ddth = exterior_derivative_values(
         lambda p: exterior_derivative_values(th_fn, p, 1), pts, 2)
     assert np.max(np.abs(ddth)) < 1e-6
@@ -71,15 +71,12 @@ def test_exterior_derivative_matches_symbolic_oracle_on_hopf(hopf):
 
 
 def test_exterior_derivative_public_contract(hopf):
-    om = hopf.kahler_field()
     p = np.array([1.0, 0.0, 0.0, 0.0])
-    out = exterior_derivative(om, p)
-    assert out.valence == 3 and out.form_flag
+    out = exterior_derivative_values(hopf.kahler_form, p, 2)
+    assert out.shape == (4, 4, 4)
+    assert np.max(np.abs(out - alt(out, 3))) < 1e-12  # a 3-form
     with pytest.raises(ChartDomainError):
-        exterior_derivative(om, np.array([0.5001, 0.0, 0.0, 0.0]))
-    not_form = TensorField(hopf.metric, 4, 2, form_flag=False, domain=hopf.chart)
-    with pytest.raises(ContractViolationError):
-        exterior_derivative(not_form, p)
+        Evaluation(hopf, np.array([0.5001, 0.0, 0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +97,7 @@ def test_codifferential_trivial_cases(flat4):
 def test_codifferential_equals_minus_star_d_star_dim4(hopf, valence):
     pts = sample("hopf_standard", 6)
     if valence == 1:
-        fn = lee_field(hopf).fn
+        fn = lee_fn(hopf)
     else:
         fn = hopf.kahler_form
     lhs = codifferential_values(hopf.metric, fn, valence, pts)
@@ -116,10 +113,11 @@ def test_codifferential_equals_minus_star_d_star_dim4(hopf, valence):
 
 def test_codifferential_public_contract(hopf):
     p = np.array([1.0, 0.0, 0.0, 0.0])
-    out = codifferential(hopf.kahler_field(), p, hopf.metric_field())
-    assert out.valence == 1
+    out = codifferential_values(hopf.metric, hopf.kahler_form, 2, p)
+    assert out.shape == (4,)
+    scalar = lambda q: np.ones(np.shape(q)[:-1])
     with pytest.raises(ContractViolationError):
-        codifferential(hopf.metric_field(), p, hopf.metric_field())
+        codifferential_values(hopf.metric, scalar, 0, p)
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +161,13 @@ def test_star_degenerate_metric_raises():
 # ---------------------------------------------------------------------------
 
 def test_frame_identity_metric_gives_coordinate_basis():
-    f = orthonormal_frame(np.eye(4))
-    assert np.allclose(f.vectors, np.eye(4))
+    assert np.allclose(gram_schmidt_frames(np.eye(4)), np.eye(4))
 
 
 def test_frame_diagonal_rescale():
-    f = orthonormal_frame(np.diag([4.0, 1.0, 1.0, 1.0]))
-    assert np.allclose(f.vectors[0], [0.5, 0, 0, 0])
-    assert np.allclose(f.vectors[1:], np.eye(4)[1:])
+    f = gram_schmidt_frames(np.diag([4.0, 1.0, 1.0, 1.0]))
+    assert np.allclose(f[0], [0.5, 0, 0, 0])
+    assert np.allclose(f[1:], np.eye(4)[1:])
 
 
 def test_frame_gram_residual_on_hopf(hopf):
@@ -185,10 +182,11 @@ def test_j_trace_of_kahler_form_fixes_orientation(flat4):
     pts = sample("flat_torus_4", 1)
     om = flat4.kahler_form(pts)[0]
     J = flat4.complex_structure(pts)[0]
-    frame = orthonormal_frame(flat4.metric(pts)[0])
+    frame = gram_schmidt_frames(flat4.metric(pts)[0])
+    jf = np.einsum("ij,aj->ai", J, frame)  # (J e_a)^i
     # convention record: sum_i omega(J e_i, e_i) = +dim, and the opposite
     # trace orientation sum_i omega(e_i, J e_i) = -dim
-    assert abs(j_trace(PointTensor(4, 2, om, form_flag=True), J, frame) - 4.0) < 1e-12
+    assert abs(np.einsum("mn,am,an->", om, jf, frame) - 4.0) < 1e-12
     ginv = metric_inverse(flat4.metric(pts))[0]
     assert abs(j_trace_values(om, J, ginv) - 4.0) < 1e-12
     other = np.einsum("nm,mc,cn->", om, J, ginv)
@@ -217,16 +215,16 @@ def test_j_trace_zero_form_and_basis_independence(hopf):
 
 
 def test_tensor_norm_conventions(hopf):
-    frame = Frame(np.eye(4))
-    zero = PointTensor(4, 2, np.zeros((4, 4)))
-    assert tensor_norm_sq(zero, frame) == 0.0
-    theta = PointTensor(4, 1, np.array([2.0, 0, 0, 0]))
-    assert abs(tensor_norm_sq(theta, frame) - 4.0) < 1e-14
-    # full-index |T|^2 on the Hopf chart is 24 (calibrated by the trace identity)
+    eye = np.eye(4)
+    assert norm_sq_values(np.zeros((4, 4)), eye, 2) == 0.0
+    assert abs(norm_sq_values(np.array([2.0, 0, 0, 0]), eye, 1) - 4.0) < 1e-14
+    # full-index |T|^2 on the Hopf chart is 24 (calibrated by the trace
+    # identity), both as a sum of frame components and as a g^{-1} contraction
     p = np.array([1.3, -0.2, 0.4, 0.1])
-    T = PointTensor(4, 3, torsion_bismut_values(hopf, p), form_flag=True)
-    f = orthonormal_frame(hopf.metric(p))
-    assert abs(tensor_norm_sq(T, f) - 24.0) < 1e-5
+    T = torsion_bismut_values(hopf, p)
+    tf = to_frame(T, gram_schmidt_frames(hopf.metric(p)), 3)
+    assert abs(np.sum(tf * tf) - 24.0) < 1e-5
+    assert abs(norm_sq_values(T, metric_inverse(hopf.metric(p)), 3) - 24.0) < 1e-5
 
 
 def test_operations_are_pure(hopf):
@@ -237,15 +235,6 @@ def test_operations_are_pure(hopf):
     fa = gram_schmidt_frames(hopf.metric(pts))
     fb = gram_schmidt_frames(hopf.metric(pts))
     assert np.array_equal(fa, fb)
-
-
-def test_point_tensor_validation():
-    with pytest.raises(ContractViolationError):
-        PointTensor(3, 1, np.zeros(3))  # odd/low dimension
-    with pytest.raises(ContractViolationError):
-        PointTensor(4, 2, np.eye(4), form_flag=True)  # symmetric, not a form
-    ok = PointTensor(4, 2, np.array([[0, 1.0], [-1.0, 0]]).repeat(2, 0).repeat(2, 1) * 0)
-    assert ok.dim == 4
 
 
 # ---------------------------------------------------------------------------
