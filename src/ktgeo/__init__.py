@@ -21,4 +21,4 @@ from .identities import (
     Evaluation, ResidualEntry, evaluation, evaluation_scope, run_identity_suite,
     verify_conformal_trace, verify_dim4,
 )
-from .string_eqs import StringReport, run_string_suite, string_residual, verify_th1
+from .string_eqs import StringReport, run_string_suite

@@ -80,17 +80,12 @@ def classify(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
     n = m.dim // 2
     with evaluation_scope():
         ev = evaluation(m, pts, step)
-        measured = {
-            "torsion": (ev.T, 3),
-            "torsion_closure": (ev.dT, 4),
-            "lambda_omega": (ev.lam, 2),
-            "lee_form": (ev.theta, 1),
-            "lck_defect": (ev.T - wedge(ev.jtheta, 1, ev.omega, 2) / (n - 1), 3),
-            "ricci_form": (ev.rho, 2),
-            "curvature_j_commutator": (ev.j_commutator, 4),
-        }
-        res = {name: ev.residual(name, diff, valence)[0]
-               for name, (diff, valence) in measured.items()}
+        res = {name: ev.magnitude(attr) for name, attr in (
+            ("torsion", "T"), ("torsion_closure", "dT"), ("lambda_omega", "lam"),
+            ("lee_form", "theta"), ("ricci_form", "rho"),
+            ("curvature_j_commutator", "j_commutator"))}
+        res["lck_defect"] = ev.residual(
+            "lck_defect", ev.T - wedge(ev.jtheta, 1, ev.omega, 2) / (n - 1))[0]
         if loop_check:
             res["loop_transport"] = plaquette_holonomy_check(m, pts[:2], step=step)
         hkt = check_hkt(m, pts, tol=tol, step=step) if m.hypercomplex is not None else None
@@ -116,8 +111,8 @@ def check_hkt(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
     evs = [ev] + [Evaluation(replace(m, complex_structure=j_fn, hypercomplex=None), ev.pts, step)
                   for j_fn in m.hypercomplex]
     pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
-    t_match = max(ev.residual("torsion_match", evs[a].T - evs[b].T, 3)[0] for a, b in pairs)
-    l_match = max(ev.residual("lee_match", evs[a].theta - evs[b].theta, 1)[0] for a, b in pairs)
+    t_match = max(ev.residual("torsion_match", evs[a].T - evs[b].T)[0] for a, b in pairs)
+    l_match = max(ev.residual("lee_match", evs[a].theta - evs[b].theta)[0] for a, b in pairs)
     return HktFlags(quaternion_residual=quat, torsion_match_residual=t_match,
                     lee_match_residual=l_match, tolerance=tol)
 

@@ -20,6 +20,7 @@ the same conventions) can be diffed directly.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import dataclass, replace
 
@@ -28,7 +29,7 @@ import numpy as np
 from . import __version__
 from .catalog import catalog_names, get_manifold
 from .classify import DEFAULT_CLASSIFY_TOL, classify, vanishing_hypotheses
-from .errors import GeometryError, UnknownManifoldError
+from .errors import GeometryError, PreconditionError, UnknownManifoldError
 from .identities import (
     TOL_FIRST_ORDER, evaluation_scope, run_identity_suite, verify_conformal_trace,
     verify_dim4,
@@ -113,7 +114,6 @@ def _normalize(obj):
 
 
 def _emit(obj, indent=0) -> str:
-    import json as _json
     pad = "  " * indent
     if obj is None:
         return "null"
@@ -122,12 +122,12 @@ def _emit(obj, indent=0) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        return _json.dumps(obj)
+        return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         if obj != obj or obj in (float("inf"), float("-inf")):
-            return _json.dumps(str(obj))
+            return json.dumps(str(obj))
         return format(obj, ".17g")
     if isinstance(obj, list):
         if not obj:
@@ -137,8 +137,7 @@ def _emit(obj, indent=0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        import json as _json2
-        inner = ",\n".join("  " * (indent + 1) + _json2.dumps(k) + ": " + _emit(v, indent + 1)
+        inner = ",\n".join("  " * (indent + 1) + json.dumps(k) + ": " + _emit(v, indent + 1)
                            for k, v in obj.items())
         return "{\n" + inner + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -170,10 +169,11 @@ def _manifold_report(name: str, cfg: RunConfig) -> dict:
 
     # one evaluation context per section: every suite shares its primitives,
     # and nothing computed here outlives the section
-    with evaluation_scope():
-        if "classify" in cfg.suites:
-            suite = "classify"
-            try:
+    suite = None
+    try:
+        with evaluation_scope():
+            if "classify" in cfg.suites:
+                suite = "classify"
                 flags = classify(m, pts, tol=cfg.tol_classify, step=cfg.step)
                 section["flags"] = flags.as_dict()
                 section["vanishing_hypotheses"] = vanishing_hypotheses(m, pts, cfg.step)
@@ -184,12 +184,9 @@ def _manifold_report(name: str, cfg: RunConfig) -> dict:
                 asserted_pass.append(implications)
                 if flags.hkt is not None:
                     asserted_pass.append(flags.hkt.hkt)
-            except GeometryError as exc:
-                raise NumericFailure(name, suite, exc) from exc
 
-        if "identities" in cfg.suites:
-            suite = "identities"
-            try:
+            if "identities" in cfg.suites:
+                suite = "identities"
                 entries = _apply_tol_override(run_identity_suite(m, pts, cfg.step),
                                               cfg.tol_identity)
                 if m.conformal_parent is not None:
@@ -197,33 +194,30 @@ def _manifold_report(name: str, cfg: RunConfig) -> dict:
                         [verify_conformal_trace(m, pts, cfg.step)], cfg.tol_identity))
                 section["identities"] = [e.as_dict() for e in entries]
                 asserted_pass += [e.passed for e in entries]
-            except GeometryError as exc:
-                raise NumericFailure(name, suite, exc) from exc
 
-        if "dim4" in cfg.suites:
-            suite = "dim4"
-            try:
-                entries = _apply_tol_override(verify_dim4(m, pts, cfg.step), cfg.tol_identity)
+            if "dim4" in cfg.suites:
+                suite = "dim4"
+                try:
+                    entries = verify_dim4(m, pts, cfg.step)
+                    skipped = []
+                except PreconditionError as exc:
+                    # the LCK reduction does not apply to this chart
+                    entries = []
+                    skipped = [{"name": "lck_lambda_reduction", "reason": str(exc)}]
+                entries = _apply_tol_override(entries, cfg.tol_identity)
                 section["dim4"] = [e.as_dict() for e in entries]
+                if skipped:
+                    section["dim4_skipped"] = skipped
                 asserted_pass += [e.passed for e in entries]
-            except GeometryError as exc:
-                raise NumericFailure(name, suite, exc) from exc
 
-        if "string" in cfg.suites:
-            suite = "string"
-            try:
-                string_section = {}
-                rep = run_string_suite(m, None, pts, cfg.step, hyp_tol=cfg.tol_classify)
-                string_section["constant_dilaton"] = rep.as_dict()
-                asserted_pass += [e.passed for e in rep.entries if e.passed is not None]
-                if m.dilaton is not None:
-                    rep2 = run_string_suite(m, m.dilaton, pts, cfg.step,
-                                            hyp_tol=cfg.tol_classify, susy_asserted=True)
-                    string_section["gradient_dilaton"] = rep2.as_dict()
-                    asserted_pass += [e.passed for e in rep2.entries if e.passed is not None]
-                section["string"] = string_section
-            except GeometryError as exc:
-                raise NumericFailure(name, suite, exc) from exc
+            if "string" in cfg.suites:
+                suite = "string"
+                reports = run_string_suite(m, pts, cfg.step, hyp_tol=cfg.tol_classify)
+                section["string"] = {kind: rep.as_dict() for kind, rep in reports.items()}
+                asserted_pass += [e.passed for rep in reports.values() for e in rep.entries
+                                  if e.passed is not None]
+    except GeometryError as exc:
+        raise NumericFailure(name, suite, exc) from exc
 
     section["pass"] = all(asserted_pass)
     return section

@@ -56,7 +56,7 @@ from .connections import (
 from .curvature import (
     lambda_omega_values, ricci_from_curvature, riemann_values, rho_from_curvature,
 )
-from .errors import NumericError, PreconditionError
+from .errors import ContractViolationError, NumericError, PreconditionError
 from .tensor_core import (
     DEFAULT_STEP, codifferential_of, covariant_derivative_values, cyclic3_of4,
     exterior_derivative_values, gram_schmidt_frames, hodge_star_values,
@@ -330,19 +330,33 @@ class Evaluation:
 
     # -- the residual measure --------------------------------------------------
 
-    def residual(self, name: str, diff, valence: int):
+    def residual(self, name: str, diff):
         """Largest orthonormal-frame component of ``diff`` over the points,
-        and the point where it occurs.  A NaN or infinite residual raises
-        ``NumericError`` naming ``name`` and the first point affected."""
+        and the point where it occurs.  ``diff`` holds one covariant tensor
+        per point, shape ``(N,) + (dim,) * valence``.  A NaN or infinite
+        residual raises ``NumericError`` naming ``name`` and the first point
+        affected."""
+        diff = np.asarray(diff)
+        valence = diff.ndim - 1
+        if diff.shape != self.pts.shape[:1] + (self.m.dim,) * valence:
+            raise ContractViolationError(
+                f"{name!r}: shape {diff.shape} is not a tensor per point at "
+                f"{self.pts.shape[0]} points in dimension {self.m.dim}")
         if valence:
             diff = to_frame(diff, self.frames, valence)
-        mags = np.abs(np.asarray(diff)).reshape(self.pts.shape[0], -1).max(axis=1)
+        mags = np.abs(diff).reshape(self.pts.shape[0], -1).max(axis=1)
         bad = np.flatnonzero(~np.isfinite(mags))
         if bad.size:
             raise NumericError(f"non-finite residual in {name!r} at point "
                                f"{self.pts[bad[0]].tolist()}")
         worst = int(np.argmax(mags))
         return float(mags[worst]), tuple(self.pts[worst].tolist())
+
+    def magnitude(self, attr: str) -> float:
+        """The residual of the primitive ``attr`` itself (its largest frame
+        component), measured once."""
+        return self._once(("magnitude", attr),
+                          lambda: self.residual(attr, getattr(self, attr))[0])
 
 
 _SCOPE = ContextVar("ktgeo_evaluation_scope", default=None)
@@ -377,8 +391,8 @@ def evaluation(m: HermitianManifold, pts, step: float = DEFAULT_STEP) -> Evaluat
     return scope[key]
 
 
-def _entry(ev: Evaluation, name, diff, valence, tol) -> ResidualEntry:
-    val, point = ev.residual(name, diff, valence)
+def _entry(ev: Evaluation, name, diff, tol) -> ResidualEntry:
+    val, point = ev.residual(name, diff)
     return ResidualEntry(name, val, tol, val <= tol, point)
 
 
@@ -395,23 +409,23 @@ def verify_torsion_identities(m: HermitianManifold, pts, h=DEFAULT_STEP):
     # Levi-Civita vs Bismut derivative of T
     rhs = nt + 0.5 * cyclic3_of4(tt)
     out.append(_entry(ev, "torsion_nabla_exchange", ev.nabla_T("levi_civita") - rhs,
-                      4, TOL_CURVATURE))
+                      TOL_CURVATURE))
 
     # dT from the Bismut derivative
     rhs = cyclic3_of4(nt + 2.0 * tt) - np.einsum("...uxyz->...xyzu", nt)
-    out.append(_entry(ev, "torsion_ext_derivative", ev.dT - rhs, 4, TOL_CURVATURE))
+    out.append(_entry(ev, "torsion_ext_derivative", ev.dT - rhs, TOL_CURVATURE))
 
     # first Bianchi identity with torsion
     lhs = cyclic3_of4(ev.riemann("bismut"))
     rhs = ev.dT + np.einsum("...uxyz->...xyzu", nt) - cyclic3_of4(tt)
-    out.append(_entry(ev, "bianchi_with_torsion", lhs - rhs, 4, TOL_CURVATURE))
+    out.append(_entry(ev, "bianchi_with_torsion", lhs - rhs, TOL_CURVATURE))
 
     # Levi-Civita curvature from the Bismut curvature
     rhs = (ev.riemann("bismut") - 0.5 * nt + 0.5 * np.einsum("...yxzu->...xyzu", nt)
            - 0.5 * tt - 0.25 * np.einsum("...yzxu->...xyzu", tt)
            - 0.25 * np.einsum("...zxyu->...xyzu", tt))
     out.append(_entry(ev, "curvature_comparison", ev.riemann("levi_civita") - rhs,
-                      4, TOL_CURVATURE))
+                      TOL_CURVATURE))
     return out
 
 
@@ -425,18 +439,18 @@ def verify_ricci_traces(m: HermitianManifold, pts, h=DEFAULT_STEP):
 
     # Riemannian Ricci from the Bismut one
     rhs = ev.ric + 0.5 * ev.codiff_T + 0.25 * ev.tt2
-    out.append(_entry(ev, "ricci_comparison", ev.ric_lc - rhs, 2, TOL_CURVATURE))
+    out.append(_entry(ev, "ricci_comparison", ev.ric_lc - rhs, TOL_CURVATURE))
 
     # rho against the mixed Ricci trace
     rhs = (np.einsum("...xm,...my->...xy", ev.ric, ev.J)
            + np.einsum("...xm,...my->...xy", ev.nabla_theta("bismut"), ev.J) + 0.25 * ev.lam)
-    out.append(_entry(ev, "ricci_form_mixed_trace", ev.rho - rhs, 2, TOL_CURVATURE))
+    out.append(_entry(ev, "ricci_form_mixed_trace", ev.rho - rhs, TOL_CURVATURE))
 
     # scalar relation for b
     t2 = norm_sq_values(ev.theta, ev.ginv, 1)
     torsion2 = norm_sq_values(ev.T, ev.ginv, 3)
     rhs = ev.scal - 3.0 * ev.codiff_theta - 2.0 * t2 + torsion2 / 3.0
-    out.append(_entry(ev, "b_scalar_relation", ev.b - rhs, 0, TOL_CURVATURE))
+    out.append(_entry(ev, "b_scalar_relation", ev.b - rhs, TOL_CURVATURE))
     return out
 
 
@@ -448,19 +462,19 @@ def verify_ricci_skews(m: HermitianManifold, pts, h=DEFAULT_STEP):
     out = []
 
     lhs = ric - np.einsum("...xy->...yx", ric)
-    out.append(_entry(ev, "ricci_skew_coclosure", lhs + ev.codiff_T, 2, TOL_CURVATURE))
+    out.append(_entry(ev, "ricci_skew_coclosure", lhs + ev.codiff_T, TOL_CURVATURE))
 
     lhs = (np.einsum("...mn,...mx,...ny->...xy", ric, J, J)
            - np.einsum("...xy->...yx", ric))
     rhs = (-np.einsum("...mn,...mx,...ny->...xy", nth, J, J)
            + np.einsum("...xy->...yx", nth))
-    out.append(_entry(ev, "ricci_j_conjugation", lhs - rhs, 2, TOL_CURVATURE))
+    out.append(_entry(ev, "ricci_j_conjugation", lhs - rhs, TOL_CURVATURE))
 
     lhs = np.einsum("...mn,...mx,...ny->...xy", ev.rho, J, J) - ev.rho
     dnth = nth - np.einsum("...xy->...yx", nth)
     rhs = (np.einsum("...my,...mx->...xy", ev.codiff_T, J)
            - np.einsum("...my,...mx->...xy", dnth, J))
-    out.append(_entry(ev, "ricci_form_type_defect", lhs - rhs, 2, TOL_CURVATURE))
+    out.append(_entry(ev, "ricci_form_type_defect", lhs - rhs, TOL_CURVATURE))
     return out
 
 
@@ -475,22 +489,22 @@ def verify_chern_traces(m: HermitianManifold, pts, h=DEFAULT_STEP):
     # mean curvature of the holomorphic tangent bundle
     lhs = np.einsum("...my,...mx->...xy", ev.kappa, ev.J)
     out.append(_entry(ev, "mean_curvature_formula", lhs - ev.mean_curvature_form,
-                      2, TOL_CURVATURE))
+                      TOL_CURVATURE))
 
     # Chern Ricci form from the Bismut one
     out.append(_entry(ev, "chern_vs_bismut_ricci", ev.rho_chern - (ev.rho + ev.d_jtheta),
-                      2, TOL_CURVATURE))
+                      TOL_CURVATURE))
 
     # J-trace of lambda (pins the norm convention)
     lhs = -np.einsum("...mn,...mn->...", ev.lam, ev.jg)  # = sum_i lambda(e_i, J e_i)
     t2 = norm_sq_values(ev.theta, ev.ginv, 1)
     torsion2 = norm_sq_values(ev.T, ev.ginv, 3)
     rhs = 8.0 * t2 + 8.0 * ev.codiff_theta - 4.0 / 3.0 * torsion2
-    out.append(_entry(ev, "lambda_trace_calibration", lhs - rhs, 0, TOL_CURVATURE))
+    out.append(_entry(ev, "lambda_trace_calibration", lhs - rhs, TOL_CURVATURE))
 
     # trace of the mean-curvature formula
     rhs = ev.b + norm_sq_values(ev.C, ev.ginv, 3) - 0.5 * ev.h
-    out.append(_entry(ev, "u_trace_formula", 2.0 * ev.u - rhs, 0, TOL_CURVATURE))
+    out.append(_entry(ev, "u_trace_formula", 2.0 * ev.u - rhs, TOL_CURVATURE))
     return out
 
 
@@ -506,7 +520,7 @@ def verify_dim4(m: HermitianManifold, pts, h=DEFAULT_STEP):
         diff_star = ev.T + hodge_star_values(ev.theta, ev.g, 1)
         diff_wedge = ev.T - wedge(ev.jtheta, 1, ev.omega, 2)
         diff = np.maximum(np.abs(diff_star), np.abs(diff_wedge))
-        out.append(_entry(ev, "torsion_lee_duality", diff, 3, TOL_FIRST_ORDER))
+        out.append(_entry(ev, "torsion_lee_duality", diff, TOL_FIRST_ORDER))
 
     if not m.lck:
         raise PreconditionError(
@@ -530,7 +544,7 @@ def verify_dim4(m: HermitianManifold, pts, h=DEFAULT_STEP):
     quad = wedge(ev.theta, 1, ev.jtheta, 1) + t2[..., None, None] * ev.omega
     rhs = ((4 - 2 * n) * (ev.d_jtheta + quad / (n - 1))
            - 2.0 * ev.codiff_theta[..., None, None] * ev.omega)
-    out.append(_entry(ev, "lck_lambda_reduction", lhs - rhs, 2, TOL_CURVATURE))
+    out.append(_entry(ev, "lck_lambda_reduction", lhs - rhs, TOL_CURVATURE))
     return out
 
 
@@ -551,7 +565,7 @@ def verify_conformal_trace(m: HermitianManifold, pts, h=DEFAULT_STEP) -> Residua
     lhs = 2.0 * np.exp(big_f_fn(ev.pts)) * ev.u
     pairing = np.einsum("...a,...b,...ab->...", parent.theta, df_fn(ev.pts), parent.ginv)
     rhs = 2.0 * parent.u + n * (n - 1) * pairing + n * parent.codiff(df_fn, 1)
-    return _entry(ev, "conformal_u_change", lhs - rhs, 0, TOL_CURVATURE)
+    return _entry(ev, "conformal_u_change", lhs - rhs, TOL_CURVATURE)
 
 
 # ---------------------------------------------------------------------------

@@ -30,18 +30,22 @@ from .classify import DEFAULT_CLASSIFY_TOL
 from .identities import Evaluation, evaluation, evaluation_scope
 from .tensor_core import DEFAULT_STEP, fd_partial, interior_product
 
-__all__ = [
-    "StringEntry", "StringReport", "dilaton_gradient", "string_residual",
-    "constant_dilaton_forms", "eta_forms", "verify_th1", "ns1_residual",
-    "killing_residual", "flux_divergence_agreement", "solution_hypotheses",
-    "run_string_suite", "TOL_STRING",
-]
+__all__ = ["StringEntry", "StringReport", "run_string_suite", "TOL_STRING"]
 
 TOL_STRING = 1e-4
 
 ASSERTED = "asserted"
 INFO = "info"
 HYPOTHESIS_FAILED = "hypothesis_failed"
+
+# report order of the entries; a report holds the ones that apply to it
+_ENTRY_ORDER = (
+    "einstein_equation", "flux_equation", "constant_dilaton_ricci",
+    "constant_dilaton_lee_equation", "eta_equation", "eta_skew_equation",
+    "eta_symmetric_equation", "eta_parallel", "supersymmetric_lee",
+    "flux_divergence_agreement", "coclosed_vs_lee", "lee_killing_field",
+    "conformal_killing_equation",
+)
 
 
 @dataclass(frozen=True)
@@ -89,207 +93,120 @@ class StringReport:
                 "entries": [e.as_dict() for e in self.entries]}
 
 
-def dilaton_gradient(m: HermitianManifold, phi, pts, step=DEFAULT_STEP) -> np.ndarray:
-    """d phi as a covariant field; ``phi = None`` means a constant dilaton."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+def _dilaton_residuals(ev: Evaluation, phi, lam_j) -> tuple:
+    """eta = theta - 2 d phi and the residuals of the entries that depend on
+    the dilaton.  ``phi = None`` is a constant dilaton: eta is the Lee form,
+    and the held primitives are the derivatives."""
     if phi is None:
-        return np.zeros_like(pts)
-    return fd_partial(phi, pts, step)
-
-
-# ---------------------------------------------------------------------------
-# the two field equations
-# ---------------------------------------------------------------------------
-
-def _flux(ev: Evaluation, phi, step) -> np.ndarray:
-    """codiff(T) + 2 i_{grad phi} T, the flux equation's left side."""
-    grad = np.einsum("...ij,...j->...i", ev.ginv, dilaton_gradient(ev.m, phi, ev.pts, step))
-    return ev.codiff_T + 2.0 * interior_product(grad, ev.T, 3)
-
-
-def string_residual(m: HermitianManifold, phi, pts, step=DEFAULT_STEP) -> dict:
-    """Frame-max residuals of the two field equations at the points."""
-    ev = evaluation(m, pts, step)
-    if phi is None:
-        hess = 0.0
+        eta, neta = ev.theta, ev.nabla_theta("bismut")
+        eta_size = ev.magnitude("theta")
+        einstein = ev.ric_lc - 0.25 * ev.tt2
+        flux = ev.codiff_T
+        # with phi = 0 the divergence form of the flux equation is -codiff(T)
+        # by definition, so the agreement is exact
+        div_agreement = -ev.codiff_T + flux
     else:
-        hess = ev.nabla(lambda p: fd_partial(phi, p, step), 1, "levi_civita")
-    einstein = ev.ric_lc - 0.25 * ev.tt2 + 2.0 * hess
-    return {"einstein_residual": ev.residual("einstein_equation", einstein, 2)[0],
-            "flux_residual": ev.residual("flux_equation", _flux(ev, phi, step), 2)[0]}
+        def dphi(p):
+            return fd_partial(phi, p, ev.step)
 
+        def eta_fn(p):
+            return ev.lee_at(p) - 2.0 * dphi(p)
 
-def constant_dilaton_forms(m: HermitianManifold, pts, step=DEFAULT_STEP,
-                           tol=DEFAULT_CLASSIFY_TOL) -> dict:
-    """Constant-dilaton reformulations: the Bismut Ricci tensor itself, and
-    the Lee-form equation (nabla_X theta)Y = lambda(X, JY)/4 which is
-    equivalent to it when the Bismut Ricci form vanishes (checked, reported)."""
-    ev = evaluation(m, pts, step)
-    nth = ev.nabla_theta("bismut")
-    st1p = nth - 0.25 * np.einsum("...xm,...ym->...xy", ev.lam, ev.J)
-    rho_residual = ev.residual("rho_residual", ev.rho, 2)[0]
-    return {"ric_residual": ev.residual("ric_residual", ev.ric, 2)[0],
-            "st1prime_residual": ev.residual("st1prime_residual", st1p, 2)[0],
-            "lee_parallel_residual": ev.residual("lee_parallel_residual", nth, 2)[0],
-            "rho_residual": rho_residual,
-            "rho_ok": rho_residual <= tol}
+        def weighted_torsion(p):
+            return np.exp(-2.0 * phi(p))[..., None, None, None] * ev.torsion_at(p)
 
-
-def eta_forms(m: HermitianManifold, phi, pts, step=DEFAULT_STEP) -> dict:
-    """The eta = theta - 2 d phi reformulations of the field equations."""
-    ev = evaluation(m, pts, step)
-
-    def eta_fn(p):
-        return ev.lee_at(p) - 2.0 * dilaton_gradient(m, phi, p, step)
-
-    eta = eta_fn(ev.pts)
-    neta = ev.nabla(eta_fn, 1, "bismut")
-    lam_j = np.einsum("...xm,...ym->...xy", ev.lam, ev.J)
+        eta, neta = eta_fn(ev.pts), ev.nabla(eta_fn, 1, "bismut")
+        eta_size = ev.residual("supersymmetric_lee", eta)[0]
+        einstein = ev.ric_lc - 0.25 * ev.tt2 + 2.0 * ev.nabla(dphi, 1, "levi_civita")
+        grad = np.einsum("...ij,...j->...i", ev.ginv, dphi(ev.pts))
+        flux = ev.codiff_T + 2.0 * interior_product(grad, ev.T, 3)
+        # the divergence form of the flux equation against its interior-product
+        # form: with the codifferential convention of this engine,
+        #   sum_i (nabla^g_{e_i} (exp(-2 phi) T))(e_i, ., .)
+        #       = - exp(-2 phi) (codiff T + 2 i_{grad phi} T)
+        div_agreement = (-ev.codiff(weighted_torsion, 3)
+                         + np.exp(-2.0 * phi(ev.pts))[..., None, None] * flux)
     neta_t = np.einsum("...xy->...yx", neta)
-    measured = {
-        "stef_residual": (neta - 0.25 * lam_j, 2),
-        "ster_residual": (neta - neta_t, 2),
-        "cnew_residual": (neta + neta_t - 0.5 * lam_j, 2),
-        "susy_theta_residual": (eta, 1),
-        "eta_parallel_residual": (neta, 2),
-    }
-    if m.dim == 4:
-        measured["four2_residual"] = (neta - 0.5 * ev.codiff_theta[..., None, None] * ev.g, 2)
-    out = {"eta": eta}
-    out.update((name, ev.residual(name, diff, valence)[0])
-               for name, (diff, valence) in measured.items())
-    return out
+    measured = [
+        ("einstein_equation", einstein),
+        ("flux_equation", flux),
+        ("eta_equation", neta - 0.25 * lam_j),
+        ("eta_skew_equation", neta - neta_t),
+        ("eta_symmetric_equation", neta + neta_t - 0.5 * lam_j),
+        ("eta_parallel", neta),
+        ("flux_divergence_agreement", div_agreement),
+    ]
+    if ev.m.dim == 4:
+        measured.append(("conformal_killing_equation",
+                         neta - 0.5 * ev.codiff_theta[..., None, None] * ev.g))
+    residuals = {name: ev.residual(name, diff)[0] for name, diff in measured}
+    residuals["supersymmetric_lee"] = eta_size
+    return eta, residuals
 
 
-# ---------------------------------------------------------------------------
-# hypotheses and the scalar-curvature characterization
-# ---------------------------------------------------------------------------
-
-def solution_hypotheses(m: HermitianManifold, pts, step=DEFAULT_STEP,
-                        tol=DEFAULT_CLASSIFY_TOL) -> dict:
-    """Closed torsion and the pointwise SU(n) indicator (vanishing Bismut
-    Ricci form + J-commuting curvature endomorphisms)."""
-    ev = evaluation(m, pts, step)
-    strong = ev.residual("strong_residual", ev.dT, 4)[0]
-    su = max(ev.residual("ricci_form", ev.rho, 2)[0],
-             ev.residual("curvature_j_commutator", ev.j_commutator, 4)[0])
-    return {"strong_residual": strong, "su_residual": su,
-            "strong_kt": strong <= tol, "su_indicator": su <= tol,
-            "ok": strong <= tol and su <= tol}
-
-
-def verify_th1(m: HermitianManifold, pts, step=DEFAULT_STEP,
-               tol=TOL_STRING, hyp_tol=DEFAULT_CLASSIFY_TOL) -> dict:
-    """Equivalence 'vanishing Bismut scalar curvature <=> vanishing Bismut
-    Ricci tensor' under the hypotheses (strong KT + SU(n) indicator).  On a
-    manifold failing the hypotheses the result is labeled, never asserted."""
-    with evaluation_scope():
-        ev = evaluation(m, pts, step)
-        hyp = solution_hypotheses(m, ev.pts, step, hyp_tol)
-        scal_res = ev.residual("scal_residual", ev.scal, 0)[0]
-        ric_res = ev.residual("ric_residual", ev.ric, 2)[0]
-    out = {"hypothesis_ok": bool(hyp["ok"]), "hypotheses": hyp,
-           "scal_residual": scal_res, "ric_residual": ric_res,
-           "scal_zero": scal_res <= tol, "ric_zero": ric_res <= tol}
-    out["label"] = ASSERTED if hyp["ok"] else HYPOTHESIS_FAILED
-    out["agree"] = (out["scal_zero"] == out["ric_zero"]) if hyp["ok"] else None
-    return out
-
-
-# ---------------------------------------------------------------------------
-# standing invariants of the string sector
-# ---------------------------------------------------------------------------
-
-def ns1_residual(m: HermitianManifold, pts, step=DEFAULT_STEP) -> float:
-    """codiff(T) = d theta - i_{theta#} T, valid when the Bismut Ricci form
-    vanishes."""
-    ev = evaluation(m, pts, step)
-    sharp = np.einsum("...ij,...j->...i", ev.ginv, ev.theta)
-    rhs = ev.dtheta - interior_product(sharp, ev.T, 3)
-    return ev.residual("coclosed_vs_lee", ev.codiff_T - rhs, 2)[0]
-
-
-def killing_residual(m: HermitianManifold, pts, step=DEFAULT_STEP) -> float:
-    """Lie derivative of g along the dual of the Lee form."""
-    ev = evaluation(m, pts, step)
-    nth = ev.nabla_theta("levi_civita")
-    return ev.residual("lee_killing_field", nth + np.einsum("...xy->...yx", nth), 2)[0]
-
-
-def flux_divergence_agreement(m: HermitianManifold, phi, pts, step=DEFAULT_STEP) -> float:
-    """The divergence form of the flux equation against its interior-product
-    form.  With the codifferential convention of this engine,
-
-        sum_i (nabla^g_{e_i} (exp(-2 phi) T))(e_i, ., .)
-            = - exp(-2 phi) (codiff T + 2 i_{grad phi} T)
-
-    identically; the residual of that equality is returned."""
-    ev = evaluation(m, pts, step)
-
-    def weight(p):
-        return np.ones(np.asarray(p).shape[:-1]) if phi is None else np.exp(-2.0 * phi(p))
-
-    div_form = -ev.codiff(lambda p: weight(p)[..., None, None, None] * ev.torsion_at(p), 3)
-    tensor_form = weight(ev.pts)[..., None, None] * _flux(ev, phi, step)
-    return ev.residual("flux_divergence_agreement", div_form + tensor_form, 2)[0]
-
-
-# ---------------------------------------------------------------------------
-# suite driver
-# ---------------------------------------------------------------------------
-
-def run_string_suite(m: HermitianManifold, phi, pts, step=DEFAULT_STEP,
-                     tol=TOL_STRING, hyp_tol=DEFAULT_CLASSIFY_TOL,
-                     susy_asserted: bool = False) -> StringReport:
-    """Evaluate the full string sector for one dilaton choice.
+def run_string_suite(m: HermitianManifold, pts, step=DEFAULT_STEP,
+                     hyp_tol=DEFAULT_CLASSIFY_TOL) -> dict:
+    """The string sector of one manifold at the points: a ``StringReport``
+    under ``constant_dilaton``, and one under ``gradient_dilaton`` for the
+    manifold's own dilaton when it carries one.
 
     Solution-style residuals are asserted only when the manifold passes the
-    hypotheses (closed torsion, SU(n) indicator); identity-style residuals
-    (the divergence-form agreement) are asserted everywhere.  The
-    supersymmetry residual |theta - 2 d phi| is asserted only when
-    ``susy_asserted`` (it is informational for generic dilatons)."""
+    hypotheses (closed torsion, SU(n) indicator); so is the equivalence
+    'vanishing Bismut scalar curvature <=> vanishing Bismut Ricci tensor'
+    (``th1_consistency``), which is labeled, never asserted, where they fail.
+    The divergence-form agreement is an identity and asserted everywhere.
+    The supersymmetry residual |theta - 2 d phi| is asserted for the
+    manifold's dilaton and informational for the constant one."""
     with evaluation_scope():
-        hyp = solution_hypotheses(m, pts, step, hyp_tol)
-        sol_status = ASSERTED if hyp["ok"] else HYPOTHESIS_FAILED
+        ev = evaluation(m, pts, step)
 
-        eq = string_residual(m, phi, pts, step)
-        cdf = constant_dilaton_forms(m, pts, step, hyp_tol)
-        ef = eta_forms(m, phi, pts, step)
-        th1 = verify_th1(m, pts, step, tol, hyp_tol)
+        strong = ev.magnitude("dT")
+        su = max(ev.magnitude("rho"), ev.magnitude("j_commutator"))
+        hyp = {"strong_residual": strong, "su_residual": su,
+               "strong_kt": strong <= hyp_tol, "su_indicator": su <= hyp_tol,
+               "ok": strong <= hyp_tol and su <= hyp_tol}
+        sol = ASSERTED if hyp["ok"] else HYPOTHESIS_FAILED
 
-        entries = [
-            StringEntry("einstein_equation", eq["einstein_residual"], tol, sol_status),
-            StringEntry("flux_equation", eq["flux_residual"], tol, sol_status),
-            StringEntry("eta_equation", ef["stef_residual"], tol, sol_status),
-            StringEntry("eta_skew_equation", ef["ster_residual"], tol, sol_status),
-            StringEntry("eta_symmetric_equation", ef["cnew_residual"], tol, sol_status),
-            StringEntry("eta_parallel", ef["eta_parallel_residual"], tol,
-                        sol_status if hyp["ok"] else HYPOTHESIS_FAILED),
-            StringEntry("supersymmetric_lee", ef["susy_theta_residual"], tol,
-                        ASSERTED if susy_asserted else INFO),
-            StringEntry("flux_divergence_agreement",
-                        flux_divergence_agreement(m, phi, pts, step), tol, ASSERTED),
-            StringEntry("coclosed_vs_lee",
-                        ns1_residual(m, pts, step), tol,
-                        ASSERTED if hyp["su_indicator"] else HYPOTHESIS_FAILED),
-            StringEntry("lee_killing_field", killing_residual(m, pts, step), tol,
-                        sol_status if phi is None else INFO),
-        ]
-        if phi is None:
-            entries.insert(2, StringEntry("constant_dilaton_ricci", cdf["ric_residual"],
-                                          tol, sol_status))
-            entries.insert(3, StringEntry("constant_dilaton_lee_equation",
-                                          cdf["st1prime_residual"], tol, sol_status))
-        if "four2_residual" in ef:
-            entries.append(StringEntry("conformal_killing_equation", ef["four2_residual"],
-                                       tol, sol_status))
+        scal, ric = ev.magnitude("scal"), ev.magnitude("ric")
+        th1 = {"hypothesis_ok": hyp["ok"], "hypotheses": hyp,
+               "scal_residual": scal, "ric_residual": ric,
+               "scal_zero": scal <= TOL_STRING, "ric_zero": ric <= TOL_STRING,
+               "label": sol}
+        th1["agree"] = (th1["scal_zero"] == th1["ric_zero"]) if hyp["ok"] else None
 
-        return StringReport(
-            manifold=m.name, constant_dilaton=phi is None,
-            hypothesis_ok=bool(hyp["ok"]),
-            einstein_residual=eq["einstein_residual"],
-            flux_residual=eq["flux_residual"],
-            eta=ef["eta"],
-            eta_parallel_residual=ef["eta_parallel_residual"],
-            susy_theta_residual=ef["susy_theta_residual"],
-            th1_consistency=th1, entries=entries)
+        # dilaton-independent entries: codiff(T) = d theta - i_{theta#} T,
+        # valid when the Bismut Ricci form vanishes, and the Lie derivative
+        # of g along the dual of the Lee form
+        lam_j = np.einsum("...xm,...ym->...xy", ev.lam, ev.J)
+        sharp = np.einsum("...ij,...j->...i", ev.ginv, ev.theta)
+        nth = ev.nabla_theta("levi_civita")
+        shared = {name: ev.residual(name, diff)[0] for name, diff in (
+            ("coclosed_vs_lee", ev.codiff_T - (ev.dtheta - interior_product(sharp, ev.T, 3))),
+            ("lee_killing_field", nth + np.einsum("...xy->...yx", nth)),
+        )}
+
+        dilatons = {"constant_dilaton": None}
+        if m.dilaton is not None:
+            dilatons["gradient_dilaton"] = m.dilaton
+        reports = {}
+        for kind, phi in dilatons.items():
+            eta, res = _dilaton_residuals(ev, phi, lam_j)
+            res.update(shared)
+            if phi is None:
+                # the Bismut Ricci tensor itself, and the Lee-form equation
+                # (nabla_X theta)Y = lambda(X, JY)/4 equivalent to it when the
+                # Bismut Ricci form vanishes: the eta equation with eta = theta
+                res["constant_dilaton_ricci"] = ric
+                res["constant_dilaton_lee_equation"] = res["eta_equation"]
+            status = {"supersymmetric_lee": INFO if phi is None else ASSERTED,
+                      "flux_divergence_agreement": ASSERTED,
+                      "coclosed_vs_lee": ASSERTED if hyp["su_indicator"] else HYPOTHESIS_FAILED,
+                      "lee_killing_field": sol if phi is None else INFO}
+            reports[kind] = StringReport(
+                manifold=m.name, constant_dilaton=phi is None, hypothesis_ok=hyp["ok"],
+                einstein_residual=res["einstein_equation"], flux_residual=res["flux_equation"],
+                eta=eta, eta_parallel_residual=res["eta_parallel"],
+                susy_theta_residual=res["supersymmetric_lee"], th1_consistency=th1,
+                entries=[StringEntry(name, res[name], TOL_STRING, status.get(name, sol))
+                         for name in _ENTRY_ORDER if name in res])
+    return reports

@@ -15,7 +15,7 @@ from ktgeo.connections import lee_form_values, torsion_bismut_values
 from ktgeo.identities import (
     Evaluation, richardson_ratios, run_identity_suite, verify_conformal_trace,
 )
-from ktgeo.string_eqs import constant_dilaton_forms, verify_th1
+from ktgeo.string_eqs import run_string_suite
 from ktgeo.tensor_core import (
     codifferential_values, exterior_derivative_values, hodge_star_values,
     metric_inverse, norm_sq_values, wedge,
@@ -88,13 +88,15 @@ def test_criterion_2_hopf_reproduces_the_homogeneous_model():
 
 
 def test_criterion_3_scalar_curvature_equivalence_labels():
+    def th1(m):
+        reps = run_string_suite(m, m.sample_points(N_POINTS, SEED))
+        return reps["constant_dilaton"].th1_consistency
+
     agree = {}
     for name in ("hopf_standard", "su2xu1"):
-        m = get_manifold(name)
-        out = verify_th1(m, m.sample_points(N_POINTS, SEED))
+        out = th1(get_manifold(name))
         agree[name] = out["hypothesis_ok"] and out["agree"] is True
-    conf = get_manifold("conf_torus_4")
-    out = verify_th1(conf, conf.sample_points(N_POINTS, SEED))
+    out = th1(get_manifold("conf_torus_4"))
     labeled = out["label"] == "hypothesis_failed" and out["agree"] is None
     _check(all(agree.values()) and labeled, "3 scalar-curvature equivalence",
            f"agree={agree}, negative example labeled hypothesis_failed={labeled}")
@@ -146,9 +148,10 @@ def test_criterion_7_second_order_convergence():
 
 def test_criterion_8_negative_control():
     m = get_manifold("conf_torus_4")
-    forms = constant_dilaton_forms(m, m.sample_points(N_POINTS, SEED))
-    _check(forms["ric_residual"] > 10 * TOL, "8 negative control",
-           f"constant-dilaton Ricci residual {forms['ric_residual']:.3e} > {10 * TOL:.0e}")
+    rep = run_string_suite(m, m.sample_points(N_POINTS, SEED))["constant_dilaton"]
+    ric = {e.name: e.residual for e in rep.entries}["constant_dilaton_ricci"]
+    _check(ric > 10 * TOL, "8 negative control",
+           f"constant-dilaton Ricci residual {ric:.3e} > {10 * TOL:.0e}")
 
 
 def test_criterion_9_determinism_and_cli_contract(tmp_path):

@@ -39,6 +39,7 @@ def test_report_flat_torus_all_residuals_at_noise_floor(tmp_path):
         assert e["max_residual"] < 1e-8
     for e in section["dim4"]:
         assert e["max_residual"] < 1e-8
+    assert "dim4_skipped" not in section  # present only when an entry is skipped
 
 
 def test_report_hopf_flags(tmp_path):
@@ -190,3 +191,55 @@ def test_linear_algebra_failure_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(ktgeo.cli, "run", failing)
     assert main(["report", "--manifold", "flat_torus_4", "--out", "/dev/null"]) == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_classify_and_string_share_each_frame_conversion(monkeypatch, tmp_path):
+    valence4 = []
+    real = ktgeo.identities.to_frame
+
+    def counted(t, frame, valence):
+        if valence == 4:
+            valence4.append(t.shape)
+        return real(t, frame, valence)
+
+    monkeypatch.setattr(ktgeo.identities, "to_frame", counted)
+    code = main(["report", "--manifold", "hopf_standard", "--suite", "classify",
+                 "--suite", "string", "--points", "2", "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    # dT and the curvature-J commutator, each measured once for both suites
+    assert len(valence4) == 2
+
+
+def _block_conformal_metric(p):
+    x = np.asarray(p, dtype=float)
+    f = (0.2 * np.sin(x[..., 2]) * np.cos(x[..., 4]),
+         0.3 * np.cos(x[..., 0] + x[..., 5]),
+         0.25 * np.sin(x[..., 1] - x[..., 3]))
+    g = np.zeros(x.shape[:-1] + (6, 6))
+    for k, fk in enumerate(f):
+        g[..., 2 * k, 2 * k] = g[..., 2 * k + 1, 2 * k + 1] = np.exp(2.0 * fk)
+    return g
+
+
+def test_non_lck_chart_reports_the_skipped_reduction(tmp_path):
+    # a Hermitian 6-torus that is not locally conformally Kaehler: the dim4
+    # suite skips the LCK reduction by name and the report survives
+    register_manifold(HermitianManifold(
+        name="block_conformal_torus_6", dim=6,
+        chart=BoxChart(lows=(0.0,) * 6, highs=(2 * np.pi,) * 6),
+        metric=_block_conformal_metric, complex_structure=_const_field(_block_j(6)),
+        lck=False))
+    out_file = tmp_path / "torus.json"
+    code = main(["report", "--manifold", "block_conformal_torus_6", "--suite", "classify",
+                 "--suite", "identities", "--suite", "dim4", "--points", "4",
+                 "--out", str(out_file)])
+    assert code == 0
+    section = json.loads(out_file.read_text())["manifolds"][0]
+    assert not section["flags"]["lck"]
+    assert section["flags"]["residuals"]["lck_defect"] > 0.1
+    assert section["dim4"] == []
+    [skip] = section["dim4_skipped"]
+    assert skip["name"] == "lck_lambda_reduction"
+    assert "locally conformally Kaehler" in skip["reason"]
+    assert len(section["identities"]) == 14
+    assert all(e["passed"] for e in section["identities"])

@@ -4,7 +4,7 @@ import pytest
 from ktgeo.catalog import (
     BoxChart, HermitianManifold, catalog_names, conformal_rescale, get_manifold,
 )
-from ktgeo.errors import PreconditionError
+from ktgeo.errors import ContractViolationError, PreconditionError
 from ktgeo.identities import (
     evaluation, evaluation_scope, richardson_ratios, run_identity_suite,
     verify_conformal_trace, verify_dim4, verify_ricci_skews,
@@ -179,3 +179,15 @@ def test_evaluation_scope_shares_read_only_primitives(hopf):
         assert not ev.T.flags.writeable and not ev.riemann("bismut").flags.writeable
     assert evaluation(hopf, pts) is not ev  # released when the scope closed
     assert pts.flags.writeable  # the caller's points are left alone
+
+
+def test_residual_reads_the_valence_from_the_array(hopf):
+    pts = sample("hopf_standard", 3)
+    ev = evaluation(hopf, pts)
+    # a primitive's magnitude is its own residual; a scalar needs no frame
+    assert ev.magnitude("theta") == ev.residual("theta", ev.theta)[0]
+    assert ev.magnitude("scal") == float(np.max(np.abs(ev.scal)))
+    # the trailing axes must all have the chart's dimension, one tensor a point
+    for bad in (np.zeros((3, 4, 3)), np.zeros((2, 4)), np.float64(0.0)):
+        with pytest.raises(ContractViolationError):
+            ev.residual("bad", bad)
