@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChartDomainError, NumericError, PreconditionError, UnknownManifoldError
-from .tensor_core import fd_partial
+from .tensor_core import fd_partial, kahler_form_values
 
 __all__ = [
     "Chart", "BoxChart", "AnnulusChart", "ConformalParent", "HermitianManifold",
@@ -161,14 +161,8 @@ class HermitianManifold:
         self.chart.require_interior(points, margin)
 
     def kahler_form(self, points: np.ndarray) -> np.ndarray:
-        """omega(X,Y) = g(X, JY) as a batched 2-form.
-
-        The product g J is antisymmetric exactly in exact arithmetic; the
-        explicit antisymmetrization removes the roundoff contamination that a
-        finite-difference stencil would otherwise amplify by 1/step."""
-        gj = np.einsum("...ik,...kj->...ij", self.metric(points),
-                       self.complex_structure(points))
-        return 0.5 * (gj - np.einsum("...ij->...ji", gj))
+        """omega(X,Y) = g(X, JY) as a batched 2-form."""
+        return kahler_form_values(self.metric(points), self.complex_structure(points))
 
     def sample_points(self, n: int, seed: int, margin: float = 0.05) -> np.ndarray:
         """Deterministic chart sample: counter-based generator keyed by

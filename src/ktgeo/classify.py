@@ -4,9 +4,9 @@ indicator, HKT verification, and the hypotheses of the vanishing statements.
 The SU(n) indicator is a *necessary* pointwise condition only: it checks that
 the Bismut Ricci form vanishes at every sampled point and that every curvature
 endomorphism commutes with J.  Restricted holonomy is a global object; this
-module reports evidence, never theorems.  An optional small-loop transport
-cross-check exists behind ``loop_check`` and compares plaquette holonomy with
-the curvature endomorphism.
+module reports evidence, never theorems.  ``plaquette_holonomy_check`` is a
+separate small-loop transport cross-check that compares plaquette holonomy
+with the curvature endomorphism.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .catalog import HermitianManifold, hermitian_residuals
-from .connections import coefficient_values
 from .errors import PreconditionError
 from .identities import Evaluation, evaluation, evaluation_scope
 from .tensor_core import DEFAULT_STEP, norm_sq_values, to_frame, wedge
@@ -72,7 +71,7 @@ class StructureFlags:
 
 
 def classify(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
-             step: float = DEFAULT_STEP, loop_check: bool = False) -> StructureFlags:
+             step: float = DEFAULT_STEP) -> StructureFlags:
     """Taxonomy flags with their supporting residuals at the sampled points."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.shape[0] == 0:
@@ -86,8 +85,6 @@ def classify(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
             ("curvature_j_commutator", "j_commutator"))}
         res["lck_defect"] = ev.residual(
             "lck_defect", ev.T - wedge(ev.jtheta, 1, ev.omega, 2) / (n - 1))[0]
-        if loop_check:
-            res["loop_transport"] = plaquette_holonomy_check(m, pts[:2], step=step)
         hkt = check_hkt(m, pts, tol=tol, step=step) if m.hypercomplex is not None else None
 
     return StructureFlags(
@@ -137,7 +134,7 @@ def vanishing_hypotheses(m: HermitianManifold, pts, step: float = DEFAULT_STEP) 
 
 def plaquette_holonomy_check(m: HermitianManifold, pts, side: float = 1e-2,
                              substeps: int = 8, step: float = DEFAULT_STEP) -> float:
-    """Optional cross-check: transport a frame around small coordinate
+    """Cross-check of the curvature: transport a frame around small coordinate
     plaquettes and compare the resulting curvature endomorphism estimate with
     the differentiated one.  Returns the worst relative deviation."""
     ev = evaluation(m, pts, step)
@@ -159,7 +156,7 @@ def plaquette_holonomy_check(m: HermitianManifold, pts, side: float = 1e-2,
                 for _ in range(substeps):
                     mid = x.copy()
                     mid[axis] += sgn * dx / 2
-                    a = -sgn * dx * coefficient_values(m, "bismut", mid, step)[:, axis, :]
+                    a = -sgn * dx * Evaluation(m, mid, step).gamma("bismut")[0, :, axis, :]
                     # second-order step of the transport exponential
                     u = u + a @ u + 0.5 * a @ (a @ u)
                     x[axis] += sgn * dx

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .catalog import catalog_names, get_manifold
 from .classify import DEFAULT_CLASSIFY_TOL, classify, vanishing_hypotheses
-from .errors import GeometryError, PreconditionError, UnknownManifoldError
+from .errors import GeometryError, UnknownManifoldError
 from .identities import (
     TOL_FIRST_ORDER, evaluation_scope, run_identity_suite, verify_conformal_trace,
     verify_dim4,
@@ -197,13 +197,7 @@ def _manifold_report(name: str, cfg: RunConfig) -> dict:
 
             if "dim4" in cfg.suites:
                 suite = "dim4"
-                try:
-                    entries = verify_dim4(m, pts, cfg.step)
-                    skipped = []
-                except PreconditionError as exc:
-                    # the LCK reduction does not apply to this chart
-                    entries = []
-                    skipped = [{"name": "lck_lambda_reduction", "reason": str(exc)}]
+                entries, skipped = verify_dim4(m, pts, cfg.step)
                 entries = _apply_tol_override(entries, cfg.tol_identity)
                 section["dim4"] = [e.as_dict() for e in entries]
                 if skipped:

@@ -1,10 +1,17 @@
-"""Levi-Civita, Bismut and Chern connections from chart data.
+"""Levi-Civita, Bismut and Chern connections from one point set's fields.
+
+Every function here is a formula over the fields that one evaluation
+(``identities.Evaluation``) holds for one point set: the metric, its inverse,
+J, the metric derivative ``dg`` and the exterior derivative ``dOm`` of the
+Kaehler form.  None of them evaluates a chart field; the evaluation decides
+where stencils are applied and what is kept.
 
 Coefficient conventions:
 
 - all-lower coefficients ``omega[l,i,j] = g(nabla_{d_i} d_j, d_l)`` are built
-  by Koszul-style formulas from one metric stencil; the raised coefficients
-  ``Gamma[k,i,j] = g^{kl} omega[l,i,j]`` use a single inversion of g per point;
+  by Koszul-style formulas from the metric derivative; the raised coefficients
+  ``Gamma[k,i,j] = g^{kl} omega[l,i,j]`` (``Evaluation.gamma``) use a single
+  inversion of g per point;
 - the Bismut connection adds half its torsion:  ``g(nabla_X Y, Z) =
   g(nabla^g_X Y, Z) + T(X,Y,Z)/2`` with ``T(X,Y,Z) = -d(omega)(JX,JY,JZ)``;
 - the Chern connection adds ``d(omega)(JX,Y,Z)/2``;
@@ -21,18 +28,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .catalog import HermitianManifold
 from .errors import ConventionError
-from .tensor_core import (
-    DEFAULT_STEP, codifferential_values, covariant_derivative_values,
-    exterior_derivative_values, fd_partial, j_trace_matrix, koszul_values,
-    metric_inverse,
-)
+from .tensor_core import fd_partial, koszul_values
 
 __all__ = [
     "torsion_bismut_values", "torsion_chern_values", "lower_coefficients",
-    "coefficient_values", "lee_form_values", "lee_form_routes",
-    "compatibility_residuals", "torsion_type_defect",
+    "lee_form_values", "lee_form_routes", "compatibility_residuals",
+    "torsion_type_defect",
 ]
 
 
@@ -40,26 +42,23 @@ __all__ = [
 # torsion three-tensors
 # ---------------------------------------------------------------------------
 
-def torsion_bismut_values(m: HermitianManifold, points, step=DEFAULT_STEP) -> np.ndarray:
+def torsion_bismut_values(ev) -> np.ndarray:
     """Bismut torsion 3-form T(X,Y,Z) = -d(omega)(JX,JY,JZ)."""
-    dOm = exterior_derivative_values(m.kahler_form, points, 2, step)
-    J = m.complex_structure(points)
-    return -np.einsum("...ai,...bj,...ck,...abc->...ijk", J, J, J, dOm)
+    J = ev.J
+    return -np.einsum("...ai,...bj,...ck,...abc->...ijk", J, J, J, ev.dOm)
 
 
-def torsion_chern_values(m: HermitianManifold, points, step=DEFAULT_STEP) -> np.ndarray:
+def torsion_chern_values(ev) -> np.ndarray:
     """Chern torsion, 2 C(X,Y,Z) = d(omega)(JX,Y,Z) + d(omega)(X,JY,Z)."""
-    dOm = exterior_derivative_values(m.kahler_form, points, 2, step)
-    J = m.complex_structure(points)
+    J, dOm = ev.J, ev.dOm
     return 0.5 * (np.einsum("...ai,...ajk->...ijk", J, dOm)
                   + np.einsum("...bj,...ibk->...ijk", J, dOm))
 
 
-def torsion_type_defect(m: HermitianManifold, points, step=DEFAULT_STEP) -> float:
+def torsion_type_defect(ev) -> float:
     """Size of the (3,0)+(0,3) part of T, which must vanish:
     T(JX,JY,Z) + T(JX,Y,JZ) + T(X,JY,JZ) = T(X,Y,Z)."""
-    T = torsion_bismut_values(m, points, step)
-    J = m.complex_structure(points)
+    T, J = ev.T, ev.J
     lhs = (np.einsum("...ai,...bj,...abk->...ijk", J, J, T)
            + np.einsum("...ai,...ck,...ajc->...ijk", J, J, T)
            + np.einsum("...bj,...ck,...ibc->...ijk", J, J, T))
@@ -70,35 +69,23 @@ def torsion_type_defect(m: HermitianManifold, points, step=DEFAULT_STEP) -> floa
 # connection coefficients
 # ---------------------------------------------------------------------------
 
-def lower_coefficients(m: HermitianManifold, flavor: str, points,
-                       step=DEFAULT_STEP) -> np.ndarray:
+def lower_coefficients(ev, flavor: str) -> np.ndarray:
     """All-lower coefficients omega[l,i,j] for the requested flavor."""
-    om = koszul_values(fd_partial(m.metric, points, step))
+    om = koszul_values(ev.dg)
     if flavor == "levi_civita":
         return om
     if flavor == "bismut":
-        T = torsion_bismut_values(m, points, step)
-        return om + 0.5 * np.einsum("...ijl->...lij", T)
+        return om + 0.5 * np.einsum("...ijl->...lij", ev.T)
     if flavor == "chern":
-        dOm = exterior_derivative_values(m.kahler_form, points, 2, step)
-        J = m.complex_structure(points)
-        return om + 0.5 * np.einsum("...ai,...ajl->...lij", J, dOm)
+        return om + 0.5 * np.einsum("...ai,...ajl->...lij", ev.J, ev.dOm)
     raise ValueError(f"unknown connection flavor {flavor!r}")
-
-
-def coefficient_values(m: HermitianManifold, flavor: str, points,
-                       step=DEFAULT_STEP) -> np.ndarray:
-    """Raised coefficients Gamma[k,i,j]."""
-    om = lower_coefficients(m, flavor, points, step)
-    ginv = metric_inverse(m.metric(points))
-    return np.einsum("...kl,...lij->...kij", ginv, om)
 
 
 # ---------------------------------------------------------------------------
 # Lee form
 # ---------------------------------------------------------------------------
 
-def lee_form_routes(m: HermitianManifold, points, step=DEFAULT_STEP):
+def lee_form_routes(ev):
     """The three expressions for the Lee form, evaluated independently:
 
     via_codiff:  theta(X) = (codiff omega)(JX)
@@ -111,30 +98,22 @@ def lee_form_routes(m: HermitianManifold, points, step=DEFAULT_STEP):
     value as the other two routes.  (A coefficient 1/2 here would undershoot
     by a factor of two; the agreement check below guards the convention.)
     """
-    J = m.complex_structure(points)
-    jg = j_trace_matrix(J, metric_inverse(m.metric(points)))
-    via_codiff = _lee_via_codiff(m, points, step)
-
-    T = torsion_bismut_values(m, points, step)
-    via_T = -0.5 * np.einsum("...pm,...pab,...ba->...m", J, T, jg)
-
-    C = torsion_chern_values(m, points, step)
-    via_C = np.einsum("...pm,...pab,...ba->...m", J, C, jg)
-    return via_codiff, via_T, via_C
+    via_T = -0.5 * np.einsum("...pm,...pab,...ba->...m", ev.J, ev.T, ev.jg)
+    via_C = np.einsum("...pm,...pab,...ba->...m", ev.J, ev.C, ev.jg)
+    return _lee_via_codiff(ev), via_T, via_C
 
 
-def _lee_via_codiff(m: HermitianManifold, points, step) -> np.ndarray:
-    cod = codifferential_values(m.metric, m.kahler_form, 2, points, step)
-    return np.einsum("...bi,...b->...i", m.complex_structure(points), cod)
+def _lee_via_codiff(ev) -> np.ndarray:
+    cod = ev.codiff(lambda p: ev.at(p).omega, 2)
+    return np.einsum("...bi,...b->...i", ev.J, cod)
 
 
-def lee_form_values(m: HermitianManifold, points, step=DEFAULT_STEP,
-                    check: bool = True, tol: float = 1e-5) -> np.ndarray:
+def lee_form_values(ev, check: bool = True, tol: float = 1e-5) -> np.ndarray:
     """The Lee form by the canonical codifferential route; with ``check`` the
     two torsion-trace routes are evaluated as well and must agree."""
     if not check:
-        return _lee_via_codiff(m, points, step)
-    via_codiff, via_T, via_C = lee_form_routes(m, points, step)
+        return _lee_via_codiff(ev)
+    via_codiff, via_T, via_C = lee_form_routes(ev)
     spread = max(float(np.max(np.abs(via_codiff - via_T))),
                  float(np.max(np.abs(via_codiff - via_C))))
     if spread > tol:
@@ -149,15 +128,13 @@ def lee_form_values(m: HermitianManifold, points, step=DEFAULT_STEP,
 # structural checks
 # ---------------------------------------------------------------------------
 
-def compatibility_residuals(m: HermitianManifold, flavor: str, points,
-                            step=DEFAULT_STEP) -> dict:
+def compatibility_residuals(ev, flavor: str) -> dict:
     """Residuals of nabla g = 0 and nabla J = 0 for the given connection."""
-    gamma = coefficient_values(m, flavor, points, step)
-    nab_g = covariant_derivative_values(m.metric, 2, points, gamma, step)
-    J = m.complex_structure(points)
-    dJ = fd_partial(m.complex_structure, points, step)
-    nab_j = (dJ + np.einsum("...kdm,...mj->...dkj", gamma, J)
-             - np.einsum("...mdj,...km->...dkj", gamma, J))
+    gamma = ev.gamma(flavor)
+    nab_g = ev.nabla(lambda p: ev.at(p).g, 2, flavor)
+    dJ = fd_partial(lambda p: ev.at(p).J, ev.pts, ev.step)
+    nab_j = (dJ + np.einsum("...kdm,...mj->...dkj", gamma, ev.J)
+             - np.einsum("...mdj,...km->...dkj", gamma, ev.J))
     out = {"nabla_g": float(np.max(np.abs(nab_g))),
            "nabla_j": float(np.max(np.abs(nab_j)))}
     if flavor == "levi_civita":

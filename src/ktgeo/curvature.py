@@ -17,23 +17,20 @@ Curvature is obtained by differentiating coefficient fields (one nested
 central-difference stencil), never by transporting frames around loops; the
 all-lower Koszul form keeps the only metric inversion at the base point.
 
-Everything here is a pure function of its arguments.  The evaluation context
-(``identities.Evaluation``) calls each once per point set and shares the
-result; the two sides of an identity stay independent because they are built
-from different formulas.
+Every function here reads the fields that one evaluation
+(``identities.Evaluation``) holds for one point set, and evaluates no chart
+field.  The evaluation calls each once per point set and shares the result;
+the two sides of an identity stay independent because they are built from
+different formulas.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .catalog import HermitianManifold
 from .connections import lower_coefficients
 from .errors import PreconditionError
-from .tensor_core import (
-    DEFAULT_STEP, fd_partial, j_trace_matrix, levi_civita_symbol,
-    metric_inverse, proj_one_one,
-)
+from .tensor_core import fd_partial, j_trace_matrix, levi_civita_symbol, proj_one_one
 
 __all__ = [
     "riemann_values", "lambda_omega_values", "weyl_selfdual_values",
@@ -41,15 +38,13 @@ __all__ = [
 ]
 
 
-def riemann_values(m: HermitianManifold, flavor: str, points,
-                   step: float = DEFAULT_STEP) -> np.ndarray:
+def riemann_values(ev, flavor: str) -> np.ndarray:
     """Lowered curvature R[i,j,k,l] = R(d_i, d_j, d_k, d_l) of a flavor."""
-    om_fn = lambda pts: lower_coefficients(m, flavor, pts, step)
-    om = om_fn(points)
-    dom = fd_partial(om_fn, points, step)          # dom[d, l, i, j]
-    dg = fd_partial(m.metric, points, step)        # dg[d, a, b]
-    ginv = metric_inverse(m.metric(points))
-    gam = np.einsum("...kl,...lij->...kij", ginv, om)
+    om = lower_coefficients(ev, flavor)
+    dom = fd_partial(lambda p: lower_coefficients(ev.at(p), flavor),
+                     ev.pts, ev.step)                 # dom[d, l, i, j]
+    dg = ev.dg                                        # dg[d, a, b]
+    gam = ev.gamma(flavor)
     r = (np.einsum("...iljk->...ijkl", dom)
          - np.einsum("...jlik->...ijkl", dom)
          - np.einsum("...ilm,...mjk->...ijkl", dg, gam)
@@ -97,16 +92,14 @@ def _two_form_operator_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...ijab,...abkl->...ijkl", a, b)
 
 
-def weyl_selfdual_values(m: HermitianManifold, points, step: float = DEFAULT_STEP):
+def weyl_selfdual_values(ev):
     """Weyl tensor of the Levi-Civita curvature, its self-dual part on the
     last index pair sandwich, and the conformal scalar
     ``k = <3 W+(omega), omega>``.  Dimension 4 only."""
-    if m.dim != 4:
+    if ev.m.dim != 4:
         raise PreconditionError("self-dual Weyl decomposition requires dimension 4")
-    pts = np.asarray(points, dtype=float)
-    g = m.metric(pts)
-    ginv = metric_inverse(g)
-    r = riemann_values(m, "levi_civita", pts, step)
+    g, ginv = ev.g, ev.ginv
+    r = ev.riemann("levi_civita")
     ric = ricci_from_curvature(r, ginv)
     ric = 0.5 * (ric + np.einsum("...xy->...yx", ric))
     scal = np.einsum("...mn,...mn->...", ric, ginv)
@@ -127,7 +120,7 @@ def weyl_selfdual_values(m: HermitianManifold, points, step: float = DEFAULT_STE
     pplus = 0.5 * (ident + star2)
     wplus = _two_form_operator_compose(pplus, _two_form_operator_compose(weyl, pplus))
 
-    omega = m.kahler_form(pts)
+    omega = ev.omega
     w_of_omega = 0.5 * np.einsum("...ijab,...ak,...bl,...kl->...ij", wplus, ginv, ginv, omega)
     k = 3 * 0.5 * np.einsum("...ij,...ik,...jl,...kl->...", w_of_omega, ginv, ginv, omega)
     return weyl, wplus, k

@@ -3,7 +3,8 @@
 Each identity is evaluated with its two sides built from different formulas
 over shared primitives.  An :class:`Evaluation` computes every primitive
 (torsion, the three curvatures, the Lee form and their derivatives, ...) once
-per manifold and point set.  The two sides are independent because their
+per manifold and point set, and so does each evaluation on the stencil sets
+that a derivative differentiates.  The two sides are independent because their
 formulas differ, so a convention bug cannot cancel; evaluating a pure function
 twice gives identical bits and would add no independence.  Residuals are
 measured by :meth:`Evaluation.residual` as the largest orthonormal-frame
@@ -50,8 +51,7 @@ import numpy as np
 
 from .catalog import HermitianManifold
 from .connections import (
-    coefficient_values, lee_form_values, torsion_bismut_values,
-    torsion_chern_values,
+    lee_form_values, lower_coefficients, torsion_bismut_values, torsion_chern_values,
 )
 from .curvature import (
     lambda_omega_values, ricci_from_curvature, riemann_values, rho_from_curvature,
@@ -59,9 +59,9 @@ from .curvature import (
 from .errors import ContractViolationError, NumericError, PreconditionError
 from .tensor_core import (
     DEFAULT_STEP, codifferential_of, covariant_derivative_values, cyclic3_of4,
-    exterior_derivative_values, gram_schmidt_frames, hodge_star_values,
-    j_trace_matrix, metric_inverse, norm_sq_values, proj_one_one, to_frame,
-    wedge,
+    exterior_derivative_values, fd_partial, gram_schmidt_frames,
+    hodge_star_values, j_trace_matrix, kahler_form_values, metric_inverse,
+    norm_sq_values, proj_one_one, to_frame, wedge,
 )
 
 __all__ = [
@@ -124,12 +124,14 @@ def _tt2(T, ginv):
 class Evaluation:
     """Every primitive of one manifold at one point set, each computed once.
 
-    Primitives are computed on first use and held read-only.  Fields that
-    enter a derivative (the torsion and the Lee form) are also kept per
-    stencil point set, because the same sets recur across primitives.  The
-    chart domain is checked once, on construction, with the margin the
-    deepest stencil needs.  :meth:`residual` is the engine's one residual
-    measure.
+    Primitives are computed on first use from the fields held for the same
+    point set, and then held read-only.  A derivative differentiates the
+    evaluations of the same manifold and step on the stencil sets around the
+    points (:meth:`at`), so the primitives of a stencil set are computed once
+    as well.  Only the stencil sets around the base points are held; the
+    deeper sets a curvature needs are built, used and dropped.  The chart
+    domain is checked once, on the base points, with the margin the deepest
+    stencil needs.  :meth:`residual` is the engine's one residual measure.
     """
 
     def __init__(self, m: HermitianManifold, pts, step: float = DEFAULT_STEP):
@@ -138,32 +140,39 @@ class Evaluation:
         self.step = step
         m.require_interior(self.pts, STENCIL_DEPTH * step)
         self._values = {}
+        # the evaluations on the stencil sets around the base points, by the
+        # bytes of the set; None on a stencil set, which holds none of its own
+        self._stencils = {}
 
     def _once(self, key, compute):
         if key not in self._values:
             self._values[key] = _frozen(compute())
         return self._values[key]
 
-    def _on_points(self, name, fn, points):
+    def at(self, points) -> "Evaluation":
+        """The evaluation of the same manifold and step at ``points``: this
+        one for its own ``pts`` array, else one on a stencil set around it."""
+        if points is self.pts:
+            return self
         points = np.asarray(points, dtype=float)
-        return self._once((name, points.shape, points.tobytes()), lambda: fn(points))
+        if self._stencils is None:
+            return self._stencil(points)
+        key = points.tobytes()
+        if key not in self._stencils:
+            self._stencils[key] = self._stencil(points)
+        return self._stencils[key]
 
-    # -- fields on the base points or on a stencil around them ---------------
+    def _stencil(self, points) -> "Evaluation":
+        # no domain check: the base evaluation made it for every stencil depth
+        ev = Evaluation.__new__(Evaluation)
+        ev.m, ev.pts, ev.step = self.m, _frozen(points), self.step
+        ev._values, ev._stencils = {}, None
+        return ev
 
-    def torsion_at(self, points) -> np.ndarray:
-        """Bismut torsion on the base points or a stencil set around them."""
-        return self._on_points(
-            "T", lambda p: torsion_bismut_values(self.m, p, self.step), points)
-
-    def lee_at(self, points) -> np.ndarray:
-        """Lee form on the base points or a stencil set around them; on the
-        base points it is checked against its two torsion-trace routes."""
-        return self._on_points("theta", lambda p: lee_form_values(
-            self.m, p, self.step, check=p.shape == self.pts.shape), points)
-
-    def _jtheta_at(self, points) -> np.ndarray:
-        return -np.einsum("...m,...mi->...i", self.lee_at(points),
-                          self.m.complex_structure(points))
+    def _field(self, attr):
+        """The primitive ``attr`` as a field on these points and the stencil
+        sets around them."""
+        return lambda p: getattr(self.at(p), attr)
 
     # -- chart data ------------------------------------------------------------
 
@@ -189,21 +198,31 @@ class Evaluation:
 
     @_primitive
     def omega(self):
-        return self.m.kahler_form(self.pts)
+        return kahler_form_values(self.g, self.J)
+
+    @_primitive
+    def dg(self):
+        """dg[d,a,b] = D_d g_ab."""
+        return fd_partial(self._field("g"), self.pts, self.step)
+
+    @_primitive
+    def dOm(self):
+        """Exterior derivative of the Kaehler form."""
+        return exterior_derivative_values(self._field("omega"), self.pts, 2, self.step)
 
     # -- torsion and the Lee form ------------------------------------------------
 
     @_primitive
     def T(self):
-        return self.torsion_at(self.pts)
+        return torsion_bismut_values(self)
 
     @_primitive
     def C(self):
-        return torsion_chern_values(self.m, self.pts, self.step)
+        return torsion_chern_values(self)
 
     @_primitive
     def dT(self):
-        return exterior_derivative_values(self.torsion_at, self.pts, 3, self.step)
+        return exterior_derivative_values(self._field("T"), self.pts, 3, self.step)
 
     @cached_property
     def _lambda_omega(self):
@@ -221,19 +240,21 @@ class Evaluation:
 
     @_primitive
     def theta(self):
-        return self.lee_at(self.pts)
+        """The Lee form; on the base points it is checked against its two
+        torsion-trace routes."""
+        return lee_form_values(self, check=self._stencils is not None)
 
     @_primitive
     def jtheta(self):
-        return self._jtheta_at(self.pts)
+        return -np.einsum("...m,...mi->...i", self.theta, self.J)
 
     @_primitive
     def dtheta(self):
-        return exterior_derivative_values(self.lee_at, self.pts, 1, self.step)
+        return exterior_derivative_values(self._field("theta"), self.pts, 1, self.step)
 
     @_primitive
     def d_jtheta(self):
-        return exterior_derivative_values(self._jtheta_at, self.pts, 1, self.step)
+        return exterior_derivative_values(self._field("jtheta"), self.pts, 1, self.step)
 
     @_primitive
     def tt4(self):
@@ -247,25 +268,31 @@ class Evaluation:
     # -- connections and derivatives -------------------------------------------------
 
     def gamma(self, flavor: str) -> np.ndarray:
-        return self._once(("gamma", flavor), lambda: coefficient_values(
-            self.m, flavor, self.pts, self.step))
+        """Raised coefficients Gamma[k,i,j] = g^{kl} omega[l,i,j] of a flavor,
+        held on the base points (a stencil set reads each once)."""
+        def compute():
+            return np.einsum("...kl,...lij->...kij", self.ginv, lower_coefficients(self, flavor))
+        if self._stencils is None:
+            return compute()
+        return self._once(("gamma", flavor), compute)
 
     def nabla(self, fn, valence: int, flavor: str) -> np.ndarray:
-        """Covariant derivative of a field at the base points, computed on
-        every call (the derivatives of T and theta are kept by nabla_T and
+        """Covariant derivative of a field at these points, computed on every
+        call (the derivatives of T and theta are kept by nabla_T and
         nabla_theta)."""
         return covariant_derivative_values(fn, valence, self.pts, self.gamma(flavor), self.step)
 
     def codiff(self, fn, valence: int) -> np.ndarray:
-        """Codifferential of a form field at the base points, computed on
-        every call."""
+        """Codifferential of a form field at these points, computed on every
+        call."""
         return codifferential_of(self.nabla(fn, valence, "levi_civita"), self.ginv, valence)
 
     def nabla_T(self, flavor: str) -> np.ndarray:
-        return self._once(("nabla_T", flavor), lambda: self.nabla(self.torsion_at, 3, flavor))
+        return self._once(("nabla_T", flavor), lambda: self.nabla(self._field("T"), 3, flavor))
 
     def nabla_theta(self, flavor: str) -> np.ndarray:
-        return self._once(("nabla_theta", flavor), lambda: self.nabla(self.lee_at, 1, flavor))
+        return self._once(("nabla_theta", flavor),
+                          lambda: self.nabla(self._field("theta"), 1, flavor))
 
     @_primitive
     def codiff_T(self):
@@ -278,8 +305,7 @@ class Evaluation:
     # -- curvature and its traces ------------------------------------------------------
 
     def riemann(self, flavor: str) -> np.ndarray:
-        return self._once(("riemann", flavor), lambda: riemann_values(
-            self.m, flavor, self.pts, self.step))
+        return self._once(("riemann", flavor), lambda: riemann_values(self, flavor))
 
     @_primitive
     def ric(self):
@@ -513,6 +539,9 @@ def verify_chern_traces(m: HermitianManifold, pts, h=DEFAULT_STEP):
 # ---------------------------------------------------------------------------
 
 def verify_dim4(m: HermitianManifold, pts, h=DEFAULT_STEP):
+    """The dimension-four duality and the LCK reduction of lambda.  Returns
+    the entries and the checks skipped, as ``{"name", "reason"}`` dicts, for
+    a chart outside the class they hold on."""
     ev = evaluation(m, pts, h)
     out = []
 
@@ -523,9 +552,9 @@ def verify_dim4(m: HermitianManifold, pts, h=DEFAULT_STEP):
         out.append(_entry(ev, "torsion_lee_duality", diff, TOL_FIRST_ORDER))
 
     if not m.lck:
-        raise PreconditionError(
-            f"{m.name} is not declared locally conformally Kaehler; "
-            "the lambda reduction only holds on that class")
+        return out, [{"name": "lck_lambda_reduction",
+                      "reason": f"{m.name} is not declared locally conformally Kaehler; "
+                                "the lambda reduction only holds on that class"}]
     # On the conformally Kaehler class (T = J theta ^ omega / (n-1)) the
     # J-trace of dT reduces to Lee-form data:
     #
@@ -545,7 +574,7 @@ def verify_dim4(m: HermitianManifold, pts, h=DEFAULT_STEP):
     rhs = ((4 - 2 * n) * (ev.d_jtheta + quad / (n - 1))
            - 2.0 * ev.codiff_theta[..., None, None] * ev.omega)
     out.append(_entry(ev, "lck_lambda_reduction", lhs - rhs, TOL_CURVATURE))
-    return out
+    return out, []
 
 
 def verify_conformal_trace(m: HermitianManifold, pts, h=DEFAULT_STEP) -> ResidualEntry:

@@ -28,7 +28,7 @@ import numpy as np
 from .catalog import HermitianManifold
 from .classify import DEFAULT_CLASSIFY_TOL
 from .identities import Evaluation, evaluation, evaluation_scope
-from .tensor_core import DEFAULT_STEP, fd_partial, interior_product
+from .tensor_core import DEFAULT_STEP, fd_partial, interior_product, raise_all
 
 __all__ = ["StringEntry", "StringReport", "run_string_suite", "TOL_STRING"]
 
@@ -93,6 +93,25 @@ class StringReport:
                 "entries": [e.as_dict() for e in self.entries]}
 
 
+def _no_dilaton(points):
+    return np.zeros(np.shape(points)[:-1])
+
+
+def _weighted_divergence(ev: Evaluation, phi) -> np.ndarray:
+    """sum_i (nabla^g_{e_i} A)(e_i, ., .) for the 3-form A = exp(-2 phi) T,
+    as the coordinate divergence of its density,
+    g_xa g_yb (1/sqrt g) d_i (sqrt g A^{iab}), from the metric and torsion
+    of the stencil sets: no connection coefficients enter."""
+    def density(p):
+        e = ev.at(p)
+        weight = np.sqrt(np.linalg.det(e.g)) * np.exp(-2.0 * phi(p))
+        return weight[..., None, None, None] * raise_all(e.T, e.ginv, 3)
+
+    div = (np.einsum("...iiab->...ab", fd_partial(density, ev.pts, ev.step))
+           / np.sqrt(np.linalg.det(ev.g))[..., None, None])
+    return np.einsum("...xa,...yb,...ab->...xy", ev.g, ev.g, div)
+
+
 def _dilaton_residuals(ev: Evaluation, phi, lam_j) -> tuple:
     """eta = theta - 2 d phi and the residuals of the entries that depend on
     the dilaton.  ``phi = None`` is a constant dilaton: eta is the Lee form,
@@ -102,30 +121,25 @@ def _dilaton_residuals(ev: Evaluation, phi, lam_j) -> tuple:
         eta_size = ev.magnitude("theta")
         einstein = ev.ric_lc - 0.25 * ev.tt2
         flux = ev.codiff_T
-        # with phi = 0 the divergence form of the flux equation is -codiff(T)
-        # by definition, so the agreement is exact
-        div_agreement = -ev.codiff_T + flux
+        phi = _no_dilaton
     else:
         def dphi(p):
             return fd_partial(phi, p, ev.step)
 
         def eta_fn(p):
-            return ev.lee_at(p) - 2.0 * dphi(p)
-
-        def weighted_torsion(p):
-            return np.exp(-2.0 * phi(p))[..., None, None, None] * ev.torsion_at(p)
+            return ev.at(p).theta - 2.0 * dphi(p)
 
         eta, neta = eta_fn(ev.pts), ev.nabla(eta_fn, 1, "bismut")
         eta_size = ev.residual("supersymmetric_lee", eta)[0]
         einstein = ev.ric_lc - 0.25 * ev.tt2 + 2.0 * ev.nabla(dphi, 1, "levi_civita")
         grad = np.einsum("...ij,...j->...i", ev.ginv, dphi(ev.pts))
         flux = ev.codiff_T + 2.0 * interior_product(grad, ev.T, 3)
-        # the divergence form of the flux equation against its interior-product
-        # form: with the codifferential convention of this engine,
-        #   sum_i (nabla^g_{e_i} (exp(-2 phi) T))(e_i, ., .)
-        #       = - exp(-2 phi) (codiff T + 2 i_{grad phi} T)
-        div_agreement = (-ev.codiff(weighted_torsion, 3)
-                         + np.exp(-2.0 * phi(ev.pts))[..., None, None] * flux)
+    # the divergence form of the flux equation against its interior-product
+    # form: with the codifferential convention of this engine,
+    #   sum_i (nabla^g_{e_i} (exp(-2 phi) T))(e_i, ., .)
+    #       = - exp(-2 phi) (codiff T + 2 i_{grad phi} T)
+    div_agreement = (_weighted_divergence(ev, phi)
+                     + np.exp(-2.0 * phi(ev.pts))[..., None, None] * flux)
     neta_t = np.einsum("...xy->...yx", neta)
     measured = [
         ("einstein_equation", einstein),

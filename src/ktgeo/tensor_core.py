@@ -80,7 +80,7 @@ def exterior_derivative_values(fn, points, valence: int, step: float = DEFAULT_S
 
 
 # ---------------------------------------------------------------------------
-# metric helpers, Levi-Civita connection at the chart level
+# metric helpers, the Kaehler form, Levi-Civita formulas
 # ---------------------------------------------------------------------------
 
 def metric_inverse(g: np.ndarray) -> np.ndarray:
@@ -90,20 +90,23 @@ def metric_inverse(g: np.ndarray) -> np.ndarray:
         raise NumericError(f"metric not invertible: {exc}") from exc
 
 
+def kahler_form_values(g: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """The Kaehler form ``omega(X,Y) = g(X, JY)`` from the metric and J at the
+    same points.
+
+    The product g J is antisymmetric exactly in exact arithmetic; the explicit
+    antisymmetrization removes the roundoff contamination that a
+    finite-difference stencil would otherwise amplify by 1/step."""
+    gj = np.einsum("...ik,...kj->...ij", g, J)
+    return 0.5 * (gj - np.einsum("...ij->...ji", gj))
+
+
 def koszul_values(dg: np.ndarray) -> np.ndarray:
     """All-lower Levi-Civita coefficients ``omega[l,i,j] = g(nabla_{d_i} d_j,
     d_l)`` from the metric derivative ``dg[d,a,b] = D_d g_ab`` (Koszul formula
     on coordinate fields)."""
     return 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
                   - np.einsum("...lij->...lij", dg))
-
-
-def christoffel_values(metric_fn, points, step: float = DEFAULT_STEP) -> np.ndarray:
-    """Levi-Civita coefficients ``Gamma[k,i,j]`` from a metric field (single
-    inversion of g per point)."""
-    g = metric_fn(points)
-    omega = koszul_values(fd_partial(metric_fn, points, step))
-    return np.einsum("...kl,...lij->...kij", metric_inverse(g), omega)
 
 
 def covariant_derivative_values(fn, valence: int, points, gamma: np.ndarray,
@@ -121,20 +124,11 @@ def covariant_derivative_values(fn, valence: int, points, gamma: np.ndarray,
     return nab
 
 
-def codifferential_values(metric_fn, fn, valence: int, points,
-                          step: float = DEFAULT_STEP) -> np.ndarray:
-    """Codifferential of a p-form field: metric trace of the Levi-Civita
-    derivative on its first two slots, with the adjoint minus sign."""
-    if valence < 1:
-        raise ContractViolationError("codifferential needs valence >= 1")
-    gamma = christoffel_values(metric_fn, points, step)
-    nab = covariant_derivative_values(fn, valence, points, gamma, step)
-    return codifferential_of(nab, metric_inverse(metric_fn(points)), valence)
-
-
 def codifferential_of(nab: np.ndarray, ginv: np.ndarray, valence: int) -> np.ndarray:
     """Codifferential of a p-form from its Levi-Civita derivative ``nab``
     (direction slot first) and the inverse metric at the same points."""
+    if valence < 1:
+        raise ContractViolationError("codifferential needs valence >= 1")
     rest = _SLOT[: valence - 1]
     return -np.einsum(f"...dm,...dm{rest}->...{rest}", ginv, nab)
 

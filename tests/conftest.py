@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
-from ktgeo.catalog import catalog_names, get_manifold
-from ktgeo.connections import lee_form_values
+from ktgeo.catalog import (
+    BoxChart, HermitianManifold, catalog_names, get_manifold, _block_j, _const_field,
+)
+from ktgeo.identities import Evaluation
 
 
 @pytest.fixture(scope="session")
@@ -15,7 +18,28 @@ def sample(name, n=8, seed=0):
 
 def lee_fn(m):
     """The Lee form of ``m`` as a batched field."""
-    return lambda p: lee_form_values(m, p, check=False)
+    return lambda p: Evaluation(m, p).theta
+
+
+def _block_conformal_metric(p):
+    x = np.asarray(p, dtype=float)
+    f = (0.2 * np.sin(x[..., 2]) * np.cos(x[..., 4]),
+         0.3 * np.cos(x[..., 0] + x[..., 5]),
+         0.25 * np.sin(x[..., 1] - x[..., 3]))
+    g = np.zeros(x.shape[:-1] + (6, 6))
+    for k, fk in enumerate(f):
+        g[..., 2 * k, 2 * k] = g[..., 2 * k + 1, 2 * k + 1] = np.exp(2.0 * fk)
+    return g
+
+
+def block_conformal_torus_6():
+    """A Hermitian 6-torus that is not locally conformally Kaehler: each
+    complex line is rescaled by its own factor."""
+    return HermitianManifold(
+        name="block_conformal_torus_6", dim=6,
+        chart=BoxChart(lows=(0.0,) * 6, highs=(2 * np.pi,) * 6),
+        metric=_block_conformal_metric, complex_structure=_const_field(_block_j(6)),
+        lck=False)
 
 
 @pytest.fixture(scope="session")

@@ -11,17 +11,11 @@ import numpy as np
 from ktgeo.catalog import catalog_names, get_manifold
 from ktgeo.classify import check_hkt, classify
 from ktgeo.cli import main
-from ktgeo.connections import lee_form_values, torsion_bismut_values
 from ktgeo.identities import (
     Evaluation, richardson_ratios, run_identity_suite, verify_conformal_trace,
 )
 from ktgeo.string_eqs import run_string_suite
-from ktgeo.tensor_core import (
-    codifferential_values, exterior_derivative_values, hodge_star_values,
-    metric_inverse, norm_sq_values, wedge,
-)
-
-from conftest import lee_fn
+from ktgeo.tensor_core import hodge_star_values, metric_inverse, norm_sq_values, wedge
 
 N_POINTS = 32
 SEED = 0
@@ -65,12 +59,11 @@ def test_criterion_2_hopf_reproduces_the_homogeneous_model():
     for flavor in ("bismut", "levi_civita"):
         res[f"lee_parallel_{flavor}"] = float(np.max(np.abs(ev.nabla_theta(flavor))))
 
-    t_fn = lambda p: torsion_bismut_values(m, p)
-    res["torsion_closed"] = float(np.max(np.abs(exterior_derivative_values(t_fn, pts, 3))))
-    res["torsion_coclosed"] = float(np.max(np.abs(codifferential_values(m.metric, t_fn, 3, pts))))
+    res["torsion_closed"] = float(np.max(np.abs(ev.dT)))
+    res["torsion_coclosed"] = float(np.max(np.abs(ev.codiff_T)))
 
-    T = torsion_bismut_values(m, pts)
-    theta = lee_form_values(m, pts)
+    T = ev.T
+    theta = ev.theta
     res["torsion_star_dual"] = float(np.max(np.abs(T + hodge_star_values(theta, g, 1))))
     J = m.complex_structure(pts)
     jth = -np.einsum("...m,...mi->...i", theta, J)
@@ -108,8 +101,9 @@ def test_criterion_4_dimension_four_chain():
     for name in ("flat_torus_4", "hopf_standard", "su2xu1", "conf_torus_4", "hopf_hkt"):
         m = get_manifold(name)
         pts = m.sample_points(N_POINTS, SEED)
-        lam = Evaluation(m, pts).lam
-        dth = codifferential_values(m.metric, lee_fn(m), 1, pts)
+        ev = Evaluation(m, pts)
+        lam = ev.lam
+        dth = ev.codiff_theta
         om = m.kahler_form(pts)
         worst = max(worst, float(np.max(np.abs(lam + 2.0 * dth[..., None, None] * om))))
         f = classify(m, pts)

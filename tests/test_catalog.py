@@ -4,10 +4,10 @@ import pytest
 from ktgeo.catalog import (
     catalog_names, conformal_rescale, get_manifold, hermitian_residuals,
 )
-from ktgeo.connections import lee_form_values, torsion_bismut_values
+from ktgeo.connections import lee_form_values
 from ktgeo.errors import UnknownManifoldError
 from ktgeo.identities import Evaluation
-from ktgeo.tensor_core import exterior_derivative_values, metric_inverse, norm_sq_values
+from ktgeo.tensor_core import metric_inverse, norm_sq_values
 
 
 def test_catalog_listing():
@@ -35,9 +35,9 @@ def test_structure_invariants_on_64_points(name):
 
 def test_flat_torus_is_kahler():
     m = get_manifold("flat_torus_4")
-    pts = m.sample_points(8, seed=0)
-    assert np.max(np.abs(torsion_bismut_values(m, pts))) < 1e-12
-    assert np.max(np.abs(lee_form_values(m, pts))) < 1e-12
+    ev = Evaluation(m, m.sample_points(8, seed=0))
+    assert np.max(np.abs(ev.T)) < 1e-12
+    assert np.max(np.abs(ev.theta)) < 1e-12
 
 
 def test_hopf_parallel_lee_and_flat_ricci_form():
@@ -51,15 +51,11 @@ def test_hopf_parallel_lee_and_flat_ricci_form():
 
 def test_su2xu1_flat_parallel_torsion():
     m = get_manifold("su2xu1")
-    pts = m.sample_points(8, seed=0)
-    from ktgeo.curvature import riemann_values
-    assert np.max(np.abs(riemann_values(m, "bismut", pts))) < 1e-6
-    t_fn = lambda p: torsion_bismut_values(m, p)
-    assert np.max(np.abs(Evaluation(m, pts).nabla_T("bismut"))) < 1e-6
-    dt = exterior_derivative_values(t_fn, pts, 3)
-    assert np.max(np.abs(dt)) < 1e-6
-    from ktgeo.tensor_core import codifferential_values
-    assert np.max(np.abs(codifferential_values(m.metric, t_fn, 3, pts))) < 1e-6
+    ev = Evaluation(m, m.sample_points(8, seed=0))
+    assert np.max(np.abs(ev.riemann("bismut"))) < 1e-6
+    assert np.max(np.abs(ev.nabla_T("bismut"))) < 1e-6
+    assert np.max(np.abs(ev.dT)) < 1e-6
+    assert np.max(np.abs(ev.codiff_T)) < 1e-6
 
 
 def test_hopf_and_su2xu1_share_scalar_invariants():
@@ -67,11 +63,10 @@ def test_hopf_and_su2xu1_share_scalar_invariants():
     for name in ("hopf_standard", "su2xu1"):
         m = get_manifold(name)
         pts = m.sample_points(12, seed=1)
-        ginv = metric_inverse(m.metric(pts))
-        theta2 = norm_sq_values(lee_form_values(m, pts), ginv, 1)
-        torsion2 = norm_sq_values(torsion_bismut_values(m, pts), ginv, 3)
-        scal = Evaluation(m, pts).scal
-        vals[name] = (theta2, torsion2, scal)
+        ev = Evaluation(m, pts)
+        theta2 = norm_sq_values(ev.theta, ev.ginv, 1)
+        torsion2 = norm_sq_values(ev.T, ev.ginv, 3)
+        vals[name] = (theta2, torsion2, ev.scal)
     for a, b in zip(vals["hopf_standard"], vals["su2xu1"]):
         assert np.max(np.abs(a[:, None] - b[None, :])) < 1e-4
 
@@ -82,8 +77,9 @@ def test_hkt_kahler_forms_share_one_torsion():
     from dataclasses import replace
     variants = [m] + [replace(m, complex_structure=j, hypercomplex=None)
                       for j in m.hypercomplex]
-    torsions = [torsion_bismut_values(v, pts) for v in variants]
-    lees = [lee_form_values(v, pts, check=False) for v in variants]
+    evs = [Evaluation(v, pts) for v in variants]
+    torsions = [ev.T for ev in evs]
+    lees = [lee_form_values(ev, check=False) for ev in evs]
     for i in range(3):
         for j in range(i + 1, 3):
             assert np.max(np.abs(torsions[i] - torsions[j])) < 1e-6
@@ -110,8 +106,9 @@ def test_hopf_is_rescaled_flat_chart_with_conformal_lee_law():
     r2 = np.sum(pts * pts, axis=-1)
     # dim-4 conformal change law from a Kaehler parent: theta = 2 df = -2 dln r
     oracle = -2.0 * pts / r2[:, None]
-    assert np.max(np.abs(lee_form_values(m, pts) - oracle)) < 1e-5
-    theta2 = norm_sq_values(lee_form_values(m, pts), metric_inverse(m.metric(pts)), 1)
+    theta = Evaluation(m, pts).theta
+    assert np.max(np.abs(theta - oracle)) < 1e-5
+    theta2 = norm_sq_values(theta, metric_inverse(m.metric(pts)), 1)
     assert np.max(np.abs(theta2 - 4.0)) < 1e-5
 
 

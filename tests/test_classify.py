@@ -116,14 +116,6 @@ def test_plaquette_transport_matches_curvature_endomorphism(conf4):
     assert plaquette_holonomy_check(conf4, pts, side=1e-2) < 0.05
 
 
-def test_loop_check_flag_off_by_default(conf4):
-    pts = conf4.sample_points(4, seed=0)
-    flags = classify(conf4, pts)
-    assert "loop_transport" not in flags.residuals
-    flags2 = classify(conf4, pts, loop_check=True)
-    assert "loop_transport" in flags2.residuals
-
-
 def test_package_exposes_the_classify_module():
     import ktgeo.classify as classify_module
     assert isinstance(classify_module, types.ModuleType)

@@ -1,7 +1,10 @@
+import gc
 import json
 import subprocess
 import sys
+import weakref
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +12,13 @@ import pytest
 import ktgeo.cli
 import ktgeo.identities
 from ktgeo.catalog import (
-    BoxChart, HermitianManifold, catalog_names, register_manifold, _block_j,
-    _const_field,
+    BoxChart, HermitianManifold, catalog_names, get_manifold, register_manifold,
+    _block_j, _const_field,
 )
 from ktgeo.cli import main, render_report
+from ktgeo.identities import Evaluation
+
+from conftest import block_conformal_torus_6
 
 
 def run_cli(*args):
@@ -141,9 +147,9 @@ def test_report_computes_each_curvature_once(monkeypatch, tmp_path):
     calls = Counter()
     real = ktgeo.identities.riemann_values
 
-    def counted(m, flavor, points, step):
-        calls[(id(m), flavor)] += 1
-        return real(m, flavor, points, step)
+    def counted(ev, flavor):
+        calls[(id(ev.m), flavor)] += 1
+        return real(ev, flavor)
 
     monkeypatch.setattr(ktgeo.identities, "riemann_values", counted)
     code = main(["report", "--manifold", "hopf_hkt", "--points", "2",
@@ -210,25 +216,10 @@ def test_classify_and_string_share_each_frame_conversion(monkeypatch, tmp_path):
     assert len(valence4) == 2
 
 
-def _block_conformal_metric(p):
-    x = np.asarray(p, dtype=float)
-    f = (0.2 * np.sin(x[..., 2]) * np.cos(x[..., 4]),
-         0.3 * np.cos(x[..., 0] + x[..., 5]),
-         0.25 * np.sin(x[..., 1] - x[..., 3]))
-    g = np.zeros(x.shape[:-1] + (6, 6))
-    for k, fk in enumerate(f):
-        g[..., 2 * k, 2 * k] = g[..., 2 * k + 1, 2 * k + 1] = np.exp(2.0 * fk)
-    return g
-
-
 def test_non_lck_chart_reports_the_skipped_reduction(tmp_path):
     # a Hermitian 6-torus that is not locally conformally Kaehler: the dim4
     # suite skips the LCK reduction by name and the report survives
-    register_manifold(HermitianManifold(
-        name="block_conformal_torus_6", dim=6,
-        chart=BoxChart(lows=(0.0,) * 6, highs=(2 * np.pi,) * 6),
-        metric=_block_conformal_metric, complex_structure=_const_field(_block_j(6)),
-        lck=False))
+    register_manifold(block_conformal_torus_6())
     out_file = tmp_path / "torus.json"
     code = main(["report", "--manifold", "block_conformal_torus_6", "--suite", "classify",
                  "--suite", "identities", "--suite", "dim4", "--points", "4",
@@ -243,3 +234,69 @@ def test_non_lck_chart_reports_the_skipped_reduction(tmp_path):
     assert "locally conformally Kaehler" in skip["reason"]
     assert len(section["identities"]) == 14
     assert all(e["passed"] for e in section["identities"])
+
+
+def test_dim4_chart_declared_non_lck_keeps_the_duality(tmp_path):
+    # the LCK reduction is skipped, the dimension-four duality still reported
+    register_manifold(replace(get_manifold("conf_torus_4"), name="conf_torus_4_not_lck",
+                              lck=False))
+    out_file = tmp_path / "dim4.json"
+    code = main(["report", "--manifold", "conf_torus_4_not_lck", "--suite", "dim4",
+                 "--points", "4", "--out", str(out_file)])
+    assert code == 0
+    section = json.loads(out_file.read_text())["manifolds"][0]
+    assert [(e["name"], e["passed"]) for e in section["dim4"]] == [("torsion_lee_duality", True)]
+    assert [s["name"] for s in section["dim4_skipped"]] == ["lck_lambda_reduction"]
+
+
+def _counted(metric, points):
+    def fn(p):
+        points.append(np.asarray(p)[..., 0].size)
+        return metric(p)
+    return fn
+
+
+def test_report_metric_evaluations(tmp_path):
+    # each stencil set's fields are evaluated once per held set: 1,764 metric
+    # points when every primitive re-derived them from the chart
+    hopf = get_manifold("hopf_standard")
+    parent = hopf.conformal_parent
+    points = []
+    register_manifold(replace(
+        hopf, name="counted_hopf", metric=_counted(hopf.metric, points),
+        conformal_parent=replace(parent, parent=replace(
+            parent.parent, metric=_counted(parent.parent.metric, points)))))
+    code = main(["report", "--manifold", "counted_hopf", "--points", "2",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    assert sum(points) == 676
+
+
+def test_report_leaves_no_evaluation_alive(monkeypatch, tmp_path):
+    # with the cycle collector off, only reference counting frees an
+    # evaluation: none may sit in a reference cycle
+    created = []
+    real_init, real_at = Evaluation.__init__, Evaluation.at
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        created.append(weakref.ref(self))
+
+    def at(self, points):  # every stencil evaluation is made here
+        ev = real_at(self, points)
+        created.append(weakref.ref(ev))
+        return ev
+
+    monkeypatch.setattr(Evaluation, "__init__", init)
+    monkeypatch.setattr(Evaluation, "at", at)
+    gc.disable()
+    try:
+        code = main(["report", "--manifold", "hopf_hkt", "--points", "2",
+                     "--out", str(tmp_path / "r.json")])
+        # read before the collector is back: its next pass would free cycles
+        alive = sum(ref() is not None for ref in created)
+    finally:
+        gc.enable()
+    assert code == 0
+    assert len(created) > 10  # base and stencil evaluations
+    assert alive == 0

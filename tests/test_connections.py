@@ -3,7 +3,7 @@ import pytest
 
 from ktgeo.catalog import catalog_names, get_manifold
 from ktgeo.connections import (
-    coefficient_values, compatibility_residuals, lee_form_routes, lee_form_values,
+    compatibility_residuals, lee_form_routes, lee_form_values,
     torsion_bismut_values, torsion_chern_values, torsion_type_defect,
 )
 from ktgeo.errors import ChartDomainError
@@ -17,14 +17,15 @@ from conftest import sample
 
 def test_flat_torus_all_flavors_vanish(flat4):
     pts = sample("flat_torus_4", 6)
+    ev = Evaluation(flat4, pts)
     for fl in ("levi_civita", "bismut", "chern"):
-        gam = coefficient_values(flat4, fl, pts)
+        gam = ev.gamma(fl)
         assert np.max(np.abs(gam)) < 1e-12
 
 
 def test_levi_civita_metric_compatibility_and_symmetry(hopf):
     pts = sample("hopf_standard", 16, seed=9)
-    res = compatibility_residuals(hopf, "levi_civita", pts)
+    res = compatibility_residuals(Evaluation(hopf, pts), "levi_civita")
     assert res["nabla_g"] < 1e-6
     assert res["torsion"] < 1e-12
 
@@ -33,7 +34,7 @@ def test_levi_civita_conformal_christoffel_oracle(hopf):
     # g = exp(2 phi) delta with phi = -ln r:
     # Gamma^k_ij = d_i phi delta^k_j + d_j phi delta^k_i - d_k phi delta_ij
     pts = np.array([[1.0, 0.0, 0.0, 0.0], [0.8, 0.3, -0.5, 0.2]])
-    gam = coefficient_values(hopf, "levi_civita", pts)
+    gam = Evaluation(hopf, pts).gamma("levi_civita")
     r2 = np.sum(pts * pts, axis=-1)
     dphi = -pts / r2[:, None]
     eye = np.eye(4)
@@ -47,24 +48,25 @@ def test_levi_civita_conformal_christoffel_oracle(hopf):
 def test_hermitian_connections_preserve_g_and_j(hopf, su2, flavor):
     for m in (hopf, su2):
         pts = m.sample_points(32, seed=2)
-        res = compatibility_residuals(m, flavor, pts)
+        res = compatibility_residuals(Evaluation(m, pts), flavor)
         assert res["nabla_g"] < 1e-6
         assert res["nabla_j"] < 1e-6
 
 
 def test_torsion_of_bismut_coefficients_is_the_torsion_form(su2):
     pts = sample("su2xu1", 8)
-    gam = coefficient_values(su2, "bismut", pts)
+    ev = Evaluation(su2, pts)
+    gam = ev.gamma("bismut")
     g = su2.metric(pts)
     skew = np.einsum("...kij->...kij", gam) - np.einsum("...kji->...kij", gam)
     lowered = np.einsum("...lk,...kij->...ijl", g, skew)
-    T = torsion_bismut_values(su2, pts)
+    T = torsion_bismut_values(ev)
     assert np.max(np.abs(lowered - T)) < 1e-6
 
 
 def test_chern_torsion_commutes_with_j(hopf):
     pts = sample("hopf_standard", 8)
-    C = torsion_chern_values(hopf, pts)
+    C = torsion_chern_values(Evaluation(hopf, pts))
     J = hopf.complex_structure(pts)
     # C(JX,Y) = C(X,JY), and C(JX,Y) = J C(X,Y) i.e. C(JX,Y,Z) = -C(X,Y,JZ)
     lhs = np.einsum("...mi,...mjk->...ijk", J, C)
@@ -74,7 +76,7 @@ def test_chern_torsion_commutes_with_j(hopf):
 
 def test_chern_torsion_from_kahler_form_derivative(conf4):
     pts = sample("conf_torus_4", 8)
-    C = torsion_chern_values(conf4, pts)
+    C = torsion_chern_values(Evaluation(conf4, pts))
     assert np.max(np.abs(C)) > 1e-2  # genuinely nonzero
     dom = exterior_derivative_values(conf4.kahler_form, pts, 2)
     J = conf4.complex_structure(pts)
@@ -86,60 +88,62 @@ def test_chern_torsion_from_kahler_form_derivative(conf4):
 def test_torsion_forms_and_types():
     for name in catalog_names():
         m = get_manifold(name)
-        pts = m.sample_points(8, seed=1)
-        T = torsion_bismut_values(m, pts)
+        ev = Evaluation(m, m.sample_points(8, seed=1))
+        T = torsion_bismut_values(ev)
         # totally antisymmetric
         assert np.max(np.abs(T + np.einsum("...ijk->...jik", T))) < 1e-12
         assert np.max(np.abs(T + np.einsum("...ikj->...ijk", T))) < 1e-12
         # no (3,0)+(0,3) part
-        assert torsion_type_defect(m, pts) < 1e-6
+        assert torsion_type_defect(ev) < 1e-6
         # Chern torsion antisymmetric in its first two slots
-        C = torsion_chern_values(m, pts)
+        C = torsion_chern_values(ev)
         assert np.max(np.abs(C + np.einsum("...jik->...ijk", C))) < 1e-12
 
 
 def test_flat_torus_6_torsion_vanishes():
     m = get_manifold("flat_torus_6")
     pts = m.sample_points(6, seed=0)
-    assert np.max(np.abs(torsion_bismut_values(m, pts))) < 1e-12
+    assert np.max(np.abs(torsion_bismut_values(Evaluation(m, pts)))) < 1e-12
 
 
 def test_lck_torsion_shape():
     hopf = get_manifold("hopf_standard")
     pts = hopf.sample_points(8, seed=0)
-    theta = lee_form_values(hopf, pts)
+    ev = Evaluation(hopf, pts)
+    theta = lee_form_values(ev)
     J = hopf.complex_structure(pts)
     jth = -np.einsum("...m,...mi->...i", theta, J)
     expected = wedge(jth, 1, hopf.kahler_form(pts), 2)
-    assert np.max(np.abs(torsion_bismut_values(hopf, pts) - expected)) < 1e-5
+    assert np.max(np.abs(torsion_bismut_values(ev) - expected)) < 1e-5
 
     c6 = get_manifold("conf_torus_6")
     pts = c6.sample_points(8, seed=0)
-    theta = lee_form_values(c6, pts)
+    ev = Evaluation(c6, pts)
+    theta = lee_form_values(ev)
     jth = -np.einsum("...m,...mi->...i", theta, c6.complex_structure(pts))
     expected = 0.5 * wedge(jth, 1, c6.kahler_form(pts), 2)
-    assert np.max(np.abs(torsion_bismut_values(c6, pts) - expected)) < 1e-5
+    assert np.max(np.abs(torsion_bismut_values(ev) - expected)) < 1e-5
 
 
 def test_lee_form_routes_agree_everywhere():
     for name in catalog_names():
         m = get_manifold(name)
         pts = m.sample_points(8, seed=2)
-        a, b, c = lee_form_routes(m, pts)
+        a, b, c = lee_form_routes(Evaluation(m, pts))
         assert np.max(np.abs(a - b)) < 1e-5
         assert np.max(np.abs(a - c)) < 1e-5
 
 
 def test_lee_form_values_and_public_op(flat4, conf4):
     pts = sample("flat_torus_4", 6)
-    assert np.max(np.abs(lee_form_values(flat4, pts))) < 1e-12
+    assert np.max(np.abs(lee_form_values(Evaluation(flat4, pts)))) < 1e-12
     pts = sample("conf_torus_4", 6)
     f_grad = np.stack([0.3 * np.cos(pts[..., 0]) * np.cos(pts[..., 2]),
                        np.zeros(len(pts)),
                        -0.3 * np.sin(pts[..., 0]) * np.sin(pts[..., 2]),
                        np.zeros(len(pts))], axis=-1)
-    assert np.max(np.abs(lee_form_values(conf4, pts) - 2.0 * f_grad)) < 1e-5
-    assert lee_form_values(conf4, pts[0]).shape == (4,)  # a single point
+    assert np.max(np.abs(lee_form_values(Evaluation(conf4, pts)) - 2.0 * f_grad)) < 1e-5
+    assert lee_form_values(Evaluation(conf4, pts[0])).shape == (1, 4)  # a single point
 
 
 def test_covariant_derivative_basics(flat4, hopf):
@@ -147,7 +151,7 @@ def test_covariant_derivative_basics(flat4, hopf):
     const = lambda p: np.broadcast_to(np.array([1.0, 0, 2.0, 0]),
                                       np.asarray(p).shape[:-1] + (4,)).copy()
     p = pts[0]
-    out = covariant_derivative_values(const, 1, p, coefficient_values(flat4, "bismut", p))
+    out = covariant_derivative_values(const, 1, p, Evaluation(flat4, p).gamma("bismut")[0])
     assert out.shape == (4, 4)
     assert np.max(np.abs(out)) < 1e-12
 

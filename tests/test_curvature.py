@@ -9,22 +9,22 @@ from ktgeo.curvature import (
 from ktgeo.errors import PreconditionError
 from ktgeo.identities import Evaluation
 from ktgeo.tensor_core import (
-    codifferential_values, exterior_derivative_values, gram_schmidt_frames,
-    hodge_star_values, metric_inverse, proj_two_zero, to_frame,
+    exterior_derivative_values, gram_schmidt_frames, hodge_star_values,
+    metric_inverse, proj_two_zero, to_frame,
 )
 
 from conftest import lee_fn, sample
 
 
 def test_flat_torus_all_flavors_flat(flat4):
-    pts = sample("flat_torus_4", 6)
+    ev = Evaluation(flat4, sample("flat_torus_4", 6))
     for fl in ("levi_civita", "bismut", "chern"):
-        assert np.max(np.abs(riemann_values(flat4, fl, pts))) < 1e-12
+        assert np.max(np.abs(riemann_values(ev, fl))) < 1e-12
 
 
 def test_su2xu1_bismut_flat(su2):
     pts = sample("su2xu1", 12, seed=4)
-    assert np.max(np.abs(riemann_values(su2, "bismut", pts))) < 1e-4
+    assert np.max(np.abs(riemann_values(Evaluation(su2, pts), "bismut"))) < 1e-4
 
 
 def test_hopf_levi_civita_product_metric_oracle(hopf):
@@ -32,7 +32,7 @@ def test_hopf_levi_civita_product_metric_oracle(hopf):
     # three spherical directions have sectional curvature +1
     for a in (0.7, 1.6):
         p = np.array([a, 0.0, 0.0, 0.0])
-        rf = to_frame(riemann_values(hopf, "levi_civita", p),
+        rf = to_frame(riemann_values(Evaluation(hopf, p), "levi_civita")[0],
                       gram_schmidt_frames(hopf.metric(p)), 4)
         for i in range(4):
             for j in range(i + 1, 4):
@@ -42,19 +42,21 @@ def test_hopf_levi_civita_product_metric_oracle(hopf):
 
 def test_riemann_pair_antisymmetries(conf4):
     pts = sample("conf_torus_4", 6)
+    ev = Evaluation(conf4, pts)
     for fl in ("levi_civita", "bismut", "chern"):
-        r = riemann_values(conf4, fl, pts)
+        r = riemann_values(ev, fl)
         assert np.max(np.abs(r + np.einsum("...jikl->...ijkl", r))) < 1e-5
-    r = riemann_values(conf4, "levi_civita", pts)
+    r = riemann_values(ev, "levi_civita")
     assert np.max(np.abs(r + np.einsum("...ijlk->...ijkl", r))) < 1e-5
-    assert riemann_values(conf4, "bismut", pts[0]).shape == (4, 4, 4, 4)  # a single point
+    single = riemann_values(Evaluation(conf4, pts[0]), "bismut")
+    assert single.shape == (1, 4, 4, 4, 4)  # a single point
 
 
 def test_bismut_curvature_commutes_with_j():
     for name in catalog_names():
         m = get_manifold(name)
         pts = m.sample_points(8, seed=3)
-        r = riemann_values(m, "bismut", pts)
+        r = riemann_values(Evaluation(m, pts), "bismut")
         J = m.complex_structure(pts)
         comm = np.einsum("...xymn,...mz,...nw->...xyzw", r, J, J) - r
         assert np.max(np.abs(comm)) < 1e-5
@@ -105,7 +107,7 @@ def test_lambda_omega_cases():
     conf = get_manifold("conf_torus_4")
     cp = conf.sample_points(8, seed=0)
     lam, h, defect = lambda_omega(conf, cp)
-    dth = codifferential_values(conf.metric, lee_fn(conf), 1, cp)
+    dth = Evaluation(conf, cp).codiff(lee_fn(conf), 1)
     om = conf.kahler_form(cp)
     assert np.max(np.abs(lam + 2.0 * dth[..., None, None] * om)) < 1e-5
     assert np.max(np.abs(lam)) > 1e-2  # nonzero: the reduction is not vacuous
@@ -119,18 +121,19 @@ def test_weyl_selfdual_conformally_flat_entries():
     for name in ("flat_torus_4", "hopf_standard", "conf_torus_4", "su2xu1", "hopf_hkt"):
         m = get_manifold(name)
         pts = m.sample_points(6, seed=2)
-        weyl, wplus, k = weyl_selfdual_values(m, pts)
+        ev = Evaluation(m, pts)
+        weyl, wplus, k = weyl_selfdual_values(ev)
         assert np.max(np.abs(weyl)) < 1e-4
         assert np.max(np.abs(wplus)) < 1e-4
         assert np.max(np.abs(k)) < 1e-4
         # consistent with the vanishing trace b of the Bismut Ricci form there
-        assert np.max(np.abs(Evaluation(m, pts).b)) < 1e-4
+        assert np.max(np.abs(ev.b)) < 1e-4
 
 
 def test_weyl_requires_dim4():
+    m6 = get_manifold("flat_torus_6")
     with pytest.raises(PreconditionError):
-        weyl_selfdual_values(get_manifold("flat_torus_6"),
-                             get_manifold("flat_torus_6").sample_points(2, seed=0))
+        weyl_selfdual_values(Evaluation(m6, m6.sample_points(2, seed=0)))
 
 
 def test_rho_two_zero_part_from_selfdual_lee_derivative(conf4):
@@ -141,7 +144,7 @@ def test_rho_two_zero_part_from_selfdual_lee_derivative(conf4):
     pts = sample("conf_torus_4", 8)
     ginv = metric_inverse(conf4.metric(pts))
     J = conf4.complex_structure(pts)
-    rho = rho_from_curvature(riemann_values(conf4, "bismut", pts),
+    rho = rho_from_curvature(riemann_values(Evaluation(conf4, pts), "bismut"),
                              j_trace_matrix(J, ginv))
     lhs = proj_two_zero(rho, J)
     dth = exterior_derivative_values(lee_fn(conf4), pts, 1)
@@ -150,5 +153,5 @@ def test_rho_two_zero_part_from_selfdual_lee_derivative(conf4):
     rhs = 0.5 * (rhs - np.einsum("...xy->...yx", rhs))
     assert np.max(np.abs(dth)) < 1e-6  # catalog Lee forms are closed
     assert np.max(np.abs(lhs - rhs)) < 1e-4
-    k = weyl_selfdual_values(conf4, pts[0])[2]
+    [k] = weyl_selfdual_values(Evaluation(conf4, pts[0]))[2]
     assert abs(k) < 1e-6

@@ -6,7 +6,7 @@ from ktgeo.catalog import (
 )
 from ktgeo.errors import ContractViolationError, PreconditionError
 from ktgeo.identities import (
-    evaluation, evaluation_scope, richardson_ratios, run_identity_suite,
+    Evaluation, evaluation, evaluation_scope, richardson_ratios, run_identity_suite,
     verify_conformal_trace, verify_dim4, verify_ricci_skews,
     verify_torsion_identities,
 )
@@ -42,11 +42,10 @@ def test_su2xu1_scalar_relation_reduces_to_lee_torsion_balance(su2):
     # with b = Scal = codiff(theta) = 0 the scalar relation pins
     # 2|theta|^2 = |T|^2 / 3; check the reduced balance directly
     pts = sample("su2xu1", 8)
-    from ktgeo.connections import lee_form_values, torsion_bismut_values
-    from ktgeo.tensor_core import metric_inverse, norm_sq_values
-    ginv = metric_inverse(su2.metric(pts))
-    t2 = norm_sq_values(lee_form_values(su2, pts), ginv, 1)
-    T2 = norm_sq_values(torsion_bismut_values(su2, pts), ginv, 3)
+    from ktgeo.tensor_core import norm_sq_values
+    ev = Evaluation(su2, pts)
+    t2 = norm_sq_values(ev.theta, ev.ginv, 1)
+    T2 = norm_sq_values(ev.T, ev.ginv, 3)
     assert np.max(np.abs(2.0 * t2 - T2 / 3.0)) < 1e-4
 
 
@@ -56,7 +55,7 @@ def test_su2xu1_coclosed_torsion_makes_ricci_symmetric(su2):
     assert entries["ricci_skew_coclosure"].passed
     from ktgeo.curvature import ricci_from_curvature, riemann_values
     from ktgeo.tensor_core import metric_inverse
-    ric = ricci_from_curvature(riemann_values(su2, "bismut", pts),
+    ric = ricci_from_curvature(riemann_values(Evaluation(su2, pts), "bismut"),
                                metric_inverse(su2.metric(pts)))
     assert np.max(np.abs(ric - np.einsum("...xy->...yx", ric))) < 1e-5
 
@@ -69,11 +68,12 @@ def test_hopf_mean_curvature_reduces_to_chern_torsion_square(hopf):
     from ktgeo.tensor_core import metric_inverse
     ginv = metric_inverse(hopf.metric(pts))
     J = hopf.complex_structure(pts)
+    ev = Evaluation(hopf, pts)
     kappa = 0.5 * np.einsum("...abxy,...ba->...xy",
-                            riemann_values(hopf, "chern", pts),
+                            riemann_values(ev, "chern"),
                             j_trace_matrix(J, ginv))
     lhs = np.einsum("...my,...mx->...xy", kappa, J)
-    C = torsion_chern_values(hopf, pts)
+    C = torsion_chern_values(ev)
     cc = np.einsum("...xab,...ycd,...ac,...bd->...xy", C, C, ginv, ginv)
     assert np.max(np.abs(lhs - cc)) < 1e-4
 
@@ -82,7 +82,9 @@ def test_dim4_chain_on_all_four_dimensional_entries():
     for name in ("flat_torus_4", "hopf_standard", "su2xu1", "conf_torus_4", "hopf_hkt"):
         m = get_manifold(name)
         pts = m.sample_points(8, seed=0)
-        entries = {e.name: e for e in verify_dim4(m, pts)}
+        entries, skipped = verify_dim4(m, pts)
+        entries = {e.name: e for e in entries}
+        assert skipped == []
         assert entries["torsion_lee_duality"].passed, name
         assert entries["lck_lambda_reduction"].passed, name
 
@@ -90,7 +92,7 @@ def test_dim4_chain_on_all_four_dimensional_entries():
 def test_dim6_lck_lambda_reduction():
     m = get_manifold("conf_torus_6")
     pts = m.sample_points(6, seed=0)
-    entries = {e.name: e for e in verify_dim4(m, pts)}
+    entries = {e.name: e for e in verify_dim4(m, pts)[0]}
     assert "torsion_lee_duality" not in entries  # dim 4 only
     assert entries["lck_lambda_reduction"].passed
 
@@ -113,8 +115,11 @@ def test_lck_reduction_precondition_error():
         name="warped_torus_6", dim=6,
         chart=BoxChart(lows=(0.0,) * 6, highs=(2 * np.pi,) * 6),
         metric=metric, complex_structure=_const_field(_block_j(6)), lck=False)
-    with pytest.raises(PreconditionError):
-        verify_dim4(m, m.sample_points(2, seed=0))
+    entries, skipped = verify_dim4(m, m.sample_points(2, seed=0))
+    assert entries == []  # dim 6: no duality entry either
+    [skip] = skipped
+    assert skip["name"] == "lck_lambda_reduction"
+    assert "warped_torus_6 is not declared locally conformally Kaehler" in skip["reason"]
 
 
 def test_conformal_trace_identity():

@@ -5,9 +5,10 @@ import pytest
 
 from ktgeo.catalog import catalog_names, get_manifold
 from ktgeo.classify import DEFAULT_CLASSIFY_TOL, classify
+from ktgeo.identities import Evaluation
 from ktgeo.string_eqs import __all__ as string_api, run_string_suite
 
-from conftest import sample
+from conftest import block_conformal_torus_6, sample
 
 TOL = 1e-4
 
@@ -67,8 +68,7 @@ def test_hopf_gradient_dilaton_is_supersymmetric_solution(hopf):
 def test_hopf_constant_dilaton_eta_is_parallel_lee_form(hopf):
     pts = sample("hopf_standard", 8)
     rep = run_string_suite(hopf, pts)["constant_dilaton"]
-    from ktgeo.connections import lee_form_values
-    assert np.max(np.abs(rep.eta - lee_form_values(hopf, pts))) < 1e-10
+    assert np.max(np.abs(rep.eta - Evaluation(hopf, pts).theta)) < 1e-10
     assert rep.eta_parallel_residual < TOL
     assert _residuals(rep)["conformal_killing_equation"] < TOL
 
@@ -95,9 +95,8 @@ def test_lee_dual_is_killing_on_hopf(hopf):
     rep = run_string_suite(hopf, pts)["constant_dilaton"]
     assert _residuals(rep)["lee_killing_field"] < TOL
     # the non-Kaehler strong solution has a nowhere-small Lee form
-    from ktgeo.connections import lee_form_values
     from ktgeo.tensor_core import metric_inverse, norm_sq_values
-    t2 = norm_sq_values(lee_form_values(hopf, pts), metric_inverse(hopf.metric(pts)), 1)
+    t2 = norm_sq_values(Evaluation(hopf, pts).theta, metric_inverse(hopf.metric(pts)), 1)
     assert np.all(np.sqrt(t2) > 0.1)
 
 
@@ -111,6 +110,11 @@ def test_flux_divergence_agreement_everywhere():
     conf = replace(get_manifold("conf_torus_4"), dilaton=phi)
     rep = run_string_suite(conf, conf.sample_points(6, seed=2))["gradient_dilaton"]
     assert _residuals(rep)["flux_divergence_agreement"] < TOL
+    # and where codiff T is far from zero, so a sign error on either side shows
+    torus = block_conformal_torus_6()
+    rep = run_string_suite(torus, torus.sample_points(4, seed=0))["constant_dilaton"]
+    assert rep.flux_residual > 0.1
+    assert _residuals(rep)["flux_divergence_agreement"] < 1e-8
 
 
 def _th1(m) -> dict:

@@ -8,7 +8,7 @@ from ktgeo.connections import torsion_bismut_values
 from ktgeo.errors import ChartDomainError, ContractViolationError, NumericError
 from ktgeo.identities import Evaluation
 from ktgeo.tensor_core import (
-    alt, codifferential_values, exterior_derivative_values, gram_schmidt_frames,
+    alt, exterior_derivative_values, gram_schmidt_frames,
     hodge_star_values, j_trace_values, metric_inverse, norm_sq_values, to_frame,
     wedge,
 )
@@ -87,9 +87,10 @@ def test_codifferential_trivial_cases(flat4):
     pts = sample("flat_torus_4", 8)
     const = lambda p: np.broadcast_to(np.array([1.0, 2.0, -1.0, 0.5]),
                                       np.asarray(p).shape[:-1] + (4,)).copy()
-    assert np.max(np.abs(codifferential_values(flat4.metric, const, 1, pts))) < 1e-12
+    ev = Evaluation(flat4, pts)
+    assert np.max(np.abs(ev.codiff(const, 1))) < 1e-12
     # Kaehler: codiff of the Kaehler form vanishes, hence the Lee form does
-    cod = codifferential_values(flat4.metric, flat4.kahler_form, 2, pts)
+    cod = ev.codiff(flat4.kahler_form, 2)
     assert np.max(np.abs(cod)) < 1e-12
 
 
@@ -100,7 +101,7 @@ def test_codifferential_equals_minus_star_d_star_dim4(hopf, valence):
         fn = lee_fn(hopf)
     else:
         fn = hopf.kahler_form
-    lhs = codifferential_values(hopf.metric, fn, valence, pts)
+    lhs = Evaluation(hopf, pts).codiff(fn, valence)
     g = hopf.metric(pts)
 
     def star_fn(p):
@@ -113,11 +114,12 @@ def test_codifferential_equals_minus_star_d_star_dim4(hopf, valence):
 
 def test_codifferential_public_contract(hopf):
     p = np.array([1.0, 0.0, 0.0, 0.0])
-    out = codifferential_values(hopf.metric, hopf.kahler_form, 2, p)
-    assert out.shape == (4,)
+    ev = Evaluation(hopf, p)
+    out = ev.codiff(hopf.kahler_form, 2)
+    assert out.shape == (1, 4)  # a single point
     scalar = lambda q: np.ones(np.shape(q)[:-1])
     with pytest.raises(ContractViolationError):
-        codifferential_values(hopf.metric, scalar, 0, p)
+        ev.codiff(scalar, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +223,7 @@ def test_tensor_norm_conventions(hopf):
     # full-index |T|^2 on the Hopf chart is 24 (calibrated by the trace
     # identity), both as a sum of frame components and as a g^{-1} contraction
     p = np.array([1.3, -0.2, 0.4, 0.1])
-    T = torsion_bismut_values(hopf, p)
+    T = Evaluation(hopf, p).T[0]
     tf = to_frame(T, gram_schmidt_frames(hopf.metric(p)), 3)
     assert abs(np.sum(tf * tf) - 24.0) < 1e-5
     assert abs(norm_sq_values(T, metric_inverse(hopf.metric(p)), 3) - 24.0) < 1e-5
@@ -229,8 +231,8 @@ def test_tensor_norm_conventions(hopf):
 
 def test_operations_are_pure(hopf):
     pts = sample("hopf_standard", 4)
-    a = torsion_bismut_values(hopf, pts)
-    b = torsion_bismut_values(hopf, pts)
+    a = torsion_bismut_values(Evaluation(hopf, pts))
+    b = torsion_bismut_values(Evaluation(hopf, pts))
     assert np.array_equal(a, b)
     fa = gram_schmidt_frames(hopf.metric(pts))
     fb = gram_schmidt_frames(hopf.metric(pts))
