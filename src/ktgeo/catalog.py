@@ -38,12 +38,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChartDomainError, NumericError, PreconditionError, UnknownManifoldError
-from .tensor_core import fd_partial, kahler_form_values
+from .tensor_core import fd_partial, kahler_form_values, levi_civita_symbol
 
 __all__ = [
     "Chart", "BoxChart", "AnnulusChart", "ConformalParent", "HermitianManifold",
     "get_manifold", "catalog_names", "register_manifold", "conformal_rescale",
-    "hermitian_residuals",
+    "hermitian_residuals", "quaternion_residual",
 ]
 
 
@@ -381,18 +381,23 @@ def hermitian_residuals(m: HermitianManifold, points: np.ndarray, step=1e-4) -> 
     out["nijenhuis_residual"] = nij
 
     if m.hypercomplex is not None:
-        js = [m.complex_structure(pts)] + [f(pts) for f in m.hypercomplex]
-        eps = np.zeros((3, 3, 3))
-        eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1
-        eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1
-        worst = 0.0
-        for a in range(3):
-            for b in range(3):
-                prod = np.einsum("...ik,...kj->...ij", js[a], js[b])
-                expect = -(a == b) * eye
-                for c in range(3):
-                    if eps[a, b, c]:
-                        expect = expect + eps[a, b, c] * js[c]
-                worst = max(worst, float(np.max(np.abs(prod - expect))))
-        out["quaternion_residual"] = worst
+        out["quaternion_residual"] = quaternion_residual(
+            [m.complex_structure(pts)] + [f(pts) for f in m.hypercomplex])
     return out
+
+
+def quaternion_residual(js) -> float:
+    """Largest deviation of a triple of complex structures at the same points
+    from the quaternion relations ``J_a J_b = -delta_ab + eps_abc J_c``."""
+    eye = np.eye(js[0].shape[-1])
+    eps = levi_civita_symbol(3)
+    worst = 0.0
+    for a in range(3):
+        for b in range(3):
+            prod = np.einsum("...ik,...kj->...ij", js[a], js[b])
+            expect = -(a == b) * eye
+            for c in range(3):
+                if eps[a, b, c]:
+                    expect = expect + eps[a, b, c] * js[c]
+            worst = max(worst, float(np.max(np.abs(prod - expect))))
+    return worst

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import HermitianManifold, hermitian_residuals
+from .catalog import HermitianManifold, quaternion_residual
 from .errors import PreconditionError
 from .identities import Evaluation, evaluation, evaluation_scope
 from .tensor_core import DEFAULT_STEP, norm_sq_values, to_frame, wedge
@@ -104,9 +104,9 @@ def check_hkt(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
     if m.hypercomplex is None:
         raise PreconditionError(f"{m.name} carries no hypercomplex triple")
     ev = evaluation(m, pts, step)
-    quat = hermitian_residuals(m, ev.pts, step)["quaternion_residual"]
     evs = [ev] + [Evaluation(replace(m, complex_structure=j_fn, hypercomplex=None), ev.pts, step)
                   for j_fn in m.hypercomplex]
+    quat = quaternion_residual([e.J for e in evs])
     pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
     t_match = max(ev.residual("torsion_match", evs[a].T - evs[b].T)[0] for a, b in pairs)
     l_match = max(ev.residual("lee_match", evs[a].theta - evs[b].theta)[0] for a, b in pairs)

@@ -2,9 +2,10 @@
 
 Every function here is a formula over the fields that one evaluation
 (``identities.Evaluation``) holds for one point set: the metric, its inverse,
-J, the metric derivative ``dg`` and the exterior derivative ``dOm`` of the
-Kaehler form.  None of them evaluates a chart field; the evaluation decides
-where stencils are applied and what is kept.
+J, the coordinate derivatives ``partial`` of its primitives, the metric
+derivative ``dg`` and the exterior derivative ``dOm`` of the Kaehler form.
+None of them evaluates a chart field or places a stencil; the evaluation
+decides where stencils are applied and what is kept.
 
 Coefficient conventions:
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConventionError
-from .tensor_core import fd_partial, koszul_values
+from .tensor_core import codifferential_of, covariant_derivative_of, koszul_values
 
 __all__ = [
     "torsion_bismut_values", "torsion_chern_values", "lower_coefficients",
@@ -104,8 +105,8 @@ def lee_form_routes(ev):
 
 
 def _lee_via_codiff(ev) -> np.ndarray:
-    cod = ev.codiff(lambda p: ev.at(p).omega, 2)
-    return np.einsum("...bi,...b->...i", ev.J, cod)
+    nab = covariant_derivative_of(ev.partial("omega"), ev.omega, ev.gamma("levi_civita"), 2)
+    return np.einsum("...bi,...b->...i", ev.J, codifferential_of(nab, ev.ginv, 2))
 
 
 def lee_form_values(ev, check: bool = True, tol: float = 1e-5) -> np.ndarray:
@@ -131,8 +132,8 @@ def lee_form_values(ev, check: bool = True, tol: float = 1e-5) -> np.ndarray:
 def compatibility_residuals(ev, flavor: str) -> dict:
     """Residuals of nabla g = 0 and nabla J = 0 for the given connection."""
     gamma = ev.gamma(flavor)
-    nab_g = ev.nabla(lambda p: ev.at(p).g, 2, flavor)
-    dJ = fd_partial(lambda p: ev.at(p).J, ev.pts, ev.step)
+    nab_g = covariant_derivative_of(ev.partial("g"), ev.g, gamma, 2)
+    dJ = ev.partial("J")
     nab_j = (dJ + np.einsum("...kdm,...mj->...dkj", gamma, ev.J)
              - np.einsum("...mdj,...km->...dkj", gamma, ev.J))
     out = {"nabla_g": float(np.max(np.abs(nab_g))),

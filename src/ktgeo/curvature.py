@@ -30,11 +30,11 @@ import numpy as np
 
 from .connections import lower_coefficients
 from .errors import PreconditionError
-from .tensor_core import fd_partial, j_trace_matrix, levi_civita_symbol, proj_one_one
+from .tensor_core import fd_partial, levi_civita_symbol
 
 __all__ = [
     "riemann_values", "lambda_omega_values", "weyl_selfdual_values",
-    "ricci_from_curvature", "rho_from_curvature", "j_trace_matrix",
+    "ricci_from_curvature", "rho_from_curvature",
 ]
 
 
@@ -64,14 +64,13 @@ def rho_from_curvature(r: np.ndarray, jg: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...xyab,...ba->...xy", r, jg)
 
 
-def lambda_omega_values(dT: np.ndarray, J: np.ndarray, jg: np.ndarray):
-    """lambda_omega, its scalar half-J-trace h, and its (1,1)-defect, from the
-    exterior derivative ``dT`` of the Bismut torsion, J and the J-trace
-    matrix at the same points."""
+def lambda_omega_values(dT: np.ndarray, jg: np.ndarray):
+    """lambda_omega and its scalar half-J-trace h, from the exterior
+    derivative ``dT`` of the Bismut torsion and the J-trace matrix at the
+    same points."""
     lam = np.einsum("...xyab,...ba->...xy", dT, jg)
     h = 0.5 * np.einsum("...mn,...mn->...", lam, jg)
-    defect = float(np.max(np.abs(lam - proj_one_one(lam, J))))
-    return lam, h, defect
+    return lam, h
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,10 @@ from .curvature import (
 )
 from .errors import ContractViolationError, NumericError, PreconditionError
 from .tensor_core import (
-    DEFAULT_STEP, codifferential_of, covariant_derivative_values, cyclic3_of4,
-    exterior_derivative_values, fd_partial, gram_schmidt_frames,
-    hodge_star_values, j_trace_matrix, kahler_form_values, metric_inverse,
-    norm_sq_values, proj_one_one, to_frame, wedge,
+    DEFAULT_STEP, codifferential_of, covariant_derivative_of, cyclic3_of4,
+    exterior_derivative_of, fd_partial, gram_schmidt_frames, hodge_star_values,
+    j_trace_matrix, kahler_form_values, metric_inverse, norm_sq_values,
+    proj_one_one, to_frame, wedge,
 )
 
 __all__ = [
@@ -125,13 +125,14 @@ class Evaluation:
     """Every primitive of one manifold at one point set, each computed once.
 
     Primitives are computed on first use from the fields held for the same
-    point set, and then held read-only.  A derivative differentiates the
-    evaluations of the same manifold and step on the stencil sets around the
-    points (:meth:`at`), so the primitives of a stencil set are computed once
-    as well.  Only the stencil sets around the base points are held; the
-    deeper sets a curvature needs are built, used and dropped.  The chart
-    domain is checked once, on the base points, with the margin the deepest
-    stencil needs.  :meth:`residual` is the engine's one residual measure.
+    point set, and then held read-only.  :meth:`partial`, the coordinate
+    derivative of a primitive, is one stencil pass over the evaluations on
+    the stencil sets around the points (:meth:`at`); every derivative of a
+    primitive is a formula over it.  Only the stencil sets around the base
+    points are held; the deeper sets are built once, for the one pass over
+    ``g`` and ``omega``, and dropped.  The chart domain is checked once, on
+    the base points, with the margin the deepest stencil needs.
+    :meth:`residual` is the engine's one residual measure.
     """
 
     def __init__(self, m: HermitianManifold, pts, step: float = DEFAULT_STEP):
@@ -169,10 +170,19 @@ class Evaluation:
         ev._values, ev._stencils = {}, None
         return ev
 
-    def _field(self, attr):
-        """The primitive ``attr`` as a field on these points and the stencil
-        sets around them."""
-        return lambda p: getattr(self.at(p), attr)
+    def partial(self, attr: str) -> np.ndarray:
+        """``D_d`` of the primitive ``attr`` here, derivative axis first: one
+        central-difference pass over the stencil evaluations, held read-only.
+        ``g`` and ``omega`` share a pass, so each stencil set is built once."""
+        if ("partial", attr) not in self._values:
+            attrs = ("g", "omega") if attr in ("g", "omega") else (attr,)
+            def values(p):
+                ev = self.at(p)
+                return np.concatenate([getattr(ev, a) for a in attrs], axis=-1)
+            df = fd_partial(values, self.pts, self.step)
+            for a, part in zip(attrs, np.split(df, len(attrs), axis=-1)):
+                self._values[("partial", a)] = _frozen(np.ascontiguousarray(part))
+        return self._values[("partial", attr)]
 
     # -- chart data ------------------------------------------------------------
 
@@ -203,12 +213,12 @@ class Evaluation:
     @_primitive
     def dg(self):
         """dg[d,a,b] = D_d g_ab."""
-        return fd_partial(self._field("g"), self.pts, self.step)
+        return self.partial("g")
 
     @_primitive
     def dOm(self):
         """Exterior derivative of the Kaehler form."""
-        return exterior_derivative_values(self._field("omega"), self.pts, 2, self.step)
+        return exterior_derivative_of(self.partial("omega"), 2)
 
     # -- torsion and the Lee form ------------------------------------------------
 
@@ -222,21 +232,20 @@ class Evaluation:
 
     @_primitive
     def dT(self):
-        return exterior_derivative_values(self._field("T"), self.pts, 3, self.step)
+        return exterior_derivative_of(self.partial("T"), 3)
 
-    @cached_property
-    def _lambda_omega(self):
-        return tuple(_frozen(v) for v in lambda_omega_values(self.dT, self.J, self.jg))
-
-    @property
-    def lam(self) -> np.ndarray:
-        """lambda_omega(X,Y) = sum_i dT(X,Y,e_i,J e_i)."""
-        return self._lambda_omega[0]
+    @_primitive
+    def lam(self):
+        """lambda_omega(X,Y) = sum_i dT(X,Y,e_i,J e_i); the same call gives h."""
+        lam, h = lambda_omega_values(self.dT, self.jg)
+        self._values["h"] = _frozen(h)
+        return lam
 
     @property
     def h(self) -> np.ndarray:
-        """2 h = jtr(lambda_omega)."""
-        return self._lambda_omega[1]
+        """2 h = jtr(lambda_omega), held with lam."""
+        self.lam  # computes both on first use
+        return self._values["h"]
 
     @_primitive
     def theta(self):
@@ -250,11 +259,11 @@ class Evaluation:
 
     @_primitive
     def dtheta(self):
-        return exterior_derivative_values(self._field("theta"), self.pts, 1, self.step)
+        return exterior_derivative_of(self.partial("theta"), 1)
 
     @_primitive
     def d_jtheta(self):
-        return exterior_derivative_values(self._field("jtheta"), self.pts, 1, self.step)
+        return exterior_derivative_of(self.partial("jtheta"), 1)
 
     @_primitive
     def tt4(self):
@@ -277,22 +286,23 @@ class Evaluation:
         return self._once(("gamma", flavor), compute)
 
     def nabla(self, fn, valence: int, flavor: str) -> np.ndarray:
-        """Covariant derivative of a field at these points, computed on every
-        call (the derivatives of T and theta are kept by nabla_T and
-        nabla_theta)."""
-        return covariant_derivative_values(fn, valence, self.pts, self.gamma(flavor), self.step)
+        """Covariant derivative of a field that is not a primitive, computed
+        on every call (a primitive's is a formula over :meth:`partial`)."""
+        return covariant_derivative_of(fd_partial(fn, self.pts, self.step), fn(self.pts),
+                                       self.gamma(flavor), valence)
 
     def codiff(self, fn, valence: int) -> np.ndarray:
-        """Codifferential of a form field at these points, computed on every
-        call."""
+        """Codifferential of a form field that is not a primitive, computed
+        on every call."""
         return codifferential_of(self.nabla(fn, valence, "levi_civita"), self.ginv, valence)
 
     def nabla_T(self, flavor: str) -> np.ndarray:
-        return self._once(("nabla_T", flavor), lambda: self.nabla(self._field("T"), 3, flavor))
+        return self._once(("nabla_T", flavor), lambda: covariant_derivative_of(
+            self.partial("T"), self.T, self.gamma(flavor), 3))
 
     def nabla_theta(self, flavor: str) -> np.ndarray:
-        return self._once(("nabla_theta", flavor),
-                          lambda: self.nabla(self._field("theta"), 1, flavor))
+        return self._once(("nabla_theta", flavor), lambda: covariant_derivative_of(
+            self.partial("theta"), self.theta, self.gamma(flavor), 1))
 
     @_primitive
     def codiff_T(self):
@@ -588,7 +598,7 @@ def verify_conformal_trace(m: HermitianManifold, pts, h=DEFAULT_STEP) -> Residua
     parent = evaluation(m.conformal_parent.parent, ev.pts, h)
     f_fn = m.conformal_parent.log_factor
     big_f_fn = lambda p: 2.0 * f_fn(p)
-    df_fn = lambda p: exterior_derivative_values(big_f_fn, p, 0, h)
+    df_fn = lambda p: fd_partial(big_f_fn, p, h)
     n = m.dim // 2
 
     lhs = 2.0 * np.exp(big_f_fn(ev.pts)) * ev.u
@@ -610,15 +620,6 @@ def run_identity_suite(m: HermitianManifold, pts, h=DEFAULT_STEP):
         entries += verify_ricci_skews(m, pts, h)
         entries += verify_chern_traces(m, pts, h)
     return entries
-
-
-CURVATURE_BEARING = [
-    "torsion_nabla_exchange", "torsion_ext_derivative", "bianchi_with_torsion",
-    "curvature_comparison", "ricci_comparison", "ricci_form_mixed_trace",
-    "b_scalar_relation", "ricci_skew_coclosure", "ricci_j_conjugation",
-    "ricci_form_type_defect", "mean_curvature_formula", "chern_vs_bismut_ricci",
-    "lambda_trace_calibration", "u_trace_formula",
-]
 
 
 def richardson_ratios(m: HermitianManifold, pts, h=4e-3) -> dict:

@@ -20,12 +20,16 @@ All conventions used by the rest of the engine are fixed here, once:
 - Norms: full index sums of orthonormal-frame components, no combinatorial
   division.
 - Differentiation: central differences with default step ``1e-4`` on
-  O(1)-scaled charts.  Curvature-grade objects nest two stencils, so an
-  evaluation needs a chart margin of two steps around each point; the
-  evaluation context checks it once per point set.
+  O(1)-scaled charts.  ``fd_partial`` places every stencil; the derivative
+  operators (exterior, covariant, codifferential) are formulas over a
+  coordinate derivative already taken, derivative axis first.
+  Curvature-grade objects nest two stencils, so an evaluation needs a chart
+  margin of two steps around each point; the evaluation context checks it
+  once per point set.
 
 Everything here is a pure function of its arguments.  The evaluation context
-(``identities.Evaluation``) computes each shared primitive once per point set;
+(``identities.Evaluation``) computes each shared primitive, and the coordinate
+derivative of each differentiated one, once per point set;
 the two sides of an identity stay independent because they are built from
 different formulas, not because a pure function is evaluated twice.
 """
@@ -67,15 +71,12 @@ def fd_partial(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
     return (plus - minus) / (2.0 * step)
 
 
-def exterior_derivative_values(fn, points, valence: int, step: float = DEFAULT_STEP) -> np.ndarray:
-    """d of a p-form field, batched; see module docstring for the convention."""
-    df = fd_partial(fn, points, step)  # (..., d, slots)
-    p = valence
-    out = df.copy() if p == 0 else np.zeros_like(df)
-    if p == 0:
-        return out
-    for m in range(p + 1):
-        out += (-1) ** m * np.moveaxis(df, -(p + 1), -(p + 1) + m)
+def exterior_derivative_of(df: np.ndarray, valence: int) -> np.ndarray:
+    """d of a p-form from its coordinate derivative ``df`` (derivative axis
+    first); see module docstring for the convention."""
+    out = np.zeros_like(df)
+    for m in range(valence + 1):
+        out += (-1) ** m * np.moveaxis(df, -(valence + 1), -(valence + 1) + m)
     return out
 
 
@@ -109,14 +110,12 @@ def koszul_values(dg: np.ndarray) -> np.ndarray:
                   - np.einsum("...lij->...lij", dg))
 
 
-def covariant_derivative_values(fn, valence: int, points, gamma: np.ndarray,
-                                step: float = DEFAULT_STEP) -> np.ndarray:
-    """Covariant derivative of a covariant field given connection
-    coefficients at the same points; derivative axis first."""
-    nab = fd_partial(fn, points, step)
-    if valence == 0:
-        return nab
-    base = fn(points)
+def covariant_derivative_of(df: np.ndarray, base: np.ndarray, gamma: np.ndarray,
+                            valence: int) -> np.ndarray:
+    """Covariant derivative of a covariant field from its coordinate
+    derivative ``df`` (derivative axis first), its values ``base`` and the
+    connection coefficients at the same points; derivative axis first."""
+    nab = df
     slots = _SLOT[:valence]
     for s in range(valence):
         t_sub = slots[:s] + "m" + slots[s + 1:]
@@ -285,11 +284,6 @@ def interior_product(vec_contra: np.ndarray, t: np.ndarray, valence: int) -> np.
 def cyclic3_of4(t: np.ndarray) -> np.ndarray:
     """Sum over cyclic permutations of the first three slots of t[x,y,z,u]."""
     return t + np.einsum("...yzxu->...xyzu", t) + np.einsum("...zxyu->...xyzu", t)
-
-
-def cyclic3_of3(t: np.ndarray) -> np.ndarray:
-    """Sum over cyclic permutations of the slots of t[x,y,z]."""
-    return t + np.einsum("...yzx->...xyz", t) + np.einsum("...zxy->...xyz", t)
 
 
 def proj_one_one(alpha: np.ndarray, J: np.ndarray) -> np.ndarray:

@@ -256,20 +256,27 @@ def _counted(metric, points):
     return fn
 
 
-def test_report_metric_evaluations(tmp_path):
-    # each stencil set's fields are evaluated once per held set: 1,764 metric
-    # points when every primitive re-derived them from the chart
-    hopf = get_manifold("hopf_standard")
-    parent = hopf.conformal_parent
+# a full 2-point report evaluates each metric at 1 + 2d + (2d)^2 points per
+# base point: the base points, the held stencil sets, and the sets around them
+# built once for the one stencil pass over g and omega (hopf_standard counts
+# its conformal parent as well)
+_METRIC_POINTS = {"hopf_standard": 292, "su2xu1": 146, "block_conformal_torus_6": 314}
+
+
+@pytest.mark.parametrize("name", _METRIC_POINTS)
+def test_report_metric_evaluations(tmp_path, name):
+    m = block_conformal_torus_6() if name == "block_conformal_torus_6" else get_manifold(name)
     points = []
-    register_manifold(replace(
-        hopf, name="counted_hopf", metric=_counted(hopf.metric, points),
-        conformal_parent=replace(parent, parent=replace(
-            parent.parent, metric=_counted(parent.parent.metric, points)))))
-    code = main(["report", "--manifold", "counted_hopf", "--points", "2",
+    parent = m.conformal_parent
+    if parent is not None:
+        parent = replace(parent, parent=replace(
+            parent.parent, metric=_counted(parent.parent.metric, points)))
+    register_manifold(replace(m, name=f"counted_{name}", metric=_counted(m.metric, points),
+                              conformal_parent=parent))
+    code = main(["report", "--manifold", f"counted_{name}", "--points", "2",
                  "--out", str(tmp_path / "r.json")])
     assert code == 0
-    assert sum(points) == 676
+    assert sum(points) == _METRIC_POINTS[name]
 
 
 def test_report_leaves_no_evaluation_alive(monkeypatch, tmp_path):

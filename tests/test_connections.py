@@ -9,7 +9,7 @@ from ktgeo.connections import (
 from ktgeo.errors import ChartDomainError
 from ktgeo.identities import Evaluation
 from ktgeo.tensor_core import (
-    covariant_derivative_values, exterior_derivative_values, wedge,
+    covariant_derivative_of, exterior_derivative_of, fd_partial, wedge,
 )
 
 from conftest import sample
@@ -78,7 +78,7 @@ def test_chern_torsion_from_kahler_form_derivative(conf4):
     pts = sample("conf_torus_4", 8)
     C = torsion_chern_values(Evaluation(conf4, pts))
     assert np.max(np.abs(C)) > 1e-2  # genuinely nonzero
-    dom = exterior_derivative_values(conf4.kahler_form, pts, 2)
+    dom = exterior_derivative_of(fd_partial(conf4.kahler_form, pts), 2)
     J = conf4.complex_structure(pts)
     rhs = 0.5 * (np.einsum("...ai,...ajk->...ijk", J, dom)
                  + np.einsum("...bj,...ibk->...ijk", J, dom))
@@ -151,7 +151,8 @@ def test_covariant_derivative_basics(flat4, hopf):
     const = lambda p: np.broadcast_to(np.array([1.0, 0, 2.0, 0]),
                                       np.asarray(p).shape[:-1] + (4,)).copy()
     p = pts[0]
-    out = covariant_derivative_values(const, 1, p, Evaluation(flat4, p).gamma("bismut")[0])
+    out = covariant_derivative_of(fd_partial(const, p), const(p),
+                                  Evaluation(flat4, p).gamma("bismut")[0], 1)
     assert out.shape == (4, 4)
     assert np.max(np.abs(out)) < 1e-12
 

@@ -3,14 +3,13 @@ import pytest
 
 from ktgeo.catalog import catalog_names, get_manifold
 from ktgeo.curvature import (
-    j_trace_matrix, lambda_omega_values, riemann_values, rho_from_curvature,
-    weyl_selfdual_values,
+    lambda_omega_values, riemann_values, rho_from_curvature, weyl_selfdual_values,
 )
 from ktgeo.errors import PreconditionError
 from ktgeo.identities import Evaluation
 from ktgeo.tensor_core import (
-    exterior_derivative_values, gram_schmidt_frames, hodge_star_values,
-    metric_inverse, proj_two_zero, to_frame,
+    exterior_derivative_of, fd_partial, gram_schmidt_frames, hodge_star_values,
+    j_trace_matrix, metric_inverse, proj_one_one, proj_two_zero, to_frame,
 )
 
 from conftest import lee_fn, sample
@@ -91,7 +90,8 @@ def test_rho_chern_is_one_one():
 def test_lambda_omega_cases():
     def lambda_omega(m, pts):
         ev = Evaluation(m, pts)
-        return lambda_omega_values(ev.dT, ev.J, ev.jg)
+        lam, h = lambda_omega_values(ev.dT, ev.jg)
+        return lam, h, np.max(np.abs(lam - proj_one_one(lam, ev.J)))
 
     flat = get_manifold("flat_torus_4")
     pts = flat.sample_points(4, seed=0)
@@ -147,7 +147,7 @@ def test_rho_two_zero_part_from_selfdual_lee_derivative(conf4):
     rho = rho_from_curvature(riemann_values(Evaluation(conf4, pts), "bismut"),
                              j_trace_matrix(J, ginv))
     lhs = proj_two_zero(rho, J)
-    dth = exterior_derivative_values(lee_fn(conf4), pts, 1)
+    dth = exterior_derivative_of(fd_partial(lee_fn(conf4), pts), 1)
     dth_plus = 0.5 * (dth + hodge_star_values(dth, conf4.metric(pts), 2))
     rhs = np.einsum("...my,...mx->...xy", dth_plus, J)
     rhs = 0.5 * (rhs - np.einsum("...xy->...yx", rhs))

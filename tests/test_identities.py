@@ -64,8 +64,8 @@ def test_hopf_mean_curvature_reduces_to_chern_torsion_square(hopf):
     # with vanishing rho and lambda: kappa(JX,Y) = <i_X C, i_Y C>
     pts = sample("hopf_standard", 8)
     from ktgeo.connections import torsion_chern_values
-    from ktgeo.curvature import j_trace_matrix, riemann_values
-    from ktgeo.tensor_core import metric_inverse
+    from ktgeo.curvature import riemann_values
+    from ktgeo.tensor_core import j_trace_matrix, metric_inverse
     ginv = metric_inverse(hopf.metric(pts))
     J = hopf.complex_structure(pts)
     ev = Evaluation(hopf, pts)

@@ -8,7 +8,7 @@ from ktgeo.connections import torsion_bismut_values
 from ktgeo.errors import ChartDomainError, ContractViolationError, NumericError
 from ktgeo.identities import Evaluation
 from ktgeo.tensor_core import (
-    alt, exterior_derivative_values, gram_schmidt_frames,
+    alt, exterior_derivative_of, fd_partial, gram_schmidt_frames,
     hodge_star_values, j_trace_values, metric_inverse, norm_sq_values, to_frame,
     wedge,
 )
@@ -24,7 +24,7 @@ def test_d_of_constant_one_form_is_zero(flat4):
     const = lambda pts: np.broadcast_to(np.array([1.0, 2.0, -1.0, 0.5]),
                                         np.asarray(pts).shape[:-1] + (4,)).copy()
     pts = sample("flat_torus_4", 8)
-    d = exterior_derivative_values(const, pts, 1)
+    d = exterior_derivative_of(fd_partial(const, pts), 1)
     assert np.max(np.abs(d)) == 0.0
 
 
@@ -34,12 +34,12 @@ def test_d_squared_vanishes_on_catalog_fields(name):
     m = get_manifold(name)
     pts = m.sample_points(32, seed=5)
     om_fn = m.kahler_form
-    ddom = exterior_derivative_values(
-        lambda p: exterior_derivative_values(om_fn, p, 2), pts, 3)
+    ddom = exterior_derivative_of(fd_partial(
+        lambda p: exterior_derivative_of(fd_partial(om_fn, p), 2), pts), 3)
     assert np.max(np.abs(ddom)) < 1e-6
     th_fn = lee_fn(m)
-    ddth = exterior_derivative_values(
-        lambda p: exterior_derivative_values(th_fn, p, 1), pts, 2)
+    ddth = exterior_derivative_of(fd_partial(
+        lambda p: exterior_derivative_of(fd_partial(th_fn, p), 1), pts), 2)
     assert np.max(np.abs(ddth)) < 1e-6
 
 
@@ -63,7 +63,7 @@ def _hopf_domega_oracle(p):
 
 def test_exterior_derivative_matches_symbolic_oracle_on_hopf(hopf):
     pts = np.array([[1.0, 0.0, 0.0, 0.0], [0.7, -0.3, 0.5, 0.2]])
-    d_num = exterior_derivative_values(hopf.kahler_form, pts, 2)
+    d_num = exterior_derivative_of(fd_partial(hopf.kahler_form, pts), 2)
     d_sym = _hopf_domega_oracle(pts)
     assert np.max(np.abs(d_num - d_sym)) < 1e-6
     # and it is genuinely nonzero there
@@ -72,7 +72,7 @@ def test_exterior_derivative_matches_symbolic_oracle_on_hopf(hopf):
 
 def test_exterior_derivative_public_contract(hopf):
     p = np.array([1.0, 0.0, 0.0, 0.0])
-    out = exterior_derivative_values(hopf.kahler_form, p, 2)
+    out = exterior_derivative_of(fd_partial(hopf.kahler_form, p), 2)
     assert out.shape == (4, 4, 4)
     assert np.max(np.abs(out - alt(out, 3))) < 1e-12  # a 3-form
     with pytest.raises(ChartDomainError):
@@ -107,7 +107,7 @@ def test_codifferential_equals_minus_star_d_star_dim4(hopf, valence):
     def star_fn(p):
         return hodge_star_values(fn(p), hopf.metric(p), valence)
 
-    d_star = exterior_derivative_values(star_fn, pts, 4 - valence)
+    d_star = exterior_derivative_of(fd_partial(star_fn, pts), 4 - valence)
     rhs = -hodge_star_values(d_star, g, 4 - valence + 1)
     assert np.max(np.abs(lhs - rhs)) < 1e-6
 
