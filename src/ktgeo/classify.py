@@ -11,7 +11,7 @@ with the curvature endomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .catalog import HermitianManifold, quaternion_residual
 from .errors import PreconditionError
 from .identities import Evaluation, evaluation, evaluation_scope
-from .tensor_core import DEFAULT_STEP, norm_sq_values, to_frame, wedge
+from .tensor_core import DEFAULT_STEP, to_frame, wedge
 
 __all__ = [
     "StructureFlags", "HktFlags", "classify", "check_hkt",
@@ -104,8 +104,7 @@ def check_hkt(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
     if m.hypercomplex is None:
         raise PreconditionError(f"{m.name} carries no hypercomplex triple")
     ev = evaluation(m, pts, step)
-    evs = [ev] + [Evaluation(replace(m, complex_structure=j_fn, hypercomplex=None), ev.pts, step)
-                  for j_fn in m.hypercomplex]
+    evs = [ev] + [ev.with_structure(j_fn) for j_fn in m.hypercomplex]
     quat = quaternion_residual([e.J for e in evs])
     pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
     t_match = max(ev.residual("torsion_match", evs[a].T - evs[b].T)[0] for a, b in pairs)
@@ -123,8 +122,7 @@ def vanishing_hypotheses(m: HermitianManifold, pts, step: float = DEFAULT_STEP) 
       ``<<X,Y>> = rho^{1,1}(JX,Y) + <i_X C, i_Y C> - lambda(JX,Y)/4``.
     """
     ev = evaluation(m, pts, step)
-    c2 = norm_sq_values(ev.C, ev.ginv, 3)
-    margin = float(np.min(ev.b + c2 - 0.5 * ev.h))
+    margin = float(np.min(ev.b + ev.norm_sq("C") - 0.5 * ev.h))
 
     quad_f = to_frame(ev.mean_curvature_form, ev.frames, 2)
     quad_f = 0.5 * (quad_f + np.swapaxes(quad_f, -1, -2))

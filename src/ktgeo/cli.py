@@ -8,8 +8,8 @@ Verbs:
 - ``ktgeo suite --all`` runs every manifold through every suite.
 
 Exit status: 0 when every asserted check passes, 1 when a residual fails,
-2 for an unknown manifold name, 3 for a numeric failure (degenerate metric,
-stencil leaving the chart, ...).
+2 for an unknown manifold, an invalid configuration or an unwritable report,
+3 for a numeric failure (degenerate metric, stencil leaving the chart, ...).
 
 Reports are deterministic: identical configurations produce byte-identical
 documents.  Floats are serialized with 17 significant digits and keys keep a
@@ -305,8 +305,12 @@ def main(argv=None) -> int:
 
     text = render_report(report)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report["overall_pass"] else 1

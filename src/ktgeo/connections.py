@@ -2,17 +2,17 @@
 
 Every function here is a formula over the fields that one evaluation
 (``identities.Evaluation``) holds for one point set: the metric, its inverse,
-J, the coordinate derivatives ``partial`` of its primitives, the metric
-derivative ``dg`` and the exterior derivative ``dOm`` of the Kaehler form.
-None of them evaluates a chart field or places a stencil; the evaluation
-decides where stencils are applied and what is kept.
+J, the coordinate derivatives ``partial`` of its primitives, the Levi-Civita
+coefficients ``koszul`` and the exterior derivative ``dOm`` of the Kaehler
+form.  None of them evaluates a chart field or places a stencil; the
+evaluation decides where stencils are applied and what is kept.
 
 Coefficient conventions:
 
-- all-lower coefficients ``omega[l,i,j] = g(nabla_{d_i} d_j, d_l)`` are built
-  by Koszul-style formulas from the metric derivative; the raised coefficients
-  ``Gamma[k,i,j] = g^{kl} omega[l,i,j]`` (``Evaluation.gamma``) use a single
-  inversion of g per point;
+- all-lower coefficients ``omega[l,i,j] = g(nabla_{d_i} d_j, d_l)`` add a
+  flavor's torsion term to the Levi-Civita ones, held once per point set;
+  the raised coefficients ``Gamma[k,i,j] = g^{kl} omega[l,i,j]``
+  (``Evaluation.gamma``) use a single inversion of g per point;
 - the Bismut connection adds half its torsion:  ``g(nabla_X Y, Z) =
   g(nabla^g_X Y, Z) + T(X,Y,Z)/2`` with ``T(X,Y,Z) = -d(omega)(JX,JY,JZ)``;
 - the Chern connection adds ``d(omega)(JX,Y,Z)/2``;
@@ -30,13 +30,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConventionError
-from .tensor_core import codifferential_of, covariant_derivative_of, koszul_values
+from .tensor_core import codifferential_of, covariant_derivative_of
 
 __all__ = [
     "torsion_bismut_values", "torsion_chern_values", "lower_coefficients",
     "lee_form_values", "lee_form_routes", "compatibility_residuals",
     "torsion_type_defect",
 ]
+
+LEE_ROUTE_TOL = 1e-5  # largest spread allowed between the Lee form's routes
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +74,7 @@ def torsion_type_defect(ev) -> float:
 
 def lower_coefficients(ev, flavor: str) -> np.ndarray:
     """All-lower coefficients omega[l,i,j] for the requested flavor."""
-    om = koszul_values(ev.dg)
+    om = ev.koszul
     if flavor == "levi_civita":
         return om
     if flavor == "bismut":
@@ -109,7 +111,7 @@ def _lee_via_codiff(ev) -> np.ndarray:
     return np.einsum("...bi,...b->...i", ev.J, codifferential_of(nab, ev.ginv, 2))
 
 
-def lee_form_values(ev, check: bool = True, tol: float = 1e-5) -> np.ndarray:
+def lee_form_values(ev, check: bool = True) -> np.ndarray:
     """The Lee form by the canonical codifferential route; with ``check`` the
     two torsion-trace routes are evaluated as well and must agree."""
     if not check:
@@ -117,10 +119,10 @@ def lee_form_values(ev, check: bool = True, tol: float = 1e-5) -> np.ndarray:
     via_codiff, via_T, via_C = lee_form_routes(ev)
     spread = max(float(np.max(np.abs(via_codiff - via_T))),
                  float(np.max(np.abs(via_codiff - via_C))))
-    if spread > tol:
+    if spread > LEE_ROUTE_TOL:
         raise ConventionError(
             "Lee form routes disagree beyond tolerance "
-            f"({spread:.3e} > {tol:.1e}); values: codiff={via_codiff!r}, "
+            f"({spread:.3e} > {LEE_ROUTE_TOL:.1e}); values: codiff={via_codiff!r}, "
             f"torsion={via_T!r}, chern={via_C!r}")
     return via_codiff
 

@@ -43,7 +43,7 @@ def riemann_values(ev, flavor: str) -> np.ndarray:
     om = lower_coefficients(ev, flavor)
     dom = fd_partial(lambda p: lower_coefficients(ev.at(p), flavor),
                      ev.pts, ev.step)                 # dom[d, l, i, j]
-    dg = ev.dg                                        # dg[d, a, b]
+    dg = ev.partial("g")                              # dg[d, a, b]
     gam = ev.gamma(flavor)
     r = (np.einsum("...iljk->...ijkl", dom)
          - np.einsum("...jlik->...ijkl", dom)

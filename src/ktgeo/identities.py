@@ -44,8 +44,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
-from functools import cached_property, wraps
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,8 +59,8 @@ from .errors import ContractViolationError, NumericError, PreconditionError
 from .tensor_core import (
     DEFAULT_STEP, codifferential_of, covariant_derivative_of, cyclic3_of4,
     exterior_derivative_of, fd_partial, gram_schmidt_frames, hodge_star_values,
-    j_trace_matrix, kahler_form_values, metric_inverse, norm_sq_values,
-    proj_one_one, to_frame, wedge,
+    j_trace_matrix, kahler_form_values, koszul_values, metric_inverse,
+    norm_sq_values, proj_one_one, to_frame, wedge,
 )
 
 __all__ = [
@@ -101,7 +100,9 @@ class ResidualEntry:
 # ---------------------------------------------------------------------------
 
 def _frozen(value):
-    """A read-only view of an array (the caller's array stays writable)."""
+    """A read-only view of an array, or of each in a tuple."""
+    if isinstance(value, tuple):
+        return tuple(map(_frozen, value))
     if isinstance(value, np.ndarray):
         value = value.view()
         value.flags.writeable = False
@@ -109,11 +110,9 @@ def _frozen(value):
 
 
 def _primitive(compute):
-    """A primitive computed on first use and then held read-only."""
-    @wraps(compute)
-    def get(self):
-        return _frozen(compute(self))
-    return cached_property(get)
+    """A primitive computed on first use and then held, under its name."""
+    return property(lambda self: self._once(compute.__name__, lambda: compute(self)),
+                    doc=compute.__doc__)
 
 
 def _tt2(T, ginv):
@@ -124,15 +123,17 @@ def _tt2(T, ginv):
 class Evaluation:
     """Every primitive of one manifold at one point set, each computed once.
 
-    Primitives are computed on first use from the fields held for the same
-    point set, and then held read-only.  :meth:`partial`, the coordinate
-    derivative of a primitive, is one stencil pass over the evaluations on
-    the stencil sets around the points (:meth:`at`); every derivative of a
-    primitive is a formula over it.  Only the stencil sets around the base
-    points are held; the deeper sets are built once, for the one pass over
-    ``g`` and ``omega``, and dropped.  The chart domain is checked once, on
-    the base points, with the margin the deepest stencil needs.
-    :meth:`residual` is the engine's one residual measure.
+    Every value is computed on first use from the values held for the same
+    point set, and then held read-only in one store.  :meth:`partial`, the
+    coordinate derivative of a primitive, is one stencil pass over the
+    evaluations on the stencil sets around the points (:meth:`at`); every
+    derivative of a primitive is a formula over it.  Only the stencil sets
+    around the base points are held; the deeper sets are built once, for the
+    one pass over ``g`` and ``omega``, and dropped.  :meth:`with_structure`
+    starts another complex structure from the metric-only values held here.
+    The chart domain is checked once, on the base points, with the margin the
+    deepest stencil needs.  :meth:`residual` is the engine's one residual
+    measure.
     """
 
     def __init__(self, m: HermitianManifold, pts, step: float = DEFAULT_STEP):
@@ -156,26 +157,38 @@ class Evaluation:
         if points is self.pts:
             return self
         points = np.asarray(points, dtype=float)
-        if self._stencils is None:
-            return self._stencil(points)
+        held = {} if self._stencils is None else self._stencils
         key = points.tobytes()
-        if key not in self._stencils:
-            self._stencils[key] = self._stencil(points)
-        return self._stencils[key]
+        if key not in held:
+            held[key] = self._derive(self.m, points)
+        return held[key]
 
-    def _stencil(self, points) -> "Evaluation":
-        # no domain check: the base evaluation made it for every stencil depth
+    def _derive(self, m, pts, keys=(), stencils=None) -> "Evaluation":
+        # starts from the values held here under keys; no domain check: the
+        # base evaluation made it for every stencil depth
         ev = Evaluation.__new__(Evaluation)
-        ev.m, ev.pts, ev.step = self.m, _frozen(points), self.step
-        ev._values, ev._stencils = {}, None
+        ev.m, ev.pts, ev.step = m, _frozen(pts), self.step
+        ev._values = {k: self._values[k] for k in keys if k in self._values}
+        ev._stencils = stencils
         return ev
+
+    def with_structure(self, j_fn) -> "Evaluation":
+        """The evaluation of the same metric, points and step with the complex
+        structure ``j_fn``, here and on the held stencil sets, starting from
+        the metric-only values held; this one keeps no reference to it."""
+        m = replace(self.m, complex_structure=j_fn, hypercomplex=None)
+        keys = ("g", "ginv", "frames", ("partial", "g"), "koszul", ("gamma", "levi_civita"))
+        stencils = None if self._stencils is None else {
+            key: ev._derive(m, ev.pts, keys) for key, ev in self._stencils.items()}
+        return self._derive(m, self.pts, keys, stencils)
 
     def partial(self, attr: str) -> np.ndarray:
         """``D_d`` of the primitive ``attr`` here, derivative axis first: one
         central-difference pass over the stencil evaluations, held read-only.
-        ``g`` and ``omega`` share a pass, so each stencil set is built once."""
+        ``g`` and ``omega`` share one pass unless one is held, so a set is built once."""
         if ("partial", attr) not in self._values:
-            attrs = ("g", "omega") if attr in ("g", "omega") else (attr,)
+            shared = ("g", "omega") if attr in ("g", "omega") else (attr,)
+            attrs = [a for a in shared if ("partial", a) not in self._values]
             def values(p):
                 ev = self.at(p)
                 return np.concatenate([getattr(ev, a) for a in attrs], axis=-1)
@@ -211,9 +224,9 @@ class Evaluation:
         return kahler_form_values(self.g, self.J)
 
     @_primitive
-    def dg(self):
-        """dg[d,a,b] = D_d g_ab."""
-        return self.partial("g")
+    def koszul(self):
+        """All-lower Levi-Civita coefficients, which every flavor builds on."""
+        return koszul_values(self.partial("g"))
 
     @_primitive
     def dOm(self):
@@ -235,17 +248,12 @@ class Evaluation:
         return exterior_derivative_of(self.partial("T"), 3)
 
     @_primitive
-    def lam(self):
-        """lambda_omega(X,Y) = sum_i dT(X,Y,e_i,J e_i); the same call gives h."""
-        lam, h = lambda_omega_values(self.dT, self.jg)
-        self._values["h"] = _frozen(h)
-        return lam
+    def lambda_omega(self):
+        """(lam, h): lam(X,Y) = sum_i dT(X,Y,e_i,J e_i) and 2 h = jtr(lam)."""
+        return lambda_omega_values(self.dT, self.jg)
 
-    @property
-    def h(self) -> np.ndarray:
-        """2 h = jtr(lambda_omega), held with lam."""
-        self.lam  # computes both on first use
-        return self._values["h"]
+    lam = property(lambda self: self.lambda_omega[0])
+    h = property(lambda self: self.lambda_omega[1])
 
     @_primitive
     def theta(self):
@@ -277,13 +285,9 @@ class Evaluation:
     # -- connections and derivatives -------------------------------------------------
 
     def gamma(self, flavor: str) -> np.ndarray:
-        """Raised coefficients Gamma[k,i,j] = g^{kl} omega[l,i,j] of a flavor,
-        held on the base points (a stencil set reads each once)."""
-        def compute():
-            return np.einsum("...kl,...lij->...kij", self.ginv, lower_coefficients(self, flavor))
-        if self._stencils is None:
-            return compute()
-        return self._once(("gamma", flavor), compute)
+        """Raised coefficients Gamma[k,i,j] = g^{kl} omega[l,i,j] of a flavor."""
+        return self._once(("gamma", flavor), lambda: np.einsum(
+            "...kl,...lij->...kij", self.ginv, lower_coefficients(self, flavor)))
 
     def nabla(self, fn, valence: int, flavor: str) -> np.ndarray:
         """Covariant derivative of a field that is not a primitive, computed
@@ -388,6 +392,11 @@ class Evaluation:
         worst = int(np.argmax(mags))
         return float(mags[worst]), tuple(self.pts[worst].tolist())
 
+    def norm_sq(self, attr: str) -> np.ndarray:
+        """The squared norm of the primitive ``attr``, held."""
+        t = getattr(self, attr)
+        return self._once(("norm_sq", attr), lambda: norm_sq_values(t, self.ginv, t.ndim - 1))
+
     def magnitude(self, attr: str) -> float:
         """The residual of the primitive ``attr`` itself (its largest frame
         component), measured once."""
@@ -483,9 +492,7 @@ def verify_ricci_traces(m: HermitianManifold, pts, h=DEFAULT_STEP):
     out.append(_entry(ev, "ricci_form_mixed_trace", ev.rho - rhs, TOL_CURVATURE))
 
     # scalar relation for b
-    t2 = norm_sq_values(ev.theta, ev.ginv, 1)
-    torsion2 = norm_sq_values(ev.T, ev.ginv, 3)
-    rhs = ev.scal - 3.0 * ev.codiff_theta - 2.0 * t2 + torsion2 / 3.0
+    rhs = ev.scal - 3.0 * ev.codiff_theta - 2.0 * ev.norm_sq("theta") + ev.norm_sq("T") / 3.0
     out.append(_entry(ev, "b_scalar_relation", ev.b - rhs, TOL_CURVATURE))
     return out
 
@@ -533,13 +540,11 @@ def verify_chern_traces(m: HermitianManifold, pts, h=DEFAULT_STEP):
 
     # J-trace of lambda (pins the norm convention)
     lhs = -np.einsum("...mn,...mn->...", ev.lam, ev.jg)  # = sum_i lambda(e_i, J e_i)
-    t2 = norm_sq_values(ev.theta, ev.ginv, 1)
-    torsion2 = norm_sq_values(ev.T, ev.ginv, 3)
-    rhs = 8.0 * t2 + 8.0 * ev.codiff_theta - 4.0 / 3.0 * torsion2
+    rhs = 8.0 * ev.norm_sq("theta") + 8.0 * ev.codiff_theta - 4.0 / 3.0 * ev.norm_sq("T")
     out.append(_entry(ev, "lambda_trace_calibration", lhs - rhs, TOL_CURVATURE))
 
     # trace of the mean-curvature formula
-    rhs = ev.b + norm_sq_values(ev.C, ev.ginv, 3) - 0.5 * ev.h
+    rhs = ev.b + ev.norm_sq("C") - 0.5 * ev.h
     out.append(_entry(ev, "u_trace_formula", 2.0 * ev.u - rhs, TOL_CURVATURE))
     return out
 
@@ -579,8 +584,7 @@ def verify_dim4(m: HermitianManifold, pts, h=DEFAULT_STEP):
     # n = 2, 3, 4).  In dimension 4 every term but the last drops.
     n = m.dim // 2
     lhs = (n - 1) * ev.lam
-    t2 = norm_sq_values(ev.theta, ev.ginv, 1)
-    quad = wedge(ev.theta, 1, ev.jtheta, 1) + t2[..., None, None] * ev.omega
+    quad = wedge(ev.theta, 1, ev.jtheta, 1) + ev.norm_sq("theta")[..., None, None] * ev.omega
     rhs = ((4 - 2 * n) * (ev.d_jtheta + quad / (n - 1))
            - 2.0 * ev.codiff_theta[..., None, None] * ev.omega)
     out.append(_entry(ev, "lck_lambda_reduction", lhs - rhs, TOL_CURVATURE))

@@ -175,11 +175,6 @@ def j_trace_matrix(J: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     return np.einsum("...bc,...ca->...ba", J, ginv)
 
 
-def j_trace_values(two_tensor: np.ndarray, J: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """``sum_i a(J e_i, e_i)`` for a (0,2)-tensor; basis independent."""
-    return np.einsum("...mn,...mc,...cn->...", two_tensor, J, ginv)
-
-
 def norm_sq_values(t: np.ndarray, ginv: np.ndarray, valence: int) -> np.ndarray:
     """Full index-sum squared norm, ``sum t(e_i1,..,e_ip)^2``."""
     if valence == 0:
@@ -291,7 +286,3 @@ def proj_one_one(alpha: np.ndarray, J: np.ndarray) -> np.ndarray:
     J-invariant projection on 2-forms."""
     return 0.5 * (alpha + np.einsum("...mn,...mi,...nj->...ij", alpha, J, J))
 
-
-def proj_two_zero(alpha: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """(2,0)+(0,2)-part: complement of the (1,1) projection."""
-    return 0.5 * (alpha - np.einsum("...mn,...mi,...nj->...ij", alpha, J, J))

@@ -11,6 +11,7 @@ import pytest
 
 import ktgeo.cli
 import ktgeo.identities
+import ktgeo.tensor_core
 from ktgeo.catalog import (
     BoxChart, HermitianManifold, catalog_names, get_manifold, register_manifold,
     _block_j, _const_field,
@@ -106,6 +107,14 @@ def test_invalid_step_exits_2(tmp_path):
     assert "configuration" in err
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    code = main(["report", "--manifold", "flat_torus_4", "--points", "1", "--suite", "classify",
+                 "--out", str(tmp_path / "missing" / "r.json")])
+    assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:")
+
+
 def test_numeric_failure_exits_3():
     # a metric that degenerates inside the sampling window
     def bad_metric(p):
@@ -158,6 +167,24 @@ def test_report_computes_each_curvature_once(monkeypatch, tmp_path):
     # three flavors on hopf_hkt, the Chern curvature of its conformal parent
     assert len(calls) == 4
     assert max(calls.values()) == 1
+
+
+def test_report_computes_the_koszul_coefficients_once_per_point_set(monkeypatch, tmp_path):
+    shapes = []
+    real = ktgeo.tensor_core.koszul_values
+
+    def counted(dg):
+        shapes.append(dg.shape)
+        return real(dg)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ktgeo.") and getattr(mod, "koszul_values", None) is real:
+            monkeypatch.setattr(mod, "koszul_values", counted)
+    code = main(["report", "--manifold", "su2xu1", "--points", "2",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    # the base points and the two stencil sets held around them
+    assert sorted(s[:-3] for s in shapes) == [(2,), (2, 4), (2, 4)]
 
 
 def test_tol_classify_reaches_the_hkt_block(tmp_path):
@@ -258,9 +285,11 @@ def _counted(metric, points):
 
 # a full 2-point report evaluates each metric at 1 + 2d + (2d)^2 points per
 # base point: the base points, the held stencil sets, and the sets around them
-# built once for the one stencil pass over g and omega (hopf_standard counts
-# its conformal parent as well)
-_METRIC_POINTS = {"hopf_standard": 292, "su2xu1": 146, "block_conformal_torus_6": 314}
+# built once for the one stencil pass over g and omega (hopf_standard and
+# hopf_hkt count their conformal parent as well; the other two structures of
+# hopf_hkt's triple evaluate no metric of their own)
+_METRIC_POINTS = {"hopf_standard": 292, "su2xu1": 146, "block_conformal_torus_6": 314,
+                  "hopf_hkt": 292}
 
 
 @pytest.mark.parametrize("name", _METRIC_POINTS)

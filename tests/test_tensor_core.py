@@ -9,7 +9,7 @@ from ktgeo.errors import ChartDomainError, ContractViolationError, NumericError
 from ktgeo.identities import Evaluation
 from ktgeo.tensor_core import (
     alt, exterior_derivative_of, fd_partial, gram_schmidt_frames,
-    hodge_star_values, j_trace_values, metric_inverse, norm_sq_values, to_frame,
+    hodge_star_values, j_trace_matrix, metric_inverse, norm_sq_values, to_frame,
     wedge,
 )
 
@@ -190,7 +190,7 @@ def test_j_trace_of_kahler_form_fixes_orientation(flat4):
     # trace orientation sum_i omega(e_i, J e_i) = -dim
     assert abs(np.einsum("mn,am,an->", om, jf, frame) - 4.0) < 1e-12
     ginv = metric_inverse(flat4.metric(pts))[0]
-    assert abs(j_trace_values(om, J, ginv) - 4.0) < 1e-12
+    assert abs(np.einsum("...mn,...mn->...", om, j_trace_matrix(J, ginv)) - 4.0) < 1e-12
     other = np.einsum("nm,mc,cn->", om, J, ginv)
     assert abs(other + 4.0) < 1e-12
 
@@ -200,7 +200,8 @@ def test_j_trace_zero_form_and_basis_independence(hopf):
     g = hopf.metric(pts)
     J = hopf.complex_structure(pts)
     zero = np.zeros(pts.shape[:-1] + (4, 4))
-    assert np.max(np.abs(j_trace_values(zero, J, metric_inverse(g)))) == 0.0
+    jtr = np.einsum("...mn,...mn->...", zero, j_trace_matrix(J, metric_inverse(g)))
+    assert np.max(np.abs(jtr)) == 0.0
     # two different orthonormal frames: coordinate order and reversed order
     om = hopf.kahler_form(pts)
     frames_a = gram_schmidt_frames(g)
