@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChartDomainError, NumericError, PreconditionError, UnknownManifoldError
-from .tensor_core import fd_partial, kahler_form_values, levi_civita_symbol
+from .tensor_core import fd_partial, kahler_form_values, levi_civita_symbol, slotwise
 
 __all__ = [
     "Chart", "BoxChart", "AnnulusChart", "ConformalParent", "HermitianManifold",
@@ -373,8 +373,7 @@ def hermitian_residuals(m: HermitianManifold, points: np.ndarray, step=1e-4) -> 
     for j_fn in structures:
         J = j_fn(pts)
         sq = max(sq, float(np.max(np.abs(np.einsum("...ik,...kj->...ij", J, J) + eye))))
-        gj = np.einsum("...mi,...nj,...mn->...ij", J, J, g)
-        comp = max(comp, float(np.max(np.abs(gj - g))))
+        comp = max(comp, float(np.max(np.abs(slotwise(g, J, 2) - g))))
         nij = max(nij, float(np.max(np.abs(nijenhuis_values(j_fn, pts, step)))))
     out["j_square_residual"] = sq
     out["compatibility_residual"] = comp

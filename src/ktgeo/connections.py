@@ -27,10 +27,12 @@ codifferential route is the canonical value.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .errors import ConventionError
-from .tensor_core import codifferential_of, covariant_derivative_of
+from .tensor_core import codifferential_of, covariant_derivative_of, slotwise
 
 __all__ = [
     "torsion_bismut_values", "torsion_chern_values", "lower_coefficients",
@@ -47,8 +49,7 @@ LEE_ROUTE_TOL = 1e-5  # largest spread allowed between the Lee form's routes
 
 def torsion_bismut_values(ev) -> np.ndarray:
     """Bismut torsion 3-form T(X,Y,Z) = -d(omega)(JX,JY,JZ)."""
-    J = ev.J
-    return -np.einsum("...ai,...bj,...ck,...abc->...ijk", J, J, J, ev.dOm)
+    return -slotwise(ev.dOm, ev.J, 3)
 
 
 def torsion_chern_values(ev) -> np.ndarray:
@@ -61,10 +62,8 @@ def torsion_chern_values(ev) -> np.ndarray:
 def torsion_type_defect(ev) -> float:
     """Size of the (3,0)+(0,3) part of T, which must vanish:
     T(JX,JY,Z) + T(JX,Y,JZ) + T(X,JY,JZ) = T(X,Y,Z)."""
-    T, J = ev.T, ev.J
-    lhs = (np.einsum("...ai,...bj,...abk->...ijk", J, J, T)
-           + np.einsum("...ai,...ck,...ajc->...ijk", J, J, T)
-           + np.einsum("...bj,...ck,...ibc->...ijk", J, J, T))
+    T = ev.T
+    lhs = sum(slotwise(T, ev.J, 3, pair) for pair in combinations(range(3), 2))
     return float(np.max(np.abs(lhs - T)))
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .connections import lower_coefficients
 from .errors import PreconditionError
-from .tensor_core import fd_partial, levi_civita_symbol
+from .tensor_core import fd_partial, levi_civita_symbol, slotwise
 
 __all__ = [
     "riemann_values", "lambda_omega_values", "weyl_selfdual_values",
@@ -114,12 +114,12 @@ def weyl_selfdual_values(ev):
     ident = (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
     eps = levi_civita_symbol(4)
     sqrtg = np.sqrt(np.linalg.det(g))
-    star2 = sqrtg[..., None, None, None, None] * np.einsum(
-        "cdij,...ca,...db->...ijab", eps, ginv, ginv)
+    # eps[c,d,i,j] = eps[i,j,c,d], so raising the last pair gives Star[i,j,a,b]
+    star2 = sqrtg[..., None, None, None, None] * slotwise(eps, ginv, 4, (2, 3))
     pplus = 0.5 * (ident + star2)
     wplus = _two_form_operator_compose(pplus, _two_form_operator_compose(weyl, pplus))
 
-    omega = ev.omega
-    w_of_omega = 0.5 * np.einsum("...ijab,...ak,...bl,...kl->...ij", wplus, ginv, ginv, omega)
-    k = 3 * 0.5 * np.einsum("...ij,...ik,...jl,...kl->...", w_of_omega, ginv, ginv, omega)
+    omega_up = slotwise(ev.omega, ginv, 2)
+    w_of_omega = 0.5 * np.einsum("...ijab,...ab->...ij", wplus, omega_up)
+    k = 3 * 0.5 * np.einsum("...ij,...ij->...", w_of_omega, omega_up)
     return weyl, wplus, k

@@ -60,7 +60,7 @@ from .tensor_core import (
     DEFAULT_STEP, codifferential_of, covariant_derivative_of, cyclic3_of4,
     exterior_derivative_of, fd_partial, gram_schmidt_frames, hodge_star_values,
     j_trace_matrix, kahler_form_values, koszul_values, metric_inverse,
-    norm_sq_values, proj_one_one, to_frame, wedge,
+    norm_sq_values, proj_one_one, slotwise, to_frame, wedge,
 )
 
 __all__ = [
@@ -358,7 +358,7 @@ class Evaluation:
     def j_commutator(self):
         """R(X,Y,JZ,JW) - R(X,Y,Z,W) of the Bismut curvature."""
         r = self.riemann("bismut")
-        return np.einsum("...xymn,...mz,...nw->...xyzw", r, self.J, self.J) - r
+        return slotwise(r, self.J, 4, (2, 3)) - r
 
     @_primitive
     def mean_curvature_form(self):
@@ -507,13 +507,11 @@ def verify_ricci_skews(m: HermitianManifold, pts, h=DEFAULT_STEP):
     lhs = ric - np.einsum("...xy->...yx", ric)
     out.append(_entry(ev, "ricci_skew_coclosure", lhs + ev.codiff_T, TOL_CURVATURE))
 
-    lhs = (np.einsum("...mn,...mx,...ny->...xy", ric, J, J)
-           - np.einsum("...xy->...yx", ric))
-    rhs = (-np.einsum("...mn,...mx,...ny->...xy", nth, J, J)
-           + np.einsum("...xy->...yx", nth))
+    lhs = slotwise(ric, J, 2) - np.einsum("...xy->...yx", ric)
+    rhs = -slotwise(nth, J, 2) + np.einsum("...xy->...yx", nth)
     out.append(_entry(ev, "ricci_j_conjugation", lhs - rhs, TOL_CURVATURE))
 
-    lhs = np.einsum("...mn,...mx,...ny->...xy", ev.rho, J, J) - ev.rho
+    lhs = slotwise(ev.rho, J, 2) - ev.rho
     dnth = nth - np.einsum("...xy->...yx", nth)
     rhs = (np.einsum("...my,...mx->...xy", ev.codiff_T, J)
            - np.einsum("...my,...mx->...xy", dnth, J))

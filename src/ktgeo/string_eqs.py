@@ -28,7 +28,7 @@ import numpy as np
 from .catalog import HermitianManifold
 from .classify import DEFAULT_CLASSIFY_TOL
 from .identities import Evaluation, evaluation, evaluation_scope
-from .tensor_core import DEFAULT_STEP, fd_partial, interior_product, raise_all
+from .tensor_core import DEFAULT_STEP, fd_partial, interior_product, slotwise
 
 __all__ = ["StringEntry", "StringReport", "run_string_suite", "TOL_STRING"]
 
@@ -105,11 +105,11 @@ def _weighted_divergence(ev: Evaluation, phi) -> np.ndarray:
     def density(p):
         e = ev.at(p)
         weight = np.sqrt(np.linalg.det(e.g)) * np.exp(-2.0 * phi(p))
-        return weight[..., None, None, None] * raise_all(e.T, e.ginv, 3)
+        return weight[..., None, None, None] * slotwise(e.T, e.ginv, 3)
 
     div = (np.einsum("...iiab->...ab", fd_partial(density, ev.pts, ev.step))
            / np.sqrt(np.linalg.det(ev.g))[..., None, None])
-    return np.einsum("...xa,...yb,...ab->...xy", ev.g, ev.g, div)
+    return slotwise(div, ev.g, 2)
 
 
 def _dilaton_residuals(ev: Evaluation, phi, lam_j) -> tuple:

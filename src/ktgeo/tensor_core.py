@@ -5,6 +5,10 @@ All conventions used by the rest of the engine are fixed here, once:
 - Tensors are stored fully covariant; ``t[i1,..,ip] = t(d_{i1},..,d_{ip})`` on
   coordinate fields.  Index raising is always explicit and uses the inverse
   metric.
+- Transport: every multi-slot pullback ``t(M., .., M.)`` -- frame components,
+  raised indices, norms, J-conjugations -- goes through ``slotwise``, one
+  two-operand contraction per slot,
+  ``out[.., i, ..] = sum_a M[..., a, i] t[.., a, ..]``.
 - Every ``*_values`` function is batched: points have shape ``(..., dim)`` and
   tensor outputs have shape ``(..., dim, .., dim)``.  Single points work the
   same way with an empty batch.
@@ -158,15 +162,20 @@ def gram_schmidt_frames(g: np.ndarray) -> np.ndarray:
     return frame
 
 
+def slotwise(t: np.ndarray, mat: np.ndarray, valence: int, slots=None) -> np.ndarray:
+    """``t(M., .., M.)``: the matrix ``mat`` applied in the given slots of a
+    valence-``valence`` tensor (every slot when ``slots`` is None),
+    ``out[.., i, ..] = sum_a mat[..., a, i] t[.., a, ..]``, one slot at a time."""
+    sub = _SLOT[:valence]
+    out = t
+    for s in range(valence) if slots is None else slots:
+        out = np.einsum(f"...m{sub[s]},...{sub[:s]}m{sub[s + 1:]}->...{sub}", mat, out)
+    return out
+
+
 def to_frame(t: np.ndarray, frame: np.ndarray, valence: int) -> np.ndarray:
     """Express covariant components in an orthonormal frame."""
-    if valence == 0:
-        return t
-    slots = _SLOT[:valence]
-    out_slots = slots.upper()
-    ops = ",".join(f"...{o}{i}" for o, i in zip(out_slots, slots))
-    return np.einsum(f"{ops},...{slots}->...{out_slots}",
-                     *([frame] * valence), t)
+    return slotwise(t, np.swapaxes(frame, -1, -2), valence)
 
 
 def j_trace_matrix(J: np.ndarray, ginv: np.ndarray) -> np.ndarray:
@@ -177,12 +186,7 @@ def j_trace_matrix(J: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 
 def norm_sq_values(t: np.ndarray, ginv: np.ndarray, valence: int) -> np.ndarray:
     """Full index-sum squared norm, ``sum t(e_i1,..,e_ip)^2``."""
-    if valence == 0:
-        return np.asarray(t) ** 2
-    a = _SLOT[:valence]
-    b = a.upper()
-    gs = ",".join(f"...{x}{y}" for x, y in zip(a, b))
-    return np.einsum(f"...{a},...{b},{gs}->...", t, t, *([ginv] * valence))
+    return np.sum(t * slotwise(t, ginv, valence), axis=tuple(range(-valence, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +208,6 @@ def levi_civita_symbol(dim: int) -> np.ndarray:
     return eps
 
 
-def raise_all(t: np.ndarray, ginv: np.ndarray, valence: int) -> np.ndarray:
-    if valence == 0:
-        return t
-    a = _SLOT[:valence]
-    b = a.upper()
-    gs = ",".join(f"...{x}{y}" for x, y in zip(a, b))
-    return np.einsum(f"...{a},{gs}->...{b}", t, *([ginv] * valence))
-
-
 def hodge_star_values(alpha: np.ndarray, g: np.ndarray, valence: int,
                       orientation: int = 1) -> np.ndarray:
     """Hodge star with the coordinate-order orientation (times ``orientation``)."""
@@ -224,10 +219,7 @@ def hodge_star_values(alpha: np.ndarray, g: np.ndarray, valence: int,
     sqrtg = np.asarray(np.sqrt(det))
     eps = levi_civita_symbol(d)
     weight = orientation * sqrtg[(...,) + (None,) * (d - valence)]
-    if valence == 0:
-        return weight * np.multiply.outer(np.asarray(alpha, dtype=float), eps) \
-            if np.ndim(alpha) else orientation * float(sqrtg) * float(alpha) * eps
-    raised = raise_all(alpha, metric_inverse(g), valence)
+    raised = slotwise(alpha, metric_inverse(g), valence)
     up = _SLOT[:valence]
     out = _SLOT[valence:d]
     comp = np.einsum(f"...{up},{up}{out}->...{out}", raised, eps) / math.factorial(valence)
@@ -284,5 +276,5 @@ def cyclic3_of4(t: np.ndarray) -> np.ndarray:
 def proj_one_one(alpha: np.ndarray, J: np.ndarray) -> np.ndarray:
     """(1,1)-part of a (0,2)-tensor, ``(a(X,Y) + a(JX,JY)) / 2``, the unique
     J-invariant projection on 2-forms."""
-    return 0.5 * (alpha + np.einsum("...mn,...mi,...nj->...ij", alpha, J, J))
+    return 0.5 * (alpha + slotwise(alpha, J, 2))
 

@@ -196,3 +196,21 @@ def test_residual_reads_the_valence_from_the_array(hopf):
     for bad in (np.zeros((3, 4, 3)), np.zeros((2, 4)), np.float64(0.0)):
         with pytest.raises(ContractViolationError):
             ev.residual("bad", bad)
+
+
+def test_residual_transports_a_tensor_one_slot_at_a_time(monkeypatch):
+    # the frame components of a valence-4 residual at dimension 6: one
+    # two-operand contraction per slot, not a five-operand einsum per point
+    ev = Evaluation(get_manifold("flat_torus_6"), sample("flat_torus_6", 2))
+    ev.frames  # held before the count: Gram-Schmidt is not a transport
+    diff = np.random.default_rng(0).standard_normal((2,) + (6,) * 4)
+    operands = []
+    real = np.einsum
+
+    def counted(subscripts, *args, **kwargs):
+        operands.append(len(args))
+        return real(subscripts, *args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    ev.residual("valence4", diff)
+    assert operands and max(operands) <= 2

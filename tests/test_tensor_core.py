@@ -9,8 +9,8 @@ from ktgeo.errors import ChartDomainError, ContractViolationError, NumericError
 from ktgeo.identities import Evaluation
 from ktgeo.tensor_core import (
     alt, exterior_derivative_of, fd_partial, gram_schmidt_frames,
-    hodge_star_values, j_trace_matrix, metric_inverse, norm_sq_values, to_frame,
-    wedge,
+    hodge_star_values, j_trace_matrix, metric_inverse, norm_sq_values, slotwise,
+    to_frame, wedge,
 )
 
 from conftest import lee_fn, sample
@@ -228,6 +228,33 @@ def test_tensor_norm_conventions(hopf):
     tf = to_frame(T, gram_schmidt_frames(hopf.metric(p)), 3)
     assert abs(np.sum(tf * tf) - 24.0) < 1e-5
     assert abs(norm_sq_values(T, metric_inverse(hopf.metric(p)), 3) - 24.0) < 1e-5
+
+
+def _slotwise_reference(t, mat, valence, slots):
+    """The same transport as one explicit (k+1)-operand einsum."""
+    src = "abcd"[:valence]
+    dst = "".join(c.upper() if s in slots else c for s, c in enumerate(src))
+    mats = [f"...{src[s]}{src[s].upper()}" for s in slots]
+    return np.einsum(",".join(mats + [f"...{src}"]) + f"->...{dst}",
+                     *([mat] * len(slots)), t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_slotwise_matches_the_explicit_contraction(data):
+    valence = data.draw(st.integers(0, 4))
+    dim = data.draw(st.integers(2, 6))
+    t_batch = data.draw(st.sampled_from([(), (3,)]))
+    mat_batch = data.draw(st.sampled_from([(), (3,)]))
+    slots = data.draw(st.none() | st.lists(st.integers(0, max(valence - 1, 0)),
+                                           unique=True, max_size=valence))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    t = rng.standard_normal(t_batch + (dim,) * valence)
+    mat = rng.standard_normal(mat_batch + (dim, dim))
+    got = slotwise(t, mat, valence, slots)
+    ref = _slotwise_reference(t, mat, valence, range(valence) if slots is None else slots)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=1.0)
 
 
 def test_operations_are_pure(hopf):
