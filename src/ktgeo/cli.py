@@ -75,6 +75,10 @@ class RunConfig:
         for s in self.suites:
             if s not in SUITES:
                 raise ValueError(f"unknown suite {s!r}; choose from {SUITES}")
+        for name in ("tol_identity", "tol_classify"):
+            tol = getattr(self, name)
+            if tol is not None and not 0 < tol < float("inf"):
+                raise ValueError(f"{name} must be finite and > 0")
 
     def as_dict(self):
         return {"manifolds": list(self.manifolds), "points": self.points,

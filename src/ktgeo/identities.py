@@ -117,7 +117,8 @@ def _primitive(compute):
 
 def _tt2(T, ginv):
     """TT2[x,y] = sum_i g(T(x,e_i), T(y,e_i))  (full two-slot contraction)."""
-    return np.einsum("...xab,...ycd,...ac,...bd->...xy", T, T, ginv, ginv)
+    flat = T.reshape(T.shape[:-2] + (-1,))  # T[x, (ab)]
+    return slotwise(T, ginv, 3, (1, 2)).reshape(flat.shape) @ np.swapaxes(flat, -1, -2)
 
 
 class Evaluation:
@@ -276,7 +277,10 @@ class Evaluation:
     @_primitive
     def tt4(self):
         """TT4[x,y,z,u] = g(T(x,y), T(z,u))."""
-        return np.einsum("...xya,...zub,...ab->...xyzu", self.T, self.T, self.ginv)
+        T = self.T
+        flat = T.reshape(T.shape[:-3] + (-1, T.shape[-1]))  # T[(xy), a]
+        tt = slotwise(T, self.ginv, 3, (2,)).reshape(flat.shape) @ np.swapaxes(flat, -1, -2)
+        return tt.reshape(T.shape[:-3] + (T.shape[-1],) * 4)
 
     @_primitive
     def tt2(self):

@@ -6,9 +6,10 @@ All conventions used by the rest of the engine are fixed here, once:
   coordinate fields.  Index raising is always explicit and uses the inverse
   metric.
 - Transport: every multi-slot pullback ``t(M., .., M.)`` -- frame components,
-  raised indices, norms, J-conjugations -- goes through ``slotwise``, one
-  two-operand contraction per slot,
-  ``out[.., i, ..] = sum_a M[..., a, i] t[.., a, ..]``.
+  raised indices, norms, J-conjugations -- goes through ``slotwise``,
+  ``out[.., i, ..] = sum_a M[..., a, i] t[.., a, ..]``: one batched matrix
+  product per transported slot, the tensor's last slot rotated to the front
+  after each.
 - Every ``*_values`` function is batched: points have shape ``(..., dim)`` and
   tensor outputs have shape ``(..., dim, .., dim)``.  Single points work the
   same way with an empty batch.
@@ -102,8 +103,8 @@ def kahler_form_values(g: np.ndarray, J: np.ndarray) -> np.ndarray:
     The product g J is antisymmetric exactly in exact arithmetic; the explicit
     antisymmetrization removes the roundoff contamination that a
     finite-difference stencil would otherwise amplify by 1/step."""
-    gj = np.einsum("...ik,...kj->...ij", g, J)
-    return 0.5 * (gj - np.einsum("...ij->...ji", gj))
+    gj = g @ J
+    return 0.5 * (gj - np.swapaxes(gj, -1, -2))
 
 
 def koszul_values(dg: np.ndarray) -> np.ndarray:
@@ -165,11 +166,20 @@ def gram_schmidt_frames(g: np.ndarray) -> np.ndarray:
 def slotwise(t: np.ndarray, mat: np.ndarray, valence: int, slots=None) -> np.ndarray:
     """``t(M., .., M.)``: the matrix ``mat`` applied in the given slots of a
     valence-``valence`` tensor (every slot when ``slots`` is None),
-    ``out[.., i, ..] = sum_a mat[..., a, i] t[.., a, ..]``, one slot at a time."""
-    sub = _SLOT[:valence]
+    ``out[.., i, ..] = sum_a mat[..., a, i] t[.., a, ..]``.
+
+    Last slot first, the tensor is viewed as a ``(..., d^(p-1), d)`` matrix,
+    multiplied by ``mat`` when that slot is transported, and the slot is
+    rotated to the front; after ``valence`` rotations the slots are back in
+    order."""
+    slots = range(valence) if slots is None else slots
+    d = mat.shape[-1]
     out = t
-    for s in range(valence) if slots is None else slots:
-        out = np.einsum(f"...m{sub[s]},...{sub[:s]}m{sub[s + 1:]}->...{sub}", mat, out)
+    for s in reversed(range(valence)):
+        flat = out.reshape(out.shape[:out.ndim - valence] + (-1, d))
+        if s in slots:
+            flat = flat @ mat
+        out = np.swapaxes(flat, -1, -2).reshape(flat.shape[:-2] + (d,) * valence)
     return out
 
 

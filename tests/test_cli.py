@@ -107,6 +107,17 @@ def test_invalid_step_exits_2(tmp_path):
     assert "configuration" in err
 
 
+@pytest.mark.parametrize("flag", ["--tol-identity", "--tol-classify"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_invalid_tolerance_exits_2(flag, value, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(["report", "--manifold", "hopf_standard", "--points", "2",
+                 flag, value, "--out", str(out)])
+    assert code == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     code = main(["report", "--manifold", "flat_torus_4", "--points", "1", "--suite", "classify",
                  "--out", str(tmp_path / "missing" / "r.json")])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ktgeo import tensor_core
 from ktgeo.catalog import (
     BoxChart, HermitianManifold, catalog_names, conformal_rescale, get_manifold,
 )
@@ -199,18 +200,26 @@ def test_residual_reads_the_valence_from_the_array(hopf):
 
 
 def test_residual_transports_a_tensor_one_slot_at_a_time(monkeypatch):
-    # the frame components of a valence-4 residual at dimension 6: one
-    # two-operand contraction per slot, not a five-operand einsum per point
+    # the frame components of a valence-4 residual at dimension 6 go through
+    # the slot-wise transport, not a five-operand einsum per point
     ev = Evaluation(get_manifold("flat_torus_6"), sample("flat_torus_6", 2))
     ev.frames  # held before the count: Gram-Schmidt is not a transport
     diff = np.random.default_rng(0).standard_normal((2,) + (6,) * 4)
     operands = []
-    real = np.einsum
+    transports = []
+    real_einsum = np.einsum
+    real_slotwise = tensor_core.slotwise
 
-    def counted(subscripts, *args, **kwargs):
+    def counted_einsum(subscripts, *args, **kwargs):
         operands.append(len(args))
-        return real(subscripts, *args, **kwargs)
+        return real_einsum(subscripts, *args, **kwargs)
 
-    monkeypatch.setattr(np, "einsum", counted)
+    def counted_slotwise(t, mat, valence, slots=None):
+        transports.append(valence)
+        return real_slotwise(t, mat, valence, slots)
+
+    monkeypatch.setattr(np, "einsum", counted_einsum)
+    monkeypatch.setattr(tensor_core, "slotwise", counted_slotwise)
     ev.residual("valence4", diff)
-    assert operands and max(operands) <= 2
+    assert transports == [4]
+    assert max(operands, default=0) <= 2

@@ -9,8 +9,8 @@ from ktgeo.errors import ChartDomainError, ContractViolationError, NumericError
 from ktgeo.identities import Evaluation
 from ktgeo.tensor_core import (
     alt, exterior_derivative_of, fd_partial, gram_schmidt_frames,
-    hodge_star_values, j_trace_matrix, metric_inverse, norm_sq_values, slotwise,
-    to_frame, wedge,
+    hodge_star_values, j_trace_matrix, kahler_form_values, metric_inverse,
+    norm_sq_values, slotwise, to_frame, wedge,
 )
 
 from conftest import lee_fn, sample
@@ -255,6 +255,45 @@ def test_slotwise_matches_the_explicit_contraction(data):
     ref = _slotwise_reference(t, mat, valence, range(valence) if slots is None else slots)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=1.0)
+
+
+# The batched matrix products against the explicit contractions they replace.
+# Random, non-symmetric matrices, so a product with its operands transposed
+# reads differently.
+
+def _holding(**values):
+    """An evaluation whose store already holds ``values``."""
+    ev = Evaluation(get_manifold("flat_torus_4"), sample("flat_torus_4", 1))
+    ev._values.update(values)
+    return ev
+
+
+def _assert_matches(got, ref):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_torsion_products_match_the_explicit_contractions(dim, batch):
+    rng = np.random.default_rng(dim + len(batch))
+    T = rng.standard_normal(batch + (dim,) * 3)
+    ginv = rng.standard_normal(batch + (dim, dim))
+    ev = _holding(T=T, ginv=ginv)
+    _assert_matches(ev.tt2, np.einsum("...xab,...ycd,...ac,...bd->...xy", T, T, ginv, ginv))
+    _assert_matches(ev.tt4, np.einsum("...xya,...zub,...ab->...xyzu", T, T, ginv))
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_kahler_form_matches_the_explicit_contraction(dim, batch):
+    rng = np.random.default_rng(dim + len(batch))
+    g = rng.standard_normal(batch + (dim, dim))
+    J = rng.standard_normal(batch + (dim, dim))
+    omega = kahler_form_values(g, J)
+    gj = np.einsum("...ik,...kj->...ij", g, J)
+    _assert_matches(omega, 0.5 * (gj - np.swapaxes(gj, -1, -2)))
+    assert np.array_equal(omega, -np.swapaxes(omega, -1, -2))
 
 
 def test_operations_are_pure(hopf):
