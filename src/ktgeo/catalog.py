@@ -315,8 +315,8 @@ def _build_catalog() -> dict:
 
 
 _CATALOG = _build_catalog()
-_PUBLIC = ["flat_torus_4", "flat_torus_6", "hopf_standard", "su2xu1",
-           "hopf_hkt", "conf_torus_4", "conf_torus_6"]
+_PUBLIC = ("flat_torus_4", "flat_torus_6", "hopf_standard", "su2xu1",
+           "hopf_hkt", "conf_torus_4", "conf_torus_6")
 
 
 def catalog_names() -> list:
@@ -331,11 +331,9 @@ def get_manifold(name: str) -> HermitianManifold:
             f"unknown manifold {name!r}; catalog: {', '.join(_PUBLIC)}") from None
 
 
-def register_manifold(m: HermitianManifold, public: bool = False) -> None:
+def register_manifold(m: HermitianManifold) -> None:
     """Register a custom manifold built in code (there is no external DSL)."""
     _CATALOG[m.name] = m
-    if public and m.name not in _PUBLIC:
-        _PUBLIC.append(m.name)
 
 
 # ---------------------------------------------------------------------------

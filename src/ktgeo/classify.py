@@ -19,14 +19,20 @@ import numpy as np
 from .catalog import HermitianManifold, quaternion_residual
 from .errors import PreconditionError
 from .identities import Evaluation, evaluation, evaluation_scope
-from .tensor_core import DEFAULT_STEP, to_frame, wedge
+from .tensor_core import DEFAULT_STEP, to_frame
 
 __all__ = [
-    "StructureFlags", "HktFlags", "classify", "check_hkt",
+    "StructureFlags", "HktFlags", "classify", "check_hkt", "hypothesis_residuals",
     "vanishing_hypotheses", "plaquette_holonomy_check", "DEFAULT_CLASSIFY_TOL",
 ]
 
 DEFAULT_CLASSIFY_TOL = 1e-5
+
+
+def hypothesis_residuals(ev: Evaluation) -> tuple:
+    """The strong-KT residual |dT| and the SU(n)-indicator residual
+    max(|rho|, |R o J - R|)."""
+    return ev.magnitude("dT"), max(ev.magnitude("rho"), ev.magnitude("j_commutator"))
 
 
 @dataclass(frozen=True)
@@ -76,24 +82,23 @@ def classify(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.shape[0] == 0:
         raise PreconditionError("classify needs a non-empty point set")
-    n = m.dim // 2
     with evaluation_scope():
         ev = evaluation(m, pts, step)
         res = {name: ev.magnitude(attr) for name, attr in (
             ("torsion", "T"), ("torsion_closure", "dT"), ("lambda_omega", "lam"),
             ("lee_form", "theta"), ("ricci_form", "rho"),
             ("curvature_j_commutator", "j_commutator"))}
-        res["lck_defect"] = ev.residual(
-            "lck_defect", ev.T - wedge(ev.jtheta, 1, ev.omega, 2) / (n - 1))[0]
+        res["lck_defect"] = ev.residual("lck_defect", ev.T - ev.lck_torsion)[0]
+        strong, su = hypothesis_residuals(ev)
         hkt = check_hkt(m, pts, tol=tol, step=step) if m.hypercomplex is not None else None
 
     return StructureFlags(
         kahler=res["torsion"] <= tol,
-        strong_kt=res["torsion_closure"] <= tol,
+        strong_kt=strong <= tol,
         almost_strong_kt=res["lambda_omega"] <= tol,
         balanced=res["lee_form"] <= tol,
         lck=res["lck_defect"] <= tol,
-        su_holonomy_indicator=max(res["ricci_form"], res["curvature_j_commutator"]) <= tol,
+        su_holonomy_indicator=su <= tol,
         residuals=res, tolerance=tol, hkt=hkt)
 
 

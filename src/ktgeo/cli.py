@@ -39,9 +39,6 @@ from .tensor_core import DEFAULT_STEP
 
 SUITES = ("identities", "classify", "string", "dim4")
 
-# identity names whose tolerance is first-order rather than curvature-grade
-FIRST_ORDER_NAMES = {"torsion_lee_duality"}
-
 CONVENTIONS = {
     "kahler_form": "omega(X,Y) = g(X,JY); block J chosen so flat charts have omega = +sum dx^dy",
     "bismut_torsion": "T(X,Y,Z) = -d(omega)(JX,JY,JZ)",
@@ -101,23 +98,9 @@ class NumericFailure(Exception):
 # deterministic JSON with 17-significant-digit floats
 # ---------------------------------------------------------------------------
 
-def _normalize(obj):
-    if isinstance(obj, dict):
-        return {str(k): _normalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_normalize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_normalize(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
-
-
 def _emit(obj, indent=0) -> str:
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     pad = "  " * indent
     if obj is None:
         return "null"
@@ -133,7 +116,7 @@ def _emit(obj, indent=0) -> str:
         if obj != obj or obj in (float("inf"), float("-inf")):
             return json.dumps(str(obj))
         return format(obj, ".17g")
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = ",\n".join("  " * (indent + 1) + _emit(v, indent + 1) for v in obj)
@@ -141,14 +124,14 @@ def _emit(obj, indent=0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        inner = ",\n".join("  " * (indent + 1) + json.dumps(k) + ": " + _emit(v, indent + 1)
+        inner = ",\n".join("  " * (indent + 1) + json.dumps(str(k)) + ": " + _emit(v, indent + 1)
                            for k, v in obj.items())
         return "{\n" + inner + "\n" + pad + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def render_report(report: dict) -> str:
-    return _emit(_normalize(report)) + "\n"
+    return _emit(report) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +139,12 @@ def render_report(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def _apply_tol_override(entries, tol):
+    """The entries under the identity tolerance ``tol``; a first-order entry
+    keeps its tighter tolerance when ``tol`` is larger."""
     if tol is None:
         return entries
-    out = []
-    for e in entries:
-        t = min(TOL_FIRST_ORDER, tol) if e.name in FIRST_ORDER_NAMES else tol
-        out.append(replace(e, tolerance=t, passed=e.max_residual <= t))
-    return out
+    return [replace(e, tolerance=min(TOL_FIRST_ORDER, tol) if e.tolerance == TOL_FIRST_ORDER
+                    else tol) for e in entries]
 
 
 def _manifold_report(name: str, cfg: RunConfig) -> dict:

@@ -16,6 +16,12 @@ Sign and trace conventions (shared with the rest of the engine):
 Curvature is obtained by differentiating coefficient fields (one nested
 central-difference stencil), never by transporting frames around loops; the
 all-lower Koszul form keeps the only metric inversion at the base point.
+With ``omega[l,i,j] = g(nabla_{d_i} d_j, d_l)`` the curvature is
+``R[i,j,k,l] = D_i omega[l,j,k] - omega[m,i,l] Gamma[m,j,k] - (i <-> j)``:
+for a metric connection ``g(nabla_i nabla_j d_k, d_l) = D_i omega[l,j,k] -
+g(nabla_j d_k, nabla_i d_l)``, so no metric derivative is read.  Every flavor
+is metric, exactly for the Koszul coefficients and to roundoff for the Bismut
+and Chern torsion terms, which are antisymmetric in their last pair.
 
 Every function here reads the fields that one evaluation
 (``identities.Evaluation``) holds for one point set, and evaluates no chart
@@ -39,19 +45,13 @@ __all__ = [
 
 
 def riemann_values(ev, flavor: str) -> np.ndarray:
-    """Lowered curvature R[i,j,k,l] = R(d_i, d_j, d_k, d_l) of a flavor."""
-    om = lower_coefficients(ev, flavor)
+    """Lowered curvature R[i,j,k,l] = R(d_i, d_j, d_k, d_l) of a flavor, by
+    the three-term formula of the module docstring."""
     dom = fd_partial(lambda p: lower_coefficients(ev.at(p), flavor),
                      ev.pts, ev.step)                 # dom[d, l, i, j]
-    dg = ev.partial("g")                              # dg[d, a, b]
-    gam = ev.gamma(flavor)
-    r = (np.einsum("...iljk->...ijkl", dom)
-         - np.einsum("...jlik->...ijkl", dom)
-         - np.einsum("...ilm,...mjk->...ijkl", dg, gam)
-         + np.einsum("...jlm,...mik->...ijkl", dg, gam)
-         + np.einsum("...lim,...mjk->...ijkl", om, gam)
-         - np.einsum("...ljm,...mik->...ijkl", om, gam))
-    return r
+    a = (np.einsum("...iljk->...ijkl", dom)
+         - np.einsum("...mil,...mjk->...ijkl", lower_coefficients(ev, flavor), ev.gamma(flavor)))
+    return a - np.swapaxes(a, -4, -3)
 
 
 def ricci_from_curvature(r: np.ndarray, ginv: np.ndarray) -> np.ndarray:

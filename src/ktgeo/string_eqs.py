@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import HermitianManifold
-from .classify import DEFAULT_CLASSIFY_TOL
+from .classify import DEFAULT_CLASSIFY_TOL, hypothesis_residuals
 from .identities import Evaluation, evaluation, evaluation_scope
 from .tensor_core import DEFAULT_STEP, fd_partial, interior_product, slotwise
 
@@ -174,8 +174,7 @@ def run_string_suite(m: HermitianManifold, pts, step=DEFAULT_STEP,
     with evaluation_scope():
         ev = evaluation(m, pts, step)
 
-        strong = ev.magnitude("dT")
-        su = max(ev.magnitude("rho"), ev.magnitude("j_commutator"))
+        strong, su = hypothesis_residuals(ev)
         hyp = {"strong_residual": strong, "su_residual": su,
                "strong_kt": strong <= hyp_tol, "su_indicator": su <= hyp_tol,
                "ok": strong <= hyp_tol and su <= hyp_tol}

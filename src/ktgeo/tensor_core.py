@@ -14,7 +14,10 @@ All conventions used by the rest of the engine are fixed here, once:
   tensor outputs have shape ``(..., dim, .., dim)``.  Single points work the
   same way with an empty batch.
 - Exterior derivative: ``(d a)(X0..Xp) = sum_m (-1)^m  D_{Xm} a(.., no Xm, ..)``
-  on coordinate fields (determinant convention, no 1/p! factors).
+  on coordinate fields (determinant convention, no 1/p! factors).  The wedge
+  of a 1-form ``a`` with a q-form ``b`` is the same alternating sum with
+  ``a(Xm)`` in place of ``D_{Xm}``, computed by the same code, so the two
+  conventions cannot drift apart.
 - Codifferential: ``(codiff a)(X1..) = -sum_i (nabla^g_{e_i} a)(e_i, X1..)``
   over an orthonormal frame; equivalently a ``g^{-1}`` contraction of the
   Levi-Civita derivative, which is what the implementation uses.
@@ -111,8 +114,7 @@ def koszul_values(dg: np.ndarray) -> np.ndarray:
     """All-lower Levi-Civita coefficients ``omega[l,i,j] = g(nabla_{d_i} d_j,
     d_l)`` from the metric derivative ``dg[d,a,b] = D_d g_ab`` (Koszul formula
     on coordinate fields)."""
-    return 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
-                  - np.einsum("...lij->...lij", dg))
+    return 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
 
 
 def covariant_derivative_of(df: np.ndarray, base: np.ndarray, gamma: np.ndarray,
@@ -144,23 +146,23 @@ def codifferential_of(nab: np.ndarray, ginv: np.ndarray, valence: int) -> np.nda
 def gram_schmidt_frames(g: np.ndarray) -> np.ndarray:
     """Batched Gram-Schmidt on the coordinate basis, in index order and with
     no pivoting, so the result is deterministic.  ``out[..., a, i]`` is the
-    i-th component of e_a."""
+    i-th component of e_a.
+
+    That frame is the unique lower-triangular ``F`` with positive diagonal
+    and ``F g F^T = I``, the inverse of the Cholesky factor of g; a squared
+    pivot ``L_aa^2`` at or below 1e-14 is a degenerate metric."""
     g = np.asarray(g, dtype=float)
-    d = g.shape[-1]
-    frame = np.zeros_like(g)
-    for a in range(d):
-        v = np.zeros(g.shape[:-1])
-        v[..., a] = 1.0
-        for b in range(a):
-            proj = np.einsum("...i,...ij,...j->...", frame[..., b, :], g, v)
-            v = v - proj[..., None] * frame[..., b, :]
-        nsq = np.einsum("...i,...ij,...j->...", v, g, v)
-        if np.any(nsq <= 1e-14):
-            bad = np.argwhere(np.atleast_1d(nsq) <= 1e-14)[0]
-            raise NumericError(
-                f"metric is not positive definite at sampled point index {tuple(bad)}")
-        frame[..., a, :] = v / np.sqrt(nsq)[..., None]
-    return frame
+    try:
+        chol = np.linalg.cholesky(g)
+        least = np.min(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1) ** 2
+    except np.linalg.LinAlgError:  # non-finite entries read as 0 here
+        chol, least = None, np.linalg.eigvalsh(np.where(np.isfinite(g), g, 0.0))[..., 0]
+    least = np.atleast_1d(least)
+    if chol is None or np.any(least <= 1e-14):
+        # the most degenerate point: least squared pivot, or least eigenvalue
+        bad = tuple(map(int, np.unravel_index(np.nanargmin(least), least.shape)))
+        raise NumericError(f"metric is not positive definite at sampled point index {bad}")
+    return np.linalg.inv(chol)
 
 
 def slotwise(t: np.ndarray, mat: np.ndarray, valence: int, slots=None) -> np.ndarray:
@@ -218,9 +220,8 @@ def levi_civita_symbol(dim: int) -> np.ndarray:
     return eps
 
 
-def hodge_star_values(alpha: np.ndarray, g: np.ndarray, valence: int,
-                      orientation: int = 1) -> np.ndarray:
-    """Hodge star with the coordinate-order orientation (times ``orientation``)."""
+def hodge_star_values(alpha: np.ndarray, g: np.ndarray, valence: int) -> np.ndarray:
+    """Hodge star with the coordinate-order orientation."""
     d = g.shape[-1]
     det = np.linalg.det(g)
     if np.any(det <= 0):
@@ -228,7 +229,7 @@ def hodge_star_values(alpha: np.ndarray, g: np.ndarray, valence: int,
         raise NumericError(f"degenerate metric (det <= 0) at batch index {tuple(bad)}")
     sqrtg = np.asarray(np.sqrt(det))
     eps = levi_civita_symbol(d)
-    weight = orientation * sqrtg[(...,) + (None,) * (d - valence)]
+    weight = sqrtg[(...,) + (None,) * (d - valence)]
     raised = slotwise(alpha, metric_inverse(g), valence)
     up = _SLOT[:valence]
     out = _SLOT[valence:d]
@@ -245,27 +246,19 @@ def alt(t: np.ndarray, valence: int) -> np.ndarray:
     if valence < 2:
         return np.asarray(t, dtype=float)
     slots = _SLOT[:valence]
+    eps = levi_civita_symbol(valence)
     out = np.zeros_like(np.asarray(t, dtype=float))
-    for perm in itertools.permutations(range(valence)):
-        sign = 1
-        plist = list(perm)
-        for i in range(valence):
-            for j in range(i + 1, valence):
-                if plist[i] > plist[j]:
-                    sign = -sign
+    for perm in np.argwhere(eps):
         src = "".join(slots[p] for p in perm)
-        out = out + sign * np.einsum(f"...{src}->...{slots}", t)
+        out = out + eps[tuple(perm)] * np.einsum(f"...{src}->...{slots}", t)
     return out / math.factorial(valence)
 
 
-def wedge(a: np.ndarray, p: int, b: np.ndarray, q: int) -> np.ndarray:
-    """Wedge of a p-form with a q-form in the determinant convention:
-    ``a^b = (p+q)!/(p! q!) Alt(a (x) b)``."""
-    sa = _SLOT[:p]
-    sb = _SLOT[p:p + q]
-    prod = np.einsum(f"...{sa},...{sb}->...{sa + sb}", a, b)
-    factor = math.factorial(p + q) / (math.factorial(p) * math.factorial(q))
-    return factor * alt(prod, p + q)
+def wedge(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Wedge of a 1-form with a q-form in the determinant convention,
+    ``(a^b)(X0..Xq) = sum_m (-1)^m a(Xm) b(.., no Xm, ..)``: the alternating
+    sum of ``d`` applied to ``a (x) b``, so that ``a^b = (q+1) Alt(a (x) b)``."""
+    return exterior_derivative_of(a.reshape(a.shape + (1,) * q) * np.expand_dims(b, -(q + 1)), q)
 
 
 def interior_product(vec_contra: np.ndarray, t: np.ndarray, valence: int) -> np.ndarray:

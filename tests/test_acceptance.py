@@ -67,7 +67,7 @@ def test_criterion_2_hopf_reproduces_the_homogeneous_model():
     res["torsion_star_dual"] = float(np.max(np.abs(T + hodge_star_values(theta, g, 1))))
     J = m.complex_structure(pts)
     jth = -np.einsum("...m,...mi->...i", theta, J)
-    res["torsion_wedge_form"] = float(np.max(np.abs(T - wedge(jth, 1, m.kahler_form(pts), 2))))
+    res["torsion_wedge_form"] = float(np.max(np.abs(T - wedge(jth, m.kahler_form(pts), 2))))
 
     nth_g = ev.nabla_theta("levi_civita")
     res["lee_killing"] = float(np.max(np.abs(nth_g + np.einsum("...xy->...yx", nth_g))))

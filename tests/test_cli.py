@@ -36,8 +36,7 @@ def test_list_prints_catalog():
 
 def test_report_flat_torus_all_residuals_at_noise_floor(tmp_path):
     out_file = tmp_path / "flat.json"
-    code, _, _ = run_cli("report", "--manifold", "flat_torus_4",
-                         "--points", "8", "--out", str(out_file))
+    code = main(["report", "--manifold", "flat_torus_4", "--points", "8", "--out", str(out_file)])
     assert code == 0
     rep = json.loads(out_file.read_text())
     assert rep["overall_pass"]
@@ -51,8 +50,8 @@ def test_report_flat_torus_all_residuals_at_noise_floor(tmp_path):
 
 def test_report_hopf_flags(tmp_path):
     out_file = tmp_path / "hopf.json"
-    code, _, _ = run_cli("report", "--manifold", "hopf_standard",
-                         "--points", "16", "--seed", "1", "--out", str(out_file))
+    code = main(["report", "--manifold", "hopf_standard", "--points", "16", "--seed", "1",
+                 "--out", str(out_file)])
     assert code == 0
     rep = json.loads(out_file.read_text())
     flags = rep["manifolds"][0]["flags"]
@@ -66,8 +65,7 @@ def test_report_hopf_flags(tmp_path):
 
 def test_report_negative_example_passes_with_labels(tmp_path):
     out_file = tmp_path / "conf.json"
-    code, _, _ = run_cli("report", "--manifold", "conf_torus_4",
-                         "--points", "8", "--out", str(out_file))
+    code = main(["report", "--manifold", "conf_torus_4", "--points", "8", "--out", str(out_file)])
     assert code == 0
     rep = json.loads(out_file.read_text())
     section = rep["manifolds"][0]
@@ -87,24 +85,24 @@ def test_reports_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_unknown_manifold_exits_2():
-    code, _, err = run_cli("report", "--manifold", "k3_surface")
+def test_unknown_manifold_exits_2(capsys):
+    code = main(["report", "--manifold", "k3_surface"])
     assert code == 2
-    assert "hopf_standard" in err  # catalog listed
+    assert "hopf_standard" in capsys.readouterr().err  # catalog listed
 
 
 def test_residual_failure_exits_1(tmp_path):
     # su2xu1 residuals sit around 1e-6; a 1e-9 tolerance must fail
-    code, _, _ = run_cli("report", "--manifold", "su2xu1", "--points", "4",
-                         "--tol-identity", "1e-9", "--out", str(tmp_path / "x.json"))
+    code = main(["report", "--manifold", "su2xu1", "--points", "4",
+                 "--tol-identity", "1e-9", "--out", str(tmp_path / "x.json")])
     assert code == 1
 
 
-def test_invalid_step_exits_2(tmp_path):
-    code, _, err = run_cli("report", "--manifold", "flat_torus_4", "--h", "0.5",
-                           "--out", str(tmp_path / "x.json"))
+def test_invalid_step_exits_2(tmp_path, capsys):
+    code = main(["report", "--manifold", "flat_torus_4", "--h", "0.5",
+                 "--out", str(tmp_path / "x.json")])
     assert code == 2
-    assert "configuration" in err
+    assert "configuration" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--tol-identity", "--tol-classify"])
@@ -147,7 +145,7 @@ def test_numeric_failure_exits_3():
 
 def test_suite_all_runs_everything(tmp_path):
     out_file = tmp_path / "suite.json"
-    code, _, _ = run_cli("suite", "--all", "--points", "4", "--out", str(out_file))
+    code = main(["suite", "--all", "--points", "4", "--out", str(out_file)])
     assert code == 0
     rep = json.loads(out_file.read_text())
     assert [s["name"] for s in rep["manifolds"]] == catalog_names()

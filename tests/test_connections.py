@@ -113,7 +113,7 @@ def test_lck_torsion_shape():
     theta = lee_form_values(ev)
     J = hopf.complex_structure(pts)
     jth = -np.einsum("...m,...mi->...i", theta, J)
-    expected = wedge(jth, 1, hopf.kahler_form(pts), 2)
+    expected = wedge(jth, hopf.kahler_form(pts), 2)
     assert np.max(np.abs(torsion_bismut_values(ev) - expected)) < 1e-5
 
     c6 = get_manifold("conf_torus_6")
@@ -121,7 +121,7 @@ def test_lck_torsion_shape():
     ev = Evaluation(c6, pts)
     theta = lee_form_values(ev)
     jth = -np.einsum("...m,...mi->...i", theta, c6.complex_structure(pts))
-    expected = 0.5 * wedge(jth, 1, c6.kahler_form(pts), 2)
+    expected = 0.5 * wedge(jth, c6.kahler_form(pts), 2)
     assert np.max(np.abs(torsion_bismut_values(ev) - expected)) < 1e-5
 
 

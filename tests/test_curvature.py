@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ktgeo.catalog import catalog_names, get_manifold
+from ktgeo.connections import lower_coefficients
 from ktgeo.curvature import (
     lambda_omega_values, riemann_values, rho_from_curvature, weyl_selfdual_values,
 )
@@ -12,7 +13,7 @@ from ktgeo.tensor_core import (
     j_trace_matrix, metric_inverse, proj_one_one, to_frame,
 )
 
-from conftest import lee_fn, sample
+from conftest import block_conformal_torus_6, lee_fn, sample
 
 
 def test_flat_torus_all_flavors_flat(flat4):
@@ -24,6 +25,28 @@ def test_flat_torus_all_flavors_flat(flat4):
 def test_su2xu1_bismut_flat(su2):
     pts = sample("su2xu1", 12, seed=4)
     assert np.max(np.abs(riemann_values(Evaluation(su2, pts), "bismut"))) < 1e-4
+
+
+def _riemann_reference(ev, flavor):
+    """The six-term curvature formula, which reads the metric derivative."""
+    om = lower_coefficients(ev, flavor)
+    dom = fd_partial(lambda p: lower_coefficients(ev.at(p), flavor), ev.pts, ev.step)
+    dg = ev.partial("g")
+    gam = ev.gamma(flavor)
+    return (np.einsum("...iljk->...ijkl", dom)
+            - np.einsum("...jlik->...ijkl", dom)
+            - np.einsum("...ilm,...mjk->...ijkl", dg, gam)
+            + np.einsum("...jlm,...mik->...ijkl", dg, gam)
+            + np.einsum("...lim,...mjk->...ijkl", om, gam)
+            - np.einsum("...ljm,...mik->...ijkl", om, gam))
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["block_conformal_torus_6"])
+def test_riemann_matches_the_six_term_formula(name):
+    m = block_conformal_torus_6() if name == "block_conformal_torus_6" else get_manifold(name)
+    ev = Evaluation(m, m.sample_points(4, seed=0))
+    for fl in ("levi_civita", "bismut", "chern"):
+        assert np.max(np.abs(riemann_values(ev, fl) - _riemann_reference(ev, fl))) < 1e-10, fl
 
 
 def test_hopf_levi_civita_product_metric_oracle(hopf):

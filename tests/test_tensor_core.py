@@ -180,6 +180,39 @@ def test_frame_gram_residual_on_hopf(hopf):
     assert np.max(np.abs(gram - np.eye(4))) < 1e-10
 
 
+def _gram_schmidt_reference(g):
+    """Gram-Schmidt on the coordinate basis as the explicit loop, in index
+    order and with no pivoting."""
+    frame = np.zeros_like(g)
+    for a in range(g.shape[-1]):
+        v = np.zeros(g.shape[:-1])
+        v[..., a] = 1.0
+        for b in range(a):
+            proj = np.einsum("...i,...ij,...j->...", frame[..., b, :], g, v)
+            v = v - proj[..., None] * frame[..., b, :]
+        nsq = np.einsum("...i,...ij,...j->...", v, g, v)
+        frame[..., a, :] = v / np.sqrt(nsq)[..., None]
+    return frame
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 8), st.sampled_from([(), (3,)]), st.integers(0, 2 ** 31 - 1))
+def test_frames_match_the_gram_schmidt_loop(dim, batch, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(batch + (dim, dim))
+    g = a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(dim)
+    ref = _gram_schmidt_reference(g)
+    assert np.max(np.abs(gram_schmidt_frames(g) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("middle", [np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 1e-15, 1.0])],
+                         ids=["indefinite", "small_pivot"])
+def test_frames_name_the_degenerate_point(middle):
+    g = np.stack([np.eye(3), middle, np.eye(3)])
+    with pytest.raises(NumericError, match=r"not positive definite at sampled point index \(1,\)"):
+        gram_schmidt_frames(g)
+
+
 def test_j_trace_of_kahler_form_fixes_orientation(flat4):
     pts = sample("flat_torus_4", 1)
     om = flat4.kahler_form(pts)[0]
@@ -316,14 +349,24 @@ def test_wedge_antisymmetry_and_alt_projector(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(4)
     b = rng.standard_normal(4)
-    ab = wedge(a, 1, b, 1)
+    ab = wedge(a, b, 1)
     assert np.allclose(ab, -ab.T)
     assert np.allclose(ab, np.outer(a, b) - np.outer(b, a))
     t = rng.standard_normal((4, 4, 4))
     assert np.allclose(alt(alt(t, 3), 3), alt(t, 3))
     # wedge with a 2-form reproduces the three-term determinant convention
     beta = alt(rng.standard_normal((4, 4)), 2)
-    w = wedge(a, 1, beta, 2)
+    w = wedge(a, beta, 2)
     expected = (np.einsum("i,jk->ijk", a, beta) - np.einsum("j,ik->ijk", a, beta)
                 + np.einsum("k,ij->ijk", a, beta))
     assert np.allclose(w, expected)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_wedge_is_the_scaled_alternation(q):
+    rng = np.random.default_rng(q)
+    a = rng.standard_normal((2, 5))
+    b = alt(rng.standard_normal((2,) + (5,) * q), q)
+    slots = "abc"[:q]
+    ab = np.einsum(f"...i,...{slots}->...i{slots}", a, b)
+    assert np.max(np.abs(wedge(a, b, q) - (q + 1) * alt(ab, q + 1))) < 1e-12
