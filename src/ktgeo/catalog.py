@@ -38,7 +38,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChartDomainError, NumericError, PreconditionError, UnknownManifoldError
-from .tensor_core import fd_partial, kahler_form_values, levi_civita_symbol, slotwise
+from .tensor_core import (
+    DEFAULT_STEP, fd_partial, kahler_form_values, levi_civita_symbol, slotwise,
+)
 
 __all__ = [
     "Chart", "BoxChart", "AnnulusChart", "ConformalParent", "HermitianManifold",
@@ -340,7 +342,7 @@ def register_manifold(m: HermitianManifold) -> None:
 # structural residuals
 # ---------------------------------------------------------------------------
 
-def nijenhuis_values(j_fn, points, step=1e-4):
+def nijenhuis_values(j_fn, points, step=DEFAULT_STEP):
     """Components N^k_{ij} of the Nijenhuis tensor of an almost complex
     structure field, by central differences."""
     J = j_fn(points)
@@ -352,7 +354,8 @@ def nijenhuis_values(j_fn, points, step=1e-4):
     return t1 - t2 - t3 + t4
 
 
-def hermitian_residuals(m: HermitianManifold, points: np.ndarray, step=1e-4) -> dict:
+def hermitian_residuals(m: HermitianManifold, points: np.ndarray,
+                        step=DEFAULT_STEP) -> dict:
     """Structure-invariant residuals at sampled points: J^2 = -Id, metric
     compatibility, SPD-ness, integrability, and (if present) the quaternion
     relations of the hypercomplex triple."""

@@ -67,6 +67,8 @@ class RunConfig:
     def validate(self):
         if self.points < 1:
             raise ValueError("points must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not (1e-8 < self.step < 1e-1):
             raise ValueError("step must lie in (1e-8, 1e-1)")
         for s in self.suites:

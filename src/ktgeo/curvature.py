@@ -99,7 +99,7 @@ def weyl_selfdual_values(ev):
         raise PreconditionError("self-dual Weyl decomposition requires dimension 4")
     g, ginv = ev.g, ev.ginv
     r = ev.riemann("levi_civita")
-    ric = ricci_from_curvature(r, ginv)
+    ric = ev.ric_lc
     ric = 0.5 * (ric + np.einsum("...xy->...yx", ric))
     scal = np.einsum("...mn,...mn->...", ric, ginv)
     n = 4

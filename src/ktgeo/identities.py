@@ -2,13 +2,17 @@
 
 Each identity is evaluated with its two sides built from different formulas
 over shared primitives.  An :class:`Evaluation` computes every primitive
-(torsion, the three curvatures, the Lee form and their derivatives, ...) once
-per manifold and point set, and so does each evaluation on the stencil sets
-that a derivative differentiates.  The two sides are independent because their
+(the chart fields, the dilaton and the conformal factor among them, torsion,
+the three curvatures, the Lee form and their derivatives, ...) once per
+manifold and point set, and so does each evaluation on the stencil sets that
+a derivative differentiates.  The two sides are independent because their
 formulas differ, so a convention bug cannot cancel; evaluating a pure function
 twice gives identical bits and would add no independence.  Residuals are
 measured by :meth:`Evaluation.residual` as the largest orthonormal-frame
 component of the difference, which keeps them scale-honest across charts.
+
+The curvature suite is one generator of named ``(name, lhs - rhs)`` rows
+over one evaluation, each measured in turn.
 
 Identity names (stable keys used in reports and tests):
 
@@ -65,9 +69,8 @@ from .tensor_core import (
 
 __all__ = [
     "Evaluation", "evaluation", "evaluation_scope", "STENCIL_DEPTH",
-    "ResidualEntry", "run_identity_suite", "verify_ricci_traces",
-    "verify_ricci_skews", "verify_chern_traces", "verify_torsion_identities",
-    "verify_dim4", "verify_conformal_trace", "richardson_ratios",
+    "ResidualEntry", "run_identity_suite", "verify_dim4", "verify_conformal_trace",
+    "richardson_ratios",
     "TOL_CURVATURE", "TOL_FIRST_ORDER",
 ]
 
@@ -157,8 +160,9 @@ class Evaluation:
 
     def at(self, points) -> "Evaluation":
         """The evaluation of the same manifold and step at ``points``: this
-        one for its own ``pts`` array, else one on a stencil set around it."""
-        if points is self.pts:
+        one for its own point set, else one on a stencil set around it."""
+        if points is self.pts or (np.shape(points) == self.pts.shape
+                                  and np.array_equal(points, self.pts)):
             return self
         points = np.asarray(points, dtype=float)
         held = {} if self._stencils is None else self._stencils
@@ -218,6 +222,16 @@ class Evaluation:
     @_primitive
     def jg(self):
         return j_trace_matrix(self.J, self.ginv)
+
+    @_primitive
+    def phi(self):
+        """The dilaton."""
+        return self.m.dilaton(self.pts)
+
+    @_primitive
+    def log_factor(self):
+        """The conformal factor f, metric = exp(2 f) * the parent's."""
+        return self.m.conformal_parent.log_factor(self.pts)
 
     @_primitive
     def frames(self):
@@ -303,13 +317,16 @@ class Evaluation:
 
     def nabla(self, fn, valence: int, flavor: str) -> np.ndarray:
         """Covariant derivative of a field that is not a primitive, computed
-        on every call (a primitive's is a formula over :meth:`partial`)."""
+        on every call (a primitive's is a formula over :meth:`partial`).
+        Every chart field, the dilaton and the conformal factor among them,
+        is a primitive; ``fn`` is a formula over held values, such as
+        eta = theta - 2 d phi, or a field of a test."""
         return covariant_derivative_of(fd_partial(fn, self.pts, self.step), fn(self.pts),
                                        self.gamma(flavor), valence)
 
     def codiff(self, fn, valence: int) -> np.ndarray:
         """Codifferential of a form field that is not a primitive, computed
-        on every call."""
+        on every call; ``fn`` as for :meth:`nabla`."""
         return codifferential_of(self.nabla(fn, valence, "levi_civita"), self.ginv, valence)
 
     def nabla_T(self, flavor: str) -> np.ndarray:
@@ -454,109 +471,83 @@ def _entry(ev: Evaluation, name, diff, tol) -> ResidualEntry:
 
 
 # ---------------------------------------------------------------------------
-# torsion / curvature exchange identities
+# the identity rows
 # ---------------------------------------------------------------------------
 
-def verify_torsion_identities(m: HermitianManifold, pts, h=DEFAULT_STEP):
-    ev = evaluation(m, pts, h)
+def _identity_rows(ev: Evaluation):
+    """The curvature identities as ``(name, lhs - rhs)`` rows, in report order."""
     nt = ev.nabla_T("bismut")
     tt = ev.tt4
-    out = []
 
     # Levi-Civita vs Bismut derivative of T
     rhs = nt + 0.5 * cyclic3_of4(tt)
-    out.append(_entry(ev, "torsion_nabla_exchange", ev.nabla_T("levi_civita") - rhs,
-                      TOL_CURVATURE))
+    yield "torsion_nabla_exchange", ev.nabla_T("levi_civita") - rhs
 
     # dT from the Bismut derivative
     rhs = cyclic3_of4(nt + 2.0 * tt) - np.einsum("...uxyz->...xyzu", nt)
-    out.append(_entry(ev, "torsion_ext_derivative", ev.dT - rhs, TOL_CURVATURE))
+    yield "torsion_ext_derivative", ev.dT - rhs
 
     # first Bianchi identity with torsion
     lhs = cyclic3_of4(ev.riemann("bismut"))
     rhs = ev.dT + np.einsum("...uxyz->...xyzu", nt) - cyclic3_of4(tt)
-    out.append(_entry(ev, "bianchi_with_torsion", lhs - rhs, TOL_CURVATURE))
+    yield "bianchi_with_torsion", lhs - rhs
 
     # Levi-Civita curvature from the Bismut curvature
     rhs = (ev.riemann("bismut") - 0.5 * nt + 0.5 * np.einsum("...yxzu->...xyzu", nt)
            - 0.5 * tt - 0.25 * np.einsum("...yzxu->...xyzu", tt)
            - 0.25 * np.einsum("...zxyu->...xyzu", tt))
-    out.append(_entry(ev, "curvature_comparison", ev.riemann("levi_civita") - rhs,
-                      TOL_CURVATURE))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Ricci-trace identities
-# ---------------------------------------------------------------------------
-
-def verify_ricci_traces(m: HermitianManifold, pts, h=DEFAULT_STEP):
-    ev = evaluation(m, pts, h)
-    out = []
+    yield "curvature_comparison", ev.riemann("levi_civita") - rhs
 
     # Riemannian Ricci from the Bismut one
     rhs = ev.ric + 0.5 * ev.codiff_T + 0.25 * ev.tt2
-    out.append(_entry(ev, "ricci_comparison", ev.ric_lc - rhs, TOL_CURVATURE))
+    yield "ricci_comparison", ev.ric_lc - rhs
 
     # rho against the mixed Ricci trace
     rhs = (np.einsum("...xm,...my->...xy", ev.ric, ev.J)
            + np.einsum("...xm,...my->...xy", ev.nabla_theta("bismut"), ev.J) + 0.25 * ev.lam)
-    out.append(_entry(ev, "ricci_form_mixed_trace", ev.rho - rhs, TOL_CURVATURE))
+    yield "ricci_form_mixed_trace", ev.rho - rhs
 
     # scalar relation for b
     rhs = ev.scal - 3.0 * ev.codiff_theta - 2.0 * ev.norm_sq("theta") + ev.norm_sq("T") / 3.0
-    out.append(_entry(ev, "b_scalar_relation", ev.b - rhs, TOL_CURVATURE))
-    return out
+    yield "b_scalar_relation", ev.b - rhs
 
-
-def verify_ricci_skews(m: HermitianManifold, pts, h=DEFAULT_STEP):
-    ev = evaluation(m, pts, h)
     J = ev.J
     ric = ev.ric
     nth = ev.nabla_theta("bismut")
-    out = []
-
     lhs = ric - np.einsum("...xy->...yx", ric)
-    out.append(_entry(ev, "ricci_skew_coclosure", lhs + ev.codiff_T, TOL_CURVATURE))
+    yield "ricci_skew_coclosure", lhs + ev.codiff_T
 
     lhs = slotwise(ric, J, 2) - np.einsum("...xy->...yx", ric)
     rhs = -slotwise(nth, J, 2) + np.einsum("...xy->...yx", nth)
-    out.append(_entry(ev, "ricci_j_conjugation", lhs - rhs, TOL_CURVATURE))
+    yield "ricci_j_conjugation", lhs - rhs
 
     lhs = slotwise(ev.rho, J, 2) - ev.rho
     dnth = nth - np.einsum("...xy->...yx", nth)
     rhs = (np.einsum("...my,...mx->...xy", ev.codiff_T, J)
            - np.einsum("...my,...mx->...xy", dnth, J))
-    out.append(_entry(ev, "ricci_form_type_defect", lhs - rhs, TOL_CURVATURE))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Chern-trace identities
-# ---------------------------------------------------------------------------
-
-def verify_chern_traces(m: HermitianManifold, pts, h=DEFAULT_STEP):
-    ev = evaluation(m, pts, h)
-    out = []
+    yield "ricci_form_type_defect", lhs - rhs
 
     # mean curvature of the holomorphic tangent bundle
     lhs = np.einsum("...my,...mx->...xy", ev.kappa, ev.J)
-    out.append(_entry(ev, "mean_curvature_formula", lhs - ev.mean_curvature_form,
-                      TOL_CURVATURE))
+    yield "mean_curvature_formula", lhs - ev.mean_curvature_form
 
     # Chern Ricci form from the Bismut one
-    out.append(_entry(ev, "chern_vs_bismut_ricci", ev.rho_chern - (ev.rho + ev.d_jtheta),
-                      TOL_CURVATURE))
+    yield "chern_vs_bismut_ricci", ev.rho_chern - (ev.rho + ev.d_jtheta)
 
     # J-trace of lambda (pins the norm convention)
     lhs = -np.einsum("...mn,...mn->...", ev.lam, ev.jg)  # = sum_i lambda(e_i, J e_i)
     rhs = 8.0 * ev.norm_sq("theta") + 8.0 * ev.codiff_theta - 4.0 / 3.0 * ev.norm_sq("T")
-    out.append(_entry(ev, "lambda_trace_calibration", lhs - rhs, TOL_CURVATURE))
+    yield "lambda_trace_calibration", lhs - rhs
 
     # trace of the mean-curvature formula
     rhs = ev.b + ev.norm_sq("C") - 0.5 * ev.h
-    out.append(_entry(ev, "u_trace_formula", 2.0 * ev.u - rhs, TOL_CURVATURE))
-    return out
+    yield "u_trace_formula", 2.0 * ev.u - rhs
+
+
+def run_identity_suite(m: HermitianManifold, pts, h=DEFAULT_STEP):
+    """All curvature identities applicable to a manifold, in report order."""
+    ev = evaluation(m, pts, h)
+    return [_entry(ev, name, diff, TOL_CURVATURE) for name, diff in _identity_rows(ev)]
 
 
 # ---------------------------------------------------------------------------
@@ -610,30 +601,15 @@ def verify_conformal_trace(m: HermitianManifold, pts, h=DEFAULT_STEP) -> Residua
         raise PreconditionError(f"{m.name} has no conformal parent")
     ev = evaluation(m, pts, h)
     parent = evaluation(m.conformal_parent.parent, ev.pts, h)
-    f_fn = m.conformal_parent.log_factor
-    big_f_fn = lambda p: 2.0 * f_fn(p)
-    df_fn = lambda p: fd_partial(big_f_fn, p, h)
+
+    def df(p):  # dF, held on the point sets of m's evaluation
+        return 2.0 * ev.at(p).partial("log_factor")
+
     n = m.dim // 2
-
-    lhs = 2.0 * np.exp(big_f_fn(ev.pts)) * ev.u
-    pairing = np.einsum("...a,...b,...ab->...", parent.theta, df_fn(ev.pts), parent.ginv)
-    rhs = 2.0 * parent.u + n * (n - 1) * pairing + n * parent.codiff(df_fn, 1)
+    lhs = 2.0 * np.exp(2.0 * ev.log_factor) * ev.u
+    pairing = np.einsum("...a,...b,...ab->...", parent.theta, df(ev.pts), parent.ginv)
+    rhs = 2.0 * parent.u + n * (n - 1) * pairing + n * parent.codiff(df, 1)
     return _entry(ev, "conformal_u_change", lhs - rhs, TOL_CURVATURE)
-
-
-# ---------------------------------------------------------------------------
-# suite driver
-# ---------------------------------------------------------------------------
-
-def run_identity_suite(m: HermitianManifold, pts, h=DEFAULT_STEP):
-    """All curvature identities applicable to a manifold."""
-    with evaluation_scope():
-        entries = []
-        entries += verify_torsion_identities(m, pts, h)
-        entries += verify_ricci_traces(m, pts, h)
-        entries += verify_ricci_skews(m, pts, h)
-        entries += verify_chern_traces(m, pts, h)
-    return entries
 
 
 def richardson_ratios(m: HermitianManifold, pts, h=4e-3) -> dict:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .catalog import HermitianManifold
 from .classify import DEFAULT_CLASSIFY_TOL, hypothesis_residuals
-from .identities import Evaluation, evaluation, evaluation_scope
+from .identities import Evaluation, evaluation
 from .tensor_core import DEFAULT_STEP, fd_partial, interior_product, slotwise
 
 __all__ = ["StringEntry", "StringReport", "run_string_suite", "TOL_STRING"]
@@ -93,8 +93,12 @@ class StringReport:
                 "entries": [e.as_dict() for e in self.entries]}
 
 
-def _no_dilaton(points):
-    return np.zeros(np.shape(points)[:-1])
+def _no_dilaton(e: Evaluation):
+    return np.zeros(e.pts.shape[:-1])
+
+
+def _held_dilaton(e: Evaluation):
+    return e.phi
 
 
 def _weighted_divergence(ev: Evaluation, phi) -> np.ndarray:
@@ -104,7 +108,7 @@ def _weighted_divergence(ev: Evaluation, phi) -> np.ndarray:
     of the stencil sets: no connection coefficients enter."""
     def density(p):
         e = ev.at(p)
-        weight = np.sqrt(np.linalg.det(e.g)) * np.exp(-2.0 * phi(p))
+        weight = np.sqrt(np.linalg.det(e.g)) * np.exp(-2.0 * phi(e))
         return weight[..., None, None, None] * slotwise(e.T, e.ginv, 3)
 
     div = (np.einsum("...iiab->...ab", fd_partial(density, ev.pts, ev.step))
@@ -114,8 +118,9 @@ def _weighted_divergence(ev: Evaluation, phi) -> np.ndarray:
 
 def _dilaton_residuals(ev: Evaluation, phi, lam_j) -> tuple:
     """eta = theta - 2 d phi and the residuals of the entries that depend on
-    the dilaton.  ``phi = None`` is a constant dilaton: eta is the Lee form,
-    and the held primitives are the derivatives."""
+    the dilaton ``phi``, a function of an evaluation.  ``phi = None`` is a
+    constant dilaton: eta is the Lee form, and the held primitives are the
+    derivatives."""
     if phi is None:
         eta, neta = ev.theta, ev.nabla_theta("bismut")
         eta_size = ev.magnitude("theta")
@@ -124,7 +129,7 @@ def _dilaton_residuals(ev: Evaluation, phi, lam_j) -> tuple:
         phi = _no_dilaton
     else:
         def dphi(p):
-            return fd_partial(phi, p, ev.step)
+            return ev.at(p).partial("phi")
 
         def eta_fn(p):
             return ev.at(p).theta - 2.0 * dphi(p)
@@ -139,7 +144,7 @@ def _dilaton_residuals(ev: Evaluation, phi, lam_j) -> tuple:
     #   sum_i (nabla^g_{e_i} (exp(-2 phi) T))(e_i, ., .)
     #       = - exp(-2 phi) (codiff T + 2 i_{grad phi} T)
     div_agreement = (_weighted_divergence(ev, phi)
-                     + np.exp(-2.0 * phi(ev.pts))[..., None, None] * flux)
+                     + np.exp(-2.0 * phi(ev))[..., None, None] * flux)
     neta_t = np.einsum("...xy->...yx", neta)
     measured = [
         ("einstein_equation", einstein),
@@ -171,55 +176,54 @@ def run_string_suite(m: HermitianManifold, pts, step=DEFAULT_STEP,
     The divergence-form agreement is an identity and asserted everywhere.
     The supersymmetry residual |theta - 2 d phi| is asserted for the
     manifold's dilaton and informational for the constant one."""
-    with evaluation_scope():
-        ev = evaluation(m, pts, step)
+    ev = evaluation(m, pts, step)
 
-        strong, su = hypothesis_residuals(ev)
-        hyp = {"strong_residual": strong, "su_residual": su,
-               "strong_kt": strong <= hyp_tol, "su_indicator": su <= hyp_tol,
-               "ok": strong <= hyp_tol and su <= hyp_tol}
-        sol = ASSERTED if hyp["ok"] else HYPOTHESIS_FAILED
+    strong, su = hypothesis_residuals(ev)
+    hyp = {"strong_residual": strong, "su_residual": su,
+           "strong_kt": strong <= hyp_tol, "su_indicator": su <= hyp_tol,
+           "ok": strong <= hyp_tol and su <= hyp_tol}
+    sol = ASSERTED if hyp["ok"] else HYPOTHESIS_FAILED
 
-        scal, ric = ev.magnitude("scal"), ev.magnitude("ric")
-        th1 = {"hypothesis_ok": hyp["ok"], "hypotheses": hyp,
-               "scal_residual": scal, "ric_residual": ric,
-               "scal_zero": scal <= TOL_STRING, "ric_zero": ric <= TOL_STRING,
-               "label": sol}
-        th1["agree"] = (th1["scal_zero"] == th1["ric_zero"]) if hyp["ok"] else None
+    scal, ric = ev.magnitude("scal"), ev.magnitude("ric")
+    th1 = {"hypothesis_ok": hyp["ok"], "hypotheses": hyp,
+           "scal_residual": scal, "ric_residual": ric,
+           "scal_zero": scal <= TOL_STRING, "ric_zero": ric <= TOL_STRING,
+           "label": sol}
+    th1["agree"] = (th1["scal_zero"] == th1["ric_zero"]) if hyp["ok"] else None
 
-        # dilaton-independent entries: codiff(T) = d theta - i_{theta#} T,
-        # valid when the Bismut Ricci form vanishes, and the Lie derivative
-        # of g along the dual of the Lee form
-        lam_j = np.einsum("...xm,...ym->...xy", ev.lam, ev.J)
-        sharp = np.einsum("...ij,...j->...i", ev.ginv, ev.theta)
-        nth = ev.nabla_theta("levi_civita")
-        shared = {name: ev.residual(name, diff)[0] for name, diff in (
-            ("coclosed_vs_lee", ev.codiff_T - (ev.dtheta - interior_product(sharp, ev.T, 3))),
-            ("lee_killing_field", nth + np.einsum("...xy->...yx", nth)),
-        )}
+    # dilaton-independent entries: codiff(T) = d theta - i_{theta#} T,
+    # valid when the Bismut Ricci form vanishes, and the Lie derivative
+    # of g along the dual of the Lee form
+    lam_j = np.einsum("...xm,...ym->...xy", ev.lam, ev.J)
+    sharp = np.einsum("...ij,...j->...i", ev.ginv, ev.theta)
+    nth = ev.nabla_theta("levi_civita")
+    shared = {name: ev.residual(name, diff)[0] for name, diff in (
+        ("coclosed_vs_lee", ev.codiff_T - (ev.dtheta - interior_product(sharp, ev.T, 3))),
+        ("lee_killing_field", nth + np.einsum("...xy->...yx", nth)),
+    )}
 
-        dilatons = {"constant_dilaton": None}
-        if m.dilaton is not None:
-            dilatons["gradient_dilaton"] = m.dilaton
-        reports = {}
-        for kind, phi in dilatons.items():
-            eta, res = _dilaton_residuals(ev, phi, lam_j)
-            res.update(shared)
-            if phi is None:
-                # the Bismut Ricci tensor itself, and the Lee-form equation
-                # (nabla_X theta)Y = lambda(X, JY)/4 equivalent to it when the
-                # Bismut Ricci form vanishes: the eta equation with eta = theta
-                res["constant_dilaton_ricci"] = ric
-                res["constant_dilaton_lee_equation"] = res["eta_equation"]
-            status = {"supersymmetric_lee": INFO if phi is None else ASSERTED,
-                      "flux_divergence_agreement": ASSERTED,
-                      "coclosed_vs_lee": ASSERTED if hyp["su_indicator"] else HYPOTHESIS_FAILED,
-                      "lee_killing_field": sol if phi is None else INFO}
-            reports[kind] = StringReport(
-                manifold=m.name, constant_dilaton=phi is None, hypothesis_ok=hyp["ok"],
-                einstein_residual=res["einstein_equation"], flux_residual=res["flux_equation"],
-                eta=eta, eta_parallel_residual=res["eta_parallel"],
-                susy_theta_residual=res["supersymmetric_lee"], th1_consistency=th1,
-                entries=[StringEntry(name, res[name], TOL_STRING, status.get(name, sol))
-                         for name in _ENTRY_ORDER if name in res])
+    dilatons = {"constant_dilaton": None}
+    if m.dilaton is not None:
+        dilatons["gradient_dilaton"] = _held_dilaton
+    reports = {}
+    for kind, phi in dilatons.items():
+        eta, res = _dilaton_residuals(ev, phi, lam_j)
+        res.update(shared)
+        if phi is None:
+            # the Bismut Ricci tensor itself, and the Lee-form equation
+            # (nabla_X theta)Y = lambda(X, JY)/4 equivalent to it when the
+            # Bismut Ricci form vanishes: the eta equation with eta = theta
+            res["constant_dilaton_ricci"] = ric
+            res["constant_dilaton_lee_equation"] = res["eta_equation"]
+        status = {"supersymmetric_lee": INFO if phi is None else ASSERTED,
+                  "flux_divergence_agreement": ASSERTED,
+                  "coclosed_vs_lee": ASSERTED if hyp["su_indicator"] else HYPOTHESIS_FAILED,
+                  "lee_killing_field": sol if phi is None else INFO}
+        reports[kind] = StringReport(
+            manifold=m.name, constant_dilaton=phi is None, hypothesis_ok=hyp["ok"],
+            einstein_residual=res["einstein_equation"], flux_residual=res["flux_equation"],
+            eta=eta, eta_parallel_residual=res["eta_parallel"],
+            susy_theta_residual=res["supersymmetric_lee"], th1_consistency=th1,
+            entries=[StringEntry(name, res[name], TOL_STRING, status.get(name, sol))
+                     for name in _ENTRY_ORDER if name in res])
     return reports

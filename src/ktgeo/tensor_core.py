@@ -225,8 +225,8 @@ def hodge_star_values(alpha: np.ndarray, g: np.ndarray, valence: int) -> np.ndar
     d = g.shape[-1]
     det = np.linalg.det(g)
     if np.any(det <= 0):
-        bad = np.argwhere(np.atleast_1d(det) <= 0)[0]
-        raise NumericError(f"degenerate metric (det <= 0) at batch index {tuple(bad)}")
+        bad = tuple(map(int, np.argwhere(np.atleast_1d(det) <= 0)[0]))
+        raise NumericError(f"degenerate metric (det <= 0) at batch index {bad}")
     sqrtg = np.asarray(np.sqrt(det))
     eps = levi_civita_symbol(d)
     weight = sqrtg[(...,) + (None,) * (d - valence)]

@@ -98,6 +98,15 @@ def test_residual_failure_exits_1(tmp_path):
     assert code == 1
 
 
+def test_negative_seed_exits_2_naming_the_seed(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(["report", "--manifold", "hopf_standard", "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: invalid configuration:") and "seed" in line
+    assert not out.exists()
+
+
 def test_invalid_step_exits_2(tmp_path, capsys):
     code = main(["report", "--manifold", "flat_torus_4", "--h", "0.5",
                  "--out", str(tmp_path / "x.json")])
@@ -315,6 +324,27 @@ def test_report_metric_evaluations(tmp_path, name):
                  "--out", str(tmp_path / "r.json")])
     assert code == 0
     assert sum(points) == _METRIC_POINTS[name]
+
+
+# the dilaton and the conformal factor are chart fields held like the metric:
+# a 2-point report evaluates each at 1 + 2d + (2d)^2 points per base point
+# (the rescaled metric calls its own factor, which is not counted here)
+@pytest.mark.parametrize("name, expected", [
+    ("hopf_standard", {"dilaton": 146, "log_factor": 146}),
+    ("conf_torus_4", {"dilaton": 0, "log_factor": 146}),
+])
+def test_report_scalar_field_evaluations(tmp_path, name, expected):
+    m = get_manifold(name)
+    dilaton, factor = [], []
+    parent = replace(m.conformal_parent,
+                     log_factor=_counted(m.conformal_parent.log_factor, factor))
+    register_manifold(replace(
+        m, name=f"counted_scalars_{name}", conformal_parent=parent,
+        dilaton=None if m.dilaton is None else _counted(m.dilaton, dilaton)))
+    code = main(["report", "--manifold", f"counted_scalars_{name}", "--points", "2",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    assert {"dilaton": sum(dilaton), "log_factor": sum(factor)} == expected
 
 
 def test_report_leaves_no_evaluation_alive(monkeypatch, tmp_path):

@@ -8,8 +8,7 @@ from ktgeo.catalog import (
 from ktgeo.errors import ContractViolationError, PreconditionError
 from ktgeo.identities import (
     Evaluation, evaluation, evaluation_scope, richardson_ratios, run_identity_suite,
-    verify_conformal_trace, verify_dim4, verify_ricci_skews,
-    verify_torsion_identities,
+    verify_conformal_trace, verify_dim4,
 )
 
 from conftest import sample
@@ -52,7 +51,7 @@ def test_su2xu1_scalar_relation_reduces_to_lee_torsion_balance(su2):
 
 def test_su2xu1_coclosed_torsion_makes_ricci_symmetric(su2):
     pts = sample("su2xu1", 8)
-    entries = {e.name: e for e in verify_ricci_skews(su2, pts)}
+    entries = {e.name: e for e in run_identity_suite(su2, pts)}
     assert entries["ricci_skew_coclosure"].passed
     from ktgeo.curvature import ricci_from_curvature, riemann_values
     from ktgeo.tensor_core import metric_inverse
@@ -170,7 +169,7 @@ def test_torsion_derivative_invariants_tight_tolerance(name):
     # of magnitude below the curvature tolerance at the default step
     m = get_manifold(name)
     pts = m.sample_points(32, seed=0)
-    entries = {e.name: e for e in verify_torsion_identities(m, pts)}
+    entries = {e.name: e for e in run_identity_suite(m, pts)}
     assert entries["torsion_nabla_exchange"].max_residual < 1e-5
     assert entries["torsion_ext_derivative"].max_residual < 1e-5
 

@@ -158,6 +158,12 @@ def test_star_degenerate_metric_raises():
         hodge_star_values(np.zeros(4), g, 1)
 
 
+def test_star_names_the_degenerate_point():
+    g = np.stack([np.eye(4), np.zeros((4, 4))])
+    with pytest.raises(NumericError, match=r"at batch index \(1,\)$"):
+        hodge_star_values(np.zeros((2, 4)), g, 1)
+
+
 # ---------------------------------------------------------------------------
 # frames, traces, norms
 # ---------------------------------------------------------------------------
