@@ -4,7 +4,9 @@ Verbs:
 
 - ``ktgeo list`` prints the catalog, one name per line.
 - ``ktgeo report --manifold NAME [...]`` runs the selected suites on one or
-  more manifolds (or ``all``) and writes a JSON report to ``--out`` or stdout.
+  more manifolds and writes a JSON report to ``--out`` or stdout; ``all``
+  stands for the whole catalog, and each manifold is reported once, in order
+  of first appearance.
 - ``ktgeo suite --all`` runs every manifold through every suite.
 
 Exit status: 0 when every asserted check passes, 1 when a residual fails,
@@ -208,9 +210,10 @@ def _manifold_report(name: str, cfg: RunConfig) -> dict:
 def run(cfg: RunConfig) -> dict:
     """Execute a configuration and return the report document."""
     cfg.validate()
-    names = list(cfg.manifolds)
-    if names == ["all"]:
-        names = catalog_names()
+    # 'all' stands for the catalog wherever it appears; each manifold once,
+    # in order of first appearance
+    names = list(dict.fromkeys(n for name in cfg.manifolds
+                               for n in (catalog_names() if name == "all" else (name,))))
     for n in names:
         get_manifold(n)  # fail fast on unknown names
     sections = [_manifold_report(n, cfg) for n in names]
@@ -245,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="run suites on selected manifolds")
     rep.add_argument("--manifold", action="append", required=True,
-                     help="catalog name, repeatable; or 'all'")
+                     help="catalog name or 'all' (the whole catalog), repeatable; "
+                          "each manifold is reported once, in order of first appearance")
     rep.add_argument("--suite", action="append", choices=SUITES, default=None,
                      help="suite selection, repeatable (default: all suites)")
     add_common(rep)

@@ -32,7 +32,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConventionError
-from .tensor_core import codifferential_of, covariant_derivative_of, slotwise
+from .tensor_core import (
+    codifferential_of, covariant_derivative_of, first_slot_matrix, slotwise,
+)
 
 __all__ = [
     "torsion_bismut_values", "torsion_chern_values", "lower_coefficients",
@@ -79,7 +81,9 @@ def lower_coefficients(ev, flavor: str) -> np.ndarray:
     if flavor == "bismut":
         return om + 0.5 * np.einsum("...ijl->...lij", ev.T)
     if flavor == "chern":
-        return om + 0.5 * np.einsum("...ai,...ajl->...lij", ev.J, ev.dOm)
+        # sum_a J[a, i] dOm[a, j, l] as [i, (jl)], read as [l, i, j]
+        jdom = np.swapaxes(ev.J, -1, -2) @ first_slot_matrix(ev.dOm)
+        return om + 0.5 * np.moveaxis(jdom.reshape(ev.dOm.shape), -1, -3)
     raise ValueError(f"unknown connection flavor {flavor!r}")
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from .connections import lower_coefficients
 from .errors import PreconditionError
-from .tensor_core import fd_partial, levi_civita_symbol, slotwise
+from .tensor_core import fd_partial, first_slot_matrix, levi_civita_symbol, slotwise
 
 __all__ = [
     "riemann_values", "lambda_omega_values", "weyl_selfdual_values",
@@ -49,8 +49,10 @@ def riemann_values(ev, flavor: str) -> np.ndarray:
     the three-term formula of the module docstring."""
     dom = fd_partial(lambda p: lower_coefficients(ev.at(p), flavor),
                      ev.pts, ev.step)                 # dom[d, l, i, j]
-    a = (np.einsum("...iljk->...ijkl", dom)
-         - np.einsum("...mil,...mjk->...ijkl", lower_coefficients(ev, flavor), ev.gamma(flavor)))
+    # omega[m, i, l] Gamma[m, j, k] as [(il), (jk)]: one product per point
+    quad = (np.swapaxes(first_slot_matrix(lower_coefficients(ev, flavor)), -1, -2)
+            @ first_slot_matrix(ev.gamma(flavor)))
+    a = np.moveaxis(dom - quad.reshape(dom.shape), -3, -1)   # [i, l, j, k] -> [i, j, k, l]
     return a - np.swapaxes(a, -4, -3)
 
 

@@ -62,8 +62,8 @@ from .curvature import (
 from .errors import ContractViolationError, NumericError, PreconditionError
 from .tensor_core import (
     DEFAULT_STEP, codifferential_of, covariant_derivative_of, cyclic3_of4,
-    exterior_derivative_of, fd_partial, gram_schmidt_frames, hodge_star_values,
-    j_trace_matrix, kahler_form_values, koszul_values, metric_inverse,
+    exterior_derivative_of, fd_partial, first_slot_matrix, gram_schmidt_frames,
+    hodge_star_values, j_trace_matrix, kahler_form_values, koszul_values, metric_inverse,
     norm_sq_values, proj_one_one, slotwise, to_frame, wedge,
 )
 
@@ -199,10 +199,10 @@ class Evaluation:
             attrs = [a for a in shared if ("partial", a) not in self._values]
             def values(p):
                 ev = self.at(p)
-                return np.concatenate([getattr(ev, a) for a in attrs], axis=-1)
-            df = fd_partial(values, self.pts, self.step)
-            for a, part in zip(attrs, np.split(df, len(attrs), axis=-1)):
-                self._values[("partial", a)] = _frozen(np.ascontiguousarray(part))
+                return tuple(getattr(ev, a) for a in attrs)
+            derivatives = fd_partial(values, self.pts, self.step)
+            for a, df in zip(attrs, derivatives):
+                self._values[("partial", a)] = _frozen(df)
         return self._values[("partial", attr)]
 
     # -- chart data ------------------------------------------------------------
@@ -312,8 +312,10 @@ class Evaluation:
 
     def gamma(self, flavor: str) -> np.ndarray:
         """Raised coefficients Gamma[k,i,j] = g^{kl} omega[l,i,j] of a flavor."""
-        return self._once(("gamma", flavor), lambda: np.einsum(
-            "...kl,...lij->...kij", self.ginv, lower_coefficients(self, flavor)))
+        def compute():
+            om = lower_coefficients(self, flavor)
+            return (self.ginv @ first_slot_matrix(om)).reshape(om.shape)
+        return self._once(("gamma", flavor), compute)
 
     def nabla(self, fn, valence: int, flavor: str) -> np.ndarray:
         """Covariant derivative of a field that is not a primitive, computed

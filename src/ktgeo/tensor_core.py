@@ -8,8 +8,8 @@ All conventions used by the rest of the engine are fixed here, once:
 - Transport: every multi-slot pullback ``t(M., .., M.)`` -- frame components,
   raised indices, norms, J-conjugations -- goes through ``slotwise``,
   ``out[.., i, ..] = sum_a M[..., a, i] t[.., a, ..]``: one batched matrix
-  product per transported slot, the tensor's last slot rotated to the front
-  after each.
+  product per transported slot, on a view of the tensor, and no slot that is
+  not transported is touched.
 - Every ``*_values`` function is batched: points have shape ``(..., dim)`` and
   tensor outputs have shape ``(..., dim, .., dim)``.  Single points work the
   same way with an empty batch.
@@ -30,7 +30,9 @@ All conventions used by the rest of the engine are fixed here, once:
 - Differentiation: central differences with default step ``1e-4`` on
   O(1)-scaled charts.  ``fd_partial`` places every stencil; the derivative
   operators (exterior, covariant, codifferential) are formulas over a
-  coordinate derivative already taken, derivative axis first.
+  coordinate derivative already taken, derivative axis first.  The
+  covariant derivative is one batched matrix product with the connection
+  coefficients per slot.
   Curvature-grade objects nest two stencils, so an evaluation needs a chart
   margin of two steps around each point; the evaluation context checks it
   once per point set.
@@ -65,26 +67,34 @@ _SLOT = "abcefghk"
 # ---------------------------------------------------------------------------
 
 def fd_partial(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
-               step: float = DEFAULT_STEP) -> np.ndarray:
+               step: float = DEFAULT_STEP):
     """Central-difference coordinate derivative of a batched field.
 
     Returns an array with the derivative axis first among the tensor axes:
-    ``out[..., d, (slots)] = D_d fn[..., (slots)]``.
+    ``out[..., d, (slots)] = D_d fn[..., (slots)]``.  A field that returns a
+    tuple of arrays is differentiated member by member from the one stencil
+    evaluation, and the derivatives come back as a tuple in the same order.
     """
     pts = np.asarray(points, dtype=float)
     d = pts.shape[-1]
     eye = step * np.eye(d)
     plus = fn(pts[..., None, :] + eye)
     minus = fn(pts[..., None, :] - eye)
+    if isinstance(plus, tuple):
+        return tuple((p - m) / (2.0 * step) for p, m in zip(plus, minus))
     return (plus - minus) / (2.0 * step)
 
 
 def exterior_derivative_of(df: np.ndarray, valence: int) -> np.ndarray:
     """d of a p-form from its coordinate derivative ``df`` (derivative axis
     first); see module docstring for the convention."""
-    out = np.zeros_like(df)
-    for m in range(valence + 1):
-        out += (-1) ** m * np.moveaxis(df, -(valence + 1), -(valence + 1) + m)
+    out = df + 0.0  # a copy with -0.0 read as +0.0, as a sum started from zero
+    for m in range(1, valence + 1):
+        moved = np.moveaxis(df, -(valence + 1), -(valence + 1) + m)
+        if m % 2:
+            out -= moved
+        else:
+            out += moved
     return out
 
 
@@ -117,16 +127,30 @@ def koszul_values(dg: np.ndarray) -> np.ndarray:
     return 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
 
 
+def first_slot_matrix(t: np.ndarray) -> np.ndarray:
+    """A valence-3 tensor ``t[m, i, j]`` viewed as the matrix ``[m, (i j)]``,
+    the operand of a contraction over its first slot."""
+    d = t.shape[-1]
+    return t.reshape(t.shape[:-3] + (d, d * d))
+
+
 def covariant_derivative_of(df: np.ndarray, base: np.ndarray, gamma: np.ndarray,
                             valence: int) -> np.ndarray:
     """Covariant derivative of a covariant field from its coordinate
     derivative ``df`` (derivative axis first), its values ``base`` and the
-    connection coefficients at the same points; derivative axis first."""
+    connection coefficients at the same points; derivative axis first.
+
+    ``nab[d, .., a, ..] = df[d, .., a, ..] - sum_m gamma[m, d, a] base[.., m, ..]``
+    for each slot: the slot moved last is one product with ``gamma`` viewed
+    as ``(m, d a)``, subtracted as a view with the derivative axis first."""
+    d = gamma.shape[-1]
+    coef = first_slot_matrix(gamma)
     nab = df
-    slots = _SLOT[:valence]
     for s in range(valence):
-        t_sub = slots[:s] + "m" + slots[s + 1:]
-        nab = nab - np.einsum(f"...md{slots[s]},...{t_sub}->...d{slots}", gamma, base)
+        moved = np.moveaxis(base, s - valence, -1)
+        flat = moved.reshape(moved.shape[:moved.ndim - valence] + (-1, d)) @ coef
+        term = flat.reshape(flat.shape[:-2] + (d,) * (valence + 1))  # [(rest), d, a]
+        nab = nab - np.moveaxis(term, (-2, -1), (-(valence + 1), s - valence))
     return nab
 
 
@@ -170,18 +194,23 @@ def slotwise(t: np.ndarray, mat: np.ndarray, valence: int, slots=None) -> np.nda
     valence-``valence`` tensor (every slot when ``slots`` is None),
     ``out[.., i, ..] = sum_a mat[..., a, i] t[.., a, ..]``.
 
-    Last slot first, the tensor is viewed as a ``(..., d^(p-1), d)`` matrix,
-    multiplied by ``mat`` when that slot is transported, and the slot is
-    rotated to the front; after ``valence`` rotations the slots are back in
-    order."""
+    One batched matrix product per transported slot, on a view that leaves
+    every other slot in place: the last slot is ``t @ M`` on the
+    ``(d^(p-1), d)`` view, and any other slot ``s`` is ``M^T`` broadcast over
+    the ``d^s`` prefixes of ``(d, d^(p-1-s))`` views.  The batches of ``t``
+    and ``mat`` broadcast independently."""
     slots = range(valence) if slots is None else slots
     d = mat.shape[-1]
+    mat_t = np.swapaxes(mat, -1, -2)
+    batch_ndim = max(t.ndim - valence, mat.ndim - 2)
     out = t
-    for s in reversed(range(valence)):
-        flat = out.reshape(out.shape[:out.ndim - valence] + (-1, d))
-        if s in slots:
-            flat = flat @ mat
-        out = np.swapaxes(flat, -1, -2).reshape(flat.shape[:-2] + (d,) * valence)
+    for s in slots:
+        lead = out.shape[:out.ndim - valence]
+        if s == valence - 1:
+            flat = out.reshape(lead + (-1, d)) @ mat
+        else:
+            flat = mat_t[..., None, :, :] @ out.reshape(lead + (d ** s, d, -1))
+        out = flat.reshape(flat.shape[:batch_ndim] + (d,) * valence)
     return out
 
 

@@ -91,6 +91,26 @@ def test_unknown_manifold_exits_2(capsys):
     assert "hopf_standard" in capsys.readouterr().err  # catalog listed
 
 
+def _section_names(tmp_path, *manifolds):
+    argv = ["report", "--points", "1", "--suite", "classify", "--out", str(tmp_path / "r.json")]
+    for name in manifolds:
+        argv += ["--manifold", name]
+    assert main(argv) == 0
+    return [s["name"] for s in json.loads((tmp_path / "r.json").read_text())["manifolds"]]
+
+
+def test_all_stands_for_the_catalog_wherever_it_appears(tmp_path):
+    names = catalog_names()
+    assert _section_names(tmp_path, "all", "hopf_standard") == names
+    assert _section_names(tmp_path, "su2xu1", "all") == (
+        ["su2xu1"] + [n for n in names if n != "su2xu1"])
+
+
+def test_a_repeated_manifold_is_reported_once(tmp_path):
+    assert _section_names(tmp_path, "hopf_standard", "flat_torus_4", "hopf_standard") == [
+        "hopf_standard", "flat_torus_4"]
+
+
 def test_residual_failure_exits_1(tmp_path):
     # su2xu1 residuals sit around 1e-6; a 1e-9 tolerance must fail
     code = main(["report", "--manifold", "su2xu1", "--points", "4",

@@ -3,7 +3,7 @@ import pytest
 
 from ktgeo.catalog import catalog_names, get_manifold
 from ktgeo.connections import (
-    compatibility_residuals, lee_form_routes, lee_form_values,
+    compatibility_residuals, lee_form_routes, lee_form_values, lower_coefficients,
     torsion_bismut_values, torsion_chern_values, torsion_type_defect,
 )
 from ktgeo.errors import ChartDomainError
@@ -12,7 +12,7 @@ from ktgeo.tensor_core import (
     covariant_derivative_of, exterior_derivative_of, fd_partial, wedge,
 )
 
-from conftest import sample
+from conftest import block_conformal_torus_6, sample
 
 
 def test_flat_torus_all_flavors_vanish(flat4):
@@ -144,6 +144,22 @@ def test_lee_form_values_and_public_op(flat4, conf4):
                        np.zeros(len(pts))], axis=-1)
     assert np.max(np.abs(lee_form_values(Evaluation(conf4, pts)) - 2.0 * f_grad)) < 1e-5
     assert lee_form_values(Evaluation(conf4, pts[0])).shape == (1, 4)  # a single point
+
+
+@pytest.mark.parametrize("name", catalog_names() + ["block_conformal_torus_6"])
+def test_coefficient_products_match_the_explicit_contractions(name):
+    m = block_conformal_torus_6() if name == "block_conformal_torus_6" else get_manifold(name)
+    ev = Evaluation(m, m.sample_points(4, 0))
+
+    def assert_matches(got, ref):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    chern = ev.koszul + 0.5 * np.einsum("...ai,...ajl->...lij", ev.J, ev.dOm)
+    assert_matches(lower_coefficients(ev, "chern"), chern)
+    for flavor in ("levi_civita", "bismut", "chern"):
+        assert_matches(ev.gamma(flavor), np.einsum("...kl,...lij->...kij", ev.ginv,
+                                                   lower_coefficients(ev, flavor)))
 
 
 def test_covariant_derivative_basics(flat4, hopf):

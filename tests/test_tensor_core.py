@@ -8,7 +8,7 @@ from ktgeo.connections import torsion_bismut_values
 from ktgeo.errors import ChartDomainError, ContractViolationError, NumericError
 from ktgeo.identities import Evaluation
 from ktgeo.tensor_core import (
-    alt, exterior_derivative_of, fd_partial, gram_schmidt_frames,
+    alt, covariant_derivative_of, exterior_derivative_of, fd_partial, gram_schmidt_frames,
     hodge_star_values, j_trace_matrix, kahler_form_values, metric_inverse,
     norm_sq_values, slotwise, to_frame, wedge,
 )
@@ -294,6 +294,8 @@ def test_slotwise_matches_the_explicit_contraction(data):
     ref = _slotwise_reference(t, mat, valence, range(valence) if slots is None else slots)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=1.0)
+    if slots == []:
+        assert np.array_equal(got, t)
 
 
 # The batched matrix products against the explicit contractions they replace.
@@ -321,6 +323,32 @@ def test_torsion_products_match_the_explicit_contractions(dim, batch):
     ev = _holding(T=T, ginv=ginv)
     _assert_matches(ev.tt2, np.einsum("...xab,...ycd,...ac,...bd->...xy", T, T, ginv, ginv))
     _assert_matches(ev.tt4, np.einsum("...xya,...zub,...ab->...xyzu", T, T, ginv))
+
+
+def _covariant_derivative_reference(df, base, gamma, valence):
+    """The per-slot einsum sum that the slot products replace."""
+    slots = "abce"[:valence]
+    nab = df
+    for s in range(valence):
+        t_sub = slots[:s] + "m" + slots[s + 1:]
+        nab = nab - np.einsum(f"...md{slots[s]},...{t_sub}->...d{slots}", gamma, base)
+    return nab
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_covariant_derivative_matches_the_per_slot_contractions(data):
+    valence = data.draw(st.integers(0, 3))
+    dim = data.draw(st.integers(2, 8))
+    batch = data.draw(st.sampled_from([(), (3,), (2, 3)]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    df = rng.standard_normal(batch + (dim,) * (valence + 1))
+    base = rng.standard_normal(batch + (dim,) * valence)
+    gamma = rng.standard_normal(batch + (dim,) * 3)
+    got = covariant_derivative_of(df, base, gamma, valence)
+    ref = _covariant_derivative_reference(df, base, gamma, valence)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("batch", [(), (3,)])
