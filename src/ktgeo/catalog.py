@@ -38,9 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChartDomainError, NumericError, PreconditionError, UnknownManifoldError
-from .tensor_core import (
-    DEFAULT_STEP, fd_partial, kahler_form_values, levi_civita_symbol, slotwise,
-)
+from .tensor_core import DEFAULT_STEP, fd_partial, levi_civita_symbol, slotwise
 
 __all__ = [
     "Chart", "BoxChart", "AnnulusChart", "ConformalParent", "HermitianManifold",
@@ -158,13 +156,6 @@ class HermitianManifold:
     hypercomplex: Optional[tuple] = None  # (J2, J3) fields
     conformal_parent: Optional[ConformalParent] = None
     lck: bool = False  # declared: torsion has the conformally-Kaehler form
-
-    def require_interior(self, points, margin):
-        self.chart.require_interior(points, margin)
-
-    def kahler_form(self, points: np.ndarray) -> np.ndarray:
-        """omega(X,Y) = g(X, JY) as a batched 2-form."""
-        return kahler_form_values(self.metric(points), self.complex_structure(points))
 
     def sample_points(self, n: int, seed: int, margin: float = 0.05) -> np.ndarray:
         """Deterministic chart sample: counter-based generator keyed by

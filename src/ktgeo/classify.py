@@ -4,9 +4,7 @@ indicator, HKT verification, and the hypotheses of the vanishing statements.
 The SU(n) indicator is a *necessary* pointwise condition only: it checks that
 the Bismut Ricci form vanishes at every sampled point and that every curvature
 endomorphism commutes with J.  Restricted holonomy is a global object; this
-module reports evidence, never theorems.  ``plaquette_holonomy_check`` is a
-separate small-loop transport cross-check that compares plaquette holonomy
-with the curvature endomorphism.
+module reports evidence, never theorems.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from .tensor_core import DEFAULT_STEP, to_frame
 
 __all__ = [
     "StructureFlags", "HktFlags", "classify", "check_hkt", "hypothesis_residuals",
-    "vanishing_hypotheses", "plaquette_holonomy_check", "DEFAULT_CLASSIFY_TOL",
+    "vanishing_hypotheses", "DEFAULT_CLASSIFY_TOL",
 ]
 
 DEFAULT_CLASSIFY_TOL = 1e-5
@@ -79,9 +77,6 @@ class StructureFlags:
 def classify(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
              step: float = DEFAULT_STEP) -> StructureFlags:
     """Taxonomy flags with their supporting residuals at the sampled points."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if pts.shape[0] == 0:
-        raise PreconditionError("classify needs a non-empty point set")
     with evaluation_scope():
         ev = evaluation(m, pts, step)
         res = {name: ev.magnitude(attr) for name, attr in (
@@ -133,37 +128,3 @@ def vanishing_hypotheses(m: HermitianManifold, pts, step: float = DEFAULT_STEP) 
     quad_f = 0.5 * (quad_f + np.swapaxes(quad_f, -1, -2))
     min_eig = float(np.min(np.linalg.eigvalsh(quad_f)))
     return {"plurigenera_margin": margin, "quad_form_min_eig": min_eig}
-
-
-def plaquette_holonomy_check(m: HermitianManifold, pts, side: float = 1e-2,
-                             substeps: int = 8, step: float = DEFAULT_STEP) -> float:
-    """Cross-check of the curvature: transport a frame around small coordinate
-    plaquettes and compare the resulting curvature endomorphism estimate with
-    the differentiated one.  Returns the worst relative deviation."""
-    ev = evaluation(m, pts, step)
-    pts = ev.pts
-    # endomorphism R(d_i,d_j): R^k_l = g^{km} R[i,j,l,m]
-    r_endo = np.einsum("...km,...ijlm->...ijkl", ev.ginv, ev.riemann("bismut"))
-    d = m.dim
-    worst = 0.0
-    scale = max(float(np.max(np.abs(r_endo))), 1e-12)
-    for b in range(pts.shape[0]):
-        p = pts[b]
-        for i, j in ((0, 1), (2, 3)):
-            u = np.eye(d)
-            # traverse the square +i, +j, -i, -j with midpoint coefficient
-            legs = [(i, +1), (j, +1), (i, -1), (j, -1)]
-            x = p.copy()
-            dx = side / substeps
-            for axis, sgn in legs:
-                for _ in range(substeps):
-                    mid = x.copy()
-                    mid[axis] += sgn * dx / 2
-                    a = -sgn * dx * Evaluation(m, mid, step).gamma("bismut")[0, :, axis, :]
-                    # second-order step of the transport exponential
-                    u = u + a @ u + 0.5 * a @ (a @ u)
-                    x[axis] += sgn * dx
-            k_est = (np.eye(d) - u) / side ** 2
-            diff = np.max(np.abs(k_est - r_endo[b, i, j]))
-            worst = max(worst, float(diff) / scale)
-    return worst

@@ -11,7 +11,8 @@ Verbs:
 
 Exit status: 0 when every asserted check passes, 1 when a residual fails,
 2 for an unknown manifold, an invalid configuration or an unwritable report,
-3 for a numeric failure (degenerate metric, stencil leaving the chart, ...).
+3 for a numeric failure (degenerate metric, stencil leaving the chart, a chart
+field of the wrong shape, ...).
 
 Reports are deterministic: identical configurations produce byte-identical
 documents.  Floats are serialized with 17 significant digits and keys keep a
@@ -208,8 +209,7 @@ def _manifold_report(name: str, cfg: RunConfig) -> dict:
 
 
 def run(cfg: RunConfig) -> dict:
-    """Execute a configuration and return the report document."""
-    cfg.validate()
+    """Execute a validated configuration and return the report document."""
     # 'all' stands for the catalog wherever it appears; each manifold once,
     # in order of first appearance
     names = list(dict.fromkeys(n for name in cfg.manifolds
@@ -278,20 +278,19 @@ def main(argv=None) -> int:
                     step=args.step, tol_identity=args.tol_identity,
                     tol_classify=args.tol_classify, suites=suites, out=args.out)
     try:
+        cfg.validate()
+    except ValueError as exc:
+        print(f"error: invalid configuration: {exc}", file=sys.stderr)
+        return 2
+    try:
         report = run(cfg)
     except UnknownManifoldError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except np.linalg.LinAlgError as exc:  # a ValueError, but a numeric failure
-        print(f"error: numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return 2
     except NumericFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except GeometryError as exc:
+    except (GeometryError, ValueError) as exc:  # NumPy's LinAlgError among them
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -35,12 +35,10 @@ from __future__ import annotations
 import numpy as np
 
 from .connections import lower_coefficients
-from .errors import PreconditionError
-from .tensor_core import fd_partial, first_slot_matrix, levi_civita_symbol, slotwise
+from .tensor_core import fd_partial, first_slot_matrix
 
 __all__ = [
-    "riemann_values", "lambda_omega_values", "weyl_selfdual_values",
-    "ricci_from_curvature", "rho_from_curvature",
+    "riemann_values", "lambda_omega_values", "ricci_from_curvature", "rho_from_curvature",
 ]
 
 
@@ -73,55 +71,3 @@ def lambda_omega_values(dT: np.ndarray, jg: np.ndarray):
     lam = np.einsum("...xyab,...ba->...xy", dT, jg)
     h = 0.5 * np.einsum("...mn,...mn->...", lam, jg)
     return lam, h
-
-
-# ---------------------------------------------------------------------------
-# Weyl tensor and its self-dual part (dimension 4)
-# ---------------------------------------------------------------------------
-
-def _kulkarni_nomizu(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kulkarni-Nomizu product matched to this module's slot order, i.e. the
-    unit sphere curvature is ``(g kn g)/2``."""
-    return (np.einsum("...jk,...il->...ijkl", a, b)
-            + np.einsum("...il,...jk->...ijkl", a, b)
-            - np.einsum("...ik,...jl->...ijkl", a, b)
-            - np.einsum("...jl,...ik->...ijkl", a, b))
-
-
-def _two_form_operator_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(A o B)[i,j,k,l] with the 1/2 pairing of 2-form operator calculus."""
-    return 0.5 * np.einsum("...ijab,...abkl->...ijkl", a, b)
-
-
-def weyl_selfdual_values(ev):
-    """Weyl tensor of the Levi-Civita curvature, its self-dual part on the
-    last index pair sandwich, and the conformal scalar
-    ``k = <3 W+(omega), omega>``.  Dimension 4 only."""
-    if ev.m.dim != 4:
-        raise PreconditionError("self-dual Weyl decomposition requires dimension 4")
-    g, ginv = ev.g, ev.ginv
-    r = ev.riemann("levi_civita")
-    ric = ev.ric_lc
-    ric = 0.5 * (ric + np.einsum("...xy->...yx", ric))
-    scal = np.einsum("...mn,...mn->...", ric, ginv)
-    n = 4
-    ric0 = ric - (scal / n)[..., None, None] * g
-    weyl = (r - _kulkarni_nomizu(ric0, g) / (n - 2)
-            - (scal / (2 * n * (n - 1)))[..., None, None, None, None] * _kulkarni_nomizu(g, g))
-
-    # plus projector 1/2 (Id + *) acting on 2-form index pairs; operators A
-    # act through the half pairing (A alpha)[i,j] = A[i,j,a,b] alpha[a,b] / 2,
-    # so Id[i,j,a,b] = d_ia d_jb - d_ib d_ja and Star[i,j,a,b] carries no 1/2.
-    eye = np.eye(4)
-    ident = (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
-    eps = levi_civita_symbol(4)
-    sqrtg = np.sqrt(np.linalg.det(g))
-    # eps[c,d,i,j] = eps[i,j,c,d], so raising the last pair gives Star[i,j,a,b]
-    star2 = sqrtg[..., None, None, None, None] * slotwise(eps, ginv, 4, (2, 3))
-    pplus = 0.5 * (ident + star2)
-    wplus = _two_form_operator_compose(pplus, _two_form_operator_compose(weyl, pplus))
-
-    omega_up = slotwise(ev.omega, ginv, 2)
-    w_of_omega = 0.5 * np.einsum("...ijab,...ab->...ij", wplus, omega_up)
-    k = 3 * 0.5 * np.einsum("...ij,...ij->...", w_of_omega, omega_up)
-    return weyl, wplus, k

@@ -70,7 +70,6 @@ from .tensor_core import (
 __all__ = [
     "Evaluation", "evaluation", "evaluation_scope", "STENCIL_DEPTH",
     "ResidualEntry", "run_identity_suite", "verify_dim4", "verify_conformal_trace",
-    "richardson_ratios",
     "TOL_CURVATURE", "TOL_FIRST_ORDER",
 ]
 
@@ -138,16 +137,19 @@ class Evaluation:
     around the base points are held; the deeper sets are built once, for the
     one pass over ``g`` and ``omega``, and dropped.  :meth:`with_structure`
     starts another complex structure from the metric-only values held here.
-    The chart domain is checked once, on the base points, with the margin the
-    deepest stencil needs.  :meth:`residual` is the engine's one residual
-    measure.
+    The point set must not be empty, and the chart domain is checked once,
+    on the base points, with the margin the deepest stencil needs; each chart
+    field's shape is checked on every point set where it is read.
+    :meth:`residual` is the engine's one residual measure.
     """
 
     def __init__(self, m: HermitianManifold, pts, step: float = DEFAULT_STEP):
         self.m = m
         self.pts = _frozen(np.array(pts, dtype=float, ndmin=2))
         self.step = step
-        m.require_interior(self.pts, STENCIL_DEPTH * step)
+        if self.pts.shape[0] == 0:
+            raise PreconditionError(f"{m.name}: an evaluation needs a non-empty point set")
+        m.chart.require_interior(self.pts, STENCIL_DEPTH * step)
         self._values = {}
         # the evaluations on the stencil sets around the base points, by the
         # bytes of the set; None on a stencil set, which holds none of its own
@@ -207,9 +209,19 @@ class Evaluation:
 
     # -- chart data ------------------------------------------------------------
 
+    def _field(self, name, fn, valence):
+        """The chart field ``fn`` at the points, which must be a tensor of
+        ``valence`` slots per point."""
+        value = fn(self.pts)
+        expected = self.pts.shape[:-1] + (self.m.dim,) * valence
+        if np.shape(value) != expected:
+            raise ContractViolationError(f"{self.m.name}: field {name!r} has shape "
+                                         f"{np.shape(value)}, expected {expected}")
+        return value
+
     @_primitive
     def g(self):
-        return self.m.metric(self.pts)
+        return self._field("metric", self.m.metric, 2)
 
     @_primitive
     def ginv(self):
@@ -217,7 +229,7 @@ class Evaluation:
 
     @_primitive
     def J(self):
-        return self.m.complex_structure(self.pts)
+        return self._field("complex_structure", self.m.complex_structure, 2)
 
     @_primitive
     def jg(self):
@@ -226,12 +238,13 @@ class Evaluation:
     @_primitive
     def phi(self):
         """The dilaton."""
-        return self.m.dilaton(self.pts)
+        return self._field("dilaton", self.m.dilaton, 0)
 
     @_primitive
     def log_factor(self):
         """The conformal factor f, metric = exp(2 f) * the parent's."""
-        return self.m.conformal_parent.log_factor(self.pts)
+        return self._field("conformal_parent.log_factor",
+                           self.m.conformal_parent.log_factor, 0)
 
     @_primitive
     def frames(self):
@@ -612,17 +625,3 @@ def verify_conformal_trace(m: HermitianManifold, pts, h=DEFAULT_STEP) -> Residua
     pairing = np.einsum("...a,...b,...ab->...", parent.theta, df(ev.pts), parent.ginv)
     rhs = 2.0 * parent.u + n * (n - 1) * pairing + n * parent.codiff(df, 1)
     return _entry(ev, "conformal_u_change", lhs - rhs, TOL_CURVATURE)
-
-
-def richardson_ratios(m: HermitianManifold, pts, h=4e-3) -> dict:
-    """Residual improvement factors when the step is halved; second-order
-    stencils give factors near 4 in the truncation-dominated regime."""
-    coarse = {e.name: e.max_residual for e in run_identity_suite(m, pts, h)}
-    fine = {e.name: e.max_residual for e in run_identity_suite(m, pts, h / 2)}
-    out = {}
-    for name in coarse:
-        if fine[name] < 1e-13 and coarse[name] < 1e-13:
-            out[name] = float("inf")  # both at the roundoff floor
-        else:
-            out[name] = coarse[name] / max(fine[name], 1e-300)
-    return out

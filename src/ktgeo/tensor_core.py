@@ -270,19 +270,6 @@ def hodge_star_values(alpha: np.ndarray, g: np.ndarray, valence: int) -> np.ndar
 # algebra on components
 # ---------------------------------------------------------------------------
 
-def alt(t: np.ndarray, valence: int) -> np.ndarray:
-    """Total antisymmetrization of the trailing `valence` axes (projector)."""
-    if valence < 2:
-        return np.asarray(t, dtype=float)
-    slots = _SLOT[:valence]
-    eps = levi_civita_symbol(valence)
-    out = np.zeros_like(np.asarray(t, dtype=float))
-    for perm in np.argwhere(eps):
-        src = "".join(slots[p] for p in perm)
-        out = out + eps[tuple(perm)] * np.einsum(f"...{src}->...{slots}", t)
-    return out / math.factorial(valence)
-
-
 def wedge(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Wedge of a 1-form with a q-form in the determinant convention,
     ``(a^b)(X0..Xq) = sum_m (-1)^m a(Xm) b(.., no Xm, ..)``: the alternating

@@ -1,10 +1,14 @@
+import math
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from ktgeo.catalog import (
     BoxChart, HermitianManifold, catalog_names, get_manifold, _block_j, _const_field,
 )
-from ktgeo.identities import Evaluation
+from ktgeo.identities import Evaluation, run_identity_suite
+from ktgeo.tensor_core import kahler_form_values
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +23,30 @@ def sample(name, n=8, seed=0):
 def lee_fn(m):
     """The Lee form of ``m`` as a batched field."""
     return lambda p: Evaluation(m, p).theta
+
+
+def kahler_form(m):
+    """The Kaehler form omega(X,Y) = g(X, JY) of ``m`` as a batched field."""
+    return lambda p: kahler_form_values(m.metric(p), m.complex_structure(p))
+
+
+def alt(t, valence):
+    """Reference projector: the mean of the signed permutations of the
+    trailing ``valence`` axes."""
+    lead = tuple(range(t.ndim - valence))
+    out = sum(np.linalg.det(np.eye(valence)[list(p)])
+              * np.transpose(t, lead + tuple(len(lead) + i for i in p))
+              for p in permutations(range(valence)))
+    return out / math.factorial(valence)
+
+
+def richardson_ratios(m, pts, h=4e-3):
+    """Each identity residual at step ``h`` over the one at ``h / 2``: near 4
+    where second-order truncation dominates, inf where both are at roundoff."""
+    coarse, fine = ({e.name: e.max_residual for e in run_identity_suite(m, pts, step)}
+                    for step in (h, h / 2))
+    return {name: float("inf") if max(coarse[name], fine[name]) < 1e-13
+            else coarse[name] / max(fine[name], 1e-300) for name in coarse}
 
 
 def _block_conformal_metric(p):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from ktgeo.catalog import catalog_names, get_manifold
-from ktgeo.classify import (
-    check_hkt, classify, plaquette_holonomy_check, vanishing_hypotheses,
-)
+from ktgeo.classify import check_hkt, classify, vanishing_hypotheses
 from ktgeo.errors import PreconditionError
+from ktgeo.identities import Evaluation, run_identity_suite, verify_dim4
+from ktgeo.string_eqs import run_string_suite
 
 EXPECTED_FLAGS = {
     #            kahler strong almost balanced lck   su
@@ -58,9 +58,12 @@ def test_su_indicator_monotone_in_tolerance():
             assert loose.su_holonomy_indicator
 
 
-def test_empty_point_set_rejected(flat4):
-    with pytest.raises(PreconditionError):
-        classify(flat4, np.zeros((0, 4)))
+@pytest.mark.parametrize("entry", [classify, run_identity_suite, verify_dim4,
+                                   run_string_suite, vanishing_hypotheses],
+                         ids=lambda f: f.__name__)
+def test_empty_point_set_rejected(flat4, entry):
+    with pytest.raises(PreconditionError, match="non-empty point set"):
+        entry(flat4, np.empty((0, 4)))
 
 
 def test_check_hkt_hopf_triple():
@@ -106,14 +109,37 @@ def test_vanishing_hypotheses_su2_cross_checked_against_u_trace(su2):
     # mean-curvature identity; compare against the Chern trace route
     pts = su2.sample_points(8, seed=0)
     out = vanishing_hypotheses(su2, pts)
-    from ktgeo.identities import Evaluation
     two_u = 2.0 * Evaluation(su2, pts).u
     assert abs(out["plurigenera_margin"] - float(np.min(two_u))) < 1e-4
 
 
+def _plaquette_holonomy_check(m, pts, side=1e-2, substeps=8):
+    """Transport a frame around small coordinate plaquettes with the Bismut
+    connection and compare (Id - holonomy) / side^2 with the differentiated
+    curvature endomorphism; the worst deviation relative to its size."""
+    ev = Evaluation(m, pts)
+    r_endo = np.einsum("...km,...ijlm->...ijkl", ev.ginv, ev.riemann("bismut"))
+    scale = max(float(np.max(np.abs(r_endo))), 1e-12)
+    dx = side / substeps
+    worst = 0.0
+    for b, p in enumerate(ev.pts):
+        for i, j in ((0, 1), (2, 3)):
+            u, x = np.eye(m.dim), p.copy()
+            for axis, sgn in ((i, 1), (j, 1), (i, -1), (j, -1)):
+                for _ in range(substeps):
+                    mid = x.copy()
+                    mid[axis] += sgn * dx / 2
+                    a = -sgn * dx * Evaluation(m, mid).gamma("bismut")[0, :, axis, :]
+                    u = u + a @ u + 0.5 * a @ (a @ u)  # second order in the step
+                    x[axis] += sgn * dx
+            k_est = (np.eye(m.dim) - u) / side ** 2
+            worst = max(worst, float(np.max(np.abs(k_est - r_endo[b, i, j]))) / scale)
+    return worst
+
+
 def test_plaquette_transport_matches_curvature_endomorphism(conf4):
     pts = conf4.sample_points(2, seed=5)
-    assert plaquette_holonomy_check(conf4, pts, side=1e-2) < 0.05
+    assert _plaquette_holonomy_check(conf4, pts, side=1e-2) < 0.05
 
 
 def test_package_exposes_the_classify_module():

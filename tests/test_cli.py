@@ -172,6 +172,25 @@ def test_numeric_failure_exits_3():
     assert code == 3
 
 
+@pytest.mark.parametrize("base, field, wrong, given", [
+    ("flat_torus_4", "metric", dict(metric=_const_field(np.eye(3))), "3, 3"),
+    ("flat_torus_4", "complex_structure",
+     dict(complex_structure=_const_field(np.eye(2))), "2, 2"),
+    ("hopf_standard", "dilaton", dict(dilaton=_const_field(np.zeros(2))), "2"),
+])
+def test_wrong_field_shape_exits_3(base, field, wrong, given, capsys):
+    # a field of the wrong shape breaks the chart's contract; the
+    # configuration is valid
+    register_manifold(replace(get_manifold(base), name="wrong_shape_test_manifold", **wrong))
+    code = main(["report", "--manifold", "wrong_shape_test_manifold", "--points", "1",
+                 "--out", "/dev/null"])
+    assert code == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert "invalid configuration" not in line
+    assert f"wrong_shape_test_manifold: field {field!r} has shape (" in line
+    assert f"{given}), expected (" in line
+
+
 def test_suite_all_runs_everything(tmp_path):
     out_file = tmp_path / "suite.json"
     code = main(["suite", "--all", "--points", "4", "--out", str(out_file)])

@@ -12,7 +12,7 @@ from ktgeo.tensor_core import (
     covariant_derivative_of, exterior_derivative_of, fd_partial, wedge,
 )
 
-from conftest import block_conformal_torus_6, sample
+from conftest import block_conformal_torus_6, kahler_form, sample
 
 
 def test_flat_torus_all_flavors_vanish(flat4):
@@ -78,7 +78,7 @@ def test_chern_torsion_from_kahler_form_derivative(conf4):
     pts = sample("conf_torus_4", 8)
     C = torsion_chern_values(Evaluation(conf4, pts))
     assert np.max(np.abs(C)) > 1e-2  # genuinely nonzero
-    dom = exterior_derivative_of(fd_partial(conf4.kahler_form, pts), 2)
+    dom = exterior_derivative_of(fd_partial(kahler_form(conf4), pts), 2)
     J = conf4.complex_structure(pts)
     rhs = 0.5 * (np.einsum("...ai,...ajk->...ijk", J, dom)
                  + np.einsum("...bj,...ibk->...ijk", J, dom))
@@ -113,7 +113,7 @@ def test_lck_torsion_shape():
     theta = lee_form_values(ev)
     J = hopf.complex_structure(pts)
     jth = -np.einsum("...m,...mi->...i", theta, J)
-    expected = wedge(jth, hopf.kahler_form(pts), 2)
+    expected = wedge(jth, kahler_form(hopf)(pts), 2)
     assert np.max(np.abs(torsion_bismut_values(ev) - expected)) < 1e-5
 
     c6 = get_manifold("conf_torus_6")
@@ -121,7 +121,7 @@ def test_lck_torsion_shape():
     ev = Evaluation(c6, pts)
     theta = lee_form_values(ev)
     jth = -np.einsum("...m,...mi->...i", theta, c6.complex_structure(pts))
-    expected = 0.5 * wedge(jth, c6.kahler_form(pts), 2)
+    expected = 0.5 * wedge(jth, kahler_form(c6)(pts), 2)
     assert np.max(np.abs(torsion_bismut_values(ev) - expected)) < 1e-5
 
 

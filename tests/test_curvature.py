@@ -3,17 +3,14 @@ import pytest
 
 from ktgeo.catalog import catalog_names, get_manifold
 from ktgeo.connections import lower_coefficients
-from ktgeo.curvature import (
-    lambda_omega_values, riemann_values, rho_from_curvature, weyl_selfdual_values,
-)
-from ktgeo.errors import PreconditionError
+from ktgeo.curvature import lambda_omega_values, riemann_values, rho_from_curvature
 from ktgeo.identities import Evaluation
 from ktgeo.tensor_core import (
     exterior_derivative_of, fd_partial, gram_schmidt_frames, hodge_star_values,
     j_trace_matrix, metric_inverse, proj_one_one, to_frame,
 )
 
-from conftest import block_conformal_torus_6, lee_fn, sample
+from conftest import block_conformal_torus_6, kahler_form, lee_fn, sample
 
 
 def test_flat_torus_all_flavors_flat(flat4):
@@ -132,7 +129,7 @@ def test_lambda_omega_cases():
     cp = conf.sample_points(8, seed=0)
     lam, h, defect = lambda_omega(conf, cp)
     dth = Evaluation(conf, cp).codiff(lee_fn(conf), 1)
-    om = conf.kahler_form(cp)
+    om = kahler_form(conf)(cp)
     assert np.max(np.abs(lam + 2.0 * dth[..., None, None] * om)) < 1e-5
     assert np.max(np.abs(lam)) > 1e-2  # nonzero: the reduction is not vacuous
     assert defect < 1e-5
@@ -141,23 +138,27 @@ def test_lambda_omega_cases():
     assert np.max(np.abs(lam + np.swapaxes(lam, -1, -2))) < 1e-12  # a 2-form
 
 
+def _kulkarni_nomizu(a, b):
+    """Kulkarni-Nomizu product in this engine's slot order: the unit sphere's
+    curvature is (g kn g) / 2."""
+    return (np.einsum("...jk,...il->...ijkl", a, b) + np.einsum("...il,...jk->...ijkl", a, b)
+            - np.einsum("...ik,...jl->...ijkl", a, b) - np.einsum("...jl,...ik->...ijkl", a, b))
+
+
 def test_weyl_selfdual_conformally_flat_entries():
+    # every dim-4 catalog chart is conformally flat: W = 0, and with it its
+    # self-dual part and <3 W+(omega), omega>
     for name in ("flat_torus_4", "hopf_standard", "conf_torus_4", "su2xu1", "hopf_hkt"):
         m = get_manifold(name)
-        pts = m.sample_points(6, seed=2)
-        ev = Evaluation(m, pts)
-        weyl, wplus, k = weyl_selfdual_values(ev)
+        ev = Evaluation(m, m.sample_points(6, seed=2))
+        g, n = ev.g, m.dim
+        ric = 0.5 * (ev.ric_lc + np.swapaxes(ev.ric_lc, -1, -2))
+        scal = np.einsum("...mn,...mn->...", ric, ev.ginv)[..., None, None]
+        weyl = (ev.riemann("levi_civita") - _kulkarni_nomizu(ric - scal / n * g, g) / (n - 2)
+                - (scal / (2 * n * (n - 1)))[..., None, None] * _kulkarni_nomizu(g, g))
         assert np.max(np.abs(weyl)) < 1e-4
-        assert np.max(np.abs(wplus)) < 1e-4
-        assert np.max(np.abs(k)) < 1e-4
         # consistent with the vanishing trace b of the Bismut Ricci form there
         assert np.max(np.abs(ev.b)) < 1e-4
-
-
-def test_weyl_requires_dim4():
-    m6 = get_manifold("flat_torus_6")
-    with pytest.raises(PreconditionError):
-        weyl_selfdual_values(Evaluation(m6, m6.sample_points(2, seed=0)))
 
 
 def test_rho_two_zero_part_from_selfdual_lee_derivative(conf4):
@@ -177,5 +178,3 @@ def test_rho_two_zero_part_from_selfdual_lee_derivative(conf4):
     rhs = 0.5 * (rhs - np.einsum("...xy->...yx", rhs))
     assert np.max(np.abs(dth)) < 1e-6  # catalog Lee forms are closed
     assert np.max(np.abs(lhs - rhs)) < 1e-4
-    [k] = weyl_selfdual_values(Evaluation(conf4, pts[0]))[2]
-    assert abs(k) < 1e-6

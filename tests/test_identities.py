@@ -7,11 +7,11 @@ from ktgeo.catalog import (
 )
 from ktgeo.errors import ContractViolationError, PreconditionError
 from ktgeo.identities import (
-    Evaluation, evaluation, evaluation_scope, richardson_ratios, run_identity_suite,
+    Evaluation, evaluation, evaluation_scope, run_identity_suite,
     verify_conformal_trace, verify_dim4,
 )
 
-from conftest import sample
+from conftest import richardson_ratios, sample
 
 ALL_NAMES = [
     "torsion_nabla_exchange", "torsion_ext_derivative", "bianchi_with_torsion",
