@@ -38,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ChartDomainError, NumericError, PreconditionError, UnknownManifoldError
-from .tensor_core import DEFAULT_STEP, fd_partial, levi_civita_symbol, slotwise
+from .tensor_core import DEFAULT_STEP, levi_civita_symbol, slotwise
 
 __all__ = [
     "Chart", "BoxChart", "AnnulusChart", "ConformalParent", "HermitianManifold",
@@ -333,11 +333,10 @@ def register_manifold(m: HermitianManifold) -> None:
 # structural residuals
 # ---------------------------------------------------------------------------
 
-def nijenhuis_values(j_fn, points, step=DEFAULT_STEP):
+def nijenhuis_values(J, dJ):
     """Components N^k_{ij} of the Nijenhuis tensor of an almost complex
-    structure field, by central differences."""
-    J = j_fn(points)
-    dJ = fd_partial(j_fn, points, step)  # dJ[m, k, j] = D_m J^k_j
+    structure from its values and coordinate derivative ``dJ[m, k, j] =
+    D_m J^k_j`` at the same points."""
     t1 = np.einsum("...mi,...mkj->...kij", J, dJ)
     t2 = np.einsum("...mj,...mki->...kij", J, dJ)
     t3 = np.einsum("...km,...imj->...kij", J, dJ)
@@ -349,31 +348,30 @@ def hermitian_residuals(m: HermitianManifold, points: np.ndarray,
                         step=DEFAULT_STEP) -> dict:
     """Structure-invariant residuals at sampled points: J^2 = -Id, metric
     compatibility, SPD-ness, integrability, and (if present) the quaternion
-    relations of the hypercomplex triple."""
-    pts = np.asarray(points, dtype=float)
-    g = m.metric(pts)
+    relations of the hypercomplex triple, read from one evaluation."""
+    from .identities import Evaluation  # identities imports this module
+
+    ev = Evaluation(m, points, step)
+    g = ev.g
     eigmin = float(np.min(np.linalg.eigvalsh(g)))
     if eigmin <= 0:
         raise NumericError(f"metric not SPD on {m.name} (min eigenvalue {eigmin})")
     out = {"metric_min_eigenvalue": eigmin}
 
-    structures = [m.complex_structure]
-    if m.hypercomplex is not None:
-        structures += list(m.hypercomplex)
+    structures = [ev] + [ev.with_structure(j) for j in m.hypercomplex or ()]
     eye = np.eye(m.dim)
     sq = comp = nij = 0.0
-    for j_fn in structures:
-        J = j_fn(pts)
+    for e in structures:
+        J = e.J
         sq = max(sq, float(np.max(np.abs(np.einsum("...ik,...kj->...ij", J, J) + eye))))
         comp = max(comp, float(np.max(np.abs(slotwise(g, J, 2) - g))))
-        nij = max(nij, float(np.max(np.abs(nijenhuis_values(j_fn, pts, step)))))
+        nij = max(nij, float(np.max(np.abs(nijenhuis_values(J, e.partial("J"))))))
     out["j_square_residual"] = sq
     out["compatibility_residual"] = comp
     out["nijenhuis_residual"] = nij
 
     if m.hypercomplex is not None:
-        out["quaternion_residual"] = quaternion_residual(
-            [m.complex_structure(pts)] + [f(pts) for f in m.hypercomplex])
+        out["quaternion_residual"] = quaternion_residual([e.J for e in structures])
     return out
 
 

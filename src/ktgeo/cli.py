@@ -11,8 +11,8 @@ Verbs:
 
 Exit status: 0 when every asserted check passes, 1 when a residual fails,
 2 for an unknown manifold, an invalid configuration or an unwritable report,
-3 for a numeric failure (degenerate metric, stencil leaving the chart, a chart
-field of the wrong shape, ...).
+3 for a numeric failure (degenerate metric, stencil leaving the chart, ...) or
+a contract violation (a chart field of the wrong shape, ...).
 
 Reports are deterministic: identical configurations produce byte-identical
 documents.  Floats are serialized with 17 significant digits and keys keep a
@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .catalog import catalog_names, get_manifold
 from .classify import DEFAULT_CLASSIFY_TOL, classify, vanishing_hypotheses
-from .errors import GeometryError, UnknownManifoldError
+from .errors import ContractViolationError, GeometryError, UnknownManifoldError
 from .identities import (
     TOL_FIRST_ORDER, evaluation_scope, run_identity_suite, verify_conformal_trace,
     verify_dim4,
@@ -90,10 +90,13 @@ class RunConfig:
 
 
 class NumericFailure(Exception):
-    """Wraps a GeometryError with (manifold, suite) context for exit code 3."""
+    """Wraps a GeometryError with (manifold, suite) context for exit code 3;
+    a contract violation (a malformed chart or argument) is worded as one."""
 
     def __init__(self, manifold, suite, original):
-        super().__init__(f"numeric failure on {manifold!r} during {suite!r}: {original}")
+        kind = ("contract violation" if isinstance(original, ContractViolationError)
+                else "numeric failure")
+        super().__init__(f"{kind} on {manifold!r} during {suite!r}: {original}")
         self.manifold = manifold
         self.suite = suite
         self.original = original

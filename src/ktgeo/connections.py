@@ -19,10 +19,11 @@ Coefficient conventions:
 - covariant derivatives put the direction slot first:
   ``(nabla t)[i, a1..ap] = (nabla_{d_i} t)(d_{a1},..,d_{ap})``.
 
-The Lee form is computed through three independent expressions (codifferential
-of the Kaehler form composed with J, Bismut-torsion trace, Chern-torsion
-trace); their mutual agreement is a standing convention check and the
-codifferential route is the canonical value.
+The Lee form is computed through three independent expressions (the held
+codifferential of the Kaehler form, ``Evaluation.codiff("omega")``, composed
+with J; the Bismut-torsion trace; the Chern-torsion trace); their mutual
+agreement is a standing convention check and the codifferential route is the
+canonical value.
 """
 
 from __future__ import annotations
@@ -32,9 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConventionError
-from .tensor_core import (
-    codifferential_of, covariant_derivative_of, first_slot_matrix, slotwise,
-)
+from .tensor_core import first_slot_matrix, slotwise
 
 __all__ = [
     "torsion_bismut_values", "torsion_chern_values", "lower_coefficients",
@@ -110,8 +109,7 @@ def lee_form_routes(ev):
 
 
 def _lee_via_codiff(ev) -> np.ndarray:
-    nab = covariant_derivative_of(ev.partial("omega"), ev.omega, ev.gamma("levi_civita"), 2)
-    return np.einsum("...bi,...b->...i", ev.J, codifferential_of(nab, ev.ginv, 2))
+    return np.einsum("...bi,...b->...i", ev.J, ev.codiff("omega"))
 
 
 def lee_form_values(ev, check: bool = True) -> np.ndarray:
@@ -137,7 +135,7 @@ def lee_form_values(ev, check: bool = True) -> np.ndarray:
 def compatibility_residuals(ev, flavor: str) -> dict:
     """Residuals of nabla g = 0 and nabla J = 0 for the given connection."""
     gamma = ev.gamma(flavor)
-    nab_g = covariant_derivative_of(ev.partial("g"), ev.g, gamma, 2)
+    nab_g = ev.nabla("g", flavor)
     dJ = ev.partial("J")
     nab_j = (dJ + np.einsum("...kdm,...mj->...dkj", gamma, ev.J)
              - np.einsum("...mdj,...km->...dkj", gamma, ev.J))

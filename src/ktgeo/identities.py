@@ -3,13 +3,15 @@
 Each identity is evaluated with its two sides built from different formulas
 over shared primitives.  An :class:`Evaluation` computes every primitive
 (the chart fields, the dilaton and the conformal factor among them, torsion,
-the three curvatures, the Lee form and their derivatives, ...) once per
+the three curvatures, the Lee form, eta = theta - 2 d phi, ...) once per
 manifold and point set, and so does each evaluation on the stencil sets that
-a derivative differentiates.  The two sides are independent because their
-formulas differ, so a convention bug cannot cancel; evaluating a pure function
-twice gives identical bits and would add no independence.  Residuals are
-measured by :meth:`Evaluation.residual` as the largest orthonormal-frame
-component of the difference, which keeps them scale-honest across charts.
+a derivative differentiates.  Every derivative is of a primitive, read by
+the primitive's name: ``partial``, ``nabla`` and ``codiff``.  The two sides
+are independent because their formulas differ, so a convention bug cannot
+cancel; evaluating a pure function twice gives identical bits and would add
+no independence.  Residuals are measured by :meth:`Evaluation.residual` as
+the largest orthonormal-frame component of the difference, which keeps them
+scale-honest across charts.
 
 The curvature suite is one generator of named ``(name, lhs - rhs)`` rows
 over one evaluation, each measured in turn.
@@ -133,14 +135,16 @@ class Evaluation:
     point set, and then held read-only in one store.  :meth:`partial`, the
     coordinate derivative of a primitive, is one stencil pass over the
     evaluations on the stencil sets around the points (:meth:`at`); every
-    derivative of a primitive is a formula over it.  Only the stencil sets
-    around the base points are held; the deeper sets are built once, for the
-    one pass over ``g`` and ``omega``, and dropped.  :meth:`with_structure`
-    starts another complex structure from the metric-only values held here.
-    The point set must not be empty, and the chart domain is checked once,
-    on the base points, with the margin the deepest stencil needs; each chart
-    field's shape is checked on every point set where it is read.
-    :meth:`residual` is the engine's one residual measure.
+    other derivative is of a primitive too, a formula over its ``partial``
+    held under the primitive's name: :meth:`nabla` per flavor and
+    :meth:`codiff`.  Only the stencil sets around the base points are held;
+    the deeper sets are built once, for the one pass over ``g`` and
+    ``omega``, and dropped.  :meth:`with_structure` starts another complex
+    structure from the metric-only values held here.  The point set must not
+    be empty and must have the manifold's dimension, and the chart domain is
+    checked once, on the base points, with the margin the deepest stencil
+    needs; each chart field's shape is checked on every point set where it
+    is read.  :meth:`residual` is the engine's one residual measure.
     """
 
     def __init__(self, m: HermitianManifold, pts, step: float = DEFAULT_STEP):
@@ -149,6 +153,9 @@ class Evaluation:
         self.step = step
         if self.pts.shape[0] == 0:
             raise PreconditionError(f"{m.name}: an evaluation needs a non-empty point set")
+        if self.pts.shape[-1] != m.dim:
+            raise ContractViolationError(f"{m.name}: points have dimension {self.pts.shape[-1]}, "
+                                         f"expected {m.dim}")
         m.chart.require_interior(self.pts, STENCIL_DEPTH * step)
         self._values = {}
         # the evaluations on the stencil sets around the base points, by the
@@ -310,6 +317,21 @@ class Evaluation:
         return exterior_derivative_of(self.partial("jtheta"), 1)
 
     @_primitive
+    def dphi(self):
+        """The dilaton's differential."""
+        return self.partial("phi")
+
+    @_primitive
+    def eta(self):
+        """eta = theta - 2 d phi, Bismut-parallel on the string backgrounds."""
+        return self.theta - 2.0 * self.dphi
+
+    @_primitive
+    def dlog_factor(self):
+        """The conformal factor's differential."""
+        return self.partial("log_factor")
+
+    @_primitive
     def tt4(self):
         """TT4[x,y,z,u] = g(T(x,y), T(z,u))."""
         T = self.T
@@ -330,35 +352,19 @@ class Evaluation:
             return (self.ginv @ first_slot_matrix(om)).reshape(om.shape)
         return self._once(("gamma", flavor), compute)
 
-    def nabla(self, fn, valence: int, flavor: str) -> np.ndarray:
-        """Covariant derivative of a field that is not a primitive, computed
-        on every call (a primitive's is a formula over :meth:`partial`).
-        Every chart field, the dilaton and the conformal factor among them,
-        is a primitive; ``fn`` is a formula over held values, such as
-        eta = theta - 2 d phi, or a field of a test."""
-        return covariant_derivative_of(fd_partial(fn, self.pts, self.step), fn(self.pts),
-                                       self.gamma(flavor), valence)
+    def nabla(self, attr: str, flavor: str) -> np.ndarray:
+        """The covariant derivative of the primitive ``attr`` for a flavor, a
+        formula over its :meth:`partial`, held; derivative axis first."""
+        return self._once(("nabla", attr, flavor), lambda: covariant_derivative_of(
+            self.partial(attr), getattr(self, attr), self.gamma(flavor), self._valence(attr)))
 
-    def codiff(self, fn, valence: int) -> np.ndarray:
-        """Codifferential of a form field that is not a primitive, computed
-        on every call; ``fn`` as for :meth:`nabla`."""
-        return codifferential_of(self.nabla(fn, valence, "levi_civita"), self.ginv, valence)
+    def codiff(self, attr: str) -> np.ndarray:
+        """The codifferential of the form primitive ``attr``, held."""
+        return self._once(("codiff", attr), lambda: codifferential_of(
+            self.nabla(attr, "levi_civita"), self.ginv, self._valence(attr)))
 
-    def nabla_T(self, flavor: str) -> np.ndarray:
-        return self._once(("nabla_T", flavor), lambda: covariant_derivative_of(
-            self.partial("T"), self.T, self.gamma(flavor), 3))
-
-    def nabla_theta(self, flavor: str) -> np.ndarray:
-        return self._once(("nabla_theta", flavor), lambda: covariant_derivative_of(
-            self.partial("theta"), self.theta, self.gamma(flavor), 1))
-
-    @_primitive
-    def codiff_T(self):
-        return codifferential_of(self.nabla_T("levi_civita"), self.ginv, 3)
-
-    @_primitive
-    def codiff_theta(self):
-        return codifferential_of(self.nabla_theta("levi_civita"), self.ginv, 1)
+    def _valence(self, attr: str) -> int:
+        return getattr(self, attr).ndim - self.pts.ndim + 1
 
     # -- curvature and its traces ------------------------------------------------------
 
@@ -491,12 +497,12 @@ def _entry(ev: Evaluation, name, diff, tol) -> ResidualEntry:
 
 def _identity_rows(ev: Evaluation):
     """The curvature identities as ``(name, lhs - rhs)`` rows, in report order."""
-    nt = ev.nabla_T("bismut")
+    nt = ev.nabla("T", "bismut")
     tt = ev.tt4
 
     # Levi-Civita vs Bismut derivative of T
     rhs = nt + 0.5 * cyclic3_of4(tt)
-    yield "torsion_nabla_exchange", ev.nabla_T("levi_civita") - rhs
+    yield "torsion_nabla_exchange", ev.nabla("T", "levi_civita") - rhs
 
     # dT from the Bismut derivative
     rhs = cyclic3_of4(nt + 2.0 * tt) - np.einsum("...uxyz->...xyzu", nt)
@@ -514,23 +520,23 @@ def _identity_rows(ev: Evaluation):
     yield "curvature_comparison", ev.riemann("levi_civita") - rhs
 
     # Riemannian Ricci from the Bismut one
-    rhs = ev.ric + 0.5 * ev.codiff_T + 0.25 * ev.tt2
+    rhs = ev.ric + 0.5 * ev.codiff("T") + 0.25 * ev.tt2
     yield "ricci_comparison", ev.ric_lc - rhs
 
     # rho against the mixed Ricci trace
     rhs = (np.einsum("...xm,...my->...xy", ev.ric, ev.J)
-           + np.einsum("...xm,...my->...xy", ev.nabla_theta("bismut"), ev.J) + 0.25 * ev.lam)
+           + np.einsum("...xm,...my->...xy", ev.nabla("theta", "bismut"), ev.J) + 0.25 * ev.lam)
     yield "ricci_form_mixed_trace", ev.rho - rhs
 
     # scalar relation for b
-    rhs = ev.scal - 3.0 * ev.codiff_theta - 2.0 * ev.norm_sq("theta") + ev.norm_sq("T") / 3.0
+    rhs = ev.scal - 3.0 * ev.codiff("theta") - 2.0 * ev.norm_sq("theta") + ev.norm_sq("T") / 3.0
     yield "b_scalar_relation", ev.b - rhs
 
     J = ev.J
     ric = ev.ric
-    nth = ev.nabla_theta("bismut")
+    nth = ev.nabla("theta", "bismut")
     lhs = ric - np.einsum("...xy->...yx", ric)
-    yield "ricci_skew_coclosure", lhs + ev.codiff_T
+    yield "ricci_skew_coclosure", lhs + ev.codiff("T")
 
     lhs = slotwise(ric, J, 2) - np.einsum("...xy->...yx", ric)
     rhs = -slotwise(nth, J, 2) + np.einsum("...xy->...yx", nth)
@@ -538,7 +544,7 @@ def _identity_rows(ev: Evaluation):
 
     lhs = slotwise(ev.rho, J, 2) - ev.rho
     dnth = nth - np.einsum("...xy->...yx", nth)
-    rhs = (np.einsum("...my,...mx->...xy", ev.codiff_T, J)
+    rhs = (np.einsum("...my,...mx->...xy", ev.codiff("T"), J)
            - np.einsum("...my,...mx->...xy", dnth, J))
     yield "ricci_form_type_defect", lhs - rhs
 
@@ -551,7 +557,7 @@ def _identity_rows(ev: Evaluation):
 
     # J-trace of lambda (pins the norm convention)
     lhs = -np.einsum("...mn,...mn->...", ev.lam, ev.jg)  # = sum_i lambda(e_i, J e_i)
-    rhs = 8.0 * ev.norm_sq("theta") + 8.0 * ev.codiff_theta - 4.0 / 3.0 * ev.norm_sq("T")
+    rhs = 8.0 * ev.norm_sq("theta") + 8.0 * ev.codiff("theta") - 4.0 / 3.0 * ev.norm_sq("T")
     yield "lambda_trace_calibration", lhs - rhs
 
     # trace of the mean-curvature formula
@@ -602,7 +608,7 @@ def verify_dim4(m: HermitianManifold, pts, h=DEFAULT_STEP):
     lhs = (n - 1) * ev.lam
     quad = wedge(ev.theta, ev.jtheta, 1) + ev.norm_sq("theta")[..., None, None] * ev.omega
     rhs = ((4 - 2 * n) * (ev.d_jtheta + quad / (n - 1))
-           - 2.0 * ev.codiff_theta[..., None, None] * ev.omega)
+           - 2.0 * ev.codiff("theta")[..., None, None] * ev.omega)
     out.append(_entry(ev, "lck_lambda_reduction", lhs - rhs, TOL_CURVATURE))
     return out, []
 
@@ -616,12 +622,13 @@ def verify_conformal_trace(m: HermitianManifold, pts, h=DEFAULT_STEP) -> Residua
         raise PreconditionError(f"{m.name} has no conformal parent")
     ev = evaluation(m, pts, h)
     parent = evaluation(m.conformal_parent.parent, ev.pts, h)
-
-    def df(p):  # dF, held on the point sets of m's evaluation
-        return 2.0 * ev.at(p).partial("log_factor")
+    # dF on m's points, and the parent's Laplacian of F from its derivative
+    df = 2.0 * ev.dlog_factor
+    nab = covariant_derivative_of(2.0 * ev.partial("dlog_factor"), df,
+                                  parent.gamma("levi_civita"), 1)
 
     n = m.dim // 2
     lhs = 2.0 * np.exp(2.0 * ev.log_factor) * ev.u
-    pairing = np.einsum("...a,...b,...ab->...", parent.theta, df(ev.pts), parent.ginv)
-    rhs = 2.0 * parent.u + n * (n - 1) * pairing + n * parent.codiff(df, 1)
+    pairing = np.einsum("...a,...b,...ab->...", parent.theta, df, parent.ginv)
+    rhs = 2.0 * parent.u + n * (n - 1) * pairing + n * codifferential_of(nab, parent.ginv, 1)
     return _entry(ev, "conformal_u_change", lhs - rhs, TOL_CURVATURE)

@@ -93,22 +93,17 @@ class StringReport:
                 "entries": [e.as_dict() for e in self.entries]}
 
 
-def _no_dilaton(e: Evaluation):
-    return np.zeros(e.pts.shape[:-1])
-
-
-def _held_dilaton(e: Evaluation):
-    return e.phi
-
-
-def _weighted_divergence(ev: Evaluation, phi) -> np.ndarray:
+def _weighted_divergence(ev: Evaluation, gradient: bool) -> np.ndarray:
     """sum_i (nabla^g_{e_i} A)(e_i, ., .) for the 3-form A = exp(-2 phi) T,
     as the coordinate divergence of its density,
     g_xa g_yb (1/sqrt g) d_i (sqrt g A^{iab}), from the metric and torsion
-    of the stencil sets: no connection coefficients enter."""
+    of the stencil sets: no connection coefficients enter.  Without
+    ``gradient`` the dilaton is constant and A = T."""
     def density(p):
         e = ev.at(p)
-        weight = np.sqrt(np.linalg.det(e.g)) * np.exp(-2.0 * phi(e))
+        weight = np.sqrt(np.linalg.det(e.g))
+        if gradient:
+            weight = weight * np.exp(-2.0 * e.phi)
         return weight[..., None, None, None] * slotwise(e.T, e.ginv, 3)
 
     div = (np.einsum("...iiab->...ab", fd_partial(density, ev.pts, ev.step))
@@ -116,35 +111,25 @@ def _weighted_divergence(ev: Evaluation, phi) -> np.ndarray:
     return slotwise(div, ev.g, 2)
 
 
-def _dilaton_residuals(ev: Evaluation, phi, lam_j) -> tuple:
+def _dilaton_residuals(ev: Evaluation, gradient: bool, lam_j) -> tuple:
     """eta = theta - 2 d phi and the residuals of the entries that depend on
-    the dilaton ``phi``, a function of an evaluation.  ``phi = None`` is a
-    constant dilaton: eta is the Lee form, and the held primitives are the
-    derivatives."""
-    if phi is None:
-        eta, neta = ev.theta, ev.nabla_theta("bismut")
-        eta_size = ev.magnitude("theta")
-        einstein = ev.ric_lc - 0.25 * ev.tt2
-        flux = ev.codiff_T
-        phi = _no_dilaton
-    else:
-        def dphi(p):
-            return ev.at(p).partial("phi")
-
-        def eta_fn(p):
-            return ev.at(p).theta - 2.0 * dphi(p)
-
-        eta, neta = eta_fn(ev.pts), ev.nabla(eta_fn, 1, "bismut")
-        eta_size = ev.residual("supersymmetric_lee", eta)[0]
-        einstein = ev.ric_lc - 0.25 * ev.tt2 + 2.0 * ev.nabla(dphi, 1, "levi_civita")
-        grad = np.einsum("...ij,...j->...i", ev.ginv, dphi(ev.pts))
-        flux = ev.codiff_T + 2.0 * interior_product(grad, ev.T, 3)
+    the dilaton: the manifold's own with ``gradient``, else a constant one,
+    for which eta is the Lee form."""
+    attr = "eta" if gradient else "theta"
+    neta = ev.nabla(attr, "bismut")
+    einstein = ev.ric_lc - 0.25 * ev.tt2
+    flux = ev.codiff("T")
+    weight = 1.0
+    if gradient:
+        einstein = einstein + 2.0 * ev.nabla("dphi", "levi_civita")
+        grad = np.einsum("...ij,...j->...i", ev.ginv, ev.dphi)
+        flux = flux + 2.0 * interior_product(grad, ev.T, 3)
+        weight = np.exp(-2.0 * ev.phi)[..., None, None]
     # the divergence form of the flux equation against its interior-product
     # form: with the codifferential convention of this engine,
     #   sum_i (nabla^g_{e_i} (exp(-2 phi) T))(e_i, ., .)
     #       = - exp(-2 phi) (codiff T + 2 i_{grad phi} T)
-    div_agreement = (_weighted_divergence(ev, phi)
-                     + np.exp(-2.0 * phi(ev))[..., None, None] * flux)
+    div_agreement = _weighted_divergence(ev, gradient) + weight * flux
     neta_t = np.einsum("...xy->...yx", neta)
     measured = [
         ("einstein_equation", einstein),
@@ -157,10 +142,10 @@ def _dilaton_residuals(ev: Evaluation, phi, lam_j) -> tuple:
     ]
     if ev.m.dim == 4:
         measured.append(("conformal_killing_equation",
-                         neta - 0.5 * ev.codiff_theta[..., None, None] * ev.g))
+                         neta - 0.5 * ev.codiff("theta")[..., None, None] * ev.g))
     residuals = {name: ev.residual(name, diff)[0] for name, diff in measured}
-    residuals["supersymmetric_lee"] = eta_size
-    return eta, residuals
+    residuals["supersymmetric_lee"] = ev.magnitude(attr)
+    return getattr(ev, attr), residuals
 
 
 def run_string_suite(m: HermitianManifold, pts, step=DEFAULT_STEP,
@@ -196,31 +181,31 @@ def run_string_suite(m: HermitianManifold, pts, step=DEFAULT_STEP,
     # of g along the dual of the Lee form
     lam_j = np.einsum("...xm,...ym->...xy", ev.lam, ev.J)
     sharp = np.einsum("...ij,...j->...i", ev.ginv, ev.theta)
-    nth = ev.nabla_theta("levi_civita")
+    nth = ev.nabla("theta", "levi_civita")
     shared = {name: ev.residual(name, diff)[0] for name, diff in (
-        ("coclosed_vs_lee", ev.codiff_T - (ev.dtheta - interior_product(sharp, ev.T, 3))),
+        ("coclosed_vs_lee", ev.codiff("T") - (ev.dtheta - interior_product(sharp, ev.T, 3))),
         ("lee_killing_field", nth + np.einsum("...xy->...yx", nth)),
     )}
 
-    dilatons = {"constant_dilaton": None}
+    dilatons = {"constant_dilaton": False}
     if m.dilaton is not None:
-        dilatons["gradient_dilaton"] = _held_dilaton
+        dilatons["gradient_dilaton"] = True
     reports = {}
-    for kind, phi in dilatons.items():
-        eta, res = _dilaton_residuals(ev, phi, lam_j)
+    for kind, gradient in dilatons.items():
+        eta, res = _dilaton_residuals(ev, gradient, lam_j)
         res.update(shared)
-        if phi is None:
+        if not gradient:
             # the Bismut Ricci tensor itself, and the Lee-form equation
             # (nabla_X theta)Y = lambda(X, JY)/4 equivalent to it when the
             # Bismut Ricci form vanishes: the eta equation with eta = theta
             res["constant_dilaton_ricci"] = ric
             res["constant_dilaton_lee_equation"] = res["eta_equation"]
-        status = {"supersymmetric_lee": INFO if phi is None else ASSERTED,
+        status = {"supersymmetric_lee": ASSERTED if gradient else INFO,
                   "flux_divergence_agreement": ASSERTED,
                   "coclosed_vs_lee": ASSERTED if hyp["su_indicator"] else HYPOTHESIS_FAILED,
-                  "lee_killing_field": sol if phi is None else INFO}
+                  "lee_killing_field": INFO if gradient else sol}
         reports[kind] = StringReport(
-            manifold=m.name, constant_dilaton=phi is None, hypothesis_ok=hyp["ok"],
+            manifold=m.name, constant_dilaton=not gradient, hypothesis_ok=hyp["ok"],
             einstein_residual=res["einstein_equation"], flux_residual=res["flux_equation"],
             eta=eta, eta_parallel_residual=res["eta_parallel"],
             susy_theta_residual=res["supersymmetric_lee"], th1_consistency=th1,

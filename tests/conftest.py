@@ -8,7 +8,9 @@ from ktgeo.catalog import (
     BoxChart, HermitianManifold, catalog_names, get_manifold, _block_j, _const_field,
 )
 from ktgeo.identities import Evaluation, run_identity_suite
-from ktgeo.tensor_core import kahler_form_values
+from ktgeo.tensor_core import (
+    codifferential_of, covariant_derivative_of, fd_partial, kahler_form_values,
+)
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +30,15 @@ def lee_fn(m):
 def kahler_form(m):
     """The Kaehler form omega(X,Y) = g(X, JY) of ``m`` as a batched field."""
     return lambda p: kahler_form_values(m.metric(p), m.complex_structure(p))
+
+
+def codiff_of_field(ev, fn, valence):
+    """Reference codifferential of a ``valence``-form field ``fn`` at the
+    points of the evaluation ``ev``, composed from the kernel's stencil,
+    Levi-Civita derivative and trace; the engine's own reads held primitives."""
+    nab = covariant_derivative_of(fd_partial(fn, ev.pts, ev.step), fn(ev.pts),
+                                  ev.gamma("levi_civita"), valence)
+    return codifferential_of(nab, ev.ginv, valence)
 
 
 def alt(t, valence):

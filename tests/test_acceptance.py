@@ -57,10 +57,10 @@ def test_criterion_2_hopf_reproduces_the_homogeneous_model():
     res["scalar"] = float(np.max(np.abs(ev.scal)))
 
     for flavor in ("bismut", "levi_civita"):
-        res[f"lee_parallel_{flavor}"] = float(np.max(np.abs(ev.nabla_theta(flavor))))
+        res[f"lee_parallel_{flavor}"] = float(np.max(np.abs(ev.nabla("theta", flavor))))
 
     res["torsion_closed"] = float(np.max(np.abs(ev.dT)))
-    res["torsion_coclosed"] = float(np.max(np.abs(ev.codiff_T)))
+    res["torsion_coclosed"] = float(np.max(np.abs(ev.codiff("T"))))
 
     T = ev.T
     theta = ev.theta
@@ -69,7 +69,7 @@ def test_criterion_2_hopf_reproduces_the_homogeneous_model():
     jth = -np.einsum("...m,...mi->...i", theta, J)
     res["torsion_wedge_form"] = float(np.max(np.abs(T - wedge(jth, kahler_form(m)(pts), 2))))
 
-    nth_g = ev.nabla_theta("levi_civita")
+    nth_g = ev.nabla("theta", "levi_civita")
     res["lee_killing"] = float(np.max(np.abs(nth_g + np.einsum("...xy->...yx", nth_g))))
 
     t2 = norm_sq_values(theta, ginv, 1)
@@ -103,7 +103,7 @@ def test_criterion_4_dimension_four_chain():
         pts = m.sample_points(N_POINTS, SEED)
         ev = Evaluation(m, pts)
         lam = ev.lam
-        dth = ev.codiff_theta
+        dth = ev.codiff("theta")
         om = kahler_form(m)(pts)
         worst = max(worst, float(np.max(np.abs(lam + 2.0 * dth[..., None, None] * om))))
         f = classify(m, pts)

@@ -46,16 +46,16 @@ def test_hopf_parallel_lee_and_flat_ricci_form():
     ev = Evaluation(m, pts)
     assert np.max(np.abs(ev.rho)) < 1e-5
     assert np.max(np.abs(ev.ric)) < 1e-5
-    assert np.max(np.abs(ev.nabla_theta("levi_civita"))) < 1e-5
+    assert np.max(np.abs(ev.nabla("theta", "levi_civita"))) < 1e-5
 
 
 def test_su2xu1_flat_parallel_torsion():
     m = get_manifold("su2xu1")
     ev = Evaluation(m, m.sample_points(8, seed=0))
     assert np.max(np.abs(ev.riemann("bismut"))) < 1e-6
-    assert np.max(np.abs(ev.nabla_T("bismut"))) < 1e-6
+    assert np.max(np.abs(ev.nabla("T", "bismut"))) < 1e-6
     assert np.max(np.abs(ev.dT)) < 1e-6
-    assert np.max(np.abs(ev.codiff_T)) < 1e-6
+    assert np.max(np.abs(ev.codiff("T"))) < 1e-6
 
 
 def test_hopf_and_su2xu1_share_scalar_invariants():

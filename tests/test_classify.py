@@ -6,7 +6,7 @@ import pytest
 
 from ktgeo.catalog import catalog_names, get_manifold
 from ktgeo.classify import check_hkt, classify, vanishing_hypotheses
-from ktgeo.errors import PreconditionError
+from ktgeo.errors import ContractViolationError, PreconditionError
 from ktgeo.identities import Evaluation, run_identity_suite, verify_dim4
 from ktgeo.string_eqs import run_string_suite
 
@@ -64,6 +64,15 @@ def test_su_indicator_monotone_in_tolerance():
 def test_empty_point_set_rejected(flat4, entry):
     with pytest.raises(PreconditionError, match="non-empty point set"):
         entry(flat4, np.empty((0, 4)))
+
+
+@pytest.mark.parametrize("entry", [classify, run_identity_suite, verify_dim4,
+                                   run_string_suite, vanishing_hypotheses],
+                         ids=lambda f: f.__name__)
+def test_points_of_another_dimension_rejected(hopf, entry):
+    with pytest.raises(ContractViolationError,
+                       match="hopf_standard: points have dimension 3, expected 4"):
+        entry(hopf, np.ones((2, 3)))
 
 
 def test_check_hkt_hopf_triple():

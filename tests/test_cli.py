@@ -187,6 +187,8 @@ def test_wrong_field_shape_exits_3(base, field, wrong, given, capsys):
     assert code == 3
     [line] = capsys.readouterr().err.splitlines()
     assert "invalid configuration" not in line
+    assert "numeric failure" not in line
+    assert line.startswith("error: contract violation on 'wrong_shape_test_manifold' during ")
     assert f"wrong_shape_test_manifold: field {field!r} has shape (" in line
     assert f"{given}), expected (" in line
 

@@ -174,7 +174,7 @@ def test_covariant_derivative_basics(flat4, hopf):
 
     ev = Evaluation(hopf, sample("hopf_standard", 8))
     for fl in ("bismut", "levi_civita"):
-        assert np.max(np.abs(ev.nabla_theta(fl))) < 1e-5
+        assert np.max(np.abs(ev.nabla("theta", fl))) < 1e-5
 
 
 def test_boundary_guards(hopf):

@@ -128,7 +128,7 @@ def test_lambda_omega_cases():
     conf = get_manifold("conf_torus_4")
     cp = conf.sample_points(8, seed=0)
     lam, h, defect = lambda_omega(conf, cp)
-    dth = Evaluation(conf, cp).codiff(lee_fn(conf), 1)
+    dth = Evaluation(conf, cp).codiff("theta")
     om = kahler_form(conf)(cp)
     assert np.max(np.abs(lam + 2.0 * dth[..., None, None] * om)) < 1e-5
     assert np.max(np.abs(lam)) > 1e-2  # nonzero: the reduction is not vacuous

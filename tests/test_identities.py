@@ -5,13 +5,14 @@ from ktgeo import tensor_core
 from ktgeo.catalog import (
     BoxChart, HermitianManifold, catalog_names, conformal_rescale, get_manifold,
 )
+from ktgeo.connections import lee_form_routes
 from ktgeo.errors import ContractViolationError, PreconditionError
 from ktgeo.identities import (
     Evaluation, evaluation, evaluation_scope, run_identity_suite,
     verify_conformal_trace, verify_dim4,
 )
 
-from conftest import richardson_ratios, sample
+from conftest import codiff_of_field, kahler_form, richardson_ratios, sample
 
 ALL_NAMES = [
     "torsion_nabla_exchange", "torsion_ext_derivative", "bianchi_with_torsion",
@@ -222,3 +223,31 @@ def test_residual_transports_a_tensor_one_slot_at_a_time(monkeypatch):
     ev.residual("valence4", diff)
     assert transports == [4]
     assert max(operands, default=0) <= 2
+
+
+def test_derivatives_of_a_primitive_are_held_read_only(hopf):
+    ev = Evaluation(hopf, sample("hopf_standard", 3))
+    for read in (lambda: ev.nabla("T", "bismut"), lambda: ev.codiff("T")):
+        first = read()
+        assert read() is first
+        assert not first.flags.writeable
+    assert ev.nabla("T", "levi_civita") is not ev.nabla("T", "bismut")
+
+
+@pytest.mark.parametrize("name", ["hopf_standard", "su2xu1", "conf_torus_6"])
+def test_held_codifferential_of_omega_is_the_lee_forms_route(name):
+    m = get_manifold(name)
+    ev = Evaluation(m, m.sample_points(4, seed=0))
+    cod = ev.codiff("omega")
+    # the Kaehler form of the chart fields, differentiated by the reference
+    assert np.array_equal(cod, codiff_of_field(ev, kahler_form(m), 2))
+    via_codiff = np.einsum("...bi,...b->...i", ev.J, cod)
+    assert np.array_equal(via_codiff, lee_form_routes(ev)[0])
+    assert np.array_equal(via_codiff, ev.theta)
+
+
+def test_eta_is_the_lee_form_minus_twice_the_dilatons_differential(hopf):
+    ev = Evaluation(hopf, sample("hopf_standard", 4))
+    assert np.array_equal(ev.dphi, ev.partial("phi"))
+    assert np.array_equal(ev.eta, ev.theta - 2.0 * ev.dphi)
+    assert np.max(np.abs(ev.eta)) < 1e-6  # the Hopf dilaton makes theta = 2 d phi

@@ -1,12 +1,17 @@
 """``src/ktgeo`` holds what a report reaches: every public function and
 public method is called while reports run, unless it is listed below with
 the reason it stays.  A module's public names are its ``__all__``, or every
-name without a leading underscore where it has none."""
+name without a leading underscore where it has none.
 
+Calculus happens in few places: a stencil is placed, and a covariant
+derivative taken, only at the sites listed below with the reason each has."""
+
+import ast
 import importlib
 import inspect
 import pkgutil
 import sys
+from pathlib import Path
 
 import ktgeo
 from ktgeo.catalog import register_manifold
@@ -23,6 +28,22 @@ UNREACHED = {
     "catalog.hermitian_residuals": "the benchmark's correctness check calls it",
     "connections.compatibility_residuals": "kept for a report's structure block (ROADMAP item 7)",
     "connections.torsion_type_defect": "kept for a report's structure block (ROADMAP item 7)",
+}
+
+# where each differentiating kernel function may be called, and why there
+CALCULUS_SITES = {
+    "fd_partial": {
+        "identities.Evaluation.partial": "the one stencil pass over a held primitive",
+        "curvature.riemann_values": "a flavor's coefficients are a formula, not a primitive, "
+                                    "and are differentiated only for its curvature",
+        "string_eqs._weighted_divergence": "the flux equation's connection-free "
+                                           "divergence route",
+    },
+    "covariant_derivative_of": {
+        "identities.Evaluation.nabla": "the held covariant derivative of a primitive",
+        "identities.verify_conformal_trace": "the Laplacian of m's conformal factor "
+                                             "with its parent's connection",
+    },
 }
 
 
@@ -76,3 +97,37 @@ def test_src_holds_what_a_report_reaches(tmp_path):
     allowed = CHART_STUBS | set(UNREACHED)
     assert not unreached - allowed, f"reached by no report: {sorted(unreached - allowed)}"
     assert not allowed - unreached, f"exempt but reached: {sorted(allowed - unreached)}"
+
+
+def _call_sites(tree, module):
+    """(called name, enclosing function) for every call in a module, the
+    function named with its enclosing classes and functions."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            sites.append((name, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, (module,))
+    return sites
+
+
+def test_calculus_happens_at_the_listed_sites():
+    src = Path(ktgeo.__file__).parent
+    sites = [site for path in sorted(src.glob("*.py"))
+             for site in _call_sites(ast.parse(path.read_text()), path.stem)]
+    def inside(where, site):
+        return where == site or where.startswith(site + ".")
+
+    for name, allowed in CALCULUS_SITES.items():
+        found = {where for called, where in sites if called == name}
+        stray = {w for w in found if not any(inside(w, a) for a in allowed)}
+        assert not stray, f"{name} called outside its sites, at {sorted(stray)}"
+        unused = {a for a in allowed if not any(inside(w, a) for w in found)}
+        assert not unused, f"{name} listed but not called at {sorted(unused)}"

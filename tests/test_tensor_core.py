@@ -13,7 +13,7 @@ from ktgeo.tensor_core import (
     norm_sq_values, slotwise, to_frame, wedge,
 )
 
-from conftest import alt, kahler_form, lee_fn, sample
+from conftest import alt, codiff_of_field, kahler_form, lee_fn, sample
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +88,9 @@ def test_codifferential_trivial_cases(flat4):
     const = lambda p: np.broadcast_to(np.array([1.0, 2.0, -1.0, 0.5]),
                                       np.asarray(p).shape[:-1] + (4,)).copy()
     ev = Evaluation(flat4, pts)
-    assert np.max(np.abs(ev.codiff(const, 1))) < 1e-12
+    assert np.max(np.abs(codiff_of_field(ev, const, 1))) < 1e-12
     # Kaehler: codiff of the Kaehler form vanishes, hence the Lee form does
-    cod = ev.codiff(kahler_form(flat4), 2)
+    cod = ev.codiff("omega")
     assert np.max(np.abs(cod)) < 1e-12
 
 
@@ -98,10 +98,10 @@ def test_codifferential_trivial_cases(flat4):
 def test_codifferential_equals_minus_star_d_star_dim4(hopf, valence):
     pts = sample("hopf_standard", 6)
     if valence == 1:
-        fn = lee_fn(hopf)
+        fn, attr = lee_fn(hopf), "theta"
     else:
-        fn = kahler_form(hopf)
-    lhs = Evaluation(hopf, pts).codiff(fn, valence)
+        fn, attr = kahler_form(hopf), "omega"
+    lhs = Evaluation(hopf, pts).codiff(attr)
     g = hopf.metric(pts)
 
     def star_fn(p):
@@ -115,11 +115,10 @@ def test_codifferential_equals_minus_star_d_star_dim4(hopf, valence):
 def test_codifferential_public_contract(hopf):
     p = np.array([1.0, 0.0, 0.0, 0.0])
     ev = Evaluation(hopf, p)
-    out = ev.codiff(kahler_form(hopf), 2)
+    out = ev.codiff("omega")
     assert out.shape == (1, 4)  # a single point
-    scalar = lambda q: np.ones(np.shape(q)[:-1])
     with pytest.raises(ContractViolationError):
-        ev.codiff(scalar, 0)
+        ev.codiff("phi")  # the dilaton, a function
 
 
 # ---------------------------------------------------------------------------
