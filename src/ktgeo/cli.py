@@ -90,8 +90,9 @@ class RunConfig:
 
 
 class NumericFailure(Exception):
-    """Wraps a GeometryError with (manifold, suite) context for exit code 3;
-    a contract violation (a malformed chart or argument) is worded as one."""
+    """Wraps a GeometryError, or NumPy's LinAlgError from a chart field, with
+    (manifold, suite) context for exit code 3; a contract violation (a
+    malformed chart or argument) is worded as one."""
 
     def __init__(self, manifold, suite, original):
         kind = ("contract violation" if isinstance(original, ContractViolationError)
@@ -204,7 +205,7 @@ def _manifold_report(name: str, cfg: RunConfig) -> dict:
                 section["string"] = {kind: rep.as_dict() for kind, rep in reports.items()}
                 asserted_pass += [e.passed for rep in reports.values() for e in rep.entries
                                   if e.passed is not None]
-    except GeometryError as exc:
+    except (GeometryError, np.linalg.LinAlgError) as exc:
         raise NumericFailure(name, suite, exc) from exc
 
     section["pass"] = all(asserted_pass)

@@ -10,9 +10,11 @@ evaluation decides where stencils are applied and what is kept.
 Coefficient conventions:
 
 - all-lower coefficients ``omega[l,i,j] = g(nabla_{d_i} d_j, d_l)`` add a
-  flavor's torsion term to the Levi-Civita ones, held once per point set;
-  the raised coefficients ``Gamma[k,i,j] = g^{kl} omega[l,i,j]``
-  (``Evaluation.gamma``) use a single inversion of g per point;
+  flavor's torsion term to the Levi-Civita ones; each flavor's are a held
+  primitive of the evaluation, named in ``COEFFICIENTS``, which the
+  curvature differentiates by name like any other primitive; the raised
+  coefficients ``Gamma[k,i,j] = g^{kl} omega[l,i,j]`` (``Evaluation.gamma``)
+  use a single inversion of g per point;
 - the Bismut connection adds half its torsion:  ``g(nabla_X Y, Z) =
   g(nabla^g_X Y, Z) + T(X,Y,Z)/2`` with ``T(X,Y,Z) = -d(omega)(JX,JY,JZ)``;
 - the Chern connection adds ``d(omega)(JX,Y,Z)/2``;
@@ -36,7 +38,7 @@ from .errors import ConventionError
 from .tensor_core import first_slot_matrix, slotwise
 
 __all__ = [
-    "torsion_bismut_values", "torsion_chern_values", "lower_coefficients",
+    "torsion_bismut_values", "torsion_chern_values", "lower_coefficients", "COEFFICIENTS",
     "lee_form_values", "lee_form_routes", "compatibility_residuals",
     "torsion_type_defect",
 ]
@@ -72,8 +74,14 @@ def torsion_type_defect(ev) -> float:
 # connection coefficients
 # ---------------------------------------------------------------------------
 
+# the evaluation's primitive that holds each flavor's all-lower coefficients
+COEFFICIENTS = {"levi_civita": "koszul", "bismut": "bismut_coefficients",
+                "chern": "chern_coefficients"}
+
+
 def lower_coefficients(ev, flavor: str) -> np.ndarray:
-    """All-lower coefficients omega[l,i,j] for the requested flavor."""
+    """All-lower coefficients omega[l,i,j] for the requested flavor; the
+    evaluation holds them as the primitive ``COEFFICIENTS[flavor]``."""
     om = ev.koszul
     if flavor == "levi_civita":
         return om

@@ -25,17 +25,19 @@ and Chern torsion terms, which are antisymmetric in their last pair.
 
 Every function here reads the fields that one evaluation
 (``identities.Evaluation``) holds for one point set, and evaluates no chart
-field.  The evaluation calls each once per point set and shares the result;
-the two sides of an identity stay independent because they are built from
-different formulas.
+field and places no stencil: ``D_i omega`` is the evaluation's ``partial`` of
+the flavor's held coefficients (``connections.COEFFICIENTS``).  The
+evaluation calls each once per point set and shares the result; the two
+sides of an identity stay independent because they are built from different
+formulas.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .connections import lower_coefficients
-from .tensor_core import fd_partial, first_slot_matrix
+from .connections import COEFFICIENTS
+from .tensor_core import first_slot_matrix
 
 __all__ = [
     "riemann_values", "lambda_omega_values", "ricci_from_curvature", "rho_from_curvature",
@@ -45,10 +47,10 @@ __all__ = [
 def riemann_values(ev, flavor: str) -> np.ndarray:
     """Lowered curvature R[i,j,k,l] = R(d_i, d_j, d_k, d_l) of a flavor, by
     the three-term formula of the module docstring."""
-    dom = fd_partial(lambda p: lower_coefficients(ev.at(p), flavor),
-                     ev.pts, ev.step)                 # dom[d, l, i, j]
+    coefficients = COEFFICIENTS[flavor]
+    dom = ev.partial(coefficients)                    # dom[d, l, i, j]
     # omega[m, i, l] Gamma[m, j, k] as [(il), (jk)]: one product per point
-    quad = (np.swapaxes(first_slot_matrix(lower_coefficients(ev, flavor)), -1, -2)
+    quad = (np.swapaxes(first_slot_matrix(getattr(ev, coefficients)), -1, -2)
             @ first_slot_matrix(ev.gamma(flavor)))
     a = np.moveaxis(dom - quad.reshape(dom.shape), -3, -1)   # [i, l, j, k] -> [i, j, k, l]
     return a - np.swapaxes(a, -4, -3)

@@ -6,12 +6,12 @@ over shared primitives.  An :class:`Evaluation` computes every primitive
 the three curvatures, the Lee form, eta = theta - 2 d phi, ...) once per
 manifold and point set, and so does each evaluation on the stencil sets that
 a derivative differentiates.  Every derivative is of a primitive, read by
-the primitive's name: ``partial``, ``nabla`` and ``codiff``.  The two sides
-are independent because their formulas differ, so a convention bug cannot
-cancel; evaluating a pure function twice gives identical bits and would add
-no independence.  Residuals are measured by :meth:`Evaluation.residual` as
-the largest orthonormal-frame component of the difference, which keeps them
-scale-honest across charts.
+the primitive's name: ``partial``, the one stencil pass, and ``nabla`` and
+``codiff`` over it.  The two sides are independent because their formulas
+differ, so a convention bug cannot cancel; evaluating a pure function twice
+gives identical bits and would add no independence.  Residuals are measured
+by :meth:`Evaluation.residual` as the largest orthonormal-frame component of
+the difference, which keeps them scale-honest across charts.
 
 The curvature suite is one generator of named ``(name, lhs - rhs)`` rows
 over one evaluation, each measured in turn.
@@ -56,7 +56,8 @@ import numpy as np
 
 from .catalog import HermitianManifold
 from .connections import (
-    lee_form_values, lower_coefficients, torsion_bismut_values, torsion_chern_values,
+    COEFFICIENTS, lee_form_values, lower_coefficients, torsion_bismut_values,
+    torsion_chern_values,
 )
 from .curvature import (
     lambda_omega_values, ricci_from_curvature, riemann_values, rho_from_curvature,
@@ -133,18 +134,21 @@ class Evaluation:
 
     Every value is computed on first use from the values held for the same
     point set, and then held read-only in one store.  :meth:`partial`, the
-    coordinate derivative of a primitive, is one stencil pass over the
-    evaluations on the stencil sets around the points (:meth:`at`); every
-    other derivative is of a primitive too, a formula over its ``partial``
-    held under the primitive's name: :meth:`nabla` per flavor and
-    :meth:`codiff`.  Only the stencil sets around the base points are held;
-    the deeper sets are built once, for the one pass over ``g`` and
-    ``omega``, and dropped.  :meth:`with_structure` starts another complex
-    structure from the metric-only values held here.  The point set must not
-    be empty and must have the manifold's dimension, and the chart domain is
-    checked once, on the base points, with the margin the deepest stencil
-    needs; each chart field's shape is checked on every point set where it
-    is read.  :meth:`residual` is the engine's one residual measure.
+    coordinate derivative of a primitive, is the engine's one stencil site:
+    one central-difference pass over the evaluations on the stencil sets
+    around the points, which no other method reads.  Every other
+    derivative is of a primitive too, a formula over its ``partial`` held
+    under the primitive's name: :meth:`nabla` per flavor, :meth:`codiff`, the
+    curvature of each flavor's held coefficients and the flux equation's
+    divergence of a held density.  Only the stencil sets around the base
+    points are held; the deeper sets are built once, for the one pass over
+    ``g`` and ``omega``, and dropped.  :meth:`with_structure` starts another
+    complex structure from the metric-only values held here, on the same
+    point sets.  The point set must not be empty and must have the
+    manifold's dimension, and the chart domain is checked once, on the base
+    points, with the margin the deepest stencil needs; each chart field's
+    shape is checked on every point set where it is read.  :meth:`residual`
+    is the engine's one residual measure.
     """
 
     def __init__(self, m: HermitianManifold, pts, step: float = DEFAULT_STEP):
@@ -159,26 +163,14 @@ class Evaluation:
         m.chart.require_interior(self.pts, STENCIL_DEPTH * step)
         self._values = {}
         # the evaluations on the stencil sets around the base points, by the
-        # bytes of the set; None on a stencil set, which holds none of its own
+        # bytes of the set, read by partial alone; None on a stencil set,
+        # which holds none of its own
         self._stencils = {}
 
     def _once(self, key, compute):
         if key not in self._values:
             self._values[key] = _frozen(compute())
         return self._values[key]
-
-    def at(self, points) -> "Evaluation":
-        """The evaluation of the same manifold and step at ``points``: this
-        one for its own point set, else one on a stencil set around it."""
-        if points is self.pts or (np.shape(points) == self.pts.shape
-                                  and np.array_equal(points, self.pts)):
-            return self
-        points = np.asarray(points, dtype=float)
-        held = {} if self._stencils is None else self._stencils
-        key = points.tobytes()
-        if key not in held:
-            held[key] = self._derive(self.m, points)
-        return held[key]
 
     def _derive(self, m, pts, keys=(), stencils=None) -> "Evaluation":
         # starts from the values held here under keys; no domain check: the
@@ -201,14 +193,19 @@ class Evaluation:
 
     def partial(self, attr: str) -> np.ndarray:
         """``D_d`` of the primitive ``attr`` here, derivative axis first: one
-        central-difference pass over the stencil evaluations, held read-only.
-        ``g`` and ``omega`` share one pass unless one is held, so a set is built once."""
+        central-difference pass over the stencil evaluations, held read-only;
+        the only place a stencil is placed.  ``g`` and ``omega`` share one
+        pass unless one is held, so a set is built once."""
         if ("partial", attr) not in self._values:
             shared = ("g", "omega") if attr in ("g", "omega") else (attr,)
             attrs = [a for a in shared if ("partial", a) not in self._values]
-            def values(p):
-                ev = self.at(p)
-                return tuple(getattr(ev, a) for a in attrs)
+            held = {} if self._stencils is None else self._stencils
+
+            def values(p):  # at one stencil set around the points
+                key = p.tobytes()
+                if key not in held:
+                    held[key] = self._derive(self.m, p)
+                return tuple(getattr(held[key], a) for a in attrs)
             derivatives = fd_partial(values, self.pts, self.step)
             for a, df in zip(attrs, derivatives):
                 self._values[("partial", a)] = _frozen(df)
@@ -265,6 +262,16 @@ class Evaluation:
     def koszul(self):
         """All-lower Levi-Civita coefficients, which every flavor builds on."""
         return koszul_values(self.partial("g"))
+
+    @_primitive
+    def bismut_coefficients(self):
+        """All-lower Bismut coefficients."""
+        return lower_coefficients(self, "bismut")
+
+    @_primitive
+    def chern_coefficients(self):
+        """All-lower Chern coefficients."""
+        return lower_coefficients(self, "chern")
 
     @_primitive
     def dOm(self):
@@ -343,12 +350,34 @@ class Evaluation:
     def tt2(self):
         return _tt2(self.T, self.ginv)
 
+    # -- the flux equation's densities -----------------------------------------
+
+    @_primitive
+    def sqrt_det_g(self):
+        return np.sqrt(np.linalg.det(self.g))
+
+    @_primitive
+    def raised_T(self):
+        """T^{iab}, every slot raised."""
+        return slotwise(self.T, self.ginv, 3)
+
+    @_primitive
+    def flux_density(self):
+        """sqrt(det g) T^{iab}."""
+        return self.sqrt_det_g[..., None, None, None] * self.raised_T
+
+    @_primitive
+    def dilaton_flux_density(self):
+        """sqrt(det g) exp(-2 phi) T^{iab}."""
+        weight = self.sqrt_det_g * np.exp(-2.0 * self.phi)
+        return weight[..., None, None, None] * self.raised_T
+
     # -- connections and derivatives -------------------------------------------------
 
     def gamma(self, flavor: str) -> np.ndarray:
         """Raised coefficients Gamma[k,i,j] = g^{kl} omega[l,i,j] of a flavor."""
         def compute():
-            om = lower_coefficients(self, flavor)
+            om = getattr(self, COEFFICIENTS[flavor])
             return (self.ginv @ first_slot_matrix(om)).reshape(om.shape)
         return self._once(("gamma", flavor), compute)
 

@@ -28,7 +28,7 @@ import numpy as np
 from .catalog import HermitianManifold
 from .classify import DEFAULT_CLASSIFY_TOL, hypothesis_residuals
 from .identities import Evaluation, evaluation
-from .tensor_core import DEFAULT_STEP, fd_partial, interior_product, slotwise
+from .tensor_core import DEFAULT_STEP, interior_product, slotwise
 
 __all__ = ["StringEntry", "StringReport", "run_string_suite", "TOL_STRING"]
 
@@ -96,18 +96,13 @@ class StringReport:
 def _weighted_divergence(ev: Evaluation, gradient: bool) -> np.ndarray:
     """sum_i (nabla^g_{e_i} A)(e_i, ., .) for the 3-form A = exp(-2 phi) T,
     as the coordinate divergence of its density,
-    g_xa g_yb (1/sqrt g) d_i (sqrt g A^{iab}), from the metric and torsion
-    of the stencil sets: no connection coefficients enter.  Without
-    ``gradient`` the dilaton is constant and A = T."""
-    def density(p):
-        e = ev.at(p)
-        weight = np.sqrt(np.linalg.det(e.g))
-        if gradient:
-            weight = weight * np.exp(-2.0 * e.phi)
-        return weight[..., None, None, None] * slotwise(e.T, e.ginv, 3)
-
-    div = (np.einsum("...iiab->...ab", fd_partial(density, ev.pts, ev.step))
-           / np.sqrt(np.linalg.det(ev.g))[..., None, None])
+    g_xa g_yb (1/sqrt g) d_i (sqrt g A^{iab}): the trace of the held
+    ``partial`` of the density primitive (``dilaton_flux_density``, or
+    ``flux_density`` without ``gradient``, where the dilaton is constant and
+    A = T).  No connection coefficients enter."""
+    density = "dilaton_flux_density" if gradient else "flux_density"
+    div = (np.einsum("...iiab->...ab", ev.partial(density))
+           / ev.sqrt_det_g[..., None, None])
     return slotwise(div, ev.g, 2)
 
 

@@ -29,12 +29,12 @@ All conventions used by the rest of the engine are fixed here, once:
   division.
 - Differentiation: central differences with default step ``1e-4`` on
   O(1)-scaled charts.  ``fd_partial`` places every stencil, and the engine
-  calls it only where the evaluation context differentiates a held primitive
-  (and for the curvature's coefficients and one connection-free divergence);
-  the derivative operators (exterior, covariant, codifferential) are
-  formulas over a coordinate derivative already taken, derivative axis
-  first.  The covariant derivative is one batched matrix product with the
-  connection coefficients per slot.
+  calls it at one site, ``Evaluation.partial``, which differentiates a held
+  primitive by name (the curvature's coefficients and the flux density
+  among them); the derivative operators (exterior, covariant,
+  codifferential) are formulas over a coordinate derivative already taken,
+  derivative axis first.  The covariant derivative is one batched matrix
+  product with the connection coefficients per slot.
   Curvature-grade objects nest two stencils, so an evaluation needs a chart
   margin of two steps around each point; the evaluation context checks it
   once per point set.

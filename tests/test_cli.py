@@ -285,6 +285,22 @@ def test_linear_algebra_failure_exits_3(monkeypatch, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_singular_chart_field_exits_3_naming_the_manifold_and_suite(capsys):
+    # NumPy's LinAlgError inside a section is a numeric failure of that section
+    def singular_j(p):
+        return np.linalg.inv(np.zeros(np.shape(p)[:-1] + (4, 4)))
+
+    register_manifold(replace(get_manifold("flat_torus_4"), name="singular_j_test_manifold",
+                              complex_structure=singular_j))
+    code = main(["report", "--manifold", "singular_j_test_manifold", "--points", "1",
+                 "--out", "/dev/null"])
+    assert code == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: numeric failure on 'singular_j_test_manifold' "
+                           "during 'classify': ")
+    assert "Singular matrix" in line
+
+
 def test_classify_and_string_share_each_frame_conversion(monkeypatch, tmp_path):
     valence4 = []
     real = ktgeo.identities.to_frame
@@ -392,19 +408,19 @@ def test_report_leaves_no_evaluation_alive(monkeypatch, tmp_path):
     # with the cycle collector off, only reference counting frees an
     # evaluation: none may sit in a reference cycle
     created = []
-    real_init, real_at = Evaluation.__init__, Evaluation.at
+    real_init, real_derive = Evaluation.__init__, Evaluation._derive
 
     def init(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
         created.append(weakref.ref(self))
 
-    def at(self, points):  # every stencil evaluation is made here
-        ev = real_at(self, points)
+    def derive(self, *args, **kwargs):  # every stencil evaluation is made here
+        ev = real_derive(self, *args, **kwargs)
         created.append(weakref.ref(ev))
         return ev
 
     monkeypatch.setattr(Evaluation, "__init__", init)
-    monkeypatch.setattr(Evaluation, "at", at)
+    monkeypatch.setattr(Evaluation, "_derive", derive)
     gc.disable()
     try:
         code = main(["report", "--manifold", "hopf_hkt", "--points", "2",

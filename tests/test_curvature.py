@@ -27,7 +27,8 @@ def test_su2xu1_bismut_flat(su2):
 def _riemann_reference(ev, flavor):
     """The six-term curvature formula, which reads the metric derivative."""
     om = lower_coefficients(ev, flavor)
-    dom = fd_partial(lambda p: lower_coefficients(ev.at(p), flavor), ev.pts, ev.step)
+    dom = fd_partial(lambda p: lower_coefficients(Evaluation(ev.m, p, ev.step), flavor),
+                     ev.pts, ev.step)
     dg = ev.partial("g")
     gam = ev.gamma(flavor)
     return (np.einsum("...iljk->...ijkl", dom)

@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -251,3 +254,41 @@ def test_eta_is_the_lee_form_minus_twice_the_dilatons_differential(hopf):
     assert np.array_equal(ev.dphi, ev.partial("phi"))
     assert np.array_equal(ev.eta, ev.theta - 2.0 * ev.dphi)
     assert np.max(np.abs(ev.eta)) < 1e-6  # the Hopf dilaton makes theta = 2 d phi
+
+
+def test_each_point_set_builds_coefficients_and_raises_the_torsion_once(monkeypatch):
+    # the curvature reads each flavor's held coefficients, and the flux
+    # equation's two densities share the torsion raised on each stencil set
+    from ktgeo import connections
+    from ktgeo.string_eqs import run_string_suite
+
+    m = get_manifold("hopf_standard")
+    pts = m.sample_points(4, seed=0)
+    coefficients, raised = [], []
+    real_lower, real_slotwise = connections.lower_coefficients, tensor_core.slotwise
+
+    def lower(ev, flavor):
+        coefficients.append((ev, flavor))  # holds ev, so no id is reused
+        return real_lower(ev, flavor)
+
+    def slotwise(t, mat, valence, slots=None):
+        if valence == 3 and t.ndim == pts.ndim + valence:  # on a stencil set
+            raised.append((t, mat))
+        return real_slotwise(t, mat, valence, slots)
+
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("ktgeo."):
+            continue
+        if getattr(module, "lower_coefficients", None) is real_lower:
+            monkeypatch.setattr(module, "lower_coefficients", lower)
+        if getattr(module, "slotwise", None) is real_slotwise:
+            monkeypatch.setattr(module, "slotwise", slotwise)
+    with evaluation_scope():
+        run_identity_suite(m, pts)
+        reports = run_string_suite(m, pts)
+    assert set(reports) == {"constant_dilaton", "gradient_dilaton"}
+    assert coefficients
+    assert max(Counter((id(ev), flavor) for ev, flavor in coefficients).values()) == 1
+    assert max(Counter((id(t), id(mat)) for t, mat in raised).values()) == 1
+    # the torsion on each of the two stencil sets, and its raising on each
+    assert len(raised) == 4

@@ -34,10 +34,6 @@ UNREACHED = {
 CALCULUS_SITES = {
     "fd_partial": {
         "identities.Evaluation.partial": "the one stencil pass over a held primitive",
-        "curvature.riemann_values": "a flavor's coefficients are a formula, not a primitive, "
-                                    "and are differentiated only for its curvature",
-        "string_eqs._weighted_divergence": "the flux equation's connection-free "
-                                           "divergence route",
     },
     "covariant_derivative_of": {
         "identities.Evaluation.nabla": "the held covariant derivative of a primitive",
