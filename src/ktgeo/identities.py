@@ -144,14 +144,20 @@ class Evaluation:
     points are held; the deeper sets are built once, for the one pass over
     ``g`` and ``omega``, and dropped.  :meth:`with_structure` starts another
     complex structure from the metric-only values held here, on the same
-    point sets.  The point set must not be empty and must have the
-    manifold's dimension, and the chart domain is checked once, on the base
-    points, with the margin the deepest stencil needs; each chart field's
-    shape is checked on every point set where it is read.  :meth:`residual`
-    is the engine's one residual measure.
+    point sets.  The manifold's dimension must be even and at least 4.  The
+    point set must not be empty and must have the manifold's dimension, and
+    the chart domain is checked once, on the base points, with the margin
+    the deepest stencil needs; each chart field's shape is checked on every
+    point set where it is read.  :meth:`residual` is the engine's one
+    residual measure.
     """
 
     def __init__(self, m: HermitianManifold, pts, step: float = DEFAULT_STEP):
+        if m.dim < 4 or m.dim % 2:
+            # a complex structure needs an even dimension, and the LCK torsion
+            # and the lambda reduction divide by n - 1 in complex dimension n
+            raise ContractViolationError(f"{m.name}: dimension {m.dim}, expected an even "
+                                         "dimension of at least 4")
         self.m = m
         self.pts = _frozen(np.array(pts, dtype=float, ndmin=2))
         self.step = step
@@ -594,9 +600,9 @@ def _identity_rows(ev: Evaluation):
     yield "u_trace_formula", 2.0 * ev.u - rhs
 
 
-def run_identity_suite(m: HermitianManifold, pts, h=DEFAULT_STEP):
+def run_identity_suite(m: HermitianManifold, pts, step=DEFAULT_STEP):
     """All curvature identities applicable to a manifold, in report order."""
-    ev = evaluation(m, pts, h)
+    ev = evaluation(m, pts, step)
     return [_entry(ev, name, diff, TOL_CURVATURE) for name, diff in _identity_rows(ev)]
 
 
@@ -604,11 +610,11 @@ def run_identity_suite(m: HermitianManifold, pts, h=DEFAULT_STEP):
 # dimension-four chain and the conformally Kaehler reduction
 # ---------------------------------------------------------------------------
 
-def verify_dim4(m: HermitianManifold, pts, h=DEFAULT_STEP):
+def verify_dim4(m: HermitianManifold, pts, step=DEFAULT_STEP):
     """The dimension-four duality and the LCK reduction of lambda.  Returns
     the entries and the checks skipped, as ``{"name", "reason"}`` dicts, for
     a chart outside the class they hold on."""
-    ev = evaluation(m, pts, h)
+    ev = evaluation(m, pts, step)
     out = []
 
     if m.dim == 4:
@@ -642,15 +648,15 @@ def verify_dim4(m: HermitianManifold, pts, h=DEFAULT_STEP):
     return out, []
 
 
-def verify_conformal_trace(m: HermitianManifold, pts, h=DEFAULT_STEP) -> ResidualEntry:
+def verify_conformal_trace(m: HermitianManifold, pts, step=DEFAULT_STEP) -> ResidualEntry:
     """Conformal change of the Chern trace u between a manifold and its
     conformal parent, with the geometer's Laplacian (codiff d) on the parent.
     The catalog factor f corresponds to a rescale by exp(2 f), so the factor
     entering the formula is F = 2 f."""
     if m.conformal_parent is None:
         raise PreconditionError(f"{m.name} has no conformal parent")
-    ev = evaluation(m, pts, h)
-    parent = evaluation(m.conformal_parent.parent, ev.pts, h)
+    ev = evaluation(m, pts, step)
+    parent = evaluation(m.conformal_parent.parent, ev.pts, step)
     # dF on m's points, and the parent's Laplacian of F from its derivative
     df = 2.0 * ev.dlog_factor
     nab = covariant_derivative_of(2.0 * ev.partial("dlog_factor"), df,

@@ -38,16 +38,6 @@ ASSERTED = "asserted"
 INFO = "info"
 HYPOTHESIS_FAILED = "hypothesis_failed"
 
-# report order of the entries; a report holds the ones that apply to it
-_ENTRY_ORDER = (
-    "einstein_equation", "flux_equation", "constant_dilaton_ricci",
-    "constant_dilaton_lee_equation", "eta_equation", "eta_skew_equation",
-    "eta_symmetric_equation", "eta_parallel", "supersymmetric_lee",
-    "flux_divergence_agreement", "coclosed_vs_lee", "lee_killing_field",
-    "conformal_killing_equation",
-)
-
-
 @dataclass(frozen=True)
 class StringEntry:
     name: str
@@ -106,12 +96,15 @@ def _weighted_divergence(ev: Evaluation, gradient: bool) -> np.ndarray:
     return slotwise(div, ev.g, 2)
 
 
-def _dilaton_residuals(ev: Evaluation, gradient: bool, lam_j) -> tuple:
-    """eta = theta - 2 d phi and the residuals of the entries that depend on
-    the dilaton: the manifold's own with ``gradient``, else a constant one,
-    for which eta is the Lee form."""
+def _string_rows(ev: Evaluation, gradient: bool, sol: str, su_indicator: bool):
+    """The string entries as ``(name, lhs - rhs, status)`` rows, in report
+    order: for the manifold's own dilaton with ``gradient``, else for a
+    constant one, for which eta is the Lee form.  ``sol`` is the status of
+    the solution-style rows, ``su_indicator`` whether the SU(n) indicator
+    holds."""
     attr = "eta" if gradient else "theta"
     neta = ev.nabla(attr, "bismut")
+    lam_j = np.einsum("...xm,...ym->...xy", ev.lam, ev.J)
     einstein = ev.ric_lc - 0.25 * ev.tt2
     flux = ev.codiff("T")
     weight = 1.0
@@ -120,34 +113,45 @@ def _dilaton_residuals(ev: Evaluation, gradient: bool, lam_j) -> tuple:
         grad = np.einsum("...ij,...j->...i", ev.ginv, ev.dphi)
         flux = flux + 2.0 * interior_product(grad, ev.T, 3)
         weight = np.exp(-2.0 * ev.phi)[..., None, None]
+    yield "einstein_equation", einstein, sol
+    yield "flux_equation", flux, sol
+    eta_equation = neta - 0.25 * lam_j
+    if not gradient:
+        # the Bismut Ricci tensor itself, and the Lee-form equation
+        # (nabla_X theta)Y = lambda(X, JY)/4 equivalent to it when the
+        # Bismut Ricci form vanishes: the eta equation with eta = theta
+        yield "constant_dilaton_ricci", ev.ric, sol
+        yield "constant_dilaton_lee_equation", eta_equation, sol
+    neta_t = np.einsum("...xy->...yx", neta)
+    yield "eta_equation", eta_equation, sol
+    yield "eta_skew_equation", neta - neta_t, sol
+    yield "eta_symmetric_equation", neta + neta_t - 0.5 * lam_j, sol
+    yield "eta_parallel", neta, sol
+    yield "supersymmetric_lee", getattr(ev, attr), ASSERTED if gradient else INFO
     # the divergence form of the flux equation against its interior-product
     # form: with the codifferential convention of this engine,
     #   sum_i (nabla^g_{e_i} (exp(-2 phi) T))(e_i, ., .)
     #       = - exp(-2 phi) (codiff T + 2 i_{grad phi} T)
-    div_agreement = _weighted_divergence(ev, gradient) + weight * flux
-    neta_t = np.einsum("...xy->...yx", neta)
-    measured = [
-        ("einstein_equation", einstein),
-        ("flux_equation", flux),
-        ("eta_equation", neta - 0.25 * lam_j),
-        ("eta_skew_equation", neta - neta_t),
-        ("eta_symmetric_equation", neta + neta_t - 0.5 * lam_j),
-        ("eta_parallel", neta),
-        ("flux_divergence_agreement", div_agreement),
-    ]
+    yield "flux_divergence_agreement", _weighted_divergence(ev, gradient) + weight * flux, ASSERTED
+    # dilaton-independent entries: codiff(T) = d theta - i_{theta#} T,
+    # valid when the Bismut Ricci form vanishes, and the Lie derivative
+    # of g along the dual of the Lee form
+    sharp = np.einsum("...ij,...j->...i", ev.ginv, ev.theta)
+    yield ("coclosed_vs_lee", ev.codiff("T") - (ev.dtheta - interior_product(sharp, ev.T, 3)),
+           ASSERTED if su_indicator else HYPOTHESIS_FAILED)
+    nth = ev.nabla("theta", "levi_civita")
+    yield "lee_killing_field", nth + np.einsum("...xy->...yx", nth), INFO if gradient else sol
     if ev.m.dim == 4:
-        measured.append(("conformal_killing_equation",
-                         neta - 0.5 * ev.codiff("theta")[..., None, None] * ev.g))
-    residuals = {name: ev.residual(name, diff)[0] for name, diff in measured}
-    residuals["supersymmetric_lee"] = ev.magnitude(attr)
-    return getattr(ev, attr), residuals
+        yield ("conformal_killing_equation",
+               neta - 0.5 * ev.codiff("theta")[..., None, None] * ev.g, sol)
 
 
 def run_string_suite(m: HermitianManifold, pts, step=DEFAULT_STEP,
                      hyp_tol=DEFAULT_CLASSIFY_TOL) -> dict:
     """The string sector of one manifold at the points: a ``StringReport``
     under ``constant_dilaton``, and one under ``gradient_dilaton`` for the
-    manifold's own dilaton when it carries one.
+    manifold's own dilaton when it carries one, each the rows of
+    ``_string_rows`` over one evaluation, measured in turn.
 
     Solution-style residuals are asserted only when the manifold passes the
     hypotheses (closed torsion, SU(n) indicator); so is the equivalence
@@ -171,39 +175,18 @@ def run_string_suite(m: HermitianManifold, pts, step=DEFAULT_STEP,
            "label": sol}
     th1["agree"] = (th1["scal_zero"] == th1["ric_zero"]) if hyp["ok"] else None
 
-    # dilaton-independent entries: codiff(T) = d theta - i_{theta#} T,
-    # valid when the Bismut Ricci form vanishes, and the Lie derivative
-    # of g along the dual of the Lee form
-    lam_j = np.einsum("...xm,...ym->...xy", ev.lam, ev.J)
-    sharp = np.einsum("...ij,...j->...i", ev.ginv, ev.theta)
-    nth = ev.nabla("theta", "levi_civita")
-    shared = {name: ev.residual(name, diff)[0] for name, diff in (
-        ("coclosed_vs_lee", ev.codiff("T") - (ev.dtheta - interior_product(sharp, ev.T, 3))),
-        ("lee_killing_field", nth + np.einsum("...xy->...yx", nth)),
-    )}
-
     dilatons = {"constant_dilaton": False}
     if m.dilaton is not None:
         dilatons["gradient_dilaton"] = True
     reports = {}
     for kind, gradient in dilatons.items():
-        eta, res = _dilaton_residuals(ev, gradient, lam_j)
-        res.update(shared)
-        if not gradient:
-            # the Bismut Ricci tensor itself, and the Lee-form equation
-            # (nabla_X theta)Y = lambda(X, JY)/4 equivalent to it when the
-            # Bismut Ricci form vanishes: the eta equation with eta = theta
-            res["constant_dilaton_ricci"] = ric
-            res["constant_dilaton_lee_equation"] = res["eta_equation"]
-        status = {"supersymmetric_lee": ASSERTED if gradient else INFO,
-                  "flux_divergence_agreement": ASSERTED,
-                  "coclosed_vs_lee": ASSERTED if hyp["su_indicator"] else HYPOTHESIS_FAILED,
-                  "lee_killing_field": INFO if gradient else sol}
+        entries = [StringEntry(name, ev.residual(name, diff)[0], TOL_STRING, status)
+                   for name, diff, status in _string_rows(ev, gradient, sol, hyp["su_indicator"])]
+        res = {e.name: e.residual for e in entries}
         reports[kind] = StringReport(
             manifold=m.name, constant_dilaton=not gradient, hypothesis_ok=hyp["ok"],
             einstein_residual=res["einstein_equation"], flux_residual=res["flux_equation"],
-            eta=eta, eta_parallel_residual=res["eta_parallel"],
+            eta=ev.eta if gradient else ev.theta, eta_parallel_residual=res["eta_parallel"],
             susy_theta_residual=res["supersymmetric_lee"], th1_consistency=th1,
-            entries=[StringEntry(name, res[name], TOL_STRING, status.get(name, sol))
-                     for name in _ENTRY_ORDER if name in res])
+            entries=entries)
     return reports

@@ -193,6 +193,24 @@ def test_wrong_field_shape_exits_3(base, field, wrong, given, capsys):
     assert f"{given}), expected (" in line
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim, j", [(2, _block_j(2)), (5, np.eye(5))])
+def test_chart_of_unsupported_dimension_exits_3_naming_the_manifold(dim, j, capsys):
+    # a flat 2-torus divided by n - 1 = 0 in the LCK torsion, and a
+    # 5-dimensional chart with J = identity passed every check
+    register_manifold(HermitianManifold(
+        name="unsupported_dim_test_manifold", dim=dim,
+        chart=BoxChart(lows=(0.0,) * dim, highs=(2 * np.pi,) * dim),
+        metric=_const_field(np.eye(dim)), complex_structure=_const_field(j), lck=True))
+    code = main(["report", "--manifold", "unsupported_dim_test_manifold", "--points", "4",
+                 "--out", "/dev/null"])
+    assert code == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: contract violation on 'unsupported_dim_test_manifold' "
+                           "during 'classify': ")
+    assert f"unsupported_dim_test_manifold: dimension {dim}, expected an even" in line
+
+
 def test_suite_all_runs_everything(tmp_path):
     out_file = tmp_path / "suite.json"
     code = main(["suite", "--all", "--points", "4", "--out", str(out_file)])

@@ -156,3 +156,39 @@ def test_string_report_shape(hopf):
     assert list(run_string_suite(su2, su2.sample_points(2, seed=0))) == ["constant_dilaton"]
     assert sorted(string_api) == ["StringEntry", "StringReport", "TOL_STRING",
                                   "run_string_suite"]
+
+
+A, I, F = "asserted", "info", "hypothesis_failed"
+
+
+def _rows(rep) -> list:
+    return [(e.name, e.status) for e in rep.entries]
+
+
+def test_hopf_entries_in_report_order_with_their_status(hopf):
+    reps = run_string_suite(hopf, sample("hopf_standard", 4))
+    assert _rows(reps["constant_dilaton"]) == [
+        ("einstein_equation", A), ("flux_equation", A), ("constant_dilaton_ricci", A),
+        ("constant_dilaton_lee_equation", A), ("eta_equation", A), ("eta_skew_equation", A),
+        ("eta_symmetric_equation", A), ("eta_parallel", A), ("supersymmetric_lee", I),
+        ("flux_divergence_agreement", A), ("coclosed_vs_lee", A), ("lee_killing_field", A),
+        ("conformal_killing_equation", A),
+    ]
+    assert _rows(reps["gradient_dilaton"]) == [
+        ("einstein_equation", A), ("flux_equation", A), ("eta_equation", A),
+        ("eta_skew_equation", A), ("eta_symmetric_equation", A), ("eta_parallel", A),
+        ("supersymmetric_lee", A), ("flux_divergence_agreement", A), ("coclosed_vs_lee", A),
+        ("lee_killing_field", I), ("conformal_killing_equation", A),
+    ]
+
+
+def test_conf_torus_6_entries_fail_the_hypotheses_and_omit_the_dim4_row():
+    m = get_manifold("conf_torus_6")
+    reps = run_string_suite(m, m.sample_points(4, seed=0))
+    assert list(reps) == ["constant_dilaton"]
+    assert _rows(reps["constant_dilaton"]) == [
+        ("einstein_equation", F), ("flux_equation", F), ("constant_dilaton_ricci", F),
+        ("constant_dilaton_lee_equation", F), ("eta_equation", F), ("eta_skew_equation", F),
+        ("eta_symmetric_equation", F), ("eta_parallel", F), ("supersymmetric_lee", I),
+        ("flux_divergence_agreement", A), ("coclosed_vs_lee", F), ("lee_killing_field", F),
+    ]
