@@ -4,7 +4,7 @@ Each identity is evaluated with its two sides built from different formulas
 over shared primitives.  An :class:`Evaluation` computes every primitive
 (the chart fields, the dilaton and the conformal factor among them, torsion,
 the three curvatures, the Lee form, eta = theta - 2 d phi, ...) once per
-manifold and point set, and so does each evaluation on the stencil sets that
+manifold and point set, and so does the evaluation on each stencil level that
 a derivative differentiates.  Every derivative is of a primitive, read by
 the primitive's name: ``partial``, the one stencil pass, and ``nabla`` and
 ``codiff`` over it.  The two sides are independent because their formulas
@@ -51,6 +51,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -129,27 +130,47 @@ def _tt2(T, ginv):
     return slotwise(T, ginv, 3, (1, 2)).reshape(flat.shape) @ np.swapaxes(flat, -1, -2)
 
 
+@lru_cache(maxsize=None)
+def _distinct_offsets(d: int):
+    """The nested stencil's distinct offsets in dimension ``d``.
+
+    The offset ``(s, a, t, b)`` is the point ``(x + s h e_a) + t h e_b``, at
+    flat index ``((s d + a) 2 + t) d + b``.  For ``a != b`` it equals its twin
+    ``(t, b, s, a)`` bit for bit: each coordinate adds one of ``+-h`` and one
+    of ``+-0.0``, or two signed zeros, and either order gives the same sum.
+    Returns the flat indices of the offsets with ``a <= b``, and for every
+    offset the position among them of itself or its twin."""
+    s, a, t, b = np.unravel_index(np.arange(4 * d * d), (2, d, 2, d))
+    keep = np.flatnonzero(a <= b)
+    position = np.zeros(4 * d * d, dtype=np.intp)
+    position[keep] = np.arange(keep.size)
+    twin = position[np.ravel_multi_index((t, b, s, a), (2, d, 2, d))]
+    return _frozen(keep), _frozen(np.where(a <= b, position, twin))
+
+
 class Evaluation:
     """Every primitive of one manifold at one point set, each computed once.
 
     Every value is computed on first use from the values held for the same
     point set, and then held read-only in one store.  :meth:`partial`, the
     coordinate derivative of a primitive, is the engine's one stencil site:
-    one central-difference pass over the evaluations on the stencil sets
+    one central-difference pass over one evaluation on the stencil set
     around the points, which no other method reads.  Every other
     derivative is of a primitive too, a formula over its ``partial`` held
     under the primitive's name: :meth:`nabla` per flavor, :meth:`codiff`, the
     curvature of each flavor's held coefficients and the flux equation's
-    divergence of a held density.  Only the stencil sets around the base
-    points are held; the deeper sets are built once, for the one pass over
-    ``g`` and ``omega``, and dropped.  :meth:`with_structure` starts another
-    complex structure from the metric-only values held here, on the same
-    point sets.  The manifold's dimension must be even and at least 4.  The
-    point set must not be empty and must have the manifold's dimension, and
-    the chart domain is checked once, on the base points, with the margin
-    the deepest stencil needs; each chart field's shape is checked on every
-    point set where it is read.  :meth:`residual` is the engine's one
-    residual measure.
+    divergence of a held density.  One set per level: the base points hold
+    the one evaluation on their stencil set, both signs and every direction.
+    On that first level each pass builds one evaluation at the distinct
+    second-level points only, ``2d(d+1)`` of the ``(2d)^2`` around each
+    point, and drops it; every other point reads its twin's values.
+    :meth:`with_structure` starts another complex structure from the
+    metric-only values held here, on the same point sets.  The manifold's
+    dimension must be even and at least 4.  The point set must not be empty
+    and must have the manifold's dimension, and the chart domain is checked
+    once, on the base points, with the margin the deepest stencil needs;
+    each chart field's shape is checked on every point set where it is
+    read.  :meth:`residual` is the engine's one residual measure.
     """
 
     def __init__(self, m: HermitianManifold, pts, step: float = DEFAULT_STEP):
@@ -168,50 +189,61 @@ class Evaluation:
                                          f"expected {m.dim}")
         m.chart.require_interior(self.pts, STENCIL_DEPTH * step)
         self._values = {}
-        # the evaluations on the stencil sets around the base points, by the
-        # bytes of the set, read by partial alone; None on a stencil set,
-        # which holds none of its own
-        self._stencils = {}
+        self._depth = 0  # stencil levels below the base points
+        # the evaluation on the stencil set around the points, read by
+        # partial alone; held on the base points only
+        self._stencil = None
 
     def _once(self, key, compute):
         if key not in self._values:
             self._values[key] = _frozen(compute())
         return self._values[key]
 
-    def _derive(self, m, pts, keys=(), stencils=None) -> "Evaluation":
+    def _derive(self, m, pts, depth, keys=()) -> "Evaluation":
         # starts from the values held here under keys; no domain check: the
         # base evaluation made it for every stencil depth
         ev = Evaluation.__new__(Evaluation)
         ev.m, ev.pts, ev.step = m, _frozen(pts), self.step
         ev._values = {k: self._values[k] for k in keys if k in self._values}
-        ev._stencils = stencils
+        ev._depth, ev._stencil = depth, None
         return ev
 
     def with_structure(self, j_fn) -> "Evaluation":
         """The evaluation of the same metric, points and step with the complex
-        structure ``j_fn``, here and on the held stencil sets, starting from
+        structure ``j_fn``, here and on the held stencil set, starting from
         the metric-only values held; this one keeps no reference to it."""
         m = replace(self.m, complex_structure=j_fn, hypercomplex=None)
         keys = ("g", "ginv", "frames", ("partial", "g"), "koszul", ("gamma", "levi_civita"))
-        stencils = None if self._stencils is None else {
-            key: ev._derive(m, ev.pts, keys) for key, ev in self._stencils.items()}
-        return self._derive(m, self.pts, keys, stencils)
+        ev = self._derive(m, self.pts, self._depth, keys)
+        if self._stencil is not None:
+            ev._stencil = self._stencil._derive(m, self._stencil.pts, self._stencil._depth, keys)
+        return ev
 
     def partial(self, attr: str) -> np.ndarray:
         """``D_d`` of the primitive ``attr`` here, derivative axis first: one
-        central-difference pass over the stencil evaluations, held read-only;
-        the only place a stencil is placed.  ``g`` and ``omega`` share one
+        central-difference pass over one evaluation on the stencil set,
+        held read-only; the only place a stencil is placed.  On the base
+        points that evaluation is held.  On the first stencil level each
+        pass builds its own, at the distinct second-level points only, and
+        every other point reads its twin.  ``g`` and ``omega`` share one
         pass unless one is held, so a set is built once."""
         if ("partial", attr) not in self._values:
             shared = ("g", "omega") if attr in ("g", "omega") else (attr,)
             attrs = [a for a in shared if ("partial", a) not in self._values]
-            held = {} if self._stencils is None else self._stencils
 
-            def values(p):  # at one stencil set around the points
-                key = p.tobytes()
-                if key not in held:
-                    held[key] = self._derive(self.m, p)
-                return tuple(getattr(held[key], a) for a in attrs)
+            def values(p):  # at the stencil set around the points
+                if self._depth == 0:
+                    if self._stencil is None:
+                        self._stencil = self._derive(self.m, p, 1)
+                    return tuple(getattr(self._stencil, a) for a in attrs)
+                # p is (..., 2, d, 2, d, d): evaluate the distinct offsets,
+                # then lay every offset out from its own value or its twin's
+                d, lead = p.shape[-1], p.shape[:-5]
+                keep, index = _distinct_offsets(d)
+                ev = self._derive(self.m, p.reshape(lead + (-1, d))[..., keep, :], 2)
+                return tuple(np.take(v, index, axis=len(lead)).reshape(
+                    p.shape[:-1] + v.shape[len(lead) + 1:])
+                    for v in (getattr(ev, a) for a in attrs))
             derivatives = fd_partial(values, self.pts, self.step)
             for a, df in zip(attrs, derivatives):
                 self._values[("partial", a)] = _frozen(df)
@@ -310,7 +342,7 @@ class Evaluation:
     def theta(self):
         """The Lee form; on the base points it is checked against its two
         torsion-trace routes."""
-        return lee_form_values(self, check=self._stencils is not None)
+        return lee_form_values(self, check=self._depth == 0)
 
     @_primitive
     def jtheta(self):

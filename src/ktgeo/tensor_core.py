@@ -28,16 +28,20 @@ All conventions used by the rest of the engine are fixed here, once:
 - Norms: full index sums of orthonormal-frame components, no combinatorial
   division.
 - Differentiation: central differences with default step ``1e-4`` on
-  O(1)-scaled charts.  ``fd_partial`` places every stencil, and the engine
-  calls it at one site, ``Evaluation.partial``, which differentiates a held
-  primitive by name (the curvature's coefficients and the flux density
-  among them); the derivative operators (exterior, covariant,
-  codifferential) are formulas over a coordinate derivative already taken,
-  derivative axis first.  The covariant derivative is one batched matrix
-  product with the connection coefficients per slot.
+  O(1)-scaled charts.  ``fd_partial`` places every stencil, one set
+  ``x +- h e_d`` per call with a sign axis before the direction axis, and
+  the engine calls it at one site, ``Evaluation.partial``, which
+  differentiates a held primitive by name (the curvature's coefficients and
+  the flux density among them); the derivative operators (exterior,
+  covariant, codifferential) are formulas over a coordinate derivative
+  already taken, derivative axis first.  The covariant derivative is one
+  batched matrix product with the connection coefficients per slot.
   Curvature-grade objects nest two stencils, so an evaluation needs a chart
   margin of two steps around each point; the evaluation context checks it
-  once per point set.
+  once per point set.  For ``a != b`` the nested points
+  ``(x + s h e_a) + t h e_b`` and ``(x + t h e_b) + s h e_a`` are equal bit
+  for bit, so the evaluation context evaluates the fields at only the
+  ``2d(d+1)`` distinct ones of the ``(2d)^2`` second-level points.
 
 Everything here is a pure function of its arguments.  The evaluation context
 (``identities.Evaluation``) computes each shared primitive, and the coordinate
@@ -72,19 +76,24 @@ def fd_partial(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
                step: float = DEFAULT_STEP):
     """Central-difference coordinate derivative of a batched field.
 
-    Returns an array with the derivative axis first among the tensor axes:
-    ``out[..., d, (slots)] = D_d fn[..., (slots)]``.  A field that returns a
-    tuple of arrays is differentiated member by member from the one stencil
-    evaluation, and the derivatives come back as a tuple in the same order.
+    The field is called once, on the one stencil set ``x +- step e_d``: a
+    sign axis (``+`` first) just before the direction axis, after the batch
+    axes of the points.  Returns an array with the derivative axis first
+    among the tensor axes: ``out[..., d, (slots)] = D_d fn[..., (slots)]``,
+    from the two halves of the sign axis taken as views.  A field that
+    returns a tuple of arrays is differentiated member by member from the
+    one call, and the derivatives come back as a tuple in the same order.
     """
     pts = np.asarray(points, dtype=float)
-    d = pts.shape[-1]
-    eye = step * np.eye(d)
-    plus = fn(pts[..., None, :] + eye)
-    minus = fn(pts[..., None, :] - eye)
-    if isinstance(plus, tuple):
-        return tuple((p - m) / (2.0 * step) for p, m in zip(plus, minus))
-    return (plus - minus) / (2.0 * step)
+    eye = step * np.eye(pts.shape[-1])
+    values = fn(pts[..., None, None, :] + np.stack((eye, -eye)))
+    sign = (slice(None),) * (pts.ndim - 1)  # the batch axes before the sign axis
+
+    def difference(v):
+        return (v[sign + (0,)] - v[sign + (1,)]) / (2.0 * step)
+    if isinstance(values, tuple):
+        return tuple(map(difference, values))
+    return difference(values)
 
 
 def exterior_derivative_of(df: np.ndarray, valence: int) -> np.ndarray:

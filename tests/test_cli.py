@@ -260,8 +260,8 @@ def test_report_computes_the_koszul_coefficients_once_per_point_set(monkeypatch,
     code = main(["report", "--manifold", "su2xu1", "--points", "2",
                  "--out", str(tmp_path / "r.json")])
     assert code == 0
-    # the base points and the two stencil sets held around them
-    assert sorted(s[:-3] for s in shapes) == [(2,), (2, 4), (2, 4)]
+    # the base points and the one stencil set held around them
+    assert sorted(s[:-3] for s in shapes) == [(2,), (2, 2, 4)]
 
 
 def test_tol_classify_reaches_the_hkt_block(tmp_path):
@@ -376,13 +376,13 @@ def _counted(metric, points):
     return fn
 
 
-# a full 2-point report evaluates each metric at 1 + 2d + (2d)^2 points per
-# base point: the base points, the held stencil sets, and the sets around them
-# built once for the one stencil pass over g and omega (hopf_standard and
-# hopf_hkt count their conformal parent as well; the other two structures of
-# hopf_hkt's triple evaluate no metric of their own)
-_METRIC_POINTS = {"hopf_standard": 292, "su2xu1": 146, "block_conformal_torus_6": 314,
-                  "hopf_hkt": 292}
+# a full 2-point report evaluates each metric at 1 + 2d + 2d(d+1) points per
+# base point: the base points, the held stencil set, and the distinct points of
+# the set around it, built once for the one stencil pass over g and omega
+# (hopf_standard and hopf_hkt count their conformal parent as well; the other
+# two structures of hopf_hkt's triple evaluate no metric of their own)
+_METRIC_POINTS = {"hopf_standard": 196, "su2xu1": 98, "block_conformal_torus_6": 194,
+                  "hopf_hkt": 196}
 
 
 @pytest.mark.parametrize("name", _METRIC_POINTS)
@@ -402,11 +402,11 @@ def test_report_metric_evaluations(tmp_path, name):
 
 
 # the dilaton and the conformal factor are chart fields held like the metric:
-# a 2-point report evaluates each at 1 + 2d + (2d)^2 points per base point
+# a 2-point report evaluates each at 1 + 2d + 2d(d+1) points per base point
 # (the rescaled metric calls its own factor, which is not counted here)
 @pytest.mark.parametrize("name, expected", [
-    ("hopf_standard", {"dilaton": 146, "log_factor": 146}),
-    ("conf_torus_4", {"dilaton": 0, "log_factor": 146}),
+    ("hopf_standard", {"dilaton": 98, "log_factor": 98}),
+    ("conf_torus_4", {"dilaton": 0, "log_factor": 98}),
 ])
 def test_report_scalar_field_evaluations(tmp_path, name, expected):
     m = get_manifold(name)
@@ -420,6 +420,31 @@ def test_report_scalar_field_evaluations(tmp_path, name, expected):
                  "--out", str(tmp_path / "r.json")])
     assert code == 0
     assert {"dilaton": sum(dilaton), "log_factor": sum(factor)} == expected
+
+
+def test_report_builds_one_evaluation_per_stencil_level_and_pass(monkeypatch, tmp_path):
+    derived, passes = [], []
+    real_derive, real_fd = Evaluation._derive, ktgeo.tensor_core.fd_partial
+
+    def derive(self, m, pts, depth, keys=()):
+        derived.append((pts.shape, depth))
+        return real_derive(self, m, pts, depth, keys)
+
+    def fd_partial(fn, points, step=ktgeo.tensor_core.DEFAULT_STEP):
+        passes.append(np.shape(points))
+        return real_fd(fn, points, step)
+
+    monkeypatch.setattr(Evaluation, "_derive", derive)
+    monkeypatch.setattr(ktgeo.identities, "fd_partial", fd_partial)
+    code = main(["report", "--manifold", "su2xu1", "--points", "2",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    first = (2, 2, 4, 4)
+    # the one first-level evaluation, and one at the 2d(d+1) = 40 distinct
+    # second-level points for each pass over the first level: su2xu1 has no
+    # dilaton and no conformal factor, so g and omega share the only one
+    assert derived == [(first, 1), ((2, 40, 4), 2)]
+    assert passes.count(first) == 1
 
 
 def test_report_leaves_no_evaluation_alive(monkeypatch, tmp_path):

@@ -11,11 +11,13 @@ from ktgeo.catalog import (
 from ktgeo.connections import lee_form_routes
 from ktgeo.errors import ContractViolationError, PreconditionError
 from ktgeo.identities import (
-    Evaluation, evaluation, evaluation_scope, run_identity_suite,
+    Evaluation, _distinct_offsets, evaluation, evaluation_scope, run_identity_suite,
     verify_conformal_trace, verify_dim4,
 )
 
-from conftest import codiff_of_field, kahler_form, richardson_ratios, sample
+from conftest import (
+    block_conformal_torus_6, codiff_of_field, kahler_form, richardson_ratios, sample,
+)
 
 ALL_NAMES = [
     "torsion_nabla_exchange", "torsion_ext_derivative", "bianchi_with_torsion",
@@ -272,7 +274,7 @@ def test_each_point_set_builds_coefficients_and_raises_the_torsion_once(monkeypa
         return real_lower(ev, flavor)
 
     def slotwise(t, mat, valence, slots=None):
-        if valence == 3 and t.ndim == pts.ndim + valence:  # on a stencil set
+        if valence == 3 and t.ndim == pts.ndim + 1 + valence:  # on the stencil set
             raised.append((t, mat))
         return real_slotwise(t, mat, valence, slots)
 
@@ -290,5 +292,53 @@ def test_each_point_set_builds_coefficients_and_raises_the_torsion_once(monkeypa
     assert coefficients
     assert max(Counter((id(ev), flavor) for ev, flavor in coefficients).values()) == 1
     assert max(Counter((id(t), id(mat)) for t, mat in raised).values()) == 1
-    # the torsion on each of the two stencil sets, and its raising on each
-    assert len(raised) == 4
+    # the torsion on the one stencil set, and its raising there
+    assert len(raised) == 2
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_distinct_second_level_points_gather_the_nested_set_exactly(d):
+    # the nested set as fd_partial places it, at points with negative
+    # coordinates and both signed zeros
+    rng = np.random.default_rng(d)
+    pts = rng.uniform(-2.0, 2.0, (5, d))
+    pts[0], pts[1] = 0.0, -0.0
+    pts[2, ::2], pts[3, 1::2] = -0.0, 0.0
+    nested = []
+
+    def capture(p):
+        nested.append(p)
+        return p
+    tensor_core.fd_partial(lambda p: tensor_core.fd_partial(capture, p), pts)
+    full = nested[0].reshape(pts.shape[:-1] + (4 * d * d, d))
+    keep, index = _distinct_offsets(d)
+    assert keep.size == 2 * d * (d + 1)
+    gathered = full[..., keep, :][..., index, :]
+    assert np.array_equal(gathered.view(np.int64), full.view(np.int64))
+
+
+def _four_set_partials(m, first, step):
+    """partial(g) and partial(omega) on the first stencil level from the two
+    first-level sets and the two sets around each, evaluated separately."""
+    eye = step * np.eye(m.dim)
+    dg, dom = [], []
+    for half in (first[..., 0, :, :], first[..., 1, :, :]):
+        fields = []
+        for p in (half[..., None, :] + eye, half[..., None, :] - eye):
+            g = m.metric(p)
+            fields.append((g, tensor_core.kahler_form_values(g, m.complex_structure(p))))
+        (g_plus, om_plus), (g_minus, om_minus) = fields
+        dg.append((g_plus - g_minus) / (2.0 * step))
+        dom.append((om_plus - om_minus) / (2.0 * step))
+    return np.stack(dg, axis=1), np.stack(dom, axis=1)
+
+
+@pytest.mark.parametrize("name", ["su2xu1", "block_conformal_torus_6"])
+def test_first_level_partials_equal_the_four_set_reference(name):
+    m = block_conformal_torus_6() if name == "block_conformal_torus_6" else get_manifold(name)
+    ev = Evaluation(m, m.sample_points(3, seed=1))
+    ev.partial("g")
+    first = ev._stencil
+    dg, dom = _four_set_partials(m, first.pts, ev.step)
+    assert np.array_equal(first.partial("g"), dg)
+    assert np.array_equal(first.partial("omega"), dom)

@@ -61,6 +61,25 @@ def _hopf_domega_oracle(p):
             + np.einsum("...k,...ij->...ijk", grad, base))
 
 
+@pytest.mark.parametrize("as_tuple", [False, True])
+def test_fd_partial_calls_its_field_once(as_tuple):
+    pts = sample("hopf_standard", 3)
+    calls = []
+
+    def field(p):
+        calls.append(p.shape)
+        value = np.sin(p)[..., :, None] * np.cos(p)[..., None, :]
+        return (value, np.sum(value, axis=-1)) if as_tuple else value
+    out = fd_partial(field, pts)
+    # one call, on the stacked set x +- h e_d: the sign axis before the direction axis
+    assert calls == [(3, 2, 4, 4)]
+    first = out[0] if as_tuple else out
+    assert first.shape == (3, 4, 4, 4)
+    eye, c, s = np.eye(4), np.cos(pts), np.sin(pts)
+    exact = np.einsum("di,ni,nj->ndij", eye, c, c) - np.einsum("dj,ni,nj->ndij", eye, s, s)
+    assert np.max(np.abs(first - exact)) < 1e-7
+
+
 def test_exterior_derivative_matches_symbolic_oracle_on_hopf(hopf):
     pts = np.array([[1.0, 0.0, 0.0, 0.0], [0.7, -0.3, 0.5, 0.2]])
     d_num = exterior_derivative_of(fd_partial(kahler_form(hopf), pts), 2)
