@@ -22,6 +22,10 @@ catalog ships:
     Globally conformally Kaehler tori, g = exp(2 f) delta with
     f = 0.3 sin(x1) cos(x2).
 
+An entry declares only its chart and its fields.  Its dimension is the
+chart's, and its KT class (locally conformally Kaehler among them) is
+measured from the fields by :func:`ktgeo.classify.classify`.
+
 Conventions:  the Kaehler form is ``omega(X, Y) = g(X, JY)`` and the constant
 block J is chosen so that on flat charts ``omega = + sum dx_i ^ dy_i``; chart
 coordinate order therefore agrees with the complex orientation on every
@@ -52,7 +56,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class Chart:
-    """Sampling window + interiority test for a coordinate chart."""
+    """Sampling window + interiority test for a coordinate chart of
+    dimension ``dim``."""
+
+    dim: int
 
     def sample(self, rng: np.random.Generator, n: int, margin: float) -> np.ndarray:
         raise NotImplementedError
@@ -147,15 +154,21 @@ class ConformalParent:
 
 @dataclass(frozen=True)
 class HermitianManifold:
+    """A chart and the fields on it.  Nothing else is declared: the
+    dimension is the chart's, and the KT class (locally conformally Kaehler
+    among them) is measured from the fields by ``classify``."""
+
     name: str
-    dim: int
     chart: Chart
     metric: Callable[[np.ndarray], np.ndarray]
     complex_structure: Callable[[np.ndarray], np.ndarray]
     dilaton: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hypercomplex: Optional[tuple] = None  # (J2, J3) fields
     conformal_parent: Optional[ConformalParent] = None
-    lck: bool = False  # declared: torsion has the conformally-Kaehler form
+
+    @property
+    def dim(self) -> int:
+        return self.chart.dim
 
     def sample_points(self, n: int, seed: int, margin: float = 0.05) -> np.ndarray:
         """Deterministic chart sample: counter-based generator keyed by
@@ -256,14 +269,12 @@ def conformal_rescale(m: HermitianManifold, f: Callable[[np.ndarray], np.ndarray
     """Conformal change of metric: same chart and J, metric ``exp(2 f) g``."""
     return HermitianManifold(
         name=name or f"{m.name}_rescaled",
-        dim=m.dim,
         chart=m.chart,
         metric=_rescaled_metric(m.metric, f),
         complex_structure=m.complex_structure,
         dilaton=m.dilaton,
         hypercomplex=m.hypercomplex,
         conformal_parent=ConformalParent(parent=m, log_factor=f),
-        lck=m.lck,
     )
 
 
@@ -279,24 +290,22 @@ def _build_catalog() -> dict:
 
     for dim in (4, 6):
         add(HermitianManifold(
-            name=f"flat_torus_{dim}", dim=dim, chart=_torus_chart(dim),
-            metric=_flat_metric(dim), complex_structure=_const_field(_block_j(dim)),
-            lck=True))
+            name=f"flat_torus_{dim}", chart=_torus_chart(dim),
+            metric=_flat_metric(dim), complex_structure=_const_field(_block_j(dim))))
 
     c2_flat = HermitianManifold(
-        name="c2_flat_annulus", dim=4, chart=_hopf_chart(),
-        metric=_flat_metric(4), complex_structure=_const_field(_block_j(4)),
-        lck=True)
+        name="c2_flat_annulus", chart=_hopf_chart(),
+        metric=_flat_metric(4), complex_structure=_const_field(_block_j(4)))
 
     hopf = conformal_rescale(c2_flat, _hopf_log_factor, name="hopf_standard")
     hopf = replace(hopf, dilaton=_hopf_log_factor)
     add(hopf)
 
     add(HermitianManifold(
-        name="su2xu1", dim=4,
+        name="su2xu1",
         chart=BoxChart(lows=(0.2, 0.0, 0.0, -1.0), highs=(np.pi - 0.2, 2 * np.pi, 2 * np.pi, 1.0),
                        tight_axes=(0,)),
-        metric=_su2xu1_metric, complex_structure=_su2xu1_j, lck=True))
+        metric=_su2xu1_metric, complex_structure=_su2xu1_j))
 
     add(replace(hopf, name="hopf_hkt", dilaton=None,
                 hypercomplex=(_const_field(-_L_K), _const_field(-_L_J))))

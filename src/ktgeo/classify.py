@@ -58,11 +58,18 @@ class StructureFlags:
     strong_kt: bool
     almost_strong_kt: bool
     balanced: bool
-    lck: bool
     su_holonomy_indicator: bool
     residuals: dict
     tolerance: float
     hkt: Optional[HktFlags] = None
+
+    @property
+    def lck(self) -> bool:
+        """Locally conformally Kaehler: T has the shape J theta ^ omega /
+        (n-1) (``lck_defect``) and the Lee form is closed
+        (``lee_form_closure`` = |d theta|)."""
+        return max(self.residuals["lck_defect"],
+                   self.residuals["lee_form_closure"]) <= self.tolerance
 
     def as_dict(self) -> dict:
         out = {"kahler": self.kahler, "strong_kt": self.strong_kt,
@@ -76,14 +83,15 @@ class StructureFlags:
 
 def classify(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
              step: float = DEFAULT_STEP) -> StructureFlags:
-    """Taxonomy flags with their supporting residuals at the sampled points."""
+    """Taxonomy flags with their supporting residuals at the sampled points;
+    every flag is measured, none is read from the manifold's declaration."""
     with evaluation_scope():
         ev = evaluation(m, pts, step)
         res = {name: ev.magnitude(attr) for name, attr in (
             ("torsion", "T"), ("torsion_closure", "dT"), ("lambda_omega", "lam"),
             ("lee_form", "theta"), ("ricci_form", "rho"),
-            ("curvature_j_commutator", "j_commutator"))}
-        res["lck_defect"] = ev.residual("lck_defect", ev.T - ev.lck_torsion)[0]
+            ("curvature_j_commutator", "j_commutator"), ("lck_defect", "lck_defect"),
+            ("lee_form_closure", "dtheta"))}
         strong, su = hypothesis_residuals(ev)
         hkt = check_hkt(m, pts, tol=tol, step=step) if m.hypercomplex is not None else None
 
@@ -92,7 +100,6 @@ def classify(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
         strong_kt=strong <= tol,
         almost_strong_kt=res["lambda_omega"] <= tol,
         balanced=res["lee_form"] <= tol,
-        lck=res["lck_defect"] <= tol,
         su_holonomy_indicator=su <= tol,
         residuals=res, tolerance=tol, hkt=hkt)
 

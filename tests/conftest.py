@@ -60,25 +60,43 @@ def richardson_ratios(m, pts, h=4e-3):
             else coarse[name] / max(fine[name], 1e-300) for name in coarse}
 
 
-def _block_conformal_metric(p):
-    x = np.asarray(p, dtype=float)
-    f = (0.2 * np.sin(x[..., 2]) * np.cos(x[..., 4]),
-         0.3 * np.cos(x[..., 0] + x[..., 5]),
-         0.25 * np.sin(x[..., 1] - x[..., 3]))
-    g = np.zeros(x.shape[:-1] + (6, 6))
-    for k, fk in enumerate(f):
-        g[..., 2 * k, 2 * k] = g[..., 2 * k + 1, 2 * k + 1] = np.exp(2.0 * fk)
-    return g
+def _block_conformal_metric(factors):
+    """diag(exp(2 f_k) I_2): the k-th complex line rescaled by its own factor
+    ``f_k(x)``."""
+    def metric(p):
+        x = np.asarray(p, dtype=float)
+        g = np.zeros(x.shape[:-1] + (2 * len(factors),) * 2)
+        for k, fk in enumerate(factors):
+            g[..., 2 * k, 2 * k] = g[..., 2 * k + 1, 2 * k + 1] = np.exp(2.0 * fk(x))
+        return g
+    return metric
+
+
+def _block_conformal_torus(name, factors):
+    dim = 2 * len(factors)
+    return HermitianManifold(
+        name=name, chart=BoxChart(lows=(0.0,) * dim, highs=(2 * np.pi,) * dim),
+        metric=_block_conformal_metric(factors),
+        complex_structure=_const_field(_block_j(dim)))
 
 
 def block_conformal_torus_6():
     """A Hermitian 6-torus that is not locally conformally Kaehler: each
-    complex line is rescaled by its own factor."""
-    return HermitianManifold(
-        name="block_conformal_torus_6", dim=6,
-        chart=BoxChart(lows=(0.0,) * 6, highs=(2 * np.pi,) * 6),
-        metric=_block_conformal_metric, complex_structure=_const_field(_block_j(6)),
-        lck=False)
+    complex line is rescaled by its own factor, so T does not have the LCK
+    shape."""
+    return _block_conformal_torus("block_conformal_torus_6", (
+        lambda x: 0.2 * np.sin(x[..., 2]) * np.cos(x[..., 4]),
+        lambda x: 0.3 * np.cos(x[..., 0] + x[..., 5]),
+        lambda x: 0.25 * np.sin(x[..., 1] - x[..., 3])))
+
+
+def block_conformal_torus_4():
+    """A Hermitian 4-torus that is not locally conformally Kaehler: T has the
+    LCK shape, as on every Hermitian surface, but the Lee form is not
+    closed."""
+    return _block_conformal_torus("block_conformal_torus_4", (
+        lambda x: 0.3 * np.sin(x[..., 0] + x[..., 2]) + 0.2 * np.cos(x[..., 3]),
+        lambda x: 0.25 * np.cos(x[..., 1] - x[..., 3]) + 0.2 * np.sin(x[..., 0])))
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from ktgeo.catalog import (
 from ktgeo.cli import main, render_report
 from ktgeo.identities import Evaluation
 
-from conftest import block_conformal_torus_6
+from conftest import block_conformal_torus_4, block_conformal_torus_6
 
 
 def run_cli(*args):
@@ -164,9 +164,9 @@ def test_numeric_failure_exits_3():
         return g
 
     register_manifold(HermitianManifold(
-        name="degenerate_test_manifold", dim=4,
+        name="degenerate_test_manifold",
         chart=BoxChart(lows=(0.0,) * 4, highs=(2 * np.pi,) * 4),
-        metric=bad_metric, complex_structure=_const_field(_block_j(4)), lck=True))
+        metric=bad_metric, complex_structure=_const_field(_block_j(4))))
     code = main(["report", "--manifold", "degenerate_test_manifold",
                  "--points", "8", "--out", "/dev/null"])
     assert code == 3
@@ -199,9 +199,9 @@ def test_chart_of_unsupported_dimension_exits_3_naming_the_manifold(dim, j, caps
     # a flat 2-torus divided by n - 1 = 0 in the LCK torsion, and a
     # 5-dimensional chart with J = identity passed every check
     register_manifold(HermitianManifold(
-        name="unsupported_dim_test_manifold", dim=dim,
+        name="unsupported_dim_test_manifold",
         chart=BoxChart(lows=(0.0,) * dim, highs=(2 * np.pi,) * dim),
-        metric=_const_field(np.eye(dim)), complex_structure=_const_field(j), lck=True))
+        metric=_const_field(np.eye(dim)), complex_structure=_const_field(j)))
     code = main(["report", "--manifold", "unsupported_dim_test_manifold", "--points", "4",
                  "--out", "/dev/null"])
     assert code == 3
@@ -285,9 +285,9 @@ def _half_nan_metric(p):
 @pytest.mark.parametrize("suite", ["classify", "identities", "string"])
 def test_non_finite_residual_exits_3(suite, capsys):
     register_manifold(HermitianManifold(
-        name="half_nan_test_manifold", dim=4,
+        name="half_nan_test_manifold",
         chart=BoxChart(lows=(0.0,) * 4, highs=(2 * np.pi,) * 4),
-        metric=_half_nan_metric, complex_structure=_const_field(_block_j(4)), lck=True))
+        metric=_half_nan_metric, complex_structure=_const_field(_block_j(4))))
     code = main(["report", "--manifold", "half_nan_test_manifold", "--suite", suite,
                  "--points", "8", "--out", "/dev/null"])
     assert code == 3
@@ -338,7 +338,8 @@ def test_classify_and_string_share_each_frame_conversion(monkeypatch, tmp_path):
 
 def test_non_lck_chart_reports_the_skipped_reduction(tmp_path):
     # a Hermitian 6-torus that is not locally conformally Kaehler: the dim4
-    # suite skips the LCK reduction by name and the report survives
+    # suite skips the LCK reduction by name, naming the measured defect, and
+    # the report survives
     register_manifold(block_conformal_torus_6())
     out_file = tmp_path / "torus.json"
     code = main(["report", "--manifold", "block_conformal_torus_6", "--suite", "classify",
@@ -347,26 +348,54 @@ def test_non_lck_chart_reports_the_skipped_reduction(tmp_path):
     assert code == 0
     section = json.loads(out_file.read_text())["manifolds"][0]
     assert not section["flags"]["lck"]
-    assert section["flags"]["residuals"]["lck_defect"] > 0.1
+    defect = section["flags"]["residuals"]["lck_defect"]
+    assert defect > 0.1
     assert section["dim4"] == []
     [skip] = section["dim4_skipped"]
     assert skip["name"] == "lck_lambda_reduction"
-    assert "locally conformally Kaehler" in skip["reason"]
+    assert f"block_conformal_torus_6: lck_defect {defect:.3g} exceeds 1e-06" in skip["reason"]
     assert len(section["identities"]) == 14
     assert all(e["passed"] for e in section["identities"])
 
 
-def test_dim4_chart_declared_non_lck_keeps_the_duality(tmp_path):
-    # the LCK reduction is skipped, the dimension-four duality still reported
-    register_manifold(replace(get_manifold("conf_torus_4"), name="conf_torus_4_not_lck",
-                              lck=False))
-    out_file = tmp_path / "dim4.json"
-    code = main(["report", "--manifold", "conf_torus_4_not_lck", "--suite", "dim4",
-                 "--points", "4", "--out", str(out_file)])
+def test_non_lck_4_torus_keeps_the_duality_and_the_reduction(tmp_path):
+    # every Hermitian surface has LCK-shaped torsion, so both dim4 rows run
+    # and hold; the Lee form is not closed, so the chart is not LCK
+    register_manifold(block_conformal_torus_4())
+    out_file = tmp_path / "torus4.json"
+    code = main(["report", "--manifold", "block_conformal_torus_4", "--points", "8",
+                 "--out", str(out_file)])
     assert code == 0
     section = json.loads(out_file.read_text())["manifolds"][0]
-    assert [(e["name"], e["passed"]) for e in section["dim4"]] == [("torsion_lee_duality", True)]
-    assert [s["name"] for s in section["dim4_skipped"]] == ["lck_lambda_reduction"]
+    assert not section["flags"]["lck"]
+    assert section["flags"]["residuals"]["lee_form_closure"] > 0.1
+    assert section["flags"]["residuals"]["lck_defect"] < 1e-12
+    assert [(e["name"], e["passed"]) for e in section["dim4"]] == [
+        ("torsion_lee_duality", True), ("lck_lambda_reduction", True)]
+    assert "dim4_skipped" not in section
+
+
+def test_chart_registered_without_declarations_runs_the_lck_reduction(tmp_path):
+    # the README's way to add a chart: a conformally Kaehler 6-torus built
+    # from its fields alone; its class is measured, so the reduction runs
+    def metric(p):
+        x = np.asarray(p, dtype=float)
+        f = 0.2 * np.sin(x[..., 0]) + 0.15 * np.cos(x[..., 3] - x[..., 4])
+        return np.exp(2.0 * f)[..., None, None] * np.eye(6)
+
+    register_manifold(HermitianManifold(
+        name="custom_conformal_torus_6", chart=BoxChart(lows=(0.0,) * 6, highs=(2 * np.pi,) * 6),
+        metric=metric, complex_structure=_const_field(_block_j(6))))
+    out_file = tmp_path / "custom.json"
+    code = main(["report", "--manifold", "custom_conformal_torus_6", "--suite", "classify",
+                 "--suite", "dim4", "--points", "4", "--out", str(out_file)])
+    assert code == 0
+    section = json.loads(out_file.read_text())["manifolds"][0]
+    assert section["dim"] == 6
+    assert section["flags"]["lck"]
+    assert [(e["name"], e["passed"]) for e in section["dim4"]] == [
+        ("lck_lambda_reduction", True)]
+    assert "dim4_skipped" not in section
 
 
 def _counted(metric, points):

@@ -118,14 +118,17 @@ def test_lck_reduction_precondition_error():
 
     from ktgeo.catalog import _block_j, _const_field
     m = HermitianManifold(
-        name="warped_torus_6", dim=6,
+        name="warped_torus_6",
         chart=BoxChart(lows=(0.0,) * 6, highs=(2 * np.pi,) * 6),
-        metric=metric, complex_structure=_const_field(_block_j(6)), lck=False)
-    entries, skipped = verify_dim4(m, m.sample_points(2, seed=0))
+        metric=metric, complex_structure=_const_field(_block_j(6)))
+    pts = m.sample_points(2, seed=0)
+    entries, skipped = verify_dim4(m, pts)
     assert entries == []  # dim 6: no duality entry either
     [skip] = skipped
     assert skip["name"] == "lck_lambda_reduction"
-    assert "warped_torus_6 is not declared locally conformally Kaehler" in skip["reason"]
+    defect = Evaluation(m, pts).magnitude("lck_defect")
+    assert defect > 1e-6
+    assert skip["reason"].startswith(f"warped_torus_6: lck_defect {defect:.3g} exceeds 1e-06")
 
 
 def test_conformal_trace_identity():
