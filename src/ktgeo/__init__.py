@@ -18,7 +18,7 @@ from .errors import (
     NumericError, PreconditionError, UnknownManifoldError,
 )
 from .identities import (
-    Evaluation, ResidualEntry, evaluation, evaluation_scope, run_identity_suite,
-    verify_conformal_trace, verify_dim4,
+    Evaluation, Row, evaluation, evaluation_scope, run_identity_suite, verify_conformal_trace,
+    verify_dim4,
 )
-from .string_eqs import StringReport, run_string_suite
+from .string_eqs import run_string_suite

@@ -13,8 +13,9 @@ gives identical bits and would add no independence.  Residuals are measured
 by :meth:`Evaluation.residual` as the largest orthonormal-frame component of
 the difference, which keeps them scale-honest across charts.
 
-The curvature suite is one generator of named ``(name, lhs - rhs)`` rows
-over one evaluation, each measured in turn.
+Every suite is a generator of ``(name, lhs - rhs, order, status)`` rows over
+one evaluation, ``order`` the row's stencil nesting depth; :func:`measure_rows`
+turns each into a :class:`Row`, the one row type of a report.
 
 Identity names (stable keys used in reports and tests):
 
@@ -42,8 +43,10 @@ conformal_u_change        behaviour of u under a conformal rescaling
 ========================  =====================================================
 
 Default tolerances: 1e-4 for identities that involve curvature or any other
-second metric derivative, 1e-6 for first-derivative-only identities (the
-finite-difference error budget at step 1e-4).
+second metric derivative (order 2), 1e-6 for first-derivative-only identities
+(order 1; the finite-difference error budget at step 1e-4).  An identity
+tolerance ``tol`` (``--tol-identity``) replaces 1e-4, and a first-order row
+keeps 1e-6 where ``tol`` is larger.
 """
 
 from __future__ import annotations
@@ -67,13 +70,13 @@ from .errors import ContractViolationError, NumericError, PreconditionError
 from .tensor_core import (
     DEFAULT_STEP, codifferential_of, covariant_derivative_of, cyclic3_of4,
     exterior_derivative_of, fd_partial, first_slot_matrix, gram_schmidt_frames,
-    hodge_star_values, j_trace_matrix, kahler_form_values, koszul_values, metric_inverse,
-    norm_sq_values, proj_one_one, slotwise, to_frame, wedge,
+    hodge_star_values, interior_product, j_trace_matrix, kahler_form_values, koszul_values,
+    metric_inverse, norm_sq_values, proj_one_one, slotwise, to_frame, wedge,
 )
 
 __all__ = [
-    "Evaluation", "evaluation", "evaluation_scope", "STENCIL_DEPTH",
-    "ResidualEntry", "run_identity_suite", "verify_dim4", "verify_conformal_trace",
+    "Evaluation", "evaluation", "evaluation_scope", "STENCIL_DEPTH", "Row", "measure_rows",
+    "run_identity_suite", "verify_dim4", "verify_conformal_trace",
     "TOL_CURVATURE", "TOL_FIRST_ORDER",
 ]
 
@@ -84,24 +87,33 @@ TOL_FIRST_ORDER = 1e-6
 # stencil point lies within STENCIL_DEPTH * step of its base point.
 STENCIL_DEPTH = 2
 
+# the status of a row
+ASSERTED, INFO, HYPOTHESIS_FAILED, SKIPPED = "asserted", "info", "hypothesis_failed", "skipped"
+
 
 @dataclass(frozen=True)
-class ResidualEntry:
-    """Outcome of one two-sided identity check over a batch of points."""
+class Row:
+    """One row of a report: a two-sided check over a batch of points, its
+    largest residual and the point where it occurs.  Only an ``asserted``
+    row passes or fails; an ``info`` or ``hypothesis_failed`` row makes no
+    claim, and a ``skipped`` row, whose precondition fails on the chart, has
+    no residual and gives its ``reason``."""
 
     name: str
-    max_residual: float
+    residual: float | None
     tolerance: float
-    worst_point: tuple
+    status: str
+    worst_point: tuple | None
+    reason: str | None = None
 
     @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
+    def passed(self) -> bool | None:
+        return self.residual <= self.tolerance if self.status == ASSERTED else None
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "max_residual": self.max_residual,
-                "tolerance": self.tolerance, "passed": self.passed,
-                "worst_point": list(self.worst_point)}
+        return {"name": self.name, "residual": self.residual, "tolerance": self.tolerance,
+                "status": self.status, "passed": self.passed, "worst_point": self.worst_point,
+                "reason": self.reason}
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +498,33 @@ class Evaluation:
         return (np.einsum("...my,...mx->...xy", rho11, self.J) + _tt2(self.C, self.ginv)
                 - 0.25 * np.einsum("...my,...mx->...xy", self.lam, self.J))
 
+    # -- the string sector's dilaton-independent differences --------------------
+
+    @_primitive
+    def coclosure_defect(self):
+        """codiff(T) - (d theta - i_{theta#} T), zero where the Bismut Ricci
+        form vanishes."""
+        sharp = np.einsum("...ij,...j->...i", self.ginv, self.theta)
+        return self.codiff("T") - (self.dtheta - interior_product(sharp, self.T, 3))
+
+    @_primitive
+    def lee_killing(self):
+        """nabla theta + its transpose: the Lie derivative of g along the dual
+        of the Lee form."""
+        nth = self.nabla("theta", "levi_civita")
+        return nth + np.einsum("...xy->...yx", nth)
+
     # -- the residual measure --------------------------------------------------
 
     def residual(self, name: str, diff):
         """Largest orthonormal-frame component of ``diff`` over the points,
         and the point where it occurs.  ``diff`` holds one covariant tensor
-        per point, shape ``(N,) + (dim,) * valence``.  A NaN or infinite
-        residual raises ``NumericError`` naming ``name`` and the first point
-        affected."""
+        per point, shape ``(N,) + (dim,) * valence``, or names a primitive,
+        whose residual is measured once and held.  A NaN or infinite
+        residual raises ``NumericError`` naming ``name`` (the primitive's
+        name for a held one) and the first point affected."""
+        if isinstance(diff, str):
+            return self._once(("residual", diff), lambda: self.residual(diff, getattr(self, diff)))
         diff = np.asarray(diff)
         valence = diff.ndim - 1
         if diff.shape != self.pts.shape[:1] + (self.m.dim,) * valence:
@@ -516,10 +547,9 @@ class Evaluation:
         return self._once(("norm_sq", attr), lambda: norm_sq_values(t, self.ginv, t.ndim - 1))
 
     def magnitude(self, attr: str) -> float:
-        """The residual of the primitive ``attr`` itself (its largest frame
-        component), measured once."""
-        return self._once(("magnitude", attr),
-                          lambda: self.residual(attr, getattr(self, attr))[0])
+        """The held residual of the primitive ``attr`` itself (its largest
+        frame component), without its point."""
+        return self.residual(attr, attr)[0]
 
 
 _SCOPE = ContextVar("ktgeo_evaluation_scope", default=None)
@@ -554,9 +584,26 @@ def evaluation(m: HermitianManifold, pts, step: float = DEFAULT_STEP) -> Evaluat
     return scope[key]
 
 
-def _entry(ev: Evaluation, name, diff, tol) -> ResidualEntry:
-    val, point = ev.residual(name, diff)
-    return ResidualEntry(name, val, tol, point)
+def measure_rows(ev: Evaluation, rows, tol=TOL_CURVATURE, tol_first=TOL_FIRST_ORDER) -> list:
+    """The :class:`Row` of each ``(name, diff, order, status)`` row, each
+    measured by :meth:`Evaluation.residual`, with the tolerance ``tol`` at
+    order 2 and ``min(tol_first, tol)`` at order 1.  ``diff`` is the
+    difference ``lhs - rhs``, the name of a primitive (its held residual) or
+    a tuple of these (the largest residual); a ``skipped`` row gives its
+    reason in place of ``diff``.  A difference yielded twice is measured
+    once."""
+    out, seen = [], {}  # id(diff): (diff, measure); holding diff keeps its id unique
+    for name, diff, order, status in rows:
+        tolerance = min(tol_first, tol) if order == 1 else tol
+        if status == SKIPPED:
+            out.append(Row(name, None, tolerance, status, None, reason=diff))
+            continue
+        if id(diff) not in seen:
+            diffs = diff if isinstance(diff, tuple) else (diff,)
+            seen[id(diff)] = diff, max(ev.residual(name, d) for d in diffs)
+        value, point = seen[id(diff)][1]
+        out.append(Row(name, value, tolerance, status, point))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -564,107 +611,115 @@ def _entry(ev: Evaluation, name, diff, tol) -> ResidualEntry:
 # ---------------------------------------------------------------------------
 
 def _identity_rows(ev: Evaluation):
-    """The curvature identities as ``(name, lhs - rhs)`` rows, in report order."""
+    """The curvature identities as ``(name, lhs - rhs, order, status)`` rows,
+    in report order: every one of order 2 and asserted."""
     nt = ev.nabla("T", "bismut")
     tt = ev.tt4
 
     # Levi-Civita vs Bismut derivative of T
     rhs = nt + 0.5 * cyclic3_of4(tt)
-    yield "torsion_nabla_exchange", ev.nabla("T", "levi_civita") - rhs
+    yield "torsion_nabla_exchange", ev.nabla("T", "levi_civita") - rhs, 2, ASSERTED
 
     # dT from the Bismut derivative
     rhs = cyclic3_of4(nt + 2.0 * tt) - np.einsum("...uxyz->...xyzu", nt)
-    yield "torsion_ext_derivative", ev.dT - rhs
+    yield "torsion_ext_derivative", ev.dT - rhs, 2, ASSERTED
 
     # first Bianchi identity with torsion
     lhs = cyclic3_of4(ev.riemann("bismut"))
     rhs = ev.dT + np.einsum("...uxyz->...xyzu", nt) - cyclic3_of4(tt)
-    yield "bianchi_with_torsion", lhs - rhs
+    yield "bianchi_with_torsion", lhs - rhs, 2, ASSERTED
 
     # Levi-Civita curvature from the Bismut curvature
     rhs = (ev.riemann("bismut") - 0.5 * nt + 0.5 * np.einsum("...yxzu->...xyzu", nt)
            - 0.5 * tt - 0.25 * np.einsum("...yzxu->...xyzu", tt)
            - 0.25 * np.einsum("...zxyu->...xyzu", tt))
-    yield "curvature_comparison", ev.riemann("levi_civita") - rhs
+    yield "curvature_comparison", ev.riemann("levi_civita") - rhs, 2, ASSERTED
 
     # Riemannian Ricci from the Bismut one
     rhs = ev.ric + 0.5 * ev.codiff("T") + 0.25 * ev.tt2
-    yield "ricci_comparison", ev.ric_lc - rhs
+    yield "ricci_comparison", ev.ric_lc - rhs, 2, ASSERTED
 
     # rho against the mixed Ricci trace
     rhs = (np.einsum("...xm,...my->...xy", ev.ric, ev.J)
            + np.einsum("...xm,...my->...xy", ev.nabla("theta", "bismut"), ev.J) + 0.25 * ev.lam)
-    yield "ricci_form_mixed_trace", ev.rho - rhs
+    yield "ricci_form_mixed_trace", ev.rho - rhs, 2, ASSERTED
 
     # scalar relation for b
     rhs = ev.scal - 3.0 * ev.codiff("theta") - 2.0 * ev.norm_sq("theta") + ev.norm_sq("T") / 3.0
-    yield "b_scalar_relation", ev.b - rhs
+    yield "b_scalar_relation", ev.b - rhs, 2, ASSERTED
 
     J = ev.J
     ric = ev.ric
     nth = ev.nabla("theta", "bismut")
     lhs = ric - np.einsum("...xy->...yx", ric)
-    yield "ricci_skew_coclosure", lhs + ev.codiff("T")
+    yield "ricci_skew_coclosure", lhs + ev.codiff("T"), 2, ASSERTED
 
     lhs = slotwise(ric, J, 2) - np.einsum("...xy->...yx", ric)
     rhs = -slotwise(nth, J, 2) + np.einsum("...xy->...yx", nth)
-    yield "ricci_j_conjugation", lhs - rhs
+    yield "ricci_j_conjugation", lhs - rhs, 2, ASSERTED
 
     lhs = slotwise(ev.rho, J, 2) - ev.rho
     dnth = nth - np.einsum("...xy->...yx", nth)
     rhs = (np.einsum("...my,...mx->...xy", ev.codiff("T"), J)
            - np.einsum("...my,...mx->...xy", dnth, J))
-    yield "ricci_form_type_defect", lhs - rhs
+    yield "ricci_form_type_defect", lhs - rhs, 2, ASSERTED
 
     # mean curvature of the holomorphic tangent bundle
     lhs = np.einsum("...my,...mx->...xy", ev.kappa, ev.J)
-    yield "mean_curvature_formula", lhs - ev.mean_curvature_form
+    yield "mean_curvature_formula", lhs - ev.mean_curvature_form, 2, ASSERTED
 
     # Chern Ricci form from the Bismut one
-    yield "chern_vs_bismut_ricci", ev.rho_chern - (ev.rho + ev.d_jtheta)
+    yield "chern_vs_bismut_ricci", ev.rho_chern - (ev.rho + ev.d_jtheta), 2, ASSERTED
 
     # J-trace of lambda (pins the norm convention)
     lhs = -np.einsum("...mn,...mn->...", ev.lam, ev.jg)  # = sum_i lambda(e_i, J e_i)
     rhs = 8.0 * ev.norm_sq("theta") + 8.0 * ev.codiff("theta") - 4.0 / 3.0 * ev.norm_sq("T")
-    yield "lambda_trace_calibration", lhs - rhs
+    yield "lambda_trace_calibration", lhs - rhs, 2, ASSERTED
 
     # trace of the mean-curvature formula
     rhs = ev.b + ev.norm_sq("C") - 0.5 * ev.h
-    yield "u_trace_formula", 2.0 * ev.u - rhs
+    yield "u_trace_formula", 2.0 * ev.u - rhs, 2, ASSERTED
 
 
-def run_identity_suite(m: HermitianManifold, pts, step=DEFAULT_STEP):
-    """All curvature identities applicable to a manifold, in report order."""
+def run_identity_suite(m: HermitianManifold, pts, step=DEFAULT_STEP, tol=TOL_CURVATURE) -> list:
+    """The rows of every curvature identity, in report order, under the
+    identity tolerance ``tol`` (``--tol-identity``)."""
     ev = evaluation(m, pts, step)
-    return [_entry(ev, name, diff, TOL_CURVATURE) for name, diff in _identity_rows(ev)]
+    return measure_rows(ev, _identity_rows(ev), tol)
 
 
 # ---------------------------------------------------------------------------
 # dimension-four chain and the conformally Kaehler reduction
 # ---------------------------------------------------------------------------
 
-def verify_dim4(m: HermitianManifold, pts, step=DEFAULT_STEP):
-    """The dimension-four duality and the LCK reduction of lambda.  Returns
-    the entries and the checks skipped, as ``{"name", "reason"}`` dicts.
-    The reduction holds where T has the LCK shape T = J theta ^ omega /
-    (n-1), which every Hermitian surface has; it is skipped where the
-    measured ``lck_defect`` exceeds ``TOL_FIRST_ORDER``, the tolerance of
-    the duality row, which asserts the same difference in dimension 4."""
+def verify_dim4(m: HermitianManifold, pts, step=DEFAULT_STEP, tol=TOL_CURVATURE) -> list:
+    """The rows of the dimension-four duality and the LCK reduction of
+    lambda, under the identity tolerance ``tol`` as in
+    :func:`run_identity_suite`.  The reduction holds where T has the LCK
+    shape T = J theta ^ omega / (n-1), which every Hermitian surface has; its
+    row is ``skipped``, with the reason, where the measured ``lck_defect``
+    exceeds ``TOL_FIRST_ORDER``, the default tolerance of the duality row,
+    which asserts the same difference in dimension 4."""
     ev = evaluation(m, pts, step)
-    out = []
+    return measure_rows(ev, _dim4_rows(ev), tol)
 
+
+def _dim4_rows(ev: Evaluation):
+    """The duality in dimension 4 (order 1), then the reduction (order 2) or
+    its skipped row with the reason."""
+    m = ev.m
     if m.dim == 4:
         # the larger residual of the two sides against T
-        val, point = max(ev.residual("torsion_lee_duality", diff) for diff in (
-            ev.T + hodge_star_values(ev.theta, ev.g, 1), ev.lck_defect))
-        out.append(ResidualEntry("torsion_lee_duality", val, TOL_FIRST_ORDER, point))
+        yield ("torsion_lee_duality", (ev.T + hodge_star_values(ev.theta, ev.g, 1), "lck_defect"),
+               1, ASSERTED)
 
     defect = ev.magnitude("lck_defect")
     if defect > TOL_FIRST_ORDER:
-        return out, [{"name": "lck_lambda_reduction",
-                      "reason": f"{m.name}: lck_defect {defect:.3g} exceeds {TOL_FIRST_ORDER:g}, "
-                                "so T does not have the LCK shape J theta ^ omega / (n-1) "
-                                "on which the lambda reduction holds"}]
+        yield ("lck_lambda_reduction",
+               f"{m.name}: lck_defect {defect:.3g} exceeds {TOL_FIRST_ORDER:g}, so T does not "
+               "have the LCK shape J theta ^ omega / (n-1) on which the lambda reduction holds",
+               2, SKIPPED)
+        return
     # On the conformally Kaehler class (T = J theta ^ omega / (n-1)) the
     # J-trace of dT reduces to Lee-form data:
     #
@@ -682,15 +737,16 @@ def verify_dim4(m: HermitianManifold, pts, step=DEFAULT_STEP):
     quad = wedge(ev.theta, ev.jtheta, 1) + ev.norm_sq("theta")[..., None, None] * ev.omega
     rhs = ((4 - 2 * n) * (ev.d_jtheta + quad / (n - 1))
            - 2.0 * ev.codiff("theta")[..., None, None] * ev.omega)
-    out.append(_entry(ev, "lck_lambda_reduction", lhs - rhs, TOL_CURVATURE))
-    return out, []
+    yield "lck_lambda_reduction", lhs - rhs, 2, ASSERTED
 
 
-def verify_conformal_trace(m: HermitianManifold, pts, step=DEFAULT_STEP) -> ResidualEntry:
-    """Conformal change of the Chern trace u between a manifold and its
-    conformal parent, with the geometer's Laplacian (codiff d) on the parent.
-    The catalog factor f corresponds to a rescale by exp(2 f), so the factor
-    entering the formula is F = 2 f."""
+def verify_conformal_trace(m: HermitianManifold, pts, step=DEFAULT_STEP,
+                           tol=TOL_CURVATURE) -> Row:
+    """The row of the conformal change of the Chern trace u between a
+    manifold and its conformal parent, with the geometer's Laplacian
+    (codiff d) on the parent, under the identity tolerance ``tol`` as in
+    :func:`run_identity_suite`.  The catalog factor f corresponds to a
+    rescale by exp(2 f), so the factor entering the formula is F = 2 f."""
     if m.conformal_parent is None:
         raise PreconditionError(f"{m.name} has no conformal parent")
     ev = evaluation(m, pts, step)
@@ -704,4 +760,4 @@ def verify_conformal_trace(m: HermitianManifold, pts, step=DEFAULT_STEP) -> Resi
     lhs = 2.0 * np.exp(2.0 * ev.log_factor) * ev.u
     pairing = np.einsum("...a,...b,...ab->...", parent.theta, df, parent.ginv)
     rhs = 2.0 * parent.u + n * (n - 1) * pairing + n * codifferential_of(nab, parent.ginv, 1)
-    return _entry(ev, "conformal_u_change", lhs - rhs, TOL_CURVATURE)
+    return measure_rows(ev, [("conformal_u_change", lhs - rhs, 2, ASSERTED)], tol)[0]

@@ -20,67 +20,18 @@ status, and residuals evaluated on manifolds that fail the hypotheses
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .catalog import HermitianManifold
 from .classify import DEFAULT_CLASSIFY_TOL, hypothesis_residuals
-from .identities import Evaluation, evaluation
+from .identities import ASSERTED, HYPOTHESIS_FAILED, INFO, Evaluation, evaluation, measure_rows
 from .tensor_core import DEFAULT_STEP, interior_product, slotwise
 
-__all__ = ["StringEntry", "StringReport", "run_string_suite", "TOL_STRING"]
+__all__ = ["run_string_suite", "TOL_STRING"]
 
+# the tolerance of every string row, of either order; --tol-identity does not
+# reach it
 TOL_STRING = 1e-4
-
-ASSERTED = "asserted"
-INFO = "info"
-HYPOTHESIS_FAILED = "hypothesis_failed"
-
-@dataclass(frozen=True)
-class StringEntry:
-    name: str
-    residual: float
-    tolerance: float
-    status: str
-
-    @property
-    def passed(self) -> Optional[bool]:
-        if self.status != ASSERTED:
-            return None
-        return self.residual <= self.tolerance
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "residual": self.residual,
-                "tolerance": self.tolerance, "status": self.status,
-                "passed": self.passed}
-
-
-@dataclass(frozen=True)
-class StringReport:
-    manifold: str
-    constant_dilaton: bool
-    hypothesis_ok: bool
-    einstein_residual: float
-    flux_residual: float
-    eta: np.ndarray
-    eta_parallel_residual: float
-    susy_theta_residual: float
-    th1_consistency: dict
-    entries: list
-
-    def as_dict(self) -> dict:
-        return {"manifold": self.manifold,
-                "constant_dilaton": self.constant_dilaton,
-                "hypothesis_ok": self.hypothesis_ok,
-                "einstein_residual": self.einstein_residual,
-                "flux_residual": self.flux_residual,
-                "eta": self.eta.tolist(),
-                "eta_parallel_residual": self.eta_parallel_residual,
-                "susy_theta_residual": self.susy_theta_residual,
-                "th1_consistency": self.th1_consistency,
-                "entries": [e.as_dict() for e in self.entries]}
 
 
 def _weighted_divergence(ev: Evaluation, gradient: bool) -> np.ndarray:
@@ -97,9 +48,9 @@ def _weighted_divergence(ev: Evaluation, gradient: bool) -> np.ndarray:
 
 
 def _string_rows(ev: Evaluation, gradient: bool, sol: str, su_indicator: bool):
-    """The string entries as ``(name, lhs - rhs, status)`` rows, in report
-    order: for the manifold's own dilaton with ``gradient``, else for a
-    constant one, for which eta is the Lee form.  ``sol`` is the status of
+    """The string entries as ``(name, lhs - rhs, order, status)`` rows, in
+    report order: for the manifold's own dilaton with ``gradient``, else for
+    a constant one, for which eta is the Lee form.  ``sol`` is the status of
     the solution-style rows, ``su_indicator`` whether the SU(n) indicator
     holds."""
     attr = "eta" if gradient else "theta"
@@ -113,45 +64,45 @@ def _string_rows(ev: Evaluation, gradient: bool, sol: str, su_indicator: bool):
         grad = np.einsum("...ij,...j->...i", ev.ginv, ev.dphi)
         flux = flux + 2.0 * interior_product(grad, ev.T, 3)
         weight = np.exp(-2.0 * ev.phi)[..., None, None]
-    yield "einstein_equation", einstein, sol
-    yield "flux_equation", flux, sol
+    yield "einstein_equation", einstein, 2, sol
+    yield "flux_equation", flux, 2, sol
     eta_equation = neta - 0.25 * lam_j
     if not gradient:
         # the Bismut Ricci tensor itself, and the Lee-form equation
         # (nabla_X theta)Y = lambda(X, JY)/4 equivalent to it when the
         # Bismut Ricci form vanishes: the eta equation with eta = theta
-        yield "constant_dilaton_ricci", ev.ric, sol
-        yield "constant_dilaton_lee_equation", eta_equation, sol
+        yield "constant_dilaton_ricci", "ric", 2, sol
+        yield "constant_dilaton_lee_equation", eta_equation, 2, sol
     neta_t = np.einsum("...xy->...yx", neta)
-    yield "eta_equation", eta_equation, sol
-    yield "eta_skew_equation", neta - neta_t, sol
-    yield "eta_symmetric_equation", neta + neta_t - 0.5 * lam_j, sol
-    yield "eta_parallel", neta, sol
-    yield "supersymmetric_lee", getattr(ev, attr), ASSERTED if gradient else INFO
+    yield "eta_equation", eta_equation, 2, sol
+    yield "eta_skew_equation", neta - neta_t, 2, sol
+    yield "eta_symmetric_equation", neta + neta_t - 0.5 * lam_j, 2, sol
+    yield "eta_parallel", neta, 2, sol
+    yield "supersymmetric_lee", attr, 1, ASSERTED if gradient else INFO
     # the divergence form of the flux equation against its interior-product
     # form: with the codifferential convention of this engine,
     #   sum_i (nabla^g_{e_i} (exp(-2 phi) T))(e_i, ., .)
     #       = - exp(-2 phi) (codiff T + 2 i_{grad phi} T)
-    yield "flux_divergence_agreement", _weighted_divergence(ev, gradient) + weight * flux, ASSERTED
-    # dilaton-independent entries: codiff(T) = d theta - i_{theta#} T,
-    # valid when the Bismut Ricci form vanishes, and the Lie derivative
-    # of g along the dual of the Lee form
-    sharp = np.einsum("...ij,...j->...i", ev.ginv, ev.theta)
-    yield ("coclosed_vs_lee", ev.codiff("T") - (ev.dtheta - interior_product(sharp, ev.T, 3)),
+    yield ("flux_divergence_agreement", _weighted_divergence(ev, gradient) + weight * flux,
+           2, ASSERTED)
+    # dilaton-independent entries: held primitives, measured once for both dilatons
+    yield ("coclosed_vs_lee", "coclosure_defect", 2,
            ASSERTED if su_indicator else HYPOTHESIS_FAILED)
-    nth = ev.nabla("theta", "levi_civita")
-    yield "lee_killing_field", nth + np.einsum("...xy->...yx", nth), INFO if gradient else sol
+    yield "lee_killing_field", "lee_killing", 2, INFO if gradient else sol
     if ev.m.dim == 4:
         yield ("conformal_killing_equation",
-               neta - 0.5 * ev.codiff("theta")[..., None, None] * ev.g, sol)
+               neta - 0.5 * ev.codiff("theta")[..., None, None] * ev.g, 2, sol)
 
 
 def run_string_suite(m: HermitianManifold, pts, step=DEFAULT_STEP,
                      hyp_tol=DEFAULT_CLASSIFY_TOL) -> dict:
-    """The string sector of one manifold at the points: a ``StringReport``
-    under ``constant_dilaton``, and one under ``gradient_dilaton`` for the
-    manifold's own dilaton when it carries one, each the rows of
-    ``_string_rows`` over one evaluation, measured in turn.
+    """The string sector of one manifold at the points, under
+    ``constant_dilaton``, and under ``gradient_dilaton`` for the manifold's
+    own dilaton when it carries one: each a dict of ``constant_dilaton``,
+    ``hypothesis_ok``, ``th1_consistency`` and ``entries``, the rows of
+    ``_string_rows`` over one evaluation as measured by ``measure_rows`` at
+    ``TOL_STRING``.  The eta form itself is not reported; it is the held
+    primitive ``Evaluation.eta`` (the Lee form for a constant dilaton).
 
     Solution-style residuals are asserted only when the manifold passes the
     hypotheses (closed torsion, SU(n) indicator); so is the equivalence
@@ -178,15 +129,9 @@ def run_string_suite(m: HermitianManifold, pts, step=DEFAULT_STEP,
     dilatons = {"constant_dilaton": False}
     if m.dilaton is not None:
         dilatons["gradient_dilaton"] = True
-    reports = {}
-    for kind, gradient in dilatons.items():
-        entries = [StringEntry(name, ev.residual(name, diff)[0], TOL_STRING, status)
-                   for name, diff, status in _string_rows(ev, gradient, sol, hyp["su_indicator"])]
-        res = {e.name: e.residual for e in entries}
-        reports[kind] = StringReport(
-            manifold=m.name, constant_dilaton=not gradient, hypothesis_ok=hyp["ok"],
-            einstein_residual=res["einstein_equation"], flux_residual=res["flux_equation"],
-            eta=ev.eta if gradient else ev.theta, eta_parallel_residual=res["eta_parallel"],
-            susy_theta_residual=res["supersymmetric_lee"], th1_consistency=th1,
-            entries=entries)
-    return reports
+    return {kind: {"constant_dilaton": not gradient, "hypothesis_ok": hyp["ok"],
+                   "th1_consistency": th1,
+                   "entries": measure_rows(
+                       ev, _string_rows(ev, gradient, sol, hyp["su_indicator"]),
+                       TOL_STRING, TOL_STRING)}
+            for kind, gradient in dilatons.items()}

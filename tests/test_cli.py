@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ktgeo.classify
 import ktgeo.cli
 import ktgeo.identities
 import ktgeo.tensor_core
@@ -44,8 +45,8 @@ def test_report_flat_torus_all_residuals_at_noise_floor(tmp_path):
     for e in section["identities"]:
         assert e["max_residual"] < 1e-8
     for e in section["dim4"]:
+        assert e["status"] == "asserted"  # no row skipped
         assert e["max_residual"] < 1e-8
-    assert "dim4_skipped" not in section  # present only when an entry is skipped
 
 
 def test_report_hopf_flags(tmp_path):
@@ -336,6 +337,75 @@ def test_classify_and_string_share_each_frame_conversion(monkeypatch, tmp_path):
     assert len(valence4) == 2
 
 
+def test_report_measures_each_difference_once(monkeypatch, tmp_path):
+    # a difference that two rows (or a row and a classify residual, or both
+    # dilatons) share is converted to the frame once
+    seen = Counter()
+
+    def counting(module):
+        real = module.to_frame
+
+        def counted(t, frame, valence):
+            seen[(valence, np.asarray(t).tobytes())] += 1
+            return real(t, frame, valence)
+        monkeypatch.setattr(module, "to_frame", counted)
+
+    counting(ktgeo.identities)
+    counting(ktgeo.classify)
+    code = main(["report", "--manifold", "hopf_standard", "--points", "2",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    assert len(seen) > 30
+    assert [k[0] for k, n in seen.items() if n > 1] == []
+
+
+def _shape(obj):
+    """The key sets and list lengths of a parsed report, its leaves dropped."""
+    if isinstance(obj, dict):
+        return {k: _shape(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_shape(v) for v in obj]
+    return None
+
+
+def test_report_shape_does_not_depend_on_the_point_count(tmp_path):
+    shapes = []
+    for points in ("1", "5"):
+        out_file = tmp_path / f"suite{points}.json"
+        assert main(["suite", "--all", "--points", points, "--out", str(out_file)]) == 0
+        shapes.append(_shape(json.loads(out_file.read_text())))
+    assert shapes[0] == shapes[1]
+
+
+ROW_KEYS = ["name", "residual", "tolerance", "status", "passed", "worst_point", "reason"]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-5, 1e-3])
+def test_every_row_has_one_shape_and_its_order_sets_the_tolerance(tol, tmp_path):
+    register_manifold(block_conformal_torus_6())
+    out_file = tmp_path / "rows.json"
+    main(["report", "--manifold", "su2xu1", "--manifold", "hopf_standard",
+          "--manifold", "block_conformal_torus_6", "--points", "1",
+          "--tol-identity", str(tol), "--out", str(out_file)])
+    statuses = Counter()
+    for section in json.loads(out_file.read_text())["manifolds"]:
+        for suite in ("identities", "dim4"):
+            for e in section[suite]:
+                # the one documented rename: ktbench/checks.py reads max_residual
+                assert list(e) == ["max_residual" if k == "residual" else k for k in ROW_KEYS]
+                first_order = e["name"] == "torsion_lee_duality"
+                assert e["tolerance"] == (min(1e-6, tol) if first_order else tol)
+                statuses[e["status"]] += 1
+                assert (e["passed"] is None) == (e["status"] != "asserted")
+        for rep in section["string"].values():
+            for e in rep["entries"]:
+                assert list(e) == ROW_KEYS
+                assert e["tolerance"] == 1e-4  # --tol-identity does not reach string rows
+                statuses[e["status"]] += 1
+                assert (e["passed"] is None) == (e["status"] != "asserted")
+    assert set(statuses) == {"asserted", "info", "hypothesis_failed", "skipped"}
+
+
 def test_non_lck_chart_reports_the_skipped_reduction(tmp_path):
     # a Hermitian 6-torus that is not locally conformally Kaehler: the dim4
     # suite skips the LCK reduction by name, naming the measured defect, and
@@ -350,10 +420,12 @@ def test_non_lck_chart_reports_the_skipped_reduction(tmp_path):
     assert not section["flags"]["lck"]
     defect = section["flags"]["residuals"]["lck_defect"]
     assert defect > 0.1
-    assert section["dim4"] == []
-    [skip] = section["dim4_skipped"]
-    assert skip["name"] == "lck_lambda_reduction"
-    assert f"block_conformal_torus_6: lck_defect {defect:.3g} exceeds 1e-06" in skip["reason"]
+    [skip] = section["dim4"]
+    assert (skip["name"], skip["status"], skip["max_residual"], skip["passed"],
+            skip["worst_point"]) == ("lck_lambda_reduction", "skipped", None, None, None)
+    assert skip["reason"] == (
+        f"block_conformal_torus_6: lck_defect {defect:.3g} exceeds 1e-06, so T does not have "
+        "the LCK shape J theta ^ omega / (n-1) on which the lambda reduction holds")
     assert len(section["identities"]) == 14
     assert all(e["passed"] for e in section["identities"])
 
@@ -370,9 +442,8 @@ def test_non_lck_4_torus_keeps_the_duality_and_the_reduction(tmp_path):
     assert not section["flags"]["lck"]
     assert section["flags"]["residuals"]["lee_form_closure"] > 0.1
     assert section["flags"]["residuals"]["lck_defect"] < 1e-12
-    assert [(e["name"], e["passed"]) for e in section["dim4"]] == [
-        ("torsion_lee_duality", True), ("lck_lambda_reduction", True)]
-    assert "dim4_skipped" not in section
+    assert [(e["name"], e["status"], e["passed"]) for e in section["dim4"]] == [
+        ("torsion_lee_duality", "asserted", True), ("lck_lambda_reduction", "asserted", True)]
 
 
 def test_chart_registered_without_declarations_runs_the_lck_reduction(tmp_path):
@@ -393,9 +464,8 @@ def test_chart_registered_without_declarations_runs_the_lck_reduction(tmp_path):
     section = json.loads(out_file.read_text())["manifolds"][0]
     assert section["dim"] == 6
     assert section["flags"]["lck"]
-    assert [(e["name"], e["passed"]) for e in section["dim4"]] == [
-        ("lck_lambda_reduction", True)]
-    assert "dim4_skipped" not in section
+    assert [(e["name"], e["status"], e["passed"]) for e in section["dim4"]] == [
+        ("lck_lambda_reduction", "asserted", True)]
 
 
 def _counted(metric, points):

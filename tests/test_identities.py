@@ -35,13 +35,13 @@ def test_identity_suite_passes_on_catalog(name):
     entries = run_identity_suite(m, pts)
     assert [e.name for e in entries] == ALL_NAMES
     for e in entries:
-        assert e.passed, f"{name}: {e.name} residual {e.max_residual:.3e}"
+        assert e.passed, f"{name}: {e.name} residual {e.residual:.3e}"
 
 
 def test_flat_torus_residuals_at_the_noise_floor(flat4):
     pts = sample("flat_torus_4", 8)
     for e in run_identity_suite(flat4, pts):
-        assert e.max_residual < 1e-8
+        assert e.residual < 1e-8
 
 
 def test_su2xu1_scalar_relation_reduces_to_lee_torsion_balance(su2):
@@ -88,9 +88,8 @@ def test_dim4_chain_on_all_four_dimensional_entries():
     for name in ("flat_torus_4", "hopf_standard", "su2xu1", "conf_torus_4", "hopf_hkt"):
         m = get_manifold(name)
         pts = m.sample_points(8, seed=0)
-        entries, skipped = verify_dim4(m, pts)
-        entries = {e.name: e for e in entries}
-        assert skipped == []
+        entries = {e.name: e for e in verify_dim4(m, pts)}
+        assert [e.status for e in entries.values()] == ["asserted", "asserted"], name
         assert entries["torsion_lee_duality"].passed, name
         assert entries["lck_lambda_reduction"].passed, name
 
@@ -98,7 +97,7 @@ def test_dim4_chain_on_all_four_dimensional_entries():
 def test_dim6_lck_lambda_reduction():
     m = get_manifold("conf_torus_6")
     pts = m.sample_points(6, seed=0)
-    entries = {e.name: e for e in verify_dim4(m, pts)[0]}
+    entries = {e.name: e for e in verify_dim4(m, pts)}
     assert "torsion_lee_duality" not in entries  # dim 4 only
     assert entries["lck_lambda_reduction"].passed
 
@@ -122,13 +121,12 @@ def test_lck_reduction_precondition_error():
         chart=BoxChart(lows=(0.0,) * 6, highs=(2 * np.pi,) * 6),
         metric=metric, complex_structure=_const_field(_block_j(6)))
     pts = m.sample_points(2, seed=0)
-    entries, skipped = verify_dim4(m, pts)
-    assert entries == []  # dim 6: no duality entry either
-    [skip] = skipped
-    assert skip["name"] == "lck_lambda_reduction"
+    [skip] = verify_dim4(m, pts)  # dim 6: no duality entry either
+    assert (skip.name, skip.status, skip.residual, skip.passed, skip.worst_point) == (
+        "lck_lambda_reduction", "skipped", None, None, None)
     defect = Evaluation(m, pts).magnitude("lck_defect")
     assert defect > 1e-6
-    assert skip["reason"].startswith(f"warped_torus_6: lck_defect {defect:.3g} exceeds 1e-06")
+    assert skip.reason.startswith(f"warped_torus_6: lck_defect {defect:.3g} exceeds 1e-06")
 
 
 def test_conformal_trace_identity():
@@ -136,12 +134,12 @@ def test_conformal_trace_identity():
     flat = get_manifold("flat_torus_4")
     same = conformal_rescale(flat, lambda p: np.zeros(np.asarray(p).shape[:-1]))
     pts = flat.sample_points(6, seed=0)
-    assert verify_conformal_trace(same, pts).max_residual < 1e-10
+    assert verify_conformal_trace(same, pts).residual < 1e-10
 
     for name in ("conf_torus_4", "conf_torus_6", "hopf_standard"):
         m = get_manifold(name)
         e = verify_conformal_trace(m, m.sample_points(8, seed=0))
-        assert e.passed, f"{name}: {e.max_residual:.3e}"
+        assert e.passed, f"{name}: {e.residual:.3e}"
 
     with pytest.raises(PreconditionError):
         verify_conformal_trace(flat, pts)
@@ -153,7 +151,7 @@ def test_conformal_trace_with_non_kahler_parent():
     f = lambda p: 0.1 * np.asarray(p)[..., 0]
     m = conformal_rescale(hopf, f)
     e = verify_conformal_trace(m, m.sample_points(6, seed=1))
-    assert e.passed, e.max_residual
+    assert e.passed, e.residual
 
 
 def test_richardson_second_order_convergence():
@@ -169,7 +167,7 @@ def test_identity_evaluation_is_deterministic(hopf):
     pts = sample("hopf_standard", 4)
     a = run_identity_suite(hopf, pts)
     b = run_identity_suite(hopf, pts)
-    assert [(e.name, e.max_residual) for e in a] == [(e.name, e.max_residual) for e in b]
+    assert [(e.name, e.residual) for e in a] == [(e.name, e.residual) for e in b]
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -179,8 +177,8 @@ def test_torsion_derivative_invariants_tight_tolerance(name):
     m = get_manifold(name)
     pts = m.sample_points(32, seed=0)
     entries = {e.name: e for e in run_identity_suite(m, pts)}
-    assert entries["torsion_nabla_exchange"].max_residual < 1e-5
-    assert entries["torsion_ext_derivative"].max_residual < 1e-5
+    assert entries["torsion_nabla_exchange"].residual < 1e-5
+    assert entries["torsion_ext_derivative"].residual < 1e-5
 
 
 def test_evaluation_scope_shares_read_only_primitives(hopf):
