@@ -19,89 +19,84 @@ from .errors import PreconditionError
 from .identities import Evaluation, evaluation, evaluation_scope
 from .tensor_core import DEFAULT_STEP, to_frame
 
-__all__ = [
-    "StructureFlags", "HktFlags", "classify", "check_hkt", "hypothesis_residuals",
-    "vanishing_hypotheses", "DEFAULT_CLASSIFY_TOL",
-]
+__all__ = ["FLAGS", "IMPLICATIONS", "Flags", "StructureFlags", "HktFlags", "classify",
+           "check_hkt", "measure_flags", "vanishing_hypotheses", "DEFAULT_CLASSIFY_TOL"]
 
 DEFAULT_CLASSIFY_TOL = 1e-5
 
-
-def hypothesis_residuals(ev: Evaluation) -> tuple:
-    """The strong-KT residual |dT| and the SU(n)-indicator residual
-    max(|rho|, |R o J - R|)."""
-    return ev.magnitude("dT"), max(ev.magnitude("rho"), ev.magnitude("j_commutator"))
-
-
-@dataclass(frozen=True)
-class HktFlags:
-    quaternion_residual: float
-    torsion_match_residual: float
-    lee_match_residual: float
-    tolerance: float
-
-    @property
-    def hkt(self) -> bool:
-        return max(self.quaternion_residual, self.torsion_match_residual,
-                   self.lee_match_residual) <= self.tolerance
-
-    def as_dict(self) -> dict:
-        return {"quaternion_residual": self.quaternion_residual,
-                "torsion_match_residual": self.torsion_match_residual,
-                "lee_match_residual": self.lee_match_residual,
-                "tolerance": self.tolerance, "hkt": self.hkt}
+# The table of the taxonomy flags, the HKT bit and the string hypotheses: each
+# flag, in report order, the residuals it reads and the held primitive each is
+# the magnitude of (the HKT ones compare a triple's structures; check_hkt).  One
+# rule reads it: a flag holds when the largest residual it reads is within the tolerance.
+FLAGS = {
+    "kahler": {"torsion": "T"},
+    "strong_kt": {"torsion_closure": "dT"},
+    "almost_strong_kt": {"lambda_omega": "lam"},
+    "balanced": {"lee_form": "theta"},
+    # locally conformally Kaehler: T = J theta ^ omega / (n-1), d theta = 0
+    "lck": {"lck_defect": "lck_defect", "lee_form_closure": "dtheta"},
+    "su_holonomy_indicator": {"ricci_form": "rho", "curvature_j_commutator": "j_commutator"},
+    "hkt": dict.fromkeys(("quaternion_residual", "torsion_match_residual",
+                          "lee_match_residual")),
+}
+TAXONOMY = tuple(flag for flag in FLAGS if flag != "hkt")
+# Kaehler => strong => almost strong, as (premise, consequence) pairs
+IMPLICATIONS = (("kahler", "strong_kt"), ("strong_kt", "almost_strong_kt"))
 
 
 @dataclass(frozen=True)
-class StructureFlags:
-    kahler: bool
-    strong_kt: bool
-    almost_strong_kt: bool
-    balanced: bool
-    su_holonomy_indicator: bool
+class Flags:
+    """Residuals under one tolerance; each flag of ``FLAGS`` reads as a bool."""
     residuals: dict
     tolerance: float
+
+    def residual(self, flag: str) -> float:
+        """The largest residual ``flag`` reads."""
+        return max(self.residuals[name] for name in FLAGS[flag])
+
+    def __getattr__(self, flag: str) -> bool:
+        if flag not in FLAGS:
+            raise AttributeError(flag)
+        return self.residual(flag) <= self.tolerance
+
+
+@dataclass(frozen=True)
+class HktFlags(Flags):
+    """The residuals of the ``hkt`` row of ``FLAGS``."""
+    def as_dict(self) -> dict:
+        return {**self.residuals, "tolerance": self.tolerance, "hkt": self.hkt}
+
+
+@dataclass(frozen=True)
+class StructureFlags(Flags):
+    """The taxonomy rows' residuals of ``FLAGS``, and the HKT block of a triple."""
     hkt: Optional[HktFlags] = None
 
     @property
-    def lck(self) -> bool:
-        """Locally conformally Kaehler: T has the shape J theta ^ omega /
-        (n-1) (``lck_defect``) and the Lee form is closed
-        (``lee_form_closure`` = |d theta|)."""
-        return max(self.residuals["lck_defect"],
-                   self.residuals["lee_form_closure"]) <= self.tolerance
+    def taxonomy_implications(self) -> bool:
+        """Whether the flags satisfy every implication of ``IMPLICATIONS``."""
+        return all(getattr(self, then) for given, then in IMPLICATIONS if getattr(self, given))
 
     def as_dict(self) -> dict:
-        out = {"kahler": self.kahler, "strong_kt": self.strong_kt,
-               "almost_strong_kt": self.almost_strong_kt, "balanced": self.balanced,
-               "lck": self.lck, "su_holonomy_indicator": self.su_holonomy_indicator,
-               "tolerance": self.tolerance,
-               "residuals": dict(sorted(self.residuals.items()))}
-        out["hkt"] = self.hkt.as_dict() if self.hkt is not None else None
-        return out
+        return {**{flag: getattr(self, flag) for flag in TAXONOMY}, "tolerance": self.tolerance,
+                "residuals": dict(sorted(self.residuals.items())),
+                "hkt": self.hkt.as_dict() if self.hkt is not None else None}
+
+
+def measure_flags(ev: Evaluation, flags=TAXONOMY) -> dict:
+    """The residuals the taxonomy ``flags`` read, each measured on ``ev``."""
+    return {name: ev.magnitude(attr) for flag in flags for name, attr in FLAGS[flag].items()}
 
 
 def classify(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
              step: float = DEFAULT_STEP) -> StructureFlags:
     """Taxonomy flags with their supporting residuals at the sampled points;
-    every flag is measured, none is read from the manifold's declaration."""
+    every flag, and the HKT bit of a triple, is measured and read from its row
+    of ``FLAGS`` under ``tol``, none from the manifold's declaration."""
     with evaluation_scope():
-        ev = evaluation(m, pts, step)
-        res = {name: ev.magnitude(attr) for name, attr in (
-            ("torsion", "T"), ("torsion_closure", "dT"), ("lambda_omega", "lam"),
-            ("lee_form", "theta"), ("ricci_form", "rho"),
-            ("curvature_j_commutator", "j_commutator"), ("lck_defect", "lck_defect"),
-            ("lee_form_closure", "dtheta"))}
-        strong, su = hypothesis_residuals(ev)
+        res = measure_flags(evaluation(m, pts, step))
         hkt = check_hkt(m, pts, tol=tol, step=step) if m.hypercomplex is not None else None
-
-    return StructureFlags(
-        kahler=res["torsion"] <= tol,
-        strong_kt=strong <= tol,
-        almost_strong_kt=res["lambda_omega"] <= tol,
-        balanced=res["lee_form"] <= tol,
-        su_holonomy_indicator=su <= tol,
-        residuals=res, tolerance=tol, hkt=hkt)
+    return StructureFlags(res, tol, hkt)
 
 
 def check_hkt(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
@@ -116,8 +111,7 @@ def check_hkt(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
     pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
     t_match = max(ev.residual("torsion_match", evs[a].T - evs[b].T)[0] for a, b in pairs)
     l_match = max(ev.residual("lee_match", evs[a].theta - evs[b].theta)[0] for a, b in pairs)
-    return HktFlags(quaternion_residual=quat, torsion_match_residual=t_match,
-                    lee_match_residual=l_match, tolerance=tol)
+    return HktFlags(dict(zip(FLAGS["hkt"], (quat, t_match, l_match))), tol)
 
 
 def vanishing_hypotheses(m: HermitianManifold, pts, step: float = DEFAULT_STEP) -> dict:
@@ -129,9 +123,7 @@ def vanishing_hypotheses(m: HermitianManifold, pts, step: float = DEFAULT_STEP) 
       ``<<X,Y>> = rho^{1,1}(JX,Y) + <i_X C, i_Y C> - lambda(JX,Y)/4``.
     """
     ev = evaluation(m, pts, step)
-    margin = float(np.min(ev.b + ev.norm_sq("C") - 0.5 * ev.h))
-
     quad_f = to_frame(ev.mean_curvature_form, ev.frames, 2)
     quad_f = 0.5 * (quad_f + np.swapaxes(quad_f, -1, -2))
-    min_eig = float(np.min(np.linalg.eigvalsh(quad_f)))
-    return {"plurigenera_margin": margin, "quad_form_min_eig": min_eig}
+    return {"plurigenera_margin": float(np.min(ev.mean_curvature_trace)),
+            "quad_form_min_eig": float(np.min(np.linalg.eigvalsh(quad_f)))}

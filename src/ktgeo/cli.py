@@ -156,15 +156,15 @@ def _identity_dicts(rows) -> list:
 
 def _manifold_report(name: str, cfg: RunConfig) -> dict:
     m = get_manifold(name)
-    pts = m.sample_points(cfg.points, cfg.seed, margin=max(0.05, 3 * cfg.step))
     section = {"name": name, "dim": m.dim, "chart": m.chart.describe()}
     tol = TOL_CURVATURE if cfg.tol_identity is None else cfg.tol_identity
     rows = []
 
     # one evaluation context per section: every suite shares its primitives,
     # and nothing computed here outlives the section
-    suite = None
+    suite = "sampling"
     try:
+        pts = m.sample_points(cfg.points, cfg.seed, margin=max(0.05, 3 * cfg.step))
         with evaluation_scope():
             if "classify" in cfg.suites:
                 suite = "classify"
@@ -172,9 +172,7 @@ def _manifold_report(name: str, cfg: RunConfig) -> dict:
                 section["flags"] = flags.as_dict()
                 section["vanishing_hypotheses"] = vanishing_hypotheses(m, pts, cfg.step)
                 # taxonomy implications are engine-consistency assertions
-                section["taxonomy_implications"] = (
-                    (not flags.kahler or flags.strong_kt)
-                    and (not flags.strong_kt or flags.almost_strong_kt))
+                section["taxonomy_implications"] = flags.taxonomy_implications
 
             if "identities" in cfg.suites:
                 suite = "identities"

@@ -485,6 +485,11 @@ class Evaluation:
         return 0.5 * np.einsum("...mn,...mn->...", self.kappa, self.jg)
 
     @_primitive
+    def mean_curvature_trace(self):
+        """b + |C|^2 - h/2: 2u by the trace of the mean-curvature formula."""
+        return self.b + self.norm_sq("C") - 0.5 * self.h
+
+    @_primitive
     def j_commutator(self):
         """R(X,Y,JZ,JW) - R(X,Y,Z,W) of the Bismut curvature."""
         r = self.riemann("bismut")
@@ -677,8 +682,7 @@ def _identity_rows(ev: Evaluation):
     yield "lambda_trace_calibration", lhs - rhs, 2, ASSERTED
 
     # trace of the mean-curvature formula
-    rhs = ev.b + ev.norm_sq("C") - 0.5 * ev.h
-    yield "u_trace_formula", 2.0 * ev.u - rhs, 2, ASSERTED
+    yield "u_trace_formula", 2.0 * ev.u - ev.mean_curvature_trace, 2, ASSERTED
 
 
 def run_identity_suite(m: HermitianManifold, pts, step=DEFAULT_STEP, tol=TOL_CURVATURE) -> list:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .catalog import HermitianManifold
-from .classify import DEFAULT_CLASSIFY_TOL, hypothesis_residuals
+from .classify import DEFAULT_CLASSIFY_TOL, Flags, measure_flags
 from .identities import ASSERTED, HYPOTHESIS_FAILED, INFO, Evaluation, evaluation, measure_rows
 from .tensor_core import DEFAULT_STEP, interior_product, slotwise
 
@@ -105,7 +105,8 @@ def run_string_suite(m: HermitianManifold, pts, step=DEFAULT_STEP,
     primitive ``Evaluation.eta`` (the Lee form for a constant dilaton).
 
     Solution-style residuals are asserted only when the manifold passes the
-    hypotheses (closed torsion, SU(n) indicator); so is the equivalence
+    hypotheses, closed torsion and the SU(n) indicator, read under ``hyp_tol``
+    from their rows of ``classify.FLAGS`` like every flag; so is the equivalence
     'vanishing Bismut scalar curvature <=> vanishing Bismut Ricci tensor'
     (``th1_consistency``), which is labeled, never asserted, where they fail.
     The divergence-form agreement is an identity and asserted everywhere.
@@ -113,10 +114,11 @@ def run_string_suite(m: HermitianManifold, pts, step=DEFAULT_STEP,
     manifold's dilaton and informational for the constant one."""
     ev = evaluation(m, pts, step)
 
-    strong, su = hypothesis_residuals(ev)
-    hyp = {"strong_residual": strong, "su_residual": su,
-           "strong_kt": strong <= hyp_tol, "su_indicator": su <= hyp_tol,
-           "ok": strong <= hyp_tol and su <= hyp_tol}
+    flags = Flags(measure_flags(ev, ("strong_kt", "su_holonomy_indicator")), hyp_tol)
+    hyp = {"strong_residual": flags.residual("strong_kt"),
+           "su_residual": flags.residual("su_holonomy_indicator"),
+           "strong_kt": flags.strong_kt, "su_indicator": flags.su_holonomy_indicator}
+    hyp["ok"] = hyp["strong_kt"] and hyp["su_indicator"]
     sol = ASSERTED if hyp["ok"] else HYPOTHESIS_FAILED
 
     scal, ric = ev.magnitude("scal"), ev.magnitude("ric")

@@ -78,9 +78,9 @@ def test_points_of_another_dimension_rejected(hopf, entry):
 def test_check_hkt_hopf_triple():
     m = get_manifold("hopf_hkt")
     flags = check_hkt(m, m.sample_points(8, seed=0))
-    assert flags.quaternion_residual < 1e-8
-    assert flags.torsion_match_residual < 1e-5
-    assert flags.lee_match_residual < 1e-5
+    assert flags.residuals["quaternion_residual"] < 1e-8
+    assert flags.residuals["torsion_match_residual"] < 1e-5
+    assert flags.residuals["lee_match_residual"] < 1e-5
     assert flags.hkt
 
 

@@ -212,6 +212,20 @@ def test_chart_of_unsupported_dimension_exits_3_naming_the_manifold(dim, j, caps
     assert f"unsupported_dim_test_manifold: dimension {dim}, expected an even" in line
 
 
+def test_empty_sampling_window_exits_3_naming_the_manifold(capsys):
+    # the margin empties the window of the tight axis before any suite runs
+    register_manifold(HermitianManifold(
+        name="empty_window_test_manifold",
+        chart=BoxChart(lows=(0.0,) * 4, highs=(0.05, 1.0, 1.0, 1.0), tight_axes=(0,)),
+        metric=_const_field(np.eye(4)), complex_structure=_const_field(_block_j(4))))
+    code = main(["report", "--manifold", "empty_window_test_manifold", "--points", "4",
+                 "--out", "/dev/null"])
+    assert code == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == ("error: numeric failure on 'empty_window_test_manifold' during "
+                    "'sampling': margin leaves an empty sampling window")
+
+
 def test_suite_all_runs_everything(tmp_path):
     out_file = tmp_path / "suite.json"
     code = main(["suite", "--all", "--points", "4", "--out", str(out_file)])
@@ -274,6 +288,58 @@ def test_tol_classify_reaches_the_hkt_block(tmp_path):
     assert hkt["tolerance"] == 1e-30
     assert not hkt["hkt"]
     assert code == 1
+
+
+# the residuals each flag reads, as the README states them
+FLAG_READS = {
+    "kahler": ["torsion"], "strong_kt": ["torsion_closure"],
+    "almost_strong_kt": ["lambda_omega"], "balanced": ["lee_form"],
+    "lck": ["lck_defect", "lee_form_closure"],
+    "su_holonomy_indicator": ["ricci_form", "curvature_j_commutator"],
+}
+HKT_READS = ["quaternion_residual", "torsion_match_residual", "lee_match_residual"]
+
+
+def test_one_flag_rule_across_sections(tmp_path):
+    # every flag, the HKT bit and the string hypotheses hold exactly when
+    # every residual they read is within the tolerance, at tolerances where
+    # they flip
+    register_manifold(block_conformal_torus_4())
+    register_manifold(block_conformal_torus_6())
+    seen = set()
+    for tol in (1e-5, 1e-7, 1e-9):
+        out_file = tmp_path / f"rule-{tol}.json"
+        main(["report", "--manifold", "all", "--manifold", "block_conformal_torus_4",
+              "--manifold", "block_conformal_torus_6", "--points", "2",
+              "--tol-classify", str(tol), "--out", str(out_file)])
+        sections = json.loads(out_file.read_text())["manifolds"]
+        assert len(sections) == len(catalog_names()) + 2
+        signature = []
+        for section in sections:
+            flags, res = section["flags"], section["flags"]["residuals"]
+            assert flags["tolerance"] == tol
+            bits = {k: v for k, v in flags.items() if isinstance(v, bool)}
+            assert bits == {flag: all(res[r] <= tol for r in reads)
+                            for flag, reads in FLAG_READS.items()}, section["name"]
+            if flags["hkt"] is not None:
+                hkt = flags["hkt"]
+                assert hkt["tolerance"] == tol
+                assert hkt["hkt"] == all(hkt[r] <= tol for r in HKT_READS)
+            assert section["taxonomy_implications"] == (
+                (not bits["kahler"] or bits["strong_kt"])
+                and (not bits["strong_kt"] or bits["almost_strong_kt"]))
+            for rep in section["string"].values():
+                hyp = rep["th1_consistency"]["hypotheses"]
+                assert hyp == {
+                    "strong_residual": res["torsion_closure"],
+                    "su_residual": max(res["ricci_form"], res["curvature_j_commutator"]),
+                    "strong_kt": bits["strong_kt"],
+                    "su_indicator": bits["su_holonomy_indicator"],
+                    "ok": bits["strong_kt"] and bits["su_holonomy_indicator"]}
+                assert rep["hypothesis_ok"] == hyp["ok"]
+            signature.append((tuple(bits.values()), hyp["ok"]))
+        seen.add(tuple(signature))
+    assert len(seen) == 3  # each tolerance flips some flag or hypothesis
 
 
 def _half_nan_metric(p):
