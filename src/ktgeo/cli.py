@@ -15,17 +15,23 @@ Exit status: 0 when every asserted check passes, 1 when a residual fails,
 a contract violation (a chart field of the wrong shape, ...).
 
 Reports are deterministic: identical configurations produce byte-identical
-documents.  Floats are serialized with 17 significant digits and keys keep a
-fixed order, so independent runs (and independent implementations following
-the same conventions) can be diffed directly.
+documents, so independent runs (and independent implementations following the
+same conventions) can be diffed directly.  The layout is that of
+``json.dumps(report, indent=2)``: ASCII-only, keys in a fixed order.  Finite
+floats are written with 17 significant digits (``format(v, ".17g")``), which
+read back exactly; NaN and +-inf are written as the strings ``"nan"``,
+``"inf"`` and ``"-inf"``.  NumPy scalars and arrays are written as their
+``tolist()``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -89,9 +95,9 @@ class RunConfig:
 
 
 class NumericFailure(Exception):
-    """Wraps a GeometryError, or NumPy's LinAlgError from a chart field, with
-    (manifold, suite) context for exit code 3; a contract violation (a
-    malformed chart or argument) is worded as one."""
+    """Wraps a GeometryError, or a ValueError from a chart field (NumPy's
+    LinAlgError among them), with (manifold, suite) context for exit code 3;
+    a contract violation (a malformed chart or argument) is worded as one."""
 
     def __init__(self, manifold, suite, original):
         kind = ("contract violation" if isinstance(original, ContractViolationError)
@@ -103,43 +109,93 @@ class NumericFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# deterministic JSON with 17-significant-digit floats
+# deterministic JSON with 17-significant-digit floats, written in one pass
 # ---------------------------------------------------------------------------
 
-def _emit(obj, indent=0) -> str:
-    if isinstance(obj, (np.ndarray, np.generic)):
-        obj = obj.tolist()
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if obj != obj or obj in (float("inf"), float("-inf")):
-            return json.dumps(str(obj))
-        return format(obj, ".17g")
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join("  " * (indent + 1) + _emit(v, indent + 1) for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join("  " * (indent + 1) + json.dumps(str(k)) + ": " + _emit(v, indent + 1)
-                           for k, v in obj.items())
-        return "{\n" + inner + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+def _float(v) -> str:
+    # NaN and +-inf have no JSON literal: they are written as the strings
+    # "nan", "inf" and "-inf"
+    return format(v, ".17g") if math.isfinite(v) else _quote(str(v))
+
+
+# exact built-in scalar types and their text; bool is not an int here
+_SCALARS = {
+    float: _float,
+    str: _quote,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _write_dict(obj, out, pad):
+    if not obj:
+        out.append("{}")
+        return
+    # a dict's pieces are joined when it closes, so only the open dicts'
+    # pieces are held at a time
+    inner = pad + "  "
+    sep = ",\n" + inner
+    parts = []
+    append = parts.append
+    for k, v in obj.items():
+        append(sep)
+        append(_quote(k if type(k) is str else str(k)))
+        append(": ")
+        _write(v, parts, inner)
+    parts[0] = "{\n" + inner
+    append("\n" + pad + "}")
+    out.append("".join(parts))
+
+
+def _write_list(obj, out, pad):
+    if not obj:
+        out.append("[]")
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    first = len(out)
+    append = out.append
+    for v in obj:
+        append(sep)
+        _write(v, out, inner)
+    out[first] = "[\n" + inner
+    append("\n" + pad + "]")
+
+
+def _write(obj, out, pad):
+    """Append the text of ``obj``, whose first line starts after ``pad``, to
+    ``out``.  Exact built-in types are dispatched on first; NumPy values and
+    subclasses of the built-ins follow, checked in this order."""
+    kind = type(obj)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        out.append(scalar(obj))
+    elif kind is dict:
+        _write_dict(obj, out, pad)
+    elif kind is list or kind is tuple:
+        _write_list(obj, out, pad)
+    elif isinstance(obj, (np.ndarray, np.generic)):
+        _write(obj.tolist(), out, pad)
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_float(obj))
+    elif isinstance(obj, (list, tuple)):
+        _write_list(obj, out, pad)
+    elif isinstance(obj, dict):
+        _write_dict(obj, out, pad)
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def render_report(report: dict) -> str:
-    return _emit(report) + "\n"
+    out = []
+    _write(report, out, "")
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +250,7 @@ def _manifold_report(name: str, cfg: RunConfig) -> dict:
                 section["string"] = {kind: dict(rep, entries=[r.as_dict() for r in rep["entries"]])
                                      for kind, rep in reports.items()}
                 rows += [r for rep in reports.values() for r in rep["entries"]]
-    except (GeometryError, np.linalg.LinAlgError) as exc:
+    except (GeometryError, ValueError) as exc:
         raise NumericFailure(name, suite, exc) from exc
 
     # the section passes when every asserted row passes, and so do the
@@ -229,6 +285,8 @@ def run(cfg: RunConfig) -> dict:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# built once per process: parse_args leaves no state on the parser
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ktgeo",
                                 description="curvature identity engine for Hermitian manifolds with torsion")

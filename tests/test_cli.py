@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import subprocess
@@ -384,6 +385,44 @@ def test_singular_chart_field_exits_3_naming_the_manifold_and_suite(capsys):
     assert line.startswith("error: numeric failure on 'singular_j_test_manifold' "
                            "during 'classify': ")
     assert "Singular matrix" in line
+
+
+def test_value_error_in_a_chart_field_exits_3_naming_the_manifold_and_suite(capsys):
+    def failing_metric(p):
+        raise ValueError("user field failed")
+
+    register_manifold(replace(get_manifold("flat_torus_4"), name="value_error_test_manifold",
+                              metric=failing_metric))
+    code = main(["report", "--manifold", "value_error_test_manifold", "--points", "1",
+                 "--out", "/dev/null"])
+    assert code == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == ("error: numeric failure on 'value_error_test_manifold' during "
+                    "'classify': user field failed")
+
+
+def test_the_cached_parser_carries_no_state_between_calls(monkeypatch, tmp_path):
+    built = Counter()
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built["parsers"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["report", "--manifold", "flat_torus_4", "--suite", "identities",
+                 "--points", "1", "--out", str(first)]) == 0
+    after_first = built["parsers"]
+    assert main(["report", "--manifold", "hopf_standard", "--points", "1",
+                 "--out", str(second)]) == 0
+    assert built["parsers"] == after_first  # the second call built no parser
+    rep = json.loads(second.read_text())
+    assert rep["config"]["manifolds"] == ["hopf_standard"]
+    assert rep["config"]["suites"] == list(ktgeo.cli.SUITES)
+    [section] = rep["manifolds"]
+    assert section["name"] == "hopf_standard"
+    assert {"flags", "identities", "dim4", "string"} <= section.keys()
 
 
 def test_classify_and_string_share_each_frame_conversion(monkeypatch, tmp_path):
