@@ -4,10 +4,11 @@ Each identity is evaluated with its two sides built from different formulas
 over shared primitives.  An :class:`Evaluation` computes every primitive
 (the chart fields, the dilaton and the conformal factor among them, torsion,
 the three curvatures, the Lee form, eta = theta - 2 d phi, ...) once per
-manifold and point set, and so does the evaluation on each stencil level that
-a derivative differentiates.  Every derivative is of a primitive, read by
-the primitive's name: ``partial``, the one stencil pass, and ``nabla`` and
-``codiff`` over it.  The two sides are independent because their formulas
+manifold and point set.  Every derivative is of a primitive, read by the
+primitive's name: ``partial`` and ``nabla`` and ``codiff`` over it.  One
+stencil pass takes every ``partial`` an evaluation reads, over an evaluation
+on the stencil set that the pass builds and drops, so only base-point values
+outlive it.  The two sides are independent because their formulas
 differ, so a convention bug cannot cancel; evaluating a pure function twice
 gives identical bits and would add no independence.  Residuals are measured
 by :meth:`Evaluation.residual` as the largest orthonormal-frame component of
@@ -160,24 +161,41 @@ def _distinct_offsets(d: int):
     return _frozen(keep), _frozen(np.where(a <= b, position, twin))
 
 
+def _differentiated(m: HermitianManifold) -> tuple:
+    """The primitives whose ``partial`` a full report reads on base points:
+    the dilaton's where the chart has one, the conformal factor's where it
+    has a conformal parent."""
+    names = ("g", "omega", "koszul", "T", "bismut_coefficients", "chern_coefficients",
+             "theta", "jtheta", "flux_density")
+    if m.dilaton is not None:
+        names += ("phi", "dphi", "eta", "dilaton_flux_density")
+    if m.conformal_parent is not None:
+        names += ("log_factor", "dlog_factor")
+    return names
+
+
 class Evaluation:
     """Every primitive of one manifold at one point set, each computed once.
 
     Every value is computed on first use from the values held for the same
     point set, and then held read-only in one store.  :meth:`partial`, the
-    coordinate derivative of a primitive, is the engine's one stencil site:
-    one central-difference pass over one evaluation on the stencil set
-    around the points, which no other method reads.  Every other
-    derivative is of a primitive too, a formula over its ``partial`` held
-    under the primitive's name: :meth:`nabla` per flavor, :meth:`codiff`, the
-    curvature of each flavor's held coefficients and the flux equation's
-    divergence of a held density.  One set per level: the base points hold
-    the one evaluation on their stencil set, both signs and every direction.
-    On that first level each pass builds one evaluation at the distinct
+    coordinate derivative of a primitive, is the engine's one stencil site.
+    Every other derivative is of a primitive too, a formula over its
+    ``partial`` held under the primitive's name: :meth:`nabla` per flavor,
+    :meth:`codiff`, the curvature of each flavor's held coefficients and the
+    flux equation's divergence of a held density.  ``differentiated`` names
+    the primitives that one central-difference pass takes together, over one
+    evaluation on the stencil set around the points (both signs, every
+    direction), which the pass builds and drops: by default every primitive
+    whose ``partial`` a full report reads on base points, so a run of one
+    suite pays for partials it does not read.  A ``partial`` of any other
+    primitive is a pass of its own.  The first level differentiates ``g``
+    and ``omega`` in one pass over one evaluation at the distinct
     second-level points only, ``2d(d+1)`` of the ``(2d)^2`` around each
-    point, and drops it; every other point reads its twin's values.
+    point, and every other point reads its twin's values.  No evaluation
+    holds another, so only base-point values outlive a pass.
     :meth:`with_structure` starts another complex structure from the
-    metric-only values held here, on the same point sets.  The manifold's
+    metric-only values held here, on the same points.  The manifold's
     dimension must be even and at least 4.  The point set must not be empty
     and must have the manifold's dimension, and the chart domain is checked
     once, on the base points, with the margin the deepest stencil needs;
@@ -185,7 +203,8 @@ class Evaluation:
     read.  :meth:`residual` is the engine's one residual measure.
     """
 
-    def __init__(self, m: HermitianManifold, pts, step: float = DEFAULT_STEP):
+    def __init__(self, m: HermitianManifold, pts, step: float = DEFAULT_STEP,
+                 differentiated=None):
         if m.dim < 4 or m.dim % 2:
             # a complex structure needs an even dimension, and the LCK torsion
             # and the lambda reduction divide by n - 1 in complex dimension n
@@ -202,9 +221,8 @@ class Evaluation:
         m.chart.require_interior(self.pts, STENCIL_DEPTH * step)
         self._values = {}
         self._depth = 0  # stencil levels below the base points
-        # the evaluation on the stencil set around the points, read by
-        # partial alone; held on the base points only
-        self._stencil = None
+        self.differentiated = (_differentiated(m) if differentiated is None
+                               else tuple(differentiated))
 
     def _once(self, key, compute):
         if key not in self._values:
@@ -213,41 +231,45 @@ class Evaluation:
 
     def _derive(self, m, pts, depth, keys=()) -> "Evaluation":
         # starts from the values held here under keys; no domain check: the
-        # base evaluation made it for every stencil depth
+        # base evaluation made it for every stencil depth.  A first level
+        # differentiates g and omega, all that the primitives a base pass
+        # takes there read; a second level differentiates nothing
         ev = Evaluation.__new__(Evaluation)
         ev.m, ev.pts, ev.step = m, _frozen(pts), self.step
         ev._values = {k: self._values[k] for k in keys if k in self._values}
-        ev._depth, ev._stencil = depth, None
+        ev._depth = depth
+        ev.differentiated = ("g", "omega") if depth == 1 else ()
         return ev
 
     def with_structure(self, j_fn) -> "Evaluation":
         """The evaluation of the same metric, points and step with the complex
-        structure ``j_fn``, here and on the held stencil set, starting from
-        the metric-only values held; this one keeps no reference to it."""
+        structure ``j_fn``, starting from the metric-only values held here.
+        It differentiates ``omega`` alone: a structure's torsion and Lee form,
+        all that the HKT checks read of it, differentiate nothing else that
+        depends on ``J``.  Neither evaluation keeps a reference to the other."""
         m = replace(self.m, complex_structure=j_fn, hypercomplex=None)
         keys = ("g", "ginv", "frames", ("partial", "g"), "koszul", ("gamma", "levi_civita"))
         ev = self._derive(m, self.pts, self._depth, keys)
-        if self._stencil is not None:
-            ev._stencil = self._stencil._derive(m, self._stencil.pts, self._stencil._depth, keys)
+        ev.differentiated = ("omega",)
         return ev
 
     def partial(self, attr: str) -> np.ndarray:
-        """``D_d`` of the primitive ``attr`` here, derivative axis first: one
-        central-difference pass over one evaluation on the stencil set,
-        held read-only; the only place a stencil is placed.  On the base
-        points that evaluation is held.  On the first stencil level each
-        pass builds its own, at the distinct second-level points only, and
-        every other point reads its twin.  ``g`` and ``omega`` share one
-        pass unless one is held, so a set is built once."""
+        """``D_d`` of the primitive ``attr`` here, derivative axis first,
+        held read-only; the only place a stencil is placed.  The first
+        ``partial`` of any primitive in ``differentiated`` takes all of them
+        not yet held in one central-difference pass over one evaluation on
+        the stencil set around the points, which the pass drops when it
+        returns; any other primitive is a pass of its own.  On the first
+        stencil level that evaluation is built at the distinct second-level
+        points only, and every other point reads its twin."""
         if ("partial", attr) not in self._values:
-            shared = ("g", "omega") if attr in ("g", "omega") else (attr,)
+            shared = self.differentiated if attr in self.differentiated else (attr,)
             attrs = [a for a in shared if ("partial", a) not in self._values]
 
             def values(p):  # at the stencil set around the points
                 if self._depth == 0:
-                    if self._stencil is None:
-                        self._stencil = self._derive(self.m, p, 1)
-                    return tuple(getattr(self._stencil, a) for a in attrs)
+                    ev = self._derive(self.m, p, 1)
+                    return tuple(getattr(ev, a) for a in attrs)
                 # p is (..., 2, d, 2, d, d): evaluate the distinct offsets,
                 # then lay every offset out from its own value or its twin's
                 d, lead = p.shape[-1], p.shape[:-5]
@@ -405,7 +427,10 @@ class Evaluation:
 
     @_primitive
     def sqrt_det_g(self):
-        return np.sqrt(np.linalg.det(self.g))
+        # a non-finite metric gives NaN quietly here, so the residual that
+        # reads it names the row
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(np.linalg.det(self.g))
 
     @_primitive
     def raised_T(self):
@@ -575,17 +600,19 @@ def evaluation_scope():
         _SCOPE.reset(token)
 
 
-def evaluation(m: HermitianManifold, pts, step: float = DEFAULT_STEP) -> Evaluation:
+def evaluation(m: HermitianManifold, pts, step: float = DEFAULT_STEP,
+               differentiated=None) -> Evaluation:
     """The open scope's evaluation of ``m`` at ``pts``, or a fresh one when no
-    scope is open."""
+    scope is open; a new one differentiates ``differentiated`` in its one
+    pass (see :class:`Evaluation`)."""
     scope = _SCOPE.get()
     if scope is None:
-        return Evaluation(m, pts, step)
+        return Evaluation(m, pts, step, differentiated)
     pts = np.array(pts, dtype=float, ndmin=2)
     # the entry holds m, so id(m) cannot be reused while the scope is open
     key = (id(m), pts.shape, pts.tobytes(), step)
     if key not in scope:
-        scope[key] = Evaluation(m, pts, step)
+        scope[key] = Evaluation(m, pts, step, differentiated)
     return scope[key]
 
 
@@ -754,7 +781,9 @@ def verify_conformal_trace(m: HermitianManifold, pts, step=DEFAULT_STEP,
     if m.conformal_parent is None:
         raise PreconditionError(f"{m.name} has no conformal parent")
     ev = evaluation(m, pts, step)
-    parent = evaluation(m.conformal_parent.parent, ev.pts, step)
+    # the parent's u, Lee form and Levi-Civita coefficients read these
+    parent = evaluation(m.conformal_parent.parent, ev.pts, step,
+                        ("g", "omega", "chern_coefficients"))
     # dF on m's points, and the parent's Laplacian of F from its derivative
     df = 2.0 * ev.dlog_factor
     nab = covariant_derivative_of(2.0 * ev.partial("dlog_factor"), df,

@@ -38,10 +38,12 @@ All conventions used by the rest of the engine are fixed here, once:
   batched matrix product with the connection coefficients per slot.
   Curvature-grade objects nest two stencils, so an evaluation needs a chart
   margin of two steps around each point; the evaluation context checks it
-  once per point set.  For ``a != b`` the nested points
-  ``(x + s h e_a) + t h e_b`` and ``(x + t h e_b) + s h e_a`` are equal bit
-  for bit, so the evaluation context evaluates the fields at only the
-  ``2d(d+1)`` distinct ones of the ``(2d)^2`` second-level points.
+  once per point set.  It takes every derivative a base evaluation reads in
+  one call, a tuple-valued field, and holds no stencil level after it.  For
+  ``a != b`` the nested points ``(x + s h e_a) + t h e_b`` and
+  ``(x + t h e_b) + s h e_a`` are equal bit for bit, so the evaluation
+  context evaluates the fields at only the ``2d(d+1)`` distinct ones of the
+  ``(2d)^2`` second-level points.
 
 Everything here is a pure function of its arguments.  The evaluation context
 (``identities.Evaluation``) computes each shared primitive, and the coordinate

@@ -3,6 +3,7 @@ import gc
 import json
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -276,7 +277,7 @@ def test_report_computes_the_koszul_coefficients_once_per_point_set(monkeypatch,
     code = main(["report", "--manifold", "su2xu1", "--points", "2",
                  "--out", str(tmp_path / "r.json")])
     assert code == 0
-    # the base points and the one stencil set held around them
+    # the base points and the one stencil set of the base pass around them
     assert sorted(s[:-3] for s in shapes) == [(2,), (2, 2, 4)]
 
 
@@ -581,12 +582,13 @@ def _counted(metric, points):
 
 
 # a full 2-point report evaluates each metric at 1 + 2d + 2d(d+1) points per
-# base point: the base points, the held stencil set, and the distinct points of
-# the set around it, built once for the one stencil pass over g and omega
-# (hopf_standard and hopf_hkt count their conformal parent as well; the other
-# two structures of hopf_hkt's triple evaluate no metric of their own)
+# base point: the base points, the stencil set of the base pass, and the
+# distinct points of the set around it, built once for that set's one pass
+# over g and omega (hopf_standard and hopf_hkt count their conformal parent as
+# well; the other two structures of hopf_hkt's triple each evaluate the metric
+# on the stencil set of their own pass over omega, 2d per base point)
 _METRIC_POINTS = {"hopf_standard": 196, "su2xu1": 98, "block_conformal_torus_6": 194,
-                  "hopf_hkt": 196}
+                  "hopf_hkt": 228}
 
 
 @pytest.mark.parametrize("name", _METRIC_POINTS)
@@ -649,6 +651,47 @@ def test_report_builds_one_evaluation_per_stencil_level_and_pass(monkeypatch, tm
     # dilaton and no conformal factor, so g and omega share the only one
     assert derived == [(first, 1), ((2, 40, 4), 2)]
     assert passes.count(first) == 1
+
+
+# the evaluations of a full report: the section's and its conformal parent's,
+# and on hopf_hkt the other two structures of its triple
+@pytest.mark.parametrize("name, evaluations", [("hopf_standard", 2), ("hopf_hkt", 4)])
+def test_report_makes_one_base_pass_per_evaluation(monkeypatch, tmp_path, name, evaluations):
+    callers, passes = [], []
+    real_partial, real_fd = Evaluation.partial, ktgeo.tensor_core.fd_partial
+
+    def partial(self, attr):
+        callers.append(self)
+        try:
+            return real_partial(self, attr)
+        finally:
+            callers.pop()
+
+    def fd_partial(fn, points, step=ktgeo.tensor_core.DEFAULT_STEP):
+        if np.shape(points) == (2, 4):
+            passes.append(callers[-1])  # held, so no two evaluations share an id
+        return real_fd(fn, points, step)
+
+    monkeypatch.setattr(Evaluation, "partial", partial)
+    monkeypatch.setattr(ktgeo.identities, "fd_partial", fd_partial)
+    code = main(["report", "--manifold", name, "--points", "2",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    assert sorted(Counter(map(id, passes)).values()) == [1] * evaluations
+
+
+def test_report_traced_peak_holds_no_stencil_level(tmp_path):
+    # the stencil evaluation of a base pass is dropped when the pass returns;
+    # a first level held for the whole section put this peak at 34.7 MiB
+    tracemalloc.start()
+    try:
+        code = main(["report", "--manifold", "conf_torus_6", "--points", "64",
+                     "--out", str(tmp_path / "r.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 26 * 2**20
 
 
 def test_report_leaves_no_evaluation_alive(monkeypatch, tmp_path):

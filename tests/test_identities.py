@@ -8,12 +8,14 @@ from ktgeo import tensor_core
 from ktgeo.catalog import (
     BoxChart, HermitianManifold, catalog_names, conformal_rescale, get_manifold,
 )
+from ktgeo.classify import classify, vanishing_hypotheses
 from ktgeo.connections import lee_form_routes
 from ktgeo.errors import ContractViolationError, PreconditionError
 from ktgeo.identities import (
-    Evaluation, _distinct_offsets, evaluation, evaluation_scope, run_identity_suite,
+    _SCOPE, Evaluation, _distinct_offsets, evaluation, evaluation_scope, run_identity_suite,
     verify_conformal_trace, verify_dim4,
 )
+from ktgeo.string_eqs import run_string_suite
 
 from conftest import (
     block_conformal_torus_6, codiff_of_field, kahler_form, richardson_ratios, sample,
@@ -335,11 +337,61 @@ def _four_set_partials(m, first, step):
 
 
 @pytest.mark.parametrize("name", ["su2xu1", "block_conformal_torus_6"])
-def test_first_level_partials_equal_the_four_set_reference(name):
+def test_first_level_partials_equal_the_four_set_reference(name, monkeypatch):
     m = block_conformal_torus_6() if name == "block_conformal_torus_6" else get_manifold(name)
+    levels = []
+    real_derive = Evaluation._derive
+
+    def derive(self, m, pts, depth, keys=()):
+        ev = real_derive(self, m, pts, depth, keys)
+        levels.append(ev)
+        return ev
+
+    monkeypatch.setattr(Evaluation, "_derive", derive)
     ev = Evaluation(m, m.sample_points(3, seed=1))
     ev.partial("g")
-    first = ev._stencil
+    # the base pass's first-level evaluation, which the pass itself dropped
+    (first,) = [e for e in levels if e._depth == 1]
     dg, dom = _four_set_partials(m, first.pts, ev.step)
     assert np.array_equal(first.partial("g"), dg)
     assert np.array_equal(first.partial("omega"), dom)
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _arrays(v)
+
+
+@pytest.mark.parametrize("name", ["hopf_standard", "hopf_hkt"])
+def test_evaluations_hold_base_point_values_only(name, monkeypatch):
+    # after every suite, no evaluation holds another or any value on a
+    # stencil level: each held array is one tensor per base point
+    m = get_manifold(name)
+    pts = m.sample_points(3, seed=2)
+    structures = []
+    real_with_structure = Evaluation.with_structure
+
+    def with_structure(self, j_fn):
+        structures.append(real_with_structure(self, j_fn))
+        return structures[-1]
+
+    monkeypatch.setattr(Evaluation, "with_structure", with_structure)
+    with evaluation_scope():
+        classify(m, pts)
+        vanishing_hypotheses(m, pts)
+        run_identity_suite(m, pts)
+        verify_conformal_trace(m, pts)
+        verify_dim4(m, pts)
+        run_string_suite(m, pts)
+        evs = list(_SCOPE.get().values()) + structures
+    # the section's, its conformal parent's and the triple's other structures
+    assert len(evs) == (4 if m.hypercomplex else 2)
+    for ev in evs:
+        assert not [k for k, v in vars(ev).items() if isinstance(v, Evaluation)]
+        assert ("partial", "omega") in ev._values
+        for key, value in ev._values.items():
+            for a in _arrays(value):
+                assert a.shape[0] == 3 and set(a.shape[1:]) <= {m.dim}, (key, a.shape)
