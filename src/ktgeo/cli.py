@@ -7,7 +7,8 @@ Verbs:
   more manifolds and writes a JSON report to ``--out`` or stdout; ``all``
   stands for the whole catalog, and each manifold is reported once, in order
   of first appearance.
-- ``ktgeo suite --all`` runs every manifold through every suite.
+- ``ktgeo suite --all`` runs every manifold through every suite: it is
+  ``report --manifold all`` with every suite.
 
 Exit status: 0 when every asserted check passes, 1 when a residual fails,
 2 for an unknown manifold, an invalid configuration or an unwritable report,
@@ -18,8 +19,9 @@ Reports are deterministic: identical configurations produce byte-identical
 documents, so independent runs (and independent implementations following the
 same conventions) can be diffed directly.  The layout is that of
 ``json.dumps(report, indent=2)``: ASCII-only, keys in a fixed order.  Finite
-floats are written with 17 significant digits (``format(v, ".17g")``), which
-read back exactly; NaN and +-inf are written as the strings ``"nan"``,
+floats are written with 17 significant digits (``format(v, ".17g")``), and
+with ``.0`` appended where that text has neither ``.`` nor ``e``, so they read
+back exactly and as floats; NaN and +-inf are written as the strings ``"nan"``,
 ``"inf"`` and ``"-inf"``.  NumPy scalars and arrays are written as their
 ``tolist()``.
 """
@@ -64,13 +66,13 @@ CONVENTIONS = {
 @dataclass(frozen=True)
 class RunConfig:
     manifolds: tuple
-    points: int = 32
-    seed: int = 0
-    step: float = DEFAULT_STEP
-    tol_identity: float = None
-    tol_classify: float = DEFAULT_CLASSIFY_TOL
-    suites: tuple = SUITES
-    out: str = None
+    points: int
+    seed: int
+    step: float
+    tol_identity: float
+    tol_classify: float
+    suites: tuple
+    out: str
 
     def validate(self):
         if self.points < 1:
@@ -79,9 +81,6 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
         if not (1e-8 < self.step < 1e-1):
             raise ValueError("step must lie in (1e-8, 1e-1)")
-        for s in self.suites:
-            if s not in SUITES:
-                raise ValueError(f"unknown suite {s!r}; choose from {SUITES}")
         for name in ("tol_identity", "tol_classify"):
             tol = getattr(self, name)
             if tol is not None and not 0 < tol < float("inf"):
@@ -103,9 +102,6 @@ class NumericFailure(Exception):
         kind = ("contract violation" if isinstance(original, ContractViolationError)
                 else "numeric failure")
         super().__init__(f"{kind} on {manifold!r} during {suite!r}: {original}")
-        self.manifold = manifold
-        self.suite = suite
-        self.original = original
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +111,11 @@ class NumericFailure(Exception):
 def _float(v) -> str:
     # NaN and +-inf have no JSON literal: they are written as the strings
     # "nan", "inf" and "-inf"
-    return format(v, ".17g") if math.isfinite(v) else _quote(str(v))
+    if not math.isfinite(v):
+        return _quote(str(v))
+    text = format(v, ".17g")
+    # an integral float ("0", "-0", "1") gains ".0", so it reads back as a float
+    return text if "." in text or "e" in text else text + ".0"
 
 
 # exact built-in scalar types and their text; bool is not an int here
@@ -210,9 +210,7 @@ def _identity_dicts(rows) -> list:
             for r in rows]
 
 
-def _manifold_report(name: str, cfg: RunConfig) -> dict:
-    m = get_manifold(name)
-    section = {"name": name, "dim": m.dim, "chart": m.chart.describe()}
+def _manifold_report(m, cfg: RunConfig) -> dict:
     tol = TOL_CURVATURE if cfg.tol_identity is None else cfg.tol_identity
     rows = []
 
@@ -220,6 +218,7 @@ def _manifold_report(name: str, cfg: RunConfig) -> dict:
     # and nothing computed here outlives the section
     suite = "sampling"
     try:
+        section = {"name": m.name, "dim": m.dim, "chart": m.chart.describe()}
         pts = m.sample_points(cfg.points, cfg.seed, margin=max(0.05, 3 * cfg.step))
         with evaluation_scope():
             if "classify" in cfg.suites:
@@ -251,7 +250,7 @@ def _manifold_report(name: str, cfg: RunConfig) -> dict:
                                      for kind, rep in reports.items()}
                 rows += [r for rep in reports.values() for r in rep["entries"]]
     except (GeometryError, ValueError) as exc:
-        raise NumericFailure(name, suite, exc) from exc
+        raise NumericFailure(m.name, suite, exc) from exc
 
     # the section passes when every asserted row passes, and so do the
     # taxonomy implications and the HKT bit where classify ran
@@ -269,9 +268,8 @@ def run(cfg: RunConfig) -> dict:
     # in order of first appearance
     names = list(dict.fromkeys(n for name in cfg.manifolds
                                for n in (catalog_names() if name == "all" else (name,))))
-    for n in names:
-        get_manifold(n)  # fail fast on unknown names
-    sections = [_manifold_report(n, cfg) for n in names]
+    manifolds = [get_manifold(n) for n in names]  # fail fast on unknown names
+    sections = [_manifold_report(m, cfg) for m in manifolds]
     report = {
         "config": cfg.as_dict(),
         "conventions": dict(CONVENTIONS),
@@ -313,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     full = sub.add_parser("suite", help="run every manifold through every suite")
     full.add_argument("--all", action="store_true", required=True)
+    full.set_defaults(manifold=["all"], suite=None)
     add_common(full)
     return p
 
@@ -324,16 +323,10 @@ def main(argv=None) -> int:
             print(name)
         return 0
 
-    if args.command == "report":
-        manifolds = tuple(args.manifold)
-        suites = tuple(args.suite) if args.suite else SUITES
-    else:
-        manifolds = ("all",)
-        suites = SUITES
-
-    cfg = RunConfig(manifolds=manifolds, points=args.points, seed=args.seed,
+    cfg = RunConfig(manifolds=tuple(args.manifold), points=args.points, seed=args.seed,
                     step=args.step, tol_identity=args.tol_identity,
-                    tol_classify=args.tol_classify, suites=suites, out=args.out)
+                    tol_classify=args.tol_classify,
+                    suites=tuple(args.suite) if args.suite else SUITES, out=args.out)
     try:
         cfg.validate()
     except ValueError as exc:

@@ -188,7 +188,8 @@ class Evaluation:
     evaluation on the stencil set around the points (both signs, every
     direction), which the pass builds and drops: by default every primitive
     whose ``partial`` a full report reads on base points, so a run of one
-    suite pays for partials it does not read.  A ``partial`` of any other
+    suite pays for partials it does not read; the evaluations that
+    :func:`evaluation` shares take that default.  A ``partial`` of any other
     primitive is a pass of its own.  The first level differentiates ``g``
     and ``omega`` in one pass over one evaluation at the distinct
     second-level points only, ``2d(d+1)`` of the ``(2d)^2`` around each
@@ -600,19 +601,17 @@ def evaluation_scope():
         _SCOPE.reset(token)
 
 
-def evaluation(m: HermitianManifold, pts, step: float = DEFAULT_STEP,
-               differentiated=None) -> Evaluation:
+def evaluation(m: HermitianManifold, pts, step: float = DEFAULT_STEP) -> Evaluation:
     """The open scope's evaluation of ``m`` at ``pts``, or a fresh one when no
-    scope is open; a new one differentiates ``differentiated`` in its one
-    pass (see :class:`Evaluation`)."""
+    scope is open."""
     scope = _SCOPE.get()
     if scope is None:
-        return Evaluation(m, pts, step, differentiated)
+        return Evaluation(m, pts, step)
     pts = np.array(pts, dtype=float, ndmin=2)
     # the entry holds m, so id(m) cannot be reused while the scope is open
     key = (id(m), pts.shape, pts.tobytes(), step)
     if key not in scope:
-        scope[key] = Evaluation(m, pts, step, differentiated)
+        scope[key] = Evaluation(m, pts, step)
     return scope[key]
 
 
@@ -781,8 +780,9 @@ def verify_conformal_trace(m: HermitianManifold, pts, step=DEFAULT_STEP,
     if m.conformal_parent is None:
         raise PreconditionError(f"{m.name} has no conformal parent")
     ev = evaluation(m, pts, step)
-    # the parent's u, Lee form and Levi-Civita coefficients read these
-    parent = evaluation(m.conformal_parent.parent, ev.pts, step,
+    # no other suite reads the parent, so it is not shared and is freed with
+    # this row; its u, Lee form and Levi-Civita coefficients read these
+    parent = Evaluation(m.conformal_parent.parent, ev.pts, step,
                         ("g", "omega", "chern_coefficients"))
     # dF on m's points, and the parent's Laplacian of F from its derivative
     df = 2.0 * ev.dlog_factor

@@ -228,6 +228,31 @@ def test_empty_sampling_window_exits_3_naming_the_manifold(capsys):
                     "'sampling': margin leaves an empty sampling window")
 
 
+class _UndescribedChart(BoxChart):
+    def describe(self):
+        raise ValueError("describe failed")
+
+
+def test_chart_description_failure_exits_3_naming_the_manifold(capsys):
+    register_manifold(HermitianManifold(
+        name="undescribed_test_manifold",
+        chart=_UndescribedChart(lows=(0.0,) * 4, highs=(2 * np.pi,) * 4),
+        metric=_const_field(np.eye(4)), complex_structure=_const_field(_block_j(4))))
+    code = main(["report", "--manifold", "undescribed_test_manifold", "--points", "1",
+                 "--out", "/dev/null"])
+    assert code == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == ("error: numeric failure on 'undescribed_test_manifold' during "
+                    "'sampling': describe failed")
+
+
+def test_suite_all_is_report_manifold_all(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["suite", "--all", "--points", "2", "--out", str(a)]) == 0
+    assert main(["report", "--manifold", "all", "--points", "2", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_suite_all_runs_everything(tmp_path):
     out_file = tmp_path / "suite.json"
     code = main(["suite", "--all", "--points", "4", "--out", str(out_file)])

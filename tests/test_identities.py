@@ -12,7 +12,7 @@ from ktgeo.classify import classify, vanishing_hypotheses
 from ktgeo.connections import lee_form_routes
 from ktgeo.errors import ContractViolationError, PreconditionError
 from ktgeo.identities import (
-    _SCOPE, Evaluation, _distinct_offsets, evaluation, evaluation_scope, run_identity_suite,
+    Evaluation, _distinct_offsets, evaluation, evaluation_scope, run_identity_suite,
     verify_conformal_trace, verify_dim4,
 )
 from ktgeo.string_eqs import run_string_suite
@@ -365,28 +365,40 @@ def _arrays(value):
             yield from _arrays(v)
 
 
-@pytest.mark.parametrize("name", ["hopf_standard", "hopf_hkt"])
-def test_evaluations_hold_base_point_values_only(name, monkeypatch):
-    # after every suite, no evaluation holds another or any value on a
-    # stencil level: each held array is one tensor per base point
-    m = get_manifold(name)
-    pts = m.sample_points(3, seed=2)
-    structures = []
-    real_with_structure = Evaluation.with_structure
+def _section_evaluations(m, pts):
+    """Every evaluation that the suites of one report section build on ``m``
+    at ``pts``: the section's, its conformal parent's and the triple's other
+    structures, captured as they are made."""
+    evs = []
+    real_init, real_with_structure = Evaluation.__init__, Evaluation.with_structure
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        evs.append(self)
 
     def with_structure(self, j_fn):
-        structures.append(real_with_structure(self, j_fn))
-        return structures[-1]
+        evs.append(real_with_structure(self, j_fn))
+        return evs[-1]
 
-    monkeypatch.setattr(Evaluation, "with_structure", with_structure)
-    with evaluation_scope():
+    with pytest.MonkeyPatch.context() as mp, evaluation_scope():
+        mp.setattr(Evaluation, "__init__", init)
+        mp.setattr(Evaluation, "with_structure", with_structure)
         classify(m, pts)
         vanishing_hypotheses(m, pts)
         run_identity_suite(m, pts)
-        verify_conformal_trace(m, pts)
+        if m.conformal_parent is not None:
+            verify_conformal_trace(m, pts)
         verify_dim4(m, pts)
         run_string_suite(m, pts)
-        evs = list(_SCOPE.get().values()) + structures
+    return evs
+
+
+@pytest.mark.parametrize("name", ["hopf_standard", "hopf_hkt"])
+def test_evaluations_hold_base_point_values_only(name):
+    # after every suite, no evaluation holds another or any value on a
+    # stencil level: each held array is one tensor per base point
+    m = get_manifold(name)
+    evs = _section_evaluations(m, m.sample_points(3, seed=2))
     # the section's, its conformal parent's and the triple's other structures
     assert len(evs) == (4 if m.hypercomplex else 2)
     for ev in evs:
@@ -395,3 +407,20 @@ def test_evaluations_hold_base_point_values_only(name, monkeypatch):
         for key, value in ev._values.items():
             for a in _arrays(value):
                 assert a.shape[0] == 3 and set(a.shape[1:]) <= {m.dim}, (key, a.shape)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_held_values_do_not_depend_on_the_batch(name):
+    # each point's values are bitwise those of the point alone, so a section
+    # run over chunks of its points could give the one-batch report
+    m = get_manifold(name)
+    pts = m.sample_points(16, seed=0)
+    whole = _section_evaluations(m, pts)
+    for size in (1, 7):
+        chunks = [_section_evaluations(m, pts[i:i + size]) for i in range(0, len(pts), size)]
+        for k, ev in enumerate(whole):
+            for key, value in ev._values.items():
+                parts = [list(_arrays(chunk[k]._values[key])) for chunk in chunks]
+                for j, a in enumerate(_arrays(value)):
+                    joined = np.concatenate([part[j] for part in parts])
+                    assert np.array_equal(joined, a), (size, key)
