@@ -12,13 +12,12 @@ from .catalog import (
     HermitianManifold, catalog_names, conformal_rescale, get_manifold,
     register_manifold,
 )
-from .classify import StructureFlags, check_hkt, vanishing_hypotheses
+from .classify import StructureFlags, check_hkt, structure_flags, vanishing_hypotheses
 from .errors import (
     ChartDomainError, ContractViolationError, ConventionError, GeometryError,
     NumericError, PreconditionError, UnknownManifoldError,
 )
 from .identities import (
-    Evaluation, Row, evaluation, evaluation_scope, run_identity_suite, verify_conformal_trace,
-    verify_dim4,
+    Evaluation, Row, run_identity_suite, verify_conformal_trace, verify_dim4,
 )
 from .string_eqs import run_string_suite

@@ -16,11 +16,12 @@ import numpy as np
 
 from .catalog import HermitianManifold, quaternion_residual
 from .errors import PreconditionError
-from .identities import Evaluation, evaluation, evaluation_scope
+from .identities import Evaluation
 from .tensor_core import DEFAULT_STEP, to_frame
 
 __all__ = ["FLAGS", "IMPLICATIONS", "Flags", "StructureFlags", "HktFlags", "classify",
-           "check_hkt", "measure_flags", "vanishing_hypotheses", "DEFAULT_CLASSIFY_TOL"]
+           "structure_flags", "check_hkt", "measure_flags", "vanishing_hypotheses",
+           "DEFAULT_CLASSIFY_TOL"]
 
 DEFAULT_CLASSIFY_TOL = 1e-5
 
@@ -88,24 +89,29 @@ def measure_flags(ev: Evaluation, flags=TAXONOMY) -> dict:
     return {name: ev.magnitude(attr) for flag in flags for name, attr in FLAGS[flag].items()}
 
 
-def classify(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
-             step: float = DEFAULT_STEP) -> StructureFlags:
-    """Taxonomy flags with their supporting residuals at the sampled points;
-    every flag, and the HKT bit of a triple, is measured and read from its row
-    of ``FLAGS`` under ``tol``, none from the manifold's declaration."""
-    with evaluation_scope():
-        res = measure_flags(evaluation(m, pts, step))
-        hkt = check_hkt(m, pts, tol=tol, step=step) if m.hypercomplex is not None else None
+def structure_flags(ev: Evaluation, tol: float = DEFAULT_CLASSIFY_TOL) -> StructureFlags:
+    """Taxonomy flags with their supporting residuals on ``ev``; every flag,
+    and the HKT bit of a triple, is measured and read from its row of
+    ``FLAGS`` under ``tol``, none from the manifold's declaration.  The
+    taxonomy is measured first, so the triple's structures start from the
+    metric-only values it holds."""
+    res = measure_flags(ev)
+    hkt = check_hkt(ev, tol) if ev.m.hypercomplex is not None else None
     return StructureFlags(res, tol, hkt)
 
 
-def check_hkt(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
-              step: float = DEFAULT_STEP) -> HktFlags:
+def classify(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
+             step: float = DEFAULT_STEP) -> StructureFlags:
+    """The :func:`structure_flags` of ``m`` at the sampled points."""
+    return structure_flags(Evaluation(m, pts, step), tol)
+
+
+def check_hkt(ev: Evaluation, tol: float = DEFAULT_CLASSIFY_TOL) -> HktFlags:
     """Quaternion relations, common Bismut torsion, and Lee-form equality of
-    a hypercomplex triple."""
+    the hypercomplex triple of the manifold of ``ev``."""
+    m = ev.m
     if m.hypercomplex is None:
         raise PreconditionError(f"{m.name} carries no hypercomplex triple")
-    ev = evaluation(m, pts, step)
     evs = [ev] + [ev.with_structure(j_fn) for j_fn in m.hypercomplex]
     quat = quaternion_residual([e.J for e in evs])
     pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
@@ -114,15 +120,14 @@ def check_hkt(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
     return HktFlags(dict(zip(FLAGS["hkt"], (quat, t_match, l_match))), tol)
 
 
-def vanishing_hypotheses(m: HermitianManifold, pts, step: float = DEFAULT_STEP) -> dict:
-    """Checkable hypotheses of the vanishing statements:
+def vanishing_hypotheses(ev: Evaluation) -> dict:
+    """Checkable hypotheses of the vanishing statements on ``ev``:
 
     - ``plurigenera_margin``: min over points of ``b + |C|^2 - h/2`` (the
       plurigenera statement needs this positive);
     - ``quad_form_min_eig``: min eigenvalue over points of the symmetric form
       ``<<X,Y>> = rho^{1,1}(JX,Y) + <i_X C, i_Y C> - lambda(JX,Y)/4``.
     """
-    ev = evaluation(m, pts, step)
     quad_f = to_frame(ev.mean_curvature_form, ev.frames, 2)
     quad_f = 0.5 * (quad_f + np.swapaxes(quad_f, -1, -2))
     return {"plurigenera_margin": float(np.min(ev.mean_curvature_trace)),

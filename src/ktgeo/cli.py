@@ -39,10 +39,10 @@ import numpy as np
 
 from . import __version__
 from .catalog import catalog_names, get_manifold
-from .classify import DEFAULT_CLASSIFY_TOL, classify, vanishing_hypotheses
+from .classify import DEFAULT_CLASSIFY_TOL, structure_flags, vanishing_hypotheses
 from .errors import ContractViolationError, GeometryError, UnknownManifoldError
 from .identities import (
-    TOL_CURVATURE, evaluation_scope, run_identity_suite, verify_conformal_trace, verify_dim4,
+    TOL_CURVATURE, Evaluation, run_identity_suite, verify_conformal_trace, verify_dim4,
 )
 from .string_eqs import run_string_suite
 from .tensor_core import DEFAULT_STEP
@@ -214,41 +214,41 @@ def _manifold_report(m, cfg: RunConfig) -> dict:
     tol = TOL_CURVATURE if cfg.tol_identity is None else cfg.tol_identity
     rows = []
 
-    # one evaluation context per section: every suite shares its primitives,
-    # and nothing computed here outlives the section
+    # one evaluation per section, handed to every suite: they share its
+    # primitives, and nothing computed here outlives the section
     suite = "sampling"
     try:
         section = {"name": m.name, "dim": m.dim, "chart": m.chart.describe()}
         pts = m.sample_points(cfg.points, cfg.seed, margin=max(0.05, 3 * cfg.step))
-        with evaluation_scope():
-            if "classify" in cfg.suites:
-                suite = "classify"
-                flags = classify(m, pts, tol=cfg.tol_classify, step=cfg.step)
-                section["flags"] = flags.as_dict()
-                section["vanishing_hypotheses"] = vanishing_hypotheses(m, pts, cfg.step)
-                # taxonomy implications are engine-consistency assertions
-                section["taxonomy_implications"] = flags.taxonomy_implications
+        ev = Evaluation(m, pts, cfg.step)
+        if "classify" in cfg.suites:
+            suite = "classify"
+            flags = structure_flags(ev, cfg.tol_classify)
+            section["flags"] = flags.as_dict()
+            section["vanishing_hypotheses"] = vanishing_hypotheses(ev)
+            # taxonomy implications are engine-consistency assertions
+            section["taxonomy_implications"] = flags.taxonomy_implications
 
-            if "identities" in cfg.suites:
-                suite = "identities"
-                identities = run_identity_suite(m, pts, cfg.step, tol)
-                if m.conformal_parent is not None:
-                    identities.append(verify_conformal_trace(m, pts, cfg.step, tol))
-                section["identities"] = _identity_dicts(identities)
-                rows += identities
+        if "identities" in cfg.suites:
+            suite = "identities"
+            identities = run_identity_suite(ev, tol)
+            if m.conformal_parent is not None:
+                identities.append(verify_conformal_trace(ev, tol))
+            section["identities"] = _identity_dicts(identities)
+            rows += identities
 
-            if "dim4" in cfg.suites:
-                suite = "dim4"
-                dim4 = verify_dim4(m, pts, cfg.step, tol)
-                section["dim4"] = _identity_dicts(dim4)
-                rows += dim4
+        if "dim4" in cfg.suites:
+            suite = "dim4"
+            dim4 = verify_dim4(ev, tol)
+            section["dim4"] = _identity_dicts(dim4)
+            rows += dim4
 
-            if "string" in cfg.suites:
-                suite = "string"
-                reports = run_string_suite(m, pts, cfg.step, hyp_tol=cfg.tol_classify)
-                section["string"] = {kind: dict(rep, entries=[r.as_dict() for r in rep["entries"]])
-                                     for kind, rep in reports.items()}
-                rows += [r for rep in reports.values() for r in rep["entries"]]
+        if "string" in cfg.suites:
+            suite = "string"
+            reports = run_string_suite(ev, cfg.tol_classify)
+            section["string"] = {kind: dict(rep, entries=[r.as_dict() for r in rep["entries"]])
+                                 for kind, rep in reports.items()}
+            rows += [r for rep in reports.values() for r in rep["entries"]]
     except (GeometryError, ValueError) as exc:
         raise NumericFailure(m.name, suite, exc) from exc
 

@@ -4,19 +4,21 @@ Each identity is evaluated with its two sides built from different formulas
 over shared primitives.  An :class:`Evaluation` computes every primitive
 (the chart fields, the dilaton and the conformal factor among them, torsion,
 the three curvatures, the Lee form, eta = theta - 2 d phi, ...) once per
-manifold and point set.  Every derivative is of a primitive, read by the
-primitive's name: ``partial`` and ``nabla`` and ``codiff`` over it.  One
-stencil pass takes every ``partial`` an evaluation reads, over an evaluation
-on the stencil set that the pass builds and drops, so only base-point values
-outlive it.  The two sides are independent because their formulas
-differ, so a convention bug cannot cancel; evaluating a pure function twice
-gives identical bits and would add no independence.  Residuals are measured
-by :meth:`Evaluation.residual` as the largest orthonormal-frame component of
-the difference, which keeps them scale-honest across charts.
+manifold and point set; a report section builds one and hands it to every
+suite.  Every derivative is of a primitive, read by the primitive's name:
+``partial`` and ``nabla`` and ``codiff`` over it.  One stencil pass takes
+every ``partial`` an evaluation reads, over an evaluation on the stencil set
+that the pass builds and drops, so only base-point values outlive it.  The
+two sides are independent because their formulas differ, so a convention bug
+cannot cancel; evaluating a pure function twice gives identical bits and
+would add no independence.  Residuals are measured by
+:meth:`Evaluation.residual` as the largest orthonormal-frame component of the
+difference, which keeps them scale-honest across charts.
 
 Every suite is a generator of ``(name, lhs - rhs, order, status)`` rows over
-one evaluation, ``order`` the row's stencil nesting depth; :func:`measure_rows`
-turns each into a :class:`Row`, the one row type of a report.
+the evaluation it takes, ``order`` the row's stencil nesting depth;
+:func:`measure_rows` turns each into a :class:`Row`, the one row type of a
+report.
 
 Identity names (stable keys used in reports and tests):
 
@@ -52,8 +54,6 @@ keeps 1e-6 where ``tol`` is larger.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -76,7 +76,7 @@ from .tensor_core import (
 )
 
 __all__ = [
-    "Evaluation", "evaluation", "evaluation_scope", "STENCIL_DEPTH", "Row", "measure_rows",
+    "Evaluation", "STENCIL_DEPTH", "Row", "measure_rows",
     "run_identity_suite", "verify_dim4", "verify_conformal_trace",
     "TOL_CURVATURE", "TOL_FIRST_ORDER",
 ]
@@ -161,6 +161,11 @@ def _distinct_offsets(d: int):
     return _frozen(keep), _frozen(np.where(a <= b, position, twin))
 
 
+# the primitives read off the chart fields (omega from g and J): on the first
+# stencil level, what a base pass takes reads the partials of these alone
+_LEAVES = ("g", "omega", "phi", "log_factor")
+
+
 def _differentiated(m: HermitianManifold) -> tuple:
     """The primitives whose ``partial`` a full report reads on base points:
     the dilaton's where the chart has one, the conformal factor's where it
@@ -188,10 +193,10 @@ class Evaluation:
     evaluation on the stencil set around the points (both signs, every
     direction), which the pass builds and drops: by default every primitive
     whose ``partial`` a full report reads on base points, so a run of one
-    suite pays for partials it does not read; the evaluations that
-    :func:`evaluation` shares take that default.  A ``partial`` of any other
-    primitive is a pass of its own.  The first level differentiates ``g``
-    and ``omega`` in one pass over one evaluation at the distinct
+    suite pays for partials it does not read.  A ``partial`` of any other
+    primitive is a pass of its own.  The first level differentiates the
+    leaves that ``differentiated`` names, of ``g``, ``omega``, ``phi`` and
+    ``log_factor``, in one pass over one evaluation at the distinct
     second-level points only, ``2d(d+1)`` of the ``(2d)^2`` around each
     point, and every other point reads its twin's values.  No evaluation
     holds another, so only base-point values outlive a pass.
@@ -233,13 +238,14 @@ class Evaluation:
     def _derive(self, m, pts, depth, keys=()) -> "Evaluation":
         # starts from the values held here under keys; no domain check: the
         # base evaluation made it for every stencil depth.  A first level
-        # differentiates g and omega, all that the primitives a base pass
-        # takes there read; a second level differentiates nothing
+        # differentiates the leaves that this evaluation's tuple names; a
+        # second level differentiates nothing
         ev = Evaluation.__new__(Evaluation)
         ev.m, ev.pts, ev.step = m, _frozen(pts), self.step
         ev._values = {k: self._values[k] for k in keys if k in self._values}
         ev._depth = depth
-        ev.differentiated = ("g", "omega") if depth == 1 else ()
+        ev.differentiated = (tuple(a for a in self.differentiated if a in _LEAVES)
+                             if depth == 1 else ())
         return ev
 
     def with_structure(self, j_fn) -> "Evaluation":
@@ -583,38 +589,6 @@ class Evaluation:
         return self.residual(attr, attr)[0]
 
 
-_SCOPE = ContextVar("ktgeo_evaluation_scope", default=None)
-
-
-@contextmanager
-def evaluation_scope():
-    """Share one :class:`Evaluation` per (manifold, points, step) among the
-    calls made inside the scope.  A nested scope joins the open one; the
-    evaluations are released when the outermost scope closes."""
-    if _SCOPE.get() is not None:
-        yield
-        return
-    token = _SCOPE.set({})
-    try:
-        yield
-    finally:
-        _SCOPE.reset(token)
-
-
-def evaluation(m: HermitianManifold, pts, step: float = DEFAULT_STEP) -> Evaluation:
-    """The open scope's evaluation of ``m`` at ``pts``, or a fresh one when no
-    scope is open."""
-    scope = _SCOPE.get()
-    if scope is None:
-        return Evaluation(m, pts, step)
-    pts = np.array(pts, dtype=float, ndmin=2)
-    # the entry holds m, so id(m) cannot be reused while the scope is open
-    key = (id(m), pts.shape, pts.tobytes(), step)
-    if key not in scope:
-        scope[key] = Evaluation(m, pts, step)
-    return scope[key]
-
-
 def measure_rows(ev: Evaluation, rows, tol=TOL_CURVATURE, tol_first=TOL_FIRST_ORDER) -> list:
     """The :class:`Row` of each ``(name, diff, order, status)`` row, each
     measured by :meth:`Evaluation.residual`, with the tolerance ``tol`` at
@@ -711,10 +685,9 @@ def _identity_rows(ev: Evaluation):
     yield "u_trace_formula", 2.0 * ev.u - ev.mean_curvature_trace, 2, ASSERTED
 
 
-def run_identity_suite(m: HermitianManifold, pts, step=DEFAULT_STEP, tol=TOL_CURVATURE) -> list:
-    """The rows of every curvature identity, in report order, under the
-    identity tolerance ``tol`` (``--tol-identity``)."""
-    ev = evaluation(m, pts, step)
+def run_identity_suite(ev: Evaluation, tol=TOL_CURVATURE) -> list:
+    """The rows of every curvature identity on ``ev``, in report order, under
+    the identity tolerance ``tol`` (``--tol-identity``)."""
     return measure_rows(ev, _identity_rows(ev), tol)
 
 
@@ -722,15 +695,14 @@ def run_identity_suite(m: HermitianManifold, pts, step=DEFAULT_STEP, tol=TOL_CUR
 # dimension-four chain and the conformally Kaehler reduction
 # ---------------------------------------------------------------------------
 
-def verify_dim4(m: HermitianManifold, pts, step=DEFAULT_STEP, tol=TOL_CURVATURE) -> list:
+def verify_dim4(ev: Evaluation, tol=TOL_CURVATURE) -> list:
     """The rows of the dimension-four duality and the LCK reduction of
-    lambda, under the identity tolerance ``tol`` as in
+    lambda on ``ev``, under the identity tolerance ``tol`` as in
     :func:`run_identity_suite`.  The reduction holds where T has the LCK
     shape T = J theta ^ omega / (n-1), which every Hermitian surface has; its
     row is ``skipped``, with the reason, where the measured ``lck_defect``
     exceeds ``TOL_FIRST_ORDER``, the default tolerance of the duality row,
     which asserts the same difference in dimension 4."""
-    ev = evaluation(m, pts, step)
     return measure_rows(ev, _dim4_rows(ev), tol)
 
 
@@ -770,19 +742,18 @@ def _dim4_rows(ev: Evaluation):
     yield "lck_lambda_reduction", lhs - rhs, 2, ASSERTED
 
 
-def verify_conformal_trace(m: HermitianManifold, pts, step=DEFAULT_STEP,
-                           tol=TOL_CURVATURE) -> Row:
-    """The row of the conformal change of the Chern trace u between a
-    manifold and its conformal parent, with the geometer's Laplacian
+def verify_conformal_trace(ev: Evaluation, tol=TOL_CURVATURE) -> Row:
+    """The row of the conformal change of the Chern trace u between the
+    manifold of ``ev`` and its conformal parent, with the geometer's Laplacian
     (codiff d) on the parent, under the identity tolerance ``tol`` as in
     :func:`run_identity_suite`.  The catalog factor f corresponds to a
     rescale by exp(2 f), so the factor entering the formula is F = 2 f."""
+    m = ev.m
     if m.conformal_parent is None:
         raise PreconditionError(f"{m.name} has no conformal parent")
-    ev = evaluation(m, pts, step)
     # no other suite reads the parent, so it is not shared and is freed with
     # this row; its u, Lee form and Levi-Civita coefficients read these
-    parent = Evaluation(m.conformal_parent.parent, ev.pts, step,
+    parent = Evaluation(m.conformal_parent.parent, ev.pts, ev.step,
                         ("g", "omega", "chern_coefficients"))
     # dF on m's points, and the parent's Laplacian of F from its derivative
     df = 2.0 * ev.dlog_factor

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .catalog import HermitianManifold
 from .classify import DEFAULT_CLASSIFY_TOL, Flags, measure_flags
-from .identities import ASSERTED, HYPOTHESIS_FAILED, INFO, Evaluation, evaluation, measure_rows
-from .tensor_core import DEFAULT_STEP, interior_product, slotwise
+from .identities import ASSERTED, HYPOTHESIS_FAILED, INFO, Evaluation, measure_rows
+from .tensor_core import interior_product, slotwise
 
 __all__ = ["run_string_suite", "TOL_STRING"]
 
@@ -94,13 +93,12 @@ def _string_rows(ev: Evaluation, gradient: bool, sol: str, su_indicator: bool):
                neta - 0.5 * ev.codiff("theta")[..., None, None] * ev.g, 2, sol)
 
 
-def run_string_suite(m: HermitianManifold, pts, step=DEFAULT_STEP,
-                     hyp_tol=DEFAULT_CLASSIFY_TOL) -> dict:
-    """The string sector of one manifold at the points, under
+def run_string_suite(ev: Evaluation, hyp_tol=DEFAULT_CLASSIFY_TOL) -> dict:
+    """The string sector of the manifold of ``ev`` at its points, under
     ``constant_dilaton``, and under ``gradient_dilaton`` for the manifold's
     own dilaton when it carries one: each a dict of ``constant_dilaton``,
     ``hypothesis_ok``, ``th1_consistency`` and ``entries``, the rows of
-    ``_string_rows`` over one evaluation as measured by ``measure_rows`` at
+    ``_string_rows`` over ``ev`` as measured by ``measure_rows`` at
     ``TOL_STRING``.  The eta form itself is not reported; it is the held
     primitive ``Evaluation.eta`` (the Lee form for a constant dilaton).
 
@@ -112,8 +110,6 @@ def run_string_suite(m: HermitianManifold, pts, step=DEFAULT_STEP,
     The divergence-form agreement is an identity and asserted everywhere.
     The supersymmetry residual |theta - 2 d phi| is asserted for the
     manifold's dilaton and informational for the constant one."""
-    ev = evaluation(m, pts, step)
-
     flags = Flags(measure_flags(ev, ("strong_kt", "su_holonomy_indicator")), hyp_tol)
     hyp = {"strong_residual": flags.residual("strong_kt"),
            "su_residual": flags.residual("su_holonomy_indicator"),
@@ -129,7 +125,7 @@ def run_string_suite(m: HermitianManifold, pts, step=DEFAULT_STEP,
     th1["agree"] = (th1["scal_zero"] == th1["ric_zero"]) if hyp["ok"] else None
 
     dilatons = {"constant_dilaton": False}
-    if m.dilaton is not None:
+    if ev.m.dilaton is not None:
         dilatons["gradient_dilaton"] = True
     return {kind: {"constant_dilaton": not gradient, "hypothesis_ok": hyp["ok"],
                    "th1_consistency": th1,

@@ -54,7 +54,7 @@ def alt(t, valence):
 def richardson_ratios(m, pts, h=4e-3):
     """Each identity residual at step ``h`` over the one at ``h / 2``: near 4
     where second-order truncation dominates, inf where both are at roundoff."""
-    coarse, fine = ({e.name: e.residual for e in run_identity_suite(m, pts, step)}
+    coarse, fine = ({e.name: e.residual for e in run_identity_suite(Evaluation(m, pts, step))}
                     for step in (h, h / 2))
     return {name: float("inf") if max(coarse[name], fine[name]) < 1e-13
             else coarse[name] / max(fine[name], 1e-300) for name in coarse}

@@ -34,7 +34,7 @@ def test_criterion_1_identity_suite_on_every_manifold():
     for name in catalog_names():
         m = get_manifold(name)
         pts = m.sample_points(N_POINTS, SEED)
-        for e in run_identity_suite(m, pts):
+        for e in run_identity_suite(Evaluation(m, pts)):
             worst[e.name] = max(worst.get(e.name, 0.0), e.residual)
             assert e.residual < TOL, f"{name}/{e.name}: {e.residual:.3e}"
     elapsed = time.time() - t0
@@ -82,7 +82,7 @@ def test_criterion_2_hopf_reproduces_the_homogeneous_model():
 
 def test_criterion_3_scalar_curvature_equivalence_labels():
     def th1(m):
-        reps = run_string_suite(m, m.sample_points(N_POINTS, SEED))
+        reps = run_string_suite(Evaluation(m, m.sample_points(N_POINTS, SEED)))
         return reps["constant_dilaton"]["th1_consistency"]
 
     agree = {}
@@ -116,7 +116,7 @@ def test_criterion_5_conformal_trace_formula():
     res = {}
     for name in ("conf_torus_4", "hopf_standard"):
         m = get_manifold(name)
-        e = verify_conformal_trace(m, m.sample_points(N_POINTS, SEED))
+        e = verify_conformal_trace(Evaluation(m, m.sample_points(N_POINTS, SEED)))
         res[name] = e.residual
     _check(all(v < TOL for v in res.values()), "5 conformal trace",
            " ".join(f"{k}={v:.2e}" for k, v in res.items()))
@@ -124,7 +124,7 @@ def test_criterion_5_conformal_trace_formula():
 
 def test_criterion_6_hkt_checks():
     m = get_manifold("hopf_hkt")
-    flags = check_hkt(m, m.sample_points(N_POINTS, SEED))
+    flags = check_hkt(Evaluation(m, m.sample_points(N_POINTS, SEED)))
     vals = tuple(flags.residuals[name] for name in (
         "quaternion_residual", "torsion_match_residual", "lee_match_residual"))
     _check(all(v < 1e-5 for v in vals), "6 hkt structure",
@@ -142,7 +142,7 @@ def test_criterion_7_second_order_convergence():
 
 def test_criterion_8_negative_control():
     m = get_manifold("conf_torus_4")
-    rep = run_string_suite(m, m.sample_points(N_POINTS, SEED))["constant_dilaton"]
+    rep = run_string_suite(Evaluation(m, m.sample_points(N_POINTS, SEED)))["constant_dilaton"]
     ric = {e.name: e.residual for e in rep["entries"]}["constant_dilaton_ricci"]
     _check(ric > 10 * TOL, "8 negative control",
            f"constant-dilaton Ricci residual {ric:.3e} > {10 * TOL:.0e}")

@@ -7,8 +7,7 @@ import pytest
 from ktgeo.catalog import catalog_names, get_manifold
 from ktgeo.classify import check_hkt, classify, vanishing_hypotheses
 from ktgeo.errors import ContractViolationError, PreconditionError
-from ktgeo.identities import Evaluation, run_identity_suite, verify_dim4
-from ktgeo.string_eqs import run_string_suite
+from ktgeo.identities import Evaluation
 
 EXPECTED_FLAGS = {
     #            kahler strong almost balanced lck   su
@@ -58,17 +57,14 @@ def test_su_indicator_monotone_in_tolerance():
             assert loose.su_holonomy_indicator
 
 
-@pytest.mark.parametrize("entry", [classify, run_identity_suite, verify_dim4,
-                                   run_string_suite, vanishing_hypotheses],
-                         ids=lambda f: f.__name__)
+# every suite takes an evaluation, which checks its points when it is built
+@pytest.mark.parametrize("entry", [classify, Evaluation], ids=lambda f: f.__name__)
 def test_empty_point_set_rejected(flat4, entry):
     with pytest.raises(PreconditionError, match="non-empty point set"):
         entry(flat4, np.empty((0, 4)))
 
 
-@pytest.mark.parametrize("entry", [classify, run_identity_suite, verify_dim4,
-                                   run_string_suite, vanishing_hypotheses],
-                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("entry", [classify, Evaluation], ids=lambda f: f.__name__)
 def test_points_of_another_dimension_rejected(hopf, entry):
     with pytest.raises(ContractViolationError,
                        match="hopf_standard: points have dimension 3, expected 4"):
@@ -77,7 +73,7 @@ def test_points_of_another_dimension_rejected(hopf, entry):
 
 def test_check_hkt_hopf_triple():
     m = get_manifold("hopf_hkt")
-    flags = check_hkt(m, m.sample_points(8, seed=0))
+    flags = check_hkt(Evaluation(m, m.sample_points(8, seed=0)))
     assert flags.residuals["quaternion_residual"] < 1e-8
     assert flags.residuals["torsion_match_residual"] < 1e-5
     assert flags.residuals["lee_match_residual"] < 1e-5
@@ -88,17 +84,17 @@ def test_check_hkt_flat_quaternionic_torus(flat4):
     # constant quaternionic triple on the flat torus: the hyper-Kaehler case
     hkt_src = get_manifold("hopf_hkt")
     m = replace(flat4, name="flat_hkt", hypercomplex=hkt_src.hypercomplex)
-    flags = check_hkt(m, m.sample_points(8, seed=0))
+    flags = check_hkt(Evaluation(m, m.sample_points(8, seed=0)))
     assert flags.hkt
 
 
 def test_check_hkt_requires_triple(hopf):
     with pytest.raises(PreconditionError):
-        check_hkt(hopf, hopf.sample_points(2, seed=0))
+        check_hkt(Evaluation(hopf, hopf.sample_points(2, seed=0)))
 
 
 def test_vanishing_hypotheses_flat(flat4):
-    out = vanishing_hypotheses(flat4, flat4.sample_points(6, seed=0))
+    out = vanishing_hypotheses(Evaluation(flat4, flat4.sample_points(6, seed=0)))
     assert abs(out["plurigenera_margin"]) < 1e-10
     assert abs(out["quad_form_min_eig"]) < 1e-10
 
@@ -106,7 +102,7 @@ def test_vanishing_hypotheses_flat(flat4):
 def test_vanishing_hypotheses_hopf(hopf):
     # b = 0 and h = 0 there, so the margin is min |C|^2 = 8 and the quadratic
     # form is <i_X C, i_Y C> with smallest eigenvalue 2
-    out = vanishing_hypotheses(hopf, hopf.sample_points(8, seed=0))
+    out = vanishing_hypotheses(Evaluation(hopf, hopf.sample_points(8, seed=0)))
     assert out["plurigenera_margin"] > 0
     assert abs(out["plurigenera_margin"] - 8.0) < 1e-4
     assert out["quad_form_min_eig"] > -1e-6
@@ -117,7 +113,7 @@ def test_vanishing_hypotheses_su2_cross_checked_against_u_trace(su2):
     # the margin b + |C|^2 - h/2 equals 2u by the trace of the
     # mean-curvature identity; compare against the Chern trace route
     pts = su2.sample_points(8, seed=0)
-    out = vanishing_hypotheses(su2, pts)
+    out = vanishing_hypotheses(Evaluation(su2, pts))
     two_u = 2.0 * Evaluation(su2, pts).u
     assert abs(out["plurigenera_margin"] - float(np.min(two_u))) < 1e-4
 

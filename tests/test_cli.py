@@ -200,7 +200,8 @@ def test_wrong_field_shape_exits_3(base, field, wrong, given, capsys):
 @pytest.mark.parametrize("dim, j", [(2, _block_j(2)), (5, np.eye(5))])
 def test_chart_of_unsupported_dimension_exits_3_naming_the_manifold(dim, j, capsys):
     # a flat 2-torus divided by n - 1 = 0 in the LCK torsion, and a
-    # 5-dimensional chart with J = identity passed every check
+    # 5-dimensional chart with J = identity passed every check; the section's
+    # evaluation checks the dimension when it is built, before any suite
     register_manifold(HermitianManifold(
         name="unsupported_dim_test_manifold",
         chart=BoxChart(lows=(0.0,) * dim, highs=(2 * np.pi,) * dim),
@@ -210,7 +211,7 @@ def test_chart_of_unsupported_dimension_exits_3_naming_the_manifold(dim, j, caps
     assert code == 3
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: contract violation on 'unsupported_dim_test_manifold' "
-                           "during 'classify': ")
+                           "during 'sampling': ")
     assert f"unsupported_dim_test_manifold: dimension {dim}, expected an even" in line
 
 
@@ -678,10 +679,9 @@ def test_report_builds_one_evaluation_per_stencil_level_and_pass(monkeypatch, tm
     assert passes.count(first) == 1
 
 
-# the evaluations of a full report: the section's and its conformal parent's,
-# and on hopf_hkt the other two structures of its triple
-@pytest.mark.parametrize("name, evaluations", [("hopf_standard", 2), ("hopf_hkt", 4)])
-def test_report_makes_one_base_pass_per_evaluation(monkeypatch, tmp_path, name, evaluations):
+def _pass_makers(monkeypatch, tmp_path, name):
+    """The evaluation that makes each stencil pass of a full 2-point report
+    on ``name``, in order."""
     callers, passes = [], []
     real_partial, real_fd = Evaluation.partial, ktgeo.tensor_core.fd_partial
 
@@ -693,8 +693,7 @@ def test_report_makes_one_base_pass_per_evaluation(monkeypatch, tmp_path, name, 
             callers.pop()
 
     def fd_partial(fn, points, step=ktgeo.tensor_core.DEFAULT_STEP):
-        if np.shape(points) == (2, 4):
-            passes.append(callers[-1])  # held, so no two evaluations share an id
+        passes.append(callers[-1])  # held, so no two evaluations share an id
         return real_fd(fn, points, step)
 
     monkeypatch.setattr(Evaluation, "partial", partial)
@@ -702,7 +701,45 @@ def test_report_makes_one_base_pass_per_evaluation(monkeypatch, tmp_path, name, 
     code = main(["report", "--manifold", name, "--points", "2",
                  "--out", str(tmp_path / "r.json")])
     assert code == 0
+    return passes
+
+
+# the evaluations of a full report: the section's and its conformal parent's,
+# and on hopf_hkt the other two structures of its triple
+@pytest.mark.parametrize("name, evaluations", [("hopf_standard", 2), ("hopf_hkt", 4)])
+def test_report_makes_one_base_pass_per_evaluation(monkeypatch, tmp_path, name, evaluations):
+    passes = [ev for ev in _pass_makers(monkeypatch, tmp_path, name) if ev._depth == 0]
     assert sorted(Counter(map(id, passes)).values()) == [1] * evaluations
+
+
+def test_report_makes_one_pass_per_evaluation_at_each_stencil_level(monkeypatch, tmp_path):
+    # the section's first level differentiates g, omega, the dilaton and the
+    # conformal factor in one pass, and the parent's first level g and omega;
+    # a second level differentiates nothing
+    passes = _pass_makers(monkeypatch, tmp_path, "hopf_standard")
+    assert sorted(Counter(map(id, passes)).values()) == [1] * 4
+    assert Counter(ev._depth for ev in passes) == {0: 2, 1: 2}
+
+
+# the sections of a report that each suite writes
+_SUITE_SECTIONS = {"classify": ("flags", "vanishing_hypotheses", "taxonomy_implications"),
+                   "identities": ("identities",), "dim4": ("dim4",), "string": ("string",)}
+
+
+def test_each_suite_alone_writes_its_sections_of_the_full_report(tmp_path):
+    # a suite reads what it needs from the section's evaluation, whichever
+    # suites ran on it first, and its values do not depend on which did
+    def sections(suites, keys):
+        out = tmp_path / "r.json"
+        argv = ["report", "--manifold", "all", "--points", "2", "--out", str(out)]
+        assert main(argv + [a for s in suites for a in ("--suite", s)]) == 0
+        return [{k: s[k] for k in keys} for s in json.loads(out.read_text())["manifolds"]]
+
+    assert set(_SUITE_SECTIONS) == set(ktgeo.cli.SUITES)
+    every = [k for keys in _SUITE_SECTIONS.values() for k in keys]
+    full = sections((), every)
+    for suite, keys in _SUITE_SECTIONS.items():
+        assert sections((suite,), keys) == [{k: s[k] for k in keys} for s in full], suite
 
 
 def test_report_traced_peak_holds_no_stencil_level(tmp_path):
@@ -745,5 +782,8 @@ def test_report_leaves_no_evaluation_alive(monkeypatch, tmp_path):
     finally:
         gc.enable()
     assert code == 0
-    assert len(created) > 10  # base and stencil evaluations
+    # 4 base evaluations (the section's, its conformal parent's and the two
+    # other structures of the triple), the first level of each one's pass,
+    # and the second level below the section's and the parent's first level
+    assert len(created) == 10
     assert alive == 0

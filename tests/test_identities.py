@@ -8,12 +8,11 @@ from ktgeo import tensor_core
 from ktgeo.catalog import (
     BoxChart, HermitianManifold, catalog_names, conformal_rescale, get_manifold,
 )
-from ktgeo.classify import classify, vanishing_hypotheses
+from ktgeo.classify import structure_flags, vanishing_hypotheses
 from ktgeo.connections import lee_form_routes
 from ktgeo.errors import ContractViolationError, PreconditionError
 from ktgeo.identities import (
-    Evaluation, _distinct_offsets, evaluation, evaluation_scope, run_identity_suite,
-    verify_conformal_trace, verify_dim4,
+    Evaluation, _distinct_offsets, run_identity_suite, verify_conformal_trace, verify_dim4,
 )
 from ktgeo.string_eqs import run_string_suite
 
@@ -34,7 +33,7 @@ ALL_NAMES = [
 def test_identity_suite_passes_on_catalog(name):
     m = get_manifold(name)
     pts = m.sample_points(8, seed=0)
-    entries = run_identity_suite(m, pts)
+    entries = run_identity_suite(Evaluation(m, pts))
     assert [e.name for e in entries] == ALL_NAMES
     for e in entries:
         assert e.passed, f"{name}: {e.name} residual {e.residual:.3e}"
@@ -42,7 +41,7 @@ def test_identity_suite_passes_on_catalog(name):
 
 def test_flat_torus_residuals_at_the_noise_floor(flat4):
     pts = sample("flat_torus_4", 8)
-    for e in run_identity_suite(flat4, pts):
+    for e in run_identity_suite(Evaluation(flat4, pts)):
         assert e.residual < 1e-8
 
 
@@ -59,7 +58,7 @@ def test_su2xu1_scalar_relation_reduces_to_lee_torsion_balance(su2):
 
 def test_su2xu1_coclosed_torsion_makes_ricci_symmetric(su2):
     pts = sample("su2xu1", 8)
-    entries = {e.name: e for e in run_identity_suite(su2, pts)}
+    entries = {e.name: e for e in run_identity_suite(Evaluation(su2, pts))}
     assert entries["ricci_skew_coclosure"].passed
     from ktgeo.curvature import ricci_from_curvature, riemann_values
     from ktgeo.tensor_core import metric_inverse
@@ -90,7 +89,7 @@ def test_dim4_chain_on_all_four_dimensional_entries():
     for name in ("flat_torus_4", "hopf_standard", "su2xu1", "conf_torus_4", "hopf_hkt"):
         m = get_manifold(name)
         pts = m.sample_points(8, seed=0)
-        entries = {e.name: e for e in verify_dim4(m, pts)}
+        entries = {e.name: e for e in verify_dim4(Evaluation(m, pts))}
         assert [e.status for e in entries.values()] == ["asserted", "asserted"], name
         assert entries["torsion_lee_duality"].passed, name
         assert entries["lck_lambda_reduction"].passed, name
@@ -99,7 +98,7 @@ def test_dim4_chain_on_all_four_dimensional_entries():
 def test_dim6_lck_lambda_reduction():
     m = get_manifold("conf_torus_6")
     pts = m.sample_points(6, seed=0)
-    entries = {e.name: e for e in verify_dim4(m, pts)}
+    entries = {e.name: e for e in verify_dim4(Evaluation(m, pts))}
     assert "torsion_lee_duality" not in entries  # dim 4 only
     assert entries["lck_lambda_reduction"].passed
 
@@ -123,7 +122,7 @@ def test_lck_reduction_precondition_error():
         chart=BoxChart(lows=(0.0,) * 6, highs=(2 * np.pi,) * 6),
         metric=metric, complex_structure=_const_field(_block_j(6)))
     pts = m.sample_points(2, seed=0)
-    [skip] = verify_dim4(m, pts)  # dim 6: no duality entry either
+    [skip] = verify_dim4(Evaluation(m, pts))  # dim 6: no duality entry either
     assert (skip.name, skip.status, skip.residual, skip.passed, skip.worst_point) == (
         "lck_lambda_reduction", "skipped", None, None, None)
     defect = Evaluation(m, pts).magnitude("lck_defect")
@@ -136,15 +135,15 @@ def test_conformal_trace_identity():
     flat = get_manifold("flat_torus_4")
     same = conformal_rescale(flat, lambda p: np.zeros(np.asarray(p).shape[:-1]))
     pts = flat.sample_points(6, seed=0)
-    assert verify_conformal_trace(same, pts).residual < 1e-10
+    assert verify_conformal_trace(Evaluation(same, pts)).residual < 1e-10
 
     for name in ("conf_torus_4", "conf_torus_6", "hopf_standard"):
         m = get_manifold(name)
-        e = verify_conformal_trace(m, m.sample_points(8, seed=0))
+        e = verify_conformal_trace(Evaluation(m, m.sample_points(8, seed=0)))
         assert e.passed, f"{name}: {e.residual:.3e}"
 
     with pytest.raises(PreconditionError):
-        verify_conformal_trace(flat, pts)
+        verify_conformal_trace(Evaluation(flat, pts))
 
 
 def test_conformal_trace_with_non_kahler_parent():
@@ -152,7 +151,7 @@ def test_conformal_trace_with_non_kahler_parent():
     hopf = get_manifold("hopf_standard")
     f = lambda p: 0.1 * np.asarray(p)[..., 0]
     m = conformal_rescale(hopf, f)
-    e = verify_conformal_trace(m, m.sample_points(6, seed=1))
+    e = verify_conformal_trace(Evaluation(m, m.sample_points(6, seed=1)))
     assert e.passed, e.residual
 
 
@@ -167,8 +166,8 @@ def test_richardson_second_order_convergence():
 
 def test_identity_evaluation_is_deterministic(hopf):
     pts = sample("hopf_standard", 4)
-    a = run_identity_suite(hopf, pts)
-    b = run_identity_suite(hopf, pts)
+    a = run_identity_suite(Evaluation(hopf, pts))
+    b = run_identity_suite(Evaluation(hopf, pts))
     assert [(e.name, e.residual) for e in a] == [(e.name, e.residual) for e in b]
 
 
@@ -178,26 +177,21 @@ def test_torsion_derivative_invariants_tight_tolerance(name):
     # of magnitude below the curvature tolerance at the default step
     m = get_manifold(name)
     pts = m.sample_points(32, seed=0)
-    entries = {e.name: e for e in run_identity_suite(m, pts)}
+    entries = {e.name: e for e in run_identity_suite(Evaluation(m, pts))}
     assert entries["torsion_nabla_exchange"].residual < 1e-5
     assert entries["torsion_ext_derivative"].residual < 1e-5
 
 
 def test_evaluation_scope_shares_read_only_primitives(hopf):
     pts = sample("hopf_standard", 2)
-    with evaluation_scope():
-        ev = evaluation(hopf, pts)
-        with evaluation_scope():  # a nested scope joins the open one
-            assert evaluation(hopf, pts.copy()) is ev
-        assert evaluation(hopf, pts, 2e-4) is not ev
-        assert not ev.T.flags.writeable and not ev.riemann("bismut").flags.writeable
-    assert evaluation(hopf, pts) is not ev  # released when the scope closed
+    ev = Evaluation(hopf, pts)
+    assert not ev.T.flags.writeable and not ev.riemann("bismut").flags.writeable
     assert pts.flags.writeable  # the caller's points are left alone
 
 
 def test_residual_reads_the_valence_from_the_array(hopf):
     pts = sample("hopf_standard", 3)
-    ev = evaluation(hopf, pts)
+    ev = Evaluation(hopf, pts)
     # a primitive's magnitude is its own residual; a scalar needs no frame
     assert ev.magnitude("theta") == ev.residual("theta", ev.theta)[0]
     assert ev.magnitude("scal") == float(np.max(np.abs(ev.scal)))
@@ -288,9 +282,9 @@ def test_each_point_set_builds_coefficients_and_raises_the_torsion_once(monkeypa
             monkeypatch.setattr(module, "lower_coefficients", lower)
         if getattr(module, "slotwise", None) is real_slotwise:
             monkeypatch.setattr(module, "slotwise", slotwise)
-    with evaluation_scope():
-        run_identity_suite(m, pts)
-        reports = run_string_suite(m, pts)
+    ev = Evaluation(m, pts)
+    run_identity_suite(ev)
+    reports = run_string_suite(ev)
     assert set(reports) == {"constant_dilaton", "gradient_dilaton"}
     assert coefficients
     assert max(Counter((id(ev), flavor) for ev, flavor in coefficients).values()) == 1
@@ -380,16 +374,17 @@ def _section_evaluations(m, pts):
         evs.append(real_with_structure(self, j_fn))
         return evs[-1]
 
-    with pytest.MonkeyPatch.context() as mp, evaluation_scope():
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Evaluation, "__init__", init)
         mp.setattr(Evaluation, "with_structure", with_structure)
-        classify(m, pts)
-        vanishing_hypotheses(m, pts)
-        run_identity_suite(m, pts)
+        ev = Evaluation(m, pts)
+        structure_flags(ev)
+        vanishing_hypotheses(ev)
+        run_identity_suite(ev)
         if m.conformal_parent is not None:
-            verify_conformal_trace(m, pts)
-        verify_dim4(m, pts)
-        run_string_suite(m, pts)
+            verify_conformal_trace(ev)
+        verify_dim4(ev)
+        run_string_suite(ev)
     return evs
 
 

@@ -26,6 +26,7 @@ UNREACHED = {
     "catalog.register_manifold": "the README's way to add a chart, called before a report",
     "catalog.conformal_rescale": "documented in the README; the catalog calls it at import",
     "catalog.hermitian_residuals": "the benchmark's correctness check calls it",
+    "classify.classify": "the benchmark's flag check calls it",
     "connections.compatibility_residuals": "kept for a report's structure block (ROADMAP item 7)",
     "connections.torsion_type_defect": "kept for a report's structure block (ROADMAP item 7)",
 }
