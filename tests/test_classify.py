@@ -7,7 +7,8 @@ import pytest
 from ktgeo.catalog import catalog_names, get_manifold
 from ktgeo.classify import check_hkt, classify, vanishing_hypotheses
 from ktgeo.errors import ContractViolationError, PreconditionError
-from ktgeo.identities import Evaluation
+from ktgeo.identities import Evaluation, run_identity_suite, verify_dim4
+from ktgeo.string_eqs import run_string_suite
 
 EXPECTED_FLAGS = {
     #            kahler strong almost balanced lck   su
@@ -58,17 +59,28 @@ def test_su_indicator_monotone_in_tolerance():
 
 
 # every suite takes an evaluation, which checks its points when it is built
-@pytest.mark.parametrize("entry", [classify, Evaluation], ids=lambda f: f.__name__)
+SUITES = [run_identity_suite, run_string_suite, vanishing_hypotheses, verify_dim4]
+
+
+def _enter(entry, m, pts):
+    if entry in SUITES:
+        return entry(Evaluation(m, pts))
+    return entry(m, pts)
+
+
+@pytest.mark.parametrize("entry", [classify, Evaluation, *SUITES],
+                         ids=lambda f: f.__name__)
 def test_empty_point_set_rejected(flat4, entry):
     with pytest.raises(PreconditionError, match="non-empty point set"):
-        entry(flat4, np.empty((0, 4)))
+        _enter(entry, flat4, np.empty((0, 4)))
 
 
-@pytest.mark.parametrize("entry", [classify, Evaluation], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("entry", [classify, Evaluation, *SUITES],
+                         ids=lambda f: f.__name__)
 def test_points_of_another_dimension_rejected(hopf, entry):
     with pytest.raises(ContractViolationError,
                        match="hopf_standard: points have dimension 3, expected 4"):
-        entry(hopf, np.ones((2, 3)))
+        _enter(entry, hopf, np.ones((2, 3)))
 
 
 def test_check_hkt_hopf_triple():
