@@ -14,10 +14,11 @@ from .catalog import (
 )
 from .classify import StructureFlags, check_hkt, structure_flags, vanishing_hypotheses
 from .errors import (
-    ChartDomainError, ContractViolationError, ConventionError, GeometryError,
-    NumericError, PreconditionError, UnknownManifoldError,
+    ChartDomainError, ContractViolationError, GeometryError, NumericError,
+    PreconditionError, UnknownManifoldError,
 )
 from .identities import (
     Evaluation, Row, run_identity_suite, verify_conformal_trace, verify_dim4,
+    verify_structure,
 )
 from .string_eqs import run_string_suite

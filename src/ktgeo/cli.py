@@ -43,6 +43,7 @@ from .classify import DEFAULT_CLASSIFY_TOL, structure_flags, vanishing_hypothese
 from .errors import ContractViolationError, GeometryError, UnknownManifoldError
 from .identities import (
     TOL_CURVATURE, Evaluation, run_identity_suite, verify_conformal_trace, verify_dim4,
+    verify_structure,
 )
 from .string_eqs import run_string_suite
 from .tensor_core import DEFAULT_STEP
@@ -249,6 +250,12 @@ def _manifold_report(m, cfg: RunConfig) -> dict:
             section["string"] = {kind: dict(rep, entries=[r.as_dict() for r in rep["entries"]])
                                  for kind, rep in reports.items()}
             rows += [r for rep in reports.values() for r in rep["entries"]]
+        # the structure rows pin the conventions that every suite shares, so
+        # they run in every section, whatever the suites
+        suite = "structure"
+        structure = verify_structure(ev, tol)
+        section["structure"] = [r.as_dict() for r in structure]
+        rows += structure
     except (GeometryError, ValueError) as exc:
         raise NumericFailure(m.name, suite, exc) from exc
 

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by the whole engine."""
+"""Exception hierarchy shared by the whole engine: an exception means that a
+report cannot be computed; a failed check is a failed row, never an exception."""
 
 
 class GeometryError(Exception):
@@ -19,10 +20,6 @@ class PreconditionError(GeometryError):
 
 class NumericError(GeometryError):
     """Numerical degeneracy: non-SPD metric, vanishing volume element, and similar."""
-
-
-class ConventionError(GeometryError):
-    """Internal sign/convention cross-checks disagree beyond tolerance."""
 
 
 class UnknownManifoldError(KeyError, GeometryError):

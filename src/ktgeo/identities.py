@@ -43,6 +43,8 @@ u_trace_formula           2u = b + |C|^2 - h/2
 torsion_lee_duality       dim 4: T = -*theta = J theta ^ omega
 lck_lambda_reduction      reduction of lambda where T has the LCK shape
 conformal_u_change        behaviour of u under a conformal rescaling
+lee_form_routes           structure block: the Lee form by the codifferential
+                          of omega vs its Bismut- and Chern-torsion traces
 ========================  =====================================================
 
 Default tolerances: 1e-4 for identities that involve curvature or any other
@@ -61,8 +63,8 @@ import numpy as np
 
 from .catalog import HermitianManifold
 from .connections import (
-    COEFFICIENTS, lee_form_values, lower_coefficients, torsion_bismut_values,
-    torsion_chern_values,
+    COEFFICIENTS, lee_form_routes, lee_form_values, lower_coefficients,
+    torsion_bismut_values, torsion_chern_values,
 )
 from .curvature import (
     lambda_omega_values, ricci_from_curvature, riemann_values, rho_from_curvature,
@@ -77,7 +79,7 @@ from .tensor_core import (
 
 __all__ = [
     "Evaluation", "STENCIL_DEPTH", "Row", "measure_rows",
-    "run_identity_suite", "verify_dim4", "verify_conformal_trace",
+    "run_identity_suite", "verify_dim4", "verify_conformal_trace", "verify_structure",
     "TOL_CURVATURE", "TOL_FIRST_ORDER",
 ]
 
@@ -304,7 +306,12 @@ class Evaluation:
 
     @_primitive
     def g(self):
-        return self._field("metric", self.m.metric, 2)
+        g = self._field("metric", self.m.metric, 2)
+        skew = np.max(np.abs(g - np.swapaxes(g, -1, -2)))
+        if skew > 16 * np.finfo(float).eps * np.max(np.abs(g)):
+            raise ContractViolationError(f"{self.m.name}: field 'metric' is not symmetric, "
+                                         f"|g - g^T| = {skew:.3g}")
+        return g
 
     @_primitive
     def ginv(self):
@@ -381,9 +388,8 @@ class Evaluation:
 
     @_primitive
     def theta(self):
-        """The Lee form; on the base points it is checked against its two
-        torsion-trace routes."""
-        return lee_form_values(self, check=self._depth == 0)
+        """The Lee form, by the codifferential route."""
+        return lee_form_values(self)
 
     @_primitive
     def jtheta(self):
@@ -689,6 +695,14 @@ def run_identity_suite(ev: Evaluation, tol=TOL_CURVATURE) -> list:
     """The rows of every curvature identity on ``ev``, in report order, under
     the identity tolerance ``tol`` (``--tol-identity``)."""
     return measure_rows(ev, _identity_rows(ev), tol)
+
+
+def verify_structure(ev: Evaluation, tol=TOL_CURVATURE) -> list:
+    """The structure block's row on ``ev``, under ``tol`` as in
+    :func:`run_identity_suite`: the Lee form's routes agree (order 1)."""
+    theta, via_T, via_C = lee_form_routes(ev)
+    rows = [("lee_form_routes", (theta - via_T, theta - via_C), 1, ASSERTED)]
+    return measure_rows(ev, rows, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_hkt_kahler_forms_share_one_torsion():
                       for j in m.hypercomplex]
     evs = [Evaluation(v, pts) for v in variants]
     torsions = [ev.T for ev in evs]
-    lees = [lee_form_values(ev, check=False) for ev in evs]
+    lees = [lee_form_values(ev) for ev in evs]
     for i in range(3):
         for j in range(i + 1, 3):
             assert np.max(np.abs(torsions[i] - torsions[j])) < 1e-6

@@ -196,6 +196,50 @@ def test_wrong_field_shape_exits_3(base, field, wrong, given, capsys):
     assert f"{given}), expected (" in line
 
 
+def _block_j_box(name, metric):
+    """A registered 4-dimensional box chart with the block J."""
+    register_manifold(HermitianManifold(
+        name=name, chart=BoxChart(lows=(0.0,) * 4, highs=(2 * np.pi,) * 4),
+        metric=metric, complex_structure=_const_field(_block_j(4))))
+
+
+def _identity_plus(p, entry, value):
+    """The identity metric at ``p`` with ``value(x)`` at ``entry``."""
+    x = np.asarray(p, dtype=float)
+    g = np.broadcast_to(np.eye(4), x.shape[:-1] + (4, 4)).copy()
+    g[(...,) + entry] = value(x)
+    return g
+
+
+def test_asymmetric_metric_exits_3_naming_the_manifold_and_the_field(capsys):
+    # g_01 = 0.3 sin x_2 and g_10 = 0: without the check the report exits 1,
+    # with kahler and strong_kt reading true
+    _block_j_box("asymmetric_test_manifold",
+                 lambda p: _identity_plus(p, (0, 1), lambda x: 0.3 * np.sin(x[..., 2])))
+    code = main(["report", "--manifold", "asymmetric_test_manifold", "--points", "8",
+                 "--out", "/dev/null"])
+    assert code == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: contract violation on 'asymmetric_test_manifold' during ")
+    assert "asymmetric_test_manifold: field 'metric' is not symmetric" in line
+
+
+def test_chart_that_breaks_a_lee_route_fails_its_row(tmp_path, capsys):
+    # g_00 = 1 + 0.3 sin^2 x_2 is not J-compatible for the block J, so the
+    # Lee form's routes disagree (1.2e-2): a failed row, not an abort
+    _block_j_box("incompatible_test_manifold",
+                 lambda p: _identity_plus(p, (0, 0), lambda x: 1 + 0.3 * np.sin(x[..., 2]) ** 2))
+    out = tmp_path / "r.json"
+    code = main(["report", "--manifold", "incompatible_test_manifold", "--points", "8",
+                 "--out", str(out)])
+    assert code == 1
+    assert "error:" not in capsys.readouterr().err
+    [section] = json.loads(out.read_text())["manifolds"]
+    [row] = section["structure"]
+    assert row["name"] == "lee_form_routes" and row["passed"] is False
+    assert row["residual"] > 1e-3
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("dim, j", [(2, _block_j(2)), (5, np.eye(5))])
 def test_chart_of_unsupported_dimension_exits_3_naming_the_manifold(dim, j, capsys):
@@ -471,14 +515,18 @@ def test_classify_and_string_share_each_frame_conversion(monkeypatch, tmp_path):
 
 def test_report_measures_each_difference_once(monkeypatch, tmp_path):
     # a difference that two rows (or a row and a classify residual, or both
-    # dilatons) share is converted to the frame once
+    # dilatons) share is converted to the frame once.  Conversions are keyed
+    # on their bytes, so distinct all-zero differences of one shape share a
+    # key: on hopf_standard both of lee_form_routes' spreads are exactly 0.
+    # Only non-zero differences are held to one conversion
     seen = Counter()
 
     def counting(module):
         real = module.to_frame
 
         def counted(t, frame, valence):
-            seen[(valence, np.asarray(t).tobytes())] += 1
+            if np.any(t):
+                seen[(valence, np.asarray(t).tobytes())] += 1
             return real(t, frame, valence)
         monkeypatch.setattr(module, "to_frame", counted)
 
@@ -736,9 +784,11 @@ def test_each_suite_alone_writes_its_sections_of_the_full_report(tmp_path):
         return [{k: s[k] for k in keys} for s in json.loads(out.read_text())["manifolds"]]
 
     assert set(_SUITE_SECTIONS) == set(ktgeo.cli.SUITES)
-    every = [k for keys in _SUITE_SECTIONS.values() for k in keys]
+    # the structure block runs in every section, whatever the suites
+    every = [k for keys in _SUITE_SECTIONS.values() for k in keys] + ["structure"]
     full = sections((), every)
     for suite, keys in _SUITE_SECTIONS.items():
+        keys = (*keys, "structure")
         assert sections((suite,), keys) == [{k: s[k] for k in keys} for s in full], suite
 
 
