@@ -100,7 +100,7 @@ class BoxChart(Chart):
         for ax in self.tight_axes:
             lo[ax] += margin
             hi[ax] -= margin
-        if np.any(hi <= lo):
+        if (hi <= lo).any():
             raise PreconditionError("margin leaves an empty sampling window")
         return lo + (hi - lo) * rng.random((n, self.dim))
 
@@ -196,7 +196,9 @@ def _block_j(dim: int) -> np.ndarray:
 def _const_field(matrix: np.ndarray):
     def fn(points):
         pts = np.asarray(points, dtype=float)
-        return np.broadcast_to(matrix, pts.shape[:-1] + matrix.shape).copy()
+        out = np.empty(pts.shape[:-1] + matrix.shape)
+        out[...] = matrix
+        return out
     return fn
 
 
@@ -219,7 +221,7 @@ def _hopf_chart() -> AnnulusChart:
 
 def _hopf_log_factor(points):
     pts = np.asarray(points, dtype=float)
-    return -0.5 * np.log(np.sum(pts * pts, axis=-1))
+    return -0.5 * np.log((pts * pts).sum(axis=-1))
 
 
 # left quaternion multiplications on H = R^4 with basis (1, i, j, k); the
@@ -362,7 +364,7 @@ def hermitian_residuals(m: HermitianManifold, points: np.ndarray,
 
     ev = Evaluation(m, points, step)
     g = ev.g
-    eigmin = float(np.min(np.linalg.eigvalsh(g)))
+    eigmin = float(np.linalg.eigvalsh(g).min())
     if eigmin <= 0:
         raise NumericError(f"metric not SPD on {m.name} (min eigenvalue {eigmin})")
     out = {"metric_min_eigenvalue": eigmin}
@@ -372,9 +374,9 @@ def hermitian_residuals(m: HermitianManifold, points: np.ndarray,
     sq = comp = nij = 0.0
     for e in structures:
         J = e.J
-        sq = max(sq, float(np.max(np.abs(np.einsum("...ik,...kj->...ij", J, J) + eye))))
-        comp = max(comp, float(np.max(np.abs(slotwise(g, J, 2) - g))))
-        nij = max(nij, float(np.max(np.abs(nijenhuis_values(J, e.partial("J"))))))
+        sq = max(sq, float(np.abs(np.einsum("...ik,...kj->...ij", J, J) + eye).max()))
+        comp = max(comp, float(np.abs(slotwise(g, J, 2) - g).max()))
+        nij = max(nij, float(np.abs(nijenhuis_values(J, e.partial("J"))).max()))
     out["j_square_residual"] = sq
     out["compatibility_residual"] = comp
     out["nijenhuis_residual"] = nij
@@ -397,5 +399,5 @@ def quaternion_residual(js) -> float:
             for c in range(3):
                 if eps[a, b, c]:
                     expect = expect + eps[a, b, c] * js[c]
-            worst = max(worst, float(np.max(np.abs(prod - expect))))
+            worst = max(worst, float(np.abs(prod - expect).max()))
     return worst

@@ -129,6 +129,6 @@ def vanishing_hypotheses(ev: Evaluation) -> dict:
       ``<<X,Y>> = rho^{1,1}(JX,Y) + <i_X C, i_Y C> - lambda(JX,Y)/4``.
     """
     quad_f = to_frame(ev.mean_curvature_form, ev.frames, 2)
-    quad_f = 0.5 * (quad_f + np.swapaxes(quad_f, -1, -2))
-    return {"plurigenera_margin": float(np.min(ev.mean_curvature_trace)),
-            "quad_form_min_eig": float(np.min(np.linalg.eigvalsh(quad_f)))}
+    quad_f = 0.5 * (quad_f + quad_f.swapaxes(-1, -2))
+    return {"plurigenera_margin": float(ev.mean_curvature_trace.min()),
+            "quad_form_min_eig": float(np.linalg.eigvalsh(quad_f).min())}

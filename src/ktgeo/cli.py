@@ -42,8 +42,8 @@ from .catalog import catalog_names, get_manifold
 from .classify import DEFAULT_CLASSIFY_TOL, structure_flags, vanishing_hypotheses
 from .errors import ContractViolationError, GeometryError, UnknownManifoldError
 from .identities import (
-    TOL_CURVATURE, Evaluation, run_identity_suite, verify_conformal_trace, verify_dim4,
-    verify_structure,
+    TOL_CURVATURE, Evaluation, _differentiated, run_identity_suite, verify_conformal_trace,
+    verify_dim4, verify_structure,
 )
 from .string_eqs import run_string_suite
 from .tensor_core import DEFAULT_STEP
@@ -216,12 +216,13 @@ def _manifold_report(m, cfg: RunConfig) -> dict:
     rows = []
 
     # one evaluation per section, handed to every suite: they share its
-    # primitives, and nothing computed here outlives the section
+    # primitives, its one stencil pass takes the partials they read, and
+    # nothing computed here outlives the section
     suite = "sampling"
     try:
         section = {"name": m.name, "dim": m.dim, "chart": m.chart.describe()}
         pts = m.sample_points(cfg.points, cfg.seed, margin=max(0.05, 3 * cfg.step))
-        ev = Evaluation(m, pts, cfg.step)
+        ev = Evaluation(m, pts, cfg.step, _differentiated(m, cfg.suites))
         if "classify" in cfg.suites:
             suite = "classify"
             flags = structure_flags(ev, cfg.tol_classify)

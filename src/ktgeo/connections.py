@@ -35,7 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .tensor_core import first_slot_matrix, slotwise
+from .tensor_core import first_slot_matrix, permuted, slotwise
 
 __all__ = [
     "torsion_bismut_values", "torsion_chern_values", "lower_coefficients", "COEFFICIENTS",
@@ -65,7 +65,7 @@ def torsion_type_defect(ev) -> float:
     T(JX,JY,Z) + T(JX,Y,JZ) + T(X,JY,JZ) = T(X,Y,Z)."""
     T = ev.T
     lhs = sum(slotwise(T, ev.J, 3, pair) for pair in combinations(range(3), 2))
-    return float(np.max(np.abs(lhs - T)))
+    return float(np.abs(lhs - T).max())
 
 
 # ---------------------------------------------------------------------------
@@ -84,11 +84,11 @@ def lower_coefficients(ev, flavor: str) -> np.ndarray:
     if flavor == "levi_civita":
         return om
     if flavor == "bismut":
-        return om + 0.5 * np.einsum("...ijl->...lij", ev.T)
+        return om + 0.5 * permuted(ev.T, "ijl->lij")
     if flavor == "chern":
         # sum_a J[a, i] dOm[a, j, l] as [i, (jl)], read as [l, i, j]
-        jdom = np.swapaxes(ev.J, -1, -2) @ first_slot_matrix(ev.dOm)
-        return om + 0.5 * np.moveaxis(jdom.reshape(ev.dOm.shape), -1, -3)
+        jdom = ev.J.swapaxes(-1, -2) @ first_slot_matrix(ev.dOm)
+        return om + 0.5 * permuted(jdom.reshape(ev.dOm.shape), "ijl->lij")
     raise ValueError(f"unknown connection flavor {flavor!r}")
 
 
@@ -130,8 +130,8 @@ def compatibility_residuals(ev, flavor: str) -> dict:
     dJ = ev.partial("J")
     nab_j = (dJ + np.einsum("...kdm,...mj->...dkj", gamma, ev.J)
              - np.einsum("...mdj,...km->...dkj", gamma, ev.J))
-    out = {"nabla_g": float(np.max(np.abs(nab_g))),
-           "nabla_j": float(np.max(np.abs(nab_j)))}
+    out = {"nabla_g": float(np.abs(nab_g).max()),
+           "nabla_j": float(np.abs(nab_j).max())}
     if flavor == "levi_civita":
-        out["torsion"] = float(np.max(np.abs(gamma - np.einsum("...kij->...kji", gamma))))
+        out["torsion"] = float(np.abs(gamma - permuted(gamma, "kij->kji")).max())
     return out

@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .connections import COEFFICIENTS
-from .tensor_core import first_slot_matrix
+from .tensor_core import first_slot_matrix, permuted
 
 __all__ = [
     "riemann_values", "lambda_omega_values", "ricci_from_curvature", "rho_from_curvature",
@@ -50,10 +50,10 @@ def riemann_values(ev, flavor: str) -> np.ndarray:
     coefficients = COEFFICIENTS[flavor]
     dom = ev.partial(coefficients)                    # dom[d, l, i, j]
     # omega[m, i, l] Gamma[m, j, k] as [(il), (jk)]: one product per point
-    quad = (np.swapaxes(first_slot_matrix(getattr(ev, coefficients)), -1, -2)
+    quad = (first_slot_matrix(getattr(ev, coefficients)).swapaxes(-1, -2)
             @ first_slot_matrix(ev.gamma(flavor)))
-    a = np.moveaxis(dom - quad.reshape(dom.shape), -3, -1)   # [i, l, j, k] -> [i, j, k, l]
-    return a - np.swapaxes(a, -4, -3)
+    a = permuted(dom - quad.reshape(dom.shape), "iljk->ijkl")
+    return a - a.swapaxes(-4, -3)
 
 
 def ricci_from_curvature(r: np.ndarray, ginv: np.ndarray) -> np.ndarray:
@@ -74,7 +74,7 @@ def lambda_omega_values(dT: np.ndarray, jg: np.ndarray):
     point's value does not depend on the points beside it: ``np.einsum``
     over the contiguous ``dT`` sums in an order that depends on the batch."""
     d = jg.shape[-1]
-    vec = np.swapaxes(jg, -1, -2).reshape(jg.shape[:-2] + (d * d, 1))
+    vec = jg.swapaxes(-1, -2).reshape(jg.shape[:-2] + (d * d, 1))
     lam = (dT.reshape(dT.shape[:-4] + (d * d, d * d)) @ vec).reshape(dT.shape[:-2])
     h = 0.5 * np.einsum("...mn,...mn->...", lam, jg)
     return lam, h

@@ -56,6 +56,7 @@ keeps 1e-6 where ``tol`` is larger.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -74,7 +75,7 @@ from .tensor_core import (
     DEFAULT_STEP, codifferential_of, covariant_derivative_of, cyclic3_of4,
     exterior_derivative_of, fd_partial, first_slot_matrix, gram_schmidt_frames,
     hodge_star_values, interior_product, j_trace_matrix, kahler_form_values, koszul_values,
-    metric_inverse, norm_sq_values, proj_one_one, slotwise, to_frame, wedge,
+    metric_inverse, norm_sq_values, permuted, proj_one_one, slotwise, to_frame, wedge,
 )
 
 __all__ = [
@@ -85,6 +86,9 @@ __all__ = [
 
 TOL_CURVATURE = 1e-4
 TOL_FIRST_ORDER = 1e-6
+
+# a metric field is symmetric when |g - g^T| is at most this times |g|
+_SYMMETRY_TOL = 16 * np.finfo(float).eps
 
 # Curvature-grade primitives nest two central-difference stencils, so every
 # stencil point lies within STENCIL_DEPTH * step of its base point.
@@ -142,7 +146,7 @@ def _primitive(compute):
 def _tt2(T, ginv):
     """TT2[x,y] = sum_i g(T(x,e_i), T(y,e_i))  (full two-slot contraction)."""
     flat = T.reshape(T.shape[:-2] + (-1,))  # T[x, (ab)]
-    return slotwise(T, ginv, 3, (1, 2)).reshape(flat.shape) @ np.swapaxes(flat, -1, -2)
+    return slotwise(T, ginv, 3, (1, 2)).reshape(flat.shape) @ flat.swapaxes(-1, -2)
 
 
 @lru_cache(maxsize=None)
@@ -168,17 +172,30 @@ def _distinct_offsets(d: int):
 _LEAVES = ("g", "omega", "phi", "log_factor")
 
 
-def _differentiated(m: HermitianManifold) -> tuple:
-    """The primitives whose ``partial`` a full report reads on base points:
-    the dilaton's where the chart has one, the conformal factor's where it
-    has a conformal parent."""
+# the primitives whose ``partial`` each suite reads on base points; the
+# structure block, which runs in every section, reads those of g and omega
+_SUITE_PARTIALS = {
+    "classify": {"T", "bismut_coefficients", "theta"},
+    "identities": {"koszul", "T", "bismut_coefficients", "chern_coefficients", "theta",
+                   "jtheta", "log_factor", "dlog_factor"},
+    "dim4": {"T", "theta", "jtheta"},
+    "string": {"koszul", "T", "bismut_coefficients", "theta", "flux_density",
+               "phi", "dphi", "eta", "dilaton_flux_density"},
+}
+
+
+def _differentiated(m: HermitianManifold, suites=tuple(_SUITE_PARTIALS)) -> tuple:
+    """The primitives whose ``partial`` a report of ``suites`` reads on base
+    points, in pass order: the dilaton's where the chart has one, the
+    conformal factor's where it has a conformal parent."""
     names = ("g", "omega", "koszul", "T", "bismut_coefficients", "chern_coefficients",
              "theta", "jtheta", "flux_density")
     if m.dilaton is not None:
         names += ("phi", "dphi", "eta", "dilaton_flux_density")
     if m.conformal_parent is not None:
         names += ("log_factor", "dlog_factor")
-    return names
+    read = {"g", "omega"}.union(*(_SUITE_PARTIALS[s] for s in suites))
+    return tuple(a for a in names if a in read)
 
 
 class Evaluation:
@@ -194,14 +211,15 @@ class Evaluation:
     the primitives that one central-difference pass takes together, over one
     evaluation on the stencil set around the points (both signs, every
     direction), which the pass builds and drops: by default every primitive
-    whose ``partial`` a full report reads on base points, so a run of one
-    suite pays for partials it does not read.  A ``partial`` of any other
-    primitive is a pass of its own.  The first level differentiates the
-    leaves that ``differentiated`` names, of ``g``, ``omega``, ``phi`` and
-    ``log_factor``, in one pass over one evaluation at the distinct
-    second-level points only, ``2d(d+1)`` of the ``(2d)^2`` around each
-    point, and every other point reads its twin's values.  No evaluation
-    holds another, so only base-point values outlive a pass.
+    whose ``partial`` a full report reads on base points; a report section
+    names those its suites read, so a run of one suite pays for no partial
+    it does not read.  A ``partial`` of any other primitive is a pass of its
+    own.  The first level differentiates the leaves that ``differentiated``
+    names, of ``g``, ``omega``, ``phi`` and ``log_factor``, in one pass over
+    one evaluation at the distinct second-level points only, ``2d(d+1)`` of
+    the ``(2d)^2`` around each point, and every other point reads its twin's
+    values.  No evaluation holds another, so only base-point values outlive
+    a pass.
     :meth:`with_structure` starts another complex structure from the
     metric-only values held here, on the same points.  The manifold's
     dimension must be even and at least 4.  The point set must not be empty
@@ -284,7 +302,7 @@ class Evaluation:
                 d, lead = p.shape[-1], p.shape[:-5]
                 keep, index = _distinct_offsets(d)
                 ev = self._derive(self.m, p.reshape(lead + (-1, d))[..., keep, :], 2)
-                return tuple(np.take(v, index, axis=len(lead)).reshape(
+                return tuple(v.take(index, axis=len(lead)).reshape(
                     p.shape[:-1] + v.shape[len(lead) + 1:])
                     for v in (getattr(ev, a) for a in attrs))
             derivatives = fd_partial(values, self.pts, self.step)
@@ -307,8 +325,8 @@ class Evaluation:
     @_primitive
     def g(self):
         g = self._field("metric", self.m.metric, 2)
-        skew = np.max(np.abs(g - np.swapaxes(g, -1, -2)))
-        if skew > 16 * np.finfo(float).eps * np.max(np.abs(g)):
+        skew = np.abs(g - g.swapaxes(-1, -2)).max()
+        if skew > _SYMMETRY_TOL * np.abs(g).max():
             raise ContractViolationError(f"{self.m.name}: field 'metric' is not symmetric, "
                                          f"|g - g^T| = {skew:.3g}")
         return g
@@ -429,7 +447,7 @@ class Evaluation:
         """TT4[x,y,z,u] = g(T(x,y), T(z,u))."""
         T = self.T
         flat = T.reshape(T.shape[:-3] + (-1, T.shape[-1]))  # T[(xy), a]
-        tt = slotwise(T, self.ginv, 3, (2,)).reshape(flat.shape) @ np.swapaxes(flat, -1, -2)
+        tt = slotwise(T, self.ginv, 3, (2,)).reshape(flat.shape) @ flat.swapaxes(-1, -2)
         return tt.reshape(T.shape[:-3] + (T.shape[-1],) * 4)
 
     @_primitive
@@ -555,7 +573,7 @@ class Evaluation:
         """nabla theta + its transpose: the Lie derivative of g along the dual
         of the Lee form."""
         nth = self.nabla("theta", "levi_civita")
-        return nth + np.einsum("...xy->...yx", nth)
+        return nth + permuted(nth, "xy->yx")
 
     # -- the residual measure --------------------------------------------------
 
@@ -577,12 +595,15 @@ class Evaluation:
         if valence:
             diff = to_frame(diff, self.frames, valence)
         mags = np.abs(diff).reshape(self.pts.shape[0], -1).max(axis=1)
-        bad = np.flatnonzero(~np.isfinite(mags))
-        if bad.size:
+        # argmax stops at the first NaN and reaches any +inf, so the
+        # maximum is finite exactly when every magnitude is
+        worst = mags.argmax()
+        value = float(mags[worst])
+        if not math.isfinite(value):
+            bad = np.flatnonzero(~np.isfinite(mags))[0]
             raise NumericError(f"non-finite residual in {name!r} at point "
-                               f"{self.pts[bad[0]].tolist()}")
-        worst = int(np.argmax(mags))
-        return float(mags[worst]), tuple(self.pts[worst].tolist())
+                               f"{self.pts[bad].tolist()}")
+        return value, tuple(self.pts[worst].tolist())
 
     def norm_sq(self, attr: str) -> np.ndarray:
         """The squared norm of the primitive ``attr``, held."""
@@ -632,18 +653,18 @@ def _identity_rows(ev: Evaluation):
     yield "torsion_nabla_exchange", ev.nabla("T", "levi_civita") - rhs, 2, ASSERTED
 
     # dT from the Bismut derivative
-    rhs = cyclic3_of4(nt + 2.0 * tt) - np.einsum("...uxyz->...xyzu", nt)
+    rhs = cyclic3_of4(nt + 2.0 * tt) - permuted(nt, "uxyz->xyzu")
     yield "torsion_ext_derivative", ev.dT - rhs, 2, ASSERTED
 
     # first Bianchi identity with torsion
     lhs = cyclic3_of4(ev.riemann("bismut"))
-    rhs = ev.dT + np.einsum("...uxyz->...xyzu", nt) - cyclic3_of4(tt)
+    rhs = ev.dT + permuted(nt, "uxyz->xyzu") - cyclic3_of4(tt)
     yield "bianchi_with_torsion", lhs - rhs, 2, ASSERTED
 
     # Levi-Civita curvature from the Bismut curvature
-    rhs = (ev.riemann("bismut") - 0.5 * nt + 0.5 * np.einsum("...yxzu->...xyzu", nt)
-           - 0.5 * tt - 0.25 * np.einsum("...yzxu->...xyzu", tt)
-           - 0.25 * np.einsum("...zxyu->...xyzu", tt))
+    rhs = (ev.riemann("bismut") - 0.5 * nt + 0.5 * permuted(nt, "yxzu->xyzu")
+           - 0.5 * tt - 0.25 * permuted(tt, "yzxu->xyzu")
+           - 0.25 * permuted(tt, "zxyu->xyzu"))
     yield "curvature_comparison", ev.riemann("levi_civita") - rhs, 2, ASSERTED
 
     # Riemannian Ricci from the Bismut one
@@ -662,15 +683,15 @@ def _identity_rows(ev: Evaluation):
     J = ev.J
     ric = ev.ric
     nth = ev.nabla("theta", "bismut")
-    lhs = ric - np.einsum("...xy->...yx", ric)
+    lhs = ric - permuted(ric, "xy->yx")
     yield "ricci_skew_coclosure", lhs + ev.codiff("T"), 2, ASSERTED
 
-    lhs = slotwise(ric, J, 2) - np.einsum("...xy->...yx", ric)
-    rhs = -slotwise(nth, J, 2) + np.einsum("...xy->...yx", nth)
+    lhs = slotwise(ric, J, 2) - permuted(ric, "xy->yx")
+    rhs = -slotwise(nth, J, 2) + permuted(nth, "xy->yx")
     yield "ricci_j_conjugation", lhs - rhs, 2, ASSERTED
 
     lhs = slotwise(ev.rho, J, 2) - ev.rho
-    dnth = nth - np.einsum("...xy->...yx", nth)
+    dnth = nth - permuted(nth, "xy->yx")
     rhs = (np.einsum("...my,...mx->...xy", ev.codiff("T"), J)
            - np.einsum("...my,...mx->...xy", dnth, J))
     yield "ricci_form_type_defect", lhs - rhs, 2, ASSERTED

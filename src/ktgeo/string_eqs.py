@@ -24,7 +24,7 @@ import numpy as np
 
 from .classify import DEFAULT_CLASSIFY_TOL, Flags, measure_flags
 from .identities import ASSERTED, HYPOTHESIS_FAILED, INFO, Evaluation, measure_rows
-from .tensor_core import interior_product, slotwise
+from .tensor_core import interior_product, permuted, slotwise
 
 __all__ = ["run_string_suite", "TOL_STRING"]
 
@@ -72,7 +72,7 @@ def _string_rows(ev: Evaluation, gradient: bool, sol: str, su_indicator: bool):
         # Bismut Ricci form vanishes: the eta equation with eta = theta
         yield "constant_dilaton_ricci", "ric", 2, sol
         yield "constant_dilaton_lee_equation", eta_equation, 2, sol
-    neta_t = np.einsum("...xy->...yx", neta)
+    neta_t = permuted(neta, "xy->yx")
     yield "eta_equation", eta_equation, 2, sol
     yield "eta_skew_equation", neta - neta_t, 2, sol
     yield "eta_symmetric_equation", neta + neta_t - 0.5 * lam_j, 2, sol

@@ -10,6 +10,10 @@ All conventions used by the rest of the engine are fixed here, once:
   ``out[.., i, ..] = sum_a M[..., a, i] t[.., a, ..]``: one batched matrix
   product per transported slot, on a view of the tensor, and no slot that is
   not transported is touched.
+- Index permutations are transposed views: ``permuted`` (einsum-style
+  subscripts over the trailing axes) and ``moved_axes`` (``np.moveaxis``'s
+  arguments), each with its axes computed once per shape and subscripts.
+  ``np.einsum`` only contracts or traces.
 - Every ``*_values`` function is batched: points have shape ``(..., dim)`` and
   tensor outputs have shape ``(..., dim, .., dim)``.  Single points work the
   same way with an empty batch.
@@ -71,8 +75,51 @@ _SLOT = "abcefghk"
 
 
 # ---------------------------------------------------------------------------
+# index permutations
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _permutation_axes(ndim: int, spec: str) -> tuple:
+    src, dst = spec.split("->")
+    lead = ndim - len(src)
+    return tuple(range(lead)) + tuple(lead + src.index(c) for c in dst)
+
+
+def permuted(t: np.ndarray, spec: str) -> np.ndarray:
+    """The view of ``t`` with its trailing axes permuted by ``spec``:
+    ``permuted(t, "uxyz->xyzu")`` is ``np.einsum("...uxyz->...xyzu", t)``,
+    the same view with the same strides, without einsum's parsing."""
+    return t.transpose(_permutation_axes(t.ndim, spec))
+
+
+@lru_cache(maxsize=None)
+def _moved_axes(ndim: int, source, destination) -> tuple:
+    source, destination = (tuple(a % ndim for a in (axes if isinstance(axes, tuple) else (axes,)))
+                           for axes in (source, destination))
+    order = [n for n in range(ndim) if n not in source]  # NumPy's moveaxis rule
+    for dest, src in sorted(zip(destination, source)):
+        order.insert(dest, src)
+    return tuple(order)
+
+
+def moved_axes(t: np.ndarray, source, destination) -> np.ndarray:
+    """``np.moveaxis(t, source, destination)`` as a transposed view, its axes
+    computed once per ``(t.ndim, source, destination)``."""
+    return t.transpose(_moved_axes(t.ndim, source, destination))
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _stencil_offsets(dim: int, step: float) -> np.ndarray:
+    """The read-only offsets ``+- step e_d`` of a stencil, sign axis first."""
+    eye = step * np.eye(dim)
+    offsets = np.stack((eye, -eye))
+    offsets.flags.writeable = False
+    return offsets
+
 
 def fd_partial(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
                step: float = DEFAULT_STEP):
@@ -87,8 +134,7 @@ def fd_partial(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
     one call, and the derivatives come back as a tuple in the same order.
     """
     pts = np.asarray(points, dtype=float)
-    eye = step * np.eye(pts.shape[-1])
-    values = fn(pts[..., None, None, :] + np.stack((eye, -eye)))
+    values = fn(pts[..., None, None, :] + _stencil_offsets(pts.shape[-1], step))
     sign = (slice(None),) * (pts.ndim - 1)  # the batch axes before the sign axis
 
     def difference(v):
@@ -103,7 +149,7 @@ def exterior_derivative_of(df: np.ndarray, valence: int) -> np.ndarray:
     first); see module docstring for the convention."""
     out = df + 0.0  # a copy with -0.0 read as +0.0, as a sum started from zero
     for m in range(1, valence + 1):
-        moved = np.moveaxis(df, -(valence + 1), -(valence + 1) + m)
+        moved = moved_axes(df, -(valence + 1), -(valence + 1) + m)
         if m % 2:
             out -= moved
         else:
@@ -130,14 +176,14 @@ def kahler_form_values(g: np.ndarray, J: np.ndarray) -> np.ndarray:
     antisymmetrization removes the roundoff contamination that a
     finite-difference stencil would otherwise amplify by 1/step."""
     gj = g @ J
-    return 0.5 * (gj - np.swapaxes(gj, -1, -2))
+    return 0.5 * (gj - gj.swapaxes(-1, -2))
 
 
 def koszul_values(dg: np.ndarray) -> np.ndarray:
     """All-lower Levi-Civita coefficients ``omega[l,i,j] = g(nabla_{d_i} d_j,
     d_l)`` from the metric derivative ``dg[d,a,b] = D_d g_ab`` (Koszul formula
     on coordinate fields)."""
-    return 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
+    return 0.5 * (permuted(dg, "ijl->lij") + permuted(dg, "jil->lij") - dg)
 
 
 def first_slot_matrix(t: np.ndarray) -> np.ndarray:
@@ -160,10 +206,10 @@ def covariant_derivative_of(df: np.ndarray, base: np.ndarray, gamma: np.ndarray,
     coef = first_slot_matrix(gamma)
     nab = df
     for s in range(valence):
-        moved = np.moveaxis(base, s - valence, -1)
+        moved = moved_axes(base, s - valence, -1)
         flat = moved.reshape(moved.shape[:moved.ndim - valence] + (-1, d)) @ coef
         term = flat.reshape(flat.shape[:-2] + (d,) * (valence + 1))  # [(rest), d, a]
-        nab = nab - np.moveaxis(term, (-2, -1), (-(valence + 1), s - valence))
+        nab = nab - moved_axes(term, (-2, -1), (-(valence + 1), s - valence))
     return nab
 
 
@@ -191,11 +237,11 @@ def gram_schmidt_frames(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     try:
         chol = np.linalg.cholesky(g)
-        least = np.min(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1) ** 2
+        least = chol.diagonal(axis1=-2, axis2=-1).min(axis=-1) ** 2
     except np.linalg.LinAlgError:  # non-finite entries read as 0 here
         chol, least = None, np.linalg.eigvalsh(np.where(np.isfinite(g), g, 0.0))[..., 0]
     least = np.atleast_1d(least)
-    if chol is None or np.any(least <= 1e-14):
+    if chol is None or (least <= 1e-14).any():
         # the most degenerate point: least squared pivot, or least eigenvalue
         bad = tuple(map(int, np.unravel_index(np.nanargmin(least), least.shape)))
         raise NumericError(f"metric is not positive definite at sampled point index {bad}")
@@ -214,7 +260,7 @@ def slotwise(t: np.ndarray, mat: np.ndarray, valence: int, slots=None) -> np.nda
     and ``mat`` broadcast independently."""
     slots = range(valence) if slots is None else slots
     d = mat.shape[-1]
-    mat_t = np.swapaxes(mat, -1, -2)
+    mat_t = mat.swapaxes(-1, -2)
     batch_ndim = max(t.ndim - valence, mat.ndim - 2)
     out = t
     for s in slots:
@@ -229,7 +275,7 @@ def slotwise(t: np.ndarray, mat: np.ndarray, valence: int, slots=None) -> np.nda
 
 def to_frame(t: np.ndarray, frame: np.ndarray, valence: int) -> np.ndarray:
     """Express covariant components in an orthonormal frame."""
-    return slotwise(t, np.swapaxes(frame, -1, -2), valence)
+    return slotwise(t, frame.swapaxes(-1, -2), valence)
 
 
 def j_trace_matrix(J: np.ndarray, ginv: np.ndarray) -> np.ndarray:
@@ -240,7 +286,7 @@ def j_trace_matrix(J: np.ndarray, ginv: np.ndarray) -> np.ndarray:
 
 def norm_sq_values(t: np.ndarray, ginv: np.ndarray, valence: int) -> np.ndarray:
     """Full index-sum squared norm, ``sum t(e_i1,..,e_ip)^2``."""
-    return np.sum(t * slotwise(t, ginv, valence), axis=tuple(range(-valence, 0)))
+    return (t * slotwise(t, ginv, valence)).sum(axis=tuple(range(-valence, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +312,7 @@ def hodge_star_values(alpha: np.ndarray, g: np.ndarray, valence: int) -> np.ndar
     """Hodge star with the coordinate-order orientation."""
     d = g.shape[-1]
     det = np.linalg.det(g)
-    if np.any(det <= 0):
+    if (det <= 0).any():
         bad = tuple(map(int, np.argwhere(np.atleast_1d(det) <= 0)[0]))
         raise NumericError(f"degenerate metric (det <= 0) at batch index {bad}")
     sqrtg = np.asarray(np.sqrt(det))
@@ -302,7 +348,7 @@ def interior_product(vec_contra: np.ndarray, t: np.ndarray, valence: int) -> np.
 
 def cyclic3_of4(t: np.ndarray) -> np.ndarray:
     """Sum over cyclic permutations of the first three slots of t[x,y,z,u]."""
-    return t + np.einsum("...yzxu->...xyzu", t) + np.einsum("...zxyu->...xyzu", t)
+    return t + permuted(t, "yzxu->xyzu") + permuted(t, "zxyu->xyzu")
 
 
 def proj_one_one(alpha: np.ndarray, J: np.ndarray) -> np.ndarray:

@@ -792,6 +792,35 @@ def test_each_suite_alone_writes_its_sections_of_the_full_report(tmp_path):
         assert sections((suite,), keys) == [{k: s[k] for k in keys} for s in full], suite
 
 
+@pytest.mark.parametrize("suites", [(s,) for s in ktgeo.cli.SUITES] + [()],
+                         ids=[*ktgeo.cli.SUITES, "all"])
+def test_each_section_differentiates_the_partials_its_suites_read(monkeypatch, tmp_path,
+                                                                  suites):
+    # the section's one base pass takes exactly the partials its suites read,
+    # and with every suite the full tuple, in its order
+    sections, asked = [], {}
+    real_partial = Evaluation.partial
+
+    def section_evaluation(*args):
+        sections.append(Evaluation(*args))  # held, so no two sections share an id
+        return sections[-1]
+
+    def partial(self, attr):
+        if self._depth == 0:
+            asked.setdefault(id(self), set()).add(attr)
+        return real_partial(self, attr)
+
+    monkeypatch.setattr(ktgeo.cli, "Evaluation", section_evaluation)
+    monkeypatch.setattr(Evaluation, "partial", partial)
+    argv = ["report", "--manifold", "all", "--points", "1", "--out", str(tmp_path / "r.json")]
+    assert main(argv + [a for s in suites for a in ("--suite", s)]) == 0
+    assert [ev.m.name for ev in sections] == catalog_names()
+    for ev in sections:
+        assert asked[id(ev)] == set(ev.differentiated), ev.m.name
+        if not suites:
+            assert ev.differentiated == ktgeo.identities._differentiated(ev.m)
+
+
 def test_report_traced_peak_holds_no_stencil_level(tmp_path):
     # the stencil evaluation of a base pass is dropped when the pass returns;
     # a first level held for the whole section put this peak at 34.7 MiB

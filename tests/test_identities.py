@@ -10,7 +10,7 @@ from ktgeo.catalog import (
 )
 from ktgeo.classify import structure_flags, vanishing_hypotheses
 from ktgeo.connections import lee_form_routes
-from ktgeo.errors import ContractViolationError, PreconditionError
+from ktgeo.errors import ContractViolationError, NumericError, PreconditionError
 from ktgeo.identities import (
     Evaluation, _distinct_offsets, run_identity_suite, verify_conformal_trace, verify_dim4,
 )
@@ -199,6 +199,31 @@ def test_residual_reads_the_valence_from_the_array(hopf):
     for bad in (np.zeros((3, 4, 3)), np.zeros((2, 4)), np.float64(0.0)):
         with pytest.raises(ContractViolationError):
             ev.residual("bad", bad)
+
+
+@pytest.mark.parametrize("diff, bad", [
+    ([1.0, np.nan, 3.0, np.inf], 1),
+    ([np.inf, 2.0, np.nan, 0.0], 0),
+    ([0.0, 5.0, 5.0, 1.0], None),
+])
+def test_residual_names_the_first_non_finite_point_or_the_first_maximum(diff, bad):
+    pts = sample("flat_torus_4", 4)
+    ev = Evaluation(get_manifold("flat_torus_4"), pts)
+    if bad is None:
+        assert ev.residual("scalar", np.array(diff)) == (5.0, tuple(pts[1].tolist()))
+        return
+    with pytest.raises(NumericError) as err:
+        ev.residual("scalar", np.array(diff))
+    assert str(err.value) == f"non-finite residual in 'scalar' at point {pts[bad].tolist()}"
+
+
+def test_residual_of_a_tensor_is_its_largest_frame_component_and_first_point(hopf):
+    pts = sample("hopf_standard", 4)
+    ev = Evaluation(hopf, pts)
+    diff = np.random.default_rng(1).standard_normal((4, 4, 4))
+    mags = np.abs(tensor_core.to_frame(diff, ev.frames, 2)).reshape(4, -1).max(axis=1)
+    worst = int(np.argmax(mags))
+    assert ev.residual("valence2", diff) == (float(mags[worst]), tuple(pts[worst].tolist()))
 
 
 def test_residual_transports_a_tensor_one_slot_at_a_time(monkeypatch):

@@ -4,7 +4,8 @@ the reason it stays.  A module's public names are its ``__all__``, or every
 name without a leading underscore where it has none.
 
 Calculus happens in few places: a stencil is placed, and a covariant
-derivative taken, only at the sites listed below with the reason each has."""
+derivative taken, only at the sites listed below with the reason each has.
+No NumPy wrapper permutes axes: a permutation is a transposed view."""
 
 import ast
 import importlib
@@ -128,3 +129,36 @@ def test_calculus_happens_at_the_listed_sites():
         assert not stray, f"{name} called outside its sites, at {sorted(stray)}"
         unused = {a for a in allowed if not any(inside(w, a) for w in found)}
         assert not unused, f"{name} listed but not called at {sorted(unused)}"
+
+
+# NumPy's Python-level wrappers for what an ndarray method or a cached
+# transpose does without their per-call dispatch
+WRAPPED = {"moveaxis": "moved_axes", "swapaxes": "the swapaxes method",
+           "broadcast_to": "a filled np.empty"}
+
+
+def _is_permutation(subscripts):
+    """Whether single-operand einsum subscripts only permute the axes."""
+    src, _, dst = subscripts.replace("...", "").partition("->")
+    return sorted(src) == sorted(dst) and len(set(src)) == len(src)
+
+
+def test_no_numpy_wrapper_permutes_axes():
+    # a pure index permutation is a transposed view (tensor_core.permuted),
+    # and np.einsum only contracts or traces
+    src = Path(ktgeo.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if not (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id == "np"):
+                continue
+            if func.attr in WRAPPED:
+                found.append((path.name, node.lineno, f"np.{func.attr}, use {WRAPPED[func.attr]}"))
+            elif (func.attr == "einsum" and len(node.args) == 2
+                  and isinstance(node.args[0], ast.Constant)
+                  and _is_permutation(node.args[0].value)):
+                found.append((path.name, node.lineno,
+                              f"np.einsum({node.args[0].value!r}), use permuted"))
+    assert not found, "\n".join(f"{name}:{line} {what}" for name, line, what in sorted(found))

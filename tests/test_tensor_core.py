@@ -9,11 +9,49 @@ from ktgeo.errors import ChartDomainError, ContractViolationError, NumericError
 from ktgeo.identities import Evaluation
 from ktgeo.tensor_core import (
     covariant_derivative_of, exterior_derivative_of, fd_partial, gram_schmidt_frames,
-    hodge_star_values, j_trace_matrix, kahler_form_values, metric_inverse,
-    norm_sq_values, slotwise, to_frame, wedge,
+    hodge_star_values, j_trace_matrix, kahler_form_values, metric_inverse, moved_axes,
+    norm_sq_values, permuted, slotwise, to_frame, wedge,
 )
 
 from conftest import alt, codiff_of_field, kahler_form, lee_fn, sample
+
+
+# ---------------------------------------------------------------------------
+# index permutations
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_permuted_is_the_einsum_view(data):
+    letters = "uxyzw"[:data.draw(st.integers(1, 5))]
+    dst = "".join(data.draw(st.permutations(letters)))
+    batch = data.draw(st.sampled_from([(), (3,), (2, 3)]))
+    t = np.arange(np.prod(batch + (2,) * len(letters))).reshape(batch + (2,) * len(letters))
+    got = permuted(t, f"{letters}->{dst}")
+    ref = np.einsum(f"...{letters}->...{dst}", t)
+    assert got.shape == ref.shape and got.strides == ref.strides
+    assert np.shares_memory(got, t) and np.array_equal(got, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_moved_axes_is_the_moveaxis_view(data):
+    ndim = data.draw(st.integers(1, 6))
+    count = data.draw(st.integers(1, ndim))
+    axis = st.integers(-ndim, ndim - 1)
+    source = data.draw(st.lists(axis, min_size=count, max_size=count,
+                                unique_by=lambda a: a % ndim))
+    destination = data.draw(st.lists(axis, min_size=count, max_size=count,
+                                     unique_by=lambda a: a % ndim))
+    if count == 1 and data.draw(st.booleans()):
+        source, destination = source[0], destination[0]
+    else:
+        source, destination = tuple(source), tuple(destination)
+    t = np.arange(np.prod(range(2, ndim + 2))).reshape(tuple(range(2, ndim + 2)))
+    got = moved_axes(t, source, destination)
+    ref = np.moveaxis(t, source, destination)
+    assert got.shape == ref.shape and got.strides == ref.strides
+    assert np.shares_memory(got, t) and np.array_equal(got, ref)
 
 
 # ---------------------------------------------------------------------------
