@@ -6,7 +6,7 @@ pointwise identity web relating them; classifies KT-type structures and
 evaluates the string background equations on a catalog of example geometries.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .catalog import (
     HermitianManifold, catalog_names, conformal_rescale, get_manifold,

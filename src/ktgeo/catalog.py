@@ -36,6 +36,9 @@ convention that rescales by ``exp(f)``).
 
 from __future__ import annotations
 
+import math
+import random
+import zlib
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -61,7 +64,10 @@ class Chart:
 
     dim: int
 
-    def sample(self, rng: np.random.Generator, n: int, margin: float) -> np.ndarray:
+    def sample(self, rng: random.Random, n: int, margin: float) -> np.ndarray:
+        """``n`` points at least ``margin`` inside the chart, as an ``(n, dim)``
+        array drawn from ``rng.random()`` alone, whose sequence for a given
+        seed is the same on every Python version."""
         raise NotImplementedError
 
     def interior_mask(self, points: np.ndarray, margin: float) -> np.ndarray:
@@ -102,7 +108,8 @@ class BoxChart(Chart):
             hi[ax] -= margin
         if (hi <= lo).any():
             raise PreconditionError("margin leaves an empty sampling window")
-        return lo + (hi - lo) * rng.random((n, self.dim))
+        u = np.array([rng.random() for _ in range(n * self.dim)]).reshape(n, self.dim)
+        return lo + (hi - lo) * u
 
     def interior_mask(self, points, margin):
         pts = np.asarray(points, dtype=float)
@@ -128,11 +135,20 @@ class AnnulusChart(Chart):
         lo, hi = self.r_min + margin, self.r_max - margin
         if hi <= lo:
             raise PreconditionError("margin leaves an empty annulus")
-        # uniform radius, uniform direction: deterministic given the generator
-        direction = rng.standard_normal((n, self.dim))
-        direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
-        r = lo + (hi - lo) * rng.random((n, 1))
-        return direction * r
+        # uniform radius, uniform direction: per point, a direction by
+        # rejection from the cube [-1, 1)^dim to the unit ball, then a radius.
+        # Every step is one correctly rounded float operation, so the points
+        # do not depend on the Python or NumPy version
+        points = []
+        for _ in range(n):
+            while True:
+                v = [2.0 * rng.random() - 1.0 for _ in range(self.dim)]
+                s = math.fsum(x * x for x in v)
+                if 0.0 < s <= 1.0:
+                    break
+            norm, r = math.sqrt(s), lo + (hi - lo) * rng.random()
+            points.append([x / norm * r for x in v])
+        return np.array(points).reshape(n, self.dim)
 
     def interior_mask(self, points, margin):
         r = np.linalg.norm(np.asarray(points, dtype=float), axis=-1)
@@ -171,11 +187,11 @@ class HermitianManifold:
         return self.chart.dim
 
     def sample_points(self, n: int, seed: int, margin: float = 0.05) -> np.ndarray:
-        """Deterministic chart sample: counter-based generator keyed by
-        (seed, manifold name)."""
-        import zlib
-        ss = np.random.SeedSequence([seed, zlib.crc32(self.name.encode())])
-        rng = np.random.Generator(np.random.Philox(ss))
+        """Deterministic chart sample: the standard library's Mersenne Twister
+        seeded by (seed, manifold name).  Only its ``random()`` is drawn, whose
+        sequence for an int seed Python keeps the same on every version, so a
+        seed names the same points on every supported Python and NumPy."""
+        rng = random.Random(seed << 32 | zlib.crc32(self.name.encode()))
         return self.chart.sample(rng, n, margin)
 
 

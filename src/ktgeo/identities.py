@@ -70,7 +70,7 @@ from .connections import (
 from .curvature import (
     lambda_omega_values, ricci_from_curvature, riemann_values, rho_from_curvature,
 )
-from .errors import ContractViolationError, NumericError, PreconditionError
+from .errors import ContractViolationError, GeometryError, NumericError, PreconditionError
 from .tensor_core import (
     DEFAULT_STEP, codifferential_of, covariant_derivative_of, cyclic3_of4,
     exterior_derivative_of, fd_partial, first_slot_matrix, gram_schmidt_frames,
@@ -313,13 +313,30 @@ class Evaluation:
     # -- chart data ------------------------------------------------------------
 
     def _field(self, name, fn, valence):
-        """The chart field ``fn`` at the points, which must be a tensor of
-        ``valence`` slots per point."""
-        value = fn(self.pts)
+        """The chart field ``fn`` at the points, which must be a real array of
+        ``valence`` slots per point.  A ``GeometryError`` or ``ValueError``
+        that ``fn`` raises is a numeric failure and passes through; any other
+        exception it raises, and a value that is not a real array of that
+        shape, break the chart's contract."""
+        try:
+            value = fn(self.pts)
+        except (GeometryError, ValueError):
+            raise
+        except Exception as exc:
+            raise ContractViolationError(f"{self.m.name}: field {name!r} raised "
+                                         f"{type(exc).__name__}: {exc}") from exc
+        try:
+            value = np.asarray(value)
+        except ValueError as exc:  # a ragged nested sequence
+            raise ContractViolationError(f"{self.m.name}: field {name!r} is not an "
+                                         f"array: {exc}") from exc
+        if value.dtype.kind not in "biuf":
+            raise ContractViolationError(f"{self.m.name}: field {name!r} has dtype "
+                                         f"{value.dtype}, expected a real one")
         expected = self.pts.shape[:-1] + (self.m.dim,) * valence
-        if np.shape(value) != expected:
+        if value.shape != expected:
             raise ContractViolationError(f"{self.m.name}: field {name!r} has shape "
-                                         f"{np.shape(value)}, expected {expected}")
+                                         f"{value.shape}, expected {expected}")
         return value
 
     @_primitive

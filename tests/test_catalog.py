@@ -121,3 +121,32 @@ def test_sampling_is_deterministic_and_in_domain():
         c = m.sample_points(16, seed=4)
         assert not np.array_equal(a, c)
         assert np.all(m.chart.interior_mask(a, 0.04))
+
+
+# sample_points(2, seed) of a box with a tight axis and of an annulus.  The
+# points are drawn from random.random() alone, whose sequence for an int seed
+# Python keeps the same on every version, so a seed names these points on
+# every supported Python and NumPy
+PINNED_POINTS = {
+    ("su2xu1", 0): [[1.140394817007219, 5.5341238896378, 1.894693933042128,
+                     -0.14772649609143995],
+                    [0.7095229159791382, 2.3710119869850907, 3.475656971773518,
+                     -0.5795099044236673]],
+    ("su2xu1", 1): [[0.2760499212265322, 2.2222136421593306, 3.7090986526002196,
+                     0.7617017724837771],
+                    [1.9632374877835304, 4.540915950909482, 1.2151016608986103,
+                     0.16153114669826407]],
+    ("hopf_standard", 0): [[0.01733027340178583, -0.1155427064193976, 0.5860868375176794,
+                            0.7867561176949176],
+                           [0.27475226384565155, 0.11914069580073447, 0.04908627924275359,
+                            -1.1776716852433218]],
+    ("hopf_standard", 1): [[0.7539384220075184, -0.7935976261504372, -1.3372731787165995,
+                            0.027771741349943122],
+                           [-0.3209159823151481, -0.832400026800046, -0.49831177205144583,
+                            0.8505751716750436]],
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED_POINTS))
+def test_a_seed_names_the_same_points_on_every_python(name, seed):
+    assert get_manifold(name).sample_points(2, seed).tolist() == PINNED_POINTS[name, seed]

@@ -5,7 +5,9 @@ name without a leading underscore where it has none.
 
 Calculus happens in few places: a stencil is placed, and a covariant
 derivative taken, only at the sites listed below with the reason each has.
-No NumPy wrapper permutes axes: a permutation is a transposed view."""
+No NumPy wrapper permutes axes: a permutation is a transposed view.  Nothing
+uses NumPy's random module: chart points come from the standard library's
+generator."""
 
 import ast
 import importlib
@@ -162,3 +164,18 @@ def test_no_numpy_wrapper_permutes_axes():
                 found.append((path.name, node.lineno,
                               f"np.einsum({node.args[0].value!r}), use permuted"))
     assert not found, "\n".join(f"{name}:{line} {what}" for name, line, what in sorted(found))
+
+
+def test_no_numpy_random():
+    # HermitianManifold.sample_points draws from random.Random, so no report
+    # imports numpy.random, which NumPy 2 loads only when it is first used
+    src = Path(ktgeo.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        found += [(path.name, n) for n, line in enumerate(text.splitlines(), 1)
+                  if "np.random" in line or "numpy.random" in line]
+        found += [(path.name, node.lineno) for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+                  and any(alias.name == "random" for alias in node.names)]
+    assert not found, "\n".join(f"{name}:{line}" for name, line in sorted(found))
