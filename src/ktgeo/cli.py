@@ -217,12 +217,18 @@ def _manifold_report(m, cfg: RunConfig) -> dict:
 
     # one evaluation per section, handed to every suite: they share its
     # primitives, its one stencil pass takes the partials they read, and
-    # nothing computed here outlives the section
+    # nothing computed here outlives the section.  The conformal row runs
+    # first: it measures the conformal parent, a second evaluation with its
+    # own stencil pass, and drops it before this one holds any value, so the
+    # two passes never stack
     suite = "sampling"
     try:
         section = {"name": m.name, "dim": m.dim, "chart": m.chart.describe()}
         pts = m.sample_points(cfg.points, cfg.seed, margin=max(0.05, 3 * cfg.step))
         ev = Evaluation(m, pts, cfg.step, _differentiated(m, cfg.suites))
+        if "identities" in cfg.suites and m.conformal_parent is not None:
+            suite = "identities"
+            conformal = verify_conformal_trace(ev, tol)
         if "classify" in cfg.suites:
             suite = "classify"
             flags = structure_flags(ev, cfg.tol_classify)
@@ -235,7 +241,7 @@ def _manifold_report(m, cfg: RunConfig) -> dict:
             suite = "identities"
             identities = run_identity_suite(ev, tol)
             if m.conformal_parent is not None:
-                identities.append(verify_conformal_trace(ev, tol))
+                identities.append(conformal)
             section["identities"] = _identity_dicts(identities)
             rows += identities
 

@@ -317,7 +317,8 @@ class Evaluation:
         ``valence`` slots per point.  A ``GeometryError`` or ``ValueError``
         that ``fn`` raises is a numeric failure and passes through; any other
         exception it raises, and a value that is not a real array of that
-        shape, break the chart's contract."""
+        shape, break the chart's contract.  A NaN or infinite value is a
+        ``NumericError`` naming the field and the first point affected."""
         try:
             value = fn(self.pts)
         except (GeometryError, ValueError):
@@ -337,6 +338,12 @@ class Evaluation:
         if value.shape != expected:
             raise ContractViolationError(f"{self.m.name}: field {name!r} has shape "
                                          f"{value.shape}, expected {expected}")
+        # the largest magnitude is NaN or infinite exactly when some value is;
+        # abs and max are loops every report runs, np.isfinite only on failure
+        if not math.isfinite(np.abs(value).max()):
+            bad = ~np.isfinite(value).reshape(self.pts.shape[:-1] + (-1,)).all(axis=-1)
+            raise NumericError(f"{self.m.name}: field {name!r} is not finite at point "
+                               f"{self.pts[bad][0].tolist()}")
         return value
 
     @_primitive
@@ -475,7 +482,7 @@ class Evaluation:
 
     @_primitive
     def sqrt_det_g(self):
-        # a non-finite metric gives NaN quietly here, so the residual that
+        # a negative determinant gives NaN quietly here, so the residual that
         # reads it names the row
         with np.errstate(invalid="ignore"):
             return np.sqrt(np.linalg.det(self.g))
@@ -799,21 +806,27 @@ def verify_conformal_trace(ev: Evaluation, tol=TOL_CURVATURE) -> Row:
     manifold of ``ev`` and its conformal parent, with the geometer's Laplacian
     (codiff d) on the parent, under the identity tolerance ``tol`` as in
     :func:`run_identity_suite`.  The catalog factor f corresponds to a
-    rescale by exp(2 f), so the factor entering the formula is F = 2 f."""
+    rescale by exp(2 f), so the factor entering the formula is F = 2 f.
+
+    The parent is a separate evaluation, built from its own fields.  Its four
+    base-point values are read, and the parent dropped, before any value of
+    ``ev`` is read here, so a section that runs this row first never holds
+    the two evaluations' stencil passes at once."""
     m = ev.m
     if m.conformal_parent is None:
         raise PreconditionError(f"{m.name} has no conformal parent")
-    # no other suite reads the parent, so it is not shared and is freed with
-    # this row; its u, Lee form and Levi-Civita coefficients read these
+    # no other suite reads the parent, so it is not shared; its u, Lee form
+    # and Levi-Civita coefficients read these partials
     parent = Evaluation(m.conformal_parent.parent, ev.pts, ev.step,
                         ("g", "omega", "chern_coefficients"))
+    gamma, theta, ginv, u = parent.gamma("levi_civita"), parent.theta, parent.ginv, parent.u
+    del parent
     # dF on m's points, and the parent's Laplacian of F from its derivative
     df = 2.0 * ev.dlog_factor
-    nab = covariant_derivative_of(2.0 * ev.partial("dlog_factor"), df,
-                                  parent.gamma("levi_civita"), 1)
+    nab = covariant_derivative_of(2.0 * ev.partial("dlog_factor"), df, gamma, 1)
 
     n = m.dim // 2
     lhs = 2.0 * np.exp(2.0 * ev.log_factor) * ev.u
-    pairing = np.einsum("...a,...b,...ab->...", parent.theta, df, parent.ginv)
-    rhs = 2.0 * parent.u + n * (n - 1) * pairing + n * codifferential_of(nab, parent.ginv, 1)
+    pairing = np.einsum("...a,...b,...ab->...", theta, df, ginv)
+    rhs = 2.0 * u + n * (n - 1) * pairing + n * codifferential_of(nab, ginv, 1)
     return measure_rows(ev, [("conformal_u_change", lhs - rhs, 2, ASSERTED)], tol)[0]
