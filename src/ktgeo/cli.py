@@ -13,7 +13,8 @@ Verbs:
 Exit status: 0 when every asserted check passes, 1 when a residual fails,
 2 for an unknown manifold, an invalid configuration or an unwritable report,
 3 for a numeric failure (degenerate metric, stencil leaving the chart, ...) or
-a contract violation (a chart field of the wrong shape, ...).
+a contract violation (a chart field of the wrong shape, ...), 4 for an
+engine bug (any other exception, its traceback before the ``error:`` line).
 
 Reports are deterministic: identical configurations produce byte-identical
 documents, so independent runs (and independent implementations following the
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import traceback
 from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -94,14 +96,20 @@ class RunConfig:
                 "suites": list(self.suites), "version": __version__}
 
 
-class NumericFailure(Exception):
-    """Wraps a GeometryError, or a ValueError from a chart field (NumPy's
-    LinAlgError among them), with (manifold, suite) context for exit code 3;
-    a contract violation (a malformed chart or argument) is worded as one."""
+class SectionFailure(Exception):
+    """Wraps an exception raised in a report section with (manifold, suite)
+    context.  A GeometryError, or a ValueError from a chart field (NumPy's
+    LinAlgError among them), is a numeric failure, exit code 3; a contract
+    violation (a malformed chart or argument) is worded as one.  Any other
+    exception is an engine bug, an internal error with exit code 4."""
 
     def __init__(self, manifold, suite, original):
-        kind = ("contract violation" if isinstance(original, ContractViolationError)
-                else "numeric failure")
+        self.code = 3 if isinstance(original, (GeometryError, ValueError)) else 4
+        if self.code == 4:
+            kind, original = "internal error", f"{type(original).__name__}: {original}"
+        else:
+            kind = ("contract violation" if isinstance(original, ContractViolationError)
+                    else "numeric failure")
         super().__init__(f"{kind} on {manifold!r} during {suite!r}: {original}")
 
 
@@ -263,8 +271,8 @@ def _manifold_report(m, cfg: RunConfig) -> dict:
         structure = verify_structure(ev, tol)
         section["structure"] = [r.as_dict() for r in structure]
         rows += structure
-    except (GeometryError, ValueError) as exc:
-        raise NumericFailure(m.name, suite, exc) from exc
+    except Exception as exc:
+        raise SectionFailure(m.name, suite, exc) from exc
 
     # the section passes when every asserted row passes, and so do the
     # taxonomy implications and the HKT bit where classify ran
@@ -351,12 +359,11 @@ def main(argv=None) -> int:
     except UnknownManifoldError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except NumericFailure as exc:
+    except SectionFailure as exc:
+        if exc.code == 4:  # an engine bug: its traceback, then the one line
+            traceback.print_exception(exc.__cause__)
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (GeometryError, ValueError) as exc:  # NumPy's LinAlgError among them
-        print(f"error: numeric failure: {exc}", file=sys.stderr)
-        return 3
+        return exc.code
 
     text = render_report(report)
     if cfg.out:

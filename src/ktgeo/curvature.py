@@ -66,15 +66,13 @@ def rho_from_curvature(r: np.ndarray, jg: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("...xyab,...ba->...xy", r, jg)
 
 
-def lambda_omega_values(dT: np.ndarray, jg: np.ndarray):
-    """lambda_omega and its scalar half-J-trace h, from the exterior
+def lambda_omega_values(dT: np.ndarray, jg: np.ndarray) -> np.ndarray:
+    """lambda_omega(X,Y) = sum_i dT(X,Y,e_i,J e_i), from the exterior
     derivative ``dT`` of the Bismut torsion and the J-trace matrix at the
-    same points.  ``lam`` is one matrix-vector product per point (``dT`` as
-    a (d^2, d^2) matrix times the transposed ``jg`` as a d^2-vector), so a
+    same points.  It is one matrix-vector product per point (``dT`` as a
+    (d^2, d^2) matrix times the transposed ``jg`` as a d^2-vector), so a
     point's value does not depend on the points beside it: ``np.einsum``
     over the contiguous ``dT`` sums in an order that depends on the batch."""
     d = jg.shape[-1]
     vec = jg.swapaxes(-1, -2).reshape(jg.shape[:-2] + (d * d, 1))
-    lam = (dT.reshape(dT.shape[:-4] + (d * d, d * d)) @ vec).reshape(dT.shape[:-2])
-    h = 0.5 * np.einsum("...mn,...mn->...", lam, jg)
-    return lam, h
+    return (dT.reshape(dT.shape[:-4] + (d * d, d * d)) @ vec).reshape(dT.shape[:-2])

@@ -128,9 +128,7 @@ class Row:
 # ---------------------------------------------------------------------------
 
 def _frozen(value):
-    """A read-only view of an array, or of each in a tuple."""
-    if isinstance(value, tuple):
-        return tuple(map(_frozen, value))
+    """A read-only view of an array; any other value as it is."""
     if isinstance(value, np.ndarray):
         value = value.view()
         value.flags.writeable = False
@@ -284,14 +282,13 @@ class Evaluation:
         """``D_d`` of the primitive ``attr`` here, derivative axis first,
         held read-only; the only place a stencil is placed.  The first
         ``partial`` of any primitive in ``differentiated`` takes all of them
-        not yet held in one central-difference pass over one evaluation on
+        in one central-difference pass over one evaluation on
         the stencil set around the points, which the pass drops when it
         returns; any other primitive is a pass of its own.  On the first
         stencil level that evaluation is built at the distinct second-level
         points only, and every other point reads its twin."""
         if ("partial", attr) not in self._values:
-            shared = self.differentiated if attr in self.differentiated else (attr,)
-            attrs = [a for a in shared if ("partial", a) not in self._values]
+            attrs = self.differentiated if attr in self.differentiated else (attr,)
 
             def values(p):  # at the stencil set around the points
                 if self._depth == 0:
@@ -313,11 +310,11 @@ class Evaluation:
     # -- chart data ------------------------------------------------------------
 
     def _field(self, name, fn, valence):
-        """The chart field ``fn`` at the points, which must be a real array of
-        ``valence`` slots per point.  A ``GeometryError`` or ``ValueError``
-        that ``fn`` raises is a numeric failure and passes through; any other
-        exception it raises, and a value that is not a real array of that
-        shape, break the chart's contract.  A NaN or infinite value is a
+        """The chart field ``fn`` at the points, read as native float64: a
+        float64 or integer array of ``valence`` slots per point.  A
+        ``GeometryError`` or ``ValueError`` that ``fn`` raises is a numeric
+        failure and passes through; any other exception, dtype or shape
+        breaks the chart's contract.  A NaN or infinite value is a
         ``NumericError`` naming the field and the first point affected."""
         try:
             value = fn(self.pts)
@@ -331,9 +328,11 @@ class Evaluation:
         except ValueError as exc:  # a ragged nested sequence
             raise ContractViolationError(f"{self.m.name}: field {name!r} is not an "
                                          f"array: {exc}") from exc
-        if value.dtype.kind not in "biuf":
+        # float32 rounding over the stencil's h^2 would fail curvature rows
+        if value.dtype.kind not in "iu" and value.dtype.newbyteorder("=") != np.float64:
             raise ContractViolationError(f"{self.m.name}: field {name!r} has dtype "
-                                         f"{value.dtype}, expected a real one")
+                                         f"{value.dtype}, expected float64 or an integer type")
+        value = value.astype(float, copy=False)
         expected = self.pts.shape[:-1] + (self.m.dim,) * valence
         if value.shape != expected:
             raise ContractViolationError(f"{self.m.name}: field {name!r} has shape "
@@ -421,12 +420,14 @@ class Evaluation:
         return exterior_derivative_of(self.partial("T"), 3)
 
     @_primitive
-    def lambda_omega(self):
-        """(lam, h): lam(X,Y) = sum_i dT(X,Y,e_i,J e_i) and 2 h = jtr(lam)."""
+    def lam(self):
+        """lambda_omega(X,Y) = sum_i dT(X,Y,e_i,J e_i)."""
         return lambda_omega_values(self.dT, self.jg)
 
-    lam = property(lambda self: self.lambda_omega[0])
-    h = property(lambda self: self.lambda_omega[1])
+    @_primitive
+    def h(self):
+        """The half J-trace of lambda_omega: 2 h = jtr(lam)."""
+        return 0.5 * np.einsum("...mn,...mn->...", self.lam, self.jg)
 
     @_primitive
     def theta(self):
@@ -482,8 +483,8 @@ class Evaluation:
 
     @_primitive
     def sqrt_det_g(self):
-        # a negative determinant gives NaN quietly here, so the residual that
-        # reads it names the row
+        # a negative determinant gives NaN quietly here: the frames, which
+        # measure every row that reads it, reject that metric by name
         with np.errstate(invalid="ignore"):
             return np.sqrt(np.linalg.det(self.g))
 
@@ -646,18 +647,17 @@ def measure_rows(ev: Evaluation, rows, tol=TOL_CURVATURE, tol_first=TOL_FIRST_OR
     order 2 and ``min(tol_first, tol)`` at order 1.  ``diff`` is the
     difference ``lhs - rhs``, the name of a primitive (its held residual) or
     a tuple of these (the largest residual); a ``skipped`` row gives its
-    reason in place of ``diff``.  A difference yielded twice is measured
-    once."""
-    out, seen = [], {}  # id(diff): (diff, measure); holding diff keeps its id unique
+    reason in place of ``diff``.  A row that yields the previous row's
+    difference again reuses its measure; no other difference is held."""
+    out, last = [], None
     for name, diff, order, status in rows:
         tolerance = min(tol_first, tol) if order == 1 else tol
         if status == SKIPPED:
             out.append(Row(name, None, tolerance, status, None, reason=diff))
             continue
-        if id(diff) not in seen:
+        if diff is not last:
             diffs = diff if isinstance(diff, tuple) else (diff,)
-            seen[id(diff)] = diff, max(ev.residual(name, d) for d in diffs)
-        value, point = seen[id(diff)][1]
+            last, (value, point) = diff, max(ev.residual(name, d) for d in diffs)
         out.append(Row(name, value, tolerance, status, point))
     return out
 
@@ -728,7 +728,7 @@ def _identity_rows(ev: Evaluation):
     yield "chern_vs_bismut_ricci", ev.rho_chern - (ev.rho + ev.d_jtheta), 2, ASSERTED
 
     # J-trace of lambda (pins the norm convention)
-    lhs = -np.einsum("...mn,...mn->...", ev.lam, ev.jg)  # = sum_i lambda(e_i, J e_i)
+    lhs = -2.0 * ev.h  # = sum_i lambda(e_i, J e_i)
     rhs = 8.0 * ev.norm_sq("theta") + 8.0 * ev.codiff("theta") - 4.0 / 3.0 * ev.norm_sq("T")
     yield "lambda_trace_calibration", lhs - rhs, 2, ASSERTED
 
@@ -771,7 +771,8 @@ def _dim4_rows(ev: Evaluation):
     m = ev.m
     if m.dim == 4:
         # the larger residual of the two sides against T
-        yield ("torsion_lee_duality", (ev.T + hodge_star_values(ev.theta, ev.g, 1), "lck_defect"),
+        yield ("torsion_lee_duality",
+               (ev.T + hodge_star_values(ev.theta, ev.ginv, ev.sqrt_det_g, 1), "lck_defect"),
                1, ASSERTED)
 
     defect = ev.magnitude("lck_defect")

@@ -26,7 +26,8 @@ All conventions used by the rest of the engine are fixed here, once:
   over an orthonormal frame; equivalently a ``g^{-1}`` contraction of the
   Levi-Civita derivative, which is what the implementation uses.
 - Hodge star: the chart coordinate order defines the positive orientation;
-  ``(*a)_{j..} = (1/p!) a^{i..} sqrt(det g) eps_{i.. j..}``.
+  ``(*a)_{j..} = (1/p!) a^{i..} sqrt(det g) eps_{i.. j..}``, over the inverse
+  metric and ``sqrt(det g)`` that the caller holds.
 - J-trace orientation: ``jtr(a) = sum_i a(J e_i, e_i)``.  Definitions that
   need ``sum_i a(e_i, J e_i)`` call this with an explicit sign flip.
 - Norms: full index sums of orthonormal-frame components, no combinatorial
@@ -298,29 +299,20 @@ def levi_civita_symbol(dim: int) -> np.ndarray:
     """Totally antisymmetric symbol with eps[0,1,..,dim-1] = +1."""
     eps = np.zeros((dim,) * dim)
     for perm in itertools.permutations(range(dim)):
-        sign = 1
-        plist = list(perm)
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                if plist[i] > plist[j]:
-                    sign = -sign
-        eps[perm] = sign
+        eps[perm] = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
     return eps
 
 
-def hodge_star_values(alpha: np.ndarray, g: np.ndarray, valence: int) -> np.ndarray:
-    """Hodge star with the coordinate-order orientation."""
-    d = g.shape[-1]
-    det = np.linalg.det(g)
-    if (det <= 0).any():
-        bad = tuple(map(int, np.argwhere(np.atleast_1d(det) <= 0)[0]))
-        raise NumericError(f"degenerate metric (det <= 0) at batch index {bad}")
-    sqrtg = np.asarray(np.sqrt(det))
-    eps = levi_civita_symbol(d)
-    weight = sqrtg[(...,) + (None,) * (d - valence)]
-    raised = slotwise(alpha, metric_inverse(g), valence)
+def hodge_star_values(alpha: np.ndarray, ginv: np.ndarray, sqrt_det_g: np.ndarray,
+                      valence: int) -> np.ndarray:
+    """Hodge star with the coordinate-order orientation, from the inverse
+    metric and sqrt(det g) at the same points."""
+    d = ginv.shape[-1]
+    weight = np.asarray(sqrt_det_g)[(...,) + (None,) * (d - valence)]
+    raised = slotwise(alpha, ginv, valence)
     up = _SLOT[:valence]
     out = _SLOT[valence:d]
+    eps = levi_civita_symbol(d)
     comp = np.einsum(f"...{up},{up}{out}->...{out}", raised, eps) / math.factorial(valence)
     return weight * comp
 

@@ -9,7 +9,8 @@ from ktgeo.catalog import (
 )
 from ktgeo.identities import Evaluation, run_identity_suite
 from ktgeo.tensor_core import (
-    codifferential_of, covariant_derivative_of, fd_partial, kahler_form_values,
+    codifferential_of, covariant_derivative_of, fd_partial, hodge_star_values,
+    kahler_form_values,
 )
 
 
@@ -30,6 +31,17 @@ def lee_fn(m):
 def kahler_form(m):
     """The Kaehler form omega(X,Y) = g(X, JY) of ``m`` as a batched field."""
     return lambda p: kahler_form_values(m.metric(p), m.complex_structure(p))
+
+
+def hodge_star(alpha, g, valence):
+    """Reference Hodge star over metric values ``g``: g is factored as
+    L L^T, its inverse and sqrt(det g) = prod diag(L) read off L, and the
+    kernel's star applied; the engine's reads the held inverse and
+    sqrt(det g) of an evaluation."""
+    chol = np.linalg.cholesky(g)
+    inv = np.linalg.inv(chol)
+    return hodge_star_values(alpha, inv.swapaxes(-1, -2) @ inv,
+                             np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1), valence)
 
 
 def codiff_of_field(ev, fn, valence):

@@ -13,9 +13,9 @@ from ktgeo.classify import check_hkt, classify
 from ktgeo.cli import main
 from ktgeo.identities import Evaluation, run_identity_suite, verify_conformal_trace
 from ktgeo.string_eqs import run_string_suite
-from ktgeo.tensor_core import hodge_star_values, metric_inverse, norm_sq_values, wedge
+from ktgeo.tensor_core import metric_inverse, norm_sq_values, wedge
 
-from conftest import kahler_form, richardson_ratios
+from conftest import hodge_star, kahler_form, richardson_ratios
 
 N_POINTS = 32
 SEED = 0
@@ -64,7 +64,7 @@ def test_criterion_2_hopf_reproduces_the_homogeneous_model():
 
     T = ev.T
     theta = ev.theta
-    res["torsion_star_dual"] = float(np.max(np.abs(T + hodge_star_values(theta, g, 1))))
+    res["torsion_star_dual"] = float(np.max(np.abs(T + hodge_star(theta, g, 1))))
     J = m.complex_structure(pts)
     jth = -np.einsum("...m,...mi->...i", theta, J)
     res["torsion_wedge_form"] = float(np.max(np.abs(T - wedge(jth, kahler_form(m)(pts), 2))))

@@ -1,8 +1,10 @@
 import argparse
 import contextlib
 import gc
+import importlib
 import io
 import json
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -201,17 +203,19 @@ def test_wrong_field_shape_exits_3(base, field, wrong, given, capsys):
 
 
 def test_a_chart_field_given_as_a_list_is_read_as_an_array(tmp_path):
-    # a nested list of the right shape is the field's array: the report is
-    # the one of the same chart with an ndarray field
+    # a nested list of the right shape is the field's array, and an integer
+    # array is read as float64: the report is the one of the same chart with
+    # a float64 ndarray field
     flat = get_manifold("flat_torus_4")
     texts = []
-    for metric in (flat.metric, lambda p: flat.metric(p).tolist()):
+    for metric in (flat.metric, lambda p: flat.metric(p).tolist(),
+                   lambda p: flat.metric(p).astype(np.int64)):
         register_manifold(replace(flat, name="list_metric_test_manifold", metric=metric))
         out_file = tmp_path / f"{len(texts)}.json"
         assert main(["report", "--manifold", "list_metric_test_manifold", "--points", "2",
                      "--out", str(out_file)]) == 0
         texts.append(out_file.read_text())
-    assert texts[0] == texts[1]
+    assert texts[0] == texts[1] == texts[2]
 
 
 def _ragged_metric(p):
@@ -228,17 +232,18 @@ def _raising_metric(error):
 
 @pytest.mark.parametrize("metric, message", [
     (lambda p: get_manifold("flat_torus_4").metric(p).astype(complex),
-     "has dtype complex128, expected a real one"),
+     "has dtype complex128, expected float64 or an integer type"),
     (lambda p: get_manifold("flat_torus_4").metric(p).astype(object),
-     "has dtype object, expected a real one"),
+     "has dtype object, expected float64 or an integer type"),
     (_ragged_metric, "is not an array: "),
     (_raising_metric(TypeError), "raised TypeError: user field failed"),
     (_raising_metric(ZeroDivisionError), "raised ZeroDivisionError: user field failed"),
 ], ids=["complex", "object", "ragged", "TypeError", "ZeroDivisionError"])
 def test_a_malformed_chart_field_exits_3(metric, message, capsys):
     # a GeometryError or ValueError of a field is a numeric failure; any other
-    # exception, and a value that is not a real array, breaks the chart's
-    # contract: one line naming the manifold and the field, not a traceback
+    # exception, and a value that is not a float64 or integer array, breaks
+    # the chart's contract: one line naming the manifold and the field, not a
+    # traceback
     register_manifold(replace(get_manifold("flat_torus_4"), name="malformed_test_manifold",
                               metric=metric))
     code = main(["report", "--manifold", "malformed_test_manifold", "--points", "1",
@@ -293,7 +298,8 @@ _MALFORMED_METRICS = st.one_of(
     st.lists(st.integers(1, 5), max_size=3).map(tuple)
     .filter(lambda shape: shape != (4, 4)).map(_shaped_metric),
     st.just(_ragged_metric),
-    st.sampled_from([complex, object]).map(_retyped_metric),
+    st.sampled_from([complex, object, np.float16, np.float32, np.longdouble, bool])
+    .map(_retyped_metric),
     st.builds(_non_finite_metric, st.sampled_from([np.nan, np.inf, -np.inf]),
               st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(1, 3)),
     st.builds(_asymmetric_metric, _OFF_DIAGONAL,
@@ -594,12 +600,36 @@ def test_non_finite_residual_exits_3(suite, capsys):
 
 
 def test_linear_algebra_failure_exits_3(monkeypatch, capsys):
-    def failing(cfg):
+    # NumPy's LinAlgError raised by the engine inside a section is a numeric
+    # failure of that section
+    def failing(ev, tol=None):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(ktgeo.cli, "run", failing)
-    assert main(["report", "--manifold", "flat_torus_4", "--out", "/dev/null"]) == 3
-    assert "numeric failure" in capsys.readouterr().err
+    monkeypatch.setattr(ktgeo.cli, "structure_flags", failing)
+    assert main(["report", "--manifold", "flat_torus_4", "--points", "1",
+                 "--out", "/dev/null"]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == ("error: numeric failure on 'flat_torus_4' during 'classify': "
+                    "Eigenvalues did not converge")
+
+
+def test_an_engine_bug_exits_4_naming_the_manifold_and_suite(monkeypatch, capsys):
+    # any other exception inside a section is an engine bug, not a failed
+    # residual: its traceback, then one error line, and exit 4
+    def broken(ev, flavor):
+        raise RuntimeError("engine bug")
+
+    for info in pkgutil.iter_modules(ktgeo.__path__):
+        module = importlib.import_module(f"ktgeo.{info.name}")
+        if hasattr(module, "riemann_values"):
+            monkeypatch.setattr(module, "riemann_values", broken)
+    assert main(["report", "--manifold", "flat_torus_4", "--points", "1",
+                 "--out", "/dev/null"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "Traceback (most recent call last):"
+    assert err[-2] == "RuntimeError: engine bug"
+    assert err[-1] == ("error: internal error on 'flat_torus_4' during 'classify': "
+                       "RuntimeError: engine bug")
 
 
 def test_singular_chart_field_exits_3_naming_the_manifold_and_suite(capsys):

@@ -6,11 +6,11 @@ from ktgeo.connections import lower_coefficients
 from ktgeo.curvature import lambda_omega_values, riemann_values, rho_from_curvature
 from ktgeo.identities import Evaluation
 from ktgeo.tensor_core import (
-    exterior_derivative_of, fd_partial, gram_schmidt_frames, hodge_star_values,
-    j_trace_matrix, metric_inverse, proj_one_one, to_frame,
+    exterior_derivative_of, fd_partial, gram_schmidt_frames, j_trace_matrix, metric_inverse,
+    proj_one_one, to_frame,
 )
 
-from conftest import block_conformal_torus_6, kahler_form, lee_fn, sample
+from conftest import block_conformal_torus_6, hodge_star, kahler_form, lee_fn, sample
 
 
 def test_flat_torus_all_flavors_flat(flat4):
@@ -112,8 +112,9 @@ def test_rho_chern_is_one_one():
 def test_lambda_omega_cases():
     def lambda_omega(m, pts):
         ev = Evaluation(m, pts)
-        lam, h = lambda_omega_values(ev.dT, ev.jg)
-        return lam, h, np.max(np.abs(lam - proj_one_one(lam, ev.J)))
+        lam = lambda_omega_values(ev.dT, ev.jg)
+        assert np.array_equal(lam, ev.lam)  # the held primitive is the kernel's value
+        return lam, ev.h, np.max(np.abs(lam - proj_one_one(lam, ev.J)))
 
     flat = get_manifold("flat_torus_4")
     pts = flat.sample_points(4, seed=0)
@@ -174,7 +175,7 @@ def test_rho_two_zero_part_from_selfdual_lee_derivative(conf4):
                              j_trace_matrix(J, ginv))
     lhs = rho - proj_one_one(rho, J)
     dth = exterior_derivative_of(fd_partial(lee_fn(conf4), pts), 1)
-    dth_plus = 0.5 * (dth + hodge_star_values(dth, conf4.metric(pts), 2))
+    dth_plus = 0.5 * (dth + hodge_star(dth, conf4.metric(pts), 2))
     rhs = np.einsum("...my,...mx->...xy", dth_plus, J)
     rhs = 0.5 * (rhs - np.einsum("...xy->...yx", rhs))
     assert np.max(np.abs(dth)) < 1e-6  # catalog Lee forms are closed

@@ -66,8 +66,7 @@ MUTATIONS = {
     "curvature_sign": ("riemann_values", lambda real: lambda *a: -real(*a)),
     # 19: ricci_form_mixed_trace, mean_curvature_formula,
     # lambda_trace_calibration, u_trace_formula, lck_lambda_reduction
-    "lambda_sign": ("lambda_omega_values",
-                    lambda real: lambda *a: tuple(-v for v in real(*a))),
+    "lambda_sign": ("lambda_omega_values", lambda real: lambda *a: -real(*a)),
     # 20: chern_vs_bismut_ricci, ricci_form_mixed_trace, b_scalar_relation,
     # mean_curvature_formula, u_trace_formula, ricci_form_type_defect
     "ricci_form_doubled": ("rho_from_curvature", lambda real: lambda *a: 2 * real(*a)),
