@@ -1024,6 +1024,27 @@ def test_report_traced_peak_holds_no_stencil_level(tmp_path):
     assert peak < 26 * 2**20
 
 
+@pytest.mark.parametrize("budget", [1, 7 * 16 * 6 ** 4, 2 ** 62],
+                         ids=["one_point_blocks", "uneven_blocks", "one_block"])
+def test_report_bytes_do_not_depend_on_the_pass_blocks(budget, monkeypatch, tmp_path):
+    # a base pass writes each block's derivatives into outputs for all
+    # points, and each point's values do not depend on its block: blocks of
+    # one point, of at most 7 points in d = 6 (16 points as 5, 5 and 6) and
+    # one block give the bytes of the default blocks
+    register_manifold(block_conformal_torus_4())
+    register_manifold(block_conformal_torus_6())
+    runs = [["suite", "--all", "--points", "16"],
+            ["report", "--manifold", "block_conformal_torus_4",
+             "--manifold", "block_conformal_torus_6", "--points", "8"]]
+
+    def reports():
+        out = tmp_path / "r.json"
+        return [(main(argv + ["--out", str(out)]), out.read_bytes()) for argv in runs]
+    default = reports()
+    monkeypatch.setattr(ktgeo.identities, "_PASS_BYTES", budget)
+    assert reports() == default
+
+
 def _traced_peak(argv):
     """The tracemalloc peak of the report ``argv``, run once before to warm
     every cache it fills."""

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ktgeo import tensor_core
+from ktgeo import identities, tensor_core
 from ktgeo.catalog import (
     BoxChart, HermitianManifold, catalog_names, conformal_rescale, get_manifold,
 )
@@ -461,3 +461,27 @@ def test_held_values_do_not_depend_on_the_batch(name):
                 if isinstance(value, np.ndarray):
                     joined = np.concatenate([chunk[k]._values[key] for chunk in chunks])
                     assert np.array_equal(joined, value), (size, key)
+
+
+def _pass_transient(m, n):
+    """The tracemalloc peak of one base pass over ``n`` points of ``m``, less
+    the bytes the evaluation holds after it."""
+    Evaluation(m, m.sample_points(2, seed=1)).partial("g")  # fill the caches a pass fills
+    ev = Evaluation(m, m.sample_points(n, seed=0))
+    tracemalloc.start()
+    try:
+        ev.partial("g")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - held
+
+
+@pytest.mark.parametrize("name, n", [("flat_torus_6", 16), ("flat_torus_4", 80)])
+def test_a_base_pass_transient_does_not_grow_with_the_points(name, n):
+    # a base pass runs over blocks of points under a fixed budget for its
+    # first level, so 4n points cost what n do: 1.93 MiB at 16 and at 64
+    # points of flat_torus_6, 2.94 and 11.57 MiB when one pass took them all
+    m = get_manifold(name)
+    assert n * 16 * m.dim ** 4 > identities._PASS_BYTES  # n spans at least two blocks
+    assert _pass_transient(m, 4 * n) <= 1.1 * _pass_transient(m, n)
