@@ -4,10 +4,14 @@ import gc
 import importlib
 import io
 import json
+import os
 import pkgutil
+import platform
+import resource
 import subprocess
 import sys
 import tracemalloc
+import types
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -1117,3 +1121,63 @@ def test_report_leaves_no_evaluation_alive(monkeypatch, tmp_path):
     # and the second level below the section's and the parent's first level
     assert len(created) == 10
     assert alive == 0
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap pin is glibc's")
+def test_a_warm_report_reuses_the_heap_it_faulted_in(tmp_path):
+    # with glibc's dynamic thresholds, each d = 6 stencil block and section
+    # handed the top of the heap back to the kernel and the next one faulted
+    # it in again: 700-3,200 minor faults per warm report, 1-4 when pinned
+    argv = ["suite", "--all", "--points", "16", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
+
+
+@pytest.fixture
+def unpinned():
+    """Forget the process's heap pin before and after the test, so the next
+    report pins glibc's allocator for real again."""
+    ktgeo.cli._pin_heap.cache_clear()
+    yield
+    ktgeo.cli._pin_heap.cache_clear()
+
+
+def _hopf_report(tmp_path):
+    out = tmp_path / "r.json"
+    return main(["report", "--manifold", "hopf_standard", "--points", "2",
+                 "--out", str(out)]), out.read_bytes()
+
+
+def test_the_heap_is_pinned_once_per_process(unpinned, monkeypatch, tmp_path):
+    # mallopt returns 0 on a value it refuses; the pin does not read it
+    calls = []
+    libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 0)
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(ktgeo.cli.ctypes, "CDLL", lambda name: libc)
+    first, second = _hopf_report(tmp_path), _hopf_report(tmp_path)
+    assert first[0] == 0
+    assert second == first
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+def _confstr_unknown(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("confstr, libc", [
+    (_confstr_unknown, None),
+    (lambda name: None, None),
+    (lambda name: "glibc 2.36", types.SimpleNamespace()),
+], ids=["no_confstr_name", "not_glibc", "no_mallopt"])
+def test_a_heap_pin_that_cannot_run_leaves_the_report_alone(confstr, libc, unpinned,
+                                                            monkeypatch, tmp_path):
+    expected = _hopf_report(tmp_path)
+    ktgeo.cli._pin_heap.cache_clear()
+    opened = []
+    monkeypatch.setattr(os, "confstr", confstr)
+    monkeypatch.setattr(ktgeo.cli.ctypes, "CDLL", lambda name: opened.append(name) or libc)
+    assert _hopf_report(tmp_path) == expected
+    assert expected[0] == 0
+    assert opened == ([None] if libc is not None else [])
