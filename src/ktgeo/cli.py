@@ -36,7 +36,8 @@ about 2,350-3,170 minor page faults, some 9 MiB, per warm ``suite --all
 --points 16`` report, a count that swung with the heap's layout.  Pinned, a
 warm report takes under ten, and the benchmark's catalog report about a tenth
 less time.  ``mallopt`` is reached through ``ctypes``, which NumPy already
-imports; elsewhere the pin does nothing.  The library API (``Evaluation``,
+imports, only where ``platform.libc_ver()`` names glibc; elsewhere the pin
+does nothing.  The library API (``Evaluation``,
 ``run``) leaves the allocator alone, and no report's bytes depend on the pin.
 """
 
@@ -45,7 +46,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import math
-import os
+import platform
 import sys
 import traceback
 from dataclasses import dataclass
@@ -363,11 +364,11 @@ def _pin_heap():
     """On glibc, pin the mmap threshold at 32 MiB and the trim threshold at
     64 MiB (module docstring), so a report reuses the heap that the previous
     one faulted in; anywhere else, do nothing."""
+    if platform.libc_ver()[0] != "glibc":
+        return
     try:
-        if not os.confstr("CS_GNU_LIBC_VERSION"):
-            return
         mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, ValueError):  # no confstr, no such name or no mallopt
+    except AttributeError:
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import gc
 import importlib
 import io
@@ -1154,7 +1155,7 @@ def test_the_heap_is_pinned_once_per_process(unpinned, monkeypatch, tmp_path):
     # mallopt returns 0 on a value it refuses; the pin does not read it
     calls = []
     libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 0)
-    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
     monkeypatch.setattr(ktgeo.cli.ctypes, "CDLL", lambda name: libc)
     first, second = _hopf_report(tmp_path), _hopf_report(tmp_path)
     assert first[0] == 0
@@ -1162,22 +1163,31 @@ def test_the_heap_is_pinned_once_per_process(unpinned, monkeypatch, tmp_path):
     assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
 
 
-def _confstr_unknown(name):
-    raise ValueError("unrecognized configuration name")
+def _raising(error):
+    def confstr(name):
+        raise error
+    return confstr
 
 
-@pytest.mark.parametrize("confstr, libc", [
-    (_confstr_unknown, None),
-    (lambda name: None, None),
-    (lambda name: "glibc 2.36", types.SimpleNamespace()),
-], ids=["no_confstr_name", "not_glibc", "no_mallopt"])
-def test_a_heap_pin_that_cannot_run_leaves_the_report_alone(confstr, libc, unpinned,
-                                                            monkeypatch, tmp_path):
+# opened None: after a failed confstr, platform.libc_ver reads the
+# interpreter's binary, and whether that reads as glibc depends on its linking
+@pytest.mark.parametrize("module, name, value, libc, opened", [
+    (os, "confstr", _raising(ValueError("unrecognized configuration name")),
+     types.SimpleNamespace(), None),
+    # musl defines the name but its confstr refuses it
+    (os, "confstr", _raising(OSError(errno.EINVAL, "Invalid argument")),
+     types.SimpleNamespace(), None),
+    (platform, "libc_ver", lambda: ("", ""), None, []),
+    (platform, "libc_ver", lambda: ("glibc", "2.36"), types.SimpleNamespace(), [None]),
+], ids=["no_confstr_name", "musl_confstr", "not_glibc", "no_mallopt"])
+def test_a_heap_pin_that_cannot_run_leaves_the_report_alone(module, name, value, libc, opened,
+                                                            unpinned, monkeypatch, tmp_path):
     expected = _hopf_report(tmp_path)
     ktgeo.cli._pin_heap.cache_clear()
-    opened = []
-    monkeypatch.setattr(os, "confstr", confstr)
-    monkeypatch.setattr(ktgeo.cli.ctypes, "CDLL", lambda name: opened.append(name) or libc)
+    calls = []
+    monkeypatch.setattr(module, name, value)
+    monkeypatch.setattr(ktgeo.cli.ctypes, "CDLL", lambda name: calls.append(name) or libc)
     assert _hopf_report(tmp_path) == expected
     assert expected[0] == 0
-    assert opened == ([None] if libc is not None else [])
+    if opened is not None:
+        assert calls == opened
