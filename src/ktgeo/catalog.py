@@ -164,6 +164,12 @@ class AnnulusChart(Chart):
 
 @dataclass(frozen=True)
 class ConformalParent:
+    """The manifold a chart is a conformal rescale of.  A conformal change
+    keeps J, so an evaluation carries the chart's J into the parent's
+    (``Evaluation.with_conformal_parent``): the parent's own complex
+    structure is read at the sampled points only, where it must agree with
+    the chart's to 16 ulps of ``|J|``."""
+
     parent: "HermitianManifold"
     log_factor: Callable[[np.ndarray], np.ndarray]  # metric = exp(2 f) * parent metric
 
@@ -267,13 +273,12 @@ _SU2_JFRAME = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]
 
 def _su2xu1_metric(points):
     a = _su2xu1_coframe(points)
-    return np.einsum("...ai,...aj->...ij", a, a)
+    return a.swapaxes(-1, -2) @ a
 
 
 def _su2xu1_j(points):
     a = _su2xu1_coframe(points)
-    ainv = np.linalg.inv(a)
-    return np.einsum("...ia,...ab,...bj->...ij", ainv, _SU2_JFRAME, a)
+    return np.linalg.inv(a) @ _SU2_JFRAME @ a
 
 
 def _rescaled_metric(parent_metric, log_factor):

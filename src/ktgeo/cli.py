@@ -241,16 +241,27 @@ def _manifold_report(m, cfg: RunConfig) -> dict:
 
     # one evaluation per section, handed to every suite: they share its
     # primitives, its one stencil pass takes the partials they read, and
-    # nothing computed here outlives the section.  The conformal row runs
-    # first: it measures the conformal parent, a second evaluation with its
-    # own stencil pass, and drops it before this one holds any value, so the
-    # two passes never stack
+    # nothing computed here outlives the section.  The variants the suites
+    # read, the conformal parent and the triple's other structures, are made
+    # before any suite runs, so they join that pass and share the section's
+    # chart fields at every stencil level.  The conformal row runs first: it
+    # reads the parent's four values and drops it before this evaluation
+    # holds more than the pass's, so the parent's values never stack on the
+    # suites'
     suite = "sampling"
     try:
         section = {"name": m.name, "dim": m.dim, "chart": m.chart.describe()}
         pts = m.sample_points(cfg.points, cfg.seed, margin=max(0.05, 3 * cfg.step))
         ev = Evaluation(m, pts, cfg.step, _differentiated(m, cfg.suites))
-        if "identities" in cfg.suites and m.conformal_parent is not None:
+        parent = "identities" in cfg.suites and m.conformal_parent is not None
+        if parent:
+            suite = "identities"
+            ev.with_conformal_parent()
+        if "classify" in cfg.suites:
+            suite = "classify"
+            for j_fn in m.hypercomplex or ():
+                ev.with_structure(j_fn)
+        if parent:
             suite = "identities"
             conformal = verify_conformal_trace(ev, tol)
         if "classify" in cfg.suites:
@@ -264,7 +275,7 @@ def _manifold_report(m, cfg: RunConfig) -> dict:
         if "identities" in cfg.suites:
             suite = "identities"
             identities = run_identity_suite(ev, tol)
-            if m.conformal_parent is not None:
+            if parent:
                 identities.append(conformal)
             section["identities"] = _identity_dicts(identities)
             rows += identities

@@ -7,8 +7,10 @@ the three curvatures, the Lee form, eta = theta - 2 d phi, ...) once per
 manifold and point set; a report section builds one and hands it to every
 suite.  Every derivative is of a primitive, read by the primitive's name:
 ``partial`` and ``nabla`` and ``codiff`` over it.  One stencil pass takes
-every ``partial`` an evaluation reads, over an evaluation on the stencil set
-that the pass builds and drops, so only base-point values outlive it.  The
+every ``partial`` an evaluation reads, and those of its variants (the
+conformal parent, the triple's other structures), over evaluations on the
+stencil set that the pass builds and drops, so only base-point values
+outlive it.  The
 two sides are independent because their formulas differ, so a convention bug
 cannot cancel; evaluating a pure function twice gives identical bits and
 would add no independence.  Residuals are measured by
@@ -176,6 +178,15 @@ _PASS_BYTES = 162 * 1024
 _LEAVES = ("g", "omega", "phi", "log_factor")
 
 
+def _first_level(differentiated) -> tuple:
+    """The leaves that the first stencil level of a pass over
+    ``differentiated`` differentiates: those it names, where it names any
+    other primitive, the only kind read off a leaf's partial."""
+    if set(differentiated) <= set(_LEAVES):
+        return ()
+    return tuple(a for a in differentiated if a in _LEAVES)
+
+
 # the primitives whose ``partial`` each suite reads on base points; the
 # structure block, which runs in every section, reads those of g and omega
 _SUITE_PARTIALS = {
@@ -222,12 +233,19 @@ class Evaluation:
     names, of ``g``, ``omega``, ``phi`` and ``log_factor``, in one pass over
     one evaluation at the distinct second-level points only, ``2d(d+1)`` of
     the ``(2d)^2`` around each point, and every other point reads its twin's
-    values.  No evaluation holds another, so only base-point values outlive
-    a pass.  A pass runs over blocks of the base points under a fixed byte
+    values.  A pass runs over blocks of the base points under a fixed byte
     budget for its first level, so its working set does not grow with the
     points; the base-point values held do, 2.5 MiB per 16 points in d = 6.
-    :meth:`with_structure` starts another complex structure from the
-    metric-only values held here, on the same points.  The manifold's
+
+    A variant is another evaluation on the same points that this one makes
+    and holds: :meth:`with_conformal_parent`, which carries this ``J``, and
+    :meth:`with_structure`, another complex structure on this metric.  One
+    made before this evaluation's first pass joins it, block by block in the
+    same central-difference call: on each stencil level its evaluation is
+    made from this pass's evaluation there and shares its ``J`` or ``g``, so
+    each chart field is evaluated once per stencil point.  A variant holds
+    no evaluation and a stencil level is dropped with its pass, so only
+    base-point values outlive a pass.  The manifold's
     dimension must be even and at least 4.  The point set must not be empty
     and must have the manifold's dimension, and the chart domain is checked
     once, on the base points, with the margin the deepest stencil needs;
@@ -255,36 +273,92 @@ class Evaluation:
         self._depth = 0  # stencil levels below the base points
         self.differentiated = (_differentiated(m) if differentiated is None
                                else tuple(differentiated))
+        self._shared = ()  # the keys a variant takes from its source at every level
+        self._variants = {}  # the variants made here, by key
+        self._pending = []  # the variants that join the first pass; None after it
 
     def _once(self, key, compute):
         if key not in self._values:
             self._values[key] = _frozen(compute())
         return self._values[key]
 
-    def _derive(self, m, pts, depth, keys=()) -> "Evaluation":
+    def _derive(self, m, pts, depth, keys=(), differentiated=(), shared=()) -> "Evaluation":
         # starts from the values held here under keys; no domain check: the
-        # base evaluation made it for every stencil depth.  A first level
-        # differentiates the leaves that this evaluation's tuple names; a
-        # second level differentiates nothing
+        # base evaluation made it for every stencil depth
         ev = Evaluation.__new__(Evaluation)
         ev.m, ev.pts, ev.step = m, _frozen(pts), self.step
         ev._values = {k: self._values[k] for k in keys if k in self._values}
         ev._depth = depth
-        ev.differentiated = (tuple(a for a in self.differentiated if a in _LEAVES)
-                             if depth == 1 else ())
+        ev.differentiated = tuple(differentiated)
+        ev._shared, ev._variants, ev._pending = shared, {}, []
+        return ev
+
+    def _variant(self, key, make) -> "Evaluation":
+        """The variant held under ``key``, made by ``make`` on first use.  One
+        made before this evaluation's first pass joins that pass."""
+        if key not in self._variants:
+            self._variants[key] = make()
+            if self._pending is not None:
+                self._pending.append(self._variants[key])
+        return self._variants[key]
+
+    def _stencil_variant(self, v) -> "Evaluation":
+        """The variant ``v`` one stencil level down, on this evaluation's
+        points: it shares the values here under ``v``'s shared keys, and joins
+        this evaluation's pass where its own first level differentiates any."""
+        for key in v._shared:
+            getattr(self, key)
+        ev = self._derive(v.m, self.pts, self._depth, v._shared,
+                          _first_level(v.differentiated) if self._depth == 1 else (), v._shared)
+        if ev.differentiated:
+            self._pending.append(ev)
         return ev
 
     def with_structure(self, j_fn) -> "Evaluation":
         """The evaluation of the same metric, points and step with the complex
-        structure ``j_fn``, starting from the metric-only values held here.
-        It differentiates ``omega`` alone: a structure's torsion and Lee form,
-        all that the HKT checks read of it, differentiate nothing else that
-        depends on ``J``.  Neither evaluation keeps a reference to the other."""
-        m = replace(self.m, complex_structure=j_fn, hypercomplex=None)
+        structure ``j_fn``, held: a variant of this one.  It differentiates
+        ``omega`` alone: a structure's torsion and Lee form, all that the HKT
+        checks read of it, differentiate nothing else that depends on ``J``.
+        Made before this evaluation's first pass, it joins that pass and
+        shares ``g`` at every stencil level; made after, it runs its own.  Each
+        call gives it the metric-only values held here by then.  This
+        evaluation holds it; it keeps no reference to this one."""
         keys = ("g", "ginv", "frames", ("partial", "g"), "koszul", ("gamma", "levi_civita"))
-        ev = self._derive(m, self.pts, self._depth, keys)
-        ev.differentiated = ("omega",)
+        ev = self._variant(("structure", j_fn), lambda: self._derive(
+            replace(self.m, complex_structure=j_fn, hypercomplex=None), self.pts, self._depth,
+            differentiated=("omega",), shared=("g",)))
+        ev._values.update({k: self._values[k] for k in keys
+                           if k in self._values and k not in ev._values})
         return ev
+
+    def with_conformal_parent(self) -> "Evaluation":
+        """The evaluation of the conformal parent on the same points and step,
+        held: a variant of this one that carries its ``J``, which a conformal
+        change keeps.  The parent's own ``J`` field is read at the base points
+        only, where it must agree with this ``J`` to 16 ulps of ``|J|``, or
+        it is a ``ContractViolationError`` naming the field.  Made before this
+        evaluation's first pass, it joins that pass and shares ``J`` at every
+        stencil level; made after, it runs its own.  This evaluation holds it;
+        it keeps no reference to this one."""
+        m = self.m
+        if m.conformal_parent is None:
+            raise PreconditionError(f"{m.name} has no conformal parent")
+
+        def make():
+            # its u, Lee form and Levi-Civita coefficients read these partials
+            parent = self._derive(m.conformal_parent.parent, self.pts, self._depth,
+                                  differentiated=("g", "omega", "chern_coefficients"),
+                                  shared=("J",))
+            J = self.J
+            skew = np.abs(parent._field("complex_structure",
+                                        parent.m.complex_structure, 2) - J).max()
+            if not skew <= _SYMMETRY_TOL * np.abs(J).max():
+                raise ContractViolationError(
+                    f"{m.name}: field 'conformal_parent.complex_structure' differs from "
+                    f"'complex_structure' by {skew:.3g}, and a conformal change keeps J")
+            parent._values["J"] = J
+            return parent
+        return self._variant("conformal_parent", make)
 
     def partial(self, attr: str) -> np.ndarray:
         """``D_d`` of the primitive ``attr`` here, derivative axis first,
@@ -292,44 +366,75 @@ class Evaluation:
         ``partial`` of any primitive in ``differentiated`` takes all of them
         in one central-difference pass over one evaluation on
         the stencil set around the points, which the pass drops when it
-        returns; any other primitive is a pass of its own.  On the first
-        stencil level that evaluation is built at the distinct second-level
-        points only, and every other point reads its twin.  A base pass
-        runs once per block of points under ``_PASS_BYTES`` into outputs for
-        all points; only the held base-point values grow with the points."""
-        if ("partial", attr) not in self._values:
-            attrs = self.differentiated if attr in self.differentiated else (attr,)
+        returns; any other primitive is a pass of its own.  The first pass
+        takes the variants made before it too, each over its own evaluation
+        on the same stencil set, made from this pass's evaluation there.  On
+        the first stencil level those evaluations are built at the distinct
+        second-level points only, and every other point reads its twin.  A
+        base pass runs once per block of points under ``_PASS_BYTES`` into
+        outputs for all points; only the held base-point values grow with the
+        points."""
+        if ("partial", attr) in self._values:
+            return self._values[("partial", attr)]
+        # the variants first and this evaluation last, each with what the pass
+        # takes of it
+        members = [(self, (attr,))]
+        if attr in self.differentiated:
+            # a variant that ran its own pass already is not taken again
+            members = [(ev, ev.differentiated) for ev in self._pending
+                       if ("partial", ev.differentiated[0]) not in ev._values]
+            members.append((self, self.differentiated))
+            self._pending = None
 
-            def values(p):  # at the stencil set around the points
-                if self._depth == 0:
-                    ev = self._derive(self.m, p, 1)
-                    return tuple(getattr(ev, a) for a in attrs)
+        def values(p):  # at the stencil set around the points, yielded in turn
+            if self._depth == 0:
+                here = self._derive(self.m, p, 1, differentiated=_first_level(
+                    self.differentiated))
+            else:
                 # p is (..., 2, d, 2, d, d): evaluate the distinct offsets,
                 # then lay every offset out from its own value or its twin's
                 d, lead = p.shape[-1], p.shape[:-5]
                 keep, index = _distinct_offsets(d)
-                ev = self._derive(self.m, p.reshape(lead + (-1, d))[..., keep, :], 2)
-                return tuple(v.take(index, axis=len(lead)).reshape(
-                    p.shape[:-1] + v.shape[len(lead) + 1:])
-                    for v in (getattr(ev, a) for a in attrs))
-            # one block is the loop's one call, its outputs held as they are;
-            # a deeper level is one block of the base block
-            n = self.pts.shape[0]
-            size = max(1, _PASS_BYTES // (16 * self.m.dim ** 4)) if self._depth == 0 else n
-            count = -(-n // size)
-            bounds = [n * k // count for k in range(count + 1)]
-            derivatives = None
-            for lo, hi in zip(bounds, bounds[1:]):
-                block = fd_partial(values, self.pts[lo:hi], self.step)
-                if count == 1:
-                    derivatives = block
-                    continue
-                derivatives = derivatives or tuple(np.empty((n,) + df.shape[1:]) for df in block)
-                for out, df in zip(derivatives, block):
-                    out[lo:hi] = df
-                del block, df  # so the next block's pass does not stack on this one's
-            for a, df in zip(attrs, derivatives):
-                self._values[("partial", a)] = _frozen(df)
+                here = self._derive(self.m, p.reshape(lead + (-1, d))[..., keep, :], 2)
+
+                def laid_out(v):
+                    return v.take(index, axis=len(lead)).reshape(
+                        p.shape[:-1] + v.shape[len(lead) + 1:])
+            level = [here._stencil_variant(v) for v, _ in members[:-1]] + [here]
+            if here._pending and here.differentiated:
+                # the pass there, which fills its variants' partials, runs
+                # before any variant reads one
+                here.partial(here.differentiated[0])
+            del here
+            # each evaluation is dropped once its values are read, and each
+            # value once it is differentiated, so the variants' values are
+            # gone before this evaluation's grow
+            for k, (_, attrs) in enumerate(members):
+                ev, level[k] = level[k], None
+                out = [getattr(ev, a) for a in attrs][::-1]
+                del ev
+                while out:
+                    yield out.pop() if self._depth == 0 else laid_out(out.pop())
+        # one block is the loop's one call, its outputs held as they are;
+        # a deeper level is one block of the base block
+        n = self.pts.shape[0]
+        size = max(1, _PASS_BYTES // (16 * self.m.dim ** 4)) if self._depth == 0 else n
+        count = -(-n // size)
+        bounds = [n * k // count for k in range(count + 1)]
+        derivatives = None
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = fd_partial(values, self.pts[lo:hi], self.step)
+            if count == 1:
+                derivatives = block
+                continue
+            derivatives = derivatives or tuple(np.empty((n,) + df.shape[1:]) for df in block)
+            for out, df in zip(derivatives, block):
+                out[lo:hi] = df
+            del block, df  # so the next block's pass does not stack on this one's
+        derivatives = iter(derivatives)
+        for ev, attrs in members:
+            for a in attrs:
+                ev._values[("partial", a)] = _frozen(next(derivatives))
         return self._values[("partial", attr)]
 
     # -- chart data ------------------------------------------------------------
@@ -834,22 +939,23 @@ def verify_conformal_trace(ev: Evaluation, tol=TOL_CURVATURE) -> Row:
     :func:`run_identity_suite`.  The catalog factor f corresponds to a
     rescale by exp(2 f), so the factor entering the formula is F = 2 f.
 
-    The parent is a separate evaluation, built from its own fields.  Its four
-    base-point values are read, and the parent dropped, before any value of
-    ``ev`` is read here, so a section that runs this row first never holds
-    the two evaluations' stencil passes at once."""
+    The parent is the variant :meth:`Evaluation.with_conformal_parent` of
+    ``ev``, which carries its ``J``.  The factor's derivatives are read
+    first, so the stencil pass of ``ev`` runs before any of the parent's
+    work: a parent made before that pass joins it, and one made after runs
+    its own.  Its four base-point values are read, and the parent dropped
+    from ``ev``, before this row is measured, so it holds none of its values
+    past the row."""
     m = ev.m
     if m.conformal_parent is None:
         raise PreconditionError(f"{m.name} has no conformal parent")
-    # no other suite reads the parent, so it is not shared; its u, Lee form
-    # and Levi-Civita coefficients read these partials
-    parent = Evaluation(m.conformal_parent.parent, ev.pts, ev.step,
-                        ("g", "omega", "chern_coefficients"))
-    gamma, theta, ginv, u = parent.gamma("levi_civita"), parent.theta, parent.ginv, parent.u
-    del parent
-    # dF on m's points, and the parent's Laplacian of F from its derivative
+    # dF on m's points, and its derivative for the parent's Laplacian of F
     df = 2.0 * ev.dlog_factor
-    nab = covariant_derivative_of(2.0 * ev.partial("dlog_factor"), df, gamma, 1)
+    ddf = 2.0 * ev.partial("dlog_factor")
+    parent = ev.with_conformal_parent()
+    gamma, theta, ginv, u = parent.gamma("levi_civita"), parent.theta, parent.ginv, parent.u
+    del parent, ev._variants["conformal_parent"]  # no other suite reads it
+    nab = covariant_derivative_of(ddf, df, gamma, 1)
 
     n = m.dim // 2
     lhs = 2.0 * np.exp(2.0 * ev.log_factor) * ev.u

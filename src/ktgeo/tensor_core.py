@@ -43,8 +43,9 @@ All conventions used by the rest of the engine are fixed here, once:
   batched matrix product with the connection coefficients per slot.
   Curvature-grade objects nest two stencils, so an evaluation needs a chart
   margin of two steps around each point; the evaluation context checks it
-  once per point set.  It takes every derivative a base evaluation reads in
-  one pass, a tuple-valued field, and holds no stencil level after it.  The
+  once per point set.  It takes every derivative a base evaluation and its
+  variants read in one pass, a field that yields their values in turn, and
+  holds no stencil level after it.  The
   pass calls this once per block of base points, sized by a fixed byte
   budget, so its working set does not grow with the points; the base-point
   values the evaluation holds do, 2.5 MiB per 16 points in d = 6.  For
@@ -134,8 +135,10 @@ def fd_partial(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
     axes of the points.  Returns an array with the derivative axis first
     among the tensor axes: ``out[..., d, (slots)] = D_d fn[..., (slots)]``,
     from the two halves of the sign axis taken as views.  A field that
-    returns a tuple of arrays is differentiated member by member from the
-    one call, and the derivatives come back as a tuple in the same order.
+    returns a tuple or a generator of arrays is differentiated array by
+    array from the one call, each as the generator yields it, so a field
+    that drops what it no longer needs between yields is not held whole;
+    the derivatives come back as a tuple in the same order.
     """
     pts = np.asarray(points, dtype=float)
     values = fn(pts[..., None, None, :] + _stencil_offsets(pts.shape[-1], step))
@@ -143,9 +146,9 @@ def fd_partial(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
 
     def difference(v):
         return (v[sign + (0,)] - v[sign + (1,)]) / (2.0 * step)
-    if isinstance(values, tuple):
-        return tuple(map(difference, values))
-    return difference(values)
+    if isinstance(values, np.ndarray):
+        return difference(values)
+    return tuple(map(difference, values))
 
 
 def exterior_derivative_of(df: np.ndarray, valence: int) -> np.ndarray:

@@ -853,10 +853,10 @@ def _counted(metric, points):
 # base point: the base points, the stencil set of the base pass, and the
 # distinct points of the set around it, built once for that set's one pass
 # over g and omega (hopf_standard and hopf_hkt count their conformal parent as
-# well; the other two structures of hopf_hkt's triple each evaluate the metric
-# on the stencil set of their own pass over omega, 2d per base point)
+# well; the other two structures of hopf_hkt's triple join the section's pass
+# and read its metric at every stencil level, so they add none)
 _METRIC_POINTS = {"hopf_standard": 196, "su2xu1": 98, "block_conformal_torus_6": 194,
-                  "hopf_hkt": 228}
+                  "hopf_hkt": 196}
 
 
 @pytest.mark.parametrize("name", _METRIC_POINTS)
@@ -873,6 +873,82 @@ def test_report_metric_evaluations(tmp_path, name):
                  "--out", str(tmp_path / "r.json")])
     assert code == 0
     assert sum(points) == _METRIC_POINTS[name]
+
+
+# every complex-structure field of a 2-point report is evaluated once per
+# stencil point: the section's J at 1 + 2d + 2d(d+1) points per base point,
+# its conformal parent's, which carries the section's J, at the base points
+# only, and the other structures of hopf_hkt's triple at 1 + 2d, for omega on
+# the first level of the section's pass
+@pytest.mark.parametrize("name, expected", [
+    ("hopf_standard", {"J": 98, "parent": 2}),
+    ("hopf_hkt", {"J": 98, "parent": 2, "J2": 18, "J3": 18}),
+    ("su2xu1", {"J": 98}),
+    ("conf_torus_6", {"J": 194, "parent": 2}),
+])
+def test_report_complex_structure_evaluations(tmp_path, name, expected):
+    m = get_manifold(name)
+    counts = {field: [] for field in expected}
+    fields = {"complex_structure": _counted(m.complex_structure, counts["J"])}
+    if m.conformal_parent is not None:
+        parent = m.conformal_parent.parent
+        fields["conformal_parent"] = replace(m.conformal_parent, parent=replace(
+            parent, complex_structure=_counted(parent.complex_structure, counts["parent"])))
+    if m.hypercomplex is not None:
+        fields["hypercomplex"] = tuple(_counted(j_fn, counts[f"J{k + 2}"])
+                                       for k, j_fn in enumerate(m.hypercomplex))
+    register_manifold(replace(m, name=f"counted_j_{name}", **fields))
+    code = main(["report", "--manifold", f"counted_j_{name}", "--points", "2",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    assert {field: sum(points) for field, points in counts.items()} == expected
+
+
+def _with_parent_j(m, name, j_fn):
+    """``m`` under ``name``, its conformal parent's complex structure ``j_fn``."""
+    parent = m.conformal_parent
+    return replace(m, name=name, conformal_parent=replace(
+        parent, parent=replace(parent.parent, complex_structure=j_fn)))
+
+
+def test_a_parent_whose_j_differs_at_a_base_point_breaks_the_contract(tmp_path, capsys):
+    # a conformal change keeps J, so the parent carries the section's J; its
+    # own J is read at the base points, where it must agree to 16 ulps of |J|
+    m = get_manifold("conf_torus_4")
+    j_fn = m.conformal_parent.parent.complex_structure
+    step = ktgeo.tensor_core.DEFAULT_STEP
+    base = replace(m, name="parent_j_off").sample_points(2, 0, margin=max(0.05, 3 * step))[1]
+
+    def off(p):
+        out = j_fn(p)
+        out[(np.asarray(p) == base).all(axis=-1)] += 1e-12
+        return out
+    register_manifold(_with_parent_j(m, "parent_j_off", off))
+    code = main(["report", "--manifold", "parent_j_off", "--points", "2",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: contract violation on 'parent_j_off' during 'identities'")
+    assert "'conformal_parent.complex_structure'" in line
+    # the other suites do not read the parent
+    assert main(["report", "--manifold", "parent_j_off", "--points", "2", "--suite", "classify",
+                 "--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("name", ["hopf_standard", "conf_torus_6"])
+def test_a_parent_j_of_its_own_with_equal_values_gives_the_same_bytes(name, tmp_path):
+    # pull_back builds the parent's J as a closure of its own, equal in value
+    # to the section's: the report is that of a parent sharing the function
+    m = get_manifold(name)
+    j_fn = m.conformal_parent.parent.complex_structure
+    reports = []
+    for parent_j in (j_fn, lambda p: j_fn(np.array(p))):
+        register_manifold(_with_parent_j(m, f"own_parent_j_{name}", parent_j))
+        out = tmp_path / "r.json"
+        reports.append((main(["report", "--manifold", f"own_parent_j_{name}", "--points", "4",
+                              "--out", str(out)]), out.read_bytes()))
+    assert reports[0][0] == 0
+    assert reports[1] == reports[0]
 
 
 # the dilaton and the conformal factor are chart fields held like the metric:
@@ -900,9 +976,9 @@ def test_report_builds_one_evaluation_per_stencil_level_and_pass(monkeypatch, tm
     derived, passes = [], []
     real_derive, real_fd = Evaluation._derive, ktgeo.tensor_core.fd_partial
 
-    def derive(self, m, pts, depth, keys=()):
+    def derive(self, m, pts, depth, *args, **kwargs):
         derived.append((pts.shape, depth))
-        return real_derive(self, m, pts, depth, keys)
+        return real_derive(self, m, pts, depth, *args, **kwargs)
 
     def fd_partial(fn, points, step=ktgeo.tensor_core.DEFAULT_STEP):
         passes.append(np.shape(points))
@@ -923,9 +999,11 @@ def test_report_builds_one_evaluation_per_stencil_level_and_pass(monkeypatch, tm
 
 def _pass_makers(monkeypatch, tmp_path, name):
     """The evaluation that makes each stencil pass of a full 2-point report
-    on ``name``, in order."""
+    on ``name``, in order, each with the evaluations made on the pass's
+    stencil set: one for each evaluation whose partials the pass takes."""
     callers, passes = [], []
     real_partial, real_fd = Evaluation.partial, ktgeo.tensor_core.fd_partial
+    real_derive = Evaluation._derive
 
     def partial(self, attr):
         callers.append(self)
@@ -935,10 +1013,17 @@ def _pass_makers(monkeypatch, tmp_path, name):
             callers.pop()
 
     def fd_partial(fn, points, step=ktgeo.tensor_core.DEFAULT_STEP):
-        passes.append(callers[-1])  # held, so no two evaluations share an id
+        passes.append((callers[-1], []))  # held, so no two evaluations share an id
         return real_fd(fn, points, step)
 
+    def derive(self, m, pts, depth, *args, **kwargs):
+        ev = real_derive(self, m, pts, depth, *args, **kwargs)
+        if depth:  # on the stencil set of the last pass one level up
+            [level for maker, level in passes if maker._depth == depth - 1][-1].append(ev)
+        return ev
+
     monkeypatch.setattr(Evaluation, "partial", partial)
+    monkeypatch.setattr(Evaluation, "_derive", derive)
     monkeypatch.setattr(ktgeo.identities, "fd_partial", fd_partial)
     code = main(["report", "--manifold", name, "--points", "2",
                  "--out", str(tmp_path / "r.json")])
@@ -947,20 +1032,31 @@ def _pass_makers(monkeypatch, tmp_path, name):
 
 
 # the evaluations of a full report: the section's and its conformal parent's,
-# and on hopf_hkt the other two structures of its triple
+# and on hopf_hkt the other two structures of its triple; the section's one
+# base pass takes them all
 @pytest.mark.parametrize("name, evaluations", [("hopf_standard", 2), ("hopf_hkt", 4)])
 def test_report_makes_one_base_pass_per_evaluation(monkeypatch, tmp_path, name, evaluations):
-    passes = [ev for ev in _pass_makers(monkeypatch, tmp_path, name) if ev._depth == 0]
-    assert sorted(Counter(map(id, passes)).values()) == [1] * evaluations
+    passes = [(ev, level) for ev, level in _pass_makers(monkeypatch, tmp_path, name)
+              if ev._depth == 0]
+    [(section, level)] = passes
+    assert section.m.name == name
+    assert len(level) == evaluations
+    assert level[0].m is section.m  # made first, its variants from it
+    assert len({id(ev.m) for ev in level}) == evaluations
 
 
 def test_report_makes_one_pass_per_evaluation_at_each_stencil_level(monkeypatch, tmp_path):
     # the section's first level differentiates g, omega, the dilaton and the
-    # conformal factor in one pass, and the parent's first level g and omega;
-    # a second level differentiates nothing
+    # conformal factor, and the parent's first level g and omega, in the one
+    # pass of the section's first level; a second level differentiates nothing
     passes = _pass_makers(monkeypatch, tmp_path, "hopf_standard")
-    assert sorted(Counter(map(id, passes)).values()) == [1] * 4
-    assert Counter(ev._depth for ev in passes) == {0: 2, 1: 2}
+    assert sorted(Counter(id(ev) for ev, _ in passes).values()) == [1] * 2
+    assert [(ev._depth, len(level)) for ev, level in passes] == [(0, 2), (1, 2)]
+    (_, first), (_, second) = passes
+    # each level's parent evaluation shares the section's J there
+    for section, parent in (first, second):
+        assert parent.m is get_manifold("hopf_standard").conformal_parent.parent
+        assert parent._values["J"] is section._values["J"]
 
 
 # the sections of a report that each suite writes
@@ -1065,10 +1161,13 @@ def _traced_peak(argv):
 @pytest.mark.parametrize("flat, conformal", [("flat_torus_4", "conf_torus_4"),
                                              ("flat_torus_6", "conf_torus_6")])
 def test_a_conformal_section_peaks_like_its_flat_twin(flat, conformal, tmp_path):
-    # the conformal parent's evaluation is measured and dropped before the
-    # section's own values exist, so its stencil pass does not stack on them:
-    # 1.02 and 1.01 times the flat twin's peak, 1.44 and 1.38 when the parent
-    # was built after the section's identity rows
+    # the conformal parent joins the section's stencil pass, which drops each
+    # evaluation on a stencil level once its values are read, the parent's
+    # first, and the parent is dropped after the conformal row, before the
+    # section's own values grow: 1.06 and 1.07 times the flat twin's peak
+    # (1.57 and 1.30 when every stencil evaluation of the pass was held until
+    # all were read), 1.44 and 1.38 when the parent was built after the
+    # section's identity rows
     flat_peak, conformal_peak = (
         _traced_peak(["report", "--manifold", name, "--points", "16",
                       "--out", str(tmp_path / f"{name}.json")])
@@ -1118,8 +1217,10 @@ def test_report_leaves_no_evaluation_alive(monkeypatch, tmp_path):
         gc.enable()
     assert code == 0
     # 4 base evaluations (the section's, its conformal parent's and the two
-    # other structures of the triple), the first level of each one's pass,
-    # and the second level below the section's and the parent's first level
+    # other structures of the triple), the first level of each in the
+    # section's one pass, and the second level of the section's and the
+    # parent's in the pass of the section's first level; the section holds
+    # its variants, which hold nothing of it
     assert len(created) == 10
     assert alive == 0
 

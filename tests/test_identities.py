@@ -1,13 +1,14 @@
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ktgeo import identities, tensor_core
 from ktgeo.catalog import (
-    BoxChart, HermitianManifold, catalog_names, conformal_rescale, get_manifold,
+    BoxChart, HermitianManifold, _conf_factor, catalog_names, conformal_rescale, get_manifold,
 )
 from ktgeo.classify import structure_flags, vanishing_hypotheses
 from ktgeo.connections import lee_form_routes
@@ -155,6 +156,45 @@ def test_conformal_trace_with_non_kahler_parent():
     m = conformal_rescale(hopf, f)
     e = verify_conformal_trace(Evaluation(m, m.sample_points(6, seed=1)))
     assert e.passed, e.residual
+
+
+def _conformal_row(m, pts, joined):
+    """The conformal row on ``m`` at ``pts``, the parent's values it reads
+    and the number of points its J field was evaluated at: a parent made
+    before the section's pass joins it, one made after runs its own."""
+    calls = []
+    parent = m.conformal_parent.parent
+    j_fn = parent.complex_structure
+
+    def counted(p):
+        calls.append(np.asarray(p)[..., 0].size)
+        return j_fn(p)
+    m = replace(m, conformal_parent=replace(m.conformal_parent, parent=replace(
+        parent, complex_structure=counted)))
+    ev = Evaluation(m, pts)
+    if joined:
+        ev.with_conformal_parent()
+    ev.partial("g")  # the section's pass
+    variant = ev.with_conformal_parent()
+    values = [variant.u, variant.theta, variant.ginv, variant.gamma("levi_civita")]
+    return verify_conformal_trace(ev), values, sum(calls)
+
+
+@pytest.mark.parametrize("name", ["hopf_standard", "conf_torus_6", "su2xu1_rescaled"])
+def test_the_conformal_row_does_not_depend_on_whose_pass_the_parent_joined(name):
+    # the parent carries the section's J at every stencil level, bit for bit
+    # the J its own pass would evaluate there
+    m = (conformal_rescale(get_manifold("su2xu1"), _conf_factor)
+         if name == "su2xu1_rescaled" else get_manifold(name))
+    pts = m.sample_points(4, seed=5)
+    (joined, joined_values, joined_calls), (own, own_values, own_calls) = (
+        _conformal_row(m, pts, joined) for joined in (True, False))
+    assert joined == own
+    for a, b in zip(joined_values, own_values):
+        assert np.array_equal(a, b)
+    # its own J only at the base points, or on every stencil level of its pass
+    d = m.dim
+    assert (joined_calls, own_calls) == (4, 4 * (1 + 2 * d + 2 * d * (d + 1)))
 
 
 def test_richardson_second_order_convergence():
@@ -363,8 +403,8 @@ def test_first_level_partials_equal_the_four_set_reference(name, monkeypatch):
     levels = []
     real_derive = Evaluation._derive
 
-    def derive(self, m, pts, depth, keys=()):
-        ev = real_derive(self, m, pts, depth, keys)
+    def derive(self, *args, **kwargs):
+        ev = real_derive(self, *args, **kwargs)
         levels.append(ev)
         return ev
 
@@ -379,32 +419,21 @@ def test_first_level_partials_equal_the_four_set_reference(name, monkeypatch):
 
 
 def _section_evaluations(m, pts):
-    """Every evaluation that the suites of one report section build on ``m``
-    at ``pts``: the section's, its conformal parent's and the triple's other
-    structures, captured as they are made."""
-    evs = []
-    real_init, real_with_structure = Evaluation.__init__, Evaluation.with_structure
-
-    def init(self, *args, **kwargs):
-        real_init(self, *args, **kwargs)
-        evs.append(self)
-
-    def with_structure(self, j_fn):
-        evs.append(real_with_structure(self, j_fn))
-        return evs[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Evaluation, "__init__", init)
-        mp.setattr(Evaluation, "with_structure", with_structure)
-        ev = Evaluation(m, pts)
-        structure_flags(ev)
-        vanishing_hypotheses(ev)
-        run_identity_suite(ev)
-        if m.conformal_parent is not None:
-            verify_conformal_trace(ev)
-        verify_dim4(ev)
-        run_string_suite(ev)
-    return evs
+    """Every evaluation of one report section on ``m`` at ``pts``, run as a
+    report runs it: the section's, then its variants, the conformal parent
+    and the triple's other structures, which it makes before any suite so
+    they join its stencil pass."""
+    ev = Evaluation(m, pts)
+    variants = ([ev.with_conformal_parent()] if m.conformal_parent is not None else [])
+    variants += [ev.with_structure(j_fn) for j_fn in m.hypercomplex or ()]
+    if m.conformal_parent is not None:
+        verify_conformal_trace(ev)
+    structure_flags(ev)
+    vanishing_hypotheses(ev)
+    run_identity_suite(ev)
+    verify_dim4(ev)
+    run_string_suite(ev)
+    return [ev] + variants
 
 
 _BLOCK_TORI = {m.name: m for m in (block_conformal_torus_4(), block_conformal_torus_6())}
@@ -412,15 +441,20 @@ _BLOCK_TORI = {m.name: m for m in (block_conformal_torus_4(), block_conformal_to
 
 @pytest.mark.parametrize("name", catalog_names() + list(_BLOCK_TORI))
 def test_evaluations_hold_base_point_values_only(name):
-    # after every suite, no evaluation holds another or any value on a
-    # stencil level: each held primitive is one read-only float64 array of
-    # one tensor per base point, never a tuple of arrays
+    # after every suite, no evaluation holds another, but for the section its
+    # triple's other structures, or any value on a stencil level: each held
+    # primitive is one read-only float64 array of one tensor per base point,
+    # never a tuple of arrays
     m = _BLOCK_TORI.get(name) or get_manifold(name)
     evs = _section_evaluations(m, m.sample_points(3, seed=2))
     # the section's, its conformal parent's and the triple's other structures
     assert len(evs) == 1 + (m.conformal_parent is not None) + 2 * (m.hypercomplex is not None)
+    assert list(evs[0]._variants.values()) == evs[1 + (m.conformal_parent is not None):]
     for ev in evs:
         assert not [k for k, v in vars(ev).items() if isinstance(v, Evaluation)]
+        assert not ev._pending  # nothing waits for a pass
+        if ev is not evs[0]:
+            assert not ev._variants
         assert ("partial", "omega") in ev._values
         for key, value in ev._values.items():
             if isinstance(value, tuple):  # a held residual: its value and point
