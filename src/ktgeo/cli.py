@@ -35,9 +35,13 @@ the top of the heap back to the kernel and the next block faults it in again:
 about 2,350-3,170 minor page faults, some 9 MiB, per warm ``suite --all
 --points 16`` report, a count that swung with the heap's layout.  Pinned, a
 warm report takes under ten, and the benchmark's catalog report about a tenth
-less time.  ``mallopt`` is reached through ``ctypes``, which NumPy already
-imports, only where ``platform.libc_ver()`` names glibc; elsewhere the pin
-does nothing.  The library API (``Evaluation``,
+less time.  Right after the pin, ``malloc_trim(0)`` runs once, so the heap
+the imports freed (the bytecode compiler's, when running from source without
+cached bytecode) goes back to the kernel instead of staying resident under
+the 64 MiB trim threshold; a libc without ``malloc_trim`` skips it.
+``mallopt`` and ``malloc_trim`` are reached through ``ctypes``, which NumPy
+already imports, only where ``platform.libc_ver()`` names glibc; elsewhere
+the pin does nothing.  The library API (``Evaluation``,
 ``run``) leaves the allocator alone, and no report's bytes depend on the pin.
 """
 
@@ -67,6 +71,10 @@ from .string_eqs import run_string_suite
 from .tensor_core import DEFAULT_STEP
 
 SUITES = ("identities", "classify", "string", "dim4")
+
+# the residual key of identity and dim4 rows, which ``ktbench/checks.py``
+# reads; string and structure rows keep ``residual``
+_ROW_RESIDUAL = "max_residual"
 
 CONVENTIONS = {
     "kahler_form": "omega(X,Y) = g(X,JY); block J chosen so flat charts have omega = +sum dx^dy",
@@ -227,14 +235,6 @@ def render_report(report: dict) -> str:
 # suite execution
 # ---------------------------------------------------------------------------
 
-def _identity_dicts(rows) -> list:
-    """Identity and dim4 rows as dicts.  ``ktbench/checks.py`` reads their
-    residual as ``max_residual``, so it keeps that key here; string rows keep
-    ``residual``."""
-    return [{("max_residual" if k == "residual" else k): v for k, v in r.as_dict().items()}
-            for r in rows]
-
-
 def _manifold_report(m, cfg: RunConfig) -> dict:
     tol = TOL_CURVATURE if cfg.tol_identity is None else cfg.tol_identity
     rows = []
@@ -277,13 +277,13 @@ def _manifold_report(m, cfg: RunConfig) -> dict:
             identities = run_identity_suite(ev, tol)
             if parent:
                 identities.append(conformal)
-            section["identities"] = _identity_dicts(identities)
+            section["identities"] = [r.as_dict(_ROW_RESIDUAL) for r in identities]
             rows += identities
 
         if "dim4" in cfg.suites:
             suite = "dim4"
             dim4 = verify_dim4(ev, tol)
-            section["dim4"] = _identity_dicts(dim4)
+            section["dim4"] = [r.as_dict(_ROW_RESIDUAL) for r in dim4]
             rows += dim4
 
         if "string" in cfg.suites:
@@ -374,16 +374,24 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 def _pin_heap():
     """On glibc, pin the mmap threshold at 32 MiB and the trim threshold at
     64 MiB (module docstring), so a report reuses the heap that the previous
-    one faulted in; anywhere else, do nothing."""
+    one faulted in, then trim once what the imports freed; anywhere else, do
+    nothing."""
     if platform.libc_ver()[0] != "glibc":
         return
+    libc = ctypes.CDLL(None)
     try:
-        mallopt = ctypes.CDLL(None).mallopt
+        mallopt = libc.mallopt
     except AttributeError:
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    try:
+        malloc_trim = libc.malloc_trim
+    except AttributeError:
+        return
+    malloc_trim.argtypes, malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    malloc_trim(0)
 
 
 def main(argv=None) -> int:

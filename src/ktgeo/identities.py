@@ -59,8 +59,9 @@ keeps 1e-6 where ``tol`` is larger.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,13 +101,13 @@ STENCIL_DEPTH = 2
 ASSERTED, INFO, HYPOTHESIS_FAILED, SKIPPED = "asserted", "info", "hypothesis_failed", "skipped"
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """One row of a report: a two-sided check over a batch of points, its
     largest residual and the point where it occurs.  Only an ``asserted``
     row passes or fails; an ``info`` or ``hypothesis_failed`` row makes no
     claim, and a ``skipped`` row, whose precondition fails on the chart, has
-    no residual and gives its ``reason``."""
+    no residual and gives its ``reason``.  A named tuple, so it is immutable
+    and costs one tuple to make."""
 
     name: str
     residual: float | None
@@ -119,8 +120,10 @@ class Row:
     def passed(self) -> bool | None:
         return self.residual <= self.tolerance if self.status == ASSERTED else None
 
-    def as_dict(self) -> dict:
-        return {"name": self.name, "residual": self.residual, "tolerance": self.tolerance,
+    def as_dict(self, residual_key: str = "residual") -> dict:
+        """The row's report dict, its residual under ``residual_key`` (the
+        identity and dim4 suites write ``max_residual``)."""
+        return {"name": self.name, residual_key: self.residual, "tolerance": self.tolerance,
                 "status": self.status, "passed": self.passed, "worst_point": self.worst_point,
                 "reason": self.reason}
 
@@ -738,24 +741,32 @@ class Evaluation:
         per point, shape ``(N,) + (dim,) * valence``, or names a primitive,
         whose residual is measured once and held.  A NaN or infinite
         residual raises ``NumericError`` naming ``name`` (the primitive's
-        name for a held one) and the first point affected."""
+        name for a held one) and the first point affected.
+
+        The frame components come from ``to_frame``, one product per slot.
+        Their magnitudes, viewed as one row of ``dim^valence`` per point, take
+        one ``argmax`` over the flat view: its first largest entry lies in the
+        first point whose own largest entry is the largest, so no per-point
+        maxima are formed."""
         if isinstance(diff, str):
             return self._once(("residual", diff), lambda: self.residual(diff, getattr(self, diff)))
         diff = np.asarray(diff)
         valence = diff.ndim - 1
-        if diff.shape != self.pts.shape[:1] + (self.m.dim,) * valence:
+        shape = self.pts.shape  # (N, dim)
+        if diff.shape != shape[:1] + shape[1:] * valence:
             raise ContractViolationError(
                 f"{name!r}: shape {diff.shape} is not a tensor per point at "
-                f"{self.pts.shape[0]} points in dimension {self.m.dim}")
+                f"{shape[0]} points in dimension {self.m.dim}")
         if valence:
             diff = to_frame(diff, self.frames, valence)
-        mags = np.abs(diff).reshape(self.pts.shape[0], -1).max(axis=1)
-        # argmax stops at the first NaN and reaches any +inf, so the
-        # maximum is finite exactly when every magnitude is
-        worst = mags.argmax()
-        value = float(mags[worst])
+        mags = np.abs(diff.reshape(shape[0], -1))  # a row per point
+        # the flat argmax stops at the first NaN and reaches any +inf, so the
+        # largest magnitude is finite exactly when every one is; its row is
+        # the first point whose own maximum is the largest
+        worst, col = divmod(int(mags.argmax()), mags.shape[1])
+        value = float(mags[worst, col])
         if not math.isfinite(value):
-            bad = np.flatnonzero(~np.isfinite(mags))[0]
+            bad = np.flatnonzero(~np.isfinite(mags))[0] // mags.shape[1]
             raise NumericError(f"non-finite residual in {name!r} at point "
                                f"{self.pts[bad].tolist()}")
         return value, tuple(self.pts[worst].tolist())
@@ -777,8 +788,10 @@ def measure_rows(ev: Evaluation, rows, tol=TOL_CURVATURE, tol_first=TOL_FIRST_OR
     order 2 and ``min(tol_first, tol)`` at order 1.  ``diff`` is the
     difference ``lhs - rhs``, the name of a primitive (its held residual) or
     a tuple of these (the largest residual); a ``skipped`` row gives its
-    reason in place of ``diff``.  A row that yields the previous row's
-    difference again reuses its measure; no other difference is held."""
+    reason in place of ``diff``.  A lone difference is measured by one call,
+    a tuple by the largest of its calls.  A row that yields the previous
+    row's difference again reuses its measure; no other difference is
+    held."""
     out, last = [], None
     for name, diff, order, status in rows:
         tolerance = min(tol_first, tol) if order == 1 else tol
@@ -786,8 +799,8 @@ def measure_rows(ev: Evaluation, rows, tol=TOL_CURVATURE, tol_first=TOL_FIRST_OR
             out.append(Row(name, None, tolerance, status, None, reason=diff))
             continue
         if diff is not last:
-            diffs = diff if isinstance(diff, tuple) else (diff,)
-            last, (value, point) = diff, max(ev.residual(name, d) for d in diffs)
+            last, (value, point) = diff, (max(ev.residual(name, d) for d in diff)
+                                          if isinstance(diff, tuple) else ev.residual(name, diff))
         out.append(Row(name, value, tolerance, status, point))
     return out
 

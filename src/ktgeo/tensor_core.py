@@ -9,7 +9,11 @@ All conventions used by the rest of the engine are fixed here, once:
   raised indices, norms, J-conjugations -- goes through ``slotwise``,
   ``out[.., i, ..] = sum_a M[..., a, i] t[.., a, ..]``: one batched matrix
   product per transported slot, on a view of the tensor, and no slot that is
-  not transported is touched.
+  not transported is touched.  The slots go in order on one running
+  product, ``M^T @ t`` over the first slot and ``(.., d) @ M`` over the
+  last, reshaped back to a tensor once at the end; each per-point product is
+  the one a loop that reshapes after every slot takes, so the bits are
+  equal.
 - Index permutations are transposed views: ``permuted`` (einsum-style
   subscripts over the trailing axes) and ``moved_axes`` (``np.moveaxis``'s
   arguments), each with its axes computed once per shape and subscripts.
@@ -260,28 +264,33 @@ def slotwise(t: np.ndarray, mat: np.ndarray, valence: int, slots=None) -> np.nda
     valence-``valence`` tensor (every slot when ``slots`` is None),
     ``out[.., i, ..] = sum_a mat[..., a, i] t[.., a, ..]``.
 
-    One batched matrix product per transported slot, on a view that leaves
-    every other slot in place: the last slot is ``t @ M`` on the
-    ``(d^(p-1), d)`` view, and any other slot ``s`` is ``M^T`` broadcast over
-    the ``d^s`` prefixes of ``(d, d^(p-1-s))`` views.  The batches of ``t``
-    and ``mat`` broadcast independently."""
-    slots = range(valence) if slots is None else slots
+    One batched matrix product per transported slot, in the order given, on
+    views of one running product that leave every other slot in place: the
+    last slot is ``(.., d) @ M`` on the ``(d^(p-1), d)`` view, the first
+    (of two or more) ``M^T @ t`` on the ``(d, d^(p-1))`` view, with no
+    broadcast axis, and any other slot ``s`` is ``M^T`` broadcast over the
+    ``d^s`` prefixes of ``(d, d^(p-1-s))`` views.  The result is reshaped
+    back to a tensor once, at the end.  The batches of ``t`` and ``mat``
+    broadcast independently.  Each per-point product is the one a loop that
+    reshapes back after every slot takes, so the bits are equal."""
     d = mat.shape[-1]
     mat_t = mat.swapaxes(-1, -2)
     batch_ndim = max(t.ndim - valence, mat.ndim - 2)
-    out = t
-    for s in slots:
-        lead = out.shape[:out.ndim - valence]
+    out, lead = t, t.shape[:t.ndim - valence]
+    for s in range(valence) if slots is None else slots:
         if s == valence - 1:
-            flat = out.reshape(lead + (-1, d)) @ mat
+            out = out.reshape(lead + (-1, d)) @ mat
+        elif s == 0:
+            out = mat_t @ out.reshape(lead + (d, -1))
         else:
-            flat = mat_t[..., None, :, :] @ out.reshape(lead + (d ** s, d, -1))
-        out = flat.reshape(flat.shape[:batch_ndim] + (d,) * valence)
-    return out
+            out = mat_t[..., None, :, :] @ out.reshape(lead + (d ** s, d, -1))
+        lead = out.shape[:batch_ndim]
+    return out.reshape(lead + (d,) * valence)
 
 
 def to_frame(t: np.ndarray, frame: np.ndarray, valence: int) -> np.ndarray:
-    """Express covariant components in an orthonormal frame."""
+    """Express covariant components in an orthonormal frame: ``slotwise``
+    over every slot with the frame's transpose, one product per slot."""
     return slotwise(t, frame.swapaxes(-1, -2), valence)
 
 

@@ -53,6 +53,24 @@ def codiff_of_field(ev, fn, valence):
     return codifferential_of(nab, ev.ginv, valence)
 
 
+def slot_by_slot(t, mat, valence, slots):
+    """Reference transport ``t(M., .., M.)`` in ``slots``: one product per
+    slot, each result reshaped back to a tensor before the next slot, every
+    slot but the last with ``M^T`` broadcast over a prefix axis; the engine's
+    ``slotwise`` keeps one running product instead."""
+    d = mat.shape[-1]
+    batch_ndim = max(t.ndim - valence, mat.ndim - 2)
+    out = t
+    for s in slots:
+        lead = out.shape[:out.ndim - valence]
+        if s == valence - 1:
+            flat = out.reshape(lead + (-1, d)) @ mat
+        else:
+            flat = mat.swapaxes(-1, -2)[..., None, :, :] @ out.reshape(lead + (d ** s, d, -1))
+        out = flat.reshape(flat.shape[:batch_ndim] + (d,) * valence)
+    return out
+
+
 def alt(t, valence):
     """Reference projector: the mean of the signed permutations of the
     trailing ``valence`` axes."""

@@ -765,7 +765,7 @@ def test_every_row_has_one_shape_and_its_order_sets_the_tolerance(tol, tmp_path)
     for section in json.loads(out_file.read_text())["manifolds"]:
         for suite in ("identities", "dim4"):
             for e in section[suite]:
-                # the one documented rename: ktbench/checks.py reads max_residual
+                # identity and dim4 rows write max_residual, which ktbench/checks.py reads
                 assert list(e) == ["max_residual" if k == "residual" else k for k in ROW_KEYS]
                 first_order = e["name"] == "torsion_lee_duality"
                 assert e["tolerance"] == (min(1e-6, tol) if first_order else tol)
@@ -1253,15 +1253,17 @@ def _hopf_report(tmp_path):
 
 
 def test_the_heap_is_pinned_once_per_process(unpinned, monkeypatch, tmp_path):
-    # mallopt returns 0 on a value it refuses; the pin does not read it
+    # mallopt returns 0 on a value it refuses, malloc_trim 0 when it released
+    # nothing; the pin reads neither.  The trim comes once, after the pin
     calls = []
-    libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 0)
+    libc = types.SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 0,
+                                 malloc_trim=lambda pad: calls.append(("malloc_trim", pad)) or 0)
     monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
     monkeypatch.setattr(ktgeo.cli.ctypes, "CDLL", lambda name: libc)
     first, second = _hopf_report(tmp_path), _hopf_report(tmp_path)
     assert first[0] == 0
     assert second == first
-    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20), ("malloc_trim", 0)]
 
 
 def _raising(error):
@@ -1280,7 +1282,9 @@ def _raising(error):
      types.SimpleNamespace(), None),
     (platform, "libc_ver", lambda: ("", ""), None, []),
     (platform, "libc_ver", lambda: ("glibc", "2.36"), types.SimpleNamespace(), [None]),
-], ids=["no_confstr_name", "musl_confstr", "not_glibc", "no_mallopt"])
+    (platform, "libc_ver", lambda: ("glibc", "2.36"),
+     types.SimpleNamespace(mallopt=lambda param, value: 0), [None]),
+], ids=["no_confstr_name", "musl_confstr", "not_glibc", "no_mallopt", "no_malloc_trim"])
 def test_a_heap_pin_that_cannot_run_leaves_the_report_alone(module, name, value, libc, opened,
                                                             unpinned, monkeypatch, tmp_path):
     expected = _hopf_report(tmp_path)

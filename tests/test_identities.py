@@ -14,13 +14,13 @@ from ktgeo.classify import structure_flags, vanishing_hypotheses
 from ktgeo.connections import lee_form_routes
 from ktgeo.errors import ContractViolationError, NumericError, PreconditionError
 from ktgeo.identities import (
-    Evaluation, _distinct_offsets, run_identity_suite, verify_conformal_trace, verify_dim4,
+    Evaluation, Row, _distinct_offsets, run_identity_suite, verify_conformal_trace, verify_dim4,
 )
 from ktgeo.string_eqs import run_string_suite
 
 from conftest import (
     block_conformal_torus_4, block_conformal_torus_6, codiff_of_field, kahler_form,
-    richardson_ratios, sample,
+    richardson_ratios, sample, slot_by_slot,
 )
 
 ALL_NAMES = [
@@ -259,6 +259,53 @@ def test_residual_names_the_first_non_finite_point_or_the_first_maximum(diff, ba
     assert str(err.value) == f"non-finite residual in 'scalar' at point {pts[bad].tolist()}"
 
 
+def _residual_reference(ev, diff):
+    """The residual measure slot by slot and point by point: the frame
+    transport one slot at a time, each point's largest magnitude, then the
+    first point with the largest; ``(None, bad)`` names the first point with
+    a non-finite magnitude."""
+    valence = diff.ndim - 1
+    if valence:
+        diff = slot_by_slot(diff, ev.frames.swapaxes(-1, -2), valence, range(valence))
+    mags = np.abs(diff).reshape(len(diff), -1).max(axis=1)
+    bad = [i for i, v in enumerate(mags) if not np.isfinite(v)]
+    if bad:
+        return None, bad[0]
+    worst = max(range(len(mags)), key=lambda i: (mags[i], -i))
+    return float(mags[worst]), tuple(ev.pts[worst].tolist())
+
+
+@pytest.mark.parametrize("name, n", [("hopf_standard", 5), ("conf_torus_6", 3)])
+@pytest.mark.parametrize("valence", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["finite", "tie", "nan", "inf", "inf_before_nan"])
+def test_residual_equals_the_slot_by_slot_reference_exactly(name, n, valence, case):
+    if case == "tie":  # a flat chart's frame is one at every point, so equal tensors tie
+        name = f"flat_torus_{get_manifold(name).dim}"
+    m = get_manifold(name)
+    ev = Evaluation(m, sample(name, n))
+    diff = np.random.default_rng(valence).standard_normal((n,) + (m.dim,) * valence)
+    if case == "tie":  # the last point repeats the first: the first is the worst
+        diff[0] *= 10.0
+        diff[-1] = diff[0]
+    elif case != "finite":
+        flat = diff.reshape(n, -1)
+        if case in ("nan", "inf_before_nan"):
+            flat[-1, -1] = np.nan
+        if case in ("inf", "inf_before_nan"):
+            flat[n // 2, 0] = np.inf
+    with np.errstate(invalid="ignore"):  # inf times a zero frame entry is NaN
+        value, where = _residual_reference(ev, diff)
+        if value is not None:
+            assert ev.residual("row", diff) == (value, where)
+            if case == "tie":
+                assert where == tuple(ev.pts[0].tolist())
+            return
+        with pytest.raises(NumericError) as err:
+            ev.residual("row", diff)
+    assert str(err.value) == f"non-finite residual in 'row' at point {ev.pts[where].tolist()}"
+    assert where == (n - 1 if case == "nan" else n // 2)
+
+
 def test_residual_of_a_tensor_is_its_largest_frame_component_and_first_point(hopf):
     pts = sample("hopf_standard", 4)
     ev = Evaluation(hopf, pts)
@@ -266,6 +313,35 @@ def test_residual_of_a_tensor_is_its_largest_frame_component_and_first_point(hop
     mags = np.abs(tensor_core.to_frame(diff, ev.frames, 2)).reshape(4, -1).max(axis=1)
     worst = int(np.argmax(mags))
     assert ev.residual("valence2", diff) == (float(mags[worst]), tuple(pts[worst].tolist()))
+
+
+ROW_FIELDS = ("name", "residual", "tolerance", "status", "worst_point", "reason")
+
+
+def test_a_row_is_immutable_and_keeps_its_fields_and_defaults():
+    row = Row("ricci_comparison", 2e-5, 1e-4, "asserted", (0.5, 1.5))
+    assert Row._fields == ROW_FIELDS
+    assert tuple(row) == ("ricci_comparison", 2e-5, 1e-4, "asserted", (0.5, 1.5), None)
+    assert Row._field_defaults == {"reason": None}
+    for field in ROW_FIELDS + ("passed",):
+        with pytest.raises(AttributeError):
+            setattr(row, field, None)
+    with pytest.raises(TypeError):
+        row[1] = 0.0
+
+
+@pytest.mark.parametrize("key", ["residual", "max_residual"])
+@pytest.mark.parametrize("status", ["asserted", "info", "hypothesis_failed", "skipped"])
+@pytest.mark.parametrize("residual", [2e-5, 1e-3])
+def test_a_row_dict_keeps_its_key_order_and_only_an_asserted_row_passes(key, status, residual):
+    row = (Row("lck_lambda_reduction", None, 1e-4, status, None, reason="no LCK shape")
+           if status == "skipped" else Row("ricci_comparison", residual, 1e-4, status, (0.5,)))
+    passed = residual <= 1e-4 if status == "asserted" else None
+    assert row.passed is passed
+    d = row.as_dict(key) if key != "residual" else row.as_dict()
+    assert list(d) == ["name", key, "tolerance", "status", "passed", "worst_point", "reason"]
+    assert d == {"name": row.name, key: row.residual, "tolerance": 1e-4, "status": status,
+                 "passed": passed, "worst_point": row.worst_point, "reason": row.reason}
 
 
 def test_residual_transports_a_tensor_one_slot_at_a_time(monkeypatch):

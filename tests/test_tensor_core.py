@@ -13,7 +13,9 @@ from ktgeo.tensor_core import (
     slotwise, to_frame, wedge,
 )
 
-from conftest import alt, codiff_of_field, hodge_star, kahler_form, lee_fn, sample
+from conftest import (
+    alt, codiff_of_field, hodge_star, kahler_form, lee_fn, sample, slot_by_slot,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +342,29 @@ def test_slotwise_matches_the_explicit_contraction(data):
     assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=1.0)
     if slots == []:
         assert np.array_equal(got, t)
+
+
+@pytest.mark.parametrize("valence", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [4, 6])
+@pytest.mark.parametrize("t_batch, mat_batch", [
+    ((1,), (1,)), ((16,), (16,)), ((8, 2, 6), (8, 2, 6)),
+    ((8, 2, 6), (8, 1, 1)),  # one matrix a base point, broadcast over its stencil
+    ((16,), ()), ((), (3,)),
+])
+def test_slotwise_equals_the_slot_by_slot_loop_bit_for_bit(valence, dim, t_batch, mat_batch):
+    rng = np.random.default_rng(valence * 10 + dim)
+    t = rng.standard_normal(t_batch + (dim,) * valence)
+    mat = rng.standard_normal(mat_batch + (dim, dim))
+    every = range(valence)
+    for slots in (None, every[1:], every[::2], every[:-1][::-1]):
+        got = slotwise(t, mat, valence, slots)
+        ref = slot_by_slot(t, mat, valence, every if slots is None else slots)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes(), slots
+    # to_frame transports every slot with the frame's transpose
+    frame = np.linalg.inv(np.linalg.cholesky(mat @ mat.swapaxes(-1, -2) + dim * np.eye(dim)))
+    got, ref = to_frame(t, frame, valence), slot_by_slot(t, frame.swapaxes(-1, -2), valence, every)
+    assert got.tobytes() == ref.tobytes()
 
 
 # The batched matrix products against the explicit contractions they replace.
