@@ -64,8 +64,8 @@ from .catalog import catalog_names, get_manifold
 from .classify import DEFAULT_CLASSIFY_TOL, structure_flags, vanishing_hypotheses
 from .errors import ContractViolationError, GeometryError, UnknownManifoldError
 from .identities import (
-    TOL_CURVATURE, Evaluation, _differentiated, run_identity_suite, verify_conformal_trace,
-    verify_dim4, verify_structure,
+    TOL_CURVATURE, Evaluation, _block_points, _differentiated, run_identity_suite,
+    verify_conformal_trace, verify_dim4, verify_structure,
 )
 from .string_eqs import run_string_suite
 from .tensor_core import DEFAULT_STEP
@@ -128,6 +128,8 @@ class SectionFailure(Exception):
     exception is an engine bug, an internal error with exit code 4."""
 
     def __init__(self, manifold, suite, original):
+        # a failure in a joined evaluation names the section it arose in
+        manifold = getattr(original, "manifold", manifold)
         self.code = 3 if isinstance(original, (GeometryError, ValueError)) else 4
         if self.code == 4:
             kind, original = "internal error", f"{type(original).__name__}: {original}"
@@ -235,32 +237,71 @@ def render_report(report: dict) -> str:
 # suite execution
 # ---------------------------------------------------------------------------
 
-def _manifold_report(m, cfg: RunConfig) -> dict:
+def _sample(m, cfg: RunConfig):
+    return m.sample_points(cfg.points, cfg.seed, margin=max(0.05, 3 * cfg.step))
+
+
+def _join_pass(ev, cfg: RunConfig):
+    """Make the variants of ``ev`` that the suites read, the conformal
+    parent and the triple's other structures, before any suite runs, so they
+    join its stencil pass and share its chart fields at every stencil
+    level."""
+    m, suite = ev.m, "identities"
+    try:
+        if "identities" in cfg.suites and m.conformal_parent is not None:
+            ev.with_conformal_parent()
+        suite = "classify"
+        if "classify" in cfg.suites:
+            for j_fn in m.hypercomplex or ():
+                ev.with_structure(j_fn)
+    except Exception as exc:
+        raise SectionFailure(m.name, suite, exc) from exc
+
+
+def _joined(ms, cfg: RunConfig) -> dict:
+    """The evaluation of each section of ``ms``, manifolds of one dimension,
+    by name: views of one evaluation over all their points, with every
+    section's variants made before its one stencil pass."""
+    sections = []
+    for m in ms:
+        try:
+            sections.append((m, _sample(m, cfg), _differentiated(m, cfg.suites)))
+        except Exception as exc:
+            raise SectionFailure(m.name, "sampling", exc) from exc
+    try:
+        views = Evaluation.joined(sections, cfg.step)
+    except Exception as exc:
+        raise SectionFailure(ms[0].name, "sampling", exc) from exc
+    for ev in views:
+        _join_pass(ev, cfg)
+    return {ev.m.name: ev for ev in views}
+
+
+def _manifold_report(m, cfg: RunConfig, ev=None) -> dict:
+    """The section of ``m``, its suites run on ``ev``, its view of a joined
+    evaluation, or on an evaluation of its own where ``ev`` is None."""
     tol = TOL_CURVATURE if cfg.tol_identity is None else cfg.tol_identity
     rows = []
 
-    # one evaluation per section, handed to every suite: they share its
+    # one evaluation per section, or one view of the evaluation its
+    # dimension's sections share, handed to every suite: they share its
     # primitives, its one stencil pass takes the partials they read, and
-    # nothing computed here outlives the section.  The variants the suites
+    # nothing computed here outlives the section but what the shared
+    # evaluation holds for its other sections.  The variants the suites
     # read, the conformal parent and the triple's other structures, are made
-    # before any suite runs, so they join that pass and share the section's
-    # chart fields at every stencil level.  The conformal row runs first: it
-    # reads the parent's four values and drops it before this evaluation
+    # before any suite runs (for a view, before any section of its group
+    # runs), so they join that pass and share the section's chart fields at
+    # every stencil level.  The conformal row runs first: it reads the
+    # parent's four values and drops its own parent before this evaluation
     # holds more than the pass's, so the parent's values never stack on the
-    # suites'
+    # suites' in a section of its own
     suite = "sampling"
     try:
         section = {"name": m.name, "dim": m.dim, "chart": m.chart.describe()}
-        pts = m.sample_points(cfg.points, cfg.seed, margin=max(0.05, 3 * cfg.step))
-        ev = Evaluation(m, pts, cfg.step, _differentiated(m, cfg.suites))
+        if ev is None:
+            ev = Evaluation(m, _sample(m, cfg), cfg.step, _differentiated(m, cfg.suites))
+            _join_pass(ev, cfg)
         parent = "identities" in cfg.suites and m.conformal_parent is not None
-        if parent:
-            suite = "identities"
-            ev.with_conformal_parent()
-        if "classify" in cfg.suites:
-            suite = "classify"
-            for j_fn in m.hypercomplex or ():
-                ev.with_structure(j_fn)
         if parent:
             suite = "identities"
             conformal = verify_conformal_trace(ev, tol)
@@ -298,6 +339,8 @@ def _manifold_report(m, cfg: RunConfig) -> dict:
         structure = verify_structure(ev, tol)
         section["structure"] = [r.as_dict() for r in structure]
         rows += structure
+    except SectionFailure:
+        raise
     except Exception as exc:
         raise SectionFailure(m.name, suite, exc) from exc
 
@@ -318,12 +361,31 @@ def run(cfg: RunConfig) -> dict:
     names = list(dict.fromkeys(n for name in cfg.manifolds
                                for n in (catalog_names() if name == "all" else (name,))))
     manifolds = [get_manifold(n) for n in names]  # fail fast on unknown names
-    sections = [_manifold_report(m, cfg) for m in manifolds]
+    # the sections of one dimension whose points fit in one block of a
+    # stencil pass share one evaluation.  They run together where the first
+    # of them comes, each on its view, which it drops when it ends, so the
+    # shared evaluation is gone before any other section runs and its
+    # values never stack on another dimension's section
+    groups = {}
+    for m in manifolds:
+        if cfg.points <= _block_points(m.dim):
+            groups.setdefault(m.dim, []).append(m)
+    sections = {}
+    for m in manifolds:
+        if m.name in sections:
+            continue
+        group = groups.get(m.dim, ())
+        if len(group) < 2:
+            sections[m.name] = _manifold_report(m, cfg)
+            continue
+        views = _joined(group, cfg)
+        for member in group:
+            sections[member.name] = _manifold_report(member, cfg, views.pop(member.name))
     report = {
         "config": cfg.as_dict(),
         "conventions": dict(CONVENTIONS),
-        "manifolds": sections,
-        "overall_pass": all(s["pass"] for s in sections),
+        "manifolds": [sections[m.name] for m in manifolds],
+        "overall_pass": all(s["pass"] for s in sections.values()),
     }
     return report
 
@@ -404,7 +466,7 @@ def main(argv=None) -> int:
     cfg = RunConfig(manifolds=tuple(args.manifold), points=args.points, seed=args.seed,
                     step=args.step, tol_identity=args.tol_identity,
                     tol_classify=args.tol_classify,
-                    suites=tuple(args.suite) if args.suite else SUITES, out=args.out)
+                    suites=tuple(dict.fromkeys(args.suite or SUITES)), out=args.out)
     try:
         cfg.validate()
     except ValueError as exc:

@@ -5,12 +5,15 @@ over shared primitives.  An :class:`Evaluation` computes every primitive
 (the chart fields, the dilaton and the conformal factor among them, torsion,
 the three curvatures, the Lee form, eta = theta - 2 d phi, ...) once per
 manifold and point set; a report section builds one and hands it to every
-suite.  Every derivative is of a primitive, read by the primitive's name:
-``partial`` and ``nabla`` and ``codiff`` over it.  One stencil pass takes
-every ``partial`` an evaluation reads, and those of its variants (the
-conformal parent, the triple's other structures), over evaluations on the
-stencil set that the pass builds and drops, so only base-point values
-outlive it.  The
+suite.  The sections of one dimension whose points fit in one pass block
+share one evaluation over all their points (:meth:`Evaluation.joined`),
+each through a view that reads its own rows of the values held, so a
+section's values and rows are those of its chart alone.  Every derivative is
+of a primitive, read by the primitive's name: ``partial`` and ``nabla`` and
+``codiff`` over it.  One stencil pass takes every ``partial`` an evaluation
+reads, and those of its variants (the conformal parent, the triple's other
+structures) and views, over evaluations on the stencil set that the pass
+builds and drops, so only base-point values outlive it.  The
 two sides are independent because their formulas differ, so a convention bug
 cannot cancel; evaluating a pure function twice gives identical bits and
 would add no independence.  Residuals are measured by
@@ -61,6 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from functools import lru_cache
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -142,8 +146,7 @@ def _frozen(value):
 
 def _primitive(compute):
     """A primitive computed on first use and then held, under its name."""
-    return property(lambda self: self._once(compute.__name__, lambda: compute(self)),
-                    doc=compute.__doc__)
+    return property(lambda self: self._once(compute.__name__, compute), doc=compute.__doc__)
 
 
 def _tt2(T, ginv):
@@ -174,6 +177,12 @@ def _distinct_offsets(d: int):
 # point; a base pass runs over balanced blocks of points that keep it within
 # this budget (8 points in d = 6, 40 in d = 4)
 _PASS_BYTES = 162 * 1024
+
+
+def _block_points(dim: int) -> int:
+    """The base points that one block of a stencil pass holds in dimension
+    ``dim``, under ``_PASS_BYTES``: 40 in d = 4, 8 in d = 6."""
+    return max(1, _PASS_BYTES // (16 * dim ** 4))
 
 
 # the primitives read off the chart fields (omega from g and J): on the first
@@ -216,6 +225,115 @@ def _differentiated(m: HermitianManifold, suites=tuple(_SUITE_PARTIALS)) -> tupl
     return tuple(a for a in names if a in read)
 
 
+# the primitives read off a section's own scalar fields, the dilaton and the
+# conformal factor, and those computed from them: a view computes these on
+# its own points and reads every other value off the evaluation it views
+_OWN = frozenset({"phi", "dphi", "eta", "dilaton_flux_density", "log_factor", "dlog_factor"})
+
+
+def _own(key) -> bool:
+    """Whether a view computes the value held under ``key`` itself: an own
+    primitive, any value of one, or a residual, which names the view's own
+    points."""
+    if type(key) is tuple:
+        return key[0] == "residual" or key[1] in _OWN
+    return key in _OWN
+
+
+def _points(m: HermitianManifold, pts, step: float) -> np.ndarray:
+    """``pts`` as read-only float64 points of ``m``, checked: the dimension
+    is even and at least 4, the set is not empty, each point has the
+    manifold's dimension and lies in the chart with the margin the deepest
+    stencil needs."""
+    if m.dim < 4 or m.dim % 2:
+        # a complex structure needs an even dimension, and the LCK torsion
+        # and the lambda reduction divide by n - 1 in complex dimension n
+        raise ContractViolationError(f"{m.name}: dimension {m.dim}, expected an even "
+                                     "dimension of at least 4")
+    pts = _frozen(np.array(pts, dtype=float, ndmin=2))
+    if pts.shape[0] == 0:
+        raise PreconditionError(f"{m.name}: an evaluation needs a non-empty point set")
+    if pts.shape[-1] != m.dim:
+        raise ContractViolationError(f"{m.name}: points have dimension {pts.shape[-1]}, "
+                                     f"expected {m.dim}")
+    m.chart.require_interior(pts, STENCIL_DEPTH * step)
+    return pts
+
+
+def _chart_field(m: HermitianManifold, pts, name: str, valence: int) -> np.ndarray:
+    """The field ``name`` of ``m`` (an attribute path, ``metric`` or
+    ``conformal_parent.log_factor``) at ``pts``, read as native float64: a
+    float64 or integer array of ``valence`` slots per point.  A
+    ``GeometryError`` or ``ValueError`` that the field raises is a numeric
+    failure and passes through; any other exception, dtype or shape breaks
+    the chart's contract.  A NaN or infinite value is a ``NumericError``
+    naming the field and the first point affected."""
+    try:
+        value = attrgetter(name)(m)(pts)
+    except (GeometryError, ValueError):
+        raise
+    except Exception as exc:
+        raise ContractViolationError(f"{m.name}: field {name!r} raised "
+                                     f"{type(exc).__name__}: {exc}") from exc
+    try:
+        value = np.asarray(value)
+    except ValueError as exc:  # a ragged nested sequence
+        raise ContractViolationError(f"{m.name}: field {name!r} is not an "
+                                     f"array: {exc}") from exc
+    # float32 rounding over the stencil's h^2 would fail curvature rows
+    if value.dtype.kind not in "iu" and value.dtype.newbyteorder("=") != np.float64:
+        raise ContractViolationError(f"{m.name}: field {name!r} has dtype "
+                                     f"{value.dtype}, expected float64 or an integer type")
+    value = value.astype(float, copy=False)
+    expected = pts.shape[:-1] + (m.dim,) * valence
+    if value.shape != expected:
+        raise ContractViolationError(f"{m.name}: field {name!r} has shape "
+                                     f"{value.shape}, expected {expected}")
+    # the largest magnitude is NaN or infinite exactly when some value is;
+    # abs and max are loops every report runs, np.isfinite only on failure
+    if not math.isfinite(np.abs(value).max()):
+        bad = ~np.isfinite(value).reshape(pts.shape[:-1] + (-1,)).all(axis=-1)
+        raise NumericError(f"{m.name}: field {name!r} is not finite at point "
+                           f"{pts[bad][0].tolist()}")
+    return value
+
+
+def _symmetric(m: HermitianManifold, g: np.ndarray):
+    """Raise unless the metric field ``g`` of ``m`` is symmetric."""
+    skew = np.abs(g - g.swapaxes(-1, -2)).max()
+    if skew > _SYMMETRY_TOL * np.abs(g).max():
+        raise ContractViolationError(f"{m.name}: field 'metric' is not symmetric, "
+                                     f"|g - g^T| = {skew:.3g}")
+
+
+def _rows(index):
+    """Sorted row numbers as a slice where they are contiguous, so taking
+    them gives a view; ``None``, every row, stays ``None``."""
+    if index is not None and index.size and index[-1] - index[0] + 1 == index.size:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
+def _take(value, rows):
+    """The rows ``rows`` (``None``: all, the value itself) of ``value``."""
+    return value if rows is None else value[rows]
+
+
+def _span(index, lo: int, hi: int) -> tuple:
+    """The rows ``[a, b)`` of an evaluation made on the rows ``index``
+    (``None``: all) of its source that lie in the source's rows ``[lo, hi)``."""
+    if index is None:
+        return lo, hi
+    a, b = np.searchsorted(index, (lo, hi))
+    return int(a), int(b)
+
+
+def _clipped(members, a: int, b: int) -> tuple:
+    """The members on the rows ``[a, b)``, their rows counted from ``a``."""
+    return tuple((m, max(lo, a) - a, min(hi, b) - a, section)
+                 for m, lo, hi, section in members if lo < b and hi > a)
+
+
 class Evaluation:
     """Every primitive of one manifold at one point set, each computed once.
 
@@ -240,7 +358,19 @@ class Evaluation:
     budget for its first level, so its working set does not grow with the
     points; the base-point values held do, 2.5 MiB per 16 points in d = 6.
 
-    A variant is another evaluation on the same points that this one makes
+    :meth:`joined` makes one evaluation of several manifolds of one
+    dimension over their concatenated points, and a view of it per
+    manifold.  Its ``members`` are ``(m, lo, hi, section)``, the manifold
+    on the rows ``[lo, hi)``, whose failures name ``section``; each chart
+    field is called per member on its rows, block by block, so a pass block
+    may split a member.  A view is the evaluation of one member: it reads
+    every value off its rows of the joined one, which computes it once for
+    all members, but the dilaton's and the conformal factor's, which it
+    computes on its own points, their partials in the joined pass.  Every
+    held value of a point is bitwise that of the point alone, so a view's
+    values, rows and residuals are those of its member's own evaluation.
+
+    A variant is another evaluation on rows of this one that this one makes
     and holds: :meth:`with_conformal_parent`, which carries this ``J``, and
     :meth:`with_structure`, another complex structure on this metric.  One
     made before this evaluation's first pass joins it, block by block in the
@@ -248,7 +378,8 @@ class Evaluation:
     made from this pass's evaluation there and shares its ``J`` or ``g``, so
     each chart field is evaluated once per stencil point.  A variant holds
     no evaluation and a stencil level is dropped with its pass, so only
-    base-point values outlive a pass.  The manifold's
+    base-point values outlive a pass; a view holds the joined evaluation,
+    which holds no view after its first pass.  The manifold's
     dimension must be even and at least 4.  The point set must not be empty
     and must have the manifold's dimension, and the chart domain is checked
     once, on the base points, with the margin the deepest stencil needs;
@@ -258,42 +389,85 @@ class Evaluation:
 
     def __init__(self, m: HermitianManifold, pts, step: float = DEFAULT_STEP,
                  differentiated=None):
-        if m.dim < 4 or m.dim % 2:
-            # a complex structure needs an even dimension, and the LCK torsion
-            # and the lambda reduction divide by n - 1 in complex dimension n
-            raise ContractViolationError(f"{m.name}: dimension {m.dim}, expected an even "
-                                         "dimension of at least 4")
         self.m = m
-        self.pts = _frozen(np.array(pts, dtype=float, ndmin=2))
-        self.step = step
-        if self.pts.shape[0] == 0:
-            raise PreconditionError(f"{m.name}: an evaluation needs a non-empty point set")
-        if self.pts.shape[-1] != m.dim:
-            raise ContractViolationError(f"{m.name}: points have dimension {self.pts.shape[-1]}, "
-                                         f"expected {m.dim}")
-        m.chart.require_interior(self.pts, STENCIL_DEPTH * step)
+        pts = _points(m, pts, step)
+        self._start(((m, 0, pts.shape[0], m.name),), pts, step, 0,
+                    _differentiated(m) if differentiated is None else differentiated)
+
+    def _start(self, members, pts, step, depth, differentiated, index=None):
+        # the state before any value is held
+        self.members, self.m = members, members[0][0] if len(members) == 1 else None
+        self.pts, self.step = _frozen(pts), step
         self._values = {}
-        self._depth = 0  # stencil levels below the base points
-        self.differentiated = (_differentiated(m) if differentiated is None
-                               else tuple(differentiated))
+        self._depth = depth  # stencil levels below the base points
+        self.differentiated = tuple(differentiated)
         self._shared = ()  # the keys a variant takes from its source at every level
+        self._source = None  # the evaluation a view reads its values off
+        # its rows of the evaluation it was made from (None: all), and those
+        # rows as a slice where they are contiguous
+        self._index, self._rows = index, _rows(index)
         self._variants = {}  # the variants made here, by key
-        self._pending = []  # the variants that join the first pass; None after it
+        self._pending = []  # the variants and views that join the first pass; None after it
+
+    @classmethod
+    def joined(cls, sections, step: float = DEFAULT_STEP) -> list:
+        """The evaluation of each ``(m, pts, differentiated)`` of
+        ``sections``, manifolds of one dimension, as in ``Evaluation(m,
+        pts, step, differentiated)``: a view of one evaluation over their
+        concatenated points, which differentiates what every view reads of
+        it in one pass.  Each view joins that pass with the partials of its
+        own primitives, the dilaton's and the conformal factor's, and reads
+        its other values off the joined evaluation, which it holds.  A
+        failure in one manifold's points or fields carries its name as the
+        exception's ``manifold``."""
+        members, parts, lo = [], [], 0
+        for m, pts, _ in sections:
+            try:
+                parts.append(_points(m, pts, step))
+            except Exception as exc:
+                exc.manifold = m.name
+                raise
+            members.append((m, lo, lo + len(parts[-1]), m.name))
+            lo += len(parts[-1])
+        if len({m.dim for m, *_ in members}) != 1:
+            raise ContractViolationError("joined sections must share one dimension")
+        group = cls.__new__(cls)
+        group._start(tuple(members), np.concatenate(parts), step, 0, dict.fromkeys(
+            a for *_, differentiated in sections for a in differentiated if a not in _OWN))
+        return [group._view(lo, hi, tuple(a for a in differentiated if a in _OWN))
+                for (_, lo, hi, _), (*_, differentiated) in zip(members, sections)]
 
     def _once(self, key, compute):
+        # compute(ev) gives the value on the evaluation ev; a view takes its
+        # rows of its source's for any value but its own
         if key not in self._values:
-            self._values[key] = _frozen(compute())
+            if self._source is not None and not _own(key):
+                self._values[key] = _take(self._source._once(key, compute), self._rows)
+            else:
+                self._values[key] = _frozen(compute(self))
         return self._values[key]
 
-    def _derive(self, m, pts, depth, keys=(), differentiated=(), shared=()) -> "Evaluation":
-        # starts from the values held here under keys; no domain check: the
-        # base evaluation made it for every stencil depth
+    def _derive(self, members, pts, depth, differentiated=(), index=None,
+                shared=()) -> "Evaluation":
+        # on the rows ``index`` of this one (None: all), starting from its
+        # values held under shared; no domain check: the base evaluation
+        # made it for every stencil depth
         ev = Evaluation.__new__(Evaluation)
-        ev.m, ev.pts, ev.step = m, _frozen(pts), self.step
-        ev._values = {k: self._values[k] for k in keys if k in self._values}
-        ev._depth = depth
-        ev.differentiated = tuple(differentiated)
-        ev._shared, ev._variants, ev._pending = shared, {}, []
+        ev._start(members, pts, self.step, depth, differentiated, index)
+        ev._shared = shared
+        ev._values = {k: _take(self._values[k], ev._rows) for k in shared if k in self._values}
+        return ev
+
+    def _view(self, a: int, b: int, differentiated=()) -> "Evaluation":
+        """The view of the member on the rows ``[a, b)`` here: it reads
+        every value but its own off this evaluation, and joins its first
+        pass where it differentiates any of its own."""
+        [(m, _, _, section)] = [mem for mem in self.members if mem[1] == a]
+        ev = self._derive(((m, 0, b - a, section),), self.pts[a:b], self._depth,
+                          differentiated, np.arange(a, b))
+        ev._source, ev._pending = self, None
+        if differentiated:
+            self._pending.append(ev)
         return ev
 
     def _variant(self, key, make) -> "Evaluation":
@@ -305,14 +479,21 @@ class Evaluation:
                 self._pending.append(self._variants[key])
         return self._variants[key]
 
-    def _stencil_variant(self, v) -> "Evaluation":
-        """The variant ``v`` one stencil level down, on this evaluation's
-        points: it shares the values here under ``v``'s shared keys, and joins
-        this evaluation's pass where its own first level differentiates any."""
+    def _counterpart(self, v, a: int, b: int, lo: int) -> "Evaluation":
+        """The pass's evaluation ``v``, made from the pass's own, one
+        stencil level down on this evaluation, which holds the pass's rows
+        from ``lo``: the rows ``[a, b)`` of ``v``.  A view's reads this
+        level's values; a variant's shares the values here under its shared
+        keys.  It joins this evaluation's pass where its own first level
+        differentiates any."""
+        index = None if v._index is None else v._index[a:b] - lo
         for key in v._shared:
             getattr(self, key)
-        ev = self._derive(v.m, self.pts, self._depth, v._shared,
-                          _first_level(v.differentiated) if self._depth == 1 else (), v._shared)
+        ev = self._derive(_clipped(v.members, a, b), _take(self.pts, _rows(index)), self._depth,
+                          _first_level(v.differentiated) if self._depth == 1 else (),
+                          index, v._shared)
+        if v._source is not None:
+            ev._source, ev._pending = self, None
         if ev.differentiated:
             self._pending.append(ev)
         return ev
@@ -325,12 +506,24 @@ class Evaluation:
         Made before this evaluation's first pass, it joins that pass and
         shares ``g`` at every stencil level; made after, it runs its own.  Each
         call gives it the metric-only values held here by then.  This
-        evaluation holds it; it keeps no reference to this one."""
+        evaluation holds it; it keeps no reference to this one.  A view's is
+        the variant of the joined evaluation on the view's rows."""
+        if self._source is not None:
+            return self._source._with_structure(j_fn, self._rows.start, self._rows.stop)
+        return self._with_structure(j_fn, 0, self.pts.shape[0])
+
+    def _with_structure(self, j_fn, a: int, b: int) -> "Evaluation":
+        # the structure j_fn of the member on the rows [a, b) here
         keys = ("g", "ginv", "frames", ("partial", "g"), "koszul", ("gamma", "levi_civita"))
-        ev = self._variant(("structure", j_fn), lambda: self._derive(
-            replace(self.m, complex_structure=j_fn, hypercomplex=None), self.pts, self._depth,
-            differentiated=("omega",), shared=("g",)))
-        ev._values.update({k: self._values[k] for k in keys
+        [(m, _, _, section)] = [mem for mem in self.members if mem[1] == a]
+        index = None if b - a == self.pts.shape[0] else np.arange(a, b)
+        rows = _rows(index)
+        ev = self._variant(("structure", j_fn) if index is None else ("structure", j_fn, a),
+                           lambda: self._derive(
+                               ((replace(m, complex_structure=j_fn, hypercomplex=None),
+                                 0, b - a, section),),
+                               _take(self.pts, rows), self._depth, ("omega",), index, ("g",)))
+        ev._values.update({k: _take(self._values[k], rows) for k in keys
                            if k in self._values and k not in ev._values})
         return ev
 
@@ -342,26 +535,60 @@ class Evaluation:
         it is a ``ContractViolationError`` naming the field.  Made before this
         evaluation's first pass, it joins that pass and shares ``J`` at every
         stencil level; made after, it runs its own.  This evaluation holds it;
-        it keeps no reference to this one."""
-        m = self.m
-        if m.conformal_parent is None:
-            raise PreconditionError(f"{m.name} has no conformal parent")
+        it keeps no reference to this one.  A joined evaluation's is one
+        evaluation of the parents of the members that have one, on their
+        rows, and a view's is a view of it on the view's rows."""
+        if self.m is not None and self.m.conformal_parent is None:
+            raise PreconditionError(f"{self.m.name} has no conformal parent")
+        if self._source is not None:
+            parents = self._source.with_conformal_parent()
+            a, b = _span(parents._index, self._rows.start, self._rows.stop)
+            return self._variant("conformal_parent", lambda: parents._view(a, b))
+        members = [mem for mem in self.members if mem[0].conformal_parent is not None]
+        if not members:
+            raise PreconditionError("no joined manifold has a conformal parent")
 
         def make():
             # its u, Lee form and Levi-Civita coefficients read these partials
-            parent = self._derive(m.conformal_parent.parent, self.pts, self._depth,
-                                  differentiated=("g", "omega", "chern_coefficients"),
-                                  shared=("J",))
             J = self.J
-            skew = np.abs(parent._field("complex_structure",
-                                        parent.m.complex_structure, 2) - J).max()
-            if not skew <= _SYMMETRY_TOL * np.abs(J).max():
-                raise ContractViolationError(
-                    f"{m.name}: field 'conformal_parent.complex_structure' differs from "
-                    f"'complex_structure' by {skew:.3g}, and a conformal change keeps J")
-            parent._values["J"] = J
+            index = (None if len(members) == len(self.members)
+                     else np.concatenate([np.arange(lo, hi) for _, lo, hi, _ in members]))
+            parents, at = [], 0
+            for m, lo, hi, section in members:
+                parents.append((m.conformal_parent.parent, at, at + hi - lo, section))
+                at += hi - lo
+            parent = self._derive(tuple(parents), _take(self.pts, _rows(index)), self._depth,
+                                  ("g", "omega", "chern_coefficients"), index, ("J",))
+            own = parent._field("complex_structure", 2)
+            for (m, lo, hi, section), (_, a, b, _) in zip(members, parents):
+                skew = np.abs(own[a:b] - J[lo:hi]).max()
+                if not skew <= _SYMMETRY_TOL * np.abs(J[lo:hi]).max():
+                    exc = ContractViolationError(
+                        f"{m.name}: field 'conformal_parent.complex_structure' differs from "
+                        f"'complex_structure' by {skew:.3g}, and a conformal change keeps J")
+                    exc.manifold = section
+                    raise exc
             return parent
         return self._variant("conformal_parent", make)
+
+    def _blocks(self) -> list:
+        """The bounds of the blocks a pass here runs over: balanced blocks
+        of at most ``_block_points`` base points, or, where the members fill
+        as few blocks whole, blocks that end where members do, so no
+        member's fields are called once per block; a deeper level is one
+        block of the base block."""
+        n = self.pts.shape[0]
+        size = _block_points(self.pts.shape[-1]) if self._depth == 0 else n
+        count = -(-n // size)
+        aligned = [0]
+        for _, lo, hi, _ in self.members:
+            if hi - aligned[-1] > size:
+                aligned.append(lo)
+        aligned.append(n)
+        if len(aligned) == count + 1 and all(0 < b - a <= size
+                                             for a, b in zip(aligned, aligned[1:])):
+            return aligned
+        return [n * k // count for k in range(count + 1)]
 
     def partial(self, attr: str) -> np.ndarray:
         """``D_d`` of the primitive ``attr`` here, derivative axis first,
@@ -370,17 +597,27 @@ class Evaluation:
         in one central-difference pass over one evaluation on
         the stencil set around the points, which the pass drops when it
         returns; any other primitive is a pass of its own.  The first pass
-        takes the variants made before it too, each over its own evaluation
-        on the same stencil set, made from this pass's evaluation there.  On
-        the first stencil level those evaluations are built at the distinct
-        second-level points only, and every other point reads its twin.  A
-        base pass runs once per block of points under ``_PASS_BYTES`` into
-        outputs for all points; only the held base-point values grow with the
-        points."""
-        if ("partial", attr) in self._values:
-            return self._values[("partial", attr)]
-        # the variants first and this evaluation last, each with what the pass
-        # takes of it
+        takes the variants and views made before it too, each over its own
+        evaluation on its rows of the same stencil set, made from this
+        pass's evaluation there.  On the first stencil level those
+        evaluations are built at the distinct second-level points only, and
+        every other point reads its twin.  A base pass runs once per block
+        of points under ``_PASS_BYTES`` into outputs for all points; only
+        the held base-point values grow with the points.  A view reads its
+        rows of the joined evaluation's ``partial``, but for its own
+        primitives, which that evaluation's first pass takes."""
+        key = ("partial", attr)
+        if key in self._values:
+            return self._values[key]
+        source = self._source
+        if source is not None and (not _own(key) or attr in self.differentiated):
+            if not _own(key):
+                self._values[key] = _take(source.partial(attr), self._rows)
+            else:
+                source.partial(source.differentiated[0])
+            return self._values[key]
+        # the variants and views first and this evaluation last, each with
+        # what the pass takes of it
         members = [(self, (attr,))]
         if attr in self.differentiated:
             # a variant that ran its own pass already is not taken again
@@ -389,21 +626,23 @@ class Evaluation:
             members.append((self, self.differentiated))
             self._pending = None
 
-        def values(p):  # at the stencil set around the points, yielded in turn
+        def values(p):  # at the stencil set around the block, yielded in turn
             if self._depth == 0:
-                here = self._derive(self.m, p, 1, differentiated=_first_level(
-                    self.differentiated))
+                here = self._derive(_clipped(self.members, lo, hi), p, 1,
+                                    _first_level(self.differentiated))
             else:
                 # p is (..., 2, d, 2, d, d): evaluate the distinct offsets,
-                # then lay every offset out from its own value or its twin's
+                # then lay every offset out from its own value or its twin's;
+                # a value has its own rows of the leading axis
                 d, lead = p.shape[-1], p.shape[:-5]
                 keep, index = _distinct_offsets(d)
-                here = self._derive(self.m, p.reshape(lead + (-1, d))[..., keep, :], 2)
+                here = self._derive(self.members, p.reshape(lead + (-1, d))[..., keep, :], 2)
 
                 def laid_out(v):
                     return v.take(index, axis=len(lead)).reshape(
-                        p.shape[:-1] + v.shape[len(lead) + 1:])
-            level = [here._stencil_variant(v) for v, _ in members[:-1]] + [here]
+                        v.shape[:1] + p.shape[1:-1] + v.shape[len(lead) + 1:])
+            level = [here._counterpart(ev, a, b, lo) if a < b else None
+                     for (ev, _), (a, b) in zip(members[:-1], spans)] + [here]
             if here._pending and here.differentiated:
                 # the pass there, which fills its variants' partials, runs
                 # before any variant reads one
@@ -414,86 +653,81 @@ class Evaluation:
             # gone before this evaluation's grow
             for k, (_, attrs) in enumerate(members):
                 ev, level[k] = level[k], None
+                if ev is None:  # none of its rows lie in this block
+                    continue
                 out = [getattr(ev, a) for a in attrs][::-1]
                 del ev
                 while out:
                     yield out.pop() if self._depth == 0 else laid_out(out.pop())
-        # one block is the loop's one call, its outputs held as they are;
-        # a deeper level is one block of the base block
-        n = self.pts.shape[0]
-        size = max(1, _PASS_BYTES // (16 * self.m.dim ** 4)) if self._depth == 0 else n
-        count = -(-n // size)
-        bounds = [n * k // count for k in range(count + 1)]
-        derivatives = None
+        # a block's outputs are held as they are where they hold all of an
+        # evaluation's rows; a deeper level is one block of the base block
+        outputs = [[None] * len(attrs) for _, attrs in members]
+        bounds = self._blocks()
         for lo, hi in zip(bounds, bounds[1:]):
-            block = fd_partial(values, self.pts[lo:hi], self.step)
-            if count == 1:
-                derivatives = block
-                continue
-            derivatives = derivatives or tuple(np.empty((n,) + df.shape[1:]) for df in block)
-            for out, df in zip(derivatives, block):
-                out[lo:hi] = df
+            spans = [_span(ev._index, lo, hi) for ev, _ in members]
+            block = iter(fd_partial(values, self.pts[lo:hi], self.step))
+            for (ev, _), (a, b), out in zip(members, spans, outputs):
+                for k in range(len(out) if a < b else 0):
+                    df = next(block)
+                    if b - a == ev.pts.shape[0]:
+                        out[k] = df
+                        continue
+                    if out[k] is None:
+                        out[k] = np.empty((ev.pts.shape[0],) + df.shape[1:])
+                    out[k][a:b] = df
             del block, df  # so the next block's pass does not stack on this one's
-        derivatives = iter(derivatives)
-        for ev, attrs in members:
-            for a in attrs:
-                ev._values[("partial", a)] = _frozen(next(derivatives))
-        return self._values[("partial", attr)]
+        for (ev, attrs), out in zip(members, outputs):
+            for a, df in zip(attrs, out):
+                ev._values[("partial", a)] = _frozen(df)
+        return self._values[key]
 
     # -- chart data ------------------------------------------------------------
 
-    def _field(self, name, fn, valence):
-        """The chart field ``fn`` at the points, read as native float64: a
-        float64 or integer array of ``valence`` slots per point.  A
-        ``GeometryError`` or ``ValueError`` that ``fn`` raises is a numeric
-        failure and passes through; any other exception, dtype or shape
-        breaks the chart's contract.  A NaN or infinite value is a
-        ``NumericError`` naming the field and the first point affected."""
+    def _field(self, name, valence, check=None):
+        """The chart field ``name`` of each member at its rows, read by
+        ``_chart_field`` and then passed to ``check(m, value)``, the
+        members' values in row order.  A failure carries the member's
+        section as the exception's ``manifold``."""
+        parts = []
+        for m, lo, hi, section in self.members:
+            try:
+                parts.append(_chart_field(m, self.pts[lo:hi], name, valence))
+                if check is not None:
+                    check(m, parts[-1])
+            except Exception as exc:
+                exc.manifold = section
+                raise
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _by_member(self, fn, value):
+        """``fn(value)``, a pointwise function of a held value that may
+        reject a point.  Where it fails on several members, the failure is
+        the one ``fn`` gives on the rows of the first member they fail on,
+        carrying its section as the exception's ``manifold``."""
         try:
-            value = fn(self.pts)
+            return fn(value)
         except (GeometryError, ValueError):
+            if len(self.members) == 1:
+                raise
+            for _, lo, hi, section in self.members:
+                try:
+                    fn(value[lo:hi])
+                except (GeometryError, ValueError) as exc:
+                    exc.manifold = section
+                    raise
             raise
-        except Exception as exc:
-            raise ContractViolationError(f"{self.m.name}: field {name!r} raised "
-                                         f"{type(exc).__name__}: {exc}") from exc
-        try:
-            value = np.asarray(value)
-        except ValueError as exc:  # a ragged nested sequence
-            raise ContractViolationError(f"{self.m.name}: field {name!r} is not an "
-                                         f"array: {exc}") from exc
-        # float32 rounding over the stencil's h^2 would fail curvature rows
-        if value.dtype.kind not in "iu" and value.dtype.newbyteorder("=") != np.float64:
-            raise ContractViolationError(f"{self.m.name}: field {name!r} has dtype "
-                                         f"{value.dtype}, expected float64 or an integer type")
-        value = value.astype(float, copy=False)
-        expected = self.pts.shape[:-1] + (self.m.dim,) * valence
-        if value.shape != expected:
-            raise ContractViolationError(f"{self.m.name}: field {name!r} has shape "
-                                         f"{value.shape}, expected {expected}")
-        # the largest magnitude is NaN or infinite exactly when some value is;
-        # abs and max are loops every report runs, np.isfinite only on failure
-        if not math.isfinite(np.abs(value).max()):
-            bad = ~np.isfinite(value).reshape(self.pts.shape[:-1] + (-1,)).all(axis=-1)
-            raise NumericError(f"{self.m.name}: field {name!r} is not finite at point "
-                               f"{self.pts[bad][0].tolist()}")
-        return value
 
     @_primitive
     def g(self):
-        g = self._field("metric", self.m.metric, 2)
-        skew = np.abs(g - g.swapaxes(-1, -2)).max()
-        if skew > _SYMMETRY_TOL * np.abs(g).max():
-            raise ContractViolationError(f"{self.m.name}: field 'metric' is not symmetric, "
-                                         f"|g - g^T| = {skew:.3g}")
-        return g
+        return self._field("metric", 2, _symmetric)
 
     @_primitive
     def ginv(self):
-        return metric_inverse(self.g)
+        return self._by_member(metric_inverse, self.g)
 
     @_primitive
     def J(self):
-        return self._field("complex_structure", self.m.complex_structure, 2)
+        return self._field("complex_structure", 2)
 
     @_primitive
     def jg(self):
@@ -502,17 +736,16 @@ class Evaluation:
     @_primitive
     def phi(self):
         """The dilaton."""
-        return self._field("dilaton", self.m.dilaton, 0)
+        return self._field("dilaton", 0)
 
     @_primitive
     def log_factor(self):
         """The conformal factor f, metric = exp(2 f) * the parent's."""
-        return self._field("conformal_parent.log_factor",
-                           self.m.conformal_parent.log_factor, 0)
+        return self._field("conformal_parent.log_factor", 0)
 
     @_primitive
     def frames(self):
-        return gram_schmidt_frames(self.g)
+        return self._by_member(gram_schmidt_frames, self.g)
 
     @_primitive
     def omega(self):
@@ -575,7 +808,7 @@ class Evaluation:
     def lck_defect(self):
         """T - J theta ^ omega / (n-1): how far T is from the LCK shape, the
         torsion of the conformally Kaehler class."""
-        return self.T - wedge(self.jtheta, self.omega, 2) / (self.m.dim // 2 - 1)
+        return self.T - wedge(self.jtheta, self.omega, 2) / (self.pts.shape[-1] // 2 - 1)
 
     @_primitive
     def dtheta(self):
@@ -641,21 +874,21 @@ class Evaluation:
 
     def gamma(self, flavor: str) -> np.ndarray:
         """Raised coefficients Gamma[k,i,j] = g^{kl} omega[l,i,j] of a flavor."""
-        def compute():
-            om = getattr(self, COEFFICIENTS[flavor])
-            return (self.ginv @ first_slot_matrix(om)).reshape(om.shape)
+        def compute(ev):
+            om = getattr(ev, COEFFICIENTS[flavor])
+            return (ev.ginv @ first_slot_matrix(om)).reshape(om.shape)
         return self._once(("gamma", flavor), compute)
 
     def nabla(self, attr: str, flavor: str) -> np.ndarray:
         """The covariant derivative of the primitive ``attr`` for a flavor, a
         formula over its :meth:`partial`, held; derivative axis first."""
-        return self._once(("nabla", attr, flavor), lambda: covariant_derivative_of(
-            self.partial(attr), getattr(self, attr), self.gamma(flavor), self._valence(attr)))
+        return self._once(("nabla", attr, flavor), lambda ev: covariant_derivative_of(
+            ev.partial(attr), getattr(ev, attr), ev.gamma(flavor), ev._valence(attr)))
 
     def codiff(self, attr: str) -> np.ndarray:
         """The codifferential of the form primitive ``attr``, held."""
-        return self._once(("codiff", attr), lambda: codifferential_of(
-            self.nabla(attr, "levi_civita"), self.ginv, self._valence(attr)))
+        return self._once(("codiff", attr), lambda ev: codifferential_of(
+            ev.nabla(attr, "levi_civita"), ev.ginv, ev._valence(attr)))
 
     def _valence(self, attr: str) -> int:
         return getattr(self, attr).ndim - self.pts.ndim + 1
@@ -663,7 +896,7 @@ class Evaluation:
     # -- curvature and its traces ------------------------------------------------------
 
     def riemann(self, flavor: str) -> np.ndarray:
-        return self._once(("riemann", flavor), lambda: riemann_values(self, flavor))
+        return self._once(("riemann", flavor), lambda ev: riemann_values(ev, flavor))
 
     @_primitive
     def ric(self):
@@ -749,14 +982,14 @@ class Evaluation:
         first point whose own largest entry is the largest, so no per-point
         maxima are formed."""
         if isinstance(diff, str):
-            return self._once(("residual", diff), lambda: self.residual(diff, getattr(self, diff)))
+            return self._once(("residual", diff), lambda ev: ev.residual(diff, getattr(ev, diff)))
         diff = np.asarray(diff)
         valence = diff.ndim - 1
         shape = self.pts.shape  # (N, dim)
         if diff.shape != shape[:1] + shape[1:] * valence:
             raise ContractViolationError(
                 f"{name!r}: shape {diff.shape} is not a tensor per point at "
-                f"{shape[0]} points in dimension {self.m.dim}")
+                f"{shape[0]} points in dimension {shape[1]}")
         if valence:
             diff = to_frame(diff, self.frames, valence)
         mags = np.abs(diff.reshape(shape[0], -1))  # a row per point
@@ -773,8 +1006,10 @@ class Evaluation:
 
     def norm_sq(self, attr: str) -> np.ndarray:
         """The squared norm of the primitive ``attr``, held."""
-        t = getattr(self, attr)
-        return self._once(("norm_sq", attr), lambda: norm_sq_values(t, self.ginv, t.ndim - 1))
+        def compute(ev):
+            t = getattr(ev, attr)
+            return norm_sq_values(t, ev.ginv, t.ndim - 1)
+        return self._once(("norm_sq", attr), compute)
 
     def magnitude(self, attr: str) -> float:
         """The held residual of the primitive ``attr`` itself (its largest

@@ -49,7 +49,9 @@ All conventions used by the rest of the engine are fixed here, once:
   margin of two steps around each point; the evaluation context checks it
   once per point set.  It takes every derivative a base evaluation and its
   variants read in one pass, a field that yields their values in turn, and
-  holds no stencil level after it.  The
+  holds no stencil level after it; a report's sections of one dimension
+  whose points fit in one block share one evaluation, and so one pass,
+  whose field calls each chart's fields on its own rows.  The
   pass calls this once per block of base points, sized by a fixed byte
   budget, so its working set does not grow with the points; the base-point
   values the evaluation holds do, 2.5 MiB per 16 points in d = 6.  For

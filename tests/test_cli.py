@@ -27,8 +27,8 @@ import ktgeo.cli
 import ktgeo.identities
 import ktgeo.tensor_core
 from ktgeo.catalog import (
-    BoxChart, HermitianManifold, catalog_names, get_manifold, register_manifold,
-    _block_j, _const_field,
+    BoxChart, HermitianManifold, catalog_names, conformal_rescale, get_manifold,
+    register_manifold, _block_j, _conf_factor, _const_field,
 )
 from ktgeo.cli import main, render_report
 from ktgeo.identities import Evaluation
@@ -123,6 +123,92 @@ def test_all_stands_for_the_catalog_wherever_it_appears(tmp_path):
 def test_a_repeated_manifold_is_reported_once(tmp_path):
     assert _section_names(tmp_path, "hopf_standard", "flat_torus_4", "hopf_standard") == [
         "hopf_standard", "flat_torus_4"]
+
+
+def test_a_repeated_suite_is_run_and_written_once(tmp_path):
+    reports = []
+    for suites in (["dim4", "dim4"], ["dim4"]):
+        out = tmp_path / f"{len(suites)}.json"
+        assert main(["report", "--manifold", "flat_torus_4", "--points", "1",
+                     *(a for s in suites for a in ("--suite", s)), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["config"]["suites"] == ["dim4"]
+
+
+def _rescaled_su2xu1():
+    """A conformal rescale of su2xu1, whose parent reads its own J closure,
+    as a pulled-back chart's parent does."""
+    return conformal_rescale(get_manifold("su2xu1"), _conf_factor, name="su2xu1_rescaled")
+
+
+@pytest.mark.parametrize("points", ["1", "16", "20"])
+def test_a_joined_section_is_its_chart_reported_alone(points, tmp_path):
+    # the sections of one dimension that fit in one pass block share one
+    # evaluation, whose blocks may split a section (at 16 points the seven
+    # d = 4 sections fill three blocks of 37 or 38 points); each section
+    # reads its own rows of it, so its residuals and worst points, as
+    # 17-digit floats, are those of its chart alone
+    charts = [block_conformal_torus_4(), block_conformal_torus_6(), _rescaled_su2xu1()]
+    for m in charts:
+        register_manifold(m)
+    names = catalog_names() + [m.name for m in charts]
+
+    def sections(*names):
+        out = tmp_path / "r.json"
+        argv = ["report", "--points", points, "--out", str(out)]
+        assert main(argv + [a for n in names for a in ("--manifold", n)]) in (0, 1)
+        return json.loads(out.read_text())["manifolds"]
+
+    assert sections(*names) == [s for name in names for s in sections(name)]
+
+
+def _flat_but(name, metric):
+    """flat_torus_4 under ``name`` with the metric field ``metric``."""
+    return replace(get_manifold("flat_torus_4"), name=name, metric=metric)
+
+
+def _nan_at_one_point(points):
+    # NaN at bad_nan's fourth sampled point alone, not on its stencil
+    g = get_manifold("flat_torus_4").metric(points)
+    spot = _flat_but("bad_nan", None).sample_points(16, 0)[3]
+    g[np.all(np.asarray(points) == spot, axis=-1)] = np.nan
+    return g
+
+
+def _raising(points):
+    raise RuntimeError("no metric here")
+
+
+def _degenerate(points):
+    # not positive definite where cos(x_0) <= 0, which its frames reject
+    return np.cos(np.asarray(points)[..., :1, None]) * get_manifold("flat_torus_4").metric(points)
+
+
+@pytest.mark.parametrize("name, metric, line", [
+    ("bad_raising", _raising,
+     "error: contract violation on 'bad_raising' during 'classify': bad_raising: field "
+     "'metric' raised RuntimeError: no metric here\n"),
+    ("bad_nan", _nan_at_one_point,
+     "error: numeric failure on 'bad_nan' during 'classify': bad_nan: field 'metric' is not "
+     "finite at point [4.172318311786139, 1.3699979596676155, 3.966586342632427, "
+     "3.1267133581652446]\n"),
+    ("bad_degenerate", _degenerate,
+     "error: numeric failure on 'bad_degenerate' during 'classify': metric is not positive "
+     "definite at sampled point index (0,)\n"),
+])
+def test_a_failure_in_a_joined_section_names_its_chart(name, metric, line, capsys):
+    # the joined evaluation reads flat_torus_4's fields and the bad chart's,
+    # and builds their frames in one call, while flat_torus_4's section
+    # runs; the failure names the chart whose field or frame failed, and
+    # alone the line is the one a section of its own has always printed
+    register_manifold(_flat_but(name, metric))
+    for manifolds in (["flat_torus_4", name], [name]):
+        argv = ["report", "--points", "16", "--out", "/dev/null"]
+        assert main(argv + [a for n in manifolds for a in ("--manifold", n)]) == 3
+        err = capsys.readouterr().err
+        assert f"on {name!r}" in err
+    assert err == line
 
 
 def test_residual_failure_exits_1(tmp_path):
@@ -913,7 +999,9 @@ def _with_parent_j(m, name, j_fn):
 
 def test_a_parent_whose_j_differs_at_a_base_point_breaks_the_contract(tmp_path, capsys):
     # a conformal change keeps J, so the parent carries the section's J; its
-    # own J is read at the base points, where it must agree to 16 ulps of |J|
+    # own J is read at the base points, where it must agree to 16 ulps of |J|;
+    # joined after conf_torus_4, whose section makes both parents, the
+    # failure still names the chart whose parent it is
     m = get_manifold("conf_torus_4")
     j_fn = m.conformal_parent.parent.complex_structure
     step = ktgeo.tensor_core.DEFAULT_STEP
@@ -924,12 +1012,14 @@ def test_a_parent_whose_j_differs_at_a_base_point_breaks_the_contract(tmp_path, 
         out[(np.asarray(p) == base).all(axis=-1)] += 1e-12
         return out
     register_manifold(_with_parent_j(m, "parent_j_off", off))
-    code = main(["report", "--manifold", "parent_j_off", "--points", "2",
-                 "--out", str(tmp_path / "r.json")])
-    assert code == 3
-    [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: contract violation on 'parent_j_off' during 'identities'")
-    assert "'conformal_parent.complex_structure'" in line
+    for before in ([], ["--manifold", "conf_torus_4"]):
+        code = main(["report", *before, "--manifold", "parent_j_off", "--points", "2",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: contract violation on 'parent_j_off' during "
+                               "'identities'")
+        assert "'conformal_parent.complex_structure'" in line
     # the other suites do not read the parent
     assert main(["report", "--manifold", "parent_j_off", "--points", "2", "--suite", "classify",
                  "--out", str(tmp_path / "r.json")]) == 0
@@ -997,9 +1087,9 @@ def test_report_builds_one_evaluation_per_stencil_level_and_pass(monkeypatch, tm
     assert passes.count(first) == 1
 
 
-def _pass_makers(monkeypatch, tmp_path, name):
+def _pass_makers(monkeypatch, tmp_path, *names):
     """The evaluation that makes each stencil pass of a full 2-point report
-    on ``name``, in order, each with the evaluations made on the pass's
+    on ``names``, in order, each with the evaluations made on the pass's
     stencil set: one for each evaluation whose partials the pass takes."""
     callers, passes = [], []
     real_partial, real_fd = Evaluation.partial, ktgeo.tensor_core.fd_partial
@@ -1025,8 +1115,8 @@ def _pass_makers(monkeypatch, tmp_path, name):
     monkeypatch.setattr(Evaluation, "partial", partial)
     monkeypatch.setattr(Evaluation, "_derive", derive)
     monkeypatch.setattr(ktgeo.identities, "fd_partial", fd_partial)
-    code = main(["report", "--manifold", name, "--points", "2",
-                 "--out", str(tmp_path / "r.json")])
+    code = main(["report", *(a for name in names for a in ("--manifold", name)),
+                 "--points", "2", "--out", str(tmp_path / "r.json")])
     assert code == 0
     return passes
 
@@ -1059,6 +1149,30 @@ def test_report_makes_one_pass_per_evaluation_at_each_stencil_level(monkeypatch,
         assert parent._values["J"] is section._values["J"]
 
 
+def test_a_joined_report_makes_one_pass_per_stencil_level(monkeypatch, tmp_path):
+    # the two sections share one evaluation, whose one base pass takes its
+    # views (each for its dilaton's and conformal factor's partials), the
+    # two parents' joined evaluation and the triple's other structures; on
+    # the first level only the views and the parents differentiate a leaf
+    passes = _pass_makers(monkeypatch, tmp_path, "hopf_standard", "hopf_hkt")
+    assert [(ev._depth, len(level)) for ev, level in passes] == [(0, 6), (1, 4)]
+    (group, first), (_, second) = passes
+    assert [m.name for m, *_ in group.members] == ["hopf_standard", "hopf_hkt"]
+    assert group.m is None
+    for level in (first, second):
+        here, sections, parents, structures = level[0], level[1:3], level[3], level[4:]
+        assert [ev.m.name for ev in sections] == ["hopf_standard", "hopf_hkt"]
+        assert all(ev._source is here for ev in sections)
+        assert [m for m, *_ in parents.members] == [
+            get_manifold(name).conformal_parent.parent for name in ("hopf_standard", "hopf_hkt")]
+        assert parents._values["J"] is here._values["J"]  # shared, not evaluated
+        assert len(structures) == 2 * (level is first)
+        for ev in structures:  # hopf_hkt's rows of the metric there
+            assert ev.m.name == "hopf_hkt"
+            assert np.shares_memory(ev._values["g"], here._values["g"])
+            assert np.array_equal(ev._values["g"], here._values["g"][2:])
+
+
 # the sections of a report that each suite writes
 _SUITE_SECTIONS = {"classify": ("flags", "vanishing_hypotheses", "taxonomy_implications"),
                    "identities": ("identities",), "dim4": ("dim4",), "string": ("string",)}
@@ -1082,33 +1196,78 @@ def test_each_suite_alone_writes_its_sections_of_the_full_report(tmp_path):
         assert sections((suite,), keys) == [{k: s[k] for k in keys} for s in full], suite
 
 
-@pytest.mark.parametrize("suites", [(s,) for s in ktgeo.cli.SUITES] + [()],
-                         ids=[*ktgeo.cli.SUITES, "all"])
-def test_each_section_differentiates_the_partials_its_suites_read(monkeypatch, tmp_path,
-                                                                  suites):
-    # the section's one base pass takes exactly the partials its suites read,
-    # and with every suite the full tuple, in its order
+def _asked_partials(monkeypatch, tmp_path, suites, joined):
+    """Each section's evaluation of one-point reports of ``suites`` on the
+    catalog, with the ``differentiated`` it was given, and the partials
+    asked of each evaluation on base points, by id: one report per chart,
+    or one of them all, whose sections of one dimension are joined."""
     sections, asked = [], {}
-    real_partial = Evaluation.partial
+    real_partial, real_joined = Evaluation.partial, Evaluation.joined
 
     def section_evaluation(*args):
-        sections.append(Evaluation(*args))  # held, so no two sections share an id
-        return sections[-1]
+        sections.append((Evaluation(*args), args[3]))  # held, so no two share an id
+        return sections[-1][0]
+
+    def joined_evaluations(given, step):
+        views = real_joined(given, step)
+        sections.extend((view, differentiated) for view, (*_, differentiated)
+                        in zip(views, given))
+        return views
 
     def partial(self, attr):
         if self._depth == 0:
             asked.setdefault(id(self), set()).add(attr)
         return real_partial(self, attr)
 
-    monkeypatch.setattr(ktgeo.cli, "Evaluation", section_evaluation)
+    if joined:
+        monkeypatch.setattr(Evaluation, "joined", staticmethod(joined_evaluations))
+    else:
+        monkeypatch.setattr(ktgeo.cli, "Evaluation", section_evaluation)
     monkeypatch.setattr(Evaluation, "partial", partial)
-    argv = ["report", "--manifold", "all", "--points", "1", "--out", str(tmp_path / "r.json")]
-    assert main(argv + [a for s in suites for a in ("--suite", s)]) == 0
-    assert [ev.m.name for ev in sections] == catalog_names()
-    for ev in sections:
-        assert asked[id(ev)] == set(ev.differentiated), ev.m.name
+    for names in [["all"]] if joined else [[name] for name in catalog_names()]:
+        argv = ["report", "--points", "1", "--out", str(tmp_path / "r.json")]
+        assert main(argv + [a for n in names for a in ("--manifold", n)]
+                    + [a for s in suites for a in ("--suite", s)]) == 0
+    names, expected = [ev.m.name for ev, _ in sections], catalog_names()
+    if joined:  # made one dimension at a time
+        names, expected = sorted(names), sorted(expected)
+    assert names == expected
+    for ev, differentiated in sections:
         if not suites:
-            assert ev.differentiated == ktgeo.identities._differentiated(ev.m)
+            assert differentiated == ktgeo.identities._differentiated(ev.m)
+    return sections, asked
+
+
+_SUITE_RUNS = pytest.mark.parametrize("suites", [(s,) for s in ktgeo.cli.SUITES] + [()],
+                                      ids=[*ktgeo.cli.SUITES, "all"])
+
+
+@_SUITE_RUNS
+def test_each_section_differentiates_the_partials_its_suites_read(monkeypatch, tmp_path,
+                                                                  suites):
+    # the section's one base pass takes exactly the partials its suites read,
+    # and with every suite the full tuple, in its order
+    sections, asked = _asked_partials(monkeypatch, tmp_path, suites, joined=False)
+    for ev, differentiated in sections:
+        assert asked[id(ev)] == set(differentiated), ev.m.name
+        assert ev.differentiated == differentiated
+
+
+@_SUITE_RUNS
+def test_each_joined_section_differentiates_the_partials_its_suites_read(monkeypatch,
+                                                                         tmp_path, suites):
+    # at one point per chart one pass per dimension takes every section's
+    # partials: the joined evaluation's, which its views read off it, and
+    # each view's own, the dilaton's and the conformal factor's
+    sections, asked = _asked_partials(monkeypatch, tmp_path, suites, joined=True)
+    for ev, differentiated in sections:
+        own = tuple(a for a in differentiated if a in ktgeo.identities._OWN)
+        assert ev.differentiated == own
+        group = ev._source
+        assert asked.get(id(ev), set()) - set(group.differentiated) == set(own), ev.m.name
+        assert asked[id(group)] == set(group.differentiated)
+        assert group.differentiated == tuple(a for a in differentiated if a not in own)
+    assert len({id(ev._source) for ev, _ in sections}) == 2  # one per dimension
 
 
 def test_report_traced_peak_holds_no_stencil_level(tmp_path):
@@ -1125,13 +1284,18 @@ def test_report_traced_peak_holds_no_stencil_level(tmp_path):
     assert peak < 26 * 2**20
 
 
-@pytest.mark.parametrize("budget", [1, 7 * 16 * 6 ** 4, 2 ** 62],
-                         ids=["one_point_blocks", "uneven_blocks", "one_block"])
+@pytest.mark.parametrize("budget", [1, 7 * 16 * 6 ** 4, 24 * 16 * 4 ** 4, 2 ** 62],
+                         ids=["one_point_blocks", "uneven_blocks", "split_sections",
+                              "one_block"])
 def test_report_bytes_do_not_depend_on_the_pass_blocks(budget, monkeypatch, tmp_path):
     # a base pass writes each block's derivatives into outputs for all
     # points, and each point's values do not depend on its block: blocks of
     # one point, of at most 7 points in d = 6 (16 points as 5, 5 and 6) and
-    # one block give the bytes of the default blocks
+    # 35 in d = 4 (the five joined d = 4 sections whole, as 32, 32 and 16),
+    # of at most 24 in d = 4 (80 joined points as four blocks of 20, which
+    # split three sections) and one block (every dimension's sections joined
+    # in it) give the bytes of the default blocks, where the d = 4 sections
+    # join in two blocks of 40 and the d = 6 ones run alone
     register_manifold(block_conformal_torus_4())
     register_manifold(block_conformal_torus_6())
     runs = [["suite", "--all", "--points", "16"],
@@ -1222,6 +1386,32 @@ def test_report_leaves_no_evaluation_alive(monkeypatch, tmp_path):
     # parent's in the pass of the section's first level; the section holds
     # its variants, which hold nothing of it
     assert len(created) == 10
+    assert alive == 0
+
+
+def test_a_joined_report_leaves_no_evaluation_alive(monkeypatch, tmp_path):
+    # every evaluation starts its state in _start: the joined one holds its
+    # views only until its first pass, and a view holds the joined one
+    created = []
+    real_start = Evaluation._start
+
+    def start(self, *args, **kwargs):
+        real_start(self, *args, **kwargs)
+        created.append(weakref.ref(self))
+
+    monkeypatch.setattr(Evaluation, "_start", start)
+    gc.disable()
+    try:
+        code = main(["report", "--manifold", "hopf_standard", "--manifold", "hopf_hkt",
+                     "--points", "2", "--out", str(tmp_path / "r.json")])
+        alive = sum(ref() is not None for ref in created)
+    finally:
+        gc.enable()
+    assert code == 0
+    # the joined evaluation, its two views, the parents' joined evaluation
+    # and a view of it per section, the two other structures; six on the
+    # first level of the one pass and four on the second
+    assert len(created) == 18
     assert alive == 0
 
 

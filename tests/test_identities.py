@@ -494,21 +494,32 @@ def test_first_level_partials_equal_the_four_set_reference(name, monkeypatch):
     assert np.array_equal(first.partial("omega"), dom)
 
 
-def _section_evaluations(m, pts):
-    """Every evaluation of one report section on ``m`` at ``pts``, run as a
-    report runs it: the section's, then its variants, the conformal parent
-    and the triple's other structures, which it makes before any suite so
-    they join its stencil pass."""
-    ev = Evaluation(m, pts)
+def _variants(ev):
+    """The variants of ``ev`` that a report section reads: the conformal
+    parent and the triple's other structures."""
+    m = ev.m
     variants = ([ev.with_conformal_parent()] if m.conformal_parent is not None else [])
-    variants += [ev.with_structure(j_fn) for j_fn in m.hypercomplex or ()]
-    if m.conformal_parent is not None:
+    return variants + [ev.with_structure(j_fn) for j_fn in m.hypercomplex or ()]
+
+
+def _run_suites(ev):
+    if ev.m.conformal_parent is not None:
         verify_conformal_trace(ev)
     structure_flags(ev)
     vanishing_hypotheses(ev)
     run_identity_suite(ev)
     verify_dim4(ev)
     run_string_suite(ev)
+
+
+def _section_evaluations(m, pts):
+    """Every evaluation of one report section on ``m`` at ``pts``, run as a
+    report runs it: the section's, then its variants, the conformal parent
+    and the triple's other structures, which it makes before any suite so
+    they join its stencil pass."""
+    ev = Evaluation(m, pts)
+    variants = _variants(ev)
+    _run_suites(ev)
     return [ev] + variants
 
 
@@ -571,6 +582,69 @@ def test_held_values_do_not_depend_on_the_batch(name):
                 if isinstance(value, np.ndarray):
                     joined = np.concatenate([chunk[k]._values[key] for chunk in chunks])
                     assert np.array_equal(joined, value), (size, key)
+
+
+def _value(ev, key):
+    """The value of ``ev`` under the key it holds it by: a primitive's name,
+    or a method's name and its arguments."""
+    return getattr(ev, key) if isinstance(key, str) else getattr(ev, key[0])(*key[1:])
+
+
+def _arrays(ev, rows=slice(None)):
+    return {k: v[rows] for k, v in ev._values.items() if isinstance(v, np.ndarray)}
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+def test_joined_held_values_are_each_members_own(dim):
+    # every array the joined evaluation and its variants hold, sliced to a
+    # member, is bitwise the value of the member's own evaluation, and they
+    # hold every array that one does; at 16 points the d = 6 pass runs in
+    # blocks of 8, and the d = 4 one in two of 40 that split su2xu1
+    ms = [get_manifold(name) for name in catalog_names() if get_manifold(name).dim == dim]
+    pts = [m.sample_points(16, seed=0) for m in ms]
+    views = Evaluation.joined([(m, p, identities._differentiated(m)) for m, p in zip(ms, pts)])
+    for view in views:  # every variant before the one pass, as a report makes them
+        _variants(view)
+    for view in views:
+        _run_suites(view)
+    group = views[0]._source
+    parents = group._variants.get("conformal_parent")
+    for m, p, view, (_, lo, hi, _) in zip(ms, pts, views, group.members):
+        own, *own_variants = _section_evaluations(m, p)
+        joined = [(_arrays(group, slice(lo, hi)) | _arrays(view), own)]
+        if m.conformal_parent is not None:
+            [(a, b)] = [(a, b) for _, a, b, section in parents.members if section == m.name]
+            joined.append((_arrays(parents, slice(a, b)), own_variants.pop(0)))
+        joined += [(_arrays(group._variants[("structure", j_fn, lo)]), ev)
+                   for j_fn, ev in zip(m.hypercomplex or (), own_variants)]
+        for held, ev in joined:
+            assert set(_arrays(ev)) <= set(held), m.name
+            for key, value in held.items():
+                assert np.array_equal(value, _value(ev, key)), (m.name, key)
+
+
+@pytest.mark.parametrize("names, bounds", [
+    (["hopf_standard", "hopf_hkt", "conf_torus_4"], [0, 32, 48]),
+    (["flat_torus_4", "hopf_standard", "su2xu1", "hopf_hkt", "conf_torus_4"], [0, 40, 80]),
+], ids=["whole_sections", "balanced"])
+def test_a_joined_pass_block_ends_where_a_section_does_when_no_block_more(names, bounds,
+                                                                          monkeypatch):
+    # three 16-point sections fill two blocks of at most 40 points whole, as
+    # 32 and 16, so no section's fields are called once per block; five
+    # would fill three, so they take two balanced blocks of 40
+    ms = [get_manifold(name) for name in names]
+    views = Evaluation.joined([(m, m.sample_points(16, seed=0), ("g", "omega")) for m in ms])
+    blocks = []
+    real_fd = identities.fd_partial
+
+    def fd_partial(fn, points, step):
+        if points.ndim == 2:  # a base pass's block
+            blocks.append(len(points))
+        return real_fd(fn, points, step)
+
+    monkeypatch.setattr(identities, "fd_partial", fd_partial)
+    views[0].partial("g")
+    assert blocks == [b - a for a, b in zip(bounds, bounds[1:])]
 
 
 def _pass_transient(m, n):
