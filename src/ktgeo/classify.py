@@ -85,7 +85,9 @@ class StructureFlags(Flags):
 
 
 def measure_flags(ev: Evaluation, flags=TAXONOMY) -> dict:
-    """The residuals the taxonomy ``flags`` read, each measured on ``ev``."""
+    """The residuals the taxonomy ``flags`` read, each the held magnitude of
+    its primitive on ``ev``: a view reads its section's off the measure of
+    the joined evaluation, which takes one frame transform for all sections."""
     return {name: ev.magnitude(attr) for flag in flags for name, attr in FLAGS[flag].items()}
 
 

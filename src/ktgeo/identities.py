@@ -22,8 +22,9 @@ difference, which keeps them scale-honest across charts.
 
 Every suite is a generator of ``(name, lhs - rhs, order, status)`` rows over
 the evaluation it takes, ``order`` the row's stencil nesting depth;
-:func:`measure_rows` turns each into a :class:`Row`, the one row type of a
-report.
+:func:`measure_rows` runs it once on the evaluation that holds the values,
+the joined one of a view, and turns each row into a :class:`Row`, the one
+row type of a report, with the section's own status.
 
 Identity names (stable keys used in reports and tests):
 
@@ -233,11 +234,8 @@ _OWN = frozenset({"phi", "dphi", "eta", "dilaton_flux_density", "log_factor", "d
 
 def _own(key) -> bool:
     """Whether a view computes the value held under ``key`` itself: an own
-    primitive, any value of one, or a residual, which names the view's own
-    points."""
-    if type(key) is tuple:
-        return key[0] == "residual" or key[1] in _OWN
-    return key in _OWN
+    primitive or any value of one."""
+    return (key[1] if type(key) is tuple else key) in _OWN
 
 
 def _points(m: HermitianManifold, pts, step: float) -> np.ndarray:
@@ -328,6 +326,26 @@ def _span(index, lo: int, hi: int) -> tuple:
     return int(a), int(b)
 
 
+def _non_finite(name: str, point: np.ndarray) -> NumericError:
+    """The failure of a NaN or infinite residual of ``name`` whose first
+    affected point is ``point``."""
+    return NumericError(f"non-finite residual in {name!r} at point {point.tolist()}")
+
+
+def _largest(mags: np.ndarray) -> tuple:
+    """The largest of the magnitudes ``mags``, a row per point, and the
+    first row where it occurs; the first row with a NaN or infinite
+    magnitude where it is not finite."""
+    # the flat argmax stops at the first NaN and reaches any +inf, so the
+    # largest magnitude is finite exactly when every one is; its row is the
+    # first point whose own maximum is the largest
+    worst, col = divmod(int(mags.argmax()), mags.shape[1])
+    value = float(mags[worst, col])
+    if not math.isfinite(value):
+        worst = int(np.flatnonzero(~np.isfinite(mags))[0]) // mags.shape[1]
+    return value, worst
+
+
 def _clipped(members, a: int, b: int) -> tuple:
     """The members on the rows ``[a, b)``, their rows counted from ``a``."""
     return tuple((m, max(lo, a) - a, min(hi, b) - a, section)
@@ -366,9 +384,14 @@ class Evaluation:
     may split a member.  A view is the evaluation of one member: it reads
     every value off its rows of the joined one, which computes it once for
     all members, but the dilaton's and the conformal factor's, which it
-    computes on its own points, their partials in the joined pass.  Every
-    held value of a point is bitwise that of the point alone, so a view's
-    values, rows and residuals are those of its member's own evaluation.
+    computes on its own points, their partials in the joined pass.  A
+    view's rows and held residuals are read off the joined measure: each row
+    generator runs once on the joined evaluation, and each difference and
+    held primitive is measured there once, one argmax per member, so the
+    view reads its member's; only the rows that read its own primitives are
+    measured on the view.  Every held value of a point is bitwise that of
+    the point alone, so a view's values, rows and residuals are those of its
+    member's own evaluation.
 
     A variant is another evaluation on rows of this one that this one makes
     and holds: :meth:`with_conformal_parent`, which carries this ``J``, and
@@ -403,6 +426,7 @@ class Evaluation:
         self.differentiated = tuple(differentiated)
         self._shared = ()  # the keys a variant takes from its source at every level
         self._source = None  # the evaluation a view reads its values off
+        self._member = 0  # a view's member there, by its index in the members
         # its rows of the evaluation it was made from (None: all), and those
         # rows as a slice where they are contiguous
         self._index, self._rows = index, _rows(index)
@@ -462,10 +486,11 @@ class Evaluation:
         """The view of the member on the rows ``[a, b)`` here: it reads
         every value but its own off this evaluation, and joins its first
         pass where it differentiates any of its own."""
-        [(m, _, _, section)] = [mem for mem in self.members if mem[1] == a]
+        [k] = [k for k, mem in enumerate(self.members) if mem[1] == a]
+        m, _, _, section = self.members[k]
         ev = self._derive(((m, 0, b - a, section),), self.pts[a:b], self._depth,
                           differentiated, np.arange(a, b))
-        ev._source, ev._pending = self, None
+        ev._source, ev._pending, ev._member = self, None, k
         if differentiated:
             self._pending.append(ev)
         return ev
@@ -970,19 +995,45 @@ class Evaluation:
 
     def residual(self, name: str, diff):
         """Largest orthonormal-frame component of ``diff`` over the points,
-        and the point where it occurs.  ``diff`` holds one covariant tensor
-        per point, shape ``(N,) + (dim,) * valence``, or names a primitive,
-        whose residual is measured once and held.  A NaN or infinite
-        residual raises ``NumericError`` naming ``name`` (the primitive's
-        name for a held one) and the first point affected.
+        and the point where it occurs, on an evaluation of one manifold.
+        ``diff`` holds one covariant tensor per point, shape ``(N,) +
+        (dim,) * valence``, or names a primitive, whose residual is measured
+        once and held, by a view on the evaluation it views.  A NaN or
+        infinite residual raises ``NumericError`` naming ``name`` (the
+        primitive's name for a held one) and the first point affected."""
+        value, row = self._measure(name, diff)
+        return value, tuple(self.pts[row].tolist())
 
-        The frame components come from ``to_frame``, one product per slot.
-        Their magnitudes, viewed as one row of ``dim^valence`` per point, take
-        one ``argmax`` over the flat view: its first largest entry lies in the
-        first point whose own largest entry is the largest, so no per-point
-        maxima are formed."""
+    def _measure(self, name: str, diff) -> tuple:
+        # the value of residual(name, diff) and the row of its point
+        [(value, row)] = self._measures(name, diff)
+        if not math.isfinite(value):
+            raise _non_finite(diff if isinstance(diff, str) else name, self.pts[row])
+        return value, row
+
+    def _measures(self, name: str, diff) -> tuple:
+        """The ``(value, row)`` of ``diff``, as :meth:`residual` measures
+        it, on each member's rows, unchecked: the largest frame component and
+        the first of the member's rows where it occurs, or a NaN or infinite
+        value and the first row that has one.  A primitive's, named by
+        ``diff``, is held; a view's, but for its own primitives, is its
+        member's of the evaluation it views.
+
+        The frame components come from one ``to_frame`` over all the points,
+        one product per slot.  Their magnitudes, viewed as one row of
+        ``dim^valence`` per point, take one ``argmax`` per member over the
+        flat view of its rows: its first largest entry lies in the first
+        point whose own largest entry is the largest, so no per-point maxima
+        are formed."""
         if isinstance(diff, str):
-            return self._once(("residual", diff), lambda ev: ev.residual(diff, getattr(ev, diff)))
+            key = ("residual", diff)
+            if key not in self._values:
+                if self._source is not None and diff not in _OWN:
+                    k = self._member
+                    self._values[key] = self._source._measures(diff, diff)[k:k + 1]
+                else:
+                    self._values[key] = self._measures(diff, getattr(self, diff))
+            return self._values[key]
         diff = np.asarray(diff)
         valence = diff.ndim - 1
         shape = self.pts.shape  # (N, dim)
@@ -993,16 +1044,9 @@ class Evaluation:
         if valence:
             diff = to_frame(diff, self.frames, valence)
         mags = np.abs(diff.reshape(shape[0], -1))  # a row per point
-        # the flat argmax stops at the first NaN and reaches any +inf, so the
-        # largest magnitude is finite exactly when every one is; its row is
-        # the first point whose own maximum is the largest
-        worst, col = divmod(int(mags.argmax()), mags.shape[1])
-        value = float(mags[worst, col])
-        if not math.isfinite(value):
-            bad = np.flatnonzero(~np.isfinite(mags))[0] // mags.shape[1]
-            raise NumericError(f"non-finite residual in {name!r} at point "
-                               f"{self.pts[bad].tolist()}")
-        return value, tuple(self.pts[worst].tolist())
+        if len(self.members) == 1:
+            return (_largest(mags),)
+        return tuple(_largest(mags[lo:hi]) for _, lo, hi, _ in self.members)
 
     def norm_sq(self, attr: str) -> np.ndarray:
         """The squared norm of the primitive ``attr``, held."""
@@ -1014,29 +1058,69 @@ class Evaluation:
     def magnitude(self, attr: str) -> float:
         """The held residual of the primitive ``attr`` itself (its largest
         frame component), without its point."""
-        return self.residual(attr, attr)[0]
+        return self._measure(attr, attr)[0]
 
 
-def measure_rows(ev: Evaluation, rows, tol=TOL_CURVATURE, tol_first=TOL_FIRST_ORDER) -> list:
-    """The :class:`Row` of each ``(name, diff, order, status)`` row, each
-    measured by :meth:`Evaluation.residual`, with the tolerance ``tol`` at
-    order 2 and ``min(tol_first, tol)`` at order 1.  ``diff`` is the
-    difference ``lhs - rhs``, the name of a primitive (its held residual) or
-    a tuple of these (the largest residual); a ``skipped`` row gives its
-    reason in place of ``diff``.  A lone difference is measured by one call,
-    a tuple by the largest of its calls.  A row that yields the previous
-    row's difference again reuses its measure; no other difference is
-    held."""
+def _measured(ev: Evaluation, rows) -> tuple:
+    """Each ``(name, diff, order, status)`` row of ``rows`` as ``(name,
+    parts, order, status)``, ``parts`` the ``(name, measures)`` of each
+    difference that ``diff`` holds, by :meth:`Evaluation._measures` on
+    ``ev``, under the name a non-finite one is reported by: the row's, or
+    the primitive's that it names.  A row that yields the previous row's
+    difference again reuses its measures; no difference is held."""
     out, last = [], None
     for name, diff, order, status in rows:
-        tolerance = min(tol_first, tol) if order == 1 else tol
-        if status == SKIPPED:
-            out.append(Row(name, None, tolerance, status, None, reason=diff))
-            continue
         if diff is not last:
-            last, (value, point) = diff, (max(ev.residual(name, d) for d in diff)
-                                          if isinstance(diff, tuple) else ev.residual(name, diff))
-        out.append(Row(name, value, tolerance, status, point))
+            last = diff
+            if type(diff) is tuple:
+                parts = tuple([(d if isinstance(d, str) else name, ev._measures(name, d))
+                               for d in diff])
+            else:
+                parts = ((diff if isinstance(diff, str) else name, ev._measures(name, diff)),)
+        out.append((name, parts, order, status))
+    return tuple(out)
+
+
+def measure_rows(ev: Evaluation, rows, tol=TOL_CURVATURE, tol_first=TOL_FIRST_ORDER,
+                 statuses=None) -> list:
+    """The :class:`Row` of each ``(name, diff, order, status)`` row on
+    ``ev``, with the tolerance ``tol`` at order 2 and ``min(tol_first,
+    tol)`` at order 1.  ``diff`` is the difference ``lhs - rhs``, the name
+    of a primitive (its held residual) or a tuple of these (the largest
+    residual).  ``rows`` is a generator function of an evaluation, or the
+    rows themselves where they read a view's own primitives (its dilaton's
+    or conformal factor's).  A generator function runs once, on the
+    evaluation that holds the values of ``ev``: ``ev`` itself, or the joined
+    evaluation of a view.  That evaluation holds its rows under the
+    function, each with every member's measure, so each difference takes one
+    ``to_frame`` over all its points and one ``argmax`` per member, and
+    ``ev`` reads its member's.  A row's status is the generator's, the same
+    for every member, and ``statuses`` maps one that rests on a section's
+    hypotheses to this section's.  A NaN or infinite residual raises
+    ``NumericError`` when its section reads its row, as
+    :meth:`Evaluation.residual` does."""
+    if callable(rows):
+        holder = ev if ev._source is None else ev._source
+        key = ("rows", rows)
+        if key not in holder._values:
+            holder._values[key] = _measured(holder, rows(holder))
+        held, k = holder._values[key], ev._member
+    else:
+        held, k = _measured(ev, rows), 0
+    pts, first, out = ev.pts, min(tol_first, tol), []
+    for name, parts, order, status in held:
+        for part, measures in parts:
+            value, row = measures[k]
+            if not math.isfinite(value):
+                raise _non_finite(part, pts[row])
+        if len(parts) == 1:
+            point = tuple(pts[row].tolist())
+        else:  # the largest, ties to the larger point
+            value, point = max((measures[k][0], tuple(pts[measures[k][1]].tolist()))
+                               for _, measures in parts)
+        if statuses is not None:
+            status = statuses.get(status, status)
+        out.append(Row(name, value, first if order == 1 else tol, status, point))
     return out
 
 
@@ -1117,15 +1201,19 @@ def _identity_rows(ev: Evaluation):
 def run_identity_suite(ev: Evaluation, tol=TOL_CURVATURE) -> list:
     """The rows of every curvature identity on ``ev``, in report order, under
     the identity tolerance ``tol`` (``--tol-identity``)."""
-    return measure_rows(ev, _identity_rows(ev), tol)
+    return measure_rows(ev, _identity_rows, tol)
+
+
+def _structure_rows(ev: Evaluation):
+    """The structure block's row: the Lee form's routes agree (order 1)."""
+    theta, via_T, via_C = lee_form_routes(ev)
+    yield "lee_form_routes", (theta - via_T, theta - via_C), 1, ASSERTED
 
 
 def verify_structure(ev: Evaluation, tol=TOL_CURVATURE) -> list:
     """The structure block's row on ``ev``, under ``tol`` as in
-    :func:`run_identity_suite`: the Lee form's routes agree (order 1)."""
-    theta, via_T, via_C = lee_form_routes(ev)
-    rows = [("lee_form_routes", (theta - via_T, theta - via_C), 1, ASSERTED)]
-    return measure_rows(ev, rows, tol)
+    :func:`run_identity_suite`."""
+    return measure_rows(ev, _structure_rows, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1139,27 +1227,30 @@ def verify_dim4(ev: Evaluation, tol=TOL_CURVATURE) -> list:
     shape T = J theta ^ omega / (n-1), which every Hermitian surface has; its
     row is ``skipped``, with the reason, where the measured ``lck_defect``
     exceeds ``TOL_FIRST_ORDER``, the default tolerance of the duality row,
-    which asserts the same difference in dimension 4."""
-    return measure_rows(ev, _dim4_rows(ev), tol)
-
-
-def _dim4_rows(ev: Evaluation):
-    """The duality in dimension 4 (order 1), then the reduction (order 2) or
-    its skipped row with the reason."""
-    m = ev.m
-    if m.dim == 4:
-        # the larger residual of the two sides against T
-        yield ("torsion_lee_duality",
-               (ev.T + hodge_star_values(ev.theta, ev.ginv, ev.sqrt_det_g, 1), "lck_defect"),
-               1, ASSERTED)
-
+    which asserts the same difference in dimension 4.  Each section reads
+    its own ``lck_defect``, so a joined evaluation computes the reduction
+    only once a section that asserts it reads it."""
+    rows = measure_rows(ev, _duality_rows, tol) if ev.pts.shape[-1] == 4 else []
     defect = ev.magnitude("lck_defect")
     if defect > TOL_FIRST_ORDER:
-        yield ("lck_lambda_reduction",
-               f"{m.name}: lck_defect {defect:.3g} exceeds {TOL_FIRST_ORDER:g}, so T does not "
-               "have the LCK shape J theta ^ omega / (n-1) on which the lambda reduction holds",
-               2, SKIPPED)
-        return
+        return rows + [Row(
+            "lck_lambda_reduction", None, tol, SKIPPED, None,
+            reason=f"{ev.m.name}: lck_defect {defect:.3g} exceeds {TOL_FIRST_ORDER:g}, so T "
+                   "does not have the LCK shape J theta ^ omega / (n-1) on which the lambda "
+                   "reduction holds")]
+    return rows + measure_rows(ev, _lck_reduction_rows, tol)
+
+
+def _duality_rows(ev: Evaluation):
+    """The duality T = -*theta in dimension 4 (order 1): the larger residual
+    of the two sides against T."""
+    yield ("torsion_lee_duality",
+           (ev.T + hodge_star_values(ev.theta, ev.ginv, ev.sqrt_det_g, 1), "lck_defect"),
+           1, ASSERTED)
+
+
+def _lck_reduction_rows(ev: Evaluation):
+    """The LCK reduction of lambda (order 2)."""
     # On the conformally Kaehler class (T = J theta ^ omega / (n-1)) the
     # J-trace of dT reduces to Lee-form data:
     #
@@ -1172,7 +1263,7 @@ def _dim4_rows(ev: Evaluation):
     # this is the exact reduction (derived from the L(beta ^ omega) trace rule
     # and jtr(dJa) = 2 codiff(a) + 2 <theta, a>, and confirmed numerically at
     # n = 2, 3, 4).  In dimension 4 every term but the last drops.
-    n = m.dim // 2
+    n = ev.pts.shape[-1] // 2
     lhs = (n - 1) * ev.lam
     quad = wedge(ev.theta, ev.jtheta, 1) + ev.norm_sq("theta")[..., None, None] * ev.omega
     rhs = ((4 - 2 * n) * (ev.d_jtheta + quad / (n - 1))

@@ -46,12 +46,19 @@ def _weighted_divergence(ev: Evaluation, gradient: bool) -> np.ndarray:
     return slotwise(div, ev.g, 2)
 
 
-def _string_rows(ev: Evaluation, gradient: bool, sol: str, su_indicator: bool):
+# the statuses of the rows that rest on a section's hypotheses, which each
+# section reads off its own: the solution-style rows, and coclosed_vs_lee,
+# which rests on the SU(n) indicator
+_SOLUTION, _SU_INDICATOR = "solution", "su_indicator"
+
+
+def _string_rows(ev: Evaluation, gradient: bool = False):
     """The string entries as ``(name, lhs - rhs, order, status)`` rows, in
     report order: for the manifold's own dilaton with ``gradient``, else for
-    a constant one, for which eta is the Lee form.  ``sol`` is the status of
-    the solution-style rows, ``su_indicator`` whether the SU(n) indicator
-    holds."""
+    a constant one, for which eta is the Lee form.  The constant dilaton's
+    rows read none of a view's own primitives, so a joined evaluation runs
+    them once for all its views.  The status of a solution-style row is
+    ``_SOLUTION``, that of ``coclosed_vs_lee`` ``_SU_INDICATOR``."""
     attr = "eta" if gradient else "theta"
     neta = ev.nabla(attr, "bismut")
     lam_j = np.einsum("...xm,...ym->...xy", ev.lam, ev.J)
@@ -63,20 +70,20 @@ def _string_rows(ev: Evaluation, gradient: bool, sol: str, su_indicator: bool):
         grad = np.einsum("...ij,...j->...i", ev.ginv, ev.dphi)
         flux = flux + 2.0 * interior_product(grad, ev.T, 3)
         weight = np.exp(-2.0 * ev.phi)[..., None, None]
-    yield "einstein_equation", einstein, 2, sol
-    yield "flux_equation", flux, 2, sol
+    yield "einstein_equation", einstein, 2, _SOLUTION
+    yield "flux_equation", flux, 2, _SOLUTION
     eta_equation = neta - 0.25 * lam_j
     if not gradient:
         # the Bismut Ricci tensor itself, and the Lee-form equation
         # (nabla_X theta)Y = lambda(X, JY)/4 equivalent to it when the
         # Bismut Ricci form vanishes: the eta equation with eta = theta
-        yield "constant_dilaton_ricci", "ric", 2, sol
-        yield "constant_dilaton_lee_equation", eta_equation, 2, sol
+        yield "constant_dilaton_ricci", "ric", 2, _SOLUTION
+        yield "constant_dilaton_lee_equation", eta_equation, 2, _SOLUTION
     neta_t = permuted(neta, "xy->yx")
-    yield "eta_equation", eta_equation, 2, sol
-    yield "eta_skew_equation", neta - neta_t, 2, sol
-    yield "eta_symmetric_equation", neta + neta_t - 0.5 * lam_j, 2, sol
-    yield "eta_parallel", neta, 2, sol
+    yield "eta_equation", eta_equation, 2, _SOLUTION
+    yield "eta_skew_equation", neta - neta_t, 2, _SOLUTION
+    yield "eta_symmetric_equation", neta + neta_t - 0.5 * lam_j, 2, _SOLUTION
+    yield "eta_parallel", neta, 2, _SOLUTION
     yield "supersymmetric_lee", attr, 1, ASSERTED if gradient else INFO
     # the divergence form of the flux equation against its interior-product
     # form: with the codifferential convention of this engine,
@@ -85,12 +92,11 @@ def _string_rows(ev: Evaluation, gradient: bool, sol: str, su_indicator: bool):
     yield ("flux_divergence_agreement", _weighted_divergence(ev, gradient) + weight * flux,
            2, ASSERTED)
     # dilaton-independent entries: held primitives, measured once for both dilatons
-    yield ("coclosed_vs_lee", "coclosure_defect", 2,
-           ASSERTED if su_indicator else HYPOTHESIS_FAILED)
-    yield "lee_killing_field", "lee_killing", 2, INFO if gradient else sol
-    if ev.m.dim == 4:
+    yield "coclosed_vs_lee", "coclosure_defect", 2, _SU_INDICATOR
+    yield "lee_killing_field", "lee_killing", 2, INFO if gradient else _SOLUTION
+    if ev.pts.shape[-1] == 4:
         yield ("conformal_killing_equation",
-               neta - 0.5 * ev.codiff("theta")[..., None, None] * ev.g, 2, sol)
+               neta - 0.5 * ev.codiff("theta")[..., None, None] * ev.g, 2, _SOLUTION)
 
 
 def run_string_suite(ev: Evaluation, hyp_tol=DEFAULT_CLASSIFY_TOL) -> dict:
@@ -98,8 +104,10 @@ def run_string_suite(ev: Evaluation, hyp_tol=DEFAULT_CLASSIFY_TOL) -> dict:
     ``constant_dilaton``, and under ``gradient_dilaton`` for the manifold's
     own dilaton when it carries one: each a dict of ``constant_dilaton``,
     ``hypothesis_ok``, ``th1_consistency`` and ``entries``, the rows of
-    ``_string_rows`` over ``ev`` as measured by ``measure_rows`` at
-    ``TOL_STRING``.  The eta form itself is not reported; it is the held
+    ``_string_rows`` as measured by ``measure_rows`` at ``TOL_STRING``: the
+    constant dilaton's once on the evaluation that holds the values of
+    ``ev``, the manifold's own on ``ev``, each with this section's
+    statuses.  The eta form itself is not reported; it is the held
     primitive ``Evaluation.eta`` (the Lee form for a constant dilaton).
 
     Solution-style residuals are asserted only when the manifold passes the
@@ -124,12 +132,14 @@ def run_string_suite(ev: Evaluation, hyp_tol=DEFAULT_CLASSIFY_TOL) -> dict:
            "label": sol}
     th1["agree"] = (th1["scal_zero"] == th1["ric_zero"]) if hyp["ok"] else None
 
-    dilatons = {"constant_dilaton": False}
+    statuses = {_SOLUTION: sol,
+                _SU_INDICATOR: ASSERTED if hyp["su_indicator"] else HYPOTHESIS_FAILED}
+    # the gradient rows read the dilaton's primitives, a view's own, so they
+    # are measured on ev itself
+    dilatons = {"constant_dilaton": _string_rows}
     if ev.m.dilaton is not None:
-        dilatons["gradient_dilaton"] = True
-    return {kind: {"constant_dilaton": not gradient, "hypothesis_ok": hyp["ok"],
+        dilatons["gradient_dilaton"] = _string_rows(ev, True)
+    return {kind: {"constant_dilaton": kind == "constant_dilaton", "hypothesis_ok": hyp["ok"],
                    "th1_consistency": th1,
-                   "entries": measure_rows(
-                       ev, _string_rows(ev, gradient, sol, hyp["su_indicator"]),
-                       TOL_STRING, TOL_STRING)}
-            for kind, gradient in dilatons.items()}
+                   "entries": measure_rows(ev, rows, TOL_STRING, TOL_STRING, statuses)}
+            for kind, rows in dilatons.items()}

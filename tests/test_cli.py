@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import ktgeo.classify
 import ktgeo.cli
+import ktgeo.errors
 import ktgeo.identities
 import ktgeo.tensor_core
 from ktgeo.catalog import (
@@ -142,13 +143,15 @@ def _rescaled_su2xu1():
     return conformal_rescale(get_manifold("su2xu1"), _conf_factor, name="su2xu1_rescaled")
 
 
-@pytest.mark.parametrize("points", ["1", "16", "20"])
+@pytest.mark.parametrize("points", ["1", "8", "16", "20"])
 def test_a_joined_section_is_its_chart_reported_alone(points, tmp_path):
     # the sections of one dimension that fit in one pass block share one
     # evaluation, whose blocks may split a section (at 16 points the seven
     # d = 4 sections fill three blocks of 37 or 38 points); each section
     # reads its own rows of it, so its residuals and worst points, as
-    # 17-digit floats, are those of its chart alone
+    # 17-digit floats, are those of its chart alone.  At 8 points the d = 6
+    # sections join too, and block_conformal_torus_6 skips the LCK reduction
+    # that the others of its group assert
     charts = [block_conformal_torus_4(), block_conformal_torus_6(), _rescaled_su2xu1()]
     for m in charts:
         register_manifold(m)
@@ -209,6 +212,77 @@ def test_a_failure_in_a_joined_section_names_its_chart(name, metric, line, capsy
         err = capsys.readouterr().err
         assert f"on {name!r}" in err
     assert err == line
+
+
+def test_a_joined_report_measures_each_row_once_over_all_its_points(tmp_path, monkeypatch):
+    # the five d = 4 sections at 16 points share one evaluation of 80
+    # points: the identity, structure and dim4 rows (the duality and the LCK
+    # reduction) are each generated once on it, not once per section, and
+    # each identity difference takes one frame transform over all 80
+    # points, which no section repeats on its 16
+    names = [n for n in catalog_names() if get_manifold(n).dim == 4]
+    runs, identity_diffs, transformed = Counter(), [], []
+
+    def counted(rows):
+        def counted_rows(ev):
+            runs[rows.__name__] += 1
+            for row in rows(ev):
+                if rows.__name__ == "_identity_rows":
+                    identity_diffs.append(row[1])
+                yield row
+        return counted_rows
+
+    generators = ("_identity_rows", "_structure_rows", "_duality_rows", "_lck_reduction_rows")
+    for name in generators:
+        monkeypatch.setattr(ktgeo.identities, name, counted(getattr(ktgeo.identities, name)))
+    real_to_frame = ktgeo.identities.to_frame
+
+    def to_frame(t, frames, valence):
+        if any(t is diff for diff in identity_diffs):
+            transformed.append(t.shape[0])
+        return real_to_frame(t, frames, valence)
+
+    monkeypatch.setattr(ktgeo.identities, "to_frame", to_frame)
+    argv = ["report", "--points", "16", "--out", str(tmp_path / "r.json")]
+    assert main(argv + [a for n in names for a in ("--manifold", n)]) == 0
+    assert len(names) == 5
+    assert runs == dict.fromkeys(generators, 1)
+    assert [diff.shape[0] for diff in identity_diffs] == [80] * 14
+    assert transformed == [80] * sum(diff.ndim > 1 for diff in identity_diffs)
+
+
+def test_a_non_finite_joined_residual_is_its_own_sections_failure(monkeypatch, capsys):
+    # tt4, which the joined evaluation computes once for both sections, is
+    # NaN on the second section's rows alone: the second section fails with
+    # the line it prints alone, naming its own first point, and the first
+    # section's rows are those of its chart alone
+    first, second = get_manifold("flat_torus_4"), get_manifold("hopf_standard")
+    real_tt4 = Evaluation.tt4
+
+    def tt4(ev):
+        value = real_tt4.fget(ev).copy()
+        for m, lo, hi, _ in ev.members:
+            if m is second:
+                value[lo:hi] = np.nan
+        return value
+
+    monkeypatch.setattr(Evaluation, "tt4", property(tt4))
+    lines = []
+    for names in ([first.name, second.name], [second.name]):
+        argv = ["report", "--points", "16", "--out", "/dev/null"]
+        assert main(argv + [a for n in names for a in ("--manifold", n)]) == 3
+        lines.append(capsys.readouterr().err)
+    point = second.sample_points(16, 0)[0].tolist()
+    assert lines[0] == lines[1] == (
+        f"error: numeric failure on 'hopf_standard' during 'identities': non-finite residual "
+        f"in 'torsion_nabla_exchange' at point {point}\n")
+    pts = [m.sample_points(16, 0) for m in (first, second)]
+    views = Evaluation.joined([(m, p, ktgeo.identities._differentiated(m))
+                               for m, p in zip((first, second), pts)])
+    alone = ktgeo.identities.run_identity_suite(Evaluation(first, pts[0]))
+    assert ktgeo.identities.run_identity_suite(views[0]) == alone
+    with pytest.raises(ktgeo.errors.NumericError, match="'torsion_nabla_exchange'"):
+        ktgeo.identities.run_identity_suite(views[1])
 
 
 def test_residual_failure_exits_1(tmp_path):

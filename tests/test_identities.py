@@ -133,6 +133,30 @@ def test_lck_reduction_precondition_error():
     assert skip.reason.startswith(f"warped_torus_6: lck_defect {defect:.3g} exceeds 1e-06")
 
 
+def test_a_joined_section_reads_only_the_rows_it_does_not_skip(monkeypatch):
+    # the joined evaluation measures the LCK reduction for every member,
+    # since conf_torus_6 has the LCK shape; the block torus skips it by its
+    # own lck_defect, so its reduction, NaN here, is never read, and the
+    # rows of each section are those of its chart alone
+    block = block_conformal_torus_6()
+    ms = [get_manifold("conf_torus_6"), block]
+    pts = [m.sample_points(4, seed=0) for m in ms]
+    real = Evaluation.d_jtheta
+
+    def d_jtheta(ev):
+        value = real.fget(ev).copy()
+        for m, lo, hi, _ in ev.members:
+            if m is block:
+                value[lo:hi] = np.nan
+        return value
+
+    monkeypatch.setattr(Evaluation, "d_jtheta", property(d_jtheta))
+    views = Evaluation.joined([(m, p, identities._differentiated(m)) for m, p in zip(ms, pts)])
+    for m, p, view in zip(ms, pts, views):
+        assert verify_dim4(view) == verify_dim4(Evaluation(m, p)), m.name
+    assert [r.status for r in verify_dim4(views[1])] == ["skipped"]
+
+
 def test_conformal_trace_identity():
     # trivial rescale: u must match the parent exactly
     flat = get_manifold("flat_torus_4")
@@ -559,6 +583,7 @@ def test_the_identity_rows_hold_one_difference_at_a_time():
     m = get_manifold("flat_torus_6")
     ev = Evaluation(m, m.sample_points(16, seed=0))
     run_identity_suite(ev)
+    del ev._values[("rows", identities._identity_rows)]  # measured again, not read
     tracemalloc.start()
     try:
         run_identity_suite(ev)
