@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .catalog import HermitianManifold, quaternion_residual
 from .errors import PreconditionError
 from .identities import Evaluation
-from .tensor_core import DEFAULT_STEP, to_frame
+from .tensor_core import DEFAULT_STEP
 
 __all__ = ["FLAGS", "IMPLICATIONS", "Flags", "StructureFlags", "HktFlags", "classify",
            "structure_flags", "check_hkt", "measure_flags", "vanishing_hypotheses",
@@ -136,8 +134,9 @@ def vanishing_hypotheses(ev: Evaluation) -> dict:
       plurigenera statement needs this positive);
     - ``quad_form_min_eig``: min eigenvalue over points of the symmetric form
       ``<<X,Y>> = rho^{1,1}(JX,Y) + <i_X C, i_Y C> - lambda(JX,Y)/4``.
+
+    Both are minima of held values, so a view takes them over its rows of
+    the joined evaluation's.
     """
-    quad_f = to_frame(ev.mean_curvature_form, ev.frames, 2)
-    quad_f = 0.5 * (quad_f + quad_f.swapaxes(-1, -2))
     return {"plurigenera_margin": float(ev.mean_curvature_trace.min()),
-            "quad_form_min_eig": float(np.linalg.eigvalsh(quad_f).min())}
+            "quad_form_min_eig": float(ev.quad_form_eig.min())}

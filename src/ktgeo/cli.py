@@ -285,8 +285,10 @@ def _manifold_report(m, cfg: RunConfig, ev=None) -> dict:
 
     # one evaluation per section, or one view of the evaluation its
     # dimension's sections share, handed to every suite: they share its
-    # primitives, its one stencil pass takes the partials they read, and
-    # nothing computed here outlives the section but what the shared
+    # primitives and its one stencil pass takes the partials they read.  A
+    # view is only its rows of the shared evaluation, which computes every
+    # value, the dilaton's and the conformal factor's too, for all its
+    # sections, so nothing a view reads outlives the section but what that
     # evaluation holds for its other sections.  The variants the suites
     # read, the conformal parent and the triple's other structures, are made
     # before any suite runs (for a view, before any section of its group

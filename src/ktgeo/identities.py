@@ -7,13 +7,14 @@ the three curvatures, the Lee form, eta = theta - 2 d phi, ...) once per
 manifold and point set; a report section builds one and hands it to every
 suite.  The sections of one dimension whose points fit in one pass block
 share one evaluation over all their points (:meth:`Evaluation.joined`),
-each through a view that reads its own rows of the values held, so a
-section's values and rows are those of its chart alone.  Every derivative is
-of a primitive, read by the primitive's name: ``partial`` and ``nabla`` and
-``codiff`` over it.  One stencil pass takes every ``partial`` an evaluation
-reads, and those of its variants (the conformal parent, the triple's other
-structures) and views, over evaluations on the stencil set that the pass
-builds and drops, so only base-point values outlive it.  The
+which computes every primitive for all of them, each section through a view
+that is only its rows of the values held, so a section's values and rows
+are those of its chart alone.  Every derivative is of a primitive, read by
+the primitive's name: ``partial`` and ``nabla`` and ``codiff`` over it.
+One stencil pass takes every ``partial`` an evaluation reads, and those of
+its variants (the conformal parent, the triple's other structures), over
+evaluations on the stencil set that the pass builds and drops, so only
+base-point values outlive it.  The
 two sides are independent because their formulas differ, so a convention bug
 cannot cancel; evaluating a pure function twice gives identical bits and
 would add no independence.  Residuals are measured by
@@ -226,18 +227,6 @@ def _differentiated(m: HermitianManifold, suites=tuple(_SUITE_PARTIALS)) -> tupl
     return tuple(a for a in names if a in read)
 
 
-# the primitives read off a section's own scalar fields, the dilaton and the
-# conformal factor, and those computed from them: a view computes these on
-# its own points and reads every other value off the evaluation it views
-_OWN = frozenset({"phi", "dphi", "eta", "dilaton_flux_density", "log_factor", "dlog_factor"})
-
-
-def _own(key) -> bool:
-    """Whether a view computes the value held under ``key`` itself: an own
-    primitive or any value of one."""
-    return (key[1] if type(key) is tuple else key) in _OWN
-
-
 def _points(m: HermitianManifold, pts, step: float) -> np.ndarray:
     """``pts`` as read-only float64 points of ``m``, checked: the dimension
     is even and at least 4, the set is not empty, each point has the
@@ -381,17 +370,15 @@ class Evaluation:
     manifold.  Its ``members`` are ``(m, lo, hi, section)``, the manifold
     on the rows ``[lo, hi)``, whose failures name ``section``; each chart
     field is called per member on its rows, block by block, so a pass block
-    may split a member.  A view is the evaluation of one member: it reads
-    every value off its rows of the joined one, which computes it once for
-    all members, but the dilaton's and the conformal factor's, which it
-    computes on its own points, their partials in the joined pass.  A
-    view's rows and held residuals are read off the joined measure: each row
-    generator runs once on the joined evaluation, and each difference and
-    held primitive is measured there once, one argmax per member, so the
-    view reads its member's; only the rows that read its own primitives are
-    measured on the view.  Every held value of a point is bitwise that of
-    the point alone, so a view's values, rows and residuals are those of its
-    member's own evaluation.
+    may split a member, and a member without a dilaton or a conformal parent
+    reads the trivial field 0 there, which its section never reads.  A view
+    is the evaluation of one member, only its rows of the joined one, which
+    computes every value once for all members: it reads each value,
+    ``partial``, row and held residual off the joined evaluation, where each
+    row generator runs once and each difference and held primitive is
+    measured once, one argmax per member.  Every held value of a point is
+    bitwise that of the point alone, so a view's values, rows and residuals
+    are those of its member's own evaluation.
 
     A variant is another evaluation on rows of this one that this one makes
     and holds: :meth:`with_conformal_parent`, which carries this ``J``, and
@@ -402,7 +389,7 @@ class Evaluation:
     each chart field is evaluated once per stencil point.  A variant holds
     no evaluation and a stencil level is dropped with its pass, so only
     base-point values outlive a pass; a view holds the joined evaluation,
-    which holds no view after its first pass.  The manifold's
+    which holds no view.  The manifold's
     dimension must be even and at least 4.  The point set must not be empty
     and must have the manifold's dimension, and the chart domain is checked
     once, on the base points, with the margin the deepest stencil needs;
@@ -431,17 +418,16 @@ class Evaluation:
         # rows as a slice where they are contiguous
         self._index, self._rows = index, _rows(index)
         self._variants = {}  # the variants made here, by key
-        self._pending = []  # the variants and views that join the first pass; None after it
+        self._pending = []  # the variants that join the first pass; None after it
 
     @classmethod
     def joined(cls, sections, step: float = DEFAULT_STEP) -> list:
         """The evaluation of each ``(m, pts, differentiated)`` of
         ``sections``, manifolds of one dimension, as in ``Evaluation(m,
         pts, step, differentiated)``: a view of one evaluation over their
-        concatenated points, which differentiates what every view reads of
-        it in one pass.  Each view joins that pass with the partials of its
-        own primitives, the dilaton's and the conformal factor's, and reads
-        its other values off the joined evaluation, which it holds.  A
+        concatenated points, which differentiates in one pass every
+        primitive that any section names, for all its members.  A view
+        reads every value off the joined evaluation, which it holds.  A
         failure in one manifold's points or fields carries its name as the
         exception's ``manifold``."""
         members, parts, lo = [], [], 0
@@ -457,15 +443,14 @@ class Evaluation:
             raise ContractViolationError("joined sections must share one dimension")
         group = cls.__new__(cls)
         group._start(tuple(members), np.concatenate(parts), step, 0, dict.fromkeys(
-            a for *_, differentiated in sections for a in differentiated if a not in _OWN))
-        return [group._view(lo, hi, tuple(a for a in differentiated if a in _OWN))
-                for (_, lo, hi, _), (*_, differentiated) in zip(members, sections)]
+            a for *_, differentiated in sections for a in differentiated))
+        return [group._view(lo, hi) for _, lo, hi, _ in members]
 
     def _once(self, key, compute):
         # compute(ev) gives the value on the evaluation ev; a view takes its
-        # rows of its source's for any value but its own
+        # rows of its source's
         if key not in self._values:
-            if self._source is not None and not _own(key):
+            if self._source is not None:
                 self._values[key] = _take(self._source._once(key, compute), self._rows)
             else:
                 self._values[key] = _frozen(compute(self))
@@ -482,17 +467,14 @@ class Evaluation:
         ev._values = {k: _take(self._values[k], ev._rows) for k in shared if k in self._values}
         return ev
 
-    def _view(self, a: int, b: int, differentiated=()) -> "Evaluation":
+    def _view(self, a: int, b: int) -> "Evaluation":
         """The view of the member on the rows ``[a, b)`` here: it reads
-        every value but its own off this evaluation, and joins its first
-        pass where it differentiates any of its own."""
+        every value off this evaluation and joins no pass."""
         [k] = [k for k, mem in enumerate(self.members) if mem[1] == a]
         m, _, _, section = self.members[k]
         ev = self._derive(((m, 0, b - a, section),), self.pts[a:b], self._depth,
-                          differentiated, np.arange(a, b))
+                          index=np.arange(a, b))
         ev._source, ev._pending, ev._member = self, None, k
-        if differentiated:
-            self._pending.append(ev)
         return ev
 
     def _variant(self, key, make) -> "Evaluation":
@@ -505,20 +487,17 @@ class Evaluation:
         return self._variants[key]
 
     def _counterpart(self, v, a: int, b: int, lo: int) -> "Evaluation":
-        """The pass's evaluation ``v``, made from the pass's own, one
-        stencil level down on this evaluation, which holds the pass's rows
-        from ``lo``: the rows ``[a, b)`` of ``v``.  A view's reads this
-        level's values; a variant's shares the values here under its shared
-        keys.  It joins this evaluation's pass where its own first level
-        differentiates any."""
+        """The pass's evaluation of the variant ``v``, made from the pass's
+        own, one stencil level down on this evaluation, which holds the
+        pass's rows from ``lo``: the rows ``[a, b)`` of ``v``, sharing the
+        values here under its shared keys.  It joins this evaluation's pass
+        where its own first level differentiates any."""
         index = None if v._index is None else v._index[a:b] - lo
         for key in v._shared:
             getattr(self, key)
         ev = self._derive(_clipped(v.members, a, b), _take(self.pts, _rows(index)), self._depth,
                           _first_level(v.differentiated) if self._depth == 1 else (),
                           index, v._shared)
-        if v._source is not None:
-            ev._source, ev._pending = self, None
         if ev.differentiated:
             self._pending.append(ev)
         return ev
@@ -622,27 +601,22 @@ class Evaluation:
         in one central-difference pass over one evaluation on
         the stencil set around the points, which the pass drops when it
         returns; any other primitive is a pass of its own.  The first pass
-        takes the variants and views made before it too, each over its own
-        evaluation on its rows of the same stencil set, made from this
-        pass's evaluation there.  On the first stencil level those
-        evaluations are built at the distinct second-level points only, and
-        every other point reads its twin.  A base pass runs once per block
-        of points under ``_PASS_BYTES`` into outputs for all points; only
-        the held base-point values grow with the points.  A view reads its
-        rows of the joined evaluation's ``partial``, but for its own
-        primitives, which that evaluation's first pass takes."""
+        takes the variants made before it too, each over its own evaluation
+        on its rows of the same stencil set, made from this pass's
+        evaluation there.  On the first stencil level those evaluations are
+        built at the distinct second-level points only, and every other
+        point reads its twin.  A base pass runs once per block of points
+        under ``_PASS_BYTES`` into outputs for all points; only the held
+        base-point values grow with the points.  A view reads its rows of
+        the joined evaluation's ``partial``."""
         key = ("partial", attr)
         if key in self._values:
             return self._values[key]
-        source = self._source
-        if source is not None and (not _own(key) or attr in self.differentiated):
-            if not _own(key):
-                self._values[key] = _take(source.partial(attr), self._rows)
-            else:
-                source.partial(source.differentiated[0])
+        if self._source is not None:
+            self._values[key] = _take(self._source.partial(attr), self._rows)
             return self._values[key]
-        # the variants and views first and this evaluation last, each with
-        # what the pass takes of it
+        # the variants first and this evaluation last, each with what the
+        # pass takes of it
         members = [(self, (attr,))]
         if attr in self.differentiated:
             # a variant that ran its own pass already is not taken again
@@ -711,10 +685,15 @@ class Evaluation:
     def _field(self, name, valence, check=None):
         """The chart field ``name`` of each member at its rows, read by
         ``_chart_field`` and then passed to ``check(m, value)``, the
-        members' values in row order.  A failure carries the member's
-        section as the exception's ``manifold``."""
+        members' values in row order.  A member that has no such field (no
+        dilaton, or no conformal parent) reads the trivial field 0 on its
+        rows.  A failure carries the member's section as the exception's
+        ``manifold``."""
         parts = []
         for m, lo, hi, section in self.members:
+            if getattr(m, name.partition(".")[0]) is None:
+                parts.append(np.zeros(self.pts[lo:hi].shape[:-1] + (m.dim,) * valence))
+                continue
             try:
                 parts.append(_chart_field(m, self.pts[lo:hi], name, valence))
                 if check is not None:
@@ -975,6 +954,14 @@ class Evaluation:
         return (np.einsum("...my,...mx->...xy", rho11, self.J) + _tt2(self.C, self.ginv)
                 - 0.25 * np.einsum("...my,...mx->...xy", self.lam, self.J))
 
+    @_primitive
+    def quad_form_eig(self):
+        """Each point's smallest eigenvalue of the symmetrized frame
+        components of ``mean_curvature_form``, the form of the vanishing
+        statements."""
+        quad = to_frame(self.mean_curvature_form, self.frames, 2)
+        return np.linalg.eigvalsh(0.5 * (quad + quad.swapaxes(-1, -2)))[..., 0]
+
     # -- the string sector's dilaton-independent differences --------------------
 
     @_primitive
@@ -1016,8 +1003,8 @@ class Evaluation:
         it, on each member's rows, unchecked: the largest frame component and
         the first of the member's rows where it occurs, or a NaN or infinite
         value and the first row that has one.  A primitive's, named by
-        ``diff``, is held; a view's, but for its own primitives, is its
-        member's of the evaluation it views.
+        ``diff``, is held; a view's is its member's of the evaluation it
+        views.
 
         The frame components come from one ``to_frame`` over all the points,
         one product per slot.  Their magnitudes, viewed as one row of
@@ -1028,7 +1015,7 @@ class Evaluation:
         if isinstance(diff, str):
             key = ("residual", diff)
             if key not in self._values:
-                if self._source is not None and diff not in _OWN:
+                if self._source is not None:
                     k = self._member
                     self._values[key] = self._source._measures(diff, diff)[k:k + 1]
                 else:
@@ -1088,17 +1075,17 @@ def measure_rows(ev: Evaluation, rows, tol=TOL_CURVATURE, tol_first=TOL_FIRST_OR
     tol)`` at order 1.  ``diff`` is the difference ``lhs - rhs``, the name
     of a primitive (its held residual) or a tuple of these (the largest
     residual).  ``rows`` is a generator function of an evaluation, or the
-    rows themselves where they read a view's own primitives (its dilaton's
-    or conformal factor's).  A generator function runs once, on the
-    evaluation that holds the values of ``ev``: ``ev`` itself, or the joined
-    evaluation of a view.  That evaluation holds its rows under the
-    function, each with every member's measure, so each difference takes one
-    ``to_frame`` over all its points and one ``argmax`` per member, and
-    ``ev`` reads its member's.  A row's status is the generator's, the same
-    for every member, and ``statuses`` maps one that rests on a section's
-    hypotheses to this section's.  A NaN or infinite residual raises
-    ``NumericError`` when its section reads its row, as
-    :meth:`Evaluation.residual` does."""
+    rows themselves where they read a section's own variant: the conformal
+    row, whose joined parent covers only the members that have one.  A
+    generator function runs once, on the evaluation that holds the values
+    of ``ev``: ``ev`` itself, or the joined evaluation of a view.  That
+    evaluation holds its rows under the function, each with every member's
+    measure, so each difference takes one ``to_frame`` over all its points
+    and one ``argmax`` per member, and ``ev`` reads its member's.  A row's
+    status is the generator's, the same for every member, and ``statuses``
+    maps one that rests on a section's hypotheses to this section's.  A NaN
+    or infinite residual raises ``NumericError`` when its section reads its
+    row, as :meth:`Evaluation.residual` does."""
     if callable(rows):
         holder = ev if ev._source is None else ev._source
         key = ("rows", rows)

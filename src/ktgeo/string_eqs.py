@@ -55,10 +55,9 @@ _SOLUTION, _SU_INDICATOR = "solution", "su_indicator"
 def _string_rows(ev: Evaluation, gradient: bool = False):
     """The string entries as ``(name, lhs - rhs, order, status)`` rows, in
     report order: for the manifold's own dilaton with ``gradient``, else for
-    a constant one, for which eta is the Lee form.  The constant dilaton's
-    rows read none of a view's own primitives, so a joined evaluation runs
-    them once for all its views.  The status of a solution-style row is
-    ``_SOLUTION``, that of ``coclosed_vs_lee`` ``_SU_INDICATOR``."""
+    a constant one, for which eta is the Lee form.  The status of a
+    solution-style row is ``_SOLUTION``, that of ``coclosed_vs_lee``
+    ``_SU_INDICATOR``."""
     attr = "eta" if gradient else "theta"
     neta = ev.nabla(attr, "bismut")
     lam_j = np.einsum("...xm,...ym->...xy", ev.lam, ev.J)
@@ -99,16 +98,21 @@ def _string_rows(ev: Evaluation, gradient: bool = False):
                neta - 0.5 * ev.codiff("theta")[..., None, None] * ev.g, 2, _SOLUTION)
 
 
+def _gradient_dilaton_rows(ev: Evaluation):
+    """The rows of :func:`_string_rows` for the manifold's own dilaton."""
+    return _string_rows(ev, True)
+
+
 def run_string_suite(ev: Evaluation, hyp_tol=DEFAULT_CLASSIFY_TOL) -> dict:
     """The string sector of the manifold of ``ev`` at its points, under
     ``constant_dilaton``, and under ``gradient_dilaton`` for the manifold's
     own dilaton when it carries one: each a dict of ``constant_dilaton``,
     ``hypothesis_ok``, ``th1_consistency`` and ``entries``, the rows of
-    ``_string_rows`` as measured by ``measure_rows`` at ``TOL_STRING``: the
-    constant dilaton's once on the evaluation that holds the values of
-    ``ev``, the manifold's own on ``ev``, each with this section's
-    statuses.  The eta form itself is not reported; it is the held
-    primitive ``Evaluation.eta`` (the Lee form for a constant dilaton).
+    ``_string_rows`` as measured by ``measure_rows`` at ``TOL_STRING``, each
+    dilaton's once on the evaluation that holds the values of ``ev``, with
+    this section's statuses.  The eta form itself is not reported; it is
+    the held primitive ``Evaluation.eta`` (the Lee form for a constant
+    dilaton).
 
     Solution-style residuals are asserted only when the manifold passes the
     hypotheses, closed torsion and the SU(n) indicator, read under ``hyp_tol``
@@ -134,11 +138,9 @@ def run_string_suite(ev: Evaluation, hyp_tol=DEFAULT_CLASSIFY_TOL) -> dict:
 
     statuses = {_SOLUTION: sol,
                 _SU_INDICATOR: ASSERTED if hyp["su_indicator"] else HYPOTHESIS_FAILED}
-    # the gradient rows read the dilaton's primitives, a view's own, so they
-    # are measured on ev itself
     dilatons = {"constant_dilaton": _string_rows}
     if ev.m.dilaton is not None:
-        dilatons["gradient_dilaton"] = _string_rows(ev, True)
+        dilatons["gradient_dilaton"] = _gradient_dilaton_rows
     return {kind: {"constant_dilaton": kind == "constant_dilaton", "hypothesis_ok": hyp["ok"],
                    "th1_consistency": th1,
                    "entries": measure_rows(ev, rows, TOL_STRING, TOL_STRING, statuses)}

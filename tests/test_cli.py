@@ -285,6 +285,63 @@ def test_a_non_finite_joined_residual_is_its_own_sections_failure(monkeypatch, c
         ktgeo.identities.run_identity_suite(views[1])
 
 
+def _nan_near(fn, spot, stencil):
+    """``fn`` with NaN at the point ``spot``, or with ``stencil`` at the
+    points of its stencil but ``spot`` itself."""
+    def field(p):
+        out = np.array(fn(p), dtype=float)
+        p = np.asarray(p)
+        at = np.all(p == spot, axis=-1)
+        if stencil:
+            at = ~at & (np.abs(p - spot).max(axis=-1) <= 2.5 * ktgeo.tensor_core.DEFAULT_STEP)
+        out[at] = np.nan
+        return out
+    return field
+
+
+# the error line of each report below as each section computed its own dilaton
+# and conformal factor, before the joined evaluation computed them for all
+_NAN_POINT = ("[-0.9002862993896544, -0.38108272757780104, -0.2068237221965298, "
+              "-0.94597007928623]")
+_NAN_STENCIL_POINT = ("[-0.9000862993896545, -0.38108272757780104, -0.2068237221965298, "
+                      "-0.94597007928623]")
+_NAN_SCALAR_LINES = {
+    ("dilaton", False, ()): "error: numeric failure on 'nan_scalar' during 'classify': "
+    f"nan_scalar: field 'dilaton' is not finite at point {_NAN_POINT}\n",
+    ("dilaton", True, ()): "error: numeric failure on 'nan_scalar' during 'classify': "
+    f"nan_scalar: field 'dilaton' is not finite at point {_NAN_STENCIL_POINT}\n",
+    ("dilaton", False, ("string",)): "error: numeric failure on 'nan_scalar' during 'string': "
+    f"nan_scalar: field 'dilaton' is not finite at point {_NAN_POINT}\n",
+    ("log_factor", False, ()): "error: numeric failure on 'nan_scalar' during 'classify': "
+    f"nan_scalar: field 'conformal_parent.log_factor' is not finite at point {_NAN_POINT}\n",
+    ("log_factor", True, ("identities",)): "error: numeric failure on 'nan_scalar' during "
+    "'identities': nan_scalar: field 'conformal_parent.log_factor' is not finite at point "
+    f"{_NAN_STENCIL_POINT}\n",
+}
+
+
+@pytest.mark.parametrize("field, stencil, suites", list(_NAN_SCALAR_LINES))
+def test_a_nan_scalar_field_in_a_joined_report_names_its_chart(field, stencil, suites,
+                                                                capsys):
+    # the joined evaluation computes the dilaton and the conformal factor for
+    # all three sections, flat_torus_4 and hopf_hkt among them, which have no
+    # dilaton, and flat_torus_4 no conformal parent; a NaN in hopf_standard's
+    # field, at a base point or on a stencil, still names hopf_standard, in
+    # the line a report printed when each section computed its own
+    m = replace(get_manifold("hopf_standard"), name="nan_scalar")
+    spot = m.sample_points(16, 0, margin=max(0.05, 3 * ktgeo.tensor_core.DEFAULT_STEP))[3]
+    if field == "dilaton":
+        m = replace(m, dilaton=_nan_near(m.dilaton, spot, stencil))
+    else:
+        m = replace(m, conformal_parent=replace(m.conformal_parent, log_factor=_nan_near(
+            m.conformal_parent.log_factor, spot, stencil)))
+    register_manifold(m)
+    argv = ["report", "--manifold", "flat_torus_4", "--manifold", "nan_scalar",
+            "--manifold", "hopf_hkt", "--points", "16", "--out", "/dev/null"]
+    assert main(argv + [a for s in suites for a in ("--suite", s)]) == 3
+    assert capsys.readouterr().err == _NAN_SCALAR_LINES[field, stencil, suites]
+
+
 def test_residual_failure_exits_1(tmp_path):
     # su2xu1 residuals sit around 1e-6; a 1e-9 tolerance must fail
     code = main(["report", "--manifold", "su2xu1", "--points", "4",
@@ -885,7 +942,6 @@ def test_report_measures_each_difference_once(monkeypatch, tmp_path):
         monkeypatch.setattr(module, "to_frame", counted)
 
     counting(ktgeo.identities)
-    counting(ktgeo.classify)
     code = main(["report", "--manifold", "hopf_standard", "--points", "2",
                  "--out", str(tmp_path / "r.json")])
     assert code == 0
@@ -1224,19 +1280,21 @@ def test_report_makes_one_pass_per_evaluation_at_each_stencil_level(monkeypatch,
 
 
 def test_a_joined_report_makes_one_pass_per_stencil_level(monkeypatch, tmp_path):
-    # the two sections share one evaluation, whose one base pass takes its
-    # views (each for its dilaton's and conformal factor's partials), the
-    # two parents' joined evaluation and the triple's other structures; on
-    # the first level only the views and the parents differentiate a leaf
+    # the two sections share one evaluation, whose one base pass takes the
+    # partials of both, the dilaton's and the conformal factor's among them,
+    # the two parents' joined evaluation and the triple's other structures;
+    # no view joins it.  On the first level the joined evaluation and the
+    # parents differentiate leaves, the dilaton and the factor among them
     passes = _pass_makers(monkeypatch, tmp_path, "hopf_standard", "hopf_hkt")
-    assert [(ev._depth, len(level)) for ev, level in passes] == [(0, 6), (1, 4)]
+    assert [(ev._depth, len(level)) for ev, level in passes] == [(0, 4), (1, 2)]
     (group, first), (_, second) = passes
     assert [m.name for m, *_ in group.members] == ["hopf_standard", "hopf_hkt"]
     assert group.m is None
+    assert {"phi", "log_factor"} <= set(first[0].differentiated)
     for level in (first, second):
-        here, sections, parents, structures = level[0], level[1:3], level[3], level[4:]
-        assert [ev.m.name for ev in sections] == ["hopf_standard", "hopf_hkt"]
-        assert all(ev._source is here for ev in sections)
+        here, parents, structures = level[0], level[1], level[2:]
+        assert [m.name for m, *_ in here.members] == ["hopf_standard", "hopf_hkt"]
+        assert all(ev._source is None for ev in level)
         assert [m for m, *_ in parents.members] == [
             get_manifold(name).conformal_parent.parent for name in ("hopf_standard", "hopf_hkt")]
         assert parents._values["J"] is here._values["J"]  # shared, not evaluated
@@ -1331,17 +1389,18 @@ def test_each_section_differentiates_the_partials_its_suites_read(monkeypatch, t
 def test_each_joined_section_differentiates_the_partials_its_suites_read(monkeypatch,
                                                                          tmp_path, suites):
     # at one point per chart one pass per dimension takes every section's
-    # partials: the joined evaluation's, which its views read off it, and
-    # each view's own, the dilaton's and the conformal factor's
+    # partials, the dilaton's and the conformal factor's among them, all on
+    # the joined evaluation: it takes exactly those its sections read, and
+    # each view reads only partials its suites read, off it, in no pass
     sections, asked = _asked_partials(monkeypatch, tmp_path, suites, joined=True)
+    groups = {}
     for ev, differentiated in sections:
-        own = tuple(a for a in differentiated if a in ktgeo.identities._OWN)
-        assert ev.differentiated == own
-        group = ev._source
-        assert asked.get(id(ev), set()) - set(group.differentiated) == set(own), ev.m.name
-        assert asked[id(group)] == set(group.differentiated)
-        assert group.differentiated == tuple(a for a in differentiated if a not in own)
-    assert len({id(ev._source) for ev, _ in sections}) == 2  # one per dimension
+        assert ev.differentiated == ()
+        assert asked.get(id(ev), set()) <= set(differentiated), ev.m.name
+        groups.setdefault(id(ev._source), (ev._source, set()))[1].update(differentiated)
+    assert len(groups) == 2  # one per dimension
+    for group, read in groups.values():
+        assert set(group.differentiated) == read == asked[id(group)]
 
 
 def test_report_traced_peak_holds_no_stencil_level(tmp_path):
@@ -1464,8 +1523,8 @@ def test_report_leaves_no_evaluation_alive(monkeypatch, tmp_path):
 
 
 def test_a_joined_report_leaves_no_evaluation_alive(monkeypatch, tmp_path):
-    # every evaluation starts its state in _start: the joined one holds its
-    # views only until its first pass, and a view holds the joined one
+    # every evaluation starts its state in _start: a view holds the joined
+    # one, which holds no view
     created = []
     real_start = Evaluation._start
 
@@ -1483,9 +1542,9 @@ def test_a_joined_report_leaves_no_evaluation_alive(monkeypatch, tmp_path):
         gc.enable()
     assert code == 0
     # the joined evaluation, its two views, the parents' joined evaluation
-    # and a view of it per section, the two other structures; six on the
-    # first level of the one pass and four on the second
-    assert len(created) == 18
+    # and a view of it per section, the two other structures; four on the
+    # first level of the one pass (no view's) and two on the second
+    assert len(created) == 14
     assert alive == 0
 
 

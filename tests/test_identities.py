@@ -648,6 +648,27 @@ def test_joined_held_values_are_each_members_own(dim):
                 assert np.array_equal(value, _value(ev, key)), (m.name, key)
 
 
+@pytest.mark.parametrize("n", [1, 16])
+def test_a_views_scalar_fields_are_its_charts_alone(n):
+    # the joined evaluation computes the dilaton and the conformal factor,
+    # and what is built on them, for every member: hopf_standard has both,
+    # flat_torus_4 neither and reads the trivial field 0; each view's values
+    # and their partials are bit for bit those of its chart's own evaluation
+    ms = [get_manifold("hopf_standard"), get_manifold("flat_torus_4")]
+    pts = [m.sample_points(n, seed=0) for m in ms]
+    views = Evaluation.joined([(m, p, identities._differentiated(m)) for m, p in zip(ms, pts)])
+    for m, p, view in zip(ms, pts, views):
+        alone = Evaluation(m, p)
+        for attr in ("phi", "dphi", "eta", "dilaton_flux_density", "log_factor",
+                     "dlog_factor"):
+            for value, own in ((getattr(view, attr), getattr(alone, attr)),
+                               (view.partial(attr), alone.partial(attr))):
+                assert value.shape == own.shape and value.tobytes() == own.tobytes(), (
+                    m.name, attr)
+        assert view.differentiated == ()  # a view joins no pass
+    assert not np.any(views[1].phi) and not np.any(views[1].log_factor)
+
+
 @pytest.mark.parametrize("names, bounds", [
     (["hopf_standard", "hopf_hkt", "conf_torus_4"], [0, 32, 48]),
     (["flat_torus_4", "hopf_standard", "su2xu1", "hopf_hkt", "conf_torus_4"], [0, 40, 80]),
