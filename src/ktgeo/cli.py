@@ -64,7 +64,7 @@ from .catalog import catalog_names, get_manifold
 from .classify import DEFAULT_CLASSIFY_TOL, structure_flags, vanishing_hypotheses
 from .errors import ContractViolationError, GeometryError, UnknownManifoldError
 from .identities import (
-    TOL_CURVATURE, Evaluation, _block_points, _differentiated, run_identity_suite,
+    TOL_CURVATURE, Evaluation, _block_points, run_identity_suite,
     verify_conformal_trace, verify_dim4, verify_structure,
 )
 from .string_eqs import run_string_suite
@@ -241,68 +241,57 @@ def _sample(m, cfg: RunConfig):
     return m.sample_points(cfg.points, cfg.seed, margin=max(0.05, 3 * cfg.step))
 
 
-def _join_pass(ev, cfg: RunConfig):
-    """Make the variants of ``ev`` that the suites read, the conformal
-    parent and the triple's other structures, before any suite runs, so they
-    join its stencil pass and share its chart fields at every stencil
-    level."""
-    m, suite = ev.m, "identities"
-    try:
-        if "identities" in cfg.suites and m.conformal_parent is not None:
-            ev.with_conformal_parent()
-        suite = "classify"
-        if "classify" in cfg.suites:
-            for j_fn in m.hypercomplex or ():
-                ev.with_structure(j_fn)
-    except Exception as exc:
-        raise SectionFailure(m.name, suite, exc) from exc
-
-
-def _joined(ms, cfg: RunConfig) -> dict:
+def _evaluations(ms, cfg: RunConfig) -> dict:
     """The evaluation of each section of ``ms``, manifolds of one dimension,
-    by name: views of one evaluation over all their points, with every
-    section's variants made before its one stencil pass."""
+    by name: views of one evaluation over all their points, or, for one
+    section, that evaluation itself.  The variants that the suites read, the
+    conformal parent and the triple's other structures, are made before any
+    suite runs, so they join its one stencil pass and share its chart fields
+    at every stencil level."""
     sections = []
     for m in ms:
         try:
-            sections.append((m, _sample(m, cfg), _differentiated(m, cfg.suites)))
+            sections.append((m, _sample(m, cfg)))
         except Exception as exc:
             raise SectionFailure(m.name, "sampling", exc) from exc
     try:
-        views = Evaluation.joined(sections, cfg.step)
+        evaluations = Evaluation.joined(sections, cfg.step, cfg.suites)
     except Exception as exc:
         raise SectionFailure(ms[0].name, "sampling", exc) from exc
-    for ev in views:
-        _join_pass(ev, cfg)
-    return {ev.m.name: ev for ev in views}
+    for ev in evaluations:
+        m, suite = ev.m, "identities"
+        try:
+            if "identities" in cfg.suites and m.conformal_parent is not None:
+                ev.with_conformal_parent()
+            suite = "classify"
+            if "classify" in cfg.suites:
+                for j_fn in m.hypercomplex or ():
+                    ev.with_structure(j_fn)
+        except Exception as exc:
+            raise SectionFailure(m.name, suite, exc) from exc
+    return {ev.m.name: ev for ev in evaluations}
 
 
-def _manifold_report(m, cfg: RunConfig, ev=None) -> dict:
-    """The section of ``m``, its suites run on ``ev``, its view of a joined
-    evaluation, or on an evaluation of its own where ``ev`` is None."""
+def _manifold_report(ev, cfg: RunConfig) -> dict:
+    """The section of the manifold of ``ev``, its suites run on ``ev``."""
+    m = ev.m
     tol = TOL_CURVATURE if cfg.tol_identity is None else cfg.tol_identity
     rows = []
 
-    # one evaluation per section, or one view of the evaluation its
-    # dimension's sections share, handed to every suite: they share its
-    # primitives and its one stencil pass takes the partials they read.  A
-    # view is only its rows of the shared evaluation, which computes every
-    # value, the dilaton's and the conformal factor's too, for all its
-    # sections, so nothing a view reads outlives the section but what that
-    # evaluation holds for its other sections.  The variants the suites
-    # read, the conformal parent and the triple's other structures, are made
-    # before any suite runs (for a view, before any section of its group
-    # runs), so they join that pass and share the section's chart fields at
-    # every stencil level.  The conformal row runs first: it reads the
-    # parent's four values and drops its own parent before this evaluation
+    # one evaluation per section, handed to every suite: they share its
+    # primitives and its one stencil pass takes the partials they read.  It
+    # is a view of the evaluation its group's sections share, only its rows
+    # of the values that evaluation computes for all of them, or, in a group
+    # of one, that evaluation itself; so nothing a section reads outlives it
+    # but what the shared evaluation holds for its other sections.  The
+    # variants the suites read were made before any section of the group
+    # ran, so they joined that pass.  The conformal row runs first: it reads
+    # the parent's four values and drops the parent before this evaluation
     # holds more than the pass's, so the parent's values never stack on the
-    # suites' in a section of its own
+    # suites'
     suite = "sampling"
     try:
         section = {"name": m.name, "dim": m.dim, "chart": m.chart.describe()}
-        if ev is None:
-            ev = Evaluation(m, _sample(m, cfg), cfg.step, _differentiated(m, cfg.suites))
-            _join_pass(ev, cfg)
         parent = "identities" in cfg.suites and m.conformal_parent is not None
         if parent:
             suite = "identities"
@@ -364,25 +353,20 @@ def run(cfg: RunConfig) -> dict:
                                for n in (catalog_names() if name == "all" else (name,))))
     manifolds = [get_manifold(n) for n in names]  # fail fast on unknown names
     # the sections of one dimension whose points fit in one block of a
-    # stencil pass share one evaluation.  They run together where the first
-    # of them comes, each on its view, which it drops when it ends, so the
-    # shared evaluation is gone before any other section runs and its
-    # values never stack on another dimension's section
+    # stencil pass share one evaluation; any other section is a group of
+    # one.  A group runs where the first of its sections comes, each section
+    # on its evaluation, which it drops when it ends, so the group's
+    # evaluation is gone before any other group runs and its values never
+    # stack on another group's section
     groups = {}
     for m in manifolds:
-        if cfg.points <= _block_points(m.dim):
-            groups.setdefault(m.dim, []).append(m)
+        groups.setdefault(m.dim if cfg.points <= _block_points(m.dim) else m.name,
+                          []).append(m)
     sections = {}
-    for m in manifolds:
-        if m.name in sections:
-            continue
-        group = groups.get(m.dim, ())
-        if len(group) < 2:
-            sections[m.name] = _manifold_report(m, cfg)
-            continue
-        views = _joined(group, cfg)
-        for member in group:
-            sections[member.name] = _manifold_report(member, cfg, views.pop(member.name))
+    for group in groups.values():
+        evaluations = _evaluations(group, cfg)
+        for m in group:
+            sections[m.name] = _manifold_report(evaluations.pop(m.name), cfg)
     report = {
         "config": cfg.as_dict(),
         "conventions": dict(CONVENTIONS),

@@ -4,20 +4,21 @@ Each identity is evaluated with its two sides built from different formulas
 over shared primitives.  An :class:`Evaluation` computes every primitive
 (the chart fields, the dilaton and the conformal factor among them, torsion,
 the three curvatures, the Lee form, eta = theta - 2 d phi, ...) once per
-manifold and point set; a report section builds one and hands it to every
-suite.  The sections of one dimension whose points fit in one pass block
-share one evaluation over all their points (:meth:`Evaluation.joined`),
-which computes every primitive for all of them, each section through a view
-that is only its rows of the values held, so a section's values and rows
-are those of its chart alone.  Every derivative is of a primitive, read by
-the primitive's name: ``partial`` and ``nabla`` and ``codiff`` over it.
-One stencil pass takes every ``partial`` an evaluation reads, and those of
-its variants (the conformal parent, the triple's other structures), over
-evaluations on the stencil set that the pass builds and drops, so only
-base-point values outlive it.  The
-two sides are independent because their formulas differ, so a convention bug
-cannot cancel; evaluating a pure function twice gives identical bits and
-would add no independence.  Residuals are measured by
+manifold and point set, and every suite of a report section reads the one
+evaluation the section takes from :meth:`Evaluation.joined`.  The sections
+of one dimension whose points fit in one pass block share one evaluation
+over all their points, which computes every primitive for all of them, each
+section through a view that is only its rows of the values held, so a
+section's values and rows are those of its chart alone; a section in a
+group of one takes that evaluation itself.  Every derivative is of a
+primitive, read by the primitive's name: ``partial`` and ``nabla`` and
+``codiff`` over it.  One stencil pass takes every ``partial`` an evaluation
+reads, and those of its variants (the conformal parent, the triple's other
+structures), over evaluations on the stencil set that the pass builds and
+drops, so only base-point values outlive it.  The two sides are independent
+because their formulas differ, so a convention bug cannot cancel;
+evaluating a pure function twice gives identical bits and would add no
+independence.  Residuals are measured by
 :meth:`Evaluation.residual` as the largest orthonormal-frame component of the
 difference, which keeps them scale-honest across charts.
 
@@ -353,32 +354,35 @@ class Evaluation:
     flux equation's divergence of a held density.  ``differentiated`` names
     the primitives that one central-difference pass takes together, over one
     evaluation on the stencil set around the points (both signs, every
-    direction), which the pass builds and drops: by default every primitive
-    whose ``partial`` a full report reads on base points; a report section
-    names those its suites read, so a run of one suite pays for no partial
-    it does not read.  A ``partial`` of any other primitive is a pass of its
-    own.  The first level differentiates the leaves that ``differentiated``
-    names, of ``g``, ``omega``, ``phi`` and ``log_factor``, in one pass over
-    one evaluation at the distinct second-level points only, ``2d(d+1)`` of
-    the ``(2d)^2`` around each point, and every other point reads its twin's
-    values.  A pass runs over blocks of the base points under a fixed byte
-    budget for its first level, so its working set does not grow with the
-    points; the base-point values held do, 2.5 MiB per 16 points in d = 6.
+    direction), which the pass builds and drops: every primitive whose
+    ``partial`` a full report reads on base points, or, made by
+    :meth:`joined`, those that the report's suites read, so a run of one
+    suite pays for no partial it does not read.  A ``partial`` of any other
+    primitive is a pass of its own.  The first level differentiates the
+    leaves that ``differentiated`` names, of ``g``, ``omega``, ``phi`` and
+    ``log_factor``, in one pass over one evaluation at the distinct
+    second-level points only, ``2d(d+1)`` of the ``(2d)^2`` around each
+    point, and every other point reads its twin's values.  A pass runs over
+    blocks of the base points under a fixed byte budget for its first level,
+    so its working set does not grow with the points; the base-point values
+    held do, 2.5 MiB per 16 points in d = 6.
 
     :meth:`joined` makes one evaluation of several manifolds of one
     dimension over their concatenated points, and a view of it per
-    manifold.  Its ``members`` are ``(m, lo, hi, section)``, the manifold
-    on the rows ``[lo, hi)``, whose failures name ``section``; each chart
-    field is called per member on its rows, block by block, so a pass block
-    may split a member, and a member without a dilaton or a conformal parent
-    reads the trivial field 0 there, which its section never reads.  A view
-    is the evaluation of one member, only its rows of the joined one, which
-    computes every value once for all members: it reads each value,
-    ``partial``, row and held residual off the joined evaluation, where each
-    row generator runs once and each difference and held primitive is
-    measured once, one argmax per member.  Every held value of a point is
-    bitwise that of the point alone, so a view's values, rows and residuals
-    are those of its member's own evaluation.
+    manifold; of one manifold, it makes the evaluation alone, as the
+    constructor does, and no view.  Its ``members`` are ``(m, lo, hi,
+    section)``, the manifold on the rows ``[lo, hi)``, whose failures name
+    ``section``; each chart field is called per member on its rows, block by
+    block, so a pass block may split a member, and a member without a
+    dilaton or a conformal parent reads the trivial field 0 there, which its
+    section never reads.  A view is the evaluation of one member, only its
+    rows of the joined one, which computes every value once for all
+    members: it reads each value, ``partial``, row and held residual off the
+    joined evaluation, where each row generator runs once and each
+    difference and held primitive is measured once, one argmax per member.
+    Every held value of a point is bitwise that of the point alone, so a
+    view's values, rows and residuals are those of its member's own
+    evaluation.
 
     A variant is another evaluation on rows of this one that this one makes
     and holds: :meth:`with_conformal_parent`, which carries this ``J``, and
@@ -397,12 +401,8 @@ class Evaluation:
     read.  :meth:`residual` is the engine's one residual measure.
     """
 
-    def __init__(self, m: HermitianManifold, pts, step: float = DEFAULT_STEP,
-                 differentiated=None):
-        self.m = m
-        pts = _points(m, pts, step)
-        self._start(((m, 0, pts.shape[0], m.name),), pts, step, 0,
-                    _differentiated(m) if differentiated is None else differentiated)
+    def __init__(self, m: HermitianManifold, pts, step: float = DEFAULT_STEP):
+        self._join(((m, pts),), step, tuple(_SUITE_PARTIALS))
 
     def _start(self, members, pts, step, depth, differentiated, index=None):
         # the state before any value is held
@@ -421,17 +421,25 @@ class Evaluation:
         self._pending = []  # the variants that join the first pass; None after it
 
     @classmethod
-    def joined(cls, sections, step: float = DEFAULT_STEP) -> list:
-        """The evaluation of each ``(m, pts, differentiated)`` of
-        ``sections``, manifolds of one dimension, as in ``Evaluation(m,
-        pts, step, differentiated)``: a view of one evaluation over their
-        concatenated points, which differentiates in one pass every
-        primitive that any section names, for all its members.  A view
-        reads every value off the joined evaluation, which it holds.  A
-        failure in one manifold's points or fields carries its name as the
-        exception's ``manifold``."""
+    def joined(cls, sections, step: float = DEFAULT_STEP,
+               suites=tuple(_SUITE_PARTIALS)) -> list:
+        """The evaluation of each ``(m, pts)`` of ``sections``, manifolds of
+        one dimension, for a report of ``suites``: a view of one evaluation
+        over their concatenated points, which differentiates in one pass
+        every primitive whose ``partial`` any section's suites read, for all
+        its members.  A view reads every value off the joined evaluation,
+        which it holds; a section alone is the joined evaluation itself, so
+        ``joined([(m, pts)])`` is ``[Evaluation(m, pts, step)]`` when
+        ``suites`` is every suite.  A failure in one manifold's points or
+        fields carries its name as the exception's ``manifold``."""
+        group = cls.__new__(cls)
+        group._join(sections, step, suites)
+        return [group._view(lo, hi) for _, lo, hi, _ in group.members]
+
+    def _join(self, sections, step, suites):
+        # the state of one evaluation over the points of every (m, pts)
         members, parts, lo = [], [], 0
-        for m, pts, _ in sections:
+        for m, pts in sections:
             try:
                 parts.append(_points(m, pts, step))
             except Exception as exc:
@@ -441,10 +449,8 @@ class Evaluation:
             lo += len(parts[-1])
         if len({m.dim for m, *_ in members}) != 1:
             raise ContractViolationError("joined sections must share one dimension")
-        group = cls.__new__(cls)
-        group._start(tuple(members), np.concatenate(parts), step, 0, dict.fromkeys(
-            a for *_, differentiated in sections for a in differentiated))
-        return [group._view(lo, hi) for _, lo, hi, _ in members]
+        self._start(tuple(members), np.concatenate(parts), step, 0, dict.fromkeys(
+            a for m, *_ in members for a in _differentiated(m, suites)))
 
     def _once(self, key, compute):
         # compute(ev) gives the value on the evaluation ev; a view takes its
@@ -469,7 +475,10 @@ class Evaluation:
 
     def _view(self, a: int, b: int) -> "Evaluation":
         """The view of the member on the rows ``[a, b)`` here: it reads
-        every value off this evaluation and joins no pass."""
+        every value off this evaluation and joins no pass.  A member on
+        every row is this evaluation itself."""
+        if b - a == self.pts.shape[0]:
+            return self
         [k] = [k for k, mem in enumerate(self.members) if mem[1] == a]
         m, _, _, section = self.members[k]
         ev = self._derive(((m, 0, b - a, section),), self.pts[a:b], self._depth,
@@ -541,13 +550,17 @@ class Evaluation:
         stencil level; made after, it runs its own.  This evaluation holds it;
         it keeps no reference to this one.  A joined evaluation's is one
         evaluation of the parents of the members that have one, on their
-        rows, and a view's is a view of it on the view's rows."""
+        rows, and a view's is a view of it on the view's rows, which the
+        view holds: only its first call asks the joined evaluation, which
+        :func:`verify_conformal_trace` drops its parents from, so no later
+        call makes them again."""
         if self.m is not None and self.m.conformal_parent is None:
             raise PreconditionError(f"{self.m.name} has no conformal parent")
         if self._source is not None:
-            parents = self._source.with_conformal_parent()
-            a, b = _span(parents._index, self._rows.start, self._rows.stop)
-            return self._variant("conformal_parent", lambda: parents._view(a, b))
+            def view():
+                parents = self._source.with_conformal_parent()
+                return parents._view(*_span(parents._index, self._rows.start, self._rows.stop))
+            return self._variant("conformal_parent", view)
         members = [mem for mem in self.members if mem[0].conformal_parent is not None]
         if not members:
             raise PreconditionError("no joined manifold has a conformal parent")
@@ -711,8 +724,6 @@ class Evaluation:
         try:
             return fn(value)
         except (GeometryError, ValueError):
-            if len(self.members) == 1:
-                raise
             for _, lo, hi, section in self.members:
                 try:
                     fn(value[lo:hi])
@@ -1271,7 +1282,9 @@ def verify_conformal_trace(ev: Evaluation, tol=TOL_CURVATURE) -> Row:
     work: a parent made before that pass joins it, and one made after runs
     its own.  Its four base-point values are read, and the parent dropped
     from ``ev``, before this row is measured, so it holds none of its values
-    past the row."""
+    past the row.  On a view, the joined evaluation's parents are dropped
+    too; each view holds its own view of them, so they go once the last
+    section that holds one has run this row."""
     m = ev.m
     if m.conformal_parent is None:
         raise PreconditionError(f"{m.name} has no conformal parent")
@@ -1281,6 +1294,8 @@ def verify_conformal_trace(ev: Evaluation, tol=TOL_CURVATURE) -> Row:
     parent = ev.with_conformal_parent()
     gamma, theta, ginv, u = parent.gamma("levi_civita"), parent.theta, parent.ginv, parent.u
     del parent, ev._variants["conformal_parent"]  # no other suite reads it
+    if ev._source is not None:  # nor another section, which holds its own view
+        ev._source._variants.pop("conformal_parent", None)
     nab = covariant_derivative_of(ddf, df, gamma, 1)
 
     n = m.dim // 2

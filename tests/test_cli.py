@@ -3,6 +3,7 @@ import contextlib
 import errno
 import gc
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -251,6 +252,77 @@ def test_a_joined_report_measures_each_row_once_over_all_its_points(tmp_path, mo
     assert transformed == [80] * sum(diff.ndim > 1 for diff in identity_diffs)
 
 
+@pytest.mark.parametrize("points, groups", [
+    ("16", [["flat_torus_4", "hopf_standard", "su2xu1", "hopf_hkt", "conf_torus_4"],
+            ["flat_torus_6"], ["conf_torus_6"]]),
+    ("41", [[name] for name in catalog_names()]),
+])
+def test_each_group_of_sections_takes_its_evaluations_from_one_joined_call(
+        points, groups, monkeypatch, tmp_path):
+    # the sections of one dimension whose points fit in one pass block form
+    # a group, and any other section is a group of one; every group's
+    # evaluations come from one Evaluation.joined call, made where its first
+    # section comes in the report.  At 16 points the d = 4 sections join and
+    # each d = 6 section, twice a d = 6 block, is a group of one; at 41
+    # points, one more than a d = 4 block, every section is a group of one
+    calls = []
+    real_joined = Evaluation.joined
+
+    def joined(sections, *args):
+        calls.append([m.name for m, _ in sections])
+        return real_joined(sections, *args)
+
+    monkeypatch.setattr(Evaluation, "joined", staticmethod(joined))
+    assert main(["suite", "--all", "--points", points, "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == groups
+
+
+def _pulled_charts():
+    """The names of the benchmark's three pulled-back charts, registered:
+    d = 4 charts, each with a conformal parent."""
+    spec = importlib.util.spec_from_file_location("pulled_workloads", os.path.join(
+        os.path.dirname(__file__), os.pardir, "ktbench", "workloads.py"))
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)  # its dataclasses look their module up
+    workloads.install_pulled_charts()
+    return list(workloads.PULLED_CHARTS)
+
+
+def test_a_joined_report_drops_the_parents_after_the_last_conformal_row(monkeypatch,
+                                                                       tmp_path):
+    # the three pulled charts join, and so do their conformal parents, in
+    # one evaluation made before the group's pass.  Each section's conformal
+    # row drops its view of it and the group's hold on it, so it is gone,
+    # with the cycle collector off, once the last row has read it, while the
+    # last section's suites are still to run
+    names = _pulled_charts()
+    parents, alive = [], []
+    real_derive, real_row = Evaluation._derive, ktgeo.cli.verify_conformal_trace
+
+    def derive(self, members, pts, depth, *args, **kwargs):
+        ev = real_derive(self, members, pts, depth, *args, **kwargs)
+        if depth == 0 and "J" in ev._shared:  # the parents carry the group's J
+            parents.append(weakref.ref(ev))
+        return ev
+
+    def conformal_row(ev, tol):
+        row = real_row(ev, tol)
+        alive.append(sum(ref() is not None for ref in parents))
+        return row
+
+    monkeypatch.setattr(Evaluation, "_derive", derive)
+    monkeypatch.setattr(ktgeo.cli, "verify_conformal_trace", conformal_row)
+    gc.disable()
+    try:
+        code = main(["report", *(a for n in names for a in ("--manifold", n)),
+                     "--points", "16", "--out", str(tmp_path / "r.json")])
+    finally:
+        gc.enable()
+    assert code == 0
+    assert len(parents) == 1
+    assert alive == [1, 1, 0]
+
+
 def test_a_non_finite_joined_residual_is_its_own_sections_failure(monkeypatch, capsys):
     # tt4, which the joined evaluation computes once for both sections, is
     # NaN on the second section's rows alone: the second section fails with
@@ -277,8 +349,7 @@ def test_a_non_finite_joined_residual_is_its_own_sections_failure(monkeypatch, c
         f"error: numeric failure on 'hopf_standard' during 'identities': non-finite residual "
         f"in 'torsion_nabla_exchange' at point {point}\n")
     pts = [m.sample_points(16, 0) for m in (first, second)]
-    views = Evaluation.joined([(m, p, ktgeo.identities._differentiated(m))
-                               for m, p in zip((first, second), pts)])
+    views = Evaluation.joined(list(zip((first, second), pts)))
     alone = ktgeo.identities.run_identity_suite(Evaluation(first, pts[0]))
     assert ktgeo.identities.run_identity_suite(views[0]) == alone
     with pytest.raises(ktgeo.errors.NumericError, match="'torsion_nabla_exchange'"):
@@ -1330,31 +1401,27 @@ def test_each_suite_alone_writes_its_sections_of_the_full_report(tmp_path):
 
 def _asked_partials(monkeypatch, tmp_path, suites, joined):
     """Each section's evaluation of one-point reports of ``suites`` on the
-    catalog, with the ``differentiated`` it was given, and the partials
-    asked of each evaluation on base points, by id: one report per chart,
-    or one of them all, whose sections of one dimension are joined."""
+    catalog, with the primitives whose partials those suites read on its
+    chart, and the partials asked of each evaluation on base points, by
+    id: one report per chart, each a group of one, or one of them all, whose
+    sections of one dimension are joined."""
     sections, asked = [], {}
     real_partial, real_joined = Evaluation.partial, Evaluation.joined
 
-    def section_evaluation(*args):
-        sections.append((Evaluation(*args), args[3]))  # held, so no two share an id
-        return sections[-1][0]
-
-    def joined_evaluations(given, step):
-        views = real_joined(given, step)
-        sections.extend((view, differentiated) for view, (*_, differentiated)
-                        in zip(views, given))
-        return views
+    def joined_evaluations(given, step, report_suites):
+        assert report_suites == (suites or ktgeo.cli.SUITES)
+        evaluations = real_joined(given, step, report_suites)
+        # held, so no two share an id
+        sections.extend((ev, ktgeo.identities._differentiated(m, report_suites))
+                        for ev, (m, _) in zip(evaluations, given))
+        return evaluations
 
     def partial(self, attr):
         if self._depth == 0:
             asked.setdefault(id(self), set()).add(attr)
         return real_partial(self, attr)
 
-    if joined:
-        monkeypatch.setattr(Evaluation, "joined", staticmethod(joined_evaluations))
-    else:
-        monkeypatch.setattr(ktgeo.cli, "Evaluation", section_evaluation)
+    monkeypatch.setattr(Evaluation, "joined", staticmethod(joined_evaluations))
     monkeypatch.setattr(Evaluation, "partial", partial)
     for names in [["all"]] if joined else [[name] for name in catalog_names()]:
         argv = ["report", "--points", "1", "--out", str(tmp_path / "r.json")]
@@ -1365,6 +1432,7 @@ def _asked_partials(monkeypatch, tmp_path, suites, joined):
         names, expected = sorted(names), sorted(expected)
     assert names == expected
     for ev, differentiated in sections:
+        assert (ev._source is None) is not joined
         if not suites:
             assert differentiated == ktgeo.identities._differentiated(ev.m)
     return sections, asked
@@ -1487,23 +1555,24 @@ def test_the_conformal_row_does_not_depend_on_the_suites(name, tmp_path):
     assert rows[0] == rows[1]
 
 
+def _started(monkeypatch):
+    """The evaluations made from here on, as weak references: every
+    evaluation, a section's own among them, starts its state in _start."""
+    created = []
+    real_start = Evaluation._start
+
+    def start(self, *args, **kwargs):
+        real_start(self, *args, **kwargs)
+        created.append(weakref.ref(self))
+
+    monkeypatch.setattr(Evaluation, "_start", start)
+    return created
+
+
 def test_report_leaves_no_evaluation_alive(monkeypatch, tmp_path):
     # with the cycle collector off, only reference counting frees an
     # evaluation: none may sit in a reference cycle
-    created = []
-    real_init, real_derive = Evaluation.__init__, Evaluation._derive
-
-    def init(self, *args, **kwargs):
-        real_init(self, *args, **kwargs)
-        created.append(weakref.ref(self))
-
-    def derive(self, *args, **kwargs):  # every stencil evaluation is made here
-        ev = real_derive(self, *args, **kwargs)
-        created.append(weakref.ref(ev))
-        return ev
-
-    monkeypatch.setattr(Evaluation, "__init__", init)
-    monkeypatch.setattr(Evaluation, "_derive", derive)
+    created = _started(monkeypatch)
     gc.disable()
     try:
         code = main(["report", "--manifold", "hopf_hkt", "--points", "2",
@@ -1523,16 +1592,8 @@ def test_report_leaves_no_evaluation_alive(monkeypatch, tmp_path):
 
 
 def test_a_joined_report_leaves_no_evaluation_alive(monkeypatch, tmp_path):
-    # every evaluation starts its state in _start: a view holds the joined
-    # one, which holds no view
-    created = []
-    real_start = Evaluation._start
-
-    def start(self, *args, **kwargs):
-        real_start(self, *args, **kwargs)
-        created.append(weakref.ref(self))
-
-    monkeypatch.setattr(Evaluation, "_start", start)
+    # a view holds the joined evaluation, which holds no view
+    created = _started(monkeypatch)
     gc.disable()
     try:
         code = main(["report", "--manifold", "hopf_standard", "--manifold", "hopf_hkt",

@@ -151,7 +151,7 @@ def test_a_joined_section_reads_only_the_rows_it_does_not_skip(monkeypatch):
         return value
 
     monkeypatch.setattr(Evaluation, "d_jtheta", property(d_jtheta))
-    views = Evaluation.joined([(m, p, identities._differentiated(m)) for m, p in zip(ms, pts)])
+    views = Evaluation.joined(list(zip(ms, pts)))
     for m, p, view in zip(ms, pts, views):
         assert verify_dim4(view) == verify_dim4(Evaluation(m, p)), m.name
     assert [r.status for r in verify_dim4(views[1])] == ["skipped"]
@@ -627,13 +627,14 @@ def test_joined_held_values_are_each_members_own(dim):
     # blocks of 8, and the d = 4 one in two of 40 that split su2xu1
     ms = [get_manifold(name) for name in catalog_names() if get_manifold(name).dim == dim]
     pts = [m.sample_points(16, seed=0) for m in ms]
-    views = Evaluation.joined([(m, p, identities._differentiated(m)) for m, p in zip(ms, pts)])
+    views = Evaluation.joined(list(zip(ms, pts)))
     for view in views:  # every variant before the one pass, as a report makes them
         _variants(view)
-    for view in views:
-        _run_suites(view)
+    # held here: each conformal row drops the parents from the group
     group = views[0]._source
     parents = group._variants.get("conformal_parent")
+    for view in views:
+        _run_suites(view)
     for m, p, view, (_, lo, hi, _) in zip(ms, pts, views, group.members):
         own, *own_variants = _section_evaluations(m, p)
         joined = [(_arrays(group, slice(lo, hi)) | _arrays(view), own)]
@@ -648,6 +649,29 @@ def test_joined_held_values_are_each_members_own(dim):
                 assert np.array_equal(value, _value(ev, key)), (m.name, key)
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_a_section_alone_is_its_joined_evaluation_itself(name):
+    # a group of one is no view: joined gives the evaluation itself, which,
+    # after every suite, holds the values of the chart's own evaluation bit
+    # for bit, and so do its variants
+    m = get_manifold(name)
+    pts = m.sample_points(3, seed=2)
+    [ev] = Evaluation.joined([(m, pts)])
+    assert ev._source is None and ev.m is m
+    joined = [ev] + _variants(ev)
+    _run_suites(ev)
+    alone = _section_evaluations(m, pts)
+    assert len(joined) == len(alone)
+    for held, own in zip(joined, alone):
+        assert set(held._values) == set(own._values)
+        for key, value in held._values.items():
+            if isinstance(value, np.ndarray):
+                mine = own._values[key]
+                assert value.shape == mine.shape and value.tobytes() == mine.tobytes(), key
+            else:
+                assert value == own._values[key], key
+
+
 @pytest.mark.parametrize("n", [1, 16])
 def test_a_views_scalar_fields_are_its_charts_alone(n):
     # the joined evaluation computes the dilaton and the conformal factor,
@@ -656,7 +680,7 @@ def test_a_views_scalar_fields_are_its_charts_alone(n):
     # and their partials are bit for bit those of its chart's own evaluation
     ms = [get_manifold("hopf_standard"), get_manifold("flat_torus_4")]
     pts = [m.sample_points(n, seed=0) for m in ms]
-    views = Evaluation.joined([(m, p, identities._differentiated(m)) for m, p in zip(ms, pts)])
+    views = Evaluation.joined(list(zip(ms, pts)))
     for m, p, view in zip(ms, pts, views):
         alone = Evaluation(m, p)
         for attr in ("phi", "dphi", "eta", "dilaton_flux_density", "log_factor",
@@ -679,7 +703,8 @@ def test_a_joined_pass_block_ends_where_a_section_does_when_no_block_more(names,
     # 32 and 16, so no section's fields are called once per block; five
     # would fill three, so they take two balanced blocks of 40
     ms = [get_manifold(name) for name in names]
-    views = Evaluation.joined([(m, m.sample_points(16, seed=0), ("g", "omega")) for m in ms])
+    # a report of no suite but the structure block differentiates g and omega
+    views = Evaluation.joined([(m, m.sample_points(16, seed=0)) for m in ms], suites=())
     blocks = []
     real_fd = identities.fd_partial
 
