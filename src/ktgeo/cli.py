@@ -285,10 +285,11 @@ def _manifold_report(ev, cfg: RunConfig) -> dict:
     # of one, that evaluation itself; so nothing a section reads outlives it
     # but what the shared evaluation holds for its other sections.  The
     # variants the suites read were made before any section of the group
-    # ran, so they joined that pass.  The conformal row runs first: it reads
-    # the parent's four values and drops the parent before this evaluation
-    # holds more than the pass's, so the parent's values never stack on the
-    # suites'
+    # ran, so they joined that pass.  The conformal row runs first: the
+    # group's first section that has a parent measures it for all of them,
+    # reading the parents' four values and dropping the parents before the
+    # shared evaluation holds more than the pass's, so the parents' values
+    # never stack on the suites'
     suite = "sampling"
     try:
         section = {"name": m.name, "dim": m.dim, "chart": m.chart.describe()}

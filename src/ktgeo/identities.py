@@ -22,11 +22,12 @@ independence.  Residuals are measured by
 :meth:`Evaluation.residual` as the largest orthonormal-frame component of the
 difference, which keeps them scale-honest across charts.
 
-Every suite is a generator of ``(name, lhs - rhs, order, status)`` rows over
-the evaluation it takes, ``order`` the row's stencil nesting depth;
-:func:`measure_rows` runs it once on the evaluation that holds the values,
-the joined one of a view, and turns each row into a :class:`Row`, the one
-row type of a report, with the section's own status.
+Every row comes from a generator of ``(name, lhs - rhs, order, status)``
+rows over an evaluation, ``order`` the row's stencil nesting depth, the
+conformal row's too, which reads the parents of every member that has one;
+:func:`measure_rows` runs each generator once on the evaluation that holds
+the values, the joined one of a view, and turns each row into a
+:class:`Row`, the one row type of a report, with the section's own status.
 
 Identity names (stable keys used in reports and tests):
 
@@ -392,8 +393,9 @@ class Evaluation:
     made from this pass's evaluation there and shares its ``J`` or ``g``, so
     each chart field is evaluated once per stencil point.  A variant holds
     no evaluation and a stencil level is dropped with its pass, so only
-    base-point values outlive a pass; a view holds the joined evaluation,
-    which holds no view.  The manifold's
+    base-point values outlive a pass; a view holds the joined evaluation
+    and no variant, since its variants are the joined evaluation's, and the
+    joined evaluation holds no view.  The manifold's
     dimension must be even and at least 4.  The point set must not be empty
     and must have the manifold's dimension, and the chart domain is checked
     once, on the base points, with the margin the deepest stencil needs;
@@ -434,11 +436,13 @@ class Evaluation:
         fields carries its name as the exception's ``manifold``."""
         group = cls.__new__(cls)
         group._join(sections, step, suites)
-        return [group._view(lo, hi) for _, lo, hi, _ in group.members]
+        return [group._view(k) for k in range(len(group.members))]
 
     def _join(self, sections, step, suites):
         # the state of one evaluation over the points of every (m, pts)
         members, parts, lo = [], [], 0
+        if not sections:
+            raise PreconditionError("an evaluation needs a non-empty point set")
         for m, pts in sections:
             try:
                 parts.append(_points(m, pts, step))
@@ -473,14 +477,13 @@ class Evaluation:
         ev._values = {k: _take(self._values[k], ev._rows) for k in shared if k in self._values}
         return ev
 
-    def _view(self, a: int, b: int) -> "Evaluation":
-        """The view of the member on the rows ``[a, b)`` here: it reads
-        every value off this evaluation and joins no pass.  A member on
-        every row is this evaluation itself."""
+    def _view(self, k: int) -> "Evaluation":
+        """The view of the ``k``-th member here: it reads every value off
+        this evaluation and joins no pass.  A member on every row is this
+        evaluation itself."""
+        m, a, b, section = self.members[k]
         if b - a == self.pts.shape[0]:
             return self
-        [k] = [k for k, mem in enumerate(self.members) if mem[1] == a]
-        m, _, _, section = self.members[k]
         ev = self._derive(((m, 0, b - a, section),), self.pts[a:b], self._depth,
                           index=np.arange(a, b))
         ev._source, ev._pending, ev._member = self, None, k
@@ -550,17 +553,13 @@ class Evaluation:
         stencil level; made after, it runs its own.  This evaluation holds it;
         it keeps no reference to this one.  A joined evaluation's is one
         evaluation of the parents of the members that have one, on their
-        rows, and a view's is a view of it on the view's rows, which the
-        view holds: only its first call asks the joined evaluation, which
-        :func:`verify_conformal_trace` drops its parents from, so no later
-        call makes them again."""
+        rows, and a view's is the joined evaluation's, which the view does
+        not hold: the conformal row, measured once on the joined evaluation,
+        reads them and drops them there."""
         if self.m is not None and self.m.conformal_parent is None:
             raise PreconditionError(f"{self.m.name} has no conformal parent")
         if self._source is not None:
-            def view():
-                parents = self._source.with_conformal_parent()
-                return parents._view(*_span(parents._index, self._rows.start, self._rows.stop))
-            return self._variant("conformal_parent", view)
+            return self._source.with_conformal_parent()
         members = [mem for mem in self.members if mem[0].conformal_parent is not None]
         if not members:
             raise PreconditionError("no joined manifold has a conformal parent")
@@ -1081,30 +1080,25 @@ def _measured(ev: Evaluation, rows) -> tuple:
 
 def measure_rows(ev: Evaluation, rows, tol=TOL_CURVATURE, tol_first=TOL_FIRST_ORDER,
                  statuses=None) -> list:
-    """The :class:`Row` of each ``(name, diff, order, status)`` row on
-    ``ev``, with the tolerance ``tol`` at order 2 and ``min(tol_first,
-    tol)`` at order 1.  ``diff`` is the difference ``lhs - rhs``, the name
-    of a primitive (its held residual) or a tuple of these (the largest
-    residual).  ``rows`` is a generator function of an evaluation, or the
-    rows themselves where they read a section's own variant: the conformal
-    row, whose joined parent covers only the members that have one.  A
-    generator function runs once, on the evaluation that holds the values
-    of ``ev``: ``ev`` itself, or the joined evaluation of a view.  That
-    evaluation holds its rows under the function, each with every member's
-    measure, so each difference takes one ``to_frame`` over all its points
-    and one ``argmax`` per member, and ``ev`` reads its member's.  A row's
-    status is the generator's, the same for every member, and ``statuses``
-    maps one that rests on a section's hypotheses to this section's.  A NaN
-    or infinite residual raises ``NumericError`` when its section reads its
+    """The :class:`Row` of each ``(name, diff, order, status)`` row that
+    the generator function ``rows`` yields, on ``ev``, with the tolerance
+    ``tol`` at order 2 and ``min(tol_first, tol)`` at order 1.  ``diff`` is
+    the difference ``lhs - rhs``, the name of a primitive (its held
+    residual) or a tuple of these (the largest residual).  ``rows`` runs
+    once, on the evaluation that holds the values of ``ev``: ``ev`` itself,
+    or the joined evaluation of a view.  That evaluation holds its rows
+    under the function, each with every member's measure, so each
+    difference takes one ``to_frame`` over all its points and one
+    ``argmax`` per member, and ``ev`` reads its member's.  A row's status
+    is the generator's, the same for every member, and ``statuses`` maps
+    one that rests on a section's hypotheses to this section's.  A NaN or
+    infinite residual raises ``NumericError`` when its section reads its
     row, as :meth:`Evaluation.residual` does."""
-    if callable(rows):
-        holder = ev if ev._source is None else ev._source
-        key = ("rows", rows)
-        if key not in holder._values:
-            holder._values[key] = _measured(holder, rows(holder))
-        held, k = holder._values[key], ev._member
-    else:
-        held, k = _measured(ev, rows), 0
+    holder = ev if ev._source is None else ev._source
+    key = ("rows", rows)
+    if key not in holder._values:
+        holder._values[key] = _measured(holder, rows(holder))
+    held, k = holder._values[key], ev._member
     pts, first, out = ev.pts, min(tol_first, tol), []
     for name, parts, order, status in held:
         for part, measures in parts:
@@ -1276,30 +1270,37 @@ def verify_conformal_trace(ev: Evaluation, tol=TOL_CURVATURE) -> Row:
     :func:`run_identity_suite`.  The catalog factor f corresponds to a
     rescale by exp(2 f), so the factor entering the formula is F = 2 f.
 
-    The parent is the variant :meth:`Evaluation.with_conformal_parent` of
-    ``ev``, which carries its ``J``.  The factor's derivatives are read
-    first, so the stencil pass of ``ev`` runs before any of the parent's
-    work: a parent made before that pass joins it, and one made after runs
-    its own.  Its four base-point values are read, and the parent dropped
-    from ``ev``, before this row is measured, so it holds none of its values
-    past the row.  On a view, the joined evaluation's parents are dropped
-    too; each view holds its own view of them, so they go once the last
-    section that holds one has run this row."""
-    m = ev.m
-    if m.conformal_parent is None:
-        raise PreconditionError(f"{m.name} has no conformal parent")
-    # dF on m's points, and its derivative for the parent's Laplacian of F
+    The row is measured once, by :func:`measure_rows`, on the evaluation
+    that holds the values of ``ev``, as every other row is."""
+    if ev.m.conformal_parent is None:
+        raise PreconditionError(f"{ev.m.name} has no conformal parent")
+    return measure_rows(ev, _conformal_rows, tol)[0]
+
+
+def _conformal_rows(ev: Evaluation):
+    """The conformal change of u (order 2) on the rows of the members of
+    ``ev`` that have a conformal parent, and 0 on the others, which no
+    section reads.  The parents are the variant
+    :meth:`Evaluation.with_conformal_parent` of ``ev``, which carries its
+    ``J``.  The factor's derivatives are read first, so the stencil pass of
+    ``ev`` runs before any of the parents' work: parents made before that
+    pass join it, and ones made after run their own.  Their four base-point
+    values are read, and the parents dropped from ``ev``, before the row is
+    measured, so ``ev`` holds none of their values past the row."""
+    # dF on the points, and its derivative for the parent's Laplacian of F
     df = 2.0 * ev.dlog_factor
     ddf = 2.0 * ev.partial("dlog_factor")
     parent = ev.with_conformal_parent()
     gamma, theta, ginv, u = parent.gamma("levi_civita"), parent.theta, parent.ginv, parent.u
-    del parent, ev._variants["conformal_parent"]  # no other suite reads it
-    if ev._source is not None:  # nor another section, which holds its own view
-        ev._source._variants.pop("conformal_parent", None)
+    rows = _rows(parent._index)  # the parents' rows here
+    del parent, ev._variants["conformal_parent"]  # no other row reads them
+    df, ddf = _take(df, rows), _take(ddf, rows)
     nab = covariant_derivative_of(ddf, df, gamma, 1)
 
-    n = m.dim // 2
-    lhs = 2.0 * np.exp(2.0 * ev.log_factor) * ev.u
+    n = ev.pts.shape[-1] // 2
+    lhs = 2.0 * np.exp(2.0 * _take(ev.log_factor, rows)) * _take(ev.u, rows)
     pairing = np.einsum("...a,...b,...ab->...", theta, df, ginv)
     rhs = 2.0 * u + n * (n - 1) * pairing + n * codifferential_of(nab, ginv, 1)
-    return measure_rows(ev, [("conformal_u_change", lhs - rhs, 2, ASSERTED)], tol)[0]
+    diff = np.zeros(ev.pts.shape[:1])  # 0 on the rows of a member without one
+    diff[... if rows is None else rows] = lhs - rhs
+    yield "conformal_u_change", diff, 2, ASSERTED

@@ -68,7 +68,12 @@ def _enter(entry, m, pts):
     return entry(m, pts)
 
 
-@pytest.mark.parametrize("entry", [classify, Evaluation, *SUITES],
+def joined_of_no_section(m, pts):
+    """``Evaluation.joined`` of no sections, which holds no point at all."""
+    return Evaluation.joined([])
+
+
+@pytest.mark.parametrize("entry", [classify, Evaluation, joined_of_no_section, *SUITES],
                          ids=lambda f: f.__name__)
 def test_empty_point_set_rejected(flat4, entry):
     with pytest.raises(PreconditionError, match="non-empty point set"):

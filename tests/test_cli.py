@@ -218,11 +218,13 @@ def test_a_failure_in_a_joined_section_names_its_chart(name, metric, line, capsy
 def test_a_joined_report_measures_each_row_once_over_all_its_points(tmp_path, monkeypatch):
     # the five d = 4 sections at 16 points share one evaluation of 80
     # points: the identity, structure and dim4 rows (the duality and the LCK
-    # reduction) are each generated once on it, not once per section, and
-    # each identity difference takes one frame transform over all 80
-    # points, which no section repeats on its 16
+    # reduction, and conformal_u_change) are each generated once on it, not
+    # once per section, and each identity difference takes one frame
+    # transform over all 80 points, which no section repeats on its 16.  The
+    # conformal difference is 0 on the rows of the two charts that have no
+    # conformal parent, flat_torus_4 and su2xu1, which no section reads
     names = [n for n in catalog_names() if get_manifold(n).dim == 4]
-    runs, identity_diffs, transformed = Counter(), [], []
+    runs, identity_diffs, transformed, conformal = Counter(), [], [], []
 
     def counted(rows):
         def counted_rows(ev):
@@ -230,10 +232,13 @@ def test_a_joined_report_measures_each_row_once_over_all_its_points(tmp_path, mo
             for row in rows(ev):
                 if rows.__name__ == "_identity_rows":
                     identity_diffs.append(row[1])
+                if rows.__name__ == "_conformal_rows":
+                    conformal.append((ev.members, row[1]))
                 yield row
         return counted_rows
 
-    generators = ("_identity_rows", "_structure_rows", "_duality_rows", "_lck_reduction_rows")
+    generators = ("_identity_rows", "_structure_rows", "_duality_rows", "_lck_reduction_rows",
+                  "_conformal_rows")
     for name in generators:
         monkeypatch.setattr(ktgeo.identities, name, counted(getattr(ktgeo.identities, name)))
     real_to_frame = ktgeo.identities.to_frame
@@ -250,6 +255,10 @@ def test_a_joined_report_measures_each_row_once_over_all_its_points(tmp_path, mo
     assert runs == dict.fromkeys(generators, 1)
     assert [diff.shape[0] for diff in identity_diffs] == [80] * 14
     assert transformed == [80] * sum(diff.ndim > 1 for diff in identity_diffs)
+    [(members, diff)] = conformal
+    assert diff.shape == (80,)
+    assert [m.name for m, lo, hi, _ in members if not diff[lo:hi].any()] == [
+        "flat_torus_4", "su2xu1"]
 
 
 @pytest.mark.parametrize("points, groups", [
@@ -288,13 +297,14 @@ def _pulled_charts():
     return list(workloads.PULLED_CHARTS)
 
 
-def test_a_joined_report_drops_the_parents_after_the_last_conformal_row(monkeypatch,
-                                                                       tmp_path):
+def test_a_joined_report_drops_the_parents_after_the_first_conformal_row(monkeypatch,
+                                                                        tmp_path):
     # the three pulled charts join, and so do their conformal parents, in
-    # one evaluation made before the group's pass.  Each section's conformal
-    # row drops its view of it and the group's hold on it, so it is gone,
-    # with the cycle collector off, once the last row has read it, while the
-    # last section's suites are still to run
+    # one evaluation made before the group's pass.  The first section's
+    # conformal row measures the row once for all three sections and drops
+    # the parents, so they are gone, with the cycle collector off, once that
+    # row has read them, while every section's other suites are still to
+    # run; the later sections read their rows and make no parents again
     names = _pulled_charts()
     parents, alive = [], []
     real_derive, real_row = Evaluation._derive, ktgeo.cli.verify_conformal_trace
@@ -320,7 +330,47 @@ def test_a_joined_report_drops_the_parents_after_the_last_conformal_row(monkeypa
         gc.enable()
     assert code == 0
     assert len(parents) == 1
-    assert alive == [1, 1, 0]
+    assert alive == [0, 0, 0]
+
+
+def test_a_non_finite_conformal_row_is_its_own_sections_failure(monkeypatch, capsys):
+    # conformal_u_change, measured once for the three pulled charts, is NaN
+    # on the last one's rows alone: that section fails with the line it
+    # prints reported alone, naming its own first point, and the earlier
+    # sections' rows are those of their charts alone
+    names = _pulled_charts()
+    real_rows = ktgeo.identities._conformal_rows
+
+    def nan_rows(ev):
+        for name, diff, order, status in real_rows(ev):
+            diff = diff.copy()
+            for m, lo, hi, _ in ev.members:
+                if m.name == names[-1]:
+                    diff[lo:hi] = np.nan
+            yield name, diff, order, status
+
+    monkeypatch.setattr(ktgeo.identities, "_conformal_rows", nan_rows)
+    lines = []
+    for group in (names, names[-1:]):
+        argv = ["report", "--points", "16", "--out", "/dev/null"]
+        assert main(argv + [a for n in group for a in ("--manifold", n)]) == 3
+        lines.append(capsys.readouterr().err)
+    point = get_manifold(names[-1]).sample_points(16, 0)[0].tolist()
+    assert lines[0] == lines[1] == (
+        f"error: numeric failure on {names[-1]!r} during 'identities': non-finite residual "
+        f"in 'conformal_u_change' at point {point}\n")
+    ms = [get_manifold(name) for name in names]
+    pts = [m.sample_points(16, 0) for m in ms]
+    views = Evaluation.joined(list(zip(ms, pts)))
+    for view in views:  # the parents join the group's pass, as a report makes them
+        view.with_conformal_parent()
+    for m, p, view in zip(ms[:-1], pts, views):
+        alone = Evaluation(m, p)
+        alone.with_conformal_parent()
+        assert ktgeo.identities.verify_conformal_trace(view) == (
+            ktgeo.identities.verify_conformal_trace(alone))
+    with pytest.raises(ktgeo.errors.NumericError, match="'conformal_u_change'"):
+        ktgeo.identities.verify_conformal_trace(views[-1])
 
 
 def test_a_non_finite_joined_residual_is_its_own_sections_failure(monkeypatch, capsys):
@@ -1603,9 +1653,10 @@ def test_a_joined_report_leaves_no_evaluation_alive(monkeypatch, tmp_path):
         gc.enable()
     assert code == 0
     # the joined evaluation, its two views, the parents' joined evaluation
-    # and a view of it per section, the two other structures; four on the
-    # first level of the one pass (no view's) and two on the second
-    assert len(created) == 14
+    # (no view of it: the conformal row is measured on the joined one) and
+    # the two other structures; four on the first level of the one pass (no
+    # view's) and two on the second
+    assert len(created) == 12
     assert alive == 0
 
 

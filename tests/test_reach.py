@@ -41,8 +41,8 @@ CALCULUS_SITES = {
     },
     "covariant_derivative_of": {
         "identities.Evaluation.nabla": "the held covariant derivative of a primitive",
-        "identities.verify_conformal_trace": "the Laplacian of m's conformal factor "
-                                             "with its parent's connection",
+        "identities._conformal_rows": "the Laplacian of each conformal factor "
+                                      "with its parent's connection",
     },
 }
 
