@@ -165,8 +165,8 @@ class AnnulusChart(Chart):
 @dataclass(frozen=True)
 class ConformalParent:
     """The manifold a chart is a conformal rescale of.  A conformal change
-    keeps J, so an evaluation carries the chart's J into the parent's
-    (``Evaluation.with_conformal_parent``): the parent's own complex
+    keeps J, so an evaluation carries the chart's J into the parent's (the
+    conformal row, ``identities._conformal_rows``): the parent's own complex
     structure is read at the sampled points only, where it must agree with
     the chart's to 16 ulps of ``|J|``."""
 
@@ -390,7 +390,7 @@ def hermitian_residuals(m: HermitianManifold, points: np.ndarray,
         raise NumericError(f"metric not SPD on {m.name} (min eigenvalue {eigmin})")
     out = {"metric_min_eigenvalue": eigmin}
 
-    structures = [ev] + [ev.with_structure(j) for j in m.hypercomplex or ()]
+    structures = [ev, *ev.structures()]
     eye = np.eye(m.dim)
     sq = comp = nij = 0.0
     for e in structures:

@@ -93,11 +93,8 @@ def structure_flags(ev: Evaluation, tol: float = DEFAULT_CLASSIFY_TOL) -> Struct
     """Taxonomy flags with their supporting residuals on ``ev``; every flag,
     and the HKT bit of a triple, is measured and read from its row of
     ``FLAGS`` under ``tol``, none from the manifold's declaration.  The
-    triple's other structures are made first, so they join the stencil pass
-    of ``ev`` where it has not run yet, and the taxonomy is measured before
-    they are read, so they start from the metric-only values it holds."""
-    for j_fn in ev.m.hypercomplex or ():
-        ev.with_structure(j_fn)
+    taxonomy is measured before the triple's other structures are read, so
+    they start from the metric-only values it holds."""
     res = measure_flags(ev)
     hkt = check_hkt(ev, tol) if ev.m.hypercomplex is not None else None
     return StructureFlags(res, tol, hkt)
@@ -112,14 +109,15 @@ def classify(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
 def check_hkt(ev: Evaluation, tol: float = DEFAULT_CLASSIFY_TOL) -> HktFlags:
     """Quaternion relations, common Bismut torsion, and Lee-form equality of
     the hypercomplex triple of the manifold of ``ev``.  The triple's other
-    structures are the variants :meth:`Evaluation.with_structure` of ``ev``,
-    read after its torsion and Lee form, so they start from the metric-only
-    values those hold."""
+    structures are :meth:`Evaluation.structures` of ``ev``, which
+    ``Evaluation.joined`` made for ``classify`` and which joined the
+    stencil pass of ``ev``; they are read after its torsion and Lee form,
+    so they start from the metric-only values those hold."""
     m = ev.m
     if m.hypercomplex is None:
         raise PreconditionError(f"{m.name} carries no hypercomplex triple")
     ev.T, ev.theta  # the pass of ev, and the values the structures start from
-    evs = [ev] + [ev.with_structure(j_fn) for j_fn in m.hypercomplex]
+    evs = [ev, *ev.structures()]
     quat = quaternion_residual([e.J for e in evs])
     pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
     t_match = max(ev.residual("torsion_match", evs[a].T - evs[b].T)[0] for a, b in pairs)

@@ -244,10 +244,10 @@ def _sample(m, cfg: RunConfig):
 def _evaluations(ms, cfg: RunConfig) -> dict:
     """The evaluation of each section of ``ms``, manifolds of one dimension,
     by name: views of one evaluation over all their points, or, for one
-    section, that evaluation itself.  The variants that the suites read, the
-    conformal parent and the triple's other structures, are made before any
-    suite runs, so they join its one stencil pass and share its chart fields
-    at every stencil level."""
+    section, that evaluation itself.  ``Evaluation.joined`` makes the
+    variants that the suites read, the conformal parents and the triples'
+    other structures, with it, so they join its one stencil pass and share
+    its chart fields at every stencil level."""
     sections = []
     for m in ms:
         try:
@@ -258,18 +258,7 @@ def _evaluations(ms, cfg: RunConfig) -> dict:
         evaluations = Evaluation.joined(sections, cfg.step, cfg.suites)
     except Exception as exc:
         raise SectionFailure(ms[0].name, "sampling", exc) from exc
-    for ev in evaluations:
-        m, suite = ev.m, "identities"
-        try:
-            if "identities" in cfg.suites and m.conformal_parent is not None:
-                ev.with_conformal_parent()
-            suite = "classify"
-            if "classify" in cfg.suites:
-                for j_fn in m.hypercomplex or ():
-                    ev.with_structure(j_fn)
-        except Exception as exc:
-            raise SectionFailure(m.name, suite, exc) from exc
-    return {ev.m.name: ev for ev in evaluations}
+    return {m.name: ev for m, ev in zip(ms, evaluations)}
 
 
 def _manifold_report(ev, cfg: RunConfig) -> dict:
@@ -284,12 +273,11 @@ def _manifold_report(ev, cfg: RunConfig) -> dict:
     # of the values that evaluation computes for all of them, or, in a group
     # of one, that evaluation itself; so nothing a section reads outlives it
     # but what the shared evaluation holds for its other sections.  The
-    # variants the suites read were made before any section of the group
-    # ran, so they joined that pass.  The conformal row runs first: the
-    # group's first section that has a parent measures it for all of them,
-    # reading the parents' four values and dropping the parents before the
-    # shared evaluation holds more than the pass's, so the parents' values
-    # never stack on the suites'
+    # variants the suites read were made with it, so they join that pass.
+    # The conformal row runs first: the group's first section that has a
+    # parent measures it for all of them, reading the parents' four values
+    # and dropping the parents before the shared evaluation holds more than
+    # the pass's, so the parents' values never stack on the suites'
     suite = "sampling"
     try:
         section = {"name": m.name, "dim": m.dim, "chart": m.chart.describe()}
@@ -462,6 +450,7 @@ def main(argv=None) -> int:
     _pin_heap()
     try:
         report = run(cfg)
+        text = render_report(report)
     except UnknownManifoldError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -470,8 +459,10 @@ def main(argv=None) -> int:
             traceback.print_exception(exc.__cause__)
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-
-    text = render_report(report)
+    except Exception as exc:  # an engine bug outside any section
+        traceback.print_exception(exc)
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     if cfg.out:
         try:
             with open(cfg.out, "w") as fh:

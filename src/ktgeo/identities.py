@@ -385,17 +385,22 @@ class Evaluation:
     view's values, rows and residuals are those of its member's own
     evaluation.
 
-    A variant is another evaluation on rows of this one that this one makes
-    and holds: :meth:`with_conformal_parent`, which carries this ``J``, and
-    :meth:`with_structure`, another complex structure on this metric.  One
-    made before this evaluation's first pass joins it, block by block in the
-    same central-difference call: on each stencil level its evaluation is
-    made from this pass's evaluation there and shares its ``J`` or ``g``, so
+    A variant is another evaluation on rows of this one, which
+    :meth:`joined` makes, before any value is read, for the suites it is
+    given (the constructor, for every suite): one evaluation of the
+    conformal parents of the members that have one, which carries this
+    ``J``, where ``identities`` is read, and each member's two other
+    structures of its hypercomplex triple on this metric (:meth:`structures`)
+    where ``classify`` is.  Making one reads no chart field.  Every variant
+    joins this evaluation's first pass, block by block in the same
+    central-difference call: on each stencil level its evaluation is made
+    from this pass's evaluation there and shares its ``J`` or ``g``, so
     each chart field is evaluated once per stencil point.  A variant holds
     no evaluation and a stencil level is dropped with its pass, so only
     base-point values outlive a pass; a view holds the joined evaluation
     and no variant, since its variants are the joined evaluation's, and the
-    joined evaluation holds no view.  The manifold's
+    joined evaluation holds no view.  The conformal row, the parents' only
+    reader, drops them.  The manifold's
     dimension must be even and at least 4.  The point set must not be empty
     and must have the manifold's dimension, and the chart domain is checked
     once, on the base points, with the margin the deepest stencil needs;
@@ -419,7 +424,8 @@ class Evaluation:
         # its rows of the evaluation it was made from (None: all), and those
         # rows as a slice where they are contiguous
         self._index, self._rows = index, _rows(index)
-        self._variants = {}  # the variants made here, by key
+        self._parents = None  # the conformal parents' variant, until the conformal row
+        self._structures = {}  # each member's triple structures, by its index
         self._pending = []  # the variants that join the first pass; None after it
 
     @classmethod
@@ -432,8 +438,11 @@ class Evaluation:
         its members.  A view reads every value off the joined evaluation,
         which it holds; a section alone is the joined evaluation itself, so
         ``joined([(m, pts)])`` is ``[Evaluation(m, pts, step)]`` when
-        ``suites`` is every suite.  A failure in one manifold's points or
-        fields carries its name as the exception's ``manifold``."""
+        ``suites`` is every suite.  It holds the variants that ``suites``
+        read, the parents where ``identities`` is one and the triples'
+        structures where ``classify`` is, all joining its one pass.  A
+        failure in one manifold's points or fields carries its name as the
+        exception's ``manifold``."""
         group = cls.__new__(cls)
         group._join(sections, step, suites)
         return [group._view(k) for k in range(len(group.members))]
@@ -455,6 +464,18 @@ class Evaluation:
             raise ContractViolationError("joined sections must share one dimension")
         self._start(tuple(members), np.concatenate(parts), step, 0, dict.fromkeys(
             a for m, *_ in members for a in _differentiated(m, suites)))
+        # the variants the suites read: the parents' u, Lee form and
+        # Levi-Civita coefficients read these partials, and a structure's
+        # torsion and Lee form, all the HKT checks read of it, omega's alone
+        parents = [(m.conformal_parent.parent, lo, hi, section)
+                   for m, lo, hi, section in members if m.conformal_parent is not None]
+        if "identities" in suites and parents:
+            self._parents = self._declare(parents, ("g", "omega", "chern_coefficients"), "J")
+        if "classify" in suites:
+            self._structures = {k: tuple(self._declare(
+                [(replace(m, complex_structure=j_fn, hypercomplex=None), lo, hi, section)],
+                ("omega",), "g") for j_fn in m.hypercomplex or ())
+                for k, (m, lo, hi, section) in enumerate(members)}
 
     def _once(self, key, compute):
         # compute(ev) gives the value on the evaluation ev; a view takes its
@@ -489,14 +510,21 @@ class Evaluation:
         ev._source, ev._pending, ev._member = self, None, k
         return ev
 
-    def _variant(self, key, make) -> "Evaluation":
-        """The variant held under ``key``, made by ``make`` on first use.  One
-        made before this evaluation's first pass joins that pass."""
-        if key not in self._variants:
-            self._variants[key] = make()
-            if self._pending is not None:
-                self._pending.append(self._variants[key])
-        return self._variants[key]
+    def _declare(self, members, differentiated, shared: str) -> "Evaluation":
+        """The variant of ``members``, ``(m, lo, hi, section)`` on the rows
+        ``[lo, hi)`` here, which differentiates ``differentiated`` in this
+        evaluation's first pass and shares its value ``shared`` there at
+        every stencil level."""
+        index = np.concatenate([np.arange(lo, hi) for _, lo, hi, _ in members])
+        index = None if index.size == self.pts.shape[0] else index
+        own, at = [], 0
+        for m, lo, hi, section in members:
+            own.append((m, at, at + hi - lo, section))
+            at += hi - lo
+        ev = self._derive(tuple(own), _take(self.pts, _rows(index)), 0, differentiated, index,
+                          (shared,))
+        self._pending.append(ev)
+        return ev
 
     def _counterpart(self, v, a: int, b: int, lo: int) -> "Evaluation":
         """The pass's evaluation of the variant ``v``, made from the pass's
@@ -514,78 +542,23 @@ class Evaluation:
             self._pending.append(ev)
         return ev
 
-    def with_structure(self, j_fn) -> "Evaluation":
-        """The evaluation of the same metric, points and step with the complex
-        structure ``j_fn``, held: a variant of this one.  It differentiates
-        ``omega`` alone: a structure's torsion and Lee form, all that the HKT
-        checks read of it, differentiate nothing else that depends on ``J``.
-        Made before this evaluation's first pass, it joins that pass and
-        shares ``g`` at every stencil level; made after, it runs its own.  Each
-        call gives it the metric-only values held here by then.  This
-        evaluation holds it; it keeps no reference to this one.  A view's is
-        the variant of the joined evaluation on the view's rows."""
-        if self._source is not None:
-            return self._source._with_structure(j_fn, self._rows.start, self._rows.stop)
-        return self._with_structure(j_fn, 0, self.pts.shape[0])
-
-    def _with_structure(self, j_fn, a: int, b: int) -> "Evaluation":
-        # the structure j_fn of the member on the rows [a, b) here
+    def structures(self) -> tuple:
+        """The other two structures of this member's hypercomplex triple,
+        none where it has no triple: evaluations of the same metric, points
+        and step that joined this evaluation's first pass and share ``g``
+        at every stencil level.  Each call gives them the metric-only values
+        held here by then.  This evaluation holds them, or, for a view, the
+        joined evaluation, on the view's rows; they keep no reference to
+        either.  Only an evaluation made for ``classify`` holds them."""
+        holder = self if self._source is None else self._source
+        if self._member not in holder._structures:
+            raise PreconditionError(f"{self.m.name}: an evaluation made without 'classify' "
+                                    "holds no structures")
         keys = ("g", "ginv", "frames", ("partial", "g"), "koszul", ("gamma", "levi_civita"))
-        [(m, _, _, section)] = [mem for mem in self.members if mem[1] == a]
-        index = None if b - a == self.pts.shape[0] else np.arange(a, b)
-        rows = _rows(index)
-        ev = self._variant(("structure", j_fn) if index is None else ("structure", j_fn, a),
-                           lambda: self._derive(
-                               ((replace(m, complex_structure=j_fn, hypercomplex=None),
-                                 0, b - a, section),),
-                               _take(self.pts, rows), self._depth, ("omega",), index, ("g",)))
-        ev._values.update({k: _take(self._values[k], rows) for k in keys
-                           if k in self._values and k not in ev._values})
-        return ev
-
-    def with_conformal_parent(self) -> "Evaluation":
-        """The evaluation of the conformal parent on the same points and step,
-        held: a variant of this one that carries its ``J``, which a conformal
-        change keeps.  The parent's own ``J`` field is read at the base points
-        only, where it must agree with this ``J`` to 16 ulps of ``|J|``, or
-        it is a ``ContractViolationError`` naming the field.  Made before this
-        evaluation's first pass, it joins that pass and shares ``J`` at every
-        stencil level; made after, it runs its own.  This evaluation holds it;
-        it keeps no reference to this one.  A joined evaluation's is one
-        evaluation of the parents of the members that have one, on their
-        rows, and a view's is the joined evaluation's, which the view does
-        not hold: the conformal row, measured once on the joined evaluation,
-        reads them and drops them there."""
-        if self.m is not None and self.m.conformal_parent is None:
-            raise PreconditionError(f"{self.m.name} has no conformal parent")
-        if self._source is not None:
-            return self._source.with_conformal_parent()
-        members = [mem for mem in self.members if mem[0].conformal_parent is not None]
-        if not members:
-            raise PreconditionError("no joined manifold has a conformal parent")
-
-        def make():
-            # its u, Lee form and Levi-Civita coefficients read these partials
-            J = self.J
-            index = (None if len(members) == len(self.members)
-                     else np.concatenate([np.arange(lo, hi) for _, lo, hi, _ in members]))
-            parents, at = [], 0
-            for m, lo, hi, section in members:
-                parents.append((m.conformal_parent.parent, at, at + hi - lo, section))
-                at += hi - lo
-            parent = self._derive(tuple(parents), _take(self.pts, _rows(index)), self._depth,
-                                  ("g", "omega", "chern_coefficients"), index, ("J",))
-            own = parent._field("complex_structure", 2)
-            for (m, lo, hi, section), (_, a, b, _) in zip(members, parents):
-                skew = np.abs(own[a:b] - J[lo:hi]).max()
-                if not skew <= _SYMMETRY_TOL * np.abs(J[lo:hi]).max():
-                    exc = ContractViolationError(
-                        f"{m.name}: field 'conformal_parent.complex_structure' differs from "
-                        f"'complex_structure' by {skew:.3g}, and a conformal change keeps J")
-                    exc.manifold = section
-                    raise exc
-            return parent
-        return self._variant("conformal_parent", make)
+        for ev in holder._structures[self._member]:
+            ev._values.update({k: _take(holder._values[k], ev._rows) for k in keys
+                               if k in holder._values and k not in ev._values})
+        return holder._structures[self._member]
 
     def _blocks(self) -> list:
         """The bounds of the blocks a pass here runs over: balanced blocks
@@ -613,9 +586,9 @@ class Evaluation:
         in one central-difference pass over one evaluation on
         the stencil set around the points, which the pass drops when it
         returns; any other primitive is a pass of its own.  The first pass
-        takes the variants made before it too, each over its own evaluation
-        on its rows of the same stencil set, made from this pass's
-        evaluation there.  On the first stencil level those evaluations are
+        takes the variants too, each over its own evaluation on its rows of
+        the same stencil set, made from this pass's evaluation there.  On
+        the first stencil level those evaluations are
         built at the distinct second-level points only, and every other
         point reads its twin.  A base pass runs once per block of points
         under ``_PASS_BYTES`` into outputs for all points; only the held
@@ -631,9 +604,7 @@ class Evaluation:
         # pass takes of it
         members = [(self, (attr,))]
         if attr in self.differentiated:
-            # a variant that ran its own pass already is not taken again
-            members = [(ev, ev.differentiated) for ev in self._pending
-                       if ("partial", ev.differentiated[0]) not in ev._values]
+            members = [(ev, ev.differentiated) for ev in self._pending]
             members.append((self, self.differentiated))
             self._pending = None
 
@@ -1280,20 +1251,38 @@ def verify_conformal_trace(ev: Evaluation, tol=TOL_CURVATURE) -> Row:
 def _conformal_rows(ev: Evaluation):
     """The conformal change of u (order 2) on the rows of the members of
     ``ev`` that have a conformal parent, and 0 on the others, which no
-    section reads.  The parents are the variant
-    :meth:`Evaluation.with_conformal_parent` of ``ev``, which carries its
-    ``J``.  The factor's derivatives are read first, so the stencil pass of
-    ``ev`` runs before any of the parents' work: parents made before that
-    pass join it, and ones made after run their own.  Their four base-point
-    values are read, and the parents dropped from ``ev``, before the row is
-    measured, so ``ev`` holds none of their values past the row."""
+    section reads.  The parents are the variant of ``ev`` that
+    :meth:`Evaluation.joined` made for ``identities``, which this generator
+    alone reads, and takes from ``ev``.  The factor's derivatives are read
+    first, so the stencil pass of ``ev``, which the parents join, runs
+    before any of their work.  Then each parent's own ``J`` field is read at
+    the base points, where it must agree with the section's ``J`` to 16
+    ulps of ``|J|``, or it is a ``ContractViolationError`` naming the
+    field; the parents carry the section's ``J``, which a conformal change
+    keeps.  Their four base-point values are read, and the parents dropped,
+    before the row is measured, so ``ev`` holds none of their values past
+    the row."""
     # dF on the points, and its derivative for the parent's Laplacian of F
     df = 2.0 * ev.dlog_factor
     ddf = 2.0 * ev.partial("dlog_factor")
-    parent = ev.with_conformal_parent()
-    gamma, theta, ginv, u = parent.gamma("levi_civita"), parent.theta, parent.ginv, parent.u
+    parent, ev._parents = ev._parents, None  # no other row reads them
+    if parent is None:
+        raise PreconditionError("an evaluation made without 'identities' holds no "
+                                "conformal parents")
     rows = _rows(parent._index)  # the parents' rows here
-    del parent, ev._variants["conformal_parent"]  # no other row reads them
+    J = _take(ev.J, rows)
+    own = parent._field("complex_structure", 2)
+    for _, a, b, section in parent.members:
+        skew = np.abs(own[a:b] - J[a:b]).max()
+        if not skew <= _SYMMETRY_TOL * np.abs(J[a:b]).max():
+            exc = ContractViolationError(
+                f"{section}: field 'conformal_parent.complex_structure' differs from "
+                f"'complex_structure' by {skew:.3g}, and a conformal change keeps J")
+            exc.manifold = section
+            raise exc
+    parent._values["J"] = J
+    gamma, theta, ginv, u = parent.gamma("levi_civita"), parent.theta, parent.ginv, parent.u
+    del parent
     df, ddf = _take(df, rows), _take(ddf, rows)
     nab = covariant_derivative_of(ddf, df, gamma, 1)
 

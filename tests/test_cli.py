@@ -361,14 +361,11 @@ def test_a_non_finite_conformal_row_is_its_own_sections_failure(monkeypatch, cap
         f"in 'conformal_u_change' at point {point}\n")
     ms = [get_manifold(name) for name in names]
     pts = [m.sample_points(16, 0) for m in ms]
+    # the parents join the group's pass, as they join a report's
     views = Evaluation.joined(list(zip(ms, pts)))
-    for view in views:  # the parents join the group's pass, as a report makes them
-        view.with_conformal_parent()
     for m, p, view in zip(ms[:-1], pts, views):
-        alone = Evaluation(m, p)
-        alone.with_conformal_parent()
         assert ktgeo.identities.verify_conformal_trace(view) == (
-            ktgeo.identities.verify_conformal_trace(alone))
+            ktgeo.identities.verify_conformal_trace(Evaluation(m, p)))
     with pytest.raises(ktgeo.errors.NumericError, match="'conformal_u_change'"):
         ktgeo.identities.verify_conformal_trace(views[-1])
 
@@ -461,6 +458,37 @@ def test_a_nan_scalar_field_in_a_joined_report_names_its_chart(field, stencil, s
             "--manifold", "hopf_hkt", "--points", "16", "--out", "/dev/null"]
     assert main(argv + [a for s in suites for a in ("--suite", s)]) == 3
     assert capsys.readouterr().err == _NAN_SCALAR_LINES[field, stencil, suites]
+
+
+# a NaN J at a base point fails the first section that reads J, as a NaN
+# conformal factor does: classify, or the conformal row, which checks the
+# parent's J against it.  Joined after flat_torus_4, whose classify suite
+# reads J for the group, hopf_standard's line names classify; a parentless
+# chart joined before hopf_standard gives its line reported alone
+_NAN_J_LINES = {
+    ("hopf_standard", ("flat_torus_4", "nan_j", "hopf_hkt")):
+    "error: numeric failure on 'nan_j' during 'classify': nan_j: field 'complex_structure' "
+    "is not finite at point [-0.17571282657382853, -1.1045960030281459, -0.714578458103971, "
+    "0.46073028880045236]\n",
+    ("flat_torus_4", ("nan_j", "hopf_standard")):
+    "error: numeric failure on 'nan_j' during 'classify': nan_j: field 'complex_structure' "
+    "is not finite at point [4.514683143008792, 3.0153356250002004, 3.3694098270856876, "
+    "1.606800306268291]\n",
+}
+
+
+@pytest.mark.parametrize("base, names", list(_NAN_J_LINES))
+def test_a_nan_j_in_a_joined_report_fails_the_first_section_that_reads_it(base, names,
+                                                                          capsys):
+    m = replace(get_manifold(base), name="nan_j")
+    spot = m.sample_points(16, 0, margin=max(0.05, 3 * ktgeo.tensor_core.DEFAULT_STEP))[3]
+    register_manifold(replace(m, complex_structure=_nan_near(m.complex_structure, spot,
+                                                             False)))
+    groups = [names] + [["nan_j"]] * (m.conformal_parent is None)
+    for group in groups:
+        argv = ["report", "--points", "16", "--out", "/dev/null"]
+        assert main(argv + [a for n in group for a in ("--manifold", n)]) == 3
+        assert capsys.readouterr().err == _NAN_J_LINES[base, names]
 
 
 def test_residual_failure_exits_1(tmp_path):
@@ -973,6 +1001,21 @@ def test_an_engine_bug_exits_4_naming_the_manifold_and_suite(monkeypatch, capsys
     assert err[-2] == "RuntimeError: engine bug"
     assert err[-1] == ("error: internal error on 'flat_torus_4' during 'classify': "
                        "RuntimeError: engine bug")
+
+
+def test_an_engine_bug_outside_every_section_exits_4(monkeypatch, capsys):
+    # an exception after the sections ran, in the renderer here, is an
+    # engine bug too: its traceback, then one error line, and exit 4
+    def broken(report):
+        raise RuntimeError("renderer bug")
+
+    monkeypatch.setattr(ktgeo.cli, "render_report", broken)
+    assert main(["report", "--manifold", "flat_torus_4", "--points", "1",
+                 "--out", "/dev/null"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "Traceback (most recent call last):"
+    assert err[-2] == "RuntimeError: renderer bug"
+    assert err[-1] == "error: internal error: RuntimeError: renderer bug"
 
 
 def test_singular_chart_field_exits_3_naming_the_manifold_and_suite(capsys):

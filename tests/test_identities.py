@@ -182,43 +182,54 @@ def test_conformal_trace_with_non_kahler_parent():
     assert e.passed, e.residual
 
 
-def _conformal_row(m, pts, joined):
-    """The conformal row on ``m`` at ``pts``, the parent's values it reads
-    and the number of points its J field was evaluated at: a parent made
-    before the section's pass joins it, one made after runs its own."""
-    calls = []
-    parent = m.conformal_parent.parent
-    j_fn = parent.complex_structure
-
-    def counted(p):
-        calls.append(np.asarray(p)[..., 0].size)
-        return j_fn(p)
-    m = replace(m, conformal_parent=replace(m.conformal_parent, parent=replace(
-        parent, complex_structure=counted)))
-    ev = Evaluation(m, pts)
-    if joined:
-        ev.with_conformal_parent()
-    ev.partial("g")  # the section's pass
-    variant = ev.with_conformal_parent()
-    values = [variant.u, variant.theta, variant.ginv, variant.gamma("levi_civita")]
-    return verify_conformal_trace(ev), values, sum(calls)
-
-
 @pytest.mark.parametrize("name", ["hopf_standard", "conf_torus_6", "su2xu1_rescaled"])
-def test_the_conformal_row_does_not_depend_on_whose_pass_the_parent_joined(name):
-    # the parent carries the section's J at every stencil level, bit for bit
-    # the J its own pass would evaluate there
+def test_the_parents_values_are_those_of_the_parents_own_evaluation(name):
+    # the parents join the section's pass and carry its J at every stencil
+    # level, bit for bit the J the parent's own evaluation reads there; the
+    # conformal row reads the parent's own J at the base points only, and
+    # drops the parents
     m = (conformal_rescale(get_manifold("su2xu1"), _conf_factor)
          if name == "su2xu1_rescaled" else get_manifold(name))
     pts = m.sample_points(4, seed=5)
-    (joined, joined_values, joined_calls), (own, own_values, own_calls) = (
-        _conformal_row(m, pts, joined) for joined in (True, False))
-    assert joined == own
-    for a, b in zip(joined_values, own_values):
-        assert np.array_equal(a, b)
-    # its own J only at the base points, or on every stencil level of its pass
-    d = m.dim
-    assert (joined_calls, own_calls) == (4, 4 * (1 + 2 * d + 2 * d * (d + 1)))
+    calls = []
+    parent = m.conformal_parent.parent
+
+    def counted(p):
+        calls.append(np.asarray(p)[..., 0].size)
+        return parent.complex_structure(p)
+    ev = Evaluation(replace(m, conformal_parent=replace(m.conformal_parent, parent=replace(
+        parent, complex_structure=counted))), pts)
+    parents = ev._parents
+    assert verify_conformal_trace(ev).passed
+    assert ev._parents is None
+    own = Evaluation(parent, pts)
+    for key in ("u", "theta", "ginv", ("gamma", "levi_civita")):
+        value, mine = _value(parents, key), _value(own, key)
+        assert value.shape == mine.shape and value.tobytes() == mine.tobytes(), key
+    assert sum(calls) == 4
+
+
+@pytest.mark.parametrize("suites", [(), ("identities",), ("classify",), ("string", "dim4"),
+                                    ("identities", "classify")])
+def test_the_declared_variants_follow_the_suites(suites):
+    # joined makes the parents only for a report that reads identities, and
+    # the triples' structures only for one that reads classify
+    ms = [get_manifold(name) for name in ("flat_torus_4", "hopf_hkt", "conf_torus_4")]
+    views = Evaluation.joined([(m, m.sample_points(2, seed=0)) for m in ms], suites=suites)
+    group = views[0]._source
+    assert (group._parents is not None) == ("identities" in suites)
+    if "identities" in suites:
+        assert [section for *_, section in group._parents.members] == ["hopf_hkt",
+                                                                       "conf_torus_4"]
+    else:
+        with pytest.raises(PreconditionError, match="'identities'"):
+            verify_conformal_trace(views[2])
+    assert len(group._pending) == ("identities" in suites) + 2 * ("classify" in suites)
+    if "classify" in suites:
+        assert [len(view.structures()) for view in views] == [0, 2, 0]
+    else:
+        with pytest.raises(PreconditionError, match="'classify'"):
+            views[1].structures()
 
 
 def test_richardson_second_order_convergence():
@@ -519,11 +530,10 @@ def test_first_level_partials_equal_the_four_set_reference(name, monkeypatch):
 
 
 def _variants(ev):
-    """The variants of ``ev`` that a report section reads: the conformal
-    parent and the triple's other structures."""
-    m = ev.m
-    variants = ([ev.with_conformal_parent()] if m.conformal_parent is not None else [])
-    return variants + [ev.with_structure(j_fn) for j_fn in m.hypercomplex or ()]
+    """The variants that ``ev``, an evaluation of one chart, holds for a
+    report section: the conformal parent, until the conformal row drops it,
+    and the triple's other structures."""
+    return [ev._parents] * (ev.m.conformal_parent is not None) + list(ev.structures())
 
 
 def _run_suites(ev):
@@ -539,8 +549,7 @@ def _run_suites(ev):
 def _section_evaluations(m, pts):
     """Every evaluation of one report section on ``m`` at ``pts``, run as a
     report runs it: the section's, then its variants, the conformal parent
-    and the triple's other structures, which it makes before any suite so
-    they join its stencil pass."""
+    and the triple's other structures, which join its stencil pass."""
     ev = Evaluation(m, pts)
     variants = _variants(ev)
     _run_suites(ev)
@@ -560,12 +569,13 @@ def test_evaluations_hold_base_point_values_only(name):
     evs = _section_evaluations(m, m.sample_points(3, seed=2))
     # the section's, its conformal parent's and the triple's other structures
     assert len(evs) == 1 + (m.conformal_parent is not None) + 2 * (m.hypercomplex is not None)
-    assert list(evs[0]._variants.values()) == evs[1 + (m.conformal_parent is not None):]
+    assert list(evs[0].structures()) == evs[1 + (m.conformal_parent is not None):]
     for ev in evs:
+        # the conformal row dropped the parents
         assert not [k for k, v in vars(ev).items() if isinstance(v, Evaluation)]
         assert not ev._pending  # nothing waits for a pass
         if ev is not evs[0]:
-            assert not ev._variants
+            assert not ev._structures
         assert ("partial", "omega") in ev._values
         for key, value in ev._values.items():
             if isinstance(value, tuple):  # a held residual: its value and point
@@ -628,11 +638,9 @@ def test_joined_held_values_are_each_members_own(dim):
     ms = [get_manifold(name) for name in catalog_names() if get_manifold(name).dim == dim]
     pts = [m.sample_points(16, seed=0) for m in ms]
     views = Evaluation.joined(list(zip(ms, pts)))
-    for view in views:  # every variant before the one pass, as a report makes them
-        _variants(view)
-    # held here: each conformal row drops the parents from the group
+    # held here: the first conformal row drops the parents from the group
     group = views[0]._source
-    parents = group._variants.get("conformal_parent")
+    parents = group._parents
     for view in views:
         _run_suites(view)
     for m, p, view, (_, lo, hi, _) in zip(ms, pts, views, group.members):
@@ -641,8 +649,7 @@ def test_joined_held_values_are_each_members_own(dim):
         if m.conformal_parent is not None:
             [(a, b)] = [(a, b) for _, a, b, section in parents.members if section == m.name]
             joined.append((_arrays(parents, slice(a, b)), own_variants.pop(0)))
-        joined += [(_arrays(group._variants[("structure", j_fn, lo)]), ev)
-                   for j_fn, ev in zip(m.hypercomplex or (), own_variants)]
+        joined += [(_arrays(s), ev) for s, ev in zip(view.structures(), own_variants)]
         for held, ev in joined:
             assert set(_arrays(ev)) <= set(held), m.name
             for key, value in held.items():
