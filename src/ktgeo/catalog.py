@@ -380,10 +380,11 @@ def hermitian_residuals(m: HermitianManifold, points: np.ndarray,
                         step=DEFAULT_STEP) -> dict:
     """Structure-invariant residuals at sampled points: J^2 = -Id, metric
     compatibility, SPD-ness, integrability, and (if present) the quaternion
-    relations of the hypercomplex triple, read from one evaluation."""
+    relations of the hypercomplex triple, read from one evaluation, made as
+    a report of ``classify`` alone makes it."""
     from .identities import Evaluation  # identities imports this module
 
-    ev = Evaluation(m, points, step)
+    ev = Evaluation.joined([(m, points)], step, ("classify",))[0]
     g = ev.g
     eigmin = float(np.linalg.eigvalsh(g).min())
     if eigmin <= 0:

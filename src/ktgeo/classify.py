@@ -92,9 +92,7 @@ def measure_flags(ev: Evaluation, flags=TAXONOMY) -> dict:
 def structure_flags(ev: Evaluation, tol: float = DEFAULT_CLASSIFY_TOL) -> StructureFlags:
     """Taxonomy flags with their supporting residuals on ``ev``; every flag,
     and the HKT bit of a triple, is measured and read from its row of
-    ``FLAGS`` under ``tol``, none from the manifold's declaration.  The
-    taxonomy is measured before the triple's other structures are read, so
-    they start from the metric-only values it holds."""
+    ``FLAGS`` under ``tol``, none from the manifold's declaration."""
     res = measure_flags(ev)
     hkt = check_hkt(ev, tol) if ev.m.hypercomplex is not None else None
     return StructureFlags(res, tol, hkt)
@@ -102,21 +100,22 @@ def structure_flags(ev: Evaluation, tol: float = DEFAULT_CLASSIFY_TOL) -> Struct
 
 def classify(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
              step: float = DEFAULT_STEP) -> StructureFlags:
-    """The :func:`structure_flags` of ``m`` at the sampled points."""
-    return structure_flags(Evaluation(m, pts, step), tol)
+    """The :func:`structure_flags` of ``m`` at the sampled points, on the
+    evaluation a report of ``classify`` alone reads: it differentiates only
+    what the flags read, and makes no conformal parent."""
+    return structure_flags(Evaluation.joined([(m, pts)], step, ("classify",))[0], tol)
 
 
 def check_hkt(ev: Evaluation, tol: float = DEFAULT_CLASSIFY_TOL) -> HktFlags:
     """Quaternion relations, common Bismut torsion, and Lee-form equality of
     the hypercomplex triple of the manifold of ``ev``.  The triple's other
     structures are :meth:`Evaluation.structures` of ``ev``, which
-    ``Evaluation.joined`` made for ``classify`` and which joined the
-    stencil pass of ``ev``; they are read after its torsion and Lee form,
-    so they start from the metric-only values those hold."""
+    ``Evaluation.joined`` made for ``classify``: they join the stencil pass
+    of ``ev`` and read its metric-only values, whichever of them is read
+    first."""
     m = ev.m
     if m.hypercomplex is None:
         raise PreconditionError(f"{m.name} carries no hypercomplex triple")
-    ev.T, ev.theta  # the pass of ev, and the values the structures start from
     evs = [ev, *ev.structures()]
     quat = quaternion_residual([e.J for e in evs])
     pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]

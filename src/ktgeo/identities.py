@@ -66,6 +66,7 @@ keeps 1e-6 where ``tol`` is larger.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import replace
 from functools import lru_cache
 from operator import attrgetter
@@ -337,6 +338,11 @@ def _largest(mags: np.ndarray) -> tuple:
     return value, worst
 
 
+# the values a triple's structure shares with its section, which read the
+# metric alone
+_METRIC_KEYS = ("g", "ginv", "frames", ("partial", "g"), "koszul", ("gamma", "levi_civita"))
+
+
 def _clipped(members, a: int, b: int) -> tuple:
     """The members on the rows ``[a, b)``, their rows counted from ``a``."""
     return tuple((m, max(lo, a) - a, min(hi, b) - a, section)
@@ -388,24 +394,33 @@ class Evaluation:
     A variant is another evaluation on rows of this one, which
     :meth:`joined` makes, before any value is read, for the suites it is
     given (the constructor, for every suite): one evaluation of the
-    conformal parents of the members that have one, which carries this
-    ``J``, where ``identities`` is read, and each member's two other
-    structures of its hypercomplex triple on this metric (:meth:`structures`)
-    where ``classify`` is.  Making one reads no chart field.  Every variant
-    joins this evaluation's first pass, block by block in the same
-    central-difference call: on each stencil level its evaluation is made
-    from this pass's evaluation there and shares its ``J`` or ``g``, so
-    each chart field is evaluated once per stencil point.  A variant holds
-    no evaluation and a stencil level is dropped with its pass, so only
-    base-point values outlive a pass; a view holds the joined evaluation
-    and no variant, since its variants are the joined evaluation's, and the
-    joined evaluation holds no view.  The conformal row, the parents' only
-    reader, drops them.  The manifold's
-    dimension must be even and at least 4.  The point set must not be empty
-    and must have the manifold's dimension, and the chart domain is checked
-    once, on the base points, with the margin the deepest stencil needs;
-    each chart field's shape is checked on every point set where it is
-    read.  :meth:`residual` is the engine's one residual measure.
+    conformal parents of the members that have one where ``identities`` is
+    read, and each member's two other structures of its hypercomplex
+    triple on this metric (:meth:`structures`) where ``classify`` is.
+    Making one reads no chart field.  An evaluation made from another holds
+    it as its source, with the keys it shares: a view every key, the
+    parents ``J``, a structure the metric-only values, a stencil
+    counterpart its variant's.  One rule reads a shared key: it is the
+    evaluation's rows of the source's value, which the source computes on
+    first use, so no reader keeps a read order.  Every variant joins this
+    evaluation's first pass, block by block in the same central-difference
+    call, and its first ``partial`` of a primitive it differentiates runs
+    that pass: on each stencil level its counterpart is made from this
+    pass's evaluation there and shares the same keys, so each chart field
+    is evaluated once per stencil point.  A variant holds its source by a
+    weak proxy, since the source holds the variant, so the two form no
+    cycle, and a stencil level is dropped with its pass, so only base-point
+    values outlive a pass.  A view holds the joined evaluation and no
+    variant, since its variants are the joined evaluation's, and the joined
+    evaluation holds no view.  The conformal row, the parents' only reader,
+    drops them.
+
+    The manifold's dimension must be even and at least 4.  The point set
+    must not be empty and must have the manifold's dimension, and the chart
+    domain is checked once, on the base points, with the margin the deepest
+    stencil needs; each chart field's shape is checked on every point set
+    where it is read.  :meth:`residual` is the engine's one residual
+    measure.
     """
 
     def __init__(self, m: HermitianManifold, pts, step: float = DEFAULT_STEP):
@@ -418,8 +433,9 @@ class Evaluation:
         self._values = {}
         self._depth = depth  # stencil levels below the base points
         self.differentiated = tuple(differentiated)
-        self._shared = ()  # the keys a variant takes from its source at every level
-        self._source = None  # the evaluation a view reads its values off
+        # the evaluation this one was made from, and the keys whose values
+        # here are its rows of that one's: a view names none and shares all
+        self._source, self._shared = None, ()
         self._member = 0  # a view's member there, by its index in the members
         # its rows of the evaluation it was made from (None: all), and those
         # rows as a slice where they are contiguous
@@ -470,18 +486,18 @@ class Evaluation:
         parents = [(m.conformal_parent.parent, lo, hi, section)
                    for m, lo, hi, section in members if m.conformal_parent is not None]
         if "identities" in suites and parents:
-            self._parents = self._declare(parents, ("g", "omega", "chern_coefficients"), "J")
+            self._parents = self._declare(parents, ("g", "omega", "chern_coefficients"), ("J",))
         if "classify" in suites:
             self._structures = {k: tuple(self._declare(
                 [(replace(m, complex_structure=j_fn, hypercomplex=None), lo, hi, section)],
-                ("omega",), "g") for j_fn in m.hypercomplex or ())
+                ("omega",), _METRIC_KEYS) for j_fn in m.hypercomplex or ())
                 for k, (m, lo, hi, section) in enumerate(members)}
 
     def _once(self, key, compute):
-        # compute(ev) gives the value on the evaluation ev; a view takes its
-        # rows of its source's
+        # compute(ev) gives the value on the evaluation ev; a shared key is
+        # its rows of its source's, which the source computes on first use
         if key not in self._values:
-            if self._source is not None:
+            if self._shares(key):
                 self._values[key] = _take(self._source._once(key, compute), self._rows)
             else:
                 self._values[key] = _frozen(compute(self))
@@ -489,14 +505,26 @@ class Evaluation:
 
     def _derive(self, members, pts, depth, differentiated=(), index=None,
                 shared=()) -> "Evaluation":
-        # on the rows ``index`` of this one (None: all), starting from its
-        # values held under shared; no domain check: the base evaluation
-        # made it for every stencil depth
+        # on the rows ``index`` of this one (None: all); a variant, which
+        # shares the keys ``shared``, holds this one by a weak proxy, since
+        # this one holds it; no domain check: the base evaluation made it
+        # for every stencil depth
         ev = Evaluation.__new__(Evaluation)
         ev._start(members, pts, self.step, depth, differentiated, index)
-        ev._shared = shared
-        ev._values = {k: _take(self._values[k], ev._rows) for k in shared if k in self._values}
+        if shared:
+            ev._source, ev._shared = weakref.proxy(self), shared
         return ev
+
+    def _shares(self, key) -> bool:
+        # whether the value of key here is its rows of the source's: a view
+        # shares every key, a variant those it names
+        return self._source is not None and (not self._shared or key in self._shared)
+
+    @property
+    def _holder(self) -> "Evaluation":
+        # the evaluation that holds a view's values, its source; any other
+        # holds its own
+        return self._source if self._source is not None and not self._shared else self
 
     def _view(self, k: int) -> "Evaluation":
         """The view of the ``k``-th member here: it reads every value off
@@ -510,11 +538,11 @@ class Evaluation:
         ev._source, ev._pending, ev._member = self, None, k
         return ev
 
-    def _declare(self, members, differentiated, shared: str) -> "Evaluation":
+    def _declare(self, members, differentiated, shared: tuple) -> "Evaluation":
         """The variant of ``members``, ``(m, lo, hi, section)`` on the rows
         ``[lo, hi)`` here, which differentiates ``differentiated`` in this
-        evaluation's first pass and shares its value ``shared`` there at
-        every stencil level."""
+        evaluation's first pass and shares its values ``shared``, here and
+        at every stencil level of the pass."""
         index = np.concatenate([np.arange(lo, hi) for _, lo, hi, _ in members])
         index = None if index.size == self.pts.shape[0] else index
         own, at = [], 0
@@ -522,7 +550,7 @@ class Evaluation:
             own.append((m, at, at + hi - lo, section))
             at += hi - lo
         ev = self._derive(tuple(own), _take(self.pts, _rows(index)), 0, differentiated, index,
-                          (shared,))
+                          shared)
         self._pending.append(ev)
         return ev
 
@@ -533,8 +561,6 @@ class Evaluation:
         values here under its shared keys.  It joins this evaluation's pass
         where its own first level differentiates any."""
         index = None if v._index is None else v._index[a:b] - lo
-        for key in v._shared:
-            getattr(self, key)
         ev = self._derive(_clipped(v.members, a, b), _take(self.pts, _rows(index)), self._depth,
                           _first_level(v.differentiated) if self._depth == 1 else (),
                           index, v._shared)
@@ -545,19 +571,18 @@ class Evaluation:
     def structures(self) -> tuple:
         """The other two structures of this member's hypercomplex triple,
         none where it has no triple: evaluations of the same metric, points
-        and step that joined this evaluation's first pass and share ``g``
-        at every stencil level.  Each call gives them the metric-only values
-        held here by then.  This evaluation holds them, or, for a view, the
-        joined evaluation, on the view's rows; they keep no reference to
-        either.  Only an evaluation made for ``classify`` holds them."""
-        holder = self if self._source is None else self._source
+        and step that join this evaluation's first pass.  Each reads its
+        metric-only values, ``g`` to the Levi-Civita coefficients, as its
+        rows of those here, at every stencil level too, in whatever order
+        they are read.  This evaluation holds them, or, for a view, the
+        joined evaluation, on the view's rows; they hold it by a weak proxy,
+        so they are read while it is held, and once it is gone a read
+        raises ``ReferenceError``.  Only an evaluation made for
+        ``classify`` holds them."""
+        holder = self._holder
         if self._member not in holder._structures:
             raise PreconditionError(f"{self.m.name}: an evaluation made without 'classify' "
                                     "holds no structures")
-        keys = ("g", "ginv", "frames", ("partial", "g"), "koszul", ("gamma", "levi_civita"))
-        for ev in holder._structures[self._member]:
-            ev._values.update({k: _take(holder._values[k], ev._rows) for k in keys
-                               if k in holder._values and k not in ev._values})
         return holder._structures[self._member]
 
     def _blocks(self) -> list:
@@ -592,13 +617,18 @@ class Evaluation:
         built at the distinct second-level points only, and every other
         point reads its twin.  A base pass runs once per block of points
         under ``_PASS_BYTES`` into outputs for all points; only the held
-        base-point values grow with the points.  A view reads its rows of
-        the joined evaluation's ``partial``."""
+        base-point values grow with the points.  A view, or a variant for a
+        key it shares, reads its rows of its source's ``partial``; a
+        variant's first ``partial`` of a primitive it differentiates runs
+        its source's pass, which fills it."""
         key = ("partial", attr)
         if key in self._values:
             return self._values[key]
-        if self._source is not None:
+        if self._shares(key):
             self._values[key] = _take(self._source.partial(attr), self._rows)
+            return self._values[key]
+        if self._source is not None and attr in self.differentiated:
+            self._source.partial(self._source.differentiated[0])
             return self._values[key]
         # the variants first and this evaluation last, each with what the
         # pass takes of it
@@ -625,10 +655,6 @@ class Evaluation:
                         v.shape[:1] + p.shape[1:-1] + v.shape[len(lead) + 1:])
             level = [here._counterpart(ev, a, b, lo) if a < b else None
                      for (ev, _), (a, b) in zip(members[:-1], spans)] + [here]
-            if here._pending and here.differentiated:
-                # the pass there, which fills its variants' partials, runs
-                # before any variant reads one
-                here.partial(here.differentiated[0])
             del here
             # each evaluation is dropped once its values are read, and each
             # value once it is differentiated, so the variants' values are
@@ -996,7 +1022,7 @@ class Evaluation:
         if isinstance(diff, str):
             key = ("residual", diff)
             if key not in self._values:
-                if self._source is not None:
+                if self._holder is not self:
                     k = self._member
                     self._values[key] = self._source._measures(diff, diff)[k:k + 1]
                 else:
@@ -1065,7 +1091,7 @@ def measure_rows(ev: Evaluation, rows, tol=TOL_CURVATURE, tol_first=TOL_FIRST_OR
     one that rests on a section's hypotheses to this section's.  A NaN or
     infinite residual raises ``NumericError`` when its section reads its
     row, as :meth:`Evaluation.residual` does."""
-    holder = ev if ev._source is None else ev._source
+    holder = ev._holder
     key = ("rows", rows)
     if key not in holder._values:
         holder._values[key] = _measured(holder, rows(holder))
@@ -1253,15 +1279,13 @@ def _conformal_rows(ev: Evaluation):
     ``ev`` that have a conformal parent, and 0 on the others, which no
     section reads.  The parents are the variant of ``ev`` that
     :meth:`Evaluation.joined` made for ``identities``, which this generator
-    alone reads, and takes from ``ev``.  The factor's derivatives are read
-    first, so the stencil pass of ``ev``, which the parents join, runs
-    before any of their work.  Then each parent's own ``J`` field is read at
-    the base points, where it must agree with the section's ``J`` to 16
-    ulps of ``|J|``, or it is a ``ContractViolationError`` naming the
-    field; the parents carry the section's ``J``, which a conformal change
-    keeps.  Their four base-point values are read, and the parents dropped,
-    before the row is measured, so ``ev`` holds none of their values past
-    the row."""
+    alone reads, and takes from ``ev``; they join its stencil pass and
+    share its ``J``, which a conformal change keeps.  Each parent's own
+    ``J`` field is read at the base points, where it must agree with the
+    section's ``J`` to 16 ulps of ``|J|``, or it is a
+    ``ContractViolationError`` naming the field.  Their four base-point
+    values are read, and the parents dropped, before the row is measured,
+    so ``ev`` holds none of their values past the row."""
     # dF on the points, and its derivative for the parent's Laplacian of F
     df = 2.0 * ev.dlog_factor
     ddf = 2.0 * ev.partial("dlog_factor")
@@ -1270,7 +1294,7 @@ def _conformal_rows(ev: Evaluation):
         raise PreconditionError("an evaluation made without 'identities' holds no "
                                 "conformal parents")
     rows = _rows(parent._index)  # the parents' rows here
-    J = _take(ev.J, rows)
+    J = parent.J  # the section's, on those rows
     own = parent._field("complex_structure", 2)
     for _, a, b, section in parent.members:
         skew = np.abs(own[a:b] - J[a:b]).max()
@@ -1280,7 +1304,6 @@ def _conformal_rows(ev: Evaluation):
                 f"'complex_structure' by {skew:.3g}, and a conformal change keeps J")
             exc.manifold = section
             raise exc
-    parent._values["J"] = J
     gamma, theta, ginv, u = parent.gamma("levi_civita"), parent.theta, parent.ginv, parent.u
     del parent
     df, ddf = _take(df, rows), _take(ddf, rows)

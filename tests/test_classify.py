@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from ktgeo.catalog import catalog_names, get_manifold
-from ktgeo.classify import check_hkt, classify, vanishing_hypotheses
+from ktgeo.classify import check_hkt, classify, structure_flags, vanishing_hypotheses
 from ktgeo.errors import ContractViolationError, PreconditionError
-from ktgeo.identities import Evaluation, run_identity_suite, verify_dim4
+from ktgeo.identities import Evaluation, run_identity_suite, verify_conformal_trace, verify_dim4
 from ktgeo.string_eqs import run_string_suite
 
 EXPECTED_FLAGS = {
@@ -86,6 +86,27 @@ def test_points_of_another_dimension_rejected(hopf, entry):
     with pytest.raises(ContractViolationError,
                        match="hopf_standard: points have dimension 3, expected 4"):
         _enter(entry, hopf, np.ones((2, 3)))
+
+
+def test_classify_reads_no_conformal_parent():
+    # classify's evaluation is a report of classify alone, which makes no
+    # conformal parent, so the parent's metric is never called; the flags
+    # are those of the evaluation of every suite
+    m = get_manifold("hopf_standard")
+    parent = m.conformal_parent.parent
+    calls = []
+
+    def metric(p):
+        calls.append(len(p))
+        return parent.metric(p)
+
+    counted = replace(m, conformal_parent=replace(
+        m.conformal_parent, parent=replace(parent, metric=metric)))
+    pts = m.sample_points(16, seed=0)
+    assert classify(counted, pts).as_dict() == structure_flags(Evaluation(m, pts)).as_dict()
+    assert calls == []
+    verify_conformal_trace(Evaluation(counted, pts))  # where the parent is read
+    assert calls
 
 
 def test_check_hkt_hopf_triple():

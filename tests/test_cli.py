@@ -1458,15 +1458,15 @@ def test_a_joined_report_makes_one_pass_per_stencil_level(monkeypatch, tmp_path)
     for level in (first, second):
         here, parents, structures = level[0], level[1], level[2:]
         assert [m.name for m, *_ in here.members] == ["hopf_standard", "hopf_hkt"]
-        assert all(ev._source is None for ev in level)
+        assert all(ev._holder is ev for ev in level)  # none is a view
         assert [m for m, *_ in parents.members] == [
             get_manifold(name).conformal_parent.parent for name in ("hopf_standard", "hopf_hkt")]
-        assert parents._values["J"] is here._values["J"]  # shared, not evaluated
+        assert np.shares_memory(parents.J, here.J)  # shared, not evaluated
         assert len(structures) == 2 * (level is first)
         for ev in structures:  # hopf_hkt's rows of the metric there
             assert ev.m.name == "hopf_hkt"
-            assert np.shares_memory(ev._values["g"], here._values["g"])
-            assert np.array_equal(ev._values["g"], here._values["g"][2:])
+            assert np.shares_memory(ev.g, here.g)
+            assert np.array_equal(ev.g, here.g[2:])
 
 
 # the sections of a report that each suite writes

@@ -1,5 +1,7 @@
+import gc
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -10,7 +12,7 @@ from ktgeo import identities, tensor_core
 from ktgeo.catalog import (
     BoxChart, HermitianManifold, _conf_factor, catalog_names, conformal_rescale, get_manifold,
 )
-from ktgeo.classify import structure_flags, vanishing_hypotheses
+from ktgeo.classify import check_hkt, structure_flags, vanishing_hypotheses
 from ktgeo.connections import lee_form_routes
 from ktgeo.errors import ContractViolationError, NumericError, PreconditionError
 from ktgeo.identities import (
@@ -562,9 +564,9 @@ _BLOCK_TORI = {m.name: m for m in (block_conformal_torus_4(), block_conformal_to
 @pytest.mark.parametrize("name", catalog_names() + list(_BLOCK_TORI))
 def test_evaluations_hold_base_point_values_only(name):
     # after every suite, no evaluation holds another, but for the section its
-    # triple's other structures, or any value on a stencil level: each held
-    # primitive is one read-only float64 array of one tensor per base point,
-    # never a tuple of arrays
+    # triple's other structures and for a variant a weak proxy of its source,
+    # or any value on a stencil level: each held primitive is one read-only
+    # float64 array of one tensor per base point, never a tuple of arrays
     m = _BLOCK_TORI.get(name) or get_manifold(name)
     evs = _section_evaluations(m, m.sample_points(3, seed=2))
     # the section's, its conformal parent's and the triple's other structures
@@ -572,7 +574,9 @@ def test_evaluations_hold_base_point_values_only(name):
     assert list(evs[0].structures()) == evs[1 + (m.conformal_parent is not None):]
     for ev in evs:
         # the conformal row dropped the parents
-        assert not [k for k, v in vars(ev).items() if isinstance(v, Evaluation)]
+        held = [k for k, v in vars(ev).items() if isinstance(v, Evaluation)]
+        assert held == ([] if ev is evs[0] else ["_source"]), held
+        assert ev is evs[0] or type(ev._source) is weakref.ProxyType
         assert not ev._pending  # nothing waits for a pass
         if ev is not evs[0]:
             assert not ev._structures
@@ -584,6 +588,69 @@ def test_evaluations_hold_base_point_values_only(name):
             assert isinstance(value, np.ndarray) and value.dtype == np.float64, key
             assert not value.flags.writeable, key
             assert value.shape[0] == 3 and set(value.shape[1:]) <= {m.dim}, (key, value.shape)
+
+
+def _base_passes(monkeypatch) -> list:
+    """The points of each block of every base pass run from now on."""
+    blocks = []
+    real_fd = identities.fd_partial
+
+    def fd_partial(fn, points, step):
+        if points.ndim == 2:  # a base pass's block
+            blocks.append(len(points))
+        return real_fd(fn, points, step)
+
+    monkeypatch.setattr(identities, "fd_partial", fd_partial)
+    return blocks
+
+
+def test_a_structure_read_first_runs_its_sections_one_pass(monkeypatch):
+    # a structure reads its metric-only values off its section and joins
+    # its section's pass, whichever of the two is read first, so the HKT
+    # check reads the bits it reads when the section's torsion is read first
+    m = get_manifold("hopf_hkt")
+    pts = m.sample_points(16, seed=0)
+    ev = Evaluation(m, pts)
+    ev.T
+    expected = check_hkt(ev)
+    blocks = _base_passes(monkeypatch)
+    ev = Evaluation(m, pts)
+    ev.structures()[0].T
+    assert blocks == [16]
+    assert repr(check_hkt(ev)) == repr(expected)
+    assert blocks == [16]
+
+
+def test_the_parents_read_first_run_their_sections_one_pass(monkeypatch):
+    # the parents read the section's J and join its pass, whichever of the
+    # two is read first, so the conformal row reads the same bits
+    m = get_manifold("hopf_standard")
+    pts = m.sample_points(16, seed=0)
+    expected = verify_conformal_trace(Evaluation(m, pts))
+    blocks = _base_passes(monkeypatch)
+    ev = Evaluation(m, pts)
+    ev._parents.theta
+    assert blocks == [16]
+    assert repr(verify_conformal_trace(ev)) == repr(expected)
+    assert blocks == [16]
+
+
+def test_an_evaluation_whose_variants_were_read_is_freed_with_its_last_reference():
+    # a variant holds its source by a weak proxy, so the source and its
+    # variants form no cycle that only the cyclic collector frees
+    m = get_manifold("hopf_hkt")
+    gc.disable()
+    try:
+        ev = Evaluation(m, m.sample_points(2, seed=0))
+        assert ev._parents is not None
+        for structure in ev.structures():
+            structure.T
+        del structure
+        freed = weakref.ref(ev)
+        del ev
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_the_identity_rows_hold_one_difference_at_a_time():
@@ -712,15 +779,7 @@ def test_a_joined_pass_block_ends_where_a_section_does_when_no_block_more(names,
     ms = [get_manifold(name) for name in names]
     # a report of no suite but the structure block differentiates g and omega
     views = Evaluation.joined([(m, m.sample_points(16, seed=0)) for m in ms], suites=())
-    blocks = []
-    real_fd = identities.fd_partial
-
-    def fd_partial(fn, points, step):
-        if points.ndim == 2:  # a base pass's block
-            blocks.append(len(points))
-        return real_fd(fn, points, step)
-
-    monkeypatch.setattr(identities, "fd_partial", fd_partial)
+    blocks = _base_passes(monkeypatch)
     views[0].partial("g")
     assert blocks == [b - a for a, b in zip(bounds, bounds[1:])]
 
