@@ -380,21 +380,24 @@ def hermitian_residuals(m: HermitianManifold, points: np.ndarray,
                         step=DEFAULT_STEP) -> dict:
     """Structure-invariant residuals at sampled points: J^2 = -Id, metric
     compatibility, SPD-ness, integrability, and (if present) the quaternion
-    relations of the hypercomplex triple, read from one evaluation, made as
-    a report of ``classify`` alone makes it."""
+    relations of the hypercomplex triple.  The chart and the triple's other
+    two structures, the chart with each of them as its complex structure,
+    are the members of one joined evaluation that reads no suite, so one
+    stencil pass takes every ``J`` derivative."""
     from .identities import Evaluation  # identities imports this module
 
-    ev = Evaluation.joined([(m, points)], step, ("classify",))[0]
-    g = ev.g
+    triple = [m] + [replace(m, complex_structure=j, hypercomplex=None)
+                    for j in m.hypercomplex or ()]
+    evs = Evaluation.joined([(s, points) for s in triple], step, ())
+    g = evs[0].g
     eigmin = float(np.linalg.eigvalsh(g).min())
     if eigmin <= 0:
         raise NumericError(f"metric not SPD on {m.name} (min eigenvalue {eigmin})")
     out = {"metric_min_eigenvalue": eigmin}
 
-    structures = [ev, *ev.structures()]
     eye = np.eye(m.dim)
     sq = comp = nij = 0.0
-    for e in structures:
+    for e in evs:
         J = e.J
         sq = max(sq, float(np.abs(np.einsum("...ik,...kj->...ij", J, J) + eye).max()))
         comp = max(comp, float(np.abs(slotwise(g, J, 2) - g).max()))
@@ -404,7 +407,7 @@ def hermitian_residuals(m: HermitianManifold, points: np.ndarray,
     out["nijenhuis_residual"] = nij
 
     if m.hypercomplex is not None:
-        out["quaternion_residual"] = quaternion_residual([e.J for e in structures])
+        out["quaternion_residual"] = quaternion_residual([e.J for e in evs])
     return out
 
 

@@ -109,14 +109,14 @@ def classify(m: HermitianManifold, pts, tol: float = DEFAULT_CLASSIFY_TOL,
 def check_hkt(ev: Evaluation, tol: float = DEFAULT_CLASSIFY_TOL) -> HktFlags:
     """Quaternion relations, common Bismut torsion, and Lee-form equality of
     the hypercomplex triple of the manifold of ``ev``.  The triple's other
-    structures are :meth:`Evaluation.structures` of ``ev``, which
-    ``Evaluation.joined`` made for ``classify``: they join the stencil pass
-    of ``ev`` and read its metric-only values, whichever of them is read
-    first."""
+    structures are evaluations that ``Evaluation.joined`` made with ``ev``
+    for ``classify`` and that only this check reads: they join the stencil
+    pass of ``ev`` and read its metric-only values, whichever of them is
+    read first."""
     m = ev.m
     if m.hypercomplex is None:
         raise PreconditionError(f"{m.name} carries no hypercomplex triple")
-    evs = [ev, *ev.structures()]
+    evs = [ev, *ev._other_structures()]
     quat = quaternion_residual([e.J for e in evs])
     pairs = [(a, b) for a in range(3) for b in range(a + 1, 3)]
     t_match = max(ev.residual("torsion_match", evs[a].T - evs[b].T)[0] for a, b in pairs)

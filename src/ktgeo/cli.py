@@ -24,7 +24,10 @@ floats are written with 17 significant digits (``format(v, ".17g")``), and
 with ``.0`` appended where that text has neither ``.`` nor ``e``, so they read
 back exactly and as floats; NaN and +-inf are written as the strings ``"nan"``,
 ``"inf"`` and ``"-inf"``.  NumPy scalars and arrays are written as their
-``tolist()``.
+``tolist()``.  The writer takes a ``dict`` with ``str`` keys, a ``list``, a
+``tuple``, a ``str``, an ``int``, a ``float``, a ``bool``, ``None`` (each of
+exactly that type, no subclass) and a NumPy value; anything else, a
+non-string key among them, raises ``TypeError``.
 
 On glibc, the entry point pins two allocator thresholds once per process,
 before its first report: the mmap threshold at 32 MiB, the ceiling of glibc's
@@ -175,7 +178,9 @@ def _write_dict(obj, out, pad):
     append = parts.append
     for k, v in obj.items():
         append(sep)
-        append(_quote(k if type(k) is str else str(k)))
+        if type(k) is not str:
+            raise TypeError(f"cannot serialize the key {k!r} of type {type(k)!r}")
+        append(_quote(k))
         append(": ")
         _write(v, parts, inner)
     parts[0] = "{\n" + inner
@@ -200,8 +205,7 @@ def _write_list(obj, out, pad):
 
 def _write(obj, out, pad):
     """Append the text of ``obj``, whose first line starts after ``pad``, to
-    ``out``.  Exact built-in types are dispatched on first; NumPy values and
-    subclasses of the built-ins follow, checked in this order."""
+    ``out``: a value of an exact built-in type, or a NumPy value."""
     kind = type(obj)
     scalar = _SCALARS.get(kind)
     if scalar is not None:
@@ -212,16 +216,6 @@ def _write(obj, out, pad):
         _write_list(obj, out, pad)
     elif isinstance(obj, (np.ndarray, np.generic)):
         _write(obj.tolist(), out, pad)
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_float(obj))
-    elif isinstance(obj, (list, tuple)):
-        _write_list(obj, out, pad)
-    elif isinstance(obj, dict):
-        _write_dict(obj, out, pad)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -319,8 +313,6 @@ def _manifold_report(ev, cfg: RunConfig) -> dict:
         structure = verify_structure(ev, tol)
         section["structure"] = [r.as_dict() for r in structure]
         rows += structure
-    except SectionFailure:
-        raise
     except Exception as exc:
         raise SectionFailure(m.name, suite, exc) from exc
 

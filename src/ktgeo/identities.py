@@ -396,7 +396,8 @@ class Evaluation:
     given (the constructor, for every suite): one evaluation of the
     conformal parents of the members that have one where ``identities`` is
     read, and each member's two other structures of its hypercomplex
-    triple on this metric (:meth:`structures`) where ``classify`` is.
+    triple on this metric where ``classify`` is, which
+    ``classify.check_hkt`` alone reads.
     Making one reads no chart field.  An evaluation made from another holds
     it as its source, with the keys it shares: a view every key, the
     parents ``J``, a structure the metric-only values, a stencil
@@ -568,17 +569,16 @@ class Evaluation:
             self._pending.append(ev)
         return ev
 
-    def structures(self) -> tuple:
+    def _other_structures(self) -> tuple:
         """The other two structures of this member's hypercomplex triple,
-        none where it has no triple: evaluations of the same metric, points
-        and step that join this evaluation's first pass.  Each reads its
-        metric-only values, ``g`` to the Levi-Civita coefficients, as its
-        rows of those here, at every stencil level too, in whatever order
-        they are read.  This evaluation holds them, or, for a view, the
-        joined evaluation, on the view's rows; they hold it by a weak proxy,
-        so they are read while it is held, and once it is gone a read
-        raises ``ReferenceError``.  Only an evaluation made for
-        ``classify`` holds them."""
+        none where it has no triple, for ``check_hkt``: evaluations of the
+        same metric, points and step that join this evaluation's first
+        pass.  Each reads its metric-only values, ``g`` to the Levi-Civita
+        coefficients, as its rows of those here, at every stencil level
+        too, in whatever order they are read.  This evaluation holds them,
+        or, for a view, the joined evaluation, on the view's rows; they hold
+        it by a weak proxy, so they are read only while it is held.  Only an
+        evaluation made for ``classify`` holds them."""
         holder = self._holder
         if self._member not in holder._structures:
             raise PreconditionError(f"{self.m.name}: an evaluation made without 'classify' "
@@ -672,7 +672,10 @@ class Evaluation:
         outputs = [[None] * len(attrs) for _, attrs in members]
         bounds = self._blocks()
         for lo, hi in zip(bounds, bounds[1:]):
-            spans = [_span(ev._index, lo, hi) for ev, _ in members]
+            # a variant's rows of the block, by its index into this
+            # evaluation's rows; this evaluation's own are the block, whatever
+            # its index into its own source
+            spans = [_span(ev._index, lo, hi) for ev, _ in members[:-1]] + [(lo, hi)]
             block = iter(fd_partial(values, self.pts[lo:hi], self.step))
             for (ev, _), (a, b), out in zip(members, spans, outputs):
                 for k in range(len(out) if a < b else 0):

@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import os
+import sys
 from itertools import permutations
 
 import numpy as np
@@ -127,6 +130,17 @@ def block_conformal_torus_4():
     return _block_conformal_torus("block_conformal_torus_4", (
         lambda x: 0.3 * np.sin(x[..., 0] + x[..., 2]) + 0.2 * np.cos(x[..., 3]),
         lambda x: 0.25 * np.cos(x[..., 1] - x[..., 3]) + 0.2 * np.sin(x[..., 0])))
+
+
+def pulled_charts():
+    """The names of the benchmark's three pulled-back charts, registered:
+    d = 4 charts, each with a conformal parent."""
+    spec = importlib.util.spec_from_file_location("pulled_workloads", os.path.join(
+        os.path.dirname(__file__), os.pardir, "ktbench", "workloads.py"))
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)  # its dataclasses look their module up
+    workloads.install_pulled_charts()
+    return list(workloads.PULLED_CHARTS)
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from ktgeo import identities
 from ktgeo.catalog import (
-    catalog_names, conformal_rescale, get_manifold, hermitian_residuals,
+    catalog_names, conformal_rescale, get_manifold, hermitian_residuals, nijenhuis_values,
+    quaternion_residual,
 )
 from ktgeo.connections import lee_form_values
 from ktgeo.errors import UnknownManifoldError
 from ktgeo.identities import Evaluation
-from ktgeo.tensor_core import metric_inverse, norm_sq_values
+from ktgeo.tensor_core import metric_inverse, norm_sq_values, slotwise
+
+from conftest import block_conformal_torus_4, block_conformal_torus_6, pulled_charts
+
+_BLOCK_TORI = {m.name: m for m in (block_conformal_torus_4(), block_conformal_torus_6())}
+_PULLED = ("pulled_conf_torus_4", "pulled_hopf_standard", "pulled_hopf_hkt")
 
 
 def test_catalog_listing():
@@ -31,6 +40,66 @@ def test_structure_invariants_on_64_points(name):
     assert res["nijenhuis_residual"] < 1e-6
     if m.hypercomplex is not None:
         assert res["quaternion_residual"] < 1e-8
+
+
+def _chart(name):
+    """A catalog chart, a benchmark's pulled chart or a block torus."""
+    if name in _PULLED:
+        pulled_charts()
+    return _BLOCK_TORI.get(name) or get_manifold(name)
+
+
+def _triple(m):
+    """``m`` and, where it has a hypercomplex triple, its other structures."""
+    return [m] + [replace(m, complex_structure=j, hypercomplex=None)
+                  for j in m.hypercomplex or ()]
+
+
+def _residuals_structure_by_structure(m, pts):
+    """The residuals of ``hermitian_residuals``, each structure of the
+    triple read off its own evaluation, which takes a pass of J of its own."""
+    evs = [Evaluation(s, pts) for s in _triple(m)]
+    g, eye = evs[0].g, np.eye(m.dim)
+    out = {
+        "metric_min_eigenvalue": float(np.linalg.eigvalsh(g).min()),
+        "j_square_residual": max(float(np.abs(np.einsum("...ik,...kj->...ij", e.J, e.J)
+                                              + eye).max()) for e in evs),
+        "compatibility_residual": max(float(np.abs(slotwise(g, e.J, 2) - g).max())
+                                      for e in evs),
+        "nijenhuis_residual": max(float(np.abs(nijenhuis_values(e.J, e.partial("J"))).max())
+                                  for e in evs),
+    }
+    if m.hypercomplex is not None:
+        out["quaternion_residual"] = quaternion_residual([e.J for e in evs])
+    return out
+
+
+@pytest.mark.parametrize("points", [8, 16])
+@pytest.mark.parametrize("name", catalog_names() + list(_PULLED) + list(_BLOCK_TORI))
+def test_hermitian_residuals_are_each_structures_own(name, points):
+    # the triple's structures join one evaluation, and each reads bit for
+    # bit what its own evaluation reads
+    m = _chart(name)
+    pts = m.sample_points(points, seed=0)
+    assert hermitian_residuals(m, pts) == _residuals_structure_by_structure(m, pts)
+
+
+@pytest.mark.parametrize("points, blocks", [(8, [24]), (16, [32, 16])])
+@pytest.mark.parametrize("name", ["hopf_hkt", "pulled_hopf_hkt"])
+def test_hermitian_residuals_take_one_stencil_pass(monkeypatch, name, points, blocks):
+    # the chart and its two structures are the members of one evaluation,
+    # whose one pass of J takes every structure's derivative: in one block
+    # of 24 points at 8 points each, in two that end where a member does at 16
+    m = _chart(name)
+    calls, real = [], identities.fd_partial
+
+    def fd_partial(fn, p, step):
+        calls.append(len(p))
+        return real(fn, p, step)
+
+    monkeypatch.setattr(identities, "fd_partial", fd_partial)
+    hermitian_residuals(m, m.sample_points(points, seed=0))
+    assert calls == blocks
 
 
 def test_flat_torus_is_kahler():

@@ -3,7 +3,6 @@ import contextlib
 import errno
 import gc
 import importlib
-import importlib.util
 import io
 import json
 import os
@@ -35,7 +34,7 @@ from ktgeo.catalog import (
 from ktgeo.cli import main, render_report
 from ktgeo.identities import Evaluation
 
-from conftest import block_conformal_torus_4, block_conformal_torus_6
+from conftest import block_conformal_torus_4, block_conformal_torus_6, pulled_charts
 
 
 def run_cli(*args):
@@ -286,17 +285,6 @@ def test_each_group_of_sections_takes_its_evaluations_from_one_joined_call(
     assert calls == groups
 
 
-def _pulled_charts():
-    """The names of the benchmark's three pulled-back charts, registered:
-    d = 4 charts, each with a conformal parent."""
-    spec = importlib.util.spec_from_file_location("pulled_workloads", os.path.join(
-        os.path.dirname(__file__), os.pardir, "ktbench", "workloads.py"))
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)  # its dataclasses look their module up
-    workloads.install_pulled_charts()
-    return list(workloads.PULLED_CHARTS)
-
-
 def test_a_joined_report_drops_the_parents_after_the_first_conformal_row(monkeypatch,
                                                                         tmp_path):
     # the three pulled charts join, and so do their conformal parents, in
@@ -305,7 +293,7 @@ def test_a_joined_report_drops_the_parents_after_the_first_conformal_row(monkeyp
     # the parents, so they are gone, with the cycle collector off, once that
     # row has read them, while every section's other suites are still to
     # run; the later sections read their rows and make no parents again
-    names = _pulled_charts()
+    names = pulled_charts()
     parents, alive = [], []
     real_derive, real_row = Evaluation._derive, ktgeo.cli.verify_conformal_trace
 
@@ -338,7 +326,7 @@ def test_a_non_finite_conformal_row_is_its_own_sections_failure(monkeypatch, cap
     # on the last one's rows alone: that section fails with the line it
     # prints reported alone, naming its own first point, and the earlier
     # sections' rows are those of their charts alone
-    names = _pulled_charts()
+    names = pulled_charts()
     real_rows = ktgeo.identities._conformal_rows
 
     def nan_rows(ev):

@@ -13,7 +13,7 @@ from ktgeo.catalog import (
     BoxChart, HermitianManifold, _conf_factor, catalog_names, conformal_rescale, get_manifold,
 )
 from ktgeo.classify import check_hkt, structure_flags, vanishing_hypotheses
-from ktgeo.connections import lee_form_routes
+from ktgeo.connections import compatibility_residuals, lee_form_routes
 from ktgeo.errors import ContractViolationError, NumericError, PreconditionError
 from ktgeo.identities import (
     Evaluation, Row, _distinct_offsets, run_identity_suite, verify_conformal_trace, verify_dim4,
@@ -22,7 +22,7 @@ from ktgeo.string_eqs import run_string_suite
 
 from conftest import (
     block_conformal_torus_4, block_conformal_torus_6, codiff_of_field, kahler_form,
-    richardson_ratios, sample, slot_by_slot,
+    pulled_charts, richardson_ratios, sample, slot_by_slot,
 )
 
 ALL_NAMES = [
@@ -228,10 +228,10 @@ def test_the_declared_variants_follow_the_suites(suites):
             verify_conformal_trace(views[2])
     assert len(group._pending) == ("identities" in suites) + 2 * ("classify" in suites)
     if "classify" in suites:
-        assert [len(view.structures()) for view in views] == [0, 2, 0]
+        assert [len(view._other_structures()) for view in views] == [0, 2, 0]
     else:
         with pytest.raises(PreconditionError, match="'classify'"):
-            views[1].structures()
+            views[1]._other_structures()
 
 
 def test_richardson_second_order_convergence():
@@ -535,7 +535,7 @@ def _variants(ev):
     """The variants that ``ev``, an evaluation of one chart, holds for a
     report section: the conformal parent, until the conformal row drops it,
     and the triple's other structures."""
-    return [ev._parents] * (ev.m.conformal_parent is not None) + list(ev.structures())
+    return [ev._parents] * (ev.m.conformal_parent is not None) + list(ev._other_structures())
 
 
 def _run_suites(ev):
@@ -571,7 +571,7 @@ def test_evaluations_hold_base_point_values_only(name):
     evs = _section_evaluations(m, m.sample_points(3, seed=2))
     # the section's, its conformal parent's and the triple's other structures
     assert len(evs) == 1 + (m.conformal_parent is not None) + 2 * (m.hypercomplex is not None)
-    assert list(evs[0].structures()) == evs[1 + (m.conformal_parent is not None):]
+    assert list(evs[0]._other_structures()) == evs[1 + (m.conformal_parent is not None):]
     for ev in evs:
         # the conformal row dropped the parents
         held = [k for k, v in vars(ev).items() if isinstance(v, Evaluation)]
@@ -615,10 +615,34 @@ def test_a_structure_read_first_runs_its_sections_one_pass(monkeypatch):
     expected = check_hkt(ev)
     blocks = _base_passes(monkeypatch)
     ev = Evaluation(m, pts)
-    ev.structures()[0].T
+    ev._other_structures()[0].T
     assert blocks == [16]
     assert repr(check_hkt(ev)) == repr(expected)
     assert blocks == [16]
+
+
+@pytest.mark.parametrize("points", [4, 8, 16, 41])
+@pytest.mark.parametrize("name", ["hopf_hkt", "pulled_hopf_hkt"])
+def test_a_variant_off_row_0_runs_a_pass_of_its_own(name, points):
+    # behind a chart without a parent, the section's parents and its
+    # triple's structures start at a later row of the group; a partial
+    # they neither share nor differentiate is a pass of their own over
+    # their own rows, in two blocks at 41 points: bit for bit the partial
+    # of their chart's own evaluation
+    if name not in catalog_names():
+        pulled_charts()
+    flat, m = get_manifold("flat_torus_4"), get_manifold(name)
+    pts = m.sample_points(points, seed=0)
+    views = Evaluation.joined([(flat, flat.sample_points(points, seed=0)), (m, pts)])
+    group = views[0]._source
+    variants = [group._parents, *views[1]._other_structures()]
+    charts = [m.conformal_parent.parent] + [replace(m, complex_structure=j, hypercomplex=None)
+                                            for j in m.hypercomplex]
+    for variant, chart in zip(variants, charts):
+        own = Evaluation(chart, pts)
+        assert np.array_equal(variant.partial("J"), own.partial("J")), chart.name
+        assert (compatibility_residuals(variant, "bismut")
+                == compatibility_residuals(own, "bismut")), chart.name
 
 
 def test_the_parents_read_first_run_their_sections_one_pass(monkeypatch):
@@ -643,7 +667,7 @@ def test_an_evaluation_whose_variants_were_read_is_freed_with_its_last_reference
     try:
         ev = Evaluation(m, m.sample_points(2, seed=0))
         assert ev._parents is not None
-        for structure in ev.structures():
+        for structure in ev._other_structures():
             structure.T
         del structure
         freed = weakref.ref(ev)
@@ -716,7 +740,7 @@ def test_joined_held_values_are_each_members_own(dim):
         if m.conformal_parent is not None:
             [(a, b)] = [(a, b) for _, a, b, section in parents.members if section == m.name]
             joined.append((_arrays(parents, slice(a, b)), own_variants.pop(0)))
-        joined += [(_arrays(s), ev) for s, ev in zip(view.structures(), own_variants)]
+        joined += [(_arrays(s), ev) for s, ev in zip(view._other_structures(), own_variants)]
         for held, ev in joined:
             assert set(_arrays(ev)) <= set(held), m.name
             for key, value in held.items():

@@ -3,6 +3,7 @@ layout of ``json.dumps(indent=2)``, floats at 17 significant digits (an
 integral one with ``.0``), non-finite floats as strings, NumPy values as
 their ``tolist()``."""
 
+import enum
 import json
 import math
 
@@ -11,7 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktgeo.cli import main, render_report
+from ktgeo.classify import DEFAULT_CLASSIFY_TOL
+from ktgeo.cli import SUITES, RunConfig, main, render_report, run
+from ktgeo.tensor_core import DEFAULT_STEP
+
+from conftest import pulled_charts
 
 # JSON trees without floats, whose text json.dumps fixes exactly
 _FLOAT_FREE = st.recursive(
@@ -69,7 +74,43 @@ def test_tuples_render_as_lists():
     assert render_report({"t": (1, (2, "x"))}) == render_report({"t": [1, [2, "x"]]})
 
 
-@pytest.mark.parametrize("value", [{1, 2}, {"nested": [{1}]}, object()])
+class _Text(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+# the writer takes exact built-in types alone: a subclass of one, and a dict
+# key other than a str, are unknown types too
+@pytest.mark.parametrize("value", [{1, 2}, {"nested": [{1}]}, object(), _Text("x"),
+                                   _Level.LOW, {1: "one"}])
 def test_an_unknown_type_raises_type_error(value):
     with pytest.raises(TypeError, match="cannot serialize"):
         render_report(value)
+
+
+def _walk(node):
+    """Assert that every key of the tree ``node`` is a ``str`` and every
+    leaf an exact built-in scalar or a NumPy scalar."""
+    if type(node) is dict:
+        for key, value in node.items():
+            assert type(key) is str, key
+            _walk(value)
+    elif type(node) in (list, tuple):
+        for value in node:
+            _walk(value)
+    else:
+        assert type(node) in (str, int, float, bool, type(None)) or isinstance(
+            node, np.generic), (type(node), node)
+
+
+@pytest.mark.parametrize("charts", ["catalog", "pulled"])
+def test_a_report_holds_only_what_the_writer_takes(charts):
+    # the writer takes exact built-in types and NumPy values alone, so a
+    # report's tree must hold nothing else, the pulled charts' too
+    manifolds = ("all",) if charts == "catalog" else tuple(pulled_charts())
+    _walk(run(RunConfig(manifolds=manifolds, points=2, seed=0, step=DEFAULT_STEP,
+                        tol_identity=None, tol_classify=DEFAULT_CLASSIFY_TOL, suites=SUITES,
+                        out=None)))
