@@ -87,7 +87,8 @@ from .tensor_core import (
     DEFAULT_STEP, codifferential_of, covariant_derivative_of, cyclic3_of4,
     exterior_derivative_of, fd_partial, first_slot_matrix, gram_schmidt_frames,
     hodge_star_values, interior_product, j_trace_matrix, kahler_form_values, koszul_values,
-    metric_inverse, norm_sq_values, permuted, proj_one_one, slotwise, to_frame, wedge,
+    metric_inverse, norm_sq_values, permuted, proj_one_one, slotwise, stencil_points, to_frame,
+    wedge,
 )
 
 __all__ = [
@@ -168,12 +169,17 @@ def _distinct_offsets(d: int):
     flat index ``((s d + a) 2 + t) d + b``.  For ``a != b`` it equals its twin
     ``(t, b, s, a)`` bit for bit: each coordinate adds one of ``+-h`` and one
     of ``+-0.0``, or two signed zeros, and either order gives the same sum.
-    Returns the flat indices of the offsets with ``a <= b``, and for every
-    offset the position among them of itself or its twin."""
+    The ``2d`` return offsets ``(s, a, -s, a)`` are read at the base point
+    ``x``, which they equal but where ``x_a +- h`` rounds.  Returns the flat
+    indices of the ``2d^2`` other offsets with ``a <= b``, and for every
+    offset its position in the second level's points, the base point first
+    and those offsets after it: 0 for a return offset, and otherwise one
+    past the position of itself or its twin among them."""
     s, a, t, b = np.unravel_index(np.arange(4 * d * d), (2, d, 2, d))
-    keep = np.flatnonzero(a <= b)
+    back = (a == b) & (s != t)
+    keep = np.flatnonzero((a <= b) & ~back)
     position = np.zeros(4 * d * d, dtype=np.intp)
-    position[keep] = np.arange(keep.size)
+    position[keep] = np.arange(1, keep.size + 1)
     twin = position[np.ravel_multi_index((t, b, s, a), (2, d, 2, d))]
     return _frozen(keep), _frozen(np.where(a <= b, position, twin))
 
@@ -250,14 +256,16 @@ def _points(m: HermitianManifold, pts, step: float) -> np.ndarray:
     return pts
 
 
-def _chart_field(m: HermitianManifold, pts, name: str, valence: int) -> np.ndarray:
+def _chart_field(m: HermitianManifold, pts, name: str, valence: int,
+                 check=None) -> np.ndarray:
     """The field ``name`` of ``m`` (an attribute path, ``metric`` or
     ``conformal_parent.log_factor``) at ``pts``, read as native float64: a
     float64 or integer array of ``valence`` slots per point.  A
     ``GeometryError`` or ``ValueError`` that the field raises is a numeric
     failure and passes through; any other exception, dtype or shape breaks
     the chart's contract.  A NaN or infinite value is a ``NumericError``
-    naming the field and the first point affected."""
+    naming the field and the first point affected.  A finite value is then
+    passed to ``check(m, value, top)``, ``top`` its largest magnitude."""
     try:
         value = attrgetter(name)(m)(pts)
     except (GeometryError, ValueError):
@@ -281,19 +289,44 @@ def _chart_field(m: HermitianManifold, pts, name: str, valence: int) -> np.ndarr
                                      f"{value.shape}, expected {expected}")
     # the largest magnitude is NaN or infinite exactly when some value is;
     # abs and max are loops every report runs, np.isfinite only on failure
-    if not math.isfinite(np.abs(value).max()):
+    top = np.abs(value).max()
+    if not math.isfinite(top):
         bad = ~np.isfinite(value).reshape(pts.shape[:-1] + (-1,)).all(axis=-1)
         raise NumericError(f"{m.name}: field {name!r} is not finite at point "
                            f"{pts[bad][0].tolist()}")
+    if check is not None:
+        check(m, value, top)
     return value
 
 
-def _symmetric(m: HermitianManifold, g: np.ndarray):
-    """Raise unless the metric field ``g`` of ``m`` is symmetric."""
+def _symmetric(m: HermitianManifold, g: np.ndarray, top: float):
+    """Raise unless the metric field ``g`` of ``m``, whose largest
+    magnitude is ``top``, is symmetric."""
     skew = np.abs(g - g.swapaxes(-1, -2)).max()
-    if skew > _SYMMETRY_TOL * np.abs(g).max():
+    if skew > _SYMMETRY_TOL * top:
         raise ContractViolationError(f"{m.name}: field 'metric' is not symmetric, "
                                      f"|g - g^T| = {skew:.3g}")
+
+
+# each chart field by the primitive that holds it: its attribute path on the
+# manifold, its valence and the check its values pass
+_FIELDS = {"g": ("metric", 2, _symmetric), "J": ("complex_structure", 2, None),
+           "phi": ("dilaton", 0, None), "log_factor": ("conformal_parent.log_factor", 0, None)}
+
+
+def _member_field(m: HermitianManifold, section: str, pts, key: str) -> np.ndarray:
+    """The chart field held under the primitive ``key`` of the member ``m``
+    at ``pts``, read by ``_chart_field``, or the trivial field 0 where ``m``
+    has no such field (no dilaton, or no conformal parent).  A failure
+    carries ``section`` as the exception's ``manifold``."""
+    name, valence, check = _FIELDS[key]
+    if getattr(m, name.partition(".")[0]) is None:
+        return np.zeros(pts.shape[:-1] + (m.dim,) * valence)
+    try:
+        return _chart_field(m, pts, name, valence, check)
+    except Exception as exc:
+        exc.manifold = section
+        raise
 
 
 def _rows(index):
@@ -367,22 +400,29 @@ class Evaluation:
     suite pays for no partial it does not read.  A ``partial`` of any other
     primitive is a pass of its own.  The first level differentiates the
     leaves that ``differentiated`` names, of ``g``, ``omega``, ``phi`` and
-    ``log_factor``, in one pass over one evaluation at the distinct
-    second-level points only, ``2d(d+1)`` of the ``(2d)^2`` around each
-    point, and every other point reads its twin's values.  A pass runs over
-    blocks of the base points under a fixed byte budget for its first level,
-    so its working set does not grow with the points; the base-point values
-    held do, 2.5 MiB per 16 points in d = 6.
+    ``log_factor``, in one pass over one evaluation at the base point and
+    the distinct second-level points only, ``2d^2`` of the ``(2d)^2``
+    around each base point: every other point reads its twin's values, and
+    each return point ``(x + s h e_a) - s h e_a`` the base point's.  A pass
+    runs over blocks of the base points under a fixed byte budget for its
+    first level, so its working set does not grow with the points; the
+    base-point values held do, 2.5 MiB per 16 points in d = 6.  In a base
+    pass each member's chart field is called once per block, at the
+    block's base points (unless they are held), its first level and the
+    distinct second-level points, ``1 + 2d + 2d^2`` per base point, and
+    each level reads its own rows of that call; a level with no second
+    level (a triple's structure) calls it at its base points and first
+    level.  Any other read of a chart field calls it at the points read.
 
     :meth:`joined` makes one evaluation of several manifolds of one
     dimension over their concatenated points, and a view of it per
     manifold; of one manifold, it makes the evaluation alone, as the
     constructor does, and no view.  Its ``members`` are ``(m, lo, hi,
     section)``, the manifold on the rows ``[lo, hi)``, whose failures name
-    ``section``; each chart field is called per member on its rows, block by
-    block, so a pass block may split a member, and a member without a
-    dilaton or a conformal parent reads the trivial field 0 there, which its
-    section never reads.  A view is the evaluation of one member, only its
+    ``section``; each chart field is called per member on its rows, once
+    per pass block, so a pass block may split a member, and a member
+    without a dilaton or a conformal parent reads the trivial field 0
+    there, which its section never reads.  A view is the evaluation of one member, only its
     rows of the joined one, which computes every value once for all
     members: it reads each value, ``partial``, row and held residual off the
     joined evaluation, where each row generator runs once and each
@@ -419,9 +459,8 @@ class Evaluation:
     The manifold's dimension must be even and at least 4.  The point set
     must not be empty and must have the manifold's dimension, and the chart
     domain is checked once, on the base points, with the margin the deepest
-    stencil needs; each chart field's shape is checked on every point set
-    where it is read.  :meth:`residual` is the engine's one residual
-    measure.
+    stencil needs; each chart field's shape is checked on every call.
+    :meth:`residual` is the engine's one residual measure.
     """
 
     def __init__(self, m: HermitianManifold, pts, step: float = DEFAULT_STEP):
@@ -444,6 +483,11 @@ class Evaluation:
         self._parents = None  # the conformal parents' variant, until the conformal row
         self._structures = {}  # each member's triple structures, by its index
         self._pending = []  # the variants that join the first pass; None after it
+        # on a stencil level, (up, a, b, filled): the evaluation one level up
+        # whose rows [a, b) it lies around, and the base values of up that
+        # its pass fills, by key
+        self._upper = None
+        self._stash = {}  # on a first level, each field call's parts until read
 
     @classmethod
     def joined(cls, sections, step: float = DEFAULT_STEP,
@@ -555,16 +599,18 @@ class Evaluation:
         self._pending.append(ev)
         return ev
 
-    def _counterpart(self, v, a: int, b: int, lo: int) -> "Evaluation":
+    def _counterpart(self, v, a: int, b: int, lo: int, filled: dict) -> "Evaluation":
         """The pass's evaluation of the variant ``v``, made from the pass's
         own, one stencil level down on this evaluation, which holds the
         pass's rows from ``lo``: the rows ``[a, b)`` of ``v``, sharing the
-        values here under its shared keys.  It joins this evaluation's pass
-        where its own first level differentiates any."""
+        values here under its shared keys, whose field calls fill the base
+        values ``filled`` of ``v``.  It joins this evaluation's pass where
+        its own first level differentiates any."""
         index = None if v._index is None else v._index[a:b] - lo
         ev = self._derive(_clipped(v.members, a, b), _take(self.pts, _rows(index)), self._depth,
                           _first_level(v.differentiated) if self._depth == 1 else (),
                           index, v._shared)
+        ev._upper = (v, a, b, filled)
         if ev.differentiated:
             self._pending.append(ev)
         return ev
@@ -613,14 +659,17 @@ class Evaluation:
         returns; any other primitive is a pass of its own.  The first pass
         takes the variants too, each over its own evaluation on its rows of
         the same stencil set, made from this pass's evaluation there.  On
-        the first stencil level those evaluations are
-        built at the distinct second-level points only, and every other
-        point reads its twin.  A base pass runs once per block of points
-        under ``_PASS_BYTES`` into outputs for all points; only the held
-        base-point values grow with the points.  A view, or a variant for a
-        key it shares, reads its rows of its source's ``partial``; a
-        variant's first ``partial`` of a primitive it differentiates runs
-        its source's pass, which fills it."""
+        the first stencil level those evaluations are built at the base
+        point and the distinct second-level points only: every other point
+        reads its twin, and every return point the base point.  A base pass
+        runs once per block of points under ``_PASS_BYTES`` into outputs for
+        all points, and calls each chart field that its levels read once
+        per member per block (:meth:`_merge`), which fills the base values
+        the pass does not find held; only the held base-point values grow
+        with the points.  A view, or a variant for a key it shares, reads
+        its rows of its source's ``partial``; a variant's first ``partial``
+        of a primitive it differentiates runs its source's pass, which
+        fills it."""
         key = ("partial", attr)
         if key in self._values:
             return self._values[key]
@@ -638,23 +687,30 @@ class Evaluation:
             members.append((self, self.differentiated))
             self._pending = None
 
+        filled = [{} for _ in members]  # each one's base values its levels' field calls give
+
         def values(p):  # at the stencil set around the block, yielded in turn
             if self._depth == 0:
                 here = self._derive(_clipped(self.members, lo, hi), p, 1,
                                     _first_level(self.differentiated))
             else:
-                # p is (..., 2, d, 2, d, d): evaluate the distinct offsets,
-                # then lay every offset out from its own value or its twin's;
-                # a value has its own rows of the leading axis
+                # p is (..., 2, d, 2, d, d): evaluate the base points and
+                # the distinct offsets, then lay every offset out from its
+                # own value, its twin's or the base point's; a value has its
+                # own rows of the leading axis
+                up, a, b, _ = self._upper
                 d, lead = p.shape[-1], p.shape[:-5]
                 keep, index = _distinct_offsets(d)
-                here = self._derive(self.members, p.reshape(lead + (-1, d))[..., keep, :], 2)
+                here = self._derive(self.members, np.concatenate(
+                    (up.pts[a:b, ..., None, :], p.reshape(lead + (-1, d))[..., keep, :]),
+                    axis=-2), 2)
 
                 def laid_out(v):
                     return v.take(index, axis=len(lead)).reshape(
                         v.shape[:1] + p.shape[1:-1] + v.shape[len(lead) + 1:])
-            level = [here._counterpart(ev, a, b, lo) if a < b else None
-                     for (ev, _), (a, b) in zip(members[:-1], spans)] + [here]
+            here._upper = (self, lo, hi, filled[-1])
+            level = [here._counterpart(ev, a, b, lo, base) if a < b else None
+                     for (ev, _), (a, b), base in zip(members[:-1], spans, filled)] + [here]
             del here
             # each evaluation is dropped once its values are read, and each
             # value once it is differentiated, so the variants' values are
@@ -687,33 +743,79 @@ class Evaluation:
                         out[k] = np.empty((ev.pts.shape[0],) + df.shape[1:])
                     out[k][a:b] = df
             del block, df  # so the next block's pass does not stack on this one's
-        for (ev, attrs), out in zip(members, outputs):
+        for (ev, attrs), out, base in zip(members, outputs, filled):
             for a, df in zip(attrs, out):
                 ev._values[("partial", a)] = _frozen(df)
+            for field, (value, rows) in base.items():
+                if rows == ev.pts.shape[0]:
+                    ev._values[field] = _frozen(value)
         return self._values[key]
 
     # -- chart data ------------------------------------------------------------
 
-    def _field(self, name, valence, check=None):
-        """The chart field ``name`` of each member at its rows, read by
-        ``_chart_field`` and then passed to ``check(m, value)``, the
-        members' values in row order.  A member that has no such field (no
-        dilaton, or no conformal parent) reads the trivial field 0 on its
-        rows.  A failure carries the member's section as the exception's
-        ``manifold``."""
-        parts = []
-        for m, lo, hi, section in self.members:
-            if getattr(m, name.partition(".")[0]) is None:
-                parts.append(np.zeros(self.pts[lo:hi].shape[:-1] + (m.dim,) * valence))
-                continue
-            try:
-                parts.append(_chart_field(m, self.pts[lo:hi], name, valence))
-                if check is not None:
-                    check(m, parts[-1])
-            except Exception as exc:
-                exc.manifold = section
-                raise
+    def _field(self, key):
+        """The chart field held under the primitive ``key`` (``g``, ``J``,
+        ``phi`` or ``log_factor``) of each member at its rows, by
+        ``_member_field``, the members' values in row order.  A stencil
+        level of a base pass reads its rows of the one call per member that
+        :meth:`_merge` makes on its first level; any other evaluation calls
+        each member's field on its rows."""
+        if self._depth:
+            first = self if self._depth == 1 else self._upper[0]
+            if key not in first._stash:
+                first._merge(key)
+            value = first._stash[key].pop(self._depth, None)
+            if value is not None:
+                return value
+        parts = [_member_field(m, section, self.pts[lo:hi], key)
+                 for m, lo, hi, section in self.members]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _merge(self, key):
+        """Call the chart field held under ``key`` once per member on the
+        rows of this first stencil level of a base pass block: at the
+        distinct second-level points around them where this level has a
+        second (it differentiates), at its own points, and at the base
+        points where the base evaluation neither holds nor shares the
+        field, in that order, so a failure names the first non-finite point
+        of the deepest level that has one.  Each level's part is copied
+        out: the base rows into the values that the pass fills, and this
+        level's and the second level's, the base point first on each row,
+        into ``_stash`` until the level reads it."""
+        up, a, b, filled = self._upper
+        d = self.pts.shape[-1]
+        shape = (d,) * _FIELDS[key][1]
+        keep = _distinct_offsets(d)[0] if self.differentiated else None
+        held = key in up._values or up._shares(key)
+        parts = {1: np.empty(self.pts.shape[:-1] + shape)}
+        # the base points' batch axes, before the second level's offsets axis
+        lead = (slice(None),) * (self.pts.ndim - 3)
+        if keep is not None:
+            parts[2] = np.empty(self.pts.shape[:-3] + (1 + keep.size,) + shape)
+        if not held:
+            if key not in filled:
+                filled[key] = [np.empty(up.pts.shape[:-1] + shape), 0]
+            base = filled[key]
+            base[1] += b - a
+        for m, lo, hi, section in self.members:
+            # each level's points on the member's rows, and where its values go
+            levels = [(self.pts[lo:hi], parts[1][lo:hi])]
+            if keep is not None:
+                around = stencil_points(levels[0][0], self.step)
+                around = around.reshape(around.shape[:-5] + (-1, d))[..., keep, :]
+                levels.insert(0, (around, parts[2][lo:hi][lead + (slice(1, None),)]))
+            if not held:
+                levels.append((up.pts[a + lo:a + hi], base[0][a + lo:a + hi]))
+            flat = np.concatenate([p.reshape(-1, d) for p, _ in levels])
+            value = _member_field(m, section, flat, key)
+            at = 0
+            for p, out in levels:
+                size = math.prod(p.shape[:-1])
+                out[...] = value[at:at + size].reshape(out.shape)
+                at += size
+        if keep is not None:
+            parts[2][lead + (0,)] = (getattr(up, key) if held else base[0])[a:b]
+        self._stash[key] = parts
 
     def _by_member(self, fn, value):
         """``fn(value)``, a pointwise function of a held value that may
@@ -733,7 +835,7 @@ class Evaluation:
 
     @_primitive
     def g(self):
-        return self._field("metric", 2, _symmetric)
+        return self._field("g")
 
     @_primitive
     def ginv(self):
@@ -741,7 +843,7 @@ class Evaluation:
 
     @_primitive
     def J(self):
-        return self._field("complex_structure", 2)
+        return self._field("J")
 
     @_primitive
     def jg(self):
@@ -750,12 +852,12 @@ class Evaluation:
     @_primitive
     def phi(self):
         """The dilaton."""
-        return self._field("dilaton", 0)
+        return self._field("phi")
 
     @_primitive
     def log_factor(self):
         """The conformal factor f, metric = exp(2 f) * the parent's."""
-        return self._field("conformal_parent.log_factor", 0)
+        return self._field("log_factor")
 
     @_primitive
     def frames(self):
@@ -1298,7 +1400,7 @@ def _conformal_rows(ev: Evaluation):
                                 "conformal parents")
     rows = _rows(parent._index)  # the parents' rows here
     J = parent.J  # the section's, on those rows
-    own = parent._field("complex_structure", 2)
+    own = parent._field("J")
     for _, a, b, section in parent.members:
         skew = np.abs(own[a:b] - J[a:b]).max()
         if not skew <= _SYMMETRY_TOL * np.abs(J[a:b]).max():

@@ -56,9 +56,13 @@ All conventions used by the rest of the engine are fixed here, once:
   budget, so its working set does not grow with the points; the base-point
   values the evaluation holds do, 2.5 MiB per 16 points in d = 6.  For
   ``a != b`` the nested points ``(x + s h e_a) + t h e_b`` and
-  ``(x + t h e_b) + s h e_a`` are equal bit for bit, so the evaluation
-  context evaluates the fields at only the ``2d(d+1)`` distinct ones of the
-  ``(2d)^2`` second-level points.
+  ``(x + t h e_b) + s h e_a`` are equal bit for bit, and the ``2d`` return
+  points ``(x + s h e_a) - s h e_a`` are read at the base point ``x``, so
+  the evaluation context evaluates the fields at only ``2d^2`` of the
+  ``(2d)^2`` second-level points, and at ``x``.  It calls each chart's
+  field once per block of a base pass, on the block's base points, the
+  stencil set ``stencil_points`` places around them and those second-level
+  points, and each level reads its own rows of the result.
 
 Everything here is a pure function of its arguments.  The evaluation context
 (``identities.Evaluation``) computes each shared primitive, and the coordinate
@@ -132,14 +136,21 @@ def _stencil_offsets(dim: int, step: float) -> np.ndarray:
     return offsets
 
 
+def stencil_points(points: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
+    """The stencil set ``x +- step e_d`` around ``points``: a sign axis
+    (``+`` first) and a direction axis after their batch axes, the points
+    where ``fd_partial`` calls its field."""
+    pts = np.asarray(points, dtype=float)
+    return pts[..., None, None, :] + _stencil_offsets(pts.shape[-1], step)
+
+
 def fd_partial(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
                step: float = DEFAULT_STEP):
     """Central-difference coordinate derivative of a batched field.
 
-    The field is called once, on the one stencil set ``x +- step e_d``: a
-    sign axis (``+`` first) just before the direction axis, after the batch
-    axes of the points.  Returns an array with the derivative axis first
-    among the tensor axes: ``out[..., d, (slots)] = D_d fn[..., (slots)]``,
+    The field is called once, on the one stencil set ``stencil_points``
+    places.  Returns an array with the derivative axis first among the
+    tensor axes: ``out[..., d, (slots)] = D_d fn[..., (slots)]``,
     from the two halves of the sign axis taken as views.  A field that
     returns a tuple or a generator of arrays is differentiated array by
     array from the one call, each as the generator yields it, so a field
@@ -147,7 +158,7 @@ def fd_partial(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
     the derivatives come back as a tuple in the same order.
     """
     pts = np.asarray(points, dtype=float)
-    values = fn(pts[..., None, None, :] + _stencil_offsets(pts.shape[-1], step))
+    values = fn(stencil_points(pts, step))
     sign = (slice(None),) * (pts.ndim - 1)  # the batch axes before the sign axis
 
     def difference(v):

@@ -393,12 +393,17 @@ def test_a_non_finite_joined_residual_is_its_own_sections_failure(monkeypatch, c
 
 def _nan_near(fn, spot, stencil):
     """``fn`` with NaN at the point ``spot``, or with ``stencil`` at the
-    points of its stencil but ``spot`` itself."""
+    points of its stencil but ``spot`` itself, or with ``stencil`` "far" at
+    the second-level point ``(spot + h e_2) + h e_2`` alone."""
+    if stencil == "far":  # placed as the nested stencil places it
+        offset = ktgeo.tensor_core.DEFAULT_STEP * np.eye(spot.size)[2]
+        spot = (spot + offset) + offset
+
     def field(p):
         out = np.array(fn(p), dtype=float)
         p = np.asarray(p)
         at = np.all(p == spot, axis=-1)
-        if stencil:
+        if stencil is True:
             at = ~at & (np.abs(p - spot).max(axis=-1) <= 2.5 * ktgeo.tensor_core.DEFAULT_STEP)
         out[at] = np.nan
         return out
@@ -411,11 +416,16 @@ _NAN_POINT = ("[-0.9002862993896544, -0.38108272757780104, -0.2068237221965298, 
               "-0.94597007928623]")
 _NAN_STENCIL_POINT = ("[-0.9000862993896545, -0.38108272757780104, -0.2068237221965298, "
                       "-0.94597007928623]")
+# (x + h e_2) + h e_2 for the point x above
+_NAN_FAR_POINT = ("[-0.9002862993896544, -0.38108272757780104, -0.20662372219652983, "
+                  "-0.94597007928623]")
 _NAN_SCALAR_LINES = {
     ("dilaton", False, ()): "error: numeric failure on 'nan_scalar' during 'classify': "
     f"nan_scalar: field 'dilaton' is not finite at point {_NAN_POINT}\n",
     ("dilaton", True, ()): "error: numeric failure on 'nan_scalar' during 'classify': "
     f"nan_scalar: field 'dilaton' is not finite at point {_NAN_STENCIL_POINT}\n",
+    ("dilaton", "far", ()): "error: numeric failure on 'nan_scalar' during 'classify': "
+    f"nan_scalar: field 'dilaton' is not finite at point {_NAN_FAR_POINT}\n",
     ("dilaton", False, ("string",)): "error: numeric failure on 'nan_scalar' during 'string': "
     f"nan_scalar: field 'dilaton' is not finite at point {_NAN_POINT}\n",
     ("log_factor", False, ()): "error: numeric failure on 'nan_scalar' during 'classify': "
@@ -1217,14 +1227,15 @@ def _counted(metric, points):
     return fn
 
 
-# a full 2-point report evaluates each metric at 1 + 2d + 2d(d+1) points per
-# base point: the base points, the stencil set of the base pass, and the
-# distinct points of the set around it, built once for that set's one pass
-# over g and omega (hopf_standard and hopf_hkt count their conformal parent as
-# well; the other two structures of hopf_hkt's triple join the section's pass
-# and read its metric at every stencil level, so they add none)
-_METRIC_POINTS = {"hopf_standard": 196, "su2xu1": 98, "block_conformal_torus_6": 194,
-                  "hopf_hkt": 196}
+# a full 2-point report evaluates each metric at 1 + 2d + 2d^2 points per
+# base point, in one call per pass block: the base points, the stencil set of
+# the base pass, and the distinct points of the set around it other than the
+# return points, which read the base point (hopf_standard and hopf_hkt count
+# their conformal parent as well; the other two structures of hopf_hkt's
+# triple join the section's pass and read its metric at every stencil level,
+# so they add none)
+_METRIC_POINTS = {"hopf_standard": 164, "su2xu1": 82, "block_conformal_torus_6": 170,
+                  "hopf_hkt": 164}
 
 
 @pytest.mark.parametrize("name", _METRIC_POINTS)
@@ -1243,16 +1254,52 @@ def test_report_metric_evaluations(tmp_path, name):
     assert sum(points) == _METRIC_POINTS[name]
 
 
+def _calls(fn, calls):
+    def counted(p):
+        calls.append(np.shape(p))
+        return fn(p)
+    return counted
+
+
+# a report calls each member's metric and J once per block of its base pass
+# (8 points in d = 6: 16 points run in two blocks, 20 in blocks of 6, 7 and
+# 7), one call on the block's base points, its first stencil level and the
+# distinct points of its second, and the conformal parent's J once more, at
+# the base points, where it is checked against the section's
+@pytest.mark.parametrize("name, points, blocks", [("conf_torus_6", 16, 2),
+                                                  ("block_conformal_torus_6", 20, 3)])
+def test_report_calls_each_field_once_per_pass_block(tmp_path, name, points, blocks):
+    m = block_conformal_torus_6() if name == "block_conformal_torus_6" else get_manifold(name)
+    calls = {"metric": [], "J": [], "parent metric": [], "parent J": []}
+    fields = {"metric": _calls(m.metric, calls["metric"]),
+              "complex_structure": _calls(m.complex_structure, calls["J"])}
+    if m.conformal_parent is not None:
+        parent = m.conformal_parent.parent
+        fields["conformal_parent"] = replace(m.conformal_parent, parent=replace(
+            parent, metric=_calls(parent.metric, calls["parent metric"]),
+            complex_structure=_calls(parent.complex_structure, calls["parent J"])))
+    register_manifold(replace(m, name=f"called_{name}", **fields))
+    code = main(["report", "--manifold", f"called_{name}", "--points", str(points),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    parents = m.conformal_parent is not None
+    assert {field: len(shapes) for field, shapes in calls.items()} == {
+        "metric": blocks, "J": blocks, "parent metric": blocks * parents, "parent J": parents}
+    # each block's call covers 1 + 2d + 2d^2 = 85 points per base point
+    assert sum(shape[0] for shape in calls["metric"]) == 85 * points
+    assert calls["parent J"] == [(points, 6)] * parents
+
+
 # every complex-structure field of a 2-point report is evaluated once per
-# stencil point: the section's J at 1 + 2d + 2d(d+1) points per base point,
+# stencil point: the section's J at 1 + 2d + 2d^2 points per base point,
 # its conformal parent's, which carries the section's J, at the base points
 # only, and the other structures of hopf_hkt's triple at 1 + 2d, for omega on
 # the first level of the section's pass
 @pytest.mark.parametrize("name, expected", [
-    ("hopf_standard", {"J": 98, "parent": 2}),
-    ("hopf_hkt", {"J": 98, "parent": 2, "J2": 18, "J3": 18}),
-    ("su2xu1", {"J": 98}),
-    ("conf_torus_6", {"J": 194, "parent": 2}),
+    ("hopf_standard", {"J": 82, "parent": 2}),
+    ("hopf_hkt", {"J": 82, "parent": 2, "J2": 18, "J3": 18}),
+    ("su2xu1", {"J": 82}),
+    ("conf_torus_6", {"J": 170, "parent": 2}),
 ])
 def test_report_complex_structure_evaluations(tmp_path, name, expected):
     m = get_manifold(name)
@@ -1324,11 +1371,11 @@ def test_a_parent_j_of_its_own_with_equal_values_gives_the_same_bytes(name, tmp_
 
 
 # the dilaton and the conformal factor are chart fields held like the metric:
-# a 2-point report evaluates each at 1 + 2d + 2d(d+1) points per base point
+# a 2-point report evaluates each at 1 + 2d + 2d^2 points per base point
 # (the rescaled metric calls its own factor, which is not counted here)
 @pytest.mark.parametrize("name, expected", [
-    ("hopf_standard", {"dilaton": 98, "log_factor": 98}),
-    ("conf_torus_4", {"dilaton": 0, "log_factor": 98}),
+    ("hopf_standard", {"dilaton": 82, "log_factor": 82}),
+    ("conf_torus_4", {"dilaton": 0, "log_factor": 82}),
 ])
 def test_report_scalar_field_evaluations(tmp_path, name, expected):
     m = get_manifold(name)
@@ -1362,10 +1409,11 @@ def test_report_builds_one_evaluation_per_stencil_level_and_pass(monkeypatch, tm
                  "--out", str(tmp_path / "r.json")])
     assert code == 0
     first = (2, 2, 4, 4)
-    # the one first-level evaluation, and one at the 2d(d+1) = 40 distinct
-    # second-level points for each pass over the first level: su2xu1 has no
-    # dilaton and no conformal factor, so g and omega share the only one
-    assert derived == [(first, 1), ((2, 40, 4), 2)]
+    # the one first-level evaluation, and one at the base point and the
+    # 2d^2 = 32 distinct second-level points other than the return points
+    # for each pass over the first level: su2xu1 has no dilaton and no
+    # conformal factor, so g and omega share the only one
+    assert derived == [(first, 1), ((2, 33, 4), 2)]
     assert passes.count(first) == 1
 
 

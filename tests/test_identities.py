@@ -476,7 +476,10 @@ def test_each_point_set_builds_coefficients_and_raises_the_torsion_once(monkeypa
 @pytest.mark.parametrize("d", [4, 6])
 def test_distinct_second_level_points_gather_the_nested_set_exactly(d):
     # the nested set as fd_partial places it, at points with negative
-    # coordinates and both signed zeros
+    # coordinates and both signed zeros: every offset but a return offset
+    # gathers its nested point bit for bit, its own or its twin's, and every
+    # return offset (x + s h e_a) - s h e_a reads the base point x, which it
+    # equals to within one rounding of x_a +- h
     rng = np.random.default_rng(d)
     pts = rng.uniform(-2.0, 2.0, (5, d))
     pts[0], pts[1] = 0.0, -0.0
@@ -489,9 +492,15 @@ def test_distinct_second_level_points_gather_the_nested_set_exactly(d):
     tensor_core.fd_partial(lambda p: tensor_core.fd_partial(capture, p), pts)
     full = nested[0].reshape(pts.shape[:-1] + (4 * d * d, d))
     keep, index = _distinct_offsets(d)
-    assert keep.size == 2 * d * (d + 1)
-    gathered = full[..., keep, :][..., index, :]
-    assert np.array_equal(gathered.view(np.int64), full.view(np.int64))
+    assert keep.size == 2 * d * d
+    gathered = np.concatenate((pts[:, None], full[:, keep]), axis=1)[:, index]
+    s, a, t, b = np.unravel_index(np.arange(4 * d * d), (2, d, 2, d))
+    back = (a == b) & (s != t)
+    assert np.array_equal(gathered[:, ~back].view(np.int64), full[:, ~back].view(np.int64))
+    assert np.array_equal(gathered[:, back].view(np.int64),
+                          np.repeat(pts[:, None], 2 * d, axis=1).view(np.int64))
+    step = tensor_core.DEFAULT_STEP
+    assert (np.abs(full[:, back] - pts[:, None]) <= np.spacing(np.abs(pts[:, None]) + step)).all()
 
 
 def _four_set_partials(m, first, step):
@@ -529,6 +538,82 @@ def test_first_level_partials_equal_the_four_set_reference(name, monkeypatch):
     dg, dom = _four_set_partials(m, first.pts, ev.step)
     assert np.array_equal(first.partial("g"), dg)
     assert np.array_equal(first.partial("omega"), dom)
+
+
+# a coordinate where x_a + h crosses 2 and rounds, so the return point
+# (x + h e_a) - h e_a is not x
+_ROUNDS = 1.9999442460488321
+
+
+def _first_level_of(m, pts, monkeypatch):
+    """The first-level evaluation of a base pass of ``m`` at ``pts``, the
+    pass over ``partial("g")``, which the pass itself dropped."""
+    levels = []
+    real_derive = Evaluation._derive
+
+    def derive(self, *args, **kwargs):
+        ev = real_derive(self, *args, **kwargs)
+        levels.append(ev)
+        return ev
+
+    monkeypatch.setattr(Evaluation, "_derive", derive)
+    Evaluation(m, pts).partial("g")
+    monkeypatch.undo()
+    (first,) = [e for e in levels if e._depth == 1]
+    return first
+
+
+@pytest.mark.parametrize("name", ["su2xu1", "block_conformal_torus_6"])
+def test_return_points_read_at_the_base_point_move_partials_only_at_roundoff(name,
+                                                                             monkeypatch):
+    # the second level reads each return point (x + s h e_a) - s h e_a at the
+    # base point x.  On a row where every return point is x, the first
+    # level's partials are the nested placement's, fd_partial of fd_partial,
+    # bit for bit; on a row whose every x_a + h rounds, a return point moves
+    # by one ulp of x_a, so each field value by a few ulps of an O(1) field,
+    # and a partial by those ulps over 2h: at most eight, 8 eps / 2h = 8.9e-12
+    m = block_conformal_torus_6() if name == "block_conformal_torus_6" else get_manifold(name)
+    pts = m.sample_points(2, seed=1)
+    assert ((pts + 1e-4) - 1e-4 == pts).all() and ((pts - 1e-4) + 1e-4 == pts).all()
+    pts[1] = _ROUNDS
+    assert (_ROUNDS + 1e-4) - 1e-4 != _ROUNDS
+    first = _first_level_of(m, pts, monkeypatch)
+    step = tensor_core.DEFAULT_STEP
+    bound = 8 * np.finfo(float).eps / (2 * step)
+    for got, field in ((first.partial("g"), m.metric), (first.partial("omega"), kahler_form(m))):
+        nested = tensor_core.fd_partial(field, first.pts, step)
+        assert np.array_equal(got[0], nested[0])
+        assert 0 < np.abs(got[1] - nested[1]).max() <= bound
+
+
+@pytest.mark.parametrize("name", ["hopf_standard", "conf_torus_6"])
+def test_a_metric_read_before_the_pass_leaves_its_base_rows_out_of_the_pass(name):
+    # the base points' metric read first is its own call; the pass then
+    # calls the metric once per block at the 2d + 2d^2 stencil points per
+    # base point alone, its second level reading the held base points, and
+    # every partial and row is the one of an evaluation that read nothing
+    # before its pass
+    m = get_manifold(name)
+    pts = m.sample_points(10, seed=2)
+    calls = []
+
+    def metric(p):
+        calls.append(np.shape(p)[0])
+        return m.metric(p)
+    counted = replace(m, metric=metric)
+    first = Evaluation(counted, pts)
+    g = first.g
+    rows = run_identity_suite(first)
+    blocks = -(-10 // identities._block_points(m.dim))
+    d = m.dim
+    assert calls == [10] + [10 * (2 * d + 2 * d * d) // blocks] * blocks
+    calls.clear()
+    fresh = Evaluation(counted, pts)
+    assert run_identity_suite(fresh) == rows
+    assert np.array_equal(fresh.g, g)
+    for attr in ("koszul", "theta"):
+        assert np.array_equal(fresh.partial(attr), first.partial(attr))
+    assert calls == [10 * (1 + 2 * d + 2 * d * d) // blocks] * blocks
 
 
 def _variants(ev):
