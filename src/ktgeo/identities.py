@@ -184,6 +184,17 @@ def _distinct_offsets(d: int):
     return _frozen(keep), _frozen(np.where(a <= b, position, twin))
 
 
+def _second_level_points(base: np.ndarray, around: np.ndarray) -> np.ndarray:
+    """The points of a second stencil level: on each row the base point of
+    ``base`` first, then the distinct offsets of ``_distinct_offsets``
+    among ``around``, the stencil set ``(..., 2, d, 2, d, d)`` that
+    ``stencil_points`` places around the row's first level."""
+    d = around.shape[-1]
+    keep = _distinct_offsets(d)[0]
+    return np.concatenate(
+        (base[..., None, :], around.reshape(around.shape[:-5] + (-1, d))[..., keep, :]), axis=-2)
+
+
 # a valence-3 value on the first stencil level takes 2d d^3 8 bytes per base
 # point; a base pass runs over balanced blocks of points that keep it within
 # this budget (8 points in d = 6, 40 in d = 4)
@@ -652,24 +663,24 @@ class Evaluation:
 
     def partial(self, attr: str) -> np.ndarray:
         """``D_d`` of the primitive ``attr`` here, derivative axis first,
-        held read-only; the only place a stencil is placed.  The first
-        ``partial`` of any primitive in ``differentiated`` takes all of them
-        in one central-difference pass over one evaluation on
-        the stencil set around the points, which the pass drops when it
-        returns; any other primitive is a pass of its own.  The first pass
-        takes the variants too, each over its own evaluation on its rows of
-        the same stencil set, made from this pass's evaluation there.  On
-        the first stencil level those evaluations are built at the base
-        point and the distinct second-level points only: every other point
-        reads its twin, and every return point the base point.  A base pass
-        runs once per block of points under ``_PASS_BYTES`` into outputs for
-        all points, and calls each chart field that its levels read once
-        per member per block (:meth:`_merge`), which fills the base values
-        the pass does not find held; only the held base-point values grow
-        with the points.  A view, or a variant for a key it shares, reads
-        its rows of its source's ``partial``; a variant's first ``partial``
-        of a primitive it differentiates runs its source's pass, which
-        fills it."""
+        held read-only.  The first ``partial`` of any primitive in
+        ``differentiated`` takes all of them in one central-difference pass
+        over one evaluation on the stencil set around the points, which the
+        pass drops when it returns; any other primitive is a pass of its
+        own.  The first pass takes the variants too, each over its own
+        evaluation on its rows of the same stencil set, made from this
+        pass's evaluation there.  On the first stencil level those
+        evaluations are built at the points of ``_second_level_points``,
+        the base point and the distinct second-level points: every other
+        point reads its twin, and every return point the base point.  A
+        base pass runs once per block of points under ``_PASS_BYTES`` into
+        outputs for all points, and calls each chart field that its levels
+        read once per member per block (:meth:`_merge`), which fills the
+        base values the pass does not find held; only the held base-point
+        values grow with the points.  A view, or a variant for a key it
+        shares, reads its rows of its source's ``partial``; a variant's
+        first ``partial`` of a primitive it differentiates runs its
+        source's pass, which fills it."""
         key = ("partial", attr)
         if key in self._values:
             return self._values[key]
@@ -699,11 +710,8 @@ class Evaluation:
                 # own value, its twin's or the base point's; a value has its
                 # own rows of the leading axis
                 up, a, b, _ = self._upper
-                d, lead = p.shape[-1], p.shape[:-5]
-                keep, index = _distinct_offsets(d)
-                here = self._derive(self.members, np.concatenate(
-                    (up.pts[a:b, ..., None, :], p.reshape(lead + (-1, d))[..., keep, :]),
-                    axis=-2), 2)
+                lead, index = p.shape[:-5], _distinct_offsets(p.shape[-1])[1]
+                here = self._derive(self.members, _second_level_points(up.pts[a:b], p), 2)
 
                 def laid_out(v):
                     return v.take(index, axis=len(lead)).reshape(
@@ -776,22 +784,23 @@ class Evaluation:
         rows of this first stencil level of a base pass block: at the
         distinct second-level points around them where this level has a
         second (it differentiates), at its own points, and at the base
-        points where the base evaluation neither holds nor shares the
-        field, in that order, so a failure names the first non-finite point
+        points where the base evaluation neither holds the field nor
+        shares it (a conformal parent's pass of its own shares its
+        section's ``J``), in that order, so a failure names the first non-finite point
         of the deepest level that has one.  Each level's part is copied
         out: the base rows into the values that the pass fills, and this
-        level's and the second level's, the base point first on each row,
-        into ``_stash`` until the level reads it."""
+        level's and the second level's, laid out as
+        ``_second_level_points`` places them, into ``_stash`` until the
+        level reads it."""
         up, a, b, filled = self._upper
         d = self.pts.shape[-1]
         shape = (d,) * _FIELDS[key][1]
-        keep = _distinct_offsets(d)[0] if self.differentiated else None
         held = key in up._values or up._shares(key)
         parts = {1: np.empty(self.pts.shape[:-1] + shape)}
-        # the base points' batch axes, before the second level's offsets axis
+        # the base points' batch axes, before the second level's points axis
         lead = (slice(None),) * (self.pts.ndim - 3)
-        if keep is not None:
-            parts[2] = np.empty(self.pts.shape[:-3] + (1 + keep.size,) + shape)
+        if self.differentiated:
+            parts[2] = np.empty(self.pts.shape[:-3] + (1 + _distinct_offsets(d)[0].size,) + shape)
         if not held:
             if key not in filled:
                 filled[key] = [np.empty(up.pts.shape[:-1] + shape), 0]
@@ -800,10 +809,10 @@ class Evaluation:
         for m, lo, hi, section in self.members:
             # each level's points on the member's rows, and where its values go
             levels = [(self.pts[lo:hi], parts[1][lo:hi])]
-            if keep is not None:
-                around = stencil_points(levels[0][0], self.step)
-                around = around.reshape(around.shape[:-5] + (-1, d))[..., keep, :]
-                levels.insert(0, (around, parts[2][lo:hi][lead + (slice(1, None),)]))
+            if 2 in parts:  # the second level's points past its base point
+                around = _second_level_points(up.pts[a + lo:a + hi],
+                                              stencil_points(self.pts[lo:hi], self.step))
+                levels.insert(0, (around[..., 1:, :], parts[2][lo:hi][lead + (slice(1, None),)]))
             if not held:
                 levels.append((up.pts[a + lo:a + hi], base[0][a + lo:a + hi]))
             flat = np.concatenate([p.reshape(-1, d) for p, _ in levels])
@@ -813,7 +822,7 @@ class Evaluation:
                 size = math.prod(p.shape[:-1])
                 out[...] = value[at:at + size].reshape(out.shape)
                 at += size
-        if keep is not None:
+        if 2 in parts:
             parts[2][lead + (0,)] = (getattr(up, key) if held else base[0])[a:b]
         self._stash[key] = parts
 

@@ -132,13 +132,22 @@ def block_conformal_torus_4():
         lambda x: 0.25 * np.cos(x[..., 1] - x[..., 3]) + 0.2 * np.sin(x[..., 0])))
 
 
+def benchmark_module(stem):
+    """The benchmark's module ``ktbench/<stem>.py`` of this checkout,
+    loaded once as ``bench_<stem>``."""
+    name = f"bench_{stem}"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, os.path.join(
+            os.path.dirname(__file__), os.pardir, "ktbench", f"{stem}.py"))
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)  # its dataclasses look their module up
+    return sys.modules[name]
+
+
 def pulled_charts():
     """The names of the benchmark's three pulled-back charts, registered:
     d = 4 charts, each with a conformal parent."""
-    spec = importlib.util.spec_from_file_location("pulled_workloads", os.path.join(
-        os.path.dirname(__file__), os.pardir, "ktbench", "workloads.py"))
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)  # its dataclasses look their module up
+    workloads = benchmark_module("workloads")
     workloads.install_pulled_charts()
     return list(workloads.PULLED_CHARTS)
 

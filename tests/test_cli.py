@@ -34,7 +34,9 @@ from ktgeo.catalog import (
 from ktgeo.cli import main, render_report
 from ktgeo.identities import Evaluation
 
-from conftest import block_conformal_torus_4, block_conformal_torus_6, pulled_charts
+from conftest import (
+    benchmark_module, block_conformal_torus_4, block_conformal_torus_6, pulled_charts,
+)
 
 
 def run_cli(*args):
@@ -1288,6 +1290,41 @@ def test_report_calls_each_field_once_per_pass_block(tmp_path, name, points, blo
     # each block's call covers 1 + 2d + 2d^2 = 85 points per base point
     assert sum(shape[0] for shape in calls["metric"]) == 85 * points
     assert calls["parent J"] == [(points, 6)] * parents
+
+
+# the benchmark's tracer wraps the engine's functions and the charts' fields
+# from outside: a traced report has the bytes of a plain one, the tracer
+# puts every function and chart back, and it sees each field read at
+# distinct points only: on one hopf_hkt point, the section's g and J and the
+# parent's g at 1 + 2d + 2d^2 = 41 points, each other structure's J at
+# 1 + 2d = 9, and the parent's J at the base point
+def test_benchmark_tracer_sees_each_field_point_once_and_changes_no_bytes(tmp_path):
+    tracing = benchmark_module("tracing")
+
+    def report():
+        out = tmp_path / "r.json"
+        assert main(["report", "--manifold", "hopf_hkt", "--points", "1",
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
+    plain = report()
+    originals = (ktgeo.identities.torsion_bismut_values, np.einsum, get_manifold("hopf_hkt"))
+    tracer = tracing.Tracer()
+    tracer.install(["hopf_hkt"])
+    try:
+        assert ktgeo.identities.torsion_bismut_values is not originals[0]
+        tracer.begin([])
+        traced = report()
+        tracer.end()
+    finally:
+        tracer.uninstall()
+    assert traced == plain
+    restored = (ktgeo.identities.torsion_bismut_values, np.einsum, get_manifold("hopf_hkt"))
+    assert all(now is then for now, then in zip(restored, originals))
+    counts = tracer.reports[0]
+    assert set(tracing.SPANS) <= set(counts.spans)
+    assert dict(counts.field_points) == {"metric": 82, "j": 60}
+    assert counts.distinct_points == 82 + 60
+    assert counts.flop > 0 and counts.bytes > 0
 
 
 # every complex-structure field of a 2-point report is evaluated once per
