@@ -247,8 +247,8 @@ def _hopf_log_factor(points):
 
 
 # left quaternion multiplications on H = R^4 with basis (1, i, j, k); the
-# catalog triple is (-L_i, -L_k, -L_j) so that J_a J_b = -delta_ab + eps_abc J_c.
-_L_I = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
+# catalog triple is (-L_i, -L_k, -L_j), -L_i being the block J of
+# ``_block_j(4)``, so that J_a J_b = -delta_ab + eps_abc J_c.
 _L_J = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
 _L_K = np.array([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=float)
 

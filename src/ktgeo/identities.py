@@ -215,7 +215,9 @@ _LEAVES = ("g", "omega", "phi", "log_factor")
 def _first_level(differentiated) -> tuple:
     """The leaves that the first stencil level of a pass over
     ``differentiated`` differentiates: those it names, where it names any
-    other primitive, the only kind read off a leaf's partial."""
+    other primitive, the only kind read off a leaf's partial.  Of a first
+    level's own tuple, leaves only, it is none, so one rule makes every
+    level and the second differentiates nothing."""
     if set(differentiated) <= set(_LEAVES):
         return ()
     return tuple(a for a in differentiated if a in _LEAVES)
@@ -341,23 +343,17 @@ def _member_field(m: HermitianManifold, section: str, pts, key: str) -> np.ndarr
 
 
 def _rows(index):
-    """Sorted row numbers as a slice where they are contiguous, so taking
-    them gives a view; ``None``, every row, stays ``None``."""
+    """Sorted row numbers as a slice where they are contiguous, as every
+    row of a source is, so taking them gives a view; ``None``, the index of
+    an evaluation on points of its own, stays ``None``."""
     if index is not None and index.size and index[-1] - index[0] + 1 == index.size:
         return slice(int(index[0]), int(index[-1]) + 1)
     return index
 
 
-def _take(value, rows):
-    """The rows ``rows`` (``None``: all, the value itself) of ``value``."""
-    return value if rows is None else value[rows]
-
-
 def _span(index, lo: int, hi: int) -> tuple:
-    """The rows ``[a, b)`` of an evaluation made on the rows ``index``
-    (``None``: all) of its source that lie in the source's rows ``[lo, hi)``."""
-    if index is None:
-        return lo, hi
+    """The rows ``[a, b)`` of an evaluation made on the rows ``index`` of
+    its source that lie in the source's rows ``[lo, hi)``."""
     a, b = np.searchsorted(index, (lo, hi))
     return int(a), int(b)
 
@@ -450,9 +446,11 @@ class Evaluation:
     triple on this metric where ``classify`` is, which
     ``classify.check_hkt`` alone reads.
     Making one reads no chart field.  An evaluation made from another holds
-    it as its source, with the keys it shares: a view every key, the
+    it as its source, with its rows there as an index (``np.arange`` where
+    it lies on every row), and the keys it shares: a view every key, the
     parents ``J``, a structure the metric-only values, a stencil
-    counterpart its variant's.  One rule reads a shared key: it is the
+    counterpart its variant's.  Every value, a held primitive or a
+    ``partial``, is read through one rule, ``_once``: a shared key is the
     evaluation's rows of the source's value, which the source computes on
     first use, so no reader keeps a read order.  Every variant joins this
     evaluation's first pass, block by block in the same central-difference
@@ -467,11 +465,12 @@ class Evaluation:
     evaluation holds no view.  The conformal row, the parents' only reader,
     drops them.
 
-    The manifold's dimension must be even and at least 4.  The point set
-    must not be empty and must have the manifold's dimension, and the chart
-    domain is checked once, on the base points, with the margin the deepest
-    stencil needs; each chart field's shape is checked on every call.
-    :meth:`residual` is the engine's one residual measure.
+    The manifold's dimension must be even and at least 4, and the step
+    finite and positive.  The point set must not be empty and must have the
+    manifold's dimension, and the chart domain is checked once, on the base
+    points, with the margin the deepest stencil needs; each chart field's
+    shape is checked on every call.  :meth:`residual` is the engine's one
+    residual measure, on points one per row.
     """
 
     def __init__(self, m: HermitianManifold, pts, step: float = DEFAULT_STEP):
@@ -488,8 +487,8 @@ class Evaluation:
         # here are its rows of that one's: a view names none and shares all
         self._source, self._shared = None, ()
         self._member = 0  # a view's member there, by its index in the members
-        # its rows of the evaluation it was made from (None: all), and those
-        # rows as a slice where they are contiguous
+        # its rows of the evaluation it was made from (None: on points of its
+        # own), and those rows as a slice where they are contiguous
         self._index, self._rows = index, _rows(index)
         self._parents = None  # the conformal parents' variant, until the conformal row
         self._structures = {}  # each member's triple structures, by its index
@@ -524,6 +523,8 @@ class Evaluation:
         members, parts, lo = [], [], 0
         if not sections:
             raise PreconditionError("an evaluation needs a non-empty point set")
+        if not 0 < step < math.inf:  # NaN too: a stencil needs a real step
+            raise ContractViolationError(f"step {step}: expected a finite step > 0")
         for m, pts in sections:
             try:
                 parts.append(_points(m, pts, step))
@@ -554,17 +555,18 @@ class Evaluation:
         # its rows of its source's, which the source computes on first use
         if key not in self._values:
             if self._shares(key):
-                self._values[key] = _take(self._source._once(key, compute), self._rows)
+                self._values[key] = self._source._once(key, compute)[self._rows]
             else:
                 self._values[key] = _frozen(compute(self))
         return self._values[key]
 
     def _derive(self, members, pts, depth, differentiated=(), index=None,
                 shared=()) -> "Evaluation":
-        # on the rows ``index`` of this one (None: all); a variant, which
-        # shares the keys ``shared``, holds this one by a weak proxy, since
-        # this one holds it; no domain check: the base evaluation made it
-        # for every stencil depth
+        # on the rows ``index`` of this one, or, where None, on points of its
+        # own (a stencil level's); a variant, which shares the keys
+        # ``shared``, holds this one by a weak proxy, since this one holds
+        # it; no domain check: the base evaluation made it for every stencil
+        # depth
         ev = Evaluation.__new__(Evaluation)
         ev._start(members, pts, self.step, depth, differentiated, index)
         if shared:
@@ -600,13 +602,11 @@ class Evaluation:
         evaluation's first pass and shares its values ``shared``, here and
         at every stencil level of the pass."""
         index = np.concatenate([np.arange(lo, hi) for _, lo, hi, _ in members])
-        index = None if index.size == self.pts.shape[0] else index
         own, at = [], 0
         for m, lo, hi, section in members:
             own.append((m, at, at + hi - lo, section))
             at += hi - lo
-        ev = self._derive(tuple(own), _take(self.pts, _rows(index)), 0, differentiated, index,
-                          shared)
+        ev = self._derive(tuple(own), self.pts[_rows(index)], 0, differentiated, index, shared)
         self._pending.append(ev)
         return ev
 
@@ -616,11 +616,11 @@ class Evaluation:
         pass's rows from ``lo``: the rows ``[a, b)`` of ``v``, sharing the
         values here under its shared keys, whose field calls fill the base
         values ``filled`` of ``v``.  It joins this evaluation's pass where
-        its own first level differentiates any."""
-        index = None if v._index is None else v._index[a:b] - lo
-        ev = self._derive(_clipped(v.members, a, b), _take(self.pts, _rows(index)), self._depth,
-                          _first_level(v.differentiated) if self._depth == 1 else (),
-                          index, v._shared)
+        its own first level differentiates any: on the second level, where
+        ``v`` differentiates leaves only, it differentiates none."""
+        index = v._index[a:b] - lo
+        ev = self._derive(_clipped(v.members, a, b), self.pts[_rows(index)], self._depth,
+                          _first_level(v.differentiated), index, v._shared)
         ev._upper = (v, a, b, filled)
         if ev.differentiated:
             self._pending.append(ev)
@@ -646,10 +646,10 @@ class Evaluation:
         """The bounds of the blocks a pass here runs over: balanced blocks
         of at most ``_block_points`` base points, or, where the members fill
         as few blocks whole, blocks that end where members do, so no
-        member's fields are called once per block; a deeper level is one
-        block of the base block."""
+        member's fields are called once per block.  A stencil level's
+        leading axis is one base block, so there the rule gives one block."""
         n = self.pts.shape[0]
-        size = _block_points(self.pts.shape[-1]) if self._depth == 0 else n
+        size = _block_points(self.pts.shape[-1])
         count = -(-n // size)
         aligned = [0]
         for _, lo, hi, _ in self.members:
@@ -677,16 +677,16 @@ class Evaluation:
         outputs for all points, and calls each chart field that its levels
         read once per member per block (:meth:`_merge`), which fills the
         base values the pass does not find held; only the held base-point
-        values grow with the points.  A view, or a variant for a key it
-        shares, reads its rows of its source's ``partial``; a variant's
-        first ``partial`` of a primitive it differentiates runs its
-        source's pass, which fills it."""
+        values grow with the points.  It is read as every other value is,
+        by ``_once``, and ``_pass`` runs the pass: a view, or a variant for
+        a key it shares, reads its rows of its source's ``partial``."""
+        return self._once(("partial", attr), lambda ev: ev._pass(attr))
+
+    def _pass(self, attr: str) -> np.ndarray:
+        # the partial of attr, by the pass that takes it here; a variant's
+        # first partial of a primitive it differentiates runs its source's
+        # pass, which fills it
         key = ("partial", attr)
-        if key in self._values:
-            return self._values[key]
-        if self._shares(key):
-            self._values[key] = _take(self._source.partial(attr), self._rows)
-            return self._values[key]
         if self._source is not None and attr in self.differentiated:
             self._source.partial(self._source.differentiated[0])
             return self._values[key]
@@ -754,9 +754,8 @@ class Evaluation:
         for (ev, attrs), out, base in zip(members, outputs, filled):
             for a, df in zip(attrs, out):
                 ev._values[("partial", a)] = _frozen(df)
-            for field, (value, rows) in base.items():
-                if rows == ev.pts.shape[0]:
-                    ev._values[field] = _frozen(value)
+            for field, value in base.items():
+                ev._values[field] = _frozen(value)
         return self._values[key]
 
     # -- chart data ------------------------------------------------------------
@@ -803,9 +802,8 @@ class Evaluation:
             parts[2] = np.empty(self.pts.shape[:-3] + (1 + _distinct_offsets(d)[0].size,) + shape)
         if not held:
             if key not in filled:
-                filled[key] = [np.empty(up.pts.shape[:-1] + shape), 0]
+                filled[key] = np.empty(up.pts.shape[:-1] + shape)
             base = filled[key]
-            base[1] += b - a
         for m, lo, hi, section in self.members:
             # each level's points on the member's rows, and where its values go
             levels = [(self.pts[lo:hi], parts[1][lo:hi])]
@@ -814,7 +812,7 @@ class Evaluation:
                                               stencil_points(self.pts[lo:hi], self.step))
                 levels.insert(0, (around[..., 1:, :], parts[2][lo:hi][lead + (slice(1, None),)]))
             if not held:
-                levels.append((up.pts[a + lo:a + hi], base[0][a + lo:a + hi]))
+                levels.append((up.pts[a + lo:a + hi], base[a + lo:a + hi]))
             flat = np.concatenate([p.reshape(-1, d) for p, _ in levels])
             value = _member_field(m, section, flat, key)
             at = 0
@@ -823,7 +821,7 @@ class Evaluation:
                 out[...] = value[at:at + size].reshape(out.shape)
                 at += size
         if 2 in parts:
-            parts[2][lead + (0,)] = (getattr(up, key) if held else base[0])[a:b]
+            parts[2][lead + (0,)] = (getattr(up, key) if held else base)[a:b]
         self._stash[key] = parts
 
     def _by_member(self, fn, value):
@@ -1103,12 +1101,13 @@ class Evaluation:
 
     def residual(self, name: str, diff):
         """Largest orthonormal-frame component of ``diff`` over the points,
-        and the point where it occurs, on an evaluation of one manifold.
-        ``diff`` holds one covariant tensor per point, shape ``(N,) +
-        (dim,) * valence``, or names a primitive, whose residual is measured
-        once and held, by a view on the evaluation it views.  A NaN or
-        infinite residual raises ``NumericError`` naming ``name`` (the
-        primitive's name for a held one) and the first point affected."""
+        and the point where it occurs, on an evaluation of one manifold
+        whose points are one per row.  ``diff`` holds one covariant tensor
+        per point, shape ``(N,) + (dim,) * valence``, or names a primitive,
+        whose residual is measured once and held, by a view on the
+        evaluation it views.  A NaN or infinite residual raises
+        ``NumericError`` naming ``name`` (the primitive's name for a held
+        one) and the first point affected."""
         value, row = self._measure(name, diff)
         return value, tuple(self.pts[row].tolist())
 
@@ -1145,6 +1144,9 @@ class Evaluation:
         diff = np.asarray(diff)
         valence = diff.ndim - 1
         shape = self.pts.shape  # (N, dim)
+        if len(shape) != 2:  # an evaluation at a stencil set, say
+            raise ContractViolationError(f"{name!r}: a residual needs one point per row, "
+                                         f"and the points here have shape {shape}")
         if diff.shape != shape[:1] + shape[1:] * valence:
             raise ContractViolationError(
                 f"{name!r}: shape {diff.shape} is not a tensor per point at "
@@ -1420,13 +1422,13 @@ def _conformal_rows(ev: Evaluation):
             raise exc
     gamma, theta, ginv, u = parent.gamma("levi_civita"), parent.theta, parent.ginv, parent.u
     del parent
-    df, ddf = _take(df, rows), _take(ddf, rows)
+    df, ddf = df[rows], ddf[rows]
     nab = covariant_derivative_of(ddf, df, gamma, 1)
 
     n = ev.pts.shape[-1] // 2
-    lhs = 2.0 * np.exp(2.0 * _take(ev.log_factor, rows)) * _take(ev.u, rows)
+    lhs = 2.0 * np.exp(2.0 * ev.log_factor[rows]) * ev.u[rows]
     pairing = np.einsum("...a,...b,...ab->...", theta, df, ginv)
     rhs = 2.0 * u + n * (n - 1) * pairing + n * codifferential_of(nab, ginv, 1)
     diff = np.zeros(ev.pts.shape[:1])  # 0 on the rows of a member without one
-    diff[... if rows is None else rows] = lhs - rhs
+    diff[rows] = lhs - rhs
     yield "conformal_u_change", diff, 2, ASSERTED

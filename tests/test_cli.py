@@ -1510,10 +1510,12 @@ def test_report_makes_one_pass_per_evaluation_at_each_stencil_level(monkeypatch,
     assert sorted(Counter(id(ev) for ev, _ in passes).values()) == [1] * 2
     assert [(ev._depth, len(level)) for ev, level in passes] == [(0, 2), (1, 2)]
     (_, first), (_, second) = passes
-    # each level's parent evaluation shares the section's J there
+    # each level's parent evaluation shares the section's J there, all its
+    # rows: read off it, not evaluated
     for section, parent in (first, second):
         assert parent.m is get_manifold("hopf_standard").conformal_parent.parent
-        assert parent._values["J"] is section._values["J"]
+        assert np.shares_memory(parent._values["J"], section._values["J"])
+        assert np.array_equal(parent._values["J"], section._values["J"])
 
 
 def test_a_joined_report_makes_one_pass_per_stencil_level(monkeypatch, tmp_path):

@@ -280,6 +280,32 @@ def test_residual_reads_the_valence_from_the_array(hopf):
             ev.residual("bad", bad)
 
 
+def test_a_residual_needs_one_point_per_row(hopf):
+    # an evaluation at a stencil-shaped point set is allowed and computes
+    # its values, but its residual has no point per row to name
+    pts = sample("hopf_standard", 6).reshape(2, 3, 4)
+    ev = Evaluation(hopf, pts)
+    assert ev.g.shape == (2, 3, 4, 4)
+    for name, diff in (("scalar", np.zeros((6, 4))), ("g", "g")):
+        with pytest.raises(ContractViolationError) as err:
+            ev.residual(name, diff)
+        assert str(err.value) == (f"{name!r}: a residual needs one point per row, and the "
+                                  "points here have shape (2, 3, 4)")
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-4, np.nan, np.inf])
+def test_an_evaluation_needs_a_finite_positive_step(step):
+    # a negative step shrinks the chart margin below the stencil's reach, so
+    # su2xu1 at x_0 = 0.2 + 1e-5 would pass the domain check that it fails
+    # at +1e-4; a zero step divides by zero
+    m = get_manifold("su2xu1")
+    pts = [[0.2 + 1e-5, 1.0, 1.0, 0.0]]
+    for make in (lambda: Evaluation(m, pts, step), lambda: Evaluation.joined([(m, pts)], step)):
+        with pytest.raises(ContractViolationError) as err:
+            make()
+        assert str(err.value) == f"step {step}: expected a finite step > 0"
+
+
 @pytest.mark.parametrize("diff, bad", [
     ([1.0, np.nan, 3.0, np.inf], 1),
     ([np.inf, 2.0, np.nan, 0.0], 0),

@@ -37,7 +37,8 @@ UNREACHED = {
 # where each differentiating kernel function may be called, and why there
 CALCULUS_SITES = {
     "fd_partial": {
-        "identities.Evaluation.partial": "the one stencil pass over a held primitive",
+        "identities.Evaluation._pass": "the one stencil pass over a held primitive, "
+                                       "which Evaluation.partial runs",
     },
     "covariant_derivative_of": {
         "identities.Evaluation.nabla": "the held covariant derivative of a primitive",
