@@ -57,6 +57,7 @@ import platform
 import sys
 import traceback
 from dataclasses import dataclass
+from collections import Counter
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -333,16 +334,18 @@ def run(cfg: RunConfig) -> dict:
     names = list(dict.fromkeys(n for name in cfg.manifolds
                                for n in (catalog_names() if name == "all" else (name,))))
     manifolds = [get_manifold(n) for n in names]  # fail fast on unknown names
-    # the sections of one dimension whose points fit in one block of a
-    # stencil pass share one evaluation; any other section is a group of
+    # sections of one dimension share one evaluation while their points
+    # together fit one block of a stencil pass, so a group's pass runs its
+    # first stencil level once; a section too big for a block is a group of
     # one.  A group runs where the first of its sections comes, each section
     # on its evaluation, which it drops when it ends, so the group's
     # evaluation is gone before any other group runs and its values never
     # stack on another group's section
-    groups = {}
+    groups, count = {}, Counter()
     for m in manifolds:
-        groups.setdefault(m.dim if cfg.points <= _block_points(m.dim) else m.name,
-                          []).append(m)
+        per_group = max(1, _block_points(m.dim) // cfg.points)
+        groups.setdefault((m.dim, count[m.dim] // per_group), []).append(m)
+        count[m.dim] += 1
     sections = {}
     for group in groups.values():
         evaluations = _evaluations(group, cfg)

@@ -5,8 +5,8 @@ over shared primitives.  An :class:`Evaluation` computes every primitive
 (the chart fields, the dilaton and the conformal factor among them, torsion,
 the three curvatures, the Lee form, eta = theta - 2 d phi, ...) once per
 manifold and point set, and every suite of a report section reads the one
-evaluation the section takes from :meth:`Evaluation.joined`.  The sections
-of one dimension whose points fit in one pass block share one evaluation
+evaluation the section takes from :meth:`Evaluation.joined`.  Sections of
+one dimension whose points together fit one pass block share one evaluation
 over all their points, which computes every primitive for all of them, each
 section through a view that is only its rows of the values held, so a
 section's values and rows are those of its chart alone; a section in a
@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 from operator import attrgetter
@@ -197,13 +198,14 @@ def _second_level_points(base: np.ndarray, around: np.ndarray) -> np.ndarray:
 
 # a valence-3 value on the first stencil level takes 2d d^3 8 bytes per base
 # point; a base pass runs over balanced blocks of points that keep it within
-# this budget (8 points in d = 6, 40 in d = 4)
-_PASS_BYTES = 162 * 1024
+# this budget (16 points in d = 6, 81 in d = 4), and a report joins sections
+# only while their points together fit one block
+_PASS_BYTES = 324 * 1024
 
 
 def _block_points(dim: int) -> int:
     """The base points that one block of a stencil pass holds in dimension
-    ``dim``, under ``_PASS_BYTES``: 40 in d = 4, 8 in d = 6."""
+    ``dim``, under ``_PASS_BYTES``: 81 in d = 4, 16 in d = 6."""
     return max(1, _PASS_BYTES // (16 * dim ** 4))
 
 
@@ -223,6 +225,50 @@ def _first_level(differentiated) -> tuple:
     return tuple(a for a in differentiated if a in _LEAVES)
 
 
+# the values that computing each primitive a stencil level takes reads
+# there, by key: a pass drops each value of a level once nothing the level
+# has still to compute reads it (``_read_plan``)
+_READS = {
+    "omega": ("g", "J"),
+    "ginv": ("g",),
+    "koszul": (("partial", "g"),),
+    "dOm": (("partial", "omega"),),
+    "T": ("dOm", "J"),
+    "bismut_coefficients": ("koszul", "T"),
+    "chern_coefficients": ("koszul", "J", "dOm"),
+    ("gamma", "levi_civita"): ("koszul", "ginv"),
+    ("nabla", "omega", "levi_civita"): (("partial", "omega"), "omega",
+                                        ("gamma", "levi_civita")),
+    ("codiff", "omega"): (("nabla", "omega", "levi_civita"), "ginv", "omega"),
+    "theta": ("J", ("codiff", "omega")),
+    "jtheta": ("theta", "J"),
+    "sqrt_det_g": ("g",),
+    "raised_T": ("T", "ginv"),
+    "flux_density": ("sqrt_det_g", "raised_T"),
+    "dphi": (("partial", "phi"),),
+    "eta": ("theta", "dphi"),
+    "dilaton_flux_density": ("sqrt_det_g", "phi", "raised_T"),
+    "dlog_factor": (("partial", "log_factor"),),
+}
+
+
+@lru_cache(maxsize=None)
+def _read_plan(outputs: tuple, held: frozenset) -> tuple:
+    """The keys that computing the primitives ``outputs`` computes on an
+    evaluation that holds the keys ``held``, by ``_READS``, and how many
+    reads each value held or computed there serves: one per key computed
+    that reads it, and one more for each output, the pass's."""
+    computes, todo = set(), list(outputs)
+    while todo:
+        key = todo.pop()
+        if key not in computes and key not in held:
+            computes.add(key)
+            todo += _READS.get(key, ())
+    reads = Counter(outputs)
+    reads.update(read for key in computes for read in _READS.get(key, ()))
+    return frozenset(computes), reads
+
+
 # the primitives whose ``partial`` each suite reads on base points; the
 # structure block, which runs in every section, reads those of g and omega
 _SUITE_PARTIALS = {
@@ -238,14 +284,17 @@ _SUITE_PARTIALS = {
 def _differentiated(m: HermitianManifold, suites=tuple(_SUITE_PARTIALS)) -> tuple:
     """The primitives whose ``partial`` a report of ``suites`` reads on base
     points, in pass order: the dilaton's where the chart has one, the
-    conformal factor's where it has a conformal parent."""
-    names = ("g", "omega", "koszul", "T", "bismut_coefficients", "chern_coefficients",
-             "theta", "jtheta", "flux_density")
-    if m.dilaton is not None:
-        names += ("phi", "dphi", "eta", "dilaton_flux_density")
-    if m.conformal_parent is not None:
-        names += ("log_factor", "dlog_factor")
+    conformal factor's where it has a conformal parent.  The Lee form comes
+    before the torsion and the coefficients, so a stencil level drops the
+    Levi-Civita derivative of omega before it computes ``dOm``."""
+    names = ("g", "omega", "koszul", "theta", "jtheta", "phi", "dphi", "eta", "T",
+             "chern_coefficients", "bismut_coefficients", "flux_density",
+             "dilaton_flux_density", "log_factor", "dlog_factor")
     read = {"g", "omega"}.union(*(_SUITE_PARTIALS[s] for s in suites))
+    if m.dilaton is None:
+        read -= {"phi", "dphi", "eta", "dilaton_flux_density"}
+    if m.conformal_parent is None:
+        read -= {"log_factor", "dlog_factor"}
     return tuple(a for a in names if a in read)
 
 
@@ -301,8 +350,9 @@ def _chart_field(m: HermitianManifold, pts, name: str, valence: int,
         raise ContractViolationError(f"{m.name}: field {name!r} has shape "
                                      f"{value.shape}, expected {expected}")
     # the largest magnitude is NaN or infinite exactly when some value is;
-    # abs and max are loops every report runs, np.isfinite only on failure
-    top = np.abs(value).max()
+    # max and min are loops every report runs, with no temporary, and
+    # np.isfinite runs only on failure
+    top = max(value.max(), -value.min())
     if not math.isfinite(top):
         bad = ~np.isfinite(value).reshape(pts.shape[:-1] + (-1,)).all(axis=-1)
         raise NumericError(f"{m.name}: field {name!r} is not finite at point "
@@ -315,7 +365,9 @@ def _chart_field(m: HermitianManifold, pts, name: str, valence: int,
 def _symmetric(m: HermitianManifold, g: np.ndarray, top: float):
     """Raise unless the metric field ``g`` of ``m``, whose largest
     magnitude is ``top``, is symmetric."""
-    skew = np.abs(g - g.swapaxes(-1, -2)).max()
+    # g - g^T is antisymmetric bit for bit, so its largest entry is its
+    # largest magnitude
+    skew = (g - g.swapaxes(-1, -2)).max()
     if skew > _SYMMETRY_TOL * top:
         raise ContractViolationError(f"{m.name}: field 'metric' is not symmetric, "
                                      f"|g - g^T| = {skew:.3g}")
@@ -412,14 +464,17 @@ class Evaluation:
     around each base point: every other point reads its twin's values, and
     each return point ``(x + s h e_a) - s h e_a`` the base point's.  A pass
     runs over blocks of the base points under a fixed byte budget for its
-    first level, so its working set does not grow with the points; the
-    base-point values held do, 2.5 MiB per 16 points in d = 6.  In a base
-    pass each member's chart field is called once per block, at the
-    block's base points (unless they are held), its first level and the
-    distinct second-level points, ``1 + 2d + 2d^2`` per base point, and
-    each level reads its own rows of that call; a level with no second
-    level (a triple's structure) calls it at its base points and first
-    level.  Any other read of a chart field calls it at the points read.
+    first level, and each stencil level drops each value once nothing it
+    has still to compute reads it (``_READS``), so the pass's working set
+    does not grow with the points; the base-point values held do, 2.5 MiB
+    per 16 points in d = 6.  In a base pass each member's chart field is
+    called once per block, at the block's base points (unless they are
+    held), its first level and the distinct second-level points,
+    ``1 + 2d + 2d^2`` per base point, which are built once per block for
+    every field, and each level reads its own rows of that call; a level
+    with no second level (a triple's structure) calls it at its base
+    points and first level.  Any other read of a chart field calls it at
+    the points read.
 
     :meth:`joined` makes one evaluation of several manifolds of one
     dimension over their concatenated points, and a view of it per
@@ -498,6 +553,10 @@ class Evaluation:
         # its pass fills, by key
         self._upper = None
         self._stash = {}  # on a first level, each field call's parts until read
+        self._calls = None  # on a first level, each member's field call points
+        # on a stencil level in its pass, (the keys its outputs compute, the
+        # reads each value held or computed there has still to serve)
+        self._plan = None
 
     @classmethod
     def joined(cls, sections, step: float = DEFAULT_STEP,
@@ -553,12 +612,18 @@ class Evaluation:
     def _once(self, key, compute):
         # compute(ev) gives the value on the evaluation ev; a shared key is
         # its rows of its source's, which the source computes on first use
-        if key not in self._values:
-            if self._shares(key):
-                self._values[key] = self._source._once(key, compute)[self._rows]
-            else:
-                self._values[key] = _frozen(compute(self))
-        return self._values[key]
+        if key in self._values:
+            return self._values[key]
+        if self._shares(key):
+            # read-only where the rows are not contiguous and the read is a
+            # copy
+            value = _frozen(self._source._once(key, compute)[self._rows])
+        else:
+            value = _frozen(compute(self))
+        self._values[key] = value
+        if self._plan is not None and key in self._plan[0]:  # a stencil level in its pass
+            self._served(*_READS.get(key, ()))
+        return value
 
     def _derive(self, members, pts, depth, differentiated=(), index=None,
                 shared=()) -> "Evaluation":
@@ -647,7 +712,10 @@ class Evaluation:
         of at most ``_block_points`` base points, or, where the members fill
         as few blocks whole, blocks that end where members do, so no
         member's fields are called once per block.  A stencil level's
-        leading axis is one base block, so there the rule gives one block."""
+        leading axis is one base block, so there the rule gives one block.
+        A report's joined group fits one block (``cli.run``), so only a
+        section alone or a direct :meth:`joined` caller, such as
+        ``catalog.hermitian_residuals``, runs over several."""
         n = self.pts.shape[0]
         size = _block_points(self.pts.shape[-1])
         count = -(-n // size)
@@ -721,16 +789,22 @@ class Evaluation:
                      for (ev, _), (a, b), base in zip(members[:-1], spans, filled)] + [here]
             del here
             # each evaluation is dropped once its values are read, and each
-            # value once it is differentiated, so the variants' values are
-            # gone before this evaluation's grow
+            # value once nothing the level has still to compute reads it,
+            # an output once differenced, so the variants' values are gone
+            # before this evaluation's grow
             for k, (_, attrs) in enumerate(members):
                 ev, level[k] = level[k], None
                 if ev is None:  # none of its rows lie in this block
                     continue
-                out = [getattr(ev, a) for a in attrs][::-1]
+                computes, reads = _read_plan(attrs, frozenset(ev._values))
+                ev._plan = computes, dict(reads)
+                for a in attrs:
+                    value = getattr(ev, a)
+                    ev._served(a)  # the read of the output itself
+                    yield value if self._depth == 0 else laid_out(value)
+                    del value
+                ev._plan = None
                 del ev
-                while out:
-                    yield out.pop() if self._depth == 0 else laid_out(out.pop())
         # a block's outputs are held as they are where they hold all of an
         # evaluation's rows; a deeper level is one block of the base block
         outputs = [[None] * len(attrs) for _, attrs in members]
@@ -757,6 +831,14 @@ class Evaluation:
             for field, value in base.items():
                 ev._values[field] = _frozen(value)
         return self._values[key]
+
+    def _served(self, *keys):
+        # a read of each of keys is served: drop each after its last
+        reads = self._plan[1]
+        for key in keys:
+            reads[key] -= 1
+            if not reads[key]:
+                self._values.pop(key, None)
 
     # -- chart data ------------------------------------------------------------
 
@@ -785,12 +867,13 @@ class Evaluation:
         second (it differentiates), at its own points, and at the base
         points where the base evaluation neither holds the field nor
         shares it (a conformal parent's pass of its own shares its
-        section's ``J``), in that order, so a failure names the first non-finite point
-        of the deepest level that has one.  Each level's part is copied
-        out: the base rows into the values that the pass fills, and this
-        level's and the second level's, laid out as
-        ``_second_level_points`` places them, into ``_stash`` until the
-        level reads it."""
+        section's ``J``), in that order, so a failure names the first
+        non-finite point of the deepest level that has one.  Each member's
+        points are built once per block, by :meth:`_call_points`, and read
+        by every key's call.  Each level's part is copied out: the base
+        rows into the values that the pass fills, and this level's and the
+        second level's, laid out as ``_second_level_points`` places them,
+        into ``_stash`` until the level reads it."""
         up, a, b, filled = self._upper
         d = self.pts.shape[-1]
         shape = (d,) * _FIELDS[key][1]
@@ -804,25 +887,40 @@ class Evaluation:
             if key not in filled:
                 filled[key] = np.empty(up.pts.shape[:-1] + shape)
             base = filled[key]
-        for m, lo, hi, section in self.members:
-            # each level's points on the member's rows, and where its values go
-            levels = [(self.pts[lo:hi], parts[1][lo:hi])]
+        if self._calls is None:
+            self._calls = [self._call_points(lo, hi) for _, lo, hi, _ in self.members]
+        for (m, lo, hi, section), flat in zip(self.members, self._calls):
+            # where each level's values on the member's rows go
+            outs = [parts[1][lo:hi]]
             if 2 in parts:  # the second level's points past its base point
-                around = _second_level_points(up.pts[a + lo:a + hi],
-                                              stencil_points(self.pts[lo:hi], self.step))
-                levels.insert(0, (around[..., 1:, :], parts[2][lo:hi][lead + (slice(1, None),)]))
-            if not held:
-                levels.append((up.pts[a + lo:a + hi], base[a + lo:a + hi]))
-            flat = np.concatenate([p.reshape(-1, d) for p, _ in levels])
+                outs.insert(0, parts[2][lo:hi][lead + (slice(1, None),)])
+            if held:  # the base points come last
+                flat = flat[:flat.shape[0] - (hi - lo)]
+            else:
+                outs.append(base[a + lo:a + hi])
             value = _member_field(m, section, flat, key)
             at = 0
-            for p, out in levels:
-                size = math.prod(p.shape[:-1])
+            for out in outs:
+                size = math.prod(out.shape[:out.ndim - len(shape)])
                 out[...] = value[at:at + size].reshape(out.shape)
                 at += size
         if 2 in parts:
             parts[2][lead + (0,)] = (getattr(up, key) if held else base)[a:b]
         self._stash[key] = parts
+
+    def _call_points(self, lo: int, hi: int) -> np.ndarray:
+        """The points of :meth:`_merge`'s field call on this first level's
+        rows ``[lo, hi)``, flat: the distinct second-level points around
+        them past the base point, where this level has a second, this
+        level's points, then their base points, one per row."""
+        up, a = self._upper[:2]
+        d = self.pts.shape[-1]
+        levels = [self.pts[lo:hi], up.pts[a + lo:a + hi]]
+        if self.differentiated:
+            around = _second_level_points(up.pts[a + lo:a + hi],
+                                          stencil_points(self.pts[lo:hi], self.step))
+            levels.insert(0, around[..., 1:, :])
+        return np.concatenate([p.reshape(-1, d) for p in levels])
 
     def _by_member(self, fn, value):
         """``fn(value)``, a pointwise function of a held value that may

@@ -50,11 +50,13 @@ All conventions used by the rest of the engine are fixed here, once:
   once per point set.  It takes every derivative a base evaluation and its
   variants read in one pass, a field that yields their values in turn, and
   holds no stencil level after it; a report's sections of one dimension
-  whose points fit in one block share one evaluation, and so one pass,
-  whose field calls each chart's fields on its own rows.  The
-  pass calls this once per block of base points, sized by a fixed byte
-  budget, so its working set does not grow with the points; the base-point
-  values the evaluation holds do, 2.5 MiB per 16 points in d = 6.  For
+  share one evaluation, and so one pass, while their points together fit
+  one block, and the pass's field calls each chart's fields on its own
+  rows.  The pass calls this once per block of base points, sized by a
+  fixed byte budget, so its working set does not grow with the points; the
+  base-point values the evaluation holds do, 2.5 MiB per 16 points in
+  d = 6.  Each difference is taken in place, so it holds one array of its
+  result's size.  For
   ``a != b`` the nested points ``(x + s h e_a) + t h e_b`` and
   ``(x + t h e_b) + s h e_a`` are equal bit for bit, and the ``2d`` return
   points ``(x + s h e_a) - s h e_a`` are read at the base point ``x``, so
@@ -161,8 +163,10 @@ def fd_partial(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray,
     values = fn(stencil_points(pts, step))
     sign = (slice(None),) * (pts.ndim - 1)  # the batch axes before the sign axis
 
-    def difference(v):
-        return (v[sign + (0,)] - v[sign + (1,)]) / (2.0 * step)
+    def difference(v):  # in place, so it holds one array of the result's size
+        out = v[sign + (0,)] - v[sign + (1,)]
+        out /= 2.0 * step
+        return out
     if isinstance(values, np.ndarray):
         return difference(values)
     return tuple(map(difference, values))
@@ -200,7 +204,9 @@ def kahler_form_values(g: np.ndarray, J: np.ndarray) -> np.ndarray:
     antisymmetrization removes the roundoff contamination that a
     finite-difference stencil would otherwise amplify by 1/step."""
     gj = g @ J
-    return 0.5 * (gj - gj.swapaxes(-1, -2))
+    out = gj - gj.swapaxes(-1, -2)
+    out *= 0.5  # in place, so no third array of this size is held
+    return out
 
 
 def koszul_values(dg: np.ndarray) -> np.ndarray:

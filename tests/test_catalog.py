@@ -84,12 +84,12 @@ def test_hermitian_residuals_are_each_structures_own(name, points):
     assert hermitian_residuals(m, pts) == _residuals_structure_by_structure(m, pts)
 
 
-@pytest.mark.parametrize("points, blocks", [(8, [24]), (16, [32, 16])])
+@pytest.mark.parametrize("points, blocks", [(8, [24]), (32, [64, 32])])
 @pytest.mark.parametrize("name", ["hopf_hkt", "pulled_hopf_hkt"])
 def test_hermitian_residuals_take_one_stencil_pass(monkeypatch, name, points, blocks):
     # the chart and its two structures are the members of one evaluation,
     # whose one pass of J takes every structure's derivative: in one block
-    # of 24 points at 8 points each, in two that end where a member does at 16
+    # of 24 points at 8 points each, in two that end where a member does at 32
     m = _chart(name)
     calls, real = [], identities.fd_partial
 

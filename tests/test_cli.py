@@ -147,13 +147,13 @@ def _rescaled_su2xu1():
 
 @pytest.mark.parametrize("points", ["1", "8", "16", "20"])
 def test_a_joined_section_is_its_chart_reported_alone(points, tmp_path):
-    # the sections of one dimension that fit in one pass block share one
-    # evaluation, whose blocks may split a section (at 16 points the seven
-    # d = 4 sections fill three blocks of 37 or 38 points); each section
-    # reads its own rows of it, so its residuals and worst points, as
-    # 17-digit floats, are those of its chart alone.  At 8 points the d = 6
-    # sections join too, and block_conformal_torus_6 skips the LCK reduction
-    # that the others of its group assert
+    # sections of one dimension share one evaluation while their points
+    # together fit one pass block (at 16 points the seven d = 4 sections
+    # form groups of five and two); each section reads its own rows of it,
+    # so its residuals and worst points, as 17-digit floats, are those of
+    # its chart alone.  At 1 point the three d = 6 sections join too, and
+    # block_conformal_torus_6 skips the LCK reduction that the others of its
+    # group assert
     charts = [block_conformal_torus_4(), block_conformal_torus_6(), _rescaled_su2xu1()]
     for m in charts:
         register_manifold(m)
@@ -1264,12 +1264,12 @@ def _calls(fn, calls):
 
 
 # a report calls each member's metric and J once per block of its base pass
-# (8 points in d = 6: 16 points run in two blocks, 20 in blocks of 6, 7 and
-# 7), one call on the block's base points, its first stencil level and the
-# distinct points of its second, and the conformal parent's J once more, at
-# the base points, where it is checked against the section's
-@pytest.mark.parametrize("name, points, blocks", [("conf_torus_6", 16, 2),
-                                                  ("block_conformal_torus_6", 20, 3)])
+# (16 points in d = 6: 32 points run in two blocks, 40 in blocks of 13, 13
+# and 14), one call on the block's base points, its first stencil level and
+# the distinct points of its second, and the conformal parent's J once more,
+# at the base points, where it is checked against the section's
+@pytest.mark.parametrize("name, points, blocks", [("conf_torus_6", 32, 2),
+                                                  ("block_conformal_torus_6", 40, 3)])
 def test_report_calls_each_field_once_per_pass_block(tmp_path, name, points, blocks):
     m = block_conformal_torus_6() if name == "block_conformal_torus_6" else get_manifold(name)
     calls = {"metric": [], "J": [], "parent metric": [], "parent J": []}
@@ -1514,8 +1514,8 @@ def test_report_makes_one_pass_per_evaluation_at_each_stencil_level(monkeypatch,
     # rows: read off it, not evaluated
     for section, parent in (first, second):
         assert parent.m is get_manifold("hopf_standard").conformal_parent.parent
-        assert np.shares_memory(parent._values["J"], section._values["J"])
-        assert np.array_equal(parent._values["J"], section._values["J"])
+        assert np.shares_memory(parent.J, section.J)
+        assert np.array_equal(parent.J, section.J)
 
 
 def test_a_joined_report_makes_one_pass_per_stencil_level(monkeypatch, tmp_path):
@@ -1653,18 +1653,82 @@ def test_report_traced_peak_holds_no_stencil_level(tmp_path):
     assert peak < 26 * 2**20
 
 
+# the sections in each group a catalog report forms, in the order the groups
+# run: 81 points fit one pass block in d = 4, 16 in d = 6
+_GROUPS = {1: [5, 2], 8: [5, 2], 16: [5, 1, 1], 24: [3, 1, 2, 1], 32: [2, 1, 2, 1, 1],
+           41: [1] * 7}
+
+
+@pytest.mark.parametrize("points", _GROUPS)
+def test_every_report_group_is_one_pass_block(points, monkeypatch, tmp_path):
+    # sections of one dimension join while their points together fit one
+    # block, so every base pass of a joined group runs in one block over all
+    # its points; only a section too big for a block runs in several
+    events, real_joined = [], Evaluation.joined.__func__
+    real_fd = ktgeo.identities.fd_partial
+
+    def joined(cls, sections, *args, **kwargs):
+        events.append(("group", sections[0][0].dim, [len(pts) for _, pts in sections]))
+        return real_joined(cls, sections, *args, **kwargs)
+
+    def fd_partial(fn, pts, step):
+        if pts.ndim == 2:  # a base pass's block
+            events.append(("block", len(pts)))
+        return real_fd(fn, pts, step)
+
+    monkeypatch.setattr(Evaluation, "joined", classmethod(joined))
+    monkeypatch.setattr(ktgeo.identities, "fd_partial", fd_partial)
+    assert main(["report", "--manifold", "all", "--points", str(points), "--suite", "dim4",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    groups = [event[1:] for event in events if event[0] == "group"]
+    assert [len(sizes) for _, sizes in groups] == _GROUPS[points]
+    size = None
+    for event in events:
+        if event[0] == "group":
+            dim, sizes = event[1:]
+            size = sum(sizes)
+            assert len(sizes) == 1 or size <= ktgeo.identities._block_points(dim)
+        elif size <= ktgeo.identities._block_points(dim):
+            assert event[1] == size
+        else:  # a section alone, in blocks
+            assert event[1] < size
+
+
+@pytest.mark.parametrize("suite", [None, "identities", "classify", "dim4", "string"])
+def test_a_pass_computes_each_stencil_level_value_once(suite, monkeypatch, tmp_path):
+    # a stencil level drops each value once nothing it has still to
+    # compute reads it, so it never computes one again
+    computed, depths, again = weakref.WeakKeyDictionary(), set(), []
+    real_once = Evaluation._once
+
+    def once(self, key, compute):
+        if self._depth and key not in self._values and not self._shares(key):
+            keys = computed.setdefault(self, [])
+            (again if key in keys else keys).append(key)
+            depths.add(self._depth)
+        return real_once(self, key, compute)
+
+    monkeypatch.setattr(Evaluation, "_once", once)
+    argv = ["report", "--manifold", "all", "--points", "2", "--out", str(tmp_path / "r.json")]
+    for name in pulled_charts():
+        argv += ["--manifold", name]
+    assert main(argv + (["--suite", suite] if suite else [])) == 0
+    assert depths == {1, 2} and again == []
+
+
 @pytest.mark.parametrize("budget", [1, 7 * 16 * 6 ** 4, 24 * 16 * 4 ** 4, 2 ** 62],
                          ids=["one_point_blocks", "uneven_blocks", "split_sections",
                               "one_block"])
 def test_report_bytes_do_not_depend_on_the_pass_blocks(budget, monkeypatch, tmp_path):
     # a base pass writes each block's derivatives into outputs for all
-    # points, and each point's values do not depend on its block: blocks of
-    # one point, of at most 7 points in d = 6 (16 points as 5, 5 and 6) and
-    # 35 in d = 4 (the five joined d = 4 sections whole, as 32, 32 and 16),
-    # of at most 24 in d = 4 (80 joined points as four blocks of 20, which
-    # split three sections) and one block (every dimension's sections joined
-    # in it) give the bytes of the default blocks, where the d = 4 sections
-    # join in two blocks of 40 and the d = 6 ones run alone
+    # points, and each point's values do not depend on its block or its
+    # group: blocks of one point (every section alone), of at most 7 points
+    # in d = 6 (16 points as 5, 5 and 6) and 35 in d = 4 (the five d = 4
+    # sections in groups of 2, 2 and 1), of at most 24 in d = 4 and 4 in
+    # d = 6 (every section alone, a d = 6 one in four blocks) and one block
+    # (every dimension's sections joined in it) give the bytes of the
+    # default blocks, where the five d = 4 sections join in one block of 80
+    # and the d = 6 ones run alone, one block each
     register_manifold(block_conformal_torus_4())
     register_manifold(block_conformal_torus_6())
     runs = [["suite", "--all", "--points", "16"],

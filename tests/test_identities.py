@@ -557,6 +557,9 @@ def test_first_level_partials_equal_the_four_set_reference(name, monkeypatch):
         return ev
 
     monkeypatch.setattr(Evaluation, "_derive", derive)
+    # the level keeps every value, which the pass drops once no later
+    # output of the level reads it
+    monkeypatch.setattr(Evaluation, "_served", lambda self, *keys: None)
     ev = Evaluation(m, m.sample_points(3, seed=1))
     ev.partial("g")
     # the base pass's first-level evaluation, which the pass itself dropped
@@ -573,7 +576,8 @@ _ROUNDS = 1.9999442460488321
 
 def _first_level_of(m, pts, monkeypatch):
     """The first-level evaluation of a base pass of ``m`` at ``pts``, the
-    pass over ``partial("g")``, which the pass itself dropped."""
+    pass over ``partial("g")``, which the pass itself dropped, with every
+    value it computed there."""
     levels = []
     real_derive = Evaluation._derive
 
@@ -583,6 +587,7 @@ def _first_level_of(m, pts, monkeypatch):
         return ev
 
     monkeypatch.setattr(Evaluation, "_derive", derive)
+    monkeypatch.setattr(Evaluation, "_served", lambda self, *keys: None)
     Evaluation(m, pts).partial("g")
     monkeypatch.undo()
     (first,) = [e for e in levels if e._depth == 1]
@@ -732,6 +737,20 @@ def test_a_structure_read_first_runs_its_sections_one_pass(monkeypatch):
     assert blocks == [16]
 
 
+def test_a_variants_values_on_rows_apart_are_read_only():
+    # flat_torus_4 has no conformal parent, so the parents lie on the rows
+    # 0-1 and 4-5 of the group, and a shared value there is a copy of those
+    # rows; it is held read-only like every other value
+    ms = [get_manifold(name) for name in ("hopf_standard", "flat_torus_4", "conf_torus_4")]
+    views = Evaluation.joined([(m, m.sample_points(2, seed=0)) for m in ms])
+    parents = views[0]._source._parents
+    assert parents._index.tolist() == [0, 1, 4, 5]
+    verify_conformal_trace(views[0])  # reads the parents' values, then drops them
+    assert "J" in parents._values
+    for key, value in parents._values.items():
+        assert isinstance(value, np.ndarray) and not value.flags.writeable, key
+
+
 @pytest.mark.parametrize("points", [4, 8, 16, 41])
 @pytest.mark.parametrize("name", ["hopf_hkt", "pulled_hopf_hkt"])
 def test_a_variant_off_row_0_runs_a_pass_of_its_own(name, points):
@@ -835,10 +854,10 @@ def _arrays(ev, rows=slice(None)):
 def test_joined_held_values_are_each_members_own(dim):
     # every array the joined evaluation and its variants hold, sliced to a
     # member, is bitwise the value of the member's own evaluation, and they
-    # hold every array that one does; at 16 points the d = 6 pass runs in
-    # blocks of 8, and the d = 4 one in two of 40 that split su2xu1
+    # hold every array that one does; at 32 points the d = 6 pass runs in
+    # blocks of 16, and the d = 4 one in two of 80 that split su2xu1
     ms = [get_manifold(name) for name in catalog_names() if get_manifold(name).dim == dim]
-    pts = [m.sample_points(16, seed=0) for m in ms]
+    pts = [m.sample_points(32, seed=0) for m in ms]
     views = Evaluation.joined(list(zip(ms, pts)))
     # held here: the first conformal row drops the parents from the group
     group = views[0]._source
@@ -903,17 +922,17 @@ def test_a_views_scalar_fields_are_its_charts_alone(n):
 
 
 @pytest.mark.parametrize("names, bounds", [
-    (["hopf_standard", "hopf_hkt", "conf_torus_4"], [0, 32, 48]),
-    (["flat_torus_4", "hopf_standard", "su2xu1", "hopf_hkt", "conf_torus_4"], [0, 40, 80]),
+    (["hopf_standard", "hopf_hkt", "conf_torus_4"], [0, 64, 96]),
+    (["flat_torus_4", "hopf_standard", "su2xu1", "hopf_hkt", "conf_torus_4"], [0, 80, 160]),
 ], ids=["whole_sections", "balanced"])
 def test_a_joined_pass_block_ends_where_a_section_does_when_no_block_more(names, bounds,
                                                                           monkeypatch):
-    # three 16-point sections fill two blocks of at most 40 points whole, as
-    # 32 and 16, so no section's fields are called once per block; five
-    # would fill three, so they take two balanced blocks of 40
+    # three 32-point sections fill two blocks of at most 81 points whole, as
+    # 64 and 32, so no section's fields are called once per block; five
+    # would fill three, so they take two balanced blocks of 80
     ms = [get_manifold(name) for name in names]
     # a report of no suite but the structure block differentiates g and omega
-    views = Evaluation.joined([(m, m.sample_points(16, seed=0)) for m in ms], suites=())
+    views = Evaluation.joined([(m, m.sample_points(32, seed=0)) for m in ms], suites=())
     blocks = _base_passes(monkeypatch)
     views[0].partial("g")
     assert blocks == [b - a for a, b in zip(bounds, bounds[1:])]
@@ -933,11 +952,11 @@ def _pass_transient(m, n):
     return peak - held
 
 
-@pytest.mark.parametrize("name, n", [("flat_torus_6", 16), ("flat_torus_4", 80)])
+@pytest.mark.parametrize("name, n", [("flat_torus_6", 32), ("flat_torus_4", 162)])
 def test_a_base_pass_transient_does_not_grow_with_the_points(name, n):
     # a base pass runs over blocks of points under a fixed budget for its
-    # first level, so 4n points cost what n do: 1.93 MiB at 16 and at 64
-    # points of flat_torus_6, 2.94 and 11.57 MiB when one pass took them all
+    # first level, so 4n points cost what n do, n two whole blocks: 3.25 MiB
+    # at 32 and at 128 points of flat_torus_6
     m = get_manifold(name)
     assert n * 16 * m.dim ** 4 > identities._PASS_BYTES  # n spans at least two blocks
     assert _pass_transient(m, 4 * n) <= 1.1 * _pass_transient(m, n)
